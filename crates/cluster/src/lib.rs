@@ -63,7 +63,7 @@ pub use message::{Request, RequestId, Response, ResponseBody};
 pub use monitor::{ClusterEvent, Monitor, MonitorConfig};
 pub use net::{
     run_load, FrameBuf, FrameReader, LoadConfig, LoadMode, LoadReport, NetClient, NetMds,
-    NetServer, NetServerConfig, NetServerStats, SlowEntry, MAX_FRAME_BYTES,
+    NetServer, NetServerConfig, NetServerStats, ServeScope, SlowEntry, MAX_FRAME_BYTES,
 };
 pub use sim::{RebalancedReplay, ReplayOutcome, SimConfig, Simulator};
 pub use trace_analysis::{

@@ -79,150 +79,180 @@ pub const REQUEST_WIRE_BYTES: usize = 8 + 1 + 4 + 4 + 1 + 8 + 8;
 /// Body length of a [`Response`] frame (id + from + tag + node + owner
 /// + hops).
 pub const RESPONSE_WIRE_BYTES: usize = 8 + 2 + 1 + 4 + 2 + 4;
+/// Whole [`Request`] frame: length prefix plus body.
+pub const REQUEST_FRAME_BYTES: usize = 4 + REQUEST_WIRE_BYTES;
+/// Whole [`Response`] frame: length prefix plus body.
+pub const RESPONSE_FRAME_BYTES: usize = 4 + RESPONSE_WIRE_BYTES;
+
+/// The fixed-size frame at the front of `buf`, if `buf` holds all `N`
+/// bytes of it and its length prefix says `N - 4`.
+fn fixed_frame<const N: usize>(buf: &[u8]) -> Option<&[u8; N]> {
+    let frame = buf.first_chunk::<N>()?;
+    (be_u32(frame, 0) as usize == N - 4).then_some(frame)
+}
+
+fn be_u16(frame: &[u8], at: usize) -> u16 {
+    u16::from_be_bytes(frame[at..at + 2].try_into().expect("2 bytes"))
+}
+
+fn be_u32(frame: &[u8], at: usize) -> u32 {
+    u32::from_be_bytes(frame[at..at + 4].try_into().expect("4 bytes"))
+}
+
+fn be_u64(frame: &[u8], at: usize) -> u64 {
+    u64::from_be_bytes(frame[at..at + 8].try_into().expect("8 bytes"))
+}
 
 impl Request {
-    /// Encodes the request as one length-prefixed frame.
-    #[must_use]
-    pub fn encode(&self) -> Bytes {
-        let mut buf = BytesMut::with_capacity(4 + REQUEST_WIRE_BYTES);
-        buf.put_u32(REQUEST_WIRE_BYTES as u32);
-        buf.put_u64(self.id.0);
-        buf.put_u8(match self.kind {
+    /// The request as one length-prefixed frame, built on the stack.
+    fn to_frame(self) -> [u8; REQUEST_FRAME_BYTES] {
+        let mut f = [0u8; REQUEST_FRAME_BYTES];
+        f[..4].copy_from_slice(&(REQUEST_WIRE_BYTES as u32).to_be_bytes());
+        f[4..12].copy_from_slice(&self.id.0.to_be_bytes());
+        f[12] = match self.kind {
             OpKind::Read => KIND_READ,
             OpKind::Write => KIND_WRITE,
             OpKind::Update => KIND_UPDATE,
-        });
-        buf.put_u32(self.target.index() as u32);
-        buf.put_u32(self.hops);
-        match self.trace {
-            Some((trace, span)) => {
-                buf.put_u8(1);
-                buf.put_u64(trace);
-                buf.put_u64(span);
-            }
-            None => {
-                buf.put_u8(0);
-                buf.put_u64(0);
-                buf.put_u64(0);
-            }
+        };
+        f[13..17].copy_from_slice(&(self.target.index() as u32).to_be_bytes());
+        f[17..21].copy_from_slice(&self.hops.to_be_bytes());
+        // An unsampled request leaves the flag and both context slots zero.
+        if let Some((trace, span)) = self.trace {
+            f[21] = 1;
+            f[22..30].copy_from_slice(&trace.to_be_bytes());
+            f[30..38].copy_from_slice(&span.to_be_bytes());
         }
-        buf.freeze()
+        f
     }
 
-    /// Decodes one frame produced by [`encode`](Self::encode).
-    ///
-    /// Returns `None` if the buffer does not hold a complete, well-formed
-    /// frame.
+    /// Appends the request to `out` as one length-prefixed frame — the
+    /// socket path's encoder: no allocation once `out` has grown.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_frame());
+    }
+
+    /// Encodes the request as one length-prefixed frame.
     #[must_use]
-    pub fn decode(buf: &mut Bytes) -> Option<Request> {
-        if buf.len() < 4 {
-            return None;
-        }
-        let len = u32::from_be_bytes(buf[..4].try_into().ok()?) as usize;
-        if buf.len() < 4 + len || len != REQUEST_WIRE_BYTES {
-            return None;
-        }
-        buf.advance(4);
-        let id = RequestId(buf.get_u64());
-        let kind = match buf.get_u8() {
+    pub fn encode(&self) -> Bytes {
+        Bytes::copy_from_slice(&self.to_frame())
+    }
+
+    /// Decodes the frame at the front of `buf` (bytes past it are
+    /// ignored), borrowing nothing: the socket path calls this on a
+    /// slice of its read buffer.
+    ///
+    /// Returns `None` if `buf` does not start with a complete,
+    /// well-formed request frame.
+    #[must_use]
+    pub fn decode_frame(buf: &[u8]) -> Option<Request> {
+        let f = fixed_frame::<REQUEST_FRAME_BYTES>(buf)?;
+        let kind = match f[12] {
             KIND_READ => OpKind::Read,
             KIND_WRITE => OpKind::Write,
             KIND_UPDATE => OpKind::Update,
             _ => return None,
         };
-        let target = NodeId::from_index(buf.get_u32() as usize);
-        let hops = buf.get_u32();
-        let trace = match buf.get_u8() {
-            0 => {
-                // The context slots must ride as zeroes when unsampled.
-                let (t, s) = (buf.get_u64(), buf.get_u64());
-                if t != 0 || s != 0 {
-                    return None;
-                }
-                None
-            }
-            1 => Some((buf.get_u64(), buf.get_u64())),
+        let context = (be_u64(f, 22), be_u64(f, 30));
+        let trace = match f[21] {
+            // The context slots must ride as zeroes when unsampled.
+            0 if context == (0, 0) => None,
+            1 => Some(context),
             _ => return None,
         };
         Some(Request {
-            id,
+            id: RequestId(be_u64(f, 4)),
             kind,
-            target,
-            hops,
+            target: NodeId::from_index(be_u32(f, 13) as usize),
+            hops: be_u32(f, 17),
             trace,
         })
+    }
+
+    /// Decodes one frame produced by [`encode`](Self::encode) off the
+    /// front of `buf`.
+    ///
+    /// Returns `None`, leaving `buf` untouched, if the buffer does not
+    /// hold a complete, well-formed frame.
+    #[must_use]
+    pub fn decode(buf: &mut Bytes) -> Option<Request> {
+        let req = Self::decode_frame(buf)?;
+        buf.advance(REQUEST_FRAME_BYTES);
+        Some(req)
     }
 }
 
 impl Response {
+    /// The response as one length-prefixed frame, built on the stack.
+    fn to_frame(self) -> [u8; RESPONSE_FRAME_BYTES] {
+        let mut f = [0u8; RESPONSE_FRAME_BYTES];
+        f[..4].copy_from_slice(&(RESPONSE_WIRE_BYTES as u32).to_be_bytes());
+        f[4..12].copy_from_slice(&self.id.0.to_be_bytes());
+        f[12..14].copy_from_slice(&self.from.0.to_be_bytes());
+        // The slot of the variant not sent (node or owner) stays zero.
+        match self.body {
+            ResponseBody::Served { node } => {
+                f[14] = BODY_SERVED;
+                f[15..19].copy_from_slice(&(node.index() as u32).to_be_bytes());
+            }
+            ResponseBody::Redirect { owner } => {
+                f[14] = BODY_REDIRECT;
+                f[19..21].copy_from_slice(&owner.0.to_be_bytes());
+            }
+            ResponseBody::NotFound => f[14] = BODY_NOT_FOUND,
+        }
+        f[21..25].copy_from_slice(&self.hops.to_be_bytes());
+        f
+    }
+
+    /// Appends the response to `out` as one length-prefixed frame — the
+    /// socket path's encoder: no allocation once `out` has grown.
+    pub fn encode_into(&self, out: &mut Vec<u8>) {
+        out.extend_from_slice(&self.to_frame());
+    }
+
     /// Encodes the response as one length-prefixed frame.
     #[must_use]
     pub fn encode(&self) -> Bytes {
-        // The length prefix must cover the whole 21-byte body; it used
-        // to claim 20, which never mattered over the channel shims (each
-        // message arrived pre-framed) but desyncs a real byte stream and
-        // let a truncated frame panic the decoder mid-read.
-        let mut buf = BytesMut::with_capacity(4 + RESPONSE_WIRE_BYTES);
-        buf.put_u32(RESPONSE_WIRE_BYTES as u32);
-        buf.put_u64(self.id.0);
-        buf.put_u16(self.from.0);
-        match self.body {
-            ResponseBody::Served { node } => {
-                buf.put_u8(BODY_SERVED);
-                buf.put_u32(node.index() as u32);
-                buf.put_u16(0);
-            }
-            ResponseBody::Redirect { owner } => {
-                buf.put_u8(BODY_REDIRECT);
-                buf.put_u32(0);
-                buf.put_u16(owner.0);
-            }
-            ResponseBody::NotFound => {
-                buf.put_u8(BODY_NOT_FOUND);
-                buf.put_u32(0);
-                buf.put_u16(0);
-            }
-        }
-        buf.put_u32(self.hops);
-        buf.freeze()
+        Bytes::copy_from_slice(&self.to_frame())
     }
 
-    /// Decodes one frame produced by [`encode`](Self::encode).
+    /// Decodes the frame at the front of `buf` (bytes past it are
+    /// ignored), borrowing nothing: the socket path calls this on a
+    /// slice of its read buffer.
     ///
-    /// Returns `None` if the buffer does not hold a complete, well-formed
-    /// frame.
+    /// Returns `None` if `buf` does not start with a complete,
+    /// well-formed response frame.
     #[must_use]
-    pub fn decode(buf: &mut Bytes) -> Option<Response> {
-        if buf.len() < 4 {
-            return None;
-        }
-        let len = u32::from_be_bytes(buf[..4].try_into().ok()?) as usize;
-        if buf.len() < 4 + len || len != RESPONSE_WIRE_BYTES {
-            return None;
-        }
-        buf.advance(4);
-        let id = RequestId(buf.get_u64());
-        let from = MdsId(buf.get_u16());
-        let tag = buf.get_u8();
-        let node_raw = buf.get_u32();
-        let owner_raw = buf.get_u16();
-        let hops = buf.get_u32();
-        let body = match tag {
+    pub fn decode_frame(buf: &[u8]) -> Option<Response> {
+        let f = fixed_frame::<RESPONSE_FRAME_BYTES>(buf)?;
+        let body = match f[14] {
             BODY_SERVED => ResponseBody::Served {
-                node: NodeId::from_index(node_raw as usize),
+                node: NodeId::from_index(be_u32(f, 15) as usize),
             },
             BODY_REDIRECT => ResponseBody::Redirect {
-                owner: MdsId(owner_raw),
+                owner: MdsId(be_u16(f, 19)),
             },
             BODY_NOT_FOUND => ResponseBody::NotFound,
             _ => return None,
         };
         Some(Response {
-            id,
-            from,
+            id: RequestId(be_u64(f, 4)),
+            from: MdsId(be_u16(f, 12)),
             body,
-            hops,
+            hops: be_u32(f, 21),
         })
+    }
+
+    /// Decodes one frame produced by [`encode`](Self::encode) off the
+    /// front of `buf`.
+    ///
+    /// Returns `None`, leaving `buf` untouched, if the buffer does not
+    /// hold a complete, well-formed frame.
+    #[must_use]
+    pub fn decode(buf: &mut Bytes) -> Option<Response> {
+        let resp = Self::decode_frame(buf)?;
+        buf.advance(RESPONSE_FRAME_BYTES);
+        Some(resp)
     }
 }
 
@@ -537,10 +567,9 @@ mod tests {
 
     #[test]
     fn flipped_bytes_never_panic_the_decoders() {
-        // Any single corrupted byte must decode to None or to some
-        // well-formed value that consumes the whole frame — never
-        // panic. (A None may leave the cursor mid-frame; callers treat
-        // a decode failure as fatal for the stream.)
+        // Any single corrupted byte must decode to None, consuming
+        // nothing, or to some well-formed value that consumes the whole
+        // frame — never panic.
         let req = Request {
             id: RequestId(77),
             kind: OpKind::Update,
@@ -553,8 +582,10 @@ mod tests {
             let mut raw = BytesMut::from(&req_frame[..]);
             raw[i] ^= 0xFF;
             let mut frame = raw.freeze();
-            if Request::decode(&mut frame).is_some() {
-                assert!(frame.is_empty(), "byte {i}: partial consume");
+            let before = frame.clone();
+            match Request::decode(&mut frame) {
+                Some(_) => assert!(frame.is_empty(), "byte {i}: partial consume"),
+                None => assert_eq!(frame, before, "byte {i}: rejected frame consumed"),
             }
         }
         for resp in sample_responses() {
@@ -563,10 +594,144 @@ mod tests {
                 let mut raw = BytesMut::from(&resp_frame[..]);
                 raw[i] ^= 0xFF;
                 let mut frame = raw.freeze();
-                if Response::decode(&mut frame).is_some() {
-                    assert!(frame.is_empty(), "byte {i}: partial consume");
+                let before = frame.clone();
+                match Response::decode(&mut frame) {
+                    Some(_) => assert!(frame.is_empty(), "byte {i}: partial consume"),
+                    None => assert_eq!(frame, before, "byte {i}: rejected frame consumed"),
                 }
             }
+        }
+    }
+
+    /// Every rejection branch of both decoders leaves the caller's
+    /// buffer byte-identical: nothing is consumed unless a whole
+    /// well-formed frame was.
+    #[test]
+    fn rejected_frames_leave_the_buffer_untouched() {
+        let req = Request {
+            id: RequestId(77),
+            kind: OpKind::Update,
+            target: NodeId::from_index(12345),
+            hops: 2,
+            trace: None,
+        };
+        let corrupt = |frame: &Bytes, at: usize, byte: u8| {
+            let mut raw = BytesMut::from(&frame[..]);
+            raw[at] = byte;
+            raw.freeze()
+        };
+        let good = req.encode();
+        let sampled = Request {
+            trace: Some((0xAB, 0xCD)),
+            ..req
+        }
+        .encode();
+        let bad_requests = [
+            ("shorter than a length prefix", good.slice(..3)),
+            ("truncated body", good.slice(..good.len() - 1)),
+            ("length prefix too short", corrupt(&good, 3, 33)),
+            ("length prefix too long", corrupt(&good, 3, 35)),
+            ("unknown kind", corrupt(&good, 4 + 8, 99)),
+            ("unknown trace flag", corrupt(&sampled, 4 + 17, 2)),
+            ("unsampled with a trace id", corrupt(&good, 4 + 18, 0xFF)),
+            ("unsampled with a span id", corrupt(&good, 4 + 33, 0xFF)),
+        ];
+        for (why, bad) in bad_requests {
+            let mut buf = bad.clone();
+            assert_eq!(Request::decode(&mut buf), None, "{why}");
+            assert_eq!(buf, bad, "{why}: rejected request consumed input");
+        }
+        let good = sample_responses()[0].encode();
+        let bad_responses = [
+            ("shorter than a length prefix", good.slice(..3)),
+            ("truncated body", good.slice(..good.len() - 1)),
+            ("length prefix too short", corrupt(&good, 3, 20)),
+            ("length prefix too long", corrupt(&good, 3, 22)),
+            ("unknown body tag", corrupt(&good, 4 + 10, 99)),
+        ];
+        for (why, bad) in bad_responses {
+            let mut buf = bad.clone();
+            assert_eq!(Response::decode(&mut buf), None, "{why}");
+            assert_eq!(buf, bad, "{why}: rejected response consumed input");
+        }
+    }
+
+    /// The wire format, pinned byte for byte (these are the strings the
+    /// pre-slice `BytesMut` codec produced), through both encoders.
+    #[test]
+    fn golden_bytes_pin_the_wire_format() {
+        let req = Request {
+            id: RequestId(0x0102_0304_0506_0708),
+            kind: OpKind::Update,
+            target: NodeId::from_index(0x0A0B_0C0D),
+            hops: 3,
+            trace: None,
+        };
+        #[rustfmt::skip]
+        let unsampled: [u8; REQUEST_FRAME_BYTES] = [
+            0, 0, 0, 34,                 // length prefix
+            1, 2, 3, 4, 5, 6, 7, 8,      // id
+            2,                           // kind: update
+            0x0A, 0x0B, 0x0C, 0x0D,      // target
+            0, 0, 0, 3,                  // hops
+            0,                           // unsampled
+            0, 0, 0, 0, 0, 0, 0, 0,      // trace id slot
+            0, 0, 0, 0, 0, 0, 0, 0,      // parent span slot
+        ];
+        let mut sampled = unsampled;
+        sampled[21] = 1;
+        sampled[22..30].copy_from_slice(&[0x11, 0x22, 0x33, 0x44, 0x55, 0x66, 0x77, 0x88]);
+        sampled[30..38].copy_from_slice(&[0, 0, 0, 0, 0, 0, 0xAB, 0xCD]);
+        let traced = Request {
+            trace: Some((0x1122_3344_5566_7788, 0xABCD)),
+            ..req
+        };
+        for (req, golden) in [(req, unsampled), (traced, sampled)] {
+            assert_eq!(&req.encode()[..], &golden[..], "{req:?}");
+            let mut out = vec![0xEE];
+            req.encode_into(&mut out);
+            assert_eq!(
+                &out[1..],
+                &golden[..],
+                "{req:?} appended after existing bytes"
+            );
+            assert_eq!(Request::decode_frame(&golden), Some(req));
+        }
+
+        let resp = |body| Response {
+            id: RequestId(0x0102_0304_0506_0708),
+            from: MdsId(0x0910),
+            body,
+            hops: 0x0000_0203,
+        };
+        #[rustfmt::skip]
+        let cases: [(Response, [u8; RESPONSE_FRAME_BYTES]); 3] = [
+            (
+                resp(ResponseBody::Served { node: NodeId::from_index(0x0A0B_0C0D) }),
+                [0, 0, 0, 21, 1, 2, 3, 4, 5, 6, 7, 8, 9, 0x10, 0,
+                 0x0A, 0x0B, 0x0C, 0x0D, 0, 0, 0, 0, 2, 3],
+            ),
+            (
+                resp(ResponseBody::Redirect { owner: MdsId(0x1F2E) }),
+                [0, 0, 0, 21, 1, 2, 3, 4, 5, 6, 7, 8, 9, 0x10, 1,
+                 0, 0, 0, 0, 0x1F, 0x2E, 0, 0, 2, 3],
+            ),
+            (
+                resp(ResponseBody::NotFound),
+                [0, 0, 0, 21, 1, 2, 3, 4, 5, 6, 7, 8, 9, 0x10, 2,
+                 0, 0, 0, 0, 0, 0, 0, 0, 2, 3],
+            ),
+        ];
+        for (resp, golden) in cases {
+            assert_eq!(&resp.encode()[..], &golden[..], "{resp:?}");
+            let mut out = vec![0xEE];
+            resp.encode_into(&mut out);
+            assert_eq!(
+                &out[1..],
+                &golden[..],
+                "{resp:?} appended after existing bytes"
+            );
+            assert_eq!(Response::decode_frame(&golden), Some(resp));
         }
     }
 

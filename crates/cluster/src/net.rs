@@ -8,22 +8,28 @@
 //! * [`FrameBuf`] / [`FrameReader`] — incremental length-prefixed frame
 //!   reassembly that is correct under arbitrarily short reads (a TCP
 //!   stream may deliver one byte at a time) and rejects absurd length
-//!   prefixes instead of buffering unboundedly.
+//!   prefixes instead of buffering unboundedly. Frames are handed out
+//!   as slices borrowed from the read buffer; consuming one advances a
+//!   cursor, and the buffer compacts once per received chunk.
 //! * [`NetMds`] — one MDS worth of serving state (placement, local
 //!   index, attribute table, optional WAL-backed durable store, metrics,
-//!   tracing) behind a synchronous [`NetMds::serve`] call. The serve
+//!   tracing). Requests are served through a per-batch [`ServeScope`]
+//!   ([`NetMds::begin_batch`] → [`ServeScope::serve`]… →
+//!   [`ServeScope::commit`]); [`NetMds::serve`], [`NetMds::serve_batch`]
+//!   and [`NetMds::serve_deferred`] are thin entries over it. The serve
 //!   logic mirrors [`crate::live`]'s in-process server: replicated
 //!   global-layer nodes serve anywhere, single-owner nodes either serve
 //!   locally or redirect, unassigned targets report not-found.
 //! * [`NetServer`] — a blocking thread-per-connection TCP server:
 //!   accept loop on its own thread, one handler thread per client
 //!   connection running a *batched* serve loop (every complete frame
-//!   the last read buffered is decoded and served together, the
-//!   batch's WAL appends share one group-committed fsync, and all
-//!   responses leave in one buffered write), graceful shutdown via a
-//!   stop flag plus a self-connect listener wake, and per-connection
-//!   error isolation (a poisoned or reset connection dies alone; the
-//!   listener and its siblings keep serving).
+//!   the last read buffered is decoded in place, served inside one
+//!   [`ServeScope`] and its response encoded straight into the reused
+//!   write buffer; the batch's WAL appends share one group-committed
+//!   fsync, and all responses leave in one write), graceful shutdown
+//!   via a stop flag plus a self-connect listener wake, and
+//!   per-connection error isolation (a poisoned or reset connection
+//!   dies alone; the listener and its siblings keep serving).
 //! * [`NetClient`] — a blocking single-connection client speaking the
 //!   same codec: request/response via [`NetClient::call`], or a
 //!   pipelined window via [`NetClient::send_batch`] +
@@ -48,7 +54,7 @@
 //! replicated (global-layer) updates commit locally without the
 //! Zookeeper-style serialisation of Sec. IV-A3. See DESIGN.md §14.
 
-use std::collections::{HashMap, VecDeque};
+use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::Path;
@@ -60,20 +66,20 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use d2tree_core::LocalIndex;
 use d2tree_metrics::{Assignment, MdsId, Placement};
-use d2tree_namespace::{AttrTable, NamespaceTree, NodeId};
+use d2tree_namespace::{AttrTable, NamespaceTree, NodeId, NodeIdMap};
 use d2tree_store::{MdsRecord, MdsStore, StoreConfig};
 use d2tree_telemetry::trace::{span_names, ArgKey, Span, SpanCtx, SpanId, TraceId, Tracer};
 use d2tree_telemetry::{
     names, Counter, EventKind, Histogram, HistogramSnapshot, MetricKey, Registry,
 };
 use d2tree_workload::{OpKind, Operation, Trace};
-use parking_lot::{Mutex, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::client::{RetryPolicy, RouteDecision};
 use crate::live::{attr_state, ClientError};
-use crate::message::{Request, RequestId, Response, ResponseBody, REQUEST_WIRE_BYTES};
+use crate::message::{Request, RequestId, Response, ResponseBody};
 
 /// Default cap on a single frame's body length. The real codec's frames
 /// are tens of bytes; anything near this cap is garbage (a desynced
@@ -84,14 +90,23 @@ pub const MAX_FRAME_BYTES: usize = 1 << 20;
 /// Incremental assembly of length-prefixed frames from a byte stream.
 ///
 /// Feed arbitrary chunks in with [`extend`](Self::extend); take complete
-/// frames (4-byte big-endian length prefix *plus* body, so the existing
-/// `decode` functions consume them directly) out with
-/// [`next_frame`](Self::next_frame). Handles frames split across any
-/// number of chunks, including one byte at a time, and multiple frames
-/// arriving in one chunk.
+/// frames (4-byte big-endian length prefix *plus* body, so the `decode`
+/// functions consume them directly) out with
+/// [`next_slice`](Self::next_slice), borrowed from the buffer, or
+/// [`next_frame`](Self::next_frame), copied out. Handles frames split
+/// across any number of chunks, including one byte at a time, and
+/// multiple frames arriving in one chunk.
+///
+/// Taking a frame only advances a read cursor. The consumed prefix is
+/// reclaimed by the next `extend` (one move of the unconsumed tail, at
+/// most a partial frame when the consumer keeps up), so a borrowed frame
+/// is valid until then and the cost of a frame does not grow with the
+/// number of frames buffered behind it.
 #[derive(Debug)]
 pub struct FrameBuf {
     buf: Vec<u8>,
+    /// Read cursor: `buf[..head]` has been handed out.
+    head: usize,
     max_frame: usize,
 }
 
@@ -101,35 +116,36 @@ impl FrameBuf {
     pub fn new(max_frame: usize) -> Self {
         FrameBuf {
             buf: Vec::new(),
+            head: 0,
             max_frame,
         }
     }
 
-    /// Appends one received chunk.
+    /// Appends one received chunk, first dropping the consumed prefix.
     pub fn extend(&mut self, chunk: &[u8]) {
+        if self.head > 0 {
+            self.buf.copy_within(self.head.., 0);
+            self.buf.truncate(self.buf.len() - self.head);
+            self.head = 0;
+        }
         self.buf.extend_from_slice(chunk);
     }
 
     /// Bytes buffered but not yet returned as a complete frame.
     #[must_use]
     pub fn pending(&self) -> usize {
-        self.buf.len()
+        self.buf.len() - self.head
     }
 
-    /// Takes the next complete frame (prefix + body) off the buffer.
-    ///
-    /// `Ok(None)` means more bytes are needed.
-    ///
-    /// # Errors
-    ///
-    /// [`io::ErrorKind::InvalidData`] when the length prefix exceeds the
-    /// configured cap — the stream is desynced or hostile and cannot be
-    /// re-synchronised; the caller should drop the connection.
-    pub fn next_frame(&mut self) -> io::Result<Option<Bytes>> {
-        if self.buf.len() < 4 {
+    /// Length (prefix + body) of the complete frame at the cursor, or
+    /// `None` when more bytes are needed — the one place frames are
+    /// parsed.
+    fn ready(&self) -> io::Result<Option<usize>> {
+        let unread = &self.buf[self.head..];
+        let Some(prefix) = unread.first_chunk::<4>() else {
             return Ok(None);
-        }
-        let len = u32::from_be_bytes(self.buf[..4].try_into().expect("4 bytes")) as usize;
+        };
+        let len = u32::from_be_bytes(*prefix) as usize;
         if len > self.max_frame {
             return Err(io::Error::new(
                 io::ErrorKind::InvalidData,
@@ -139,12 +155,37 @@ impl FrameBuf {
                 ),
             ));
         }
-        let total = 4 + len;
-        if self.buf.len() < total {
+        Ok((unread.len() >= 4 + len).then_some(4 + len))
+    }
+
+    /// Takes the next complete frame (prefix + body) as a slice of the
+    /// buffer, valid until the next [`extend`](Self::extend).
+    ///
+    /// `Ok(None)` means more bytes are needed.
+    ///
+    /// # Errors
+    ///
+    /// [`io::ErrorKind::InvalidData`] when the length prefix exceeds the
+    /// configured cap — the stream is desynced or hostile and cannot be
+    /// re-synchronised; the caller should drop the connection. Nothing
+    /// is consumed, so the error cannot be skipped past.
+    pub fn next_slice(&mut self) -> io::Result<Option<&[u8]>> {
+        let Some(total) = self.ready()? else {
             return Ok(None);
-        }
-        let frame: Vec<u8> = self.buf.drain(..total).collect();
-        Ok(Some(Bytes::from(frame)))
+        };
+        let start = self.head;
+        self.head += total;
+        Ok(Some(&self.buf[start..self.head]))
+    }
+
+    /// [`next_slice`](Self::next_slice), copied into an owned [`Bytes`]
+    /// for callers that keep frames past the next `extend`.
+    ///
+    /// # Errors
+    ///
+    /// As [`next_slice`](Self::next_slice).
+    pub fn next_frame(&mut self) -> io::Result<Option<Bytes>> {
+        Ok(self.next_slice()?.map(Bytes::copy_from_slice))
     }
 }
 
@@ -167,9 +208,9 @@ impl<R: Read> FrameReader<R> {
         }
     }
 
-    /// Reads until one complete frame is buffered and returns it.
+    /// Reads until at least one complete frame is buffered.
     ///
-    /// `Ok(None)` is a clean EOF at a frame boundary (the peer closed
+    /// `Ok(false)` is a clean EOF at a frame boundary (the peer closed
     /// between frames).
     ///
     /// # Errors
@@ -179,15 +220,15 @@ impl<R: Read> FrameReader<R> {
     /// * `WouldBlock` / `TimedOut` — propagated from a read timeout so
     ///   pollers can check their stop flag; buffered partial-frame bytes
     ///   are kept and the next call resumes where this one left off.
-    pub fn next_frame(&mut self) -> io::Result<Option<Bytes>> {
+    pub fn fill(&mut self) -> io::Result<bool> {
         loop {
-            if let Some(frame) = self.buf.next_frame()? {
-                return Ok(Some(frame));
+            if self.buf.ready()?.is_some() {
+                return Ok(true);
             }
             match self.inner.read(&mut self.scratch) {
                 Ok(0) => {
                     return if self.buf.pending() == 0 {
-                        Ok(None)
+                        Ok(false)
                     } else {
                         Err(io::Error::new(
                             io::ErrorKind::UnexpectedEof,
@@ -202,37 +243,32 @@ impl<R: Read> FrameReader<R> {
         }
     }
 
-    /// Blocks until at least one complete frame is available, then
-    /// drains *every* already-buffered complete frame into `out`
-    /// without issuing further reads. This is the batch-serving
-    /// primitive: a pipelining client that wrote N frames back-to-back
-    /// typically lands them in one `read()` syscall, and the server
-    /// gets all N here as one batch.
-    ///
-    /// Returns the number of frames appended to `out`; `Ok(0)` is a
-    /// clean EOF at a frame boundary.
+    /// Takes the next frame the last read left buffered, without
+    /// reading: after one [`fill`](Self::fill), calling this until it
+    /// returns `Ok(None)` drains a pipelining client's whole burst — N
+    /// frames written back-to-back typically land in one `read()` — as
+    /// one batch. The slice is valid until the next `fill`.
     ///
     /// # Errors
     ///
-    /// Same contract as [`next_frame`](Self::next_frame). Errors can
-    /// only surface before the first frame of a batch: once one frame
-    /// is out, the remaining buffered bytes stay put for the next call.
-    pub fn next_frames(&mut self, out: &mut Vec<Bytes>) -> io::Result<usize> {
-        let Some(first) = self.next_frame()? else {
-            return Ok(0);
-        };
-        out.push(first);
-        let mut n = 1;
-        // Drain whatever the last read left buffered; no more syscalls.
-        // A poisoned prefix (oversized length) mid-drain is left in
-        // place: the good frames ahead of it are served now and the
-        // next call surfaces the error — FrameBuf consumes nothing on
-        // error, so it cannot be skipped silently.
-        while let Ok(Some(frame)) = self.buf.next_frame() {
-            out.push(frame);
-            n += 1;
+    /// [`io::ErrorKind::InvalidData`] on an oversized length prefix; it
+    /// stays in place, so the next `fill` reports it again.
+    pub fn buffered_frame(&mut self) -> io::Result<Option<&[u8]>> {
+        self.buf.next_slice()
+    }
+
+    /// Reads until one complete frame is buffered and returns it.
+    ///
+    /// `Ok(None)` is a clean EOF at a frame boundary.
+    ///
+    /// # Errors
+    ///
+    /// As [`fill`](Self::fill).
+    pub fn next_frame(&mut self) -> io::Result<Option<&[u8]>> {
+        if !self.fill()? {
+            return Ok(None);
         }
-        Ok(n)
+        self.buf.next_slice()
     }
 }
 
@@ -278,10 +314,13 @@ impl SlowLog {
         }
     }
 
+    /// Whether a request of this duration can enter the log — the one
+    /// relaxed load a fast request pays; only then is its entry built.
+    fn admits(&self, dur_us: u64) -> bool {
+        dur_us > self.floor.load(Ordering::Relaxed)
+    }
+
     fn observe(&self, e: SlowEntry) {
-        if e.dur_us <= self.floor.load(Ordering::Relaxed) {
-            return;
-        }
         let mut entries = self.entries.lock();
         if entries.len() < SLOW_LOG_CAPACITY {
             entries.push(e);
@@ -337,10 +376,19 @@ pub struct NetMds {
     index: LocalIndex,
     me: MdsId,
     attrs: RwLock<AttrTable>,
-    /// Served-op counts per local-layer subtree root, journaled so a
-    /// restarted daemon recovers its popularity signal.
-    subtree_counts: Mutex<HashMap<NodeId, f64>>,
-    store: Mutex<Option<MdsStore>>,
+    /// Served-op counts (`f64` bits) per local-layer subtree root,
+    /// journaled so a restarted daemon recovers its popularity signal.
+    /// The key set is fixed once serving starts — every root of the
+    /// index, whoever owns it (a served node is counted under its
+    /// shallowest indexed ancestor, which nested roots can make another
+    /// MDS's), plus whatever a previous run journaled — so a bump is a
+    /// probe and one atomic update, no lock of its own.
+    subtree_counts: NodeIdMap<AtomicU64>,
+    /// `None` when no store was ever attached, so a store-less daemon
+    /// never touches a lock for it; the inner `Option` empties when
+    /// [`simulate_store_crash`](Self::simulate_store_crash) takes the
+    /// store away.
+    store: Option<Mutex<Option<MdsStore>>>,
     epoch: Instant,
     registry: Arc<Registry>,
     tracer: Option<Arc<Tracer>>,
@@ -402,14 +450,18 @@ impl NetMds {
         ];
         let srv_latency =
             srv_names.map(|row| row.map(|name| registry.histogram(MetricKey::mds(name, me.0))));
+        let subtree_counts = index
+            .iter()
+            .map(|(root, _)| (root, AtomicU64::new(0f64.to_bits())))
+            .collect();
         NetMds {
             tree,
             placement,
             index,
             me,
             attrs,
-            subtree_counts: Mutex::new(HashMap::new()),
-            store: Mutex::new(None),
+            subtree_counts,
+            store: None,
             epoch: Instant::now(),
             registry,
             tracer: None,
@@ -433,7 +485,7 @@ impl NetMds {
     /// Panics if the store cannot be opened or recovered — a daemon must
     /// not serve from state it cannot trust.
     #[must_use]
-    pub fn with_store_root(self, root: &Path, config: StoreConfig) -> Self {
+    pub fn with_store_root(mut self, root: &Path, config: StoreConfig) -> Self {
         let k = self.me.index();
         let dir = root.join(format!("mds-{k}"));
         let (store, _info) = MdsStore::open(&dir, config).expect("store open failed");
@@ -458,11 +510,9 @@ impl NetMds {
                 table.apply_if_newer(NodeId::from_index(node as usize), v);
             }
         }
-        {
-            let mut counts = self.subtree_counts.lock();
-            for (&r, &bits) in &store.state().popularity {
-                counts.insert(NodeId::from_index(r as usize), f64::from_bits(bits));
-            }
+        for (&r, &bits) in &store.state().popularity {
+            self.subtree_counts
+                .insert(NodeId::from_index(r as usize), AtomicU64::new(bits));
         }
         // Converge durable ownership on the seeded index: shed whatever
         // a previous run left behind, acquire what this run assigns.
@@ -490,7 +540,7 @@ impl NetMds {
                 .expect("WAL append failed");
         }
         store.sync().expect("WAL sync failed");
-        *self.store.lock() = Some(store);
+        self.store = Some(Mutex::new(Some(store)));
         self
     }
 
@@ -565,49 +615,54 @@ impl NetMds {
     /// Flushes the durable store (if any) so a clean shutdown leaves the
     /// WAL durable up to its last append.
     pub fn sync(&self) {
-        if let Some(store) = self.store.lock().as_mut() {
+        if let Some(store) = self.lock_store().as_deref_mut().and_then(Option::as_mut) {
             store.sync().expect("WAL sync failed");
         }
     }
 
-    fn now_ms(&self) -> u64 {
-        self.epoch.elapsed().as_millis() as u64
+    /// The store's lock, or `None` — without locking anything — when no
+    /// store was ever attached.
+    fn lock_store(&self) -> Option<MutexGuard<'_, Option<MdsStore>>> {
+        self.store.as_ref().map(Mutex::lock)
     }
 
-    fn journal_record(&self, record: MdsRecord) {
-        if let Some(store) = self.store.lock().as_mut() {
-            // Buffer only: durability comes from the batch's single
-            // group-committed fsync in `commit_batch`, issued before
-            // the batch's responses are written back.
-            store.append_deferred(record).expect("WAL append failed");
-        }
-    }
-
-    /// Group-commits everything the current batch journaled: one fsync
-    /// covers every buffered append, and the `wal_group_commits_total`
-    /// counter ticks once per fsync actually issued. A no-op when no
-    /// store is attached or nothing is pending (e.g. a read-only batch,
-    /// or a sibling connection's commit already covered our appends —
+    /// Group-commits everything journaled so far: one fsync covers
+    /// every buffered append, and the `wal_group_commits_total` counter
+    /// ticks once per fsync actually issued. A no-op when no store is
+    /// attached or nothing is pending (e.g. a read-only batch, or a
+    /// sibling connection's commit already covered our appends —
     /// cross-connection coalescing is free and correct, since a later
     /// fsync makes every earlier buffered append durable too).
     pub fn commit_batch(&self) {
-        if let Some(store) = self.store.lock().as_mut() {
-            if store.pending_bytes() > 0 {
-                store.sync().expect("WAL sync failed");
-                self.wal_group_commits.inc();
-            }
+        self.begin_batch().commit();
+    }
+
+    /// Opens the serve scope of one batch: serve each request through
+    /// [`ServeScope::serve`], then [`ServeScope::commit`] before any of
+    /// the responses is acknowledged to a remote peer.
+    #[must_use]
+    pub fn begin_batch(&self) -> ServeScope<'_> {
+        ServeScope {
+            mds: self,
+            stamp: Instant::now(),
+            store: None,
+            served: 0,
+            redirects: 0,
+            run: (0, 0, 0),
+            run_len: 0,
         }
     }
 
     /// Serves a batch of decoded requests and issues one group-committed
     /// fsync for every mutation the batch journaled, so the responses —
     /// written back by the caller *after* this returns — acknowledge
-    /// durable state. This is the per-connection batch path: cost is one
-    /// fsync per batch instead of one per mutating request.
+    /// durable state: one fsync per batch instead of one per mutating
+    /// request.
     #[must_use]
     pub fn serve_batch(&self, reqs: &[Request]) -> Vec<Response> {
-        let resps = reqs.iter().map(|&req| self.serve_deferred(req)).collect();
-        self.commit_batch();
+        let mut scope = self.begin_batch();
+        let resps = reqs.iter().map(|&req| scope.serve(req)).collect();
+        scope.commit();
         resps
     }
 
@@ -616,149 +671,23 @@ impl NetMds {
     /// (or store-policy sync). Callers must not acknowledge the
     /// response to a remote peer before committing. Public for crash
     /// tests that need to open the ack-before-fsync window on purpose;
-    /// everything else wants [`serve`](Self::serve) or
-    /// [`serve_batch`](Self::serve_batch).
+    /// everything else wants [`serve`](Self::serve),
+    /// [`serve_batch`](Self::serve_batch) or a [`ServeScope`].
     ///
     /// [`commit_batch`]: Self::commit_batch
-    ///
-    /// Never panics on out-of-range targets: a request for a node this
-    /// tree does not have answers `NotFound` (a foreign client built
-    /// from a different workload derivation must not crash the daemon).
     #[must_use]
     pub fn serve_deferred(&self, req: Request) -> Response {
-        let me = self.me.index();
-        let t0 = Instant::now();
-        // Serve span id allocated up front so the span parents correctly
-        // on the wire context even though it is recorded at the end.
-        let serve_ctx = match (self.tracer.as_deref(), req.trace) {
-            (Some(tr), Some((t, s))) => {
-                let ctx = SpanCtx {
-                    trace: TraceId(t),
-                    span: SpanId(s),
-                };
-                Some((ctx, tr.next_span(ctx.trace), tr.now_us()))
-            }
-            _ => None,
-        };
-        let in_tree = self.tree.node(req.target).is_some();
-        let assignment = if in_tree {
-            self.placement.assignment(req.target)
-        } else {
-            Assignment::Unassigned
-        };
-        let body = match assignment {
-            Assignment::Replicated => {
-                if req.kind == OpKind::Update {
-                    // Single-replica global layer: no cross-process lock
-                    // service exists yet, so the commit is local-only
-                    // (DESIGN.md §14 spells out the divergence risk when
-                    // several daemons of one cluster run concurrently).
-                    let now = self.now_ms();
-                    self.attrs.write().update(req.target, |a| a.mtime = now);
-                    let committed = self.attrs.read().get(req.target);
-                    self.journal_record(MdsRecord::AttrCommit {
-                        node: req.target.index() as u64,
-                        gl: true,
-                        attr: attr_state(committed),
-                    });
-                }
-                ResponseBody::Served { node: req.target }
-            }
-            Assignment::Single(owner) if owner == self.me => {
-                if req.kind == OpKind::Update {
-                    let now = self.now_ms();
-                    self.attrs.write().update(req.target, |a| a.mtime = now);
-                    let committed = self.attrs.read().get(req.target);
-                    self.journal_record(MdsRecord::AttrCommit {
-                        node: req.target.index() as u64,
-                        gl: false,
-                        attr: attr_state(committed),
-                    });
-                }
-                ResponseBody::Served { node: req.target }
-            }
-            Assignment::Single(owner) => {
-                self.redirects.fetch_add(1, Ordering::Relaxed);
-                self.forwarded_total.inc();
-                self.registry.journal().record(EventKind::Forwarded {
-                    from: me as u16,
-                    to: owner.0,
-                });
-                ResponseBody::Redirect { owner }
-            }
-            Assignment::Unassigned => ResponseBody::NotFound,
-        };
-        if matches!(body, ResponseBody::Served { .. }) {
-            self.served.fetch_add(1, Ordering::Relaxed);
-            self.served_total.inc();
-            if matches!(assignment, Assignment::Single(_)) {
-                if let Some((root, _)) = self.index.locate(&self.tree, req.target) {
-                    let bits = {
-                        let mut counts = self.subtree_counts.lock();
-                        let v = counts.entry(root).or_insert(0.0);
-                        *v += 1.0;
-                        v.to_bits()
-                    };
-                    self.journal_record(MdsRecord::Popularity {
-                        root: root.index() as u64,
-                        bits,
-                    });
-                }
-            }
-        }
-        let outcome = match body {
-            ResponseBody::Served { .. } => 0u8,
-            ResponseBody::Redirect { .. } => 1,
-            ResponseBody::NotFound => 2,
-        };
-        let dur_us = t0.elapsed().as_micros() as u64;
-        self.srv_latency[kind_index(req.kind)][usize::from(outcome)].record(dur_us);
-        self.slow.observe(SlowEntry {
-            dur_us,
-            t_us: self.registry.uptime_us(),
-            kind: req.kind,
-            target: req.target.index() as u64,
-            outcome,
-            trace: req.trace.map(|(t, _)| t),
-        });
-        if let Some((ctx, serve_id, start)) = serve_ctx {
-            let tr = self.tracer.as_deref().expect("ctx implies tracer");
-            tr.record(
-                Span::child(
-                    ctx,
-                    serve_id,
-                    span_names::SERVE,
-                    start,
-                    tr.now_us().saturating_sub(start),
-                )
-                .on_mds(self.me.0)
-                .with_arg(ArgKey::Target, req.target.index() as u64)
-                .with_arg(
-                    ArgKey::Body,
-                    match body {
-                        ResponseBody::Served { .. } => 0,
-                        ResponseBody::Redirect { .. } => 1,
-                        ResponseBody::NotFound => 2,
-                    },
-                ),
-            );
-        }
-        Response {
-            id: req.id,
-            from: self.me,
-            body,
-            hops: req.hops,
-        }
+        self.begin_batch().serve(req)
     }
 
     /// Serves one decoded request durably: a batch of one — any
     /// journaled mutation is group-committed before the response is
-    /// returned. See [`serve_deferred`](Self::serve_deferred) for the
-    /// serving semantics.
+    /// returned. See [`ServeScope::serve`] for the serving semantics.
     #[must_use]
     pub fn serve(&self, req: Request) -> Response {
-        let resp = self.serve_deferred(req);
-        self.commit_batch();
+        let mut scope = self.begin_batch();
+        let resp = scope.serve(req);
+        scope.commit();
         resp
     }
 
@@ -767,7 +696,7 @@ impl NetMds {
     /// growth without reaching into the store.
     #[must_use]
     pub fn store_next_lsn(&self) -> Option<u64> {
-        self.store.lock().as_ref().map(MdsStore::next_lsn)
+        self.lock_store()?.as_ref().map(MdsStore::next_lsn)
     }
 
     /// Crash-models the attached store: tears `keep` bytes of whatever
@@ -777,13 +706,230 @@ impl NetMds {
     /// hook — pairs with [`serve_deferred`](Self::serve_deferred) to
     /// open a mid-group-commit window and verify recovery semantics.
     pub fn simulate_store_crash(&self, keep: usize) -> bool {
-        match self.store.lock().take() {
+        match self.lock_store().and_then(|mut guard| guard.take()) {
             Some(store) => {
                 store.simulate_crash(keep).expect("simulated crash failed");
                 true
             }
             None => false,
         }
+    }
+}
+
+/// The serving context of one batch of requests on one thread — the
+/// one request-in → response-plus-effects-out body behind
+/// [`NetMds::serve`], [`NetMds::serve_batch`], [`NetMds::serve_deferred`]
+/// and the connection loop.
+///
+/// What a batch shares is paid once here, not per request: the clock is
+/// read once per request (one request's end stamp is the next one's
+/// start), served/redirect counts and server-latency samples are tallied
+/// locally and published when the scope ends, and the store mutex is
+/// taken at most once — at the first journaled record — and held until
+/// the scope ends. Dropping the scope leaves journaled records buffered;
+/// only [`commit`](Self::commit) makes them durable.
+///
+/// The price of the single lock: with a store attached, connections
+/// serialise batch by batch from a batch's first journaled record (for
+/// most, its first local-layer request) to its commit, where they used
+/// to interleave record by record and wait only on each other's fsync.
+/// A connection that waits has bumped no popularity count yet, so each
+/// root's counts are journaled in bump order; recovery keeps the last.
+#[derive(Debug)]
+pub struct ServeScope<'a> {
+    mds: &'a NetMds,
+    /// End of the previous request (or the scope's opening): the start
+    /// stamp of the next one.
+    stamp: Instant,
+    store: Option<MutexGuard<'a, Option<MdsStore>>>,
+    served: u64,
+    redirects: u64,
+    /// `(kind, outcome, dur_us)` of the latest server-latency samples
+    /// and how many in a row were equal: a batch of same-kind
+    /// sub-microsecond requests costs one histogram update, not one each.
+    run: (usize, usize, u64),
+    run_len: u64,
+}
+
+impl ServeScope<'_> {
+    /// The attached store, locked on the scope's first use and held
+    /// until the scope ends; `None`, and no lock, without one.
+    fn locked_store(&mut self) -> Option<&mut MdsStore> {
+        let lock = self.mds.store.as_ref()?;
+        self.store.get_or_insert_with(|| lock.lock()).as_mut()
+    }
+
+    /// Buffers one record in the store's WAL; durability comes from
+    /// [`commit`](Self::commit).
+    fn journal(&mut self, record: MdsRecord) {
+        if let Some(store) = self.locked_store() {
+            store.append_deferred(record).expect("WAL append failed");
+        }
+    }
+
+    /// Commits an `Update` of `node`: bumps its mtime to the request's
+    /// start stamp and journals the committed attributes.
+    fn commit_update(&mut self, node: NodeId, gl: bool) {
+        let mds = self.mds;
+        let now_ms = self.stamp.duration_since(mds.epoch).as_millis() as u64;
+        mds.attrs.write().update(node, |a| a.mtime = now_ms);
+        let committed = mds.attrs.read().get(node);
+        self.journal(MdsRecord::AttrCommit {
+            node: node.index() as u64,
+            gl,
+            attr: attr_state(committed),
+        });
+    }
+
+    /// Serves one decoded request. Journaled mutations stay buffered
+    /// until [`commit`](Self::commit).
+    ///
+    /// Never panics on out-of-range targets: a request for a node this
+    /// tree does not have answers `NotFound` (a foreign client built
+    /// from a different workload derivation must not crash the daemon).
+    pub fn serve(&mut self, req: Request) -> Response {
+        let mds = self.mds;
+        // Serve span id allocated up front so the span parents correctly
+        // on the wire context even though it is recorded at the end.
+        let serve_ctx = match (mds.tracer.as_deref(), req.trace) {
+            (Some(tr), Some((t, s))) => {
+                let ctx = SpanCtx {
+                    trace: TraceId(t),
+                    span: SpanId(s),
+                };
+                Some((tr, ctx, tr.next_span(ctx.trace), tr.now_us()))
+            }
+            _ => None,
+        };
+        let assignment = if mds.tree.node(req.target).is_some() {
+            mds.placement.assignment(req.target)
+        } else {
+            Assignment::Unassigned
+        };
+        let (body, outcome) = match assignment {
+            Assignment::Replicated => {
+                if req.kind == OpKind::Update {
+                    // Single-replica global layer: no cross-process lock
+                    // service exists yet, so the commit is local-only
+                    // (DESIGN.md §14 spells out the divergence risk when
+                    // several daemons of one cluster run concurrently).
+                    self.commit_update(req.target, true);
+                }
+                (ResponseBody::Served { node: req.target }, 0u8)
+            }
+            Assignment::Single(owner) if owner == mds.me => {
+                if req.kind == OpKind::Update {
+                    self.commit_update(req.target, false);
+                }
+                if let Some((root, _)) = mds.index.locate(&mds.tree, req.target) {
+                    // `locate` answers with an index root, and every
+                    // index root has a count. The store is locked before
+                    // the bump, so counts reach the journal in the order
+                    // they were bumped, whichever connection bumps.
+                    let count = &mds.subtree_counts[&root];
+                    let store = self.locked_store();
+                    let prev = count
+                        .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
+                            Some((f64::from_bits(bits) + 1.0).to_bits())
+                        })
+                        .expect("the update closure never declines");
+                    if let Some(store) = store {
+                        store
+                            .append_deferred(MdsRecord::Popularity {
+                                root: root.index() as u64,
+                                bits: (f64::from_bits(prev) + 1.0).to_bits(),
+                            })
+                            .expect("WAL append failed");
+                    }
+                }
+                (ResponseBody::Served { node: req.target }, 0)
+            }
+            Assignment::Single(owner) => {
+                self.redirects += 1;
+                mds.registry.journal().record(EventKind::Forwarded {
+                    from: mds.me.0,
+                    to: owner.0,
+                });
+                (ResponseBody::Redirect { owner }, 1)
+            }
+            Assignment::Unassigned => (ResponseBody::NotFound, 2),
+        };
+        self.served += u64::from(outcome == 0);
+
+        let end = Instant::now();
+        let dur_us = end.duration_since(self.stamp).as_micros() as u64;
+        self.stamp = end;
+        let sample = (kind_index(req.kind), usize::from(outcome), dur_us);
+        if sample != self.run {
+            self.record_latency_run();
+            (self.run, self.run_len) = (sample, 0);
+        }
+        self.run_len += 1;
+        if mds.slow.admits(dur_us) {
+            mds.slow.observe(SlowEntry {
+                dur_us,
+                t_us: mds.registry.uptime_us(),
+                kind: req.kind,
+                target: req.target.index() as u64,
+                outcome,
+                trace: req.trace.map(|(t, _)| t),
+            });
+        }
+        if let Some((tr, ctx, serve_id, start)) = serve_ctx {
+            tr.record(
+                Span::child(
+                    ctx,
+                    serve_id,
+                    span_names::SERVE,
+                    start,
+                    tr.now_us().saturating_sub(start),
+                )
+                .on_mds(mds.me.0)
+                .with_arg(ArgKey::Target, req.target.index() as u64)
+                .with_arg(ArgKey::Body, u64::from(outcome)),
+            );
+        }
+        Response {
+            id: req.id,
+            from: mds.me,
+            body,
+            hops: req.hops,
+        }
+    }
+
+    /// Publishes the pending run of latency samples.
+    fn record_latency_run(&self) {
+        let (kind, outcome, dur_us) = self.run;
+        self.mds.srv_latency[kind][outcome].record_n(dur_us, self.run_len);
+    }
+
+    /// Ends the scope with one group-committed fsync covering every
+    /// record journaled so far (this scope's and any left buffered by
+    /// earlier uncommitted ones); responses may be acknowledged once
+    /// this returns.
+    pub fn commit(mut self) {
+        let mut guard = self.store.take().or_else(|| self.mds.lock_store());
+        if let Some(store) = guard.as_deref_mut().and_then(Option::as_mut) {
+            if store.pending_bytes() > 0 {
+                store.sync().expect("WAL sync failed");
+                self.mds.wal_group_commits.inc();
+            }
+        }
+    }
+}
+
+impl Drop for ServeScope<'_> {
+    fn drop(&mut self) {
+        let mds = self.mds;
+        if self.served > 0 {
+            mds.served.fetch_add(self.served, Ordering::Relaxed);
+            mds.served_total.add(self.served);
+        }
+        if self.redirects > 0 {
+            mds.redirects.fetch_add(self.redirects, Ordering::Relaxed);
+            mds.forwarded_total.add(self.redirects);
+        }
+        self.record_latency_run();
     }
 }
 
@@ -959,9 +1105,10 @@ pub struct NetServer {
 impl NetServer {
     /// Binds `addr` (use port 0 for an ephemeral port) and starts the
     /// accept loop. Each accepted connection gets its own handler thread
-    /// running read → decode → [`NetMds::serve`] → encode → write until
-    /// the peer closes, an error poisons the connection, or the server
-    /// shuts down.
+    /// running, per batch, read → (decode in place →
+    /// [`ServeScope::serve`] → encode into the write buffer)… →
+    /// [`ServeScope::commit`] → one write, until the peer closes, an
+    /// error poisons the connection, or the server shuts down.
     ///
     /// # Errors
     ///
@@ -1013,11 +1160,13 @@ impl NetServer {
 }
 
 /// One connection's serve loop, batch-oriented: every complete frame
-/// the last read left buffered is decoded and served as one batch
-/// ([`NetMds::serve_batch`] — one group-committed fsync for the whole
-/// batch's mutations), and all responses go back in a single buffered
-/// write. A non-pipelining client degenerates to batches of one; a
-/// pipelining client amortises syscalls and fsyncs across its window.
+/// the last read left buffered is decoded straight out of the read
+/// buffer, served inside one [`ServeScope`] (one group-committed fsync
+/// for the whole batch's mutations) and its response encoded straight
+/// into the reused write buffer, which goes back in a single write. A
+/// non-pipelining client degenerates to batches of one; a pipelining
+/// client amortises syscalls and fsyncs across its window. Nothing is
+/// allocated per request or, once the buffers have grown, per batch.
 ///
 /// Errors are isolated here: whatever goes wrong, this thread cleans up
 /// its own socket and exits without touching the listener or any
@@ -1038,51 +1187,15 @@ fn conn_main(
     };
     let mut reader = FrameReader::new(read_half, config.max_frame);
     let mut write_half = stream;
-    let mut frames: Vec<Bytes> = Vec::new();
-    let mut reqs: Vec<Request> = Vec::new();
     let mut out: Vec<u8> = Vec::new();
-    loop {
-        if stop.load(Ordering::SeqCst) {
-            break;
-        }
-        frames.clear();
-        match reader.next_frames(&mut frames) {
-            Ok(0) => break, // clean close at a frame boundary
-            Ok(n) => {
-                counters.frames.add(n as u64);
-                counters.batches.inc();
-                counters.batch_depth.record(n as u64);
-                reqs.clear();
-                let mut poisoned = false;
-                for frame in &mut frames {
-                    let Some(req) = Request::decode(frame) else {
-                        // A byte stream cannot re-synchronise past a bad
-                        // frame; serve the valid prefix of the batch,
-                        // then drop the connection, keep the server.
-                        counters.decode_errors.inc();
-                        poisoned = true;
-                        break;
-                    };
-                    reqs.push(req);
-                }
-                let resps = mds.serve_batch(&reqs);
-                out.clear();
-                for resp in &resps {
-                    out.extend_from_slice(&resp.encode());
-                }
-                if !out.is_empty() && write_half.write_all(&out).is_err() {
-                    counters.resets.inc();
-                    break;
-                }
-                counters.frames.add(resps.len() as u64);
-                if poisoned {
-                    break;
-                }
-            }
+    while !stop.load(Ordering::SeqCst) {
+        match reader.fill() {
+            Ok(true) => {}
+            Ok(false) => break, // clean close at a frame boundary
             Err(e)
                 if e.kind() == io::ErrorKind::WouldBlock || e.kind() == io::ErrorKind::TimedOut =>
             {
-                // poll tick: re-check the stop flag
+                continue; // poll tick: re-check the stop flag
             }
             Err(e) => {
                 if e.kind() == io::ErrorKind::InvalidData {
@@ -1093,6 +1206,37 @@ fn conn_main(
                 break;
             }
         }
+        out.clear();
+        let (mut read, mut served) = (0u64, 0u64);
+        let mut scope = mds.begin_batch();
+        // Drain what that read buffered; no more syscalls. An oversized
+        // length prefix mid-batch ends the drain: the good frames ahead
+        // of it are served now and the next `fill` surfaces the error.
+        while let Ok(Some(frame)) = reader.buffered_frame() {
+            read += 1;
+            let Some(req) = Request::decode_frame(frame) else {
+                // A byte stream cannot re-synchronise past a bad frame;
+                // serve the valid prefix of the batch, then drop the
+                // connection, keep the server.
+                counters.decode_errors.inc();
+                break;
+            };
+            scope.serve(req).encode_into(&mut out);
+            served += 1;
+        }
+        // Responses acknowledge durable state: commit, then write.
+        scope.commit();
+        counters.frames.add(read);
+        counters.batches.inc();
+        counters.batch_depth.record(read);
+        if !out.is_empty() && write_half.write_all(&out).is_err() {
+            counters.resets.inc();
+            break;
+        }
+        counters.frames.add(served);
+        if served < read {
+            break; // poisoned by the frame that failed to decode
+        }
     }
 }
 
@@ -1102,6 +1246,8 @@ fn conn_main(
 pub struct NetClient {
     write_half: TcpStream,
     reader: FrameReader<TcpStream>,
+    /// Encode buffer of [`send_batch`](Self::send_batch), reused.
+    send_buf: Vec<u8>,
 }
 
 impl NetClient {
@@ -1125,6 +1271,7 @@ impl NetClient {
         Ok(NetClient {
             write_half: stream,
             reader: FrameReader::new(read_half, MAX_FRAME_BYTES),
+            send_buf: Vec::new(),
         })
     }
 
@@ -1153,11 +1300,11 @@ impl NetClient {
     ///
     /// Propagates write failures; the connection must then be discarded.
     pub fn send_batch(&mut self, reqs: &[Request]) -> io::Result<()> {
-        let mut buf = Vec::with_capacity(reqs.len() * (4 + REQUEST_WIRE_BYTES));
+        self.send_buf.clear();
         for req in reqs {
-            buf.extend_from_slice(&req.encode());
+            req.encode_into(&mut self.send_buf);
         }
-        self.write_half.write_all(&buf)
+        self.write_half.write_all(&self.send_buf)
     }
 
     /// Blocks for the next response frame.
@@ -1172,7 +1319,7 @@ impl NetClient {
     /// * [`io::ErrorKind::InvalidData`] — the response failed to decode.
     pub fn recv(&mut self) -> io::Result<Response> {
         match self.reader.next_frame()? {
-            Some(mut frame) => Response::decode(&mut frame).ok_or_else(|| {
+            Some(frame) => Response::decode_frame(frame).ok_or_else(|| {
                 io::Error::new(
                     io::ErrorKind::InvalidData,
                     "response frame failed to decode",
@@ -1948,12 +2095,15 @@ mod tests {
         let mut out = Vec::new();
         for chunk in stream.chunks(3) {
             fb.extend(chunk);
-            while let Some(frame) = fb.next_frame().unwrap() {
+            while let Some(frame) = fb.next_slice().unwrap() {
                 out.push(frame.to_vec());
             }
         }
-        assert_eq!(out, vec![a, b]);
+        assert_eq!(out, vec![a.clone(), b]);
         assert_eq!(fb.pending(), 0);
+        // The owned variant hands out the same bytes.
+        fb.extend(&a);
+        assert_eq!(fb.next_frame().unwrap().expect("complete")[..], a[..]);
     }
 
     #[test]
@@ -2002,8 +2152,7 @@ mod tests {
         let first = reader.next_frame().unwrap().expect("first frame");
         assert_eq!(first.to_vec(), a);
         // The reassembled frame decodes to the original request.
-        let mut buf = first;
-        let req = Request::decode(&mut buf).expect("decodes");
+        let req = Request::decode_frame(first).expect("decodes");
         assert_eq!(req.id, RequestId(9));
         let second = reader.next_frame().unwrap().expect("second frame");
         assert_eq!(second.to_vec(), b);
@@ -2151,6 +2300,18 @@ mod tests {
         }
     }
 
+    /// Drains one batch the way `conn_main` does: block for the first
+    /// frame, then take every frame that read left buffered.
+    fn next_batch<R: Read>(reader: &mut FrameReader<R>) -> io::Result<Vec<Vec<u8>>> {
+        let mut batch = Vec::new();
+        if reader.fill()? {
+            while let Ok(Some(frame)) = reader.buffered_frame() {
+                batch.push(frame.to_vec());
+            }
+        }
+        Ok(batch)
+    }
+
     /// Property sweep for the batch drain: three back-to-back frames (a
     /// pipelined client's burst) split at *every* byte boundary must
     /// reassemble to exactly those frames, in order, regardless of how
@@ -2162,10 +2323,7 @@ mod tests {
             request_frame(2, 7),
             request_frame(3, 9),
         ];
-        let mut stream = Vec::new();
-        for f in &frames {
-            stream.extend_from_slice(f);
-        }
+        let stream = frames.concat();
         for cut in 0..=stream.len() {
             let chunks: Vec<Vec<u8>> = [&stream[..cut], &stream[cut..]]
                 .iter()
@@ -2176,13 +2334,12 @@ mod tests {
             let mut got: Vec<Vec<u8>> = Vec::new();
             let mut batches = Vec::new();
             loop {
-                let mut out = Vec::new();
-                let n = reader.next_frames(&mut out).expect("no error in sweep");
-                if n == 0 {
+                let batch = next_batch(&mut reader).expect("no error in sweep");
+                if batch.is_empty() {
                     break;
                 }
-                batches.push(n);
-                got.extend(out.iter().map(|b| b.to_vec()));
+                batches.push(batch.len());
+                got.extend(batch);
             }
             assert_eq!(got, frames.to_vec(), "cut at byte {cut}");
             // A cut mid-stream yields at most one batch per chunk.
@@ -2201,11 +2358,8 @@ mod tests {
             request_frame(5, 2),
             request_frame(6, 3),
         ];
-        let mut stream = Vec::new();
-        for f in &frames {
-            stream.extend_from_slice(f);
-        }
-        let whole = frames.iter().map(Vec::len).sum::<usize>();
+        let stream = frames.concat();
+        let whole = stream.len();
         for tear in (whole - frames[2].len() + 1)..whole {
             let mut reader = FrameReader::new(
                 OneByteReader {
@@ -2216,16 +2370,117 @@ mod tests {
             );
             let mut got: Vec<Vec<u8>> = Vec::new();
             let err = loop {
-                let mut out = Vec::new();
-                match reader.next_frames(&mut out) {
-                    Ok(0) => panic!("tear at {tear}: clean EOF despite a partial frame"),
-                    Ok(_) => got.extend(out.iter().map(|b| b.to_vec())),
+                match next_batch(&mut reader) {
+                    Ok(batch) if batch.is_empty() => {
+                        panic!("tear at {tear}: clean EOF despite a partial frame")
+                    }
+                    Ok(batch) => got.extend(batch),
                     Err(e) => break e,
                 }
             };
             assert_eq!(got, frames[..2].to_vec(), "tear at byte {tear}");
             assert_eq!(err.kind(), io::ErrorKind::UnexpectedEof, "tear at {tear}");
         }
+    }
+
+    /// The read cursor and its once-per-chunk compaction: 100 k frames
+    /// dribbled in odd-sized chunks, consumer keeping up. What is left
+    /// buffered never reaches one frame plus one chunk, and after the
+    /// first lap over the chunk sizes the buffer never grows again.
+    #[test]
+    fn frame_buf_stays_bounded_under_a_dribble() {
+        const FRAMES: u64 = 100_000;
+        let chunk_sizes = [1usize, 3, 7, 37, 38, 39, 41, 101, 5];
+        let frame_len = request_frame(0, 0).len();
+        let mut fb = FrameBuf::new(MAX_FRAME_BYTES);
+        let mut staged: Vec<u8> = Vec::new();
+        let (mut queued, mut taken) = (0u64, 0u64);
+        let mut settled_capacity = None;
+        for lap in 0.. {
+            for size in chunk_sizes {
+                while staged.len() < size && queued < FRAMES {
+                    staged.extend(request_frame(queued, queued as u32));
+                    queued += 1;
+                }
+                let n = size.min(staged.len());
+                fb.extend(&staged[..n]);
+                staged.drain(..n);
+                while let Some(frame) = fb.next_slice().expect("well-formed stream") {
+                    let req = Request::decode_frame(frame).expect("decodes");
+                    assert_eq!(req.id, RequestId(taken), "frames leave in order");
+                    taken += 1;
+                }
+                assert!(
+                    fb.pending() < frame_len + size,
+                    "{} bytes pending after a {size}-byte chunk",
+                    fb.pending()
+                );
+            }
+            match settled_capacity {
+                None => settled_capacity = Some(fb.buf.capacity()),
+                Some(cap) => assert_eq!(fb.buf.capacity(), cap, "buffer grew on lap {lap}"),
+            }
+            if taken == FRAMES {
+                break;
+            }
+        }
+        assert_eq!(fb.pending(), 0);
+    }
+
+    /// An oversized length prefix in the middle of a pipelined batch:
+    /// the valid frames ahead of it are served and answered, then the
+    /// connection — and only that connection — is dropped as a decode
+    /// error.
+    #[test]
+    fn oversized_prefix_mid_batch_serves_the_valid_prefix_then_drops_the_conn() {
+        let tree = Arc::new(NamespaceTree::new());
+        let mut placement = Placement::new(&tree, 1);
+        placement.set(tree.root(), Assignment::Single(MdsId(0)));
+        let mds = Arc::new(NetMds::new(
+            Arc::clone(&tree),
+            placement,
+            LocalIndex::new(),
+            MdsId(0),
+            Arc::new(Registry::new()),
+        ));
+        let server = NetServer::bind("127.0.0.1:0", Arc::clone(&mds), NetServerConfig::default())
+            .expect("bind");
+        let addr = server.local_addr().to_string();
+
+        let mut burst = [request_frame(1, 0), request_frame(2, 0)].concat();
+        burst.extend_from_slice(&(MAX_FRAME_BYTES as u32 + 1).to_be_bytes());
+        burst.extend_from_slice(&request_frame(3, 0));
+        let mut bad = NetClient::connect(&addr, Duration::from_secs(2)).expect("connect");
+        bad.write_half.write_all(&burst).expect("one write");
+        for id in [1, 2] {
+            assert_eq!(bad.recv().expect("valid prefix answered").id, RequestId(id));
+        }
+        let err = bad
+            .recv()
+            .expect_err("nothing past the bad prefix is served");
+        assert!(
+            !matches!(
+                err.kind(),
+                io::ErrorKind::WouldBlock | io::ErrorKind::TimedOut
+            ),
+            "the server hung up instead of leaving the client to time out: {err}"
+        );
+
+        let mut good = NetClient::connect(&addr, Duration::from_secs(2)).expect("connect");
+        let resp = good
+            .call(&Request {
+                id: RequestId(9),
+                kind: OpKind::Read,
+                target: tree.root(),
+                hops: 0,
+                trace: None,
+            })
+            .expect("server survived the bad peer");
+        assert_eq!(resp.id, RequestId(9));
+        drop((bad, good));
+        let stats = server.shutdown();
+        assert_eq!(stats.decode_errors, 1);
+        assert_eq!(mds.served(), 3);
     }
 
     /// A pipelined window over a real socket: eight requests leave in
@@ -2355,6 +2610,69 @@ mod tests {
         assert!(
             lsn_after >= lsn_before + 4,
             "each update journaled at least its AttrCommit"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// Nested index roots: a node this MDS serves whose shallowest
+    /// indexed ancestor belongs to another MDS is still counted, and
+    /// journaled, under that root.
+    #[test]
+    fn popularity_counts_under_a_root_another_mds_owns() {
+        let dir = std::env::temp_dir().join(format!(
+            "d2tree-net-nested-{}-{}",
+            std::process::id(),
+            std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .expect("clock")
+                .as_nanos()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut tree = NamespaceTree::new();
+        let outer = tree
+            .create(tree.root(), "outer", NodeKind::Directory)
+            .expect("create");
+        let inner = tree
+            .create(outer, "inner", NodeKind::Directory)
+            .expect("create");
+        let file = tree.create(inner, "f", NodeKind::File).expect("create");
+        let tree = Arc::new(tree);
+        let mut placement = Placement::new(&tree, 2);
+        for (id, _) in tree.nodes() {
+            placement.set(id, Assignment::Single(MdsId(0)));
+        }
+        let mut index = LocalIndex::new();
+        index.insert(outer, MdsId(1));
+        index.insert(inner, MdsId(0));
+        assert_eq!(index.locate(&tree, file), Some((outer, MdsId(1))));
+        let mds = NetMds::new(
+            Arc::clone(&tree),
+            placement,
+            index,
+            MdsId(0),
+            Arc::new(Registry::new()),
+        )
+        .with_store_root(&dir, StoreConfig::manual());
+
+        let lsn_before = mds.store_next_lsn().expect("store attached");
+        for i in 0..3 {
+            let resp = mds.serve(Request {
+                id: RequestId(i),
+                kind: OpKind::Read,
+                target: file,
+                hops: 0,
+                trace: None,
+            });
+            assert_eq!(resp.body, ResponseBody::Served { node: file });
+        }
+        assert_eq!(
+            f64::from_bits(mds.subtree_counts[&outer].load(Ordering::Relaxed)),
+            3.0
+        );
+        assert_eq!(
+            mds.store_next_lsn().expect("store attached"),
+            lsn_before + 3,
+            "one Popularity record per served read"
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -5,26 +5,39 @@
 //! prefix never leaves the global layer can be served by any MDS
 //! (Sec. IV-A2 of the paper).
 
-use std::collections::HashMap;
 use std::sync::Mutex;
 
 use d2tree_metrics::MdsId;
-use d2tree_namespace::{NamespaceTree, NodeId};
+use d2tree_namespace::{ChainUp, NamespaceTree, NodeId, NodeIdMap};
 use serde::{Deserialize, Serialize};
 
-/// One memoised [`LocalIndex::locate`] answer plus the root-to-target
-/// ancestor chain it was computed over. The chain is what makes targeted
-/// invalidation sound: an index mutation at root `D` can only change the
-/// answer for targets whose chain passes through `D` (the tree itself is
-/// unchanged — tree mutations are handled by the tree stamp).
+/// One memoised [`LocalIndex::locate`] answer.
+///
+/// Targeted invalidation needs no more than the answer itself: with the
+/// tree unchanged (tree mutations are handled by the tree stamp), the
+/// answer is the *shallowest* indexed node on the root-to-target chain,
+/// so an index mutation at `D` can change it only if `D` lies on that
+/// chain at or above the answer's root — or anywhere on it when there
+/// is no answer. That stretch is [`MemoEntry::deciding_chain`], re-walked
+/// from the tree when a mutation has to be checked instead of being
+/// stored per entry (it is the global-layer prefix, a few nodes long,
+/// and an entry is a third of the size without it).
 #[derive(Debug)]
 struct MemoEntry {
     answer: Option<(NodeId, MdsId)>,
-    chain: Box<[NodeId]>,
     /// Dirty-log frontier this entry was last validated against. Probing
     /// an entry only has to check the log *suffix* recorded after this
     /// point, and a successful probe moves the stamp forward.
     epoch: u64,
+}
+
+impl MemoEntry {
+    /// The nodes whose indexing decides this entry's answer for
+    /// `target`: the answer's root and its ancestors, or the target's
+    /// whole chain when nothing on it is indexed.
+    fn deciding_chain<'t>(&self, tree: &'t NamespaceTree, target: NodeId) -> ChainUp<'t> {
+        tree.chain_up(self.answer.map_or(target, |(root, _)| root))
+    }
 }
 
 /// Past this many pending dirty roots, the next settle amortises them in
@@ -38,17 +51,17 @@ const DIRTY_ROOT_CAP: usize = 32;
 /// Tree mutations (identity or version change) still discard everything:
 /// the index cannot scope a structural change it never saw. Index
 /// mutations instead append the mutated subtree root to `dirty_log` in
-/// O(1); entries validate *lazily* — a probe re-checks the cached chain
-/// against only the log suffix newer than the entry's `epoch`, evicting
-/// on intersection and re-stamping on survival. Once the log passes
-/// [`DIRTY_ROOT_CAP`], one settle sweep pays the full-memo scan for the
-/// whole batch and resets the log. `dirty_all` is the wholesale
-/// fallback, used for [`LocalIndex::replace_all`] and when the owner
-/// opts out via [`LocalIndex::set_wholesale_invalidation`].
+/// O(1); entries validate *lazily* — a probe re-checks the entry's
+/// deciding chain against only the log suffix newer than the entry's
+/// `epoch`, evicting on intersection and re-stamping on survival. Once
+/// the log passes [`DIRTY_ROOT_CAP`], one settle sweep pays the
+/// full-memo scan for the whole batch and resets the log. `dirty_all` is
+/// the wholesale fallback, used for [`LocalIndex::replace_all`] and when
+/// the owner opts out via [`LocalIndex::set_wholesale_invalidation`].
 #[derive(Debug, Default)]
 struct LocateMemo {
     tree_stamp: Option<(u64, u64)>,
-    nearest: HashMap<NodeId, MemoEntry>,
+    nearest: NodeIdMap<MemoEntry>,
     /// Subtree roots mutated since `base_epoch`, in mutation order.
     dirty_log: Vec<NodeId>,
     /// Epoch of `dirty_log[0]`; `base_epoch + dirty_log.len()` is the
@@ -91,8 +104,8 @@ impl LocateMemo {
         } else if self.dirty_log.len() > DIRTY_ROOT_CAP {
             let dirty: std::collections::HashSet<NodeId> = self.dirty_log.iter().copied().collect();
             let frontier = self.frontier();
-            self.nearest.retain(|_, e| {
-                if e.chain.iter().any(|n| dirty.contains(n)) {
+            self.nearest.retain(|&target, e| {
+                if e.deciding_chain(tree, target).any(|n| dirty.contains(&n)) {
                     false
                 } else {
                     e.epoch = frontier;
@@ -105,15 +118,19 @@ impl LocateMemo {
         self.dirty_all = false;
     }
 
-    /// Memo probe with lazy validation: a hit whose chain intersects a
-    /// dirty root logged after the entry's epoch is evicted (reported as
-    /// a miss); a clean hit is re-stamped at the current frontier so the
-    /// next probe checks even less.
-    fn probe(&mut self, target: NodeId) -> Option<Option<(NodeId, MdsId)>> {
+    /// Memo probe with lazy validation: a hit whose deciding chain
+    /// holds a dirty root logged after the entry's epoch is evicted
+    /// (reported as a miss); a clean hit is re-stamped at the current
+    /// frontier so the next probe checks even less.
+    fn probe(&mut self, tree: &NamespaceTree, target: NodeId) -> Option<Option<(NodeId, MdsId)>> {
         let frontier = self.frontier();
         let entry = self.nearest.get_mut(&target)?;
         let unseen = &self.dirty_log[(entry.epoch - self.base_epoch) as usize..];
-        if unseen.iter().any(|d| entry.chain.contains(d)) {
+        if !unseen.is_empty()
+            && entry
+                .deciding_chain(tree, target)
+                .any(|n| unseen.contains(&n))
+        {
             self.nearest.remove(&target);
             None
         } else {
@@ -133,9 +150,9 @@ impl LocateMemo {
 /// memoises its nearest-owner answers per target node, so repeat lookups
 /// are O(1) hash probes instead of O(depth) chain walks. Tree mutations
 /// discard the memo wholesale; index mutations evict per affected
-/// subtree (each cached answer remembers the ancestor chain it was
-/// computed over, and a mutation at root `D` only evicts answers whose
-/// chain passes through `D`). The memo is invisible to every other API:
+/// subtree (a mutation at root `D` only evicts answers that `D`'s
+/// indexing can decide: those whose chain passes through `D` at or above
+/// the cached answer's root). The memo is invisible to every other API:
 /// clones start cold and equality ignores it.
 ///
 /// # Example
@@ -157,7 +174,7 @@ impl LocateMemo {
 /// ```
 #[derive(Debug, Default, Serialize, Deserialize)]
 pub struct LocalIndex {
-    owners: HashMap<NodeId, MdsId>,
+    owners: NodeIdMap<MdsId>,
     version: u64,
     memo: Mutex<LocateMemo>,
     wholesale: bool,
@@ -258,43 +275,24 @@ impl LocalIndex {
     /// `None` means every prefix node is in the global layer, so the query
     /// may be sent to any MDS.
     ///
-    /// Answers are memoised per target together with the ancestor chain
-    /// they were computed over. A repeat lookup against unchanged
+    /// Answers are memoised per target. A repeat lookup against unchanged
     /// structures is a single hash probe. Tree mutations (or a different
     /// tree instance) still discard the whole memo, but
     /// [`insert`](Self::insert) and [`remove`](Self::remove) evict only
-    /// the entries whose cached chain passes through the mutated subtree
-    /// root — hot targets in untouched subtrees stay warm across
-    /// unrelated writes. [`replace_all`](Self::replace_all) falls back to
+    /// the entries whose answer the mutated subtree root can decide —
+    /// hot targets in untouched subtrees stay warm across unrelated
+    /// writes. [`replace_all`](Self::replace_all) falls back to
     /// a wholesale clear.
     #[must_use]
     pub fn locate(&self, tree: &NamespaceTree, target: NodeId) -> Option<(NodeId, MdsId)> {
         let mut memo = self.memo.lock().expect("locate memo poisoned");
         memo.settle(tree);
-        if let Some(answer) = memo.probe(target) {
+        if let Some(answer) = memo.probe(tree, target) {
             return answer;
         }
-        // Walking upward visits the chain deepest-first, so the last hit
-        // seen is the shallowest — the one the downward client walk of
-        // Sec. IV-A2 would report first. The visited chain is recorded so
-        // future index mutations can evict exactly the answers they touch.
-        let mut chain = Vec::new();
-        let mut answer = None;
-        for id in tree.chain_up(target) {
-            chain.push(id);
-            if let Some(&owner) = self.owners.get(&id) {
-                answer = Some((id, owner));
-            }
-        }
+        let answer = self.locate_uncached(tree, target);
         let epoch = memo.frontier();
-        memo.nearest.insert(
-            target,
-            MemoEntry {
-                answer,
-                chain: chain.into_boxed_slice(),
-                epoch,
-            },
-        );
+        memo.nearest.insert(target, MemoEntry { answer, epoch });
         answer
     }
 
@@ -535,7 +533,7 @@ mod tests {
 
     /// Inserting a *new* shallower root must evict cached answers that
     /// pass through it, even though no cached answer mentions it yet —
-    /// that is what the stored chain (not just the answer) buys.
+    /// the deciding chain runs from the answer's root up to the tree's.
     #[test]
     fn inserting_a_shallower_root_on_the_chain_evicts() {
         let (t, a, b, c) = deep_tree();
@@ -609,7 +607,7 @@ mod tests {
         for wholesale in [false, true] {
             let mut idx = LocalIndex::new();
             idx.set_wholesale_invalidation(wholesale);
-            for _ in 0..400 {
+            for _ in 0..2_000 {
                 let n = nodes[(rng() % nodes.len() as u64) as usize];
                 match rng() % 10 {
                     0 => idx.insert(n, MdsId((rng() % 8) as u16)),

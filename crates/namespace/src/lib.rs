@@ -43,7 +43,7 @@ pub use builder::TreeBuilder;
 pub use error::TreeError;
 pub use intern::{Sym, SymbolTable};
 pub use iter::{Ancestors, ChainUp, Descendants};
-pub use node::{Node, NodeId, NodeKind};
+pub use node::{Node, NodeId, NodeIdHasher, NodeIdMap, NodeKind};
 pub use path::{Components, NsPath};
 pub use popularity::Popularity;
 pub use tree::NamespaceTree;

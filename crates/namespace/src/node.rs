@@ -1,6 +1,8 @@
 //! Node identity and payload types.
 
+use std::collections::HashMap;
 use std::fmt;
+use std::hash::{BuildHasherDefault, Hasher};
 
 use serde::{Deserialize, Serialize};
 
@@ -49,6 +51,39 @@ impl fmt::Display for NodeId {
         write!(f, "n{}", self.0)
     }
 }
+
+/// Hasher for [`NodeIdMap`]: one multiply and one fold of the id.
+///
+/// Ids are dense arena indices this process minted, bounded by the
+/// tree's node count — a peer can pick *which* id it asks about but
+/// cannot mint one, so the collision-flooding defence SipHash pays for
+/// on every probe buys nothing here. The fold of the high half keeps
+/// strided id sets (every 1024th node, say) from sharing low bits.
+#[derive(Debug, Default, Clone, Copy)]
+pub struct NodeIdHasher(u64);
+
+impl Hasher for NodeIdHasher {
+    fn write(&mut self, bytes: &[u8]) {
+        // `NodeId` hashes through `write_u32`; this keeps the trait
+        // total for any other key a caller might feed.
+        for &b in bytes {
+            self.write_u32(u32::from(b));
+        }
+    }
+
+    fn write_u32(&mut self, n: u32) {
+        let h = (self.0 ^ u64::from(n)).wrapping_mul(0x9E37_79B9_7F4A_7C15);
+        self.0 = h ^ (h >> 32);
+    }
+
+    fn finish(&self) -> u64 {
+        self.0
+    }
+}
+
+/// A `HashMap` keyed by [`NodeId`] with a multiplicative hash in place
+/// of SipHash, for the per-operation probes of the routing hot path.
+pub type NodeIdMap<V> = HashMap<NodeId, V, BuildHasherDefault<NodeIdHasher>>;
 
 /// Whether a node is a directory (may hold children) or a file (leaf).
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]

@@ -171,9 +171,18 @@ impl Histogram {
     /// the steady state (sample inside the seen range) costs three relaxed
     /// `fetch_add`s and two loads — no CAS loops.
     pub fn record(&self, v: u64) {
-        self.buckets[bucket_index(v)].fetch_add(1, Ordering::Relaxed);
-        self.count.fetch_add(1, Ordering::Relaxed);
-        self.sum.fetch_add(v, Ordering::Relaxed);
+        self.record_n(v, 1);
+    }
+
+    /// Records `n` samples of the same value `v` at the cost of one —
+    /// for a recorder that tallied a run of equal samples locally.
+    pub fn record_n(&self, v: u64, n: u64) {
+        if n == 0 {
+            return;
+        }
+        self.buckets[bucket_index(v)].fetch_add(n, Ordering::Relaxed);
+        self.count.fetch_add(n, Ordering::Relaxed);
+        self.sum.fetch_add(v * n, Ordering::Relaxed);
         if v < self.min.load(Ordering::Relaxed) {
             self.min.fetch_min(v, Ordering::Relaxed);
         }
@@ -666,6 +675,19 @@ mod tests {
         // An empty local flush is a no-op (and must not clobber min).
         LocalHistogram::new().flush_into(&shared);
         assert_eq!(shared.snapshot().min, 1);
+    }
+
+    #[test]
+    fn record_n_equals_n_records() {
+        let (runs, singles) = (Histogram::new(), Histogram::new());
+        for (v, n) in [(0u64, 3u64), (7, 1), (300, 5), (9, 0)] {
+            runs.record_n(v, n);
+            for _ in 0..n {
+                singles.record(v);
+            }
+        }
+        assert_eq!(runs.snapshot(), singles.snapshot());
+        assert_eq!(runs.snapshot().max, 300, "an empty run records nothing");
     }
 
     #[test]

@@ -103,6 +103,16 @@ impl Bytes {
         self.start == self.end
     }
 
+    /// A buffer holding a copy of `data` (one allocation).
+    #[must_use]
+    pub fn copy_from_slice(data: &[u8]) -> Self {
+        Bytes {
+            data: Arc::from(data),
+            start: 0,
+            end: data.len(),
+        }
+    }
+
     /// A sub-view sharing the same allocation.
     ///
     /// # Panics
@@ -171,7 +181,7 @@ impl From<Vec<u8>> for Bytes {
 
 impl From<&[u8]> for Bytes {
     fn from(v: &[u8]) -> Self {
-        Bytes::from(v.to_vec())
+        Bytes::copy_from_slice(v)
     }
 }
 

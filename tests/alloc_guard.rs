@@ -1,0 +1,149 @@
+//! Allocation regression guard for the TCP serving path.
+//!
+//! A pipelined window driven through [`NetServer`] + [`NetClient`] on
+//! loopback must cost O(batches) heap allocations in steady state, not
+//! O(requests): the server decodes out of its read buffer, serves and
+//! encodes into a reused write buffer, and the client encodes into a
+//! reused send buffer and decodes out of its read buffer.
+//!
+//! The counter is a process-wide `#[global_allocator]`, so this file is
+//! its own test binary and holds exactly one test — nothing else may
+//! allocate while the window is measured.
+
+use std::alloc::{GlobalAlloc, Layout, System};
+use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::Arc;
+use std::time::Duration;
+
+use d2tree::cluster::{
+    NetClient, NetMds, NetServer, NetServerConfig, Request, RequestId, ResponseBody,
+};
+use d2tree::core::LocalIndex;
+use d2tree::metrics::{Assignment, MdsId, Placement};
+use d2tree::namespace::{NamespaceTree, NodeId, NodeKind};
+use d2tree::telemetry::Registry;
+use d2tree::workload::OpKind;
+
+/// The system allocator, counting every allocation it hands out.
+struct Counting;
+
+static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+
+// SAFETY: every method forwards its arguments unchanged to `System`,
+// which upholds the `GlobalAlloc` contract; the counter is a side effect
+// that touches no allocator state.
+unsafe impl GlobalAlloc for Counting {
+    unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: the caller's `layout` is passed through as received.
+        unsafe { System.alloc(layout) }
+    }
+
+    unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        // SAFETY: `ptr` came from `System` through `alloc`/`realloc`
+        // above with this `layout`.
+        unsafe { System.dealloc(ptr, layout) }
+    }
+
+    unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
+        ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        // SAFETY: as for `dealloc`; `new_size` is the caller's.
+        unsafe { System.realloc(ptr, layout, new_size) }
+    }
+}
+
+#[global_allocator]
+static GLOBAL: Counting = Counting;
+
+const WINDOW: usize = 128;
+const WARMUP_WINDOWS: usize = 20;
+const MEASURED_WINDOWS: usize = 100;
+
+/// Sends `window` as one pipelined burst and checks every reply.
+fn round_trip(client: &mut NetClient, window: &mut [Request], next_id: &mut u64) {
+    for req in window.iter_mut() {
+        req.id = RequestId(*next_id);
+        *next_id += 1;
+    }
+    client.send_batch(window).expect("one buffered write");
+    for req in window.iter() {
+        let resp = client.recv().expect("in-order response");
+        assert_eq!(resp.id, req.id);
+        assert_eq!(resp.body, ResponseBody::Served { node: req.target });
+    }
+}
+
+#[test]
+fn steady_state_wire_path_allocates_per_batch_not_per_request() {
+    // One MDS owning a small local-layer subtree: every request walks
+    // the whole serve path (locate, popularity bump, latency tally).
+    let mut tree = NamespaceTree::new();
+    let dir = tree
+        .create(tree.root(), "d", NodeKind::Directory)
+        .expect("create");
+    let files: Vec<NodeId> = (0..WINDOW)
+        .map(|i| {
+            tree.create(dir, &format!("f{i}"), NodeKind::File)
+                .expect("create")
+        })
+        .collect();
+    let tree = Arc::new(tree);
+    let mut placement = Placement::new(&tree, 1);
+    for (id, _) in tree.nodes() {
+        placement.set(id, Assignment::Single(MdsId(0)));
+    }
+    let mut index = LocalIndex::new();
+    index.insert(tree.root(), MdsId(0));
+    let mds = Arc::new(NetMds::new(
+        Arc::clone(&tree),
+        placement,
+        index,
+        MdsId(0),
+        Arc::new(Registry::new()),
+    ));
+    let server =
+        NetServer::bind("127.0.0.1:0", Arc::clone(&mds), NetServerConfig::default()).expect("bind");
+    let mut client = NetClient::connect(&server.local_addr().to_string(), Duration::from_secs(5))
+        .expect("connect");
+
+    let mut window: Vec<Request> = files
+        .iter()
+        .enumerate()
+        .map(|(i, &target)| Request {
+            id: RequestId(0),
+            kind: if i % 8 == 0 {
+                OpKind::Update
+            } else {
+                OpKind::Read
+            },
+            target,
+            hops: 0,
+            trace: None,
+        })
+        .collect();
+    let mut next_id = 1u64;
+    // Warm-up: buffers grow to the window, locate memos fill.
+    for _ in 0..WARMUP_WINDOWS {
+        round_trip(&mut client, &mut window, &mut next_id);
+    }
+
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    for _ in 0..MEASURED_WINDOWS {
+        round_trip(&mut client, &mut window, &mut next_id);
+    }
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+
+    let requests = (WINDOW * MEASURED_WINDOWS) as u64;
+    assert_eq!(
+        mds.served(),
+        (WINDOW * (WARMUP_WINDOWS + MEASURED_WINDOWS)) as u64
+    );
+    let per_request = allocations as f64 / requests as f64;
+    assert!(
+        per_request < 0.05,
+        "{allocations} allocations over {requests} pipelined requests \
+         ({per_request:.3} per request): the wire path allocates per request again"
+    );
+    drop(client);
+    let _ = server.shutdown();
+}

@@ -119,7 +119,7 @@ COMMANDS:
     health     flight-record a drifting replay: Def. 3/5 trajectory, anomaly
                flags, JSONL/CSV export; --check exits non-zero on violations
     store      inspect, verify, compact or bench a durable MDS store
-    bench      hot-path microbenchmarks: interned resolve, memoised locate,
+    bench      hot-path microbenchmarks: interned resolve, label-table locate,
                serial-vs-parallel figure sweep
     serve      run one MDS as a real TCP daemon over the frame codec
     load       drive a running `serve` daemon over N TCP connections and
@@ -208,10 +208,10 @@ Common options:
 `bench` usage:
     d2tree bench hotpath [--nodes <n>] [--ops <n>] [--reps <n>] [--seed <n>]
                          [--check <x>] [--out <file>]
-                 compare the interned resolver and the memoised locate
-                 against the legacy string-walk formulations they replaced,
-                 time the memoised locate under interleaved index mutations
-                 (wholesale vs per-subtree dirty-root invalidation),
+                 compare the interned resolver against the legacy
+                 string-walk it replaced and the label-table locate against
+                 the uncached ancestor walk, time the same two locates
+                 under interleaved index mutations (new and removed roots),
                  then time a serial vs parallel figure sweep (thread count
                  from D2_THREADS, default: all cores); writes a JSON report
                  (default results/BENCH_hotpath.json) plus a repo-root copy
@@ -1411,10 +1411,11 @@ fn best_ns<F: FnMut() -> u64>(reps: usize, mut f: F) -> (u64, u64) {
 ///   stored before name interning) and (b) the interned
 ///   [`NamespaceTree::resolve`] (one symbol-table probe per component,
 ///   `u32` comparisons down the child lists).
-/// * **locate** — every live target located through (a) the legacy
-///   formulation (collect the root→target chain into a fresh `Vec`,
-///   scan downward for the first indexed node) and (b) the
-///   allocation-free upward walk, uncached and memoised.
+/// * **locate** — every live target located through (a) the
+///   allocation-free upward walk ([`LocalIndex::locate_uncached`]) and
+///   (b) the flat label table ([`LocalIndex::locate`]); **locate_mut**
+///   runs the same two under index churn, where every new or removed
+///   root makes the table rebuild.
 /// * **sweep** — a Fig. 5-style cell grid replayed serially and on the
 ///   worker pool, cross-checked cell by cell for byte-identical output.
 ///
@@ -1484,7 +1485,7 @@ fn cmd_bench_hotpath(opts: &Opts) -> Result<String, CliError> {
         ));
     }
 
-    // --- locate: legacy Vec-collecting scan vs memoised upward walk --------
+    // --- locate: uncached upward walk vs label table -----------------------
     const MDS: u16 = 8;
     const INDEX_EVERY: usize = 16;
     let mut index = LocalIndex::new();
@@ -1493,15 +1494,8 @@ fn cmd_bench_hotpath(opts: &Opts) -> Result<String, CliError> {
             index.insert(id, MdsId((i % MDS as usize) as u16));
         }
     }
-    let legacy_locate = |target: NodeId| -> Option<(NodeId, MdsId)> {
-        // The pre-memo formulation: allocate the full chain, scan down.
-        tree.path_from_root(target)
-            .into_iter()
-            .find_map(|id| index.owner_of(id).map(|owner| (id, owner)))
-    };
     for &id in &ids {
-        let memo = index.locate(tree, id);
-        if legacy_locate(id) != memo || memo != index.locate_uncached(tree, id) {
+        if index.locate(tree, id) != index.locate_uncached(tree, id) {
             return Err(CliError::Bench(format!(
                 "locate disagreement on node {}",
                 id.index()
@@ -1511,36 +1505,30 @@ fn cmd_bench_hotpath(opts: &Opts) -> Result<String, CliError> {
     let lfold = |acc: u64, hit: Option<(NodeId, MdsId)>| {
         acc.wrapping_add(hit.map_or(0, |(id, _)| id.index() as u64))
     };
-    let (legacy_locate_ns, la) = best_ns(reps, || {
-        ids.iter().fold(0, |acc, &t| lfold(acc, legacy_locate(t)))
-    });
-    let (uncached_locate_ns, lb) = best_ns(reps, || {
+    let (uncached_locate_ns, la) = best_ns(reps, || {
         ids.iter()
             .fold(0, |acc, &t| lfold(acc, index.locate_uncached(tree, t)))
     });
-    let (memo_locate_ns, lc) = best_ns(reps, || {
+    let (table_locate_ns, lb) = best_ns(reps, || {
         ids.iter()
             .fold(0, |acc, &t| lfold(acc, index.locate(tree, t)))
     });
-    if la != lb || lb != lc {
+    if la != lb {
         return Err(CliError::Bench(
-            "locate checksum mismatch between legacy, uncached and memoised passes".to_owned(),
+            "locate checksum mismatch between the uncached and table passes".to_owned(),
         ));
     }
 
-    // --- locate_mut: memoised locate under interleaved mutations -----------
-    // Index churn (an insert, a burst of locates over a hot working
-    // set, the matching remove) interleaved with lookups, timed twice:
-    // wholesale invalidation (every mutation discards the whole memo,
-    // so the hot set can never stay warm) vs per-subtree dirty-root
-    // eviction (only entries whose cached chain passes through the
-    // mutated root are dropped, so unrelated hot targets keep hitting).
-    // The hot set is Zipf-style small — fewer hot directories than
-    // lookups per mutation window — which is exactly the regime the
-    // memo exists for.
+    // --- locate_mut: the same two under interleaved index mutations -------
+    // Index churn (insert a new root, a burst of locates over a hot
+    // working set, remove the root again). The walk does not care; the
+    // table is rebuilt — one pass over the tree — once per change to
+    // the root set, so this is the regime it loses in: 256 locates are
+    // too few to spread a pass over. No runtime path is in it (roots
+    // change by `replace_all`, migrations re-point existing ones), so
+    // the number is reported and `--check` does not gate it.
     // Each rep ends exactly where it started, so reps are comparable;
-    // the three passes must agree on a fold checksum or the bench
-    // errors.
+    // the two passes must agree on a fold checksum or the bench errors.
     const LOCATES_PER_MUTATION: usize = 256;
     const HOT_SET: usize = 128;
     let churn: Vec<NodeId> = ids
@@ -1558,9 +1546,8 @@ fn cmd_bench_hotpath(opts: &Opts) -> Result<String, CliError> {
     let mutations = churn.len() * 2;
     let locates = churn.len() * LOCATES_PER_MUTATION;
     let hot = &ids[..ids.len().min(HOT_SET)];
-    let run_locate_mut = |wholesale: bool, uncached: bool| -> (u64, u64) {
+    let run_locate_mut = |uncached: bool| -> (u64, u64) {
         let mut idx = index.clone();
-        idx.set_wholesale_invalidation(wholesale);
         let mut cursor = 0usize;
         best_ns(reps, || {
             let mut acc = 0u64;
@@ -1583,13 +1570,11 @@ fn cmd_bench_hotpath(opts: &Opts) -> Result<String, CliError> {
             acc
         })
     };
-    let (mut_uncached_ns, ma) = run_locate_mut(false, true);
-    let (mut_wholesale_ns, mb) = run_locate_mut(true, false);
-    let (mut_dirty_ns, mc) = run_locate_mut(false, false);
-    if ma != mb || mb != mc {
+    let (mut_uncached_ns, ma) = run_locate_mut(true);
+    let (mut_table_ns, mb) = run_locate_mut(false);
+    if ma != mb {
         return Err(CliError::Bench(
-            "locate_mut checksum mismatch between uncached, wholesale and dirty-root passes"
-                .to_owned(),
+            "locate_mut checksum mismatch between the uncached and table passes".to_owned(),
         ));
     }
 
@@ -1622,8 +1607,8 @@ fn cmd_bench_hotpath(opts: &Opts) -> Result<String, CliError> {
     let n_paths = paths.len().max(1) as u64;
     let n_mut_locates = locates.max(1) as u64;
     let resolve_speedup = legacy_resolve_ns as f64 / preinterned_resolve_ns as f64;
-    let locate_speedup = legacy_locate_ns as f64 / memo_locate_ns as f64;
-    let locate_mut_speedup = mut_wholesale_ns as f64 / mut_dirty_ns.max(1) as f64;
+    let locate_speedup = uncached_locate_ns as f64 / table_locate_ns as f64;
+    let locate_mut_speedup = mut_uncached_ns as f64 / mut_table_ns as f64;
     let sweep_speedup = serial_sweep_ns as f64 / parallel_sweep_ns.max(1) as f64;
 
     let json = format!(
@@ -1631,23 +1616,21 @@ fn cmd_bench_hotpath(opts: &Opts) -> Result<String, CliError> {
          \"reps\": {reps},\n  \"paths\": {n_paths},\n  \
          \"resolve\": {{\"legacy_ns_per_op\": {}, \"interned_ns_per_op\": {}, \
          \"preinterned_ns_per_op\": {}, \"speedup_x\": {resolve_speedup:.2}}},\n  \
-         \"locate\": {{\"legacy_ns_per_op\": {}, \"uncached_ns_per_op\": {}, \
-         \"memo_ns_per_op\": {}, \"speedup_x\": {locate_speedup:.2}}},\n  \
+         \"locate\": {{\"uncached_ns_per_op\": {}, \"table_ns_per_op\": {}, \
+         \"speedup_x\": {locate_speedup:.2}}},\n  \
          \"locate_mut\": {{\"mutations\": {mutations}, \"locates\": {locates}, \
-         \"uncached_ns_per_op\": {}, \"wholesale_ns_per_op\": {}, \
-         \"dirty_root_ns_per_op\": {}, \"speedup_x\": {locate_mut_speedup:.2}}},\n  \
+         \"uncached_ns_per_op\": {}, \"table_ns_per_op\": {}, \
+         \"speedup_x\": {locate_mut_speedup:.2}}},\n  \
          \"sweep\": {{\"cells\": {}, \"threads\": {threads}, \
          \"serial_ns\": {serial_sweep_ns}, \"parallel_ns\": {parallel_sweep_ns}, \
          \"speedup_x\": {sweep_speedup:.2}}}\n}}\n",
         legacy_resolve_ns / n_paths,
         interned_resolve_ns / n_paths,
         preinterned_resolve_ns / n_paths,
-        legacy_locate_ns / n_paths,
         uncached_locate_ns / n_paths,
-        memo_locate_ns / n_paths,
+        table_locate_ns / n_paths,
         mut_uncached_ns / n_mut_locates,
-        mut_wholesale_ns / n_mut_locates,
-        mut_dirty_ns / n_mut_locates,
+        mut_table_ns / n_mut_locates,
         ms.len(),
     );
     if let Some(parent) = std::path::Path::new(&out_path).parent() {
@@ -1668,10 +1651,9 @@ fn cmd_bench_hotpath(opts: &Opts) -> Result<String, CliError> {
         "hotpath bench: {} live paths over {nodes} nodes, best of {reps} rep(s)\n\
          resolve: legacy {} ns/op, interned {} ns/op, pre-interned {} ns/op \
          ({resolve_speedup:.2}x)\n\
-         locate:  legacy {} ns/op, uncached {} ns/op, memoised {} ns/op ({locate_speedup:.2}x)\n\
+         locate:  uncached {} ns/op, table {} ns/op ({locate_speedup:.2}x)\n\
          locate under mutation ({mutations} mutations / {locates} locates): \
-         uncached {} ns/op, wholesale {} ns/op, dirty-root {} ns/op \
-         ({locate_mut_speedup:.2}x vs wholesale)\n\
+         uncached {} ns/op, table {} ns/op ({locate_mut_speedup:.2}x)\n\
          sweep:   {} cells, serial {:.1} ms, parallel {:.1} ms on {threads} thread(s) \
          ({sweep_speedup:.2}x)\n\
          report written to {out_path}{}\n",
@@ -1679,12 +1661,10 @@ fn cmd_bench_hotpath(opts: &Opts) -> Result<String, CliError> {
         legacy_resolve_ns / n_paths,
         interned_resolve_ns / n_paths,
         preinterned_resolve_ns / n_paths,
-        legacy_locate_ns / n_paths,
         uncached_locate_ns / n_paths,
-        memo_locate_ns / n_paths,
+        table_locate_ns / n_paths,
         mut_uncached_ns / n_mut_locates,
-        mut_wholesale_ns / n_mut_locates,
-        mut_dirty_ns / n_mut_locates,
+        mut_table_ns / n_mut_locates,
         ms.len(),
         serial_sweep_ns as f64 / 1e6,
         parallel_sweep_ns as f64 / 1e6,
@@ -1733,12 +1713,7 @@ fn derive_cluster(
     let mut scheme = D2TreeScheme::new(D2TreeConfig::by_proportion(gl).with_seed(seed));
     scheme.build(&tree, &pop, &ClusterSpec::homogeneous(m, 1.0));
     let placement = scheme.placement().clone();
-    // LocalIndex is deliberately not Clone (it owns a memo cache); the
-    // owner map is tiny, so rebuild it entry by entry.
-    let mut index = LocalIndex::new();
-    for (root, owner) in scheme.local_index().iter() {
-        index.insert(root, owner);
-    }
+    let index = scheme.local_index().clone();
     Ok((tree, trace, placement, index, m))
 }
 
@@ -2374,9 +2349,10 @@ mod tests {
         ]))
         .unwrap();
         assert!(out.contains("resolve: legacy"), "{out}");
-        assert!(out.contains("memoised"), "{out}");
+        assert!(out.contains("locate:  uncached"), "{out}");
         let json = std::fs::read_to_string(&out_file).unwrap();
         assert!(json.contains("\"preinterned_ns_per_op\""), "{json}");
+        assert!(json.contains("\"table_ns_per_op\""), "{json}");
         assert!(json.contains("\"sweep\""), "{json}");
         let _ = std::fs::remove_file(&out_file);
 

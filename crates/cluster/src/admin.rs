@@ -676,7 +676,8 @@ mod tests {
         for v in [10u64, 20, 30] {
             h.record(v);
         }
-        let doc = export::json(&registry.snapshot());
+        let snapshot = registry.snapshot();
+        let doc = export::json(&snapshot);
         let parsed = parse_metrics_json(&doc).expect("exporter output parses");
         assert_eq!(parsed.counter(names::SERVER_SERVED_TOTAL), 12);
         assert_eq!(parsed.gauge(names::NET_ACTIVE_CONNS), 3);
@@ -686,7 +687,7 @@ mod tests {
         assert_eq!(snap.count, 3);
         assert_eq!(snap.sum, 60);
         assert_eq!(snap.min, 10);
-        assert!(parsed.uptime_us > 0 || parsed.uptime_us == 0);
+        assert_eq!(parsed.uptime_us, snapshot.uptime_us);
         assert_eq!(
             parsed.histogram_count_where(|n| n.starts_with("srv_latency_us_")),
             3

@@ -418,7 +418,7 @@ impl NetMds {
     pub fn new(
         tree: Arc<NamespaceTree>,
         placement: Placement,
-        index: LocalIndex,
+        mut index: LocalIndex,
         me: MdsId,
         registry: Arc<Registry>,
     ) -> Self {
@@ -426,6 +426,11 @@ impl NetMds {
             placement.is_complete(&tree),
             "net MDS needs a complete placement"
         );
+        // A no-op for an index that comes labelled for this very tree
+        // (`D2TreeScheme::build`, tree moved into the `Arc`). For one
+        // labelled over the tree this is a clone of, it is the
+        // difference between two loads and a chain walk per request.
+        index.relabel(&tree);
         let attrs = RwLock::new(AttrTable::new(&tree));
         let served_total = registry.counter(MetricKey::mds(names::SERVER_SERVED_TOTAL, me.0));
         let forwarded_total = registry.counter(MetricKey::global(names::FORWARDED_TOTAL));
@@ -801,7 +806,7 @@ impl ServeScope<'_> {
             }
             _ => None,
         };
-        let assignment = if mds.tree.node(req.target).is_some() {
+        let assignment = if mds.tree.contains(req.target) {
             mds.placement.assignment(req.target)
         } else {
             Assignment::Unassigned
@@ -2224,6 +2229,89 @@ mod tests {
         assert!(stats.frames >= 2, "one request + one response");
         assert_eq!(stats.decode_errors, 0);
         assert_eq!(mds.served(), 1);
+    }
+
+    /// The existence check reads the tree's liveness bitmap, not the
+    /// placement: a removed node whose assignment is still on file and
+    /// an id past the arena both answer `NotFound`, and neither counts
+    /// as served.
+    #[test]
+    fn tombstoned_and_out_of_range_targets_answer_not_found() {
+        let mut tree = NamespaceTree::new();
+        let kept = tree
+            .create(tree.root(), "kept", NodeKind::Directory)
+            .expect("create");
+        let gone = tree.create(kept, "gone", NodeKind::File).expect("create");
+        let mut placement = Placement::new(&tree, 1);
+        for (id, _) in tree.nodes() {
+            placement.set(id, Assignment::Single(MdsId(0)));
+        }
+        tree.remove_subtree(gone).expect("remove");
+        assert_eq!(
+            placement.assignment(gone),
+            Assignment::Single(MdsId(0)),
+            "the placement still names an owner for the tombstone"
+        );
+        let tree = Arc::new(tree);
+        let mut index = LocalIndex::new();
+        index.insert(kept, MdsId(0));
+        index.insert(gone, MdsId(0));
+        let mds = NetMds::new(
+            Arc::clone(&tree),
+            placement,
+            index,
+            MdsId(0),
+            Arc::new(Registry::new()),
+        );
+        let ask = |target: NodeId| {
+            mds.serve(Request {
+                id: RequestId(target.index() as u64),
+                kind: OpKind::Update,
+                target,
+                hops: 0,
+                trace: None,
+            })
+            .body
+        };
+        assert_eq!(ask(gone), ResponseBody::NotFound);
+        assert_eq!(
+            ask(NodeId::from_index(tree.arena_size())),
+            ResponseBody::NotFound
+        );
+        assert_eq!(
+            ask(NodeId::from_index(u32::MAX as usize)),
+            ResponseBody::NotFound
+        );
+        assert_eq!(mds.served(), 0);
+        assert_eq!(ask(kept), ResponseBody::Served { node: kept });
+        assert_eq!(mds.served(), 1);
+    }
+
+    /// An embedder that serves a clone of the tree its index was
+    /// labelled over still gets the table, not the walk.
+    #[test]
+    fn a_daemon_relabels_an_index_built_over_another_tree() {
+        let mut tree = NamespaceTree::new();
+        let dir = tree
+            .create(tree.root(), "dir", NodeKind::Directory)
+            .expect("create");
+        let mut placement = Placement::new(&tree, 1);
+        for (id, _) in tree.nodes() {
+            placement.set(id, Assignment::Single(MdsId(0)));
+        }
+        let mut index = LocalIndex::new();
+        index.insert(dir, MdsId(0));
+        index.relabel(&tree);
+        let served = Arc::new(tree.clone());
+        assert!(index.labelled_for(&tree) && !index.labelled_for(&served));
+        let mds = NetMds::new(
+            served,
+            placement,
+            index,
+            MdsId(0),
+            Arc::new(Registry::new()),
+        );
+        assert!(mds.index.labelled_for(&mds.tree));
     }
 
     #[test]

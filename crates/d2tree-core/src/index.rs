@@ -5,138 +5,72 @@
 //! prefix never leaves the global layer can be served by any MDS
 //! (Sec. IV-A2 of the paper).
 
-use std::sync::Mutex;
+use std::collections::hash_map::Entry;
+use std::sync::{Arc, OnceLock};
 
 use d2tree_metrics::MdsId;
-use d2tree_namespace::{ChainUp, NamespaceTree, NodeId, NodeIdMap};
+use d2tree_namespace::{NamespaceTree, NodeId, NodeIdMap};
 use serde::{Deserialize, Serialize};
 
-/// One memoised [`LocalIndex::locate`] answer.
+/// Label of an arena slot that no indexed subtree root covers: a
+/// global-layer node or a tombstone.
+const NO_ROOT: u32 = u32::MAX;
+
+/// The answers of [`LocalIndex::locate`] for one state of one tree, one
+/// label per arena slot: the position in `LocalIndex::roots` of the
+/// node's shallowest indexed ancestor (itself included), or [`NO_ROOT`].
 ///
-/// Targeted invalidation needs no more than the answer itself: with the
-/// tree unchanged (tree mutations are handled by the tree stamp), the
-/// answer is the *shallowest* indexed node on the root-to-target chain,
-/// so an index mutation at `D` can change it only if `D` lies on that
-/// chain at or above the answer's root — or anywhere on it when there
-/// is no answer. That stretch is [`MemoEntry::deciding_chain`], re-walked
-/// from the tree when a mutation has to be checked instead of being
-/// stored per entry (it is the global-layer prefix, a few nodes long,
-/// and an entry is a third of the size without it).
+/// Immutable once built. A label names a *root*, never an owner, so it
+/// outlives owner changes; it is wrong as soon as the set of roots or
+/// the tree's structure changes, which the index handles by dropping the
+/// table and `locate` by comparing `stamp`.
 #[derive(Debug)]
-struct MemoEntry {
-    answer: Option<(NodeId, MdsId)>,
-    /// Dirty-log frontier this entry was last validated against. Probing
-    /// an entry only has to check the log *suffix* recorded after this
-    /// point, and a successful probe moves the stamp forward.
-    epoch: u64,
+struct Labels {
+    /// `(identity, version)` of the tree the labels were computed over.
+    stamp: (u64, u64),
+    of: Vec<u32>,
 }
 
-impl MemoEntry {
-    /// The nodes whose indexing decides this entry's answer for
-    /// `target`: the answer's root and its ancestors, or the target's
-    /// whole chain when nothing on it is indexed.
-    fn deciding_chain<'t>(&self, tree: &'t NamespaceTree, target: NodeId) -> ChainUp<'t> {
-        tree.chain_up(self.answer.map_or(target, |(root, _)| root))
-    }
-}
-
-/// Past this many pending dirty roots, the next settle amortises them in
-/// one sweep over the memo (evict every entry whose chain intersects the
-/// log, reset the log) instead of letting probe-time suffix checks grow.
-const DIRTY_ROOT_CAP: usize = 32;
-
-/// Cache of [`LocalIndex::locate`] results with per-subtree dirty-root
-/// invalidation.
-///
-/// Tree mutations (identity or version change) still discard everything:
-/// the index cannot scope a structural change it never saw. Index
-/// mutations instead append the mutated subtree root to `dirty_log` in
-/// O(1); entries validate *lazily* — a probe re-checks the entry's
-/// deciding chain against only the log suffix newer than the entry's
-/// `epoch`, evicting on intersection and re-stamping on survival. Once
-/// the log passes [`DIRTY_ROOT_CAP`], one settle sweep pays the
-/// full-memo scan for the whole batch and resets the log. `dirty_all` is
-/// the wholesale fallback, used for [`LocalIndex::replace_all`] and when
-/// the owner opts out via [`LocalIndex::set_wholesale_invalidation`].
-#[derive(Debug, Default)]
-struct LocateMemo {
-    tree_stamp: Option<(u64, u64)>,
-    nearest: NodeIdMap<MemoEntry>,
-    /// Subtree roots mutated since `base_epoch`, in mutation order.
-    dirty_log: Vec<NodeId>,
-    /// Epoch of `dirty_log[0]`; `base_epoch + dirty_log.len()` is the
-    /// current frontier.
-    base_epoch: u64,
-    dirty_all: bool,
-}
-
-impl LocateMemo {
-    fn frontier(&self) -> u64 {
-        self.base_epoch + self.dirty_log.len() as u64
+impl Labels {
+    fn stamp_of(tree: &NamespaceTree) -> (u64, u64) {
+        (tree.identity(), tree.version())
     }
 
-    fn mark_dirty(&mut self, root: NodeId) {
-        if !self.dirty_all {
-            self.dirty_log.push(root);
+    /// Labels the subtree at `from` in pre-order: a node inherits its
+    /// parent's label, and an unlabelled node that is indexed starts a
+    /// new one — so the shallowest root on a chain wins, as in the
+    /// client walk of Sec. IV-A2. A tombstoned `from` labels itself
+    /// alone, which is its whole chain.
+    fn paint(&mut self, index: &LocalIndex, tree: &NamespaceTree, from: NodeId) {
+        let mut stack = vec![(from, NO_ROOT)];
+        while let Some((id, inherited)) = stack.pop() {
+            let label = if inherited == NO_ROOT {
+                index.slots.get(&id).copied().unwrap_or(NO_ROOT)
+            } else {
+                inherited
+            };
+            self.of[id.index()] = label;
+            if let Some(node) = tree.node(id) {
+                stack.extend(node.children().map(|(_, child)| (child, label)));
+            }
         }
     }
 
-    fn mark_dirty_all(&mut self) {
-        self.dirty_all = true;
-        self.dirty_log.clear();
-    }
-
-    /// Applies pending invalidation that cannot stay lazy: tree-stamp
-    /// mismatches and wholesale requests clear everything, and a dirty
-    /// log past [`DIRTY_ROOT_CAP`] is amortised into one sweep.
-    fn settle(&mut self, tree: &NamespaceTree) {
-        let tree_stamp = (tree.identity(), tree.version());
-        if self.tree_stamp != Some(tree_stamp) {
-            // A tree we have never seen, or one that mutated under us:
-            // any cached chain may be stale, so everything goes.
-            self.nearest.clear();
-            self.tree_stamp = Some(tree_stamp);
-            self.base_epoch = self.frontier();
-            self.dirty_log.clear();
-        } else if self.dirty_all {
-            self.nearest.clear();
-            self.base_epoch = self.frontier();
-        } else if self.dirty_log.len() > DIRTY_ROOT_CAP {
-            let dirty: std::collections::HashSet<NodeId> = self.dirty_log.iter().copied().collect();
-            let frontier = self.frontier();
-            self.nearest.retain(|&target, e| {
-                if e.deciding_chain(tree, target).any(|n| dirty.contains(&n)) {
-                    false
-                } else {
-                    e.epoch = frontier;
-                    true
-                }
-            });
-            self.base_epoch = frontier;
-            self.dirty_log.clear();
+    /// One pass over the whole tree.
+    fn build(index: &LocalIndex, tree: &NamespaceTree) -> Self {
+        let mut labels = Labels {
+            stamp: Self::stamp_of(tree),
+            of: vec![NO_ROOT; tree.arena_size()],
+        };
+        labels.paint(index, tree, tree.root());
+        // The pass never reaches a tombstone; one that is still indexed
+        // answers with itself, like the uncached walk.
+        for &(root, _) in &index.roots {
+            if labels.of.get(root.index()) == Some(&NO_ROOT) {
+                labels.paint(index, tree, root);
+            }
         }
-        self.dirty_all = false;
-    }
-
-    /// Memo probe with lazy validation: a hit whose deciding chain
-    /// holds a dirty root logged after the entry's epoch is evicted
-    /// (reported as a miss); a clean hit is re-stamped at the current
-    /// frontier so the next probe checks even less.
-    fn probe(&mut self, tree: &NamespaceTree, target: NodeId) -> Option<Option<(NodeId, MdsId)>> {
-        let frontier = self.frontier();
-        let entry = self.nearest.get_mut(&target)?;
-        let unseen = &self.dirty_log[(entry.epoch - self.base_epoch) as usize..];
-        if !unseen.is_empty()
-            && entry
-                .deciding_chain(tree, target)
-                .any(|n| unseen.contains(&n))
-        {
-            self.nearest.remove(&target);
-            None
-        } else {
-            entry.epoch = frontier;
-            Some(entry.answer)
-        }
+        labels
     }
 }
 
@@ -147,13 +81,12 @@ impl LocateMemo {
 /// cached version lags the server's re-fetches the index.
 ///
 /// [`locate`](LocalIndex::locate) — the per-operation routing query —
-/// memoises its nearest-owner answers per target node, so repeat lookups
-/// are O(1) hash probes instead of O(depth) chain walks. Tree mutations
-/// discard the memo wholesale; index mutations evict per affected
-/// subtree (a mutation at root `D` only evicts answers that `D`'s
-/// indexing can decide: those whose chain passes through `D` at or above
-/// the cached answer's root). The memo is invisible to every other API:
-/// clones start cold and equality ignores it.
+/// reads a flat label table (one `u32` per tree node, built by one
+/// pre-order pass) instead of walking the target's ancestor chain. The
+/// table is derived state: clones share it, equality ignores it, an
+/// owner change leaves it alone and a change to the *set* of roots drops
+/// it, to be built again by the next `locate` or by
+/// [`relabel`](LocalIndex::relabel).
 ///
 /// # Example
 ///
@@ -172,12 +105,17 @@ impl LocateMemo {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Default, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone, Serialize, Deserialize)]
 pub struct LocalIndex {
-    owners: NodeIdMap<MdsId>,
+    /// Subtree root → its position in `roots`.
+    slots: NodeIdMap<u32>,
+    /// `(subtree root, owner)` by slot — what the labels point into.
+    roots: Vec<(NodeId, MdsId)>,
     version: u64,
-    memo: Mutex<LocateMemo>,
-    wholesale: bool,
+    /// Derived from `slots` and one tree state; empty until first needed
+    /// and after every change to the set of roots. Behind an `Arc` so
+    /// that clones (a client router, each daemon) read one array.
+    labels: OnceLock<Arc<Labels>>,
 }
 
 impl LocalIndex {
@@ -190,13 +128,13 @@ impl LocalIndex {
     /// Number of indexed subtree roots.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.owners.len()
+        self.roots.len()
     }
 
     /// Whether the index is empty.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.owners.is_empty()
+        self.roots.is_empty()
     }
 
     /// Monotonic version, bumped on every mutation.
@@ -205,67 +143,43 @@ impl LocalIndex {
         self.version
     }
 
-    /// Registers (or re-registers) a subtree root's owner.
+    /// Registers (or re-registers) a subtree root's owner. Re-registering
+    /// — what a migration does — is one store; a new root drops the label
+    /// table.
     pub fn insert(&mut self, subtree_root: NodeId, owner: MdsId) {
-        self.owners.insert(subtree_root, owner);
+        self.set(subtree_root, owner);
         self.version += 1;
-        self.note_mutation(subtree_root);
     }
 
     /// Removes a subtree root (e.g. when it is promoted into the global
     /// layer). Returns the previous owner, if any.
     pub fn remove(&mut self, subtree_root: NodeId) -> Option<MdsId> {
-        let prev = self.owners.remove(&subtree_root);
-        if prev.is_some() {
-            self.version += 1;
-            self.note_mutation(subtree_root);
+        let slot = self.slots.remove(&subtree_root)?;
+        let (_, owner) = self.roots.swap_remove(slot as usize);
+        if let Some(&(moved, _)) = self.roots.get(slot as usize) {
+            self.slots.insert(moved, slot);
         }
-        prev
+        self.labels.take();
+        self.version += 1;
+        Some(owner)
     }
 
-    /// Records a mutation at `subtree_root` for the next memo settle.
-    /// `&mut self` guarantees no concurrent `locate`, so the lock is
-    /// uncontended.
-    fn note_mutation(&mut self, subtree_root: NodeId) {
-        let memo = self.memo.get_mut().expect("locate memo poisoned");
-        if self.wholesale {
-            memo.mark_dirty_all();
-        } else {
-            memo.mark_dirty(subtree_root);
+    fn set(&mut self, subtree_root: NodeId, owner: MdsId) {
+        match self.slots.entry(subtree_root) {
+            Entry::Occupied(slot) => self.roots[*slot.get() as usize].1 = owner,
+            Entry::Vacant(slot) => {
+                slot.insert(self.roots.len() as u32);
+                self.roots.push((subtree_root, owner));
+                self.labels.take();
+            }
         }
-    }
-
-    /// Forces the memo back to wholesale invalidation: any index mutation
-    /// discards every cached answer, as before per-subtree dirty-root
-    /// tracking existed. Exists so benchmarks can compare the two
-    /// strategies on identical workloads; answers are unaffected.
-    pub fn set_wholesale_invalidation(&mut self, wholesale: bool) {
-        self.wholesale = wholesale;
-        if wholesale {
-            self.memo
-                .get_mut()
-                .expect("locate memo poisoned")
-                .mark_dirty_all();
-        }
-    }
-
-    /// Number of memoised `locate` answers currently cached. Includes
-    /// entries a pending dirty root will evict on their next probe —
-    /// invalidation is lazy, so stale entries linger until probed or
-    /// swept. Exposed for tests, benchmarks and debugging.
-    #[must_use]
-    pub fn memo_len(&self) -> usize {
-        self.memo
-            .lock()
-            .expect("locate memo poisoned")
-            .nearest
-            .len()
     }
 
     /// Direct owner lookup for a known subtree root.
     #[must_use]
     pub fn owner_of(&self, subtree_root: NodeId) -> Option<MdsId> {
-        self.owners.get(&subtree_root).copied()
+        let &slot = self.slots.get(&subtree_root)?;
+        Some(self.roots[slot as usize].1)
     }
 
     /// The client lookup of Sec. IV-A2: find the first (shallowest)
@@ -275,48 +189,72 @@ impl LocalIndex {
     /// `None` means every prefix node is in the global layer, so the query
     /// may be sent to any MDS.
     ///
-    /// Answers are memoised per target. A repeat lookup against unchanged
-    /// structures is a single hash probe. Tree mutations (or a different
-    /// tree instance) still discard the whole memo, but
-    /// [`insert`](Self::insert) and [`remove`](Self::remove) evict only
-    /// the entries whose answer the mutated subtree root can decide —
-    /// hot targets in untouched subtrees stay warm across unrelated
-    /// writes. [`replace_all`](Self::replace_all) falls back to
-    /// a wholesale clear.
+    /// With a label table built over this state of `tree` the answer is
+    /// two array loads: no lock, no hashing, no write. A missing table is
+    /// built here, once per burst of changes to the root set. A table
+    /// built over another tree, or over this one before it was mutated,
+    /// is left alone and the answer comes from
+    /// [`locate_uncached`](Self::locate_uncached) — correct and slower;
+    /// whoever mutates a tree under a live index calls
+    /// [`relabel`](Self::relabel) to get the fast path back.
     #[must_use]
     pub fn locate(&self, tree: &NamespaceTree, target: NodeId) -> Option<(NodeId, MdsId)> {
-        let mut memo = self.memo.lock().expect("locate memo poisoned");
-        memo.settle(tree);
-        if let Some(answer) = memo.probe(tree, target) {
-            return answer;
+        let labels = self
+            .labels
+            .get_or_init(|| Arc::new(Labels::build(self, tree)));
+        if labels.stamp != Labels::stamp_of(tree) {
+            return self.locate_uncached(tree, target);
         }
-        let answer = self.locate_uncached(tree, target);
-        let epoch = memo.frontier();
-        memo.nearest.insert(target, MemoEntry { answer, epoch });
-        answer
+        match labels.of.get(target.index()) {
+            Some(&NO_ROOT) => None,
+            Some(&slot) => Some(self.roots[slot as usize]),
+            // Past the arena: not a node of this tree, though nothing
+            // stops a caller from having indexed it.
+            None => self.locate_uncached(tree, target),
+        }
     }
 
-    /// [`locate`](Self::locate) without the memo: one allocation-free
+    /// Builds the label table for this state of `tree` unless it is
+    /// already in place. For whoever holds both mutably: build it before
+    /// cloning the index and every clone shares the one array.
+    pub fn relabel(&mut self, tree: &NamespaceTree) {
+        if !self.labelled_for(tree) {
+            self.labels = OnceLock::from(Arc::new(Labels::build(self, tree)));
+        }
+    }
+
+    /// Whether a label table built over this state of `tree` is in
+    /// place, i.e. [`locate`](Self::locate) is two loads. Worth asserting
+    /// where an index that went through [`relabel`](Self::relabel) meets
+    /// the tree it will serve: `false` there means the tree was cloned
+    /// (a clone is another tree) or mutated since, and every `locate`
+    /// walks.
+    #[must_use]
+    pub fn labelled_for(&self, tree: &NamespaceTree) -> bool {
+        self.labels.get().map(|l| l.stamp) == Some(Labels::stamp_of(tree))
+    }
+
+    /// [`locate`](Self::locate) without the table: one allocation-free
     /// upward walk of the parent chain, keeping the shallowest indexed
-    /// hit. Exposed for benchmarking and for callers that query each
-    /// target at most once.
+    /// hit. The oracle the table is tested against, and the answer path
+    /// when the table does not match the tree.
     #[must_use]
     pub fn locate_uncached(&self, tree: &NamespaceTree, target: NodeId) -> Option<(NodeId, MdsId)> {
         // Walking upward visits the chain deepest-first, so the last hit
         // seen is the shallowest — the one the downward client walk of
         // Sec. IV-A2 would report first.
-        let mut hit = None;
-        for id in tree.chain_up(target) {
-            if let Some(&owner) = self.owners.get(&id) {
-                hit = Some((id, owner));
-            }
-        }
-        hit
+        tree.chain_up(target)
+            .filter_map(|id| self.slots.get(&id))
+            .last()
+            .map(|&slot| self.roots[slot as usize])
     }
 
     /// Iterates over `(subtree_root, owner)` pairs in unspecified order.
     pub fn iter(&self) -> impl Iterator<Item = (NodeId, MdsId)> + '_ {
-        self.owners.iter().map(|(&k, &v)| (k, v))
+        // The map's order, not the slots': fail-over and rejoin journal
+        // their claims in iteration order, and that order is what it was
+        // when the map held the owners itself.
+        self.slots.values().map(|&slot| self.roots[slot as usize])
     }
 
     /// Rebuilds the index from an aligned `(subtree_root, owner)` listing,
@@ -325,31 +263,27 @@ impl LocalIndex {
     where
         I: IntoIterator<Item = (NodeId, MdsId)>,
     {
-        self.owners = entries.into_iter().collect();
-        self.version += 1;
-        // A full swap has no single affected root; clear wholesale.
-        self.memo
-            .get_mut()
-            .expect("locate memo poisoned")
-            .mark_dirty_all();
-    }
-}
-
-impl Clone for LocalIndex {
-    fn clone(&self) -> Self {
-        LocalIndex {
-            owners: self.owners.clone(),
-            version: self.version,
-            // The memo is derived state; a cold one re-fills on demand.
-            memo: Mutex::new(LocateMemo::default()),
-            wholesale: self.wholesale,
+        let entries = entries.into_iter();
+        // A fresh map reserved up front, as collecting into one would:
+        // the bucket count decides the iteration order (see `iter`).
+        self.slots = NodeIdMap::default();
+        self.slots.reserve(entries.size_hint().0);
+        self.roots.clear();
+        self.labels.take();
+        for (subtree_root, owner) in entries {
+            self.set(subtree_root, owner);
         }
+        self.version += 1;
     }
 }
 
 impl PartialEq for LocalIndex {
     fn eq(&self, other: &Self) -> bool {
-        self.owners == other.owners && self.version == other.version
+        self.version == other.version
+            && self.len() == other.len()
+            && self
+                .iter()
+                .all(|(root, owner)| other.owner_of(root) == Some(owner))
     }
 }
 
@@ -424,46 +358,149 @@ mod tests {
     }
 
     #[test]
-    fn memo_invalidates_on_index_mutation() {
+    fn labels_follow_index_mutations() {
         let (t, a, b, c) = deep_tree();
         let mut idx = LocalIndex::new();
         idx.insert(b, MdsId(2));
         assert_eq!(idx.locate(&t, c), Some((b, MdsId(2))));
-        // Re-register b elsewhere: the cached answer must not survive.
+        // Re-register b elsewhere: the answer names the new owner.
         idx.insert(b, MdsId(5));
         assert_eq!(idx.locate(&t, c), Some((b, MdsId(5))));
-        // Indexing a shallower ancestor changes the answer too.
+        // Indexing a shallower ancestor changes the answer too, even
+        // though no label mentioned it yet.
         idx.insert(a, MdsId(7));
         assert_eq!(idx.locate(&t, c), Some((a, MdsId(7))));
         idx.remove(a);
+        assert_eq!(idx.locate(&t, c), Some((b, MdsId(5))));
         idx.remove(b);
         assert_eq!(idx.locate(&t, c), None);
+        idx.replace_all([(b, MdsId(6))]);
+        assert_eq!(idx.locate(&t, c), Some((b, MdsId(6))));
+        assert_eq!(idx.locate(&t, a), None);
     }
 
     #[test]
-    fn memo_invalidates_on_tree_mutation() {
+    fn a_mutated_tree_is_answered_by_the_walk_until_relabelled() {
         let (mut t, a, b, c) = deep_tree();
         let mut idx = LocalIndex::new();
         idx.insert(a, MdsId(1));
         assert_eq!(idx.locate(&t, c), Some((a, MdsId(1))));
+        let built = Arc::clone(idx.labels.get().unwrap());
         // Move b (and its child c) to the root: a leaves c's chain.
         t.move_subtree(b, t.root()).unwrap();
         assert_eq!(idx.locate(&t, c), None);
         assert_eq!(idx.locate(&t, b), None);
+        assert!(
+            Arc::ptr_eq(&built, idx.labels.get().unwrap()),
+            "a stamp mismatch reads around the table, it does not rebuild it"
+        );
+        idx.relabel(&t);
+        assert!(idx.labelled_for(&t));
+        assert_eq!(idx.locate(&t, c), None);
         idx.insert(b, MdsId(3));
         assert_eq!(idx.locate(&t, c), Some((b, MdsId(3))));
     }
 
     #[test]
-    fn clone_and_eq_ignore_the_memo() {
+    fn a_second_tree_is_answered_correctly_by_an_index_built_on_the_first() {
+        let (t, a, _b, c) = deep_tree();
+        let mut idx = LocalIndex::new();
+        idx.insert(a, MdsId(1));
+        assert_eq!(idx.locate(&t, c), Some((a, MdsId(1))));
+        // Same ids, same version counter, another shape: only the
+        // identity tells the two trees apart.
+        let mut other = NamespaceTree::new();
+        let x = other
+            .create(other.root(), "x", NodeKind::Directory)
+            .unwrap();
+        let y = other
+            .create(other.root(), "y", NodeKind::Directory)
+            .unwrap();
+        let z = other.create(y, "z", NodeKind::File).unwrap();
+        assert_eq!((x, other.version()), (a, t.version()));
+        assert_eq!(idx.locate(&other, z), None);
+        assert_eq!(idx.locate(&other, x), Some((a, MdsId(1))));
+        // A clone of the first tree is a second tree too.
+        let copy = t.clone();
+        assert_eq!(idx.locate(&copy, c), Some((a, MdsId(1))));
+        assert_eq!(idx.locate(&t, c), Some((a, MdsId(1))));
+    }
+
+    #[test]
+    fn tombstoned_and_out_of_range_targets_match_the_walk() {
+        let (mut t, a, b, c) = deep_tree();
+        let beyond = NodeId::from_index(t.arena_size() + 7);
+        let mut idx = LocalIndex::new();
+        idx.insert(a, MdsId(1));
+        idx.insert(b, MdsId(2));
+        idx.insert(beyond, MdsId(3));
+        t.remove_subtree(b).unwrap();
+        // A tombstone's chain is the node alone: b still answers with
+        // itself, c (never indexed) with nothing, and a is untouched.
+        for target in [
+            t.root(),
+            a,
+            b,
+            c,
+            beyond,
+            NodeId::from_index(beyond.index() + 1),
+        ] {
+            assert_eq!(idx.locate(&t, target), idx.locate_uncached(&t, target));
+        }
+        assert!(idx.labelled_for(&t));
+        assert_eq!(idx.locate(&t, b), Some((b, MdsId(2))));
+        assert_eq!(idx.locate(&t, c), None);
+        assert_eq!(idx.locate(&t, beyond), Some((beyond, MdsId(3))));
+    }
+
+    #[test]
+    fn clone_and_eq_ignore_the_labels() {
         let (t, _a, b, c) = deep_tree();
         let mut idx = LocalIndex::new();
         idx.insert(b, MdsId(2));
-        let warm = idx.locate(&t, c);
-        let cloned = idx.clone();
-        assert_eq!(idx, cloned, "warm memo must not affect equality");
-        assert_eq!(cloned.locate(&t, c), warm);
-        assert_eq!(idx, cloned);
+        let cold = idx.clone();
+        let answer = idx.locate(&t, c);
+        assert_eq!(idx, cold, "a built table must not affect equality");
+        assert_eq!(cold.locate(&t, c), answer);
+        assert_eq!(idx, cold);
+        // Same owners reached by another insertion order are equal too.
+        let mut other = LocalIndex::new();
+        other.insert(c, MdsId(9));
+        other.insert(b, MdsId(2));
+        other.remove(c);
+        assert_ne!(idx, other, "versions differ");
+        idx.insert(c, MdsId(9));
+        idx.remove(c);
+        assert_eq!(idx, other);
+    }
+
+    /// What the serving set-up relies on: the index is labelled once,
+    /// and the router's and every daemon's clone read that one array —
+    /// through owner changes, until a clone changes its own root set.
+    #[test]
+    fn clones_share_the_label_array_until_their_root_set_changes() {
+        let (t, a, b, c) = deep_tree();
+        let mut idx = LocalIndex::new();
+        idx.insert(b, MdsId(2));
+        idx.relabel(&t);
+        let shared = |x: &LocalIndex, y: &LocalIndex| match (x.labels.get(), y.labels.get()) {
+            (Some(x), Some(y)) => Arc::ptr_eq(x, y),
+            _ => false,
+        };
+        let mut router = idx.clone();
+        let mut daemon = idx.clone();
+        assert!(shared(&idx, &router) && shared(&idx, &daemon));
+        // A migration re-points an existing root: one store, same array.
+        daemon.insert(b, MdsId(4));
+        assert!(shared(&idx, &daemon));
+        assert_eq!(daemon.locate(&t, c), Some((b, MdsId(4))));
+        assert_eq!(router.locate(&t, c), Some((b, MdsId(2))));
+        // A new root is private to the clone that took it.
+        router.insert(a, MdsId(7));
+        assert_eq!(router.locate(&t, c), Some((a, MdsId(7))));
+        assert!(!shared(&idx, &router) && shared(&idx, &daemon));
+        assert_eq!(idx.locate(&t, c), Some((b, MdsId(2))));
+        assert_eq!(daemon.locate(&t, c), Some((b, MdsId(4))));
     }
 
     #[test]
@@ -478,11 +515,10 @@ mod tests {
         }
     }
 
-    /// Two sibling subtrees, many cached answers under one: mutating the
-    /// *other* subtree's root must leave all of them warm, while wholesale
-    /// mode throws every one of them away.
+    /// Two sibling subtrees: re-registering one root changes the answers
+    /// under it and no answer under the other.
     #[test]
-    fn unrelated_mutation_keeps_the_memo_warm() {
+    fn an_owner_change_moves_only_its_own_subtree() {
         let mut t = NamespaceTree::new();
         let left = t.create(t.root(), "left", NodeKind::Directory).unwrap();
         let right = t.create(t.root(), "right", NodeKind::Directory).unwrap();
@@ -498,72 +534,20 @@ mod tests {
             assert_eq!(idx.locate(&t, leaf), Some((left, MdsId(1))));
         }
         assert_eq!(idx.locate(&t, rleaf), Some((right, MdsId(2))));
-        assert_eq!(idx.memo_len(), 9);
 
-        // Re-register the right subtree: only the right answer is stale.
-        // Eviction is lazy, so the stale rleaf entry lingers (memo still
-        // holds 9) until its own probe evicts and recomputes it; the 8
-        // left-subtree answers stay warm throughout.
         idx.insert(right, MdsId(3));
         for &leaf in &leaves {
             assert_eq!(idx.locate(&t, leaf), Some((left, MdsId(1))));
         }
-        assert_eq!(
-            idx.memo_len(),
-            9,
-            "no left-subtree answer was evicted by the right-subtree write"
-        );
         assert_eq!(idx.locate(&t, rleaf), Some((right, MdsId(3))));
-        assert_eq!(idx.memo_len(), 9, "rleaf was evicted and re-memoised");
-
-        // Same sequence in wholesale mode loses the whole memo.
-        let mut whole = LocalIndex::new();
-        whole.set_wholesale_invalidation(true);
-        whole.insert(left, MdsId(1));
-        whole.insert(right, MdsId(2));
-        for &leaf in &leaves {
-            let _ = whole.locate(&t, leaf);
-        }
-        let _ = whole.locate(&t, rleaf);
-        whole.insert(right, MdsId(3));
-        let _ = whole.locate(&t, leaves[0]);
-        assert_eq!(whole.memo_len(), 1, "wholesale mode recomputes from cold");
-        assert_eq!(whole.locate(&t, rleaf), Some((right, MdsId(3))));
     }
 
-    /// Inserting a *new* shallower root must evict cached answers that
-    /// pass through it, even though no cached answer mentions it yet —
-    /// the deciding chain runs from the answer's root up to the tree's.
+    /// Every root re-registered between two rounds of locates — a whole
+    /// cluster's worth of migrations in one burst.
     #[test]
-    fn inserting_a_shallower_root_on_the_chain_evicts() {
-        let (t, a, b, c) = deep_tree();
-        let mut idx = LocalIndex::new();
-        idx.insert(b, MdsId(2));
-        assert_eq!(idx.locate(&t, c), Some((b, MdsId(2))));
-        idx.insert(a, MdsId(9)); // a is on c's chain but was unindexed
-        assert_eq!(idx.locate(&t, c), Some((a, MdsId(9))));
-        idx.remove(a);
-        assert_eq!(idx.locate(&t, c), Some((b, MdsId(2))));
-    }
-
-    #[test]
-    fn replace_all_discards_the_whole_memo() {
-        let (t, a, b, c) = deep_tree();
-        let mut idx = LocalIndex::new();
-        idx.insert(a, MdsId(1));
-        assert_eq!(idx.locate(&t, c), Some((a, MdsId(1))));
-        idx.replace_all([(b, MdsId(6))]);
-        assert_eq!(idx.locate(&t, c), Some((b, MdsId(6))));
-        assert_eq!(idx.locate(&t, a), None);
-    }
-
-    /// Past DIRTY_ROOT_CAP dirty roots between locates, the next settle
-    /// amortises the whole batch into one sweep — answers must stay
-    /// correct across the overflow.
-    #[test]
-    fn dirty_root_overflow_falls_back_to_wholesale() {
+    fn a_burst_of_owner_changes_is_seen_by_the_next_locates() {
         let mut t = NamespaceTree::new();
-        let roots: Vec<NodeId> = (0..DIRTY_ROOT_CAP + 4)
+        let roots: Vec<NodeId> = (0..36)
             .map(|i| {
                 t.create(t.root(), &format!("d{i}"), NodeKind::Directory)
                     .unwrap()
@@ -573,10 +557,9 @@ mod tests {
         for (i, &r) in roots.iter().enumerate() {
             idx.insert(r, MdsId(i as u16));
         }
-        for &r in &roots {
-            let _ = idx.locate(&t, r);
+        for (i, &r) in roots.iter().enumerate() {
+            assert_eq!(idx.locate(&t, r), Some((r, MdsId(i as u16))));
         }
-        // Mutate more roots than the cap tracks, then verify every answer.
         for (i, &r) in roots.iter().enumerate() {
             idx.insert(r, MdsId(100 + i as u16));
         }
@@ -585,44 +568,120 @@ mod tests {
         }
     }
 
-    /// Randomised interleaving of mutations and locates: the memoised
-    /// answer must always agree with an uncached walk, in both modes.
+    /// Randomised interleaving of everything that can move an answer —
+    /// new roots, removed roots, owner changes, tree mutations, clones
+    /// taken mid-sequence, explicit relabels — against the uncached
+    /// walk, on the original and on every clone. Each clone also carries
+    /// a plain map of what was done to *it*: a write to one clone that
+    /// leaked into a sibling (through the shared label array, say)
+    /// shows up as that sibling's owners or answers drifting from its
+    /// own model.
     #[test]
     fn interleaved_mutations_always_agree_with_uncached() {
-        let mut t = NamespaceTree::new();
-        let mut nodes = vec![t.root()];
+        use std::collections::BTreeMap;
+
         let mut state = 0x9e3779b97f4a7c15u64;
-        let mut rng = move || {
+        let mut rng = move |n: usize| {
             state ^= state << 13;
             state ^= state >> 7;
             state ^= state << 17;
-            state
+            (state % n as u64) as usize
         };
+        let mut t = NamespaceTree::new();
+        // Every id ever minted stays a target: tombstones are part of
+        // the domain.
+        let mut nodes = vec![t.root()];
         for i in 0..40 {
-            let parent = nodes[(rng() % nodes.len() as u64) as usize];
+            let parent = nodes[rng(nodes.len())];
             if let Ok(id) = t.create(parent, &format!("n{i}"), NodeKind::Directory) {
                 nodes.push(id);
             }
         }
-        for wholesale in [false, true] {
-            let mut idx = LocalIndex::new();
-            idx.set_wholesale_invalidation(wholesale);
-            for _ in 0..2_000 {
-                let n = nodes[(rng() % nodes.len() as u64) as usize];
-                match rng() % 10 {
-                    0 => idx.insert(n, MdsId((rng() % 8) as u16)),
-                    1 => {
-                        idx.remove(n);
+        let check = |t: &NamespaceTree,
+                     worlds: &[(LocalIndex, BTreeMap<NodeId, MdsId>)],
+                     target: NodeId,
+                     step: usize| {
+            for (k, (idx, model)) in worlds.iter().enumerate() {
+                let walked = idx.locate_uncached(t, target);
+                assert_eq!(
+                    idx.locate(t, target),
+                    walked,
+                    "step {step} clone {k} target {target:?}"
+                );
+                let modelled = t
+                    .chain_up(target)
+                    .filter_map(|id| model.get(&id).map(|&owner| (id, owner)))
+                    .last();
+                assert_eq!(walked, modelled, "step {step} clone {k} target {target:?}");
+            }
+        };
+        let mut worlds = vec![(LocalIndex::new(), BTreeMap::new())];
+        let mut kinds = [0usize; 9];
+        for step in 0..2_000 {
+            let n = nodes[rng(nodes.len())];
+            let k = rng(worlds.len());
+            let (idx, model) = &mut worlds[k];
+            let kind = rng(16);
+            match kind {
+                0 => {
+                    // A new root, or an owner change when `n` is one.
+                    let owner = MdsId(rng(8) as u16);
+                    idx.insert(n, owner);
+                    model.insert(n, owner);
+                }
+                1 => assert_eq!(idx.remove(n), model.remove(&n)),
+                2 | 3 if !model.is_empty() => {
+                    let (&root, _) = model.iter().nth(rng(model.len())).unwrap();
+                    if kind == 2 {
+                        assert_eq!(idx.remove(root), model.remove(&root));
+                    } else {
+                        let owner = MdsId(rng(8) as u16);
+                        idx.insert(root, owner);
+                        model.insert(root, owner);
                     }
-                    _ => {
-                        assert_eq!(
-                            idx.locate(&t, n),
-                            idx.locate_uncached(&t, n),
-                            "wholesale={wholesale} target={n:?}"
-                        );
+                }
+                4 => {
+                    if let Ok(id) = t.create(n, &format!("s{step}"), NodeKind::Directory) {
+                        nodes.push(id);
                     }
+                }
+                5 => {
+                    let _ = t.move_subtree(n, nodes[rng(nodes.len())]);
+                }
+                // Rarely, and never near the top: the tree has to last.
+                6 if rng(4) == 0 && t.contains(n) && t.depth(n) > 2 => {
+                    t.remove_subtree(n).unwrap();
+                }
+                7 => {
+                    let copy = worlds[k].clone();
+                    if worlds.len() < 4 {
+                        worlds.push(copy);
+                    } else {
+                        let victim = rng(worlds.len());
+                        worlds[victim] = copy;
+                    }
+                }
+                8 => idx.relabel(&t),
+                _ => {}
+            }
+            kinds[kind.min(8)] += 1;
+            for (idx, model) in &worlds {
+                assert_eq!(&idx.iter().collect::<BTreeMap<_, _>>(), model);
+            }
+            check(&t, &worlds, n, step);
+            check(
+                &t,
+                &worlds,
+                NodeId::from_index(t.arena_size() + rng(3)),
+                step,
+            );
+            if step % 100 == 0 {
+                for &target in &nodes {
+                    check(&t, &worlds, target, step);
                 }
             }
         }
+        assert!(kinds.iter().all(|&n| n > 50), "every kind of step ran");
+        assert!(t.arena_size() > t.node_count(), "something was tombstoned");
     }
 }

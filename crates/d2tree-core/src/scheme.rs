@@ -348,6 +348,10 @@ impl D2TreeScheme {
     /// Fallible build: Alg. 1 with explicit bounds can fail (Eq. 6
     /// infeasible), proportion-driven splits cannot.
     ///
+    /// The local index is labelled against *this* `tree` value (see
+    /// [`local_index`](Self::local_index)): serve from the tree that was
+    /// built over — move it into its `Arc`, do not clone it.
+    ///
     /// # Errors
     ///
     /// Propagates [`SplitError::Infeasible`] from [`tree_split`].
@@ -400,6 +404,9 @@ impl D2TreeScheme {
         }
         let mut index = LocalIndex::new();
         index.replace_all(subtrees.iter().zip(&owners).map(|(s, &o)| (s.root, o)));
+        // Labelled here, before anyone clones it: a client router and
+        // every daemon of a cluster then read this one array.
+        index.relabel(tree);
         for (s, &o) in subtrees.iter().zip(&owners) {
             placement.assign_subtree(tree, s.root, o);
         }
@@ -431,7 +438,12 @@ impl D2TreeScheme {
         s.subtrees.iter().zip(s.owners.iter().copied())
     }
 
-    /// The local index clients cache.
+    /// The local index clients cache, labelled for the tree `build` was
+    /// given. Clones of it share that label array and answer
+    /// [`locate`](LocalIndex::locate) with two loads against that same
+    /// tree; against a `tree.clone()` (a new identity) or after the tree
+    /// is mutated they stay correct but walk the parent chain on every
+    /// call, until [`LocalIndex::relabel`] is run on them.
     #[must_use]
     pub fn local_index(&self) -> &LocalIndex {
         &self.state().index

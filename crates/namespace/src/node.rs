@@ -184,7 +184,6 @@ pub struct Node {
     pub(crate) kind: NodeKind,
     pub(crate) parent: Option<NodeId>,
     pub(crate) children: ChildMap,
-    pub(crate) alive: bool,
 }
 
 impl Node {
@@ -233,12 +232,6 @@ impl Node {
     #[must_use]
     pub fn child_by_sym(&self, sym: Sym) -> Option<NodeId> {
         self.children.get(sym)
-    }
-
-    /// Whether the node is still part of the tree (not removed).
-    #[must_use]
-    pub fn is_alive(&self) -> bool {
-        self.alive
     }
 }
 

@@ -10,13 +10,18 @@ use crate::iter::{Ancestors, ChainUp, Descendants};
 use crate::node::{ChildMap, Node, NodeId, NodeKind};
 use crate::path::NsPath;
 
-/// Source of unique tree identities, so caches keyed on a tree (see
-/// `LocalIndex::locate`'s memo) can tell two trees apart even when their
+/// Source of unique tree identities, so tables derived from a tree (see
+/// `LocalIndex::locate`'s labels) can tell two trees apart even when their
 /// mutation counters coincide.
 static NEXT_TREE_ID: AtomicU64 = AtomicU64::new(1);
 
 fn fresh_tree_id() -> u64 {
     NEXT_TREE_ID.fetch_add(1, Ordering::Relaxed)
+}
+
+/// Word index and mask of `id`'s bit in `NamespaceTree::live_bits`.
+fn live_bit(id: NodeId) -> (usize, u64) {
+    (id.index() / 64, 1 << (id.index() % 64))
 }
 
 /// A POSIX-style namespace tree of files and directories.
@@ -47,6 +52,11 @@ fn fresh_tree_id() -> u64 {
 #[derive(Debug, Serialize, Deserialize)]
 pub struct NamespaceTree {
     nodes: Vec<Node>,
+    /// One bit per arena slot, set while the node is part of the tree
+    /// and cleared when it is removed — the only record of liveness, so
+    /// [`contains`](Self::contains) answers from these 25 KB (at 200 k
+    /// nodes) without pulling a `Node` out of the arena.
+    live_bits: Vec<u64>,
     live: usize,
     symbols: SymbolTable,
     /// Bumped on every structural mutation; see [`version`](Self::version).
@@ -68,8 +78,8 @@ impl NamespaceTree {
                 kind: NodeKind::Directory,
                 parent: None,
                 children: ChildMap::new(),
-                alive: true,
             }],
+            live_bits: vec![1],
             live: 1,
             symbols,
             version: 0,
@@ -99,8 +109,8 @@ impl NamespaceTree {
     }
 
     /// Monotonic mutation counter: bumped by every `create`, `rename`,
-    /// `move_subtree` and `remove_subtree`. Caches derived from the tree's
-    /// structure (e.g. the local index's nearest-owner memo) stay valid
+    /// `move_subtree` and `remove_subtree`. Tables derived from the tree's
+    /// structure (e.g. the local index's nearest-owner labels) stay valid
     /// exactly while this value is unchanged.
     #[must_use]
     pub fn version(&self) -> u64 {
@@ -125,13 +135,17 @@ impl NamespaceTree {
     /// node has been removed.
     #[must_use]
     pub fn node(&self, id: NodeId) -> Option<&Node> {
-        self.nodes.get(id.index()).filter(|n| n.alive)
+        self.nodes.get(id.index()).filter(|_| self.contains(id))
     }
 
-    /// Whether `id` refers to a live node.
+    /// Whether `id` refers to a live node: one load from the liveness
+    /// bitmap, `false` for a tombstone and for an id past the arena.
     #[must_use]
     pub fn contains(&self, id: NodeId) -> bool {
-        self.node(id).is_some()
+        let (word, mask) = live_bit(id);
+        self.live_bits
+            .get(word)
+            .is_some_and(|bits| bits & mask != 0)
     }
 
     fn get(&self, id: NodeId) -> Result<&Node, TreeError> {
@@ -139,9 +153,10 @@ impl NamespaceTree {
     }
 
     fn get_mut(&mut self, id: NodeId) -> Result<&mut Node, TreeError> {
+        let live = self.contains(id);
         self.nodes
             .get_mut(id.index())
-            .filter(|n| n.alive)
+            .filter(|_| live)
             .ok_or(TreeError::NodeNotFound(id))
     }
 
@@ -189,8 +204,12 @@ impl NamespaceTree {
             kind,
             parent: Some(parent),
             children: ChildMap::new(),
-            alive: true,
         });
+        let (word, mask) = live_bit(id);
+        if word == self.live_bits.len() {
+            self.live_bits.push(0);
+        }
+        self.live_bits[word] |= mask;
         self.nodes[parent.index()]
             .children
             .insert(sym, id, &self.symbols);
@@ -458,8 +477,9 @@ impl NamespaceTree {
         let victims: Vec<NodeId> = self.descendants(id).collect();
         self.get_mut(parent)?.children.remove(sym);
         for v in &victims {
-            self.nodes[v.index()].alive = false;
             self.nodes[v.index()].children.clear();
+            let (word, mask) = live_bit(*v);
+            self.live_bits[word] &= !mask;
         }
         self.live -= victims.len();
         self.version += 1;
@@ -471,8 +491,8 @@ impl NamespaceTree {
         self.nodes
             .iter()
             .enumerate()
-            .filter(|(_, n)| n.alive)
             .map(|(i, n)| (NodeId::from_index(i), n))
+            .filter(|&(id, _)| self.contains(id))
     }
 
     /// Number of live directories.
@@ -506,6 +526,7 @@ impl Clone for NamespaceTree {
     fn clone(&self) -> Self {
         NamespaceTree {
             nodes: self.nodes.clone(),
+            live_bits: self.live_bits.clone(),
             live: self.live,
             symbols: self.symbols.clone(),
             version: self.version,
@@ -683,6 +704,75 @@ mod tests {
         assert_eq!(t.arena_size(), 4); // tombstones keep the arena dense
         assert_eq!(t.remove_subtree(a), Err(TreeError::NodeNotFound(a)));
         assert_eq!(t.remove_subtree(t.root()), Err(TreeError::RootImmutable));
+    }
+
+    /// The bitmap is the only record of liveness, so it is checked
+    /// against the structure: a slot's bit is set exactly when the node
+    /// is reachable from the root through child maps — for every slot,
+    /// live, tombstoned and past the arena, after any mix of mutations,
+    /// on clones too — and `node` and `node_count` say the same.
+    #[test]
+    fn liveness_bitmap_is_the_set_reachable_from_the_root() {
+        use rand::rngs::StdRng;
+        use rand::{Rng, SeedableRng};
+
+        fn assert_bitmap_matches(t: &NamespaceTree) {
+            let mut reachable = vec![false; t.arena_size() + 64];
+            let mut stack = vec![t.root()];
+            while let Some(id) = stack.pop() {
+                reachable[id.index()] = true;
+                stack.extend(t.nodes[id.index()].children.iter().map(|&(_, c)| c));
+            }
+            for (slot, &live) in reachable.iter().enumerate() {
+                let id = NodeId::from_index(slot);
+                assert_eq!(t.contains(id), live, "slot {slot}");
+                assert_eq!(t.node(id).is_some(), live, "slot {slot}");
+            }
+            assert_eq!(t.node_count(), reachable.iter().filter(|&&r| r).count());
+            assert_eq!(t.nodes().count(), t.node_count());
+        }
+
+        let mut rng = StdRng::seed_from_u64(0xb17);
+        let mut trees = vec![NamespaceTree::new()];
+        for step in 0..3_000 {
+            let clones = trees.len();
+            let t = &mut trees[rng.gen_range(0..clones)];
+            let a = NodeId::from_index(rng.gen_range(0..t.arena_size()));
+            let b = NodeId::from_index(rng.gen_range(0..t.arena_size()));
+            // Failed mutations (dead node, file parent, cycle) are part
+            // of the mix: they must leave the bitmap alone.
+            match rng.gen_range(0..10) {
+                0..=5 => {
+                    let kind = if rng.gen_range(0..4) == 0 {
+                        NodeKind::File
+                    } else {
+                        NodeKind::Directory
+                    };
+                    let _ = t.create(a, &format!("n{step}"), kind);
+                }
+                6 => {
+                    let _ = t.remove_subtree(a);
+                }
+                7 | 8 => {
+                    let _ = t.move_subtree(a, b);
+                }
+                _ if clones < 4 => {
+                    let copy = t.clone();
+                    trees.push(copy);
+                }
+                _ => {}
+            }
+            if step % 100 == 0 {
+                trees.iter().for_each(assert_bitmap_matches);
+            }
+        }
+        for t in &trees {
+            assert_bitmap_matches(t);
+            assert!(
+                t.arena_size() > t.node_count(),
+                "the mix tombstoned something"
+            );
+        }
     }
 
     #[test]

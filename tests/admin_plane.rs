@@ -52,12 +52,8 @@ fn index_from(owners: &[(u64, u16)]) -> LocalIndex {
     index
 }
 
-/// Starts one daemon plus its admin plane; a fast flight-recorder tick
-/// keeps `/health` populated within milliseconds.
-fn start_stack(
-    seed: u64,
-    tracer: Option<&Arc<Tracer>>,
-) -> (
+/// Everything a test drives or inspects of one running daemon.
+type Stack = (
     Arc<NamespaceTree>,
     Trace,
     Vec<(u64, u16)>,
@@ -65,7 +61,11 @@ fn start_stack(
     Arc<NetMds>,
     NetServer,
     AdminServer,
-) {
+);
+
+/// Starts one daemon plus its admin plane; a fast flight-recorder tick
+/// keeps `/health` populated within milliseconds.
+fn start_stack(seed: u64, tracer: Option<&Arc<Tracer>>) -> Stack {
     let (tree, trace, placement, owners) = derive(1, seed);
     let registry = Arc::new(Registry::new());
     names::register_all(&registry);

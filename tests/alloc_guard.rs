@@ -122,7 +122,7 @@ fn steady_state_wire_path_allocates_per_batch_not_per_request() {
         })
         .collect();
     let mut next_id = 1u64;
-    // Warm-up: buffers grow to the window, locate memos fill.
+    // Warm-up: buffers grow to the window, the label table is built.
     for _ in 0..WARMUP_WINDOWS {
         round_trip(&mut client, &mut window, &mut next_id);
     }

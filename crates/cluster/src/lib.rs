@@ -1,32 +1,42 @@
 //! MDS-cluster substrate for the D2-Tree reproduction.
 //!
 //! The paper evaluates on 33 EC2 instances (1 Monitor + 32 MDSs, 100 Mbps
-//! links). This crate substitutes two in-process equivalents:
+//! links). This crate supplies three runtimes in their place:
 //!
 //! * [`sim`] — a deterministic discrete-event simulator modelling the
 //!   pieces throughput actually depends on: per-MDS service queues with a
 //!   fixed worker count, per-hop network latency, and the Zookeeper-style
 //!   lock serialisation of global-layer updates. Fig. 5 is regenerated on
 //!   top of it.
-//! * [`live`] — a real multi-threaded cluster (one OS thread per MDS,
-//!   crossbeam channels as the network, a length-prefixed `bytes` wire
-//!   codec) used by the integration tests and examples to exercise true
-//!   concurrency, heartbeats and fail-over.
+//! * [`live`] — a real multi-threaded cluster in one process (one OS
+//!   thread per MDS, crossbeam channels as the network, the `bytes` wire
+//!   codec on every message, a Monitor thread) used by the integration
+//!   tests and examples to exercise true concurrency, heartbeats and
+//!   fail-over.
+//! * [`net`] — the same wire codec on real TCP sockets: one MDS per
+//!   daemon ([`NetMds`] behind a [`NetServer`]), a blocking client and the
+//!   multi-connection load generator [`run_load`]; [`admin`] is its live
+//!   HTTP admin plane (`/metrics`, `/health`, `/trace`, `/slow`).
 //!
-//! Shared building blocks: [`message`] (the wire protocol), [`lock`] (the
-//! lease-based lock service of Sec. IV-A3), [`client`] (the client-side
-//! local-index cache) and [`monitor`] (membership, heartbeats, pending
-//! pool, failure detection).
+//! Shared building blocks: [`message`] (the wire protocol), [`client`]
+//! (the client half of the access protocol: the local-index cache and the
+//! sans-I/O request machine — route, follow the redirect, back off, give
+//! up — that the `live` client and the `net` load workers both drive),
+//! [`lock`] (the lease-based lock service of Sec. IV-A3) and [`monitor`]
+//! (membership, heartbeats, pending pool, failure detection). What an
+//! MDS does the same way behind channels and behind sockets — whose
+//! request this is, its `serve` span, opening and recovering its durable
+//! store — lives in one private module that `live` and `net` both call.
 //!
 //! Robustness layers: [`fault`] (deterministic seeded fault injection
-//! over client↔MDS, MDS↔Monitor and MDS↔lock edges, consulted by both
-//! transports), [`chaos`] (a virtual-time chaos engine that replays
-//! seeded kill/partition/restart schedules against the full recovery
-//! protocol and machine-checks ownership and GL-convergence invariants)
-//! and [`consensus`] (a replicated control plane: Raft-style leader
-//! election and log replication across Monitor replicas, with
-//! membership and lease decisions applied only through committed,
-//! WAL-persisted log entries).
+//! over client↔MDS, MDS↔Monitor and MDS↔lock edges, consulted by the
+//! simulator and the channel transport), [`chaos`] (a virtual-time chaos
+//! engine that replays seeded kill/partition/restart schedules against
+//! the full recovery protocol and machine-checks ownership and
+//! GL-convergence invariants) and [`consensus`] (a replicated control
+//! plane: Raft-style leader election and log replication across Monitor
+//! replicas, with membership and lease decisions applied only through
+//! committed, WAL-persisted log entries).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -38,6 +48,7 @@ pub mod consensus;
 pub mod fault;
 pub mod live;
 pub mod lock;
+mod mds;
 pub mod message;
 pub mod monitor;
 pub mod net;

@@ -20,7 +20,7 @@ use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender}
 use d2tree_core::{Heartbeat, Subtree};
 use d2tree_metrics::{Assignment, ClusterSpec, MdsId, Migration, Placement};
 use d2tree_namespace::{AttrTable, NamespaceTree, NodeId, VersionedAttr};
-use d2tree_store::{AttrState, MdsRecord, MdsStore, StoreConfig};
+use d2tree_store::{MdsRecord, MdsStore, StoreConfig};
 use d2tree_workload::{OpKind, Operation};
 use parking_lot::{Mutex, RwLock};
 use rand::rngs::StdRng;
@@ -28,15 +28,19 @@ use rand::{Rng, SeedableRng};
 
 use d2tree_core::LocalIndex;
 
-use d2tree_telemetry::trace::{span_names, ArgKey, Span, SpanCtx, SpanId, TraceId, Tracer};
+use d2tree_telemetry::trace::{span_names, ArgKey, Span, SpanCtx, Tracer};
 use d2tree_telemetry::{
     names, Counter, Event, EventKind, FaultKind, FlightRecorder, HealthTick, MetricKey, Registry,
     TickSample,
 };
 
-use crate::client::{CacheStats, ClientCache, RetryPolicy, RouteDecision};
+pub use crate::client::ClientError;
+use crate::client::{
+    CacheStats, ClientCache, Outcome, RequestMachine, RetryPolicy, RouteDecision, Step,
+};
 use crate::fault::{FaultDecision, FaultInjector, FaultPlan, NetEdge};
 use crate::lock::LockService;
+use crate::mds::{attr_state, duty, open_and_recover, Duty, ServeSpan};
 use crate::message::{Request, RequestId, Response, ResponseBody};
 use crate::monitor::{ClusterEvent, Monitor, MonitorConfig};
 
@@ -217,32 +221,6 @@ impl Shared {
     }
 }
 
-/// The journaled form of a versioned attribute record.
-pub(crate) fn attr_state(v: VersionedAttr) -> AttrState {
-    AttrState {
-        version: v.version,
-        mode: v.attr.mode,
-        uid: v.attr.uid,
-        gid: v.attr.gid,
-        size: v.attr.size,
-        mtime: v.attr.mtime,
-    }
-}
-
-/// The in-memory form of a journaled attribute record.
-fn versioned_attr(a: &AttrState) -> VersionedAttr {
-    VersionedAttr {
-        attr: d2tree_namespace::FileAttr {
-            mode: a.mode,
-            uid: a.uid,
-            gid: a.gid,
-            size: a.size,
-            mtime: a.mtime,
-        },
-        version: a.version,
-    }
-}
-
 /// Final report returned by [`LiveCluster::shutdown`].
 #[derive(Debug, Clone)]
 pub struct LiveReport {
@@ -338,50 +316,35 @@ impl LiveCluster {
             "live cluster needs a complete placement"
         );
         let m = placement.cluster_size();
-        let attr_stores = (0..m).map(|_| RwLock::new(AttrTable::new(&tree))).collect();
         let registry = Arc::new(Registry::new());
         let faults = plan
             .filter(|p| !p.is_empty())
             .map(|p| FaultInjector::new(&p).with_registry(Arc::clone(&registry)));
-        // Durable stores: open (recovering whatever a previous run left
-        // on disk) and journal each server's initial subtree ownership.
+        let mut attr_stores: Vec<RwLock<AttrTable>> =
+            (0..m).map(|_| RwLock::new(AttrTable::new(&tree))).collect();
+        let mut subtree_counts = HashMap::new();
+        // Durable stores: each server resumes what a previous run left
+        // on disk and journals the subtrees the seeded index gives it.
         let stores: Vec<Mutex<Option<MdsStore>>> = match &config.store_root {
             Some(root) => (0..m)
                 .map(|k| {
-                    let dir = root.join(format!("mds-{k}"));
-                    let (store, _) = MdsStore::open(&dir, config.store).expect("store open failed");
-                    let mut store = store.with_registry(&registry, k as u16);
-                    if let Some(tr) = &config.tracer {
-                        store = store.with_tracer(Arc::clone(tr), k as u16);
+                    let recovered = open_and_recover(
+                        root,
+                        config.store,
+                        MdsId(k as u16),
+                        &registry,
+                        config.tracer.as_ref(),
+                        &tree,
+                        &index,
+                        true,
+                    );
+                    attr_stores[k] = RwLock::new(recovered.attrs);
+                    for (root, bits) in recovered.popularity {
+                        subtree_counts
+                            .entry(root)
+                            .or_insert_with(|| f64::from_bits(bits));
                     }
-                    // Converge the durable ownership set on the seeded
-                    // index: shed whatever a previous run left behind,
-                    // acquire what this run assigns.
-                    let seeded: std::collections::BTreeSet<u64> = index
-                        .iter()
-                        .filter(|(_, owner)| owner.index() == k)
-                        .map(|(subtree_root, _)| subtree_root.index() as u64)
-                        .collect();
-                    let stale: Vec<u64> =
-                        store.state().owned.difference(&seeded).copied().collect();
-                    for root in stale {
-                        store
-                            .append(MdsRecord::Ownership {
-                                root,
-                                acquired: false,
-                            })
-                            .expect("WAL append failed");
-                    }
-                    for root in seeded {
-                        store
-                            .append(MdsRecord::Ownership {
-                                root,
-                                acquired: true,
-                            })
-                            .expect("WAL append failed");
-                    }
-                    store.sync().expect("WAL sync failed");
-                    Mutex::new(Some(store))
+                    Mutex::new(Some(recovered.store))
                 })
                 .collect(),
             None => Vec::new(),
@@ -391,7 +354,7 @@ impl LiveCluster {
             placement: RwLock::new(placement),
             index: RwLock::new(index),
             attr_stores,
-            subtree_counts: RwLock::new(HashMap::new()),
+            subtree_counts: RwLock::new(subtree_counts),
             rebalance_factor: config.rebalance_factor,
             migrations: AtomicU64::new(0),
             locks: LockService::new(1_000),
@@ -543,14 +506,20 @@ impl LiveCluster {
         // Phase 1: local recovery from disk (durability enabled only).
         let mut recovered = None;
         if let Some(root) = &self.config.store_root {
-            let dir = root.join(format!("mds-{me}"));
-            let (store, info) =
-                MdsStore::open(&dir, self.config.store).expect("store recovery failed");
-            let mut store = store.with_registry(&self.shared.registry, me as u16);
-            if let Some(tr) = &self.shared.tracer {
-                store = store.with_tracer(Arc::clone(tr), me as u16);
-            }
-            let recovery_ms = info.duration.as_millis() as u64;
+            // Anything the Monitor re-homed while we were down is
+            // durably shed before we serve again.
+            let index = self.shared.index.read().clone();
+            let r = open_and_recover(
+                root,
+                self.config.store,
+                mds,
+                &self.shared.registry,
+                self.shared.tracer.as_ref(),
+                &self.shared.tree,
+                &index,
+                false,
+            );
+            let recovery_ms = r.info.duration.as_millis() as u64;
             self.shared
                 .registry
                 .histogram(MetricKey::mds(names::RECOVERY_MS, me as u16))
@@ -560,50 +529,22 @@ impl LiveCluster {
                 .journal()
                 .record(EventKind::StoreRecovered {
                     mds: me as u16,
-                    records: info.records_replayed,
-                    torn_bytes: info.torn_bytes,
+                    records: r.info.records_replayed,
+                    torn_bytes: r.info.torn_bytes,
                     recovery_ms,
                 });
-            // The crash wiped the process: rebuild the in-memory table
-            // from durable state alone. Unsynced commits inside the
-            // last group-commit window are gone — for GL nodes the
-            // delta sync below re-fetches them from live replicas.
-            let mut table = AttrTable::new(&self.shared.tree);
-            for (&node, a) in &store.state().attrs {
-                table.apply_if_newer(NodeId::from_index(node as usize), versioned_attr(a));
+            // The crash wiped the process: the in-memory table is the
+            // durable state alone. Unsynced commits inside the last
+            // group-commit window are gone — for GL nodes the delta
+            // sync below re-fetches them from live replicas.
+            *self.shared.attr_stores[me].write() = r.attrs;
+            // Live popularity (accumulated by the survivors since the
+            // crash) wins over journaled values.
+            let mut counts = self.shared.subtree_counts.write();
+            for (root, bits) in r.popularity {
+                counts.entry(root).or_insert_with(|| f64::from_bits(bits));
             }
-            *self.shared.attr_stores[me].write() = table;
-            // Re-seed popularity counters; live values (accumulated by
-            // the survivors since the crash) win over journaled ones.
-            {
-                let mut counts = self.shared.subtree_counts.write();
-                for (&r, &bits) in &store.state().popularity {
-                    counts
-                        .entry(NodeId::from_index(r as usize))
-                        .or_insert_with(|| f64::from_bits(bits));
-                }
-            }
-            // Ownership reconcile: anything the Monitor re-homed while
-            // we were down is durably shed before we serve again.
-            let index = self.shared.index.read().clone();
-            let stale: Vec<u64> = store
-                .state()
-                .owned
-                .iter()
-                .copied()
-                .filter(|&r| {
-                    index.owner_of(NodeId::from_index(r as usize)) != Some(MdsId(me as u16))
-                })
-                .collect();
-            for r in stale {
-                store
-                    .append(MdsRecord::Ownership {
-                        root: r,
-                        acquired: false,
-                    })
-                    .expect("WAL append failed");
-            }
-            recovered = Some(store);
+            recovered = Some(r.store);
         }
         // Phase 2: version-gated GL delta sync. Only nodes where a live
         // replica is ahead of the local copy are locked and copied; the
@@ -955,22 +896,10 @@ fn server_main(
                 let Some(req) = Request::decode(&mut frame) else {
                     continue;
                 };
-                // The serve span's id is allocated up front so lock/apply
-                // child spans can parent on it even though the serve span
-                // itself is only recorded once the response is ready.
-                let serve_ctx = match (shared.tracer(), req.trace) {
-                    (Some(tr), Some((t, s))) => {
-                        let ctx = SpanCtx {
-                            trace: TraceId(t),
-                            span: SpanId(s),
-                        };
-                        Some((ctx, tr.next_span(ctx.trace), tr.now_us()))
-                    }
-                    _ => None,
-                };
-                let assignment = shared.placement.read().assignment(req.target);
-                let body = match assignment {
-                    Assignment::Replicated => {
+                let serve_span = ServeSpan::open(shared.tracer(), &req);
+                let duty = duty(&shared.tree, &shared.placement.read(), my_id, req.target);
+                let body = match duty {
+                    Duty::Replicated => {
                         if req.kind == OpKind::Update {
                             // The lock service sits across the network:
                             // consult the fault plan before talking to it.
@@ -984,19 +913,9 @@ fn server_main(
                                     // Partitioned from the lock service: the
                                     // request dies here — attribute the loss
                                     // to this hop before dropping it.
-                                    if let Some((ctx, id, start)) = serve_ctx {
-                                        let tr = shared.tracer().expect("ctx implies tracer");
-                                        tr.record(
-                                            Span::child(
-                                                ctx,
-                                                id,
-                                                span_names::SERVE,
-                                                start,
-                                                tr.now_us().saturating_sub(start),
-                                            )
-                                            .on_mds(me as u16)
-                                            .with_fault(FaultKind::Drop)
-                                            .with_arg(ArgKey::Target, req.target.index() as u64),
+                                    if let Some(sp) = serve_span {
+                                        sp.tracer.record(
+                                            sp.close(my_id, req.target).with_fault(FaultKind::Drop),
                                         );
                                     }
                                     continue;
@@ -1050,16 +969,16 @@ fn server_main(
                             debug_assert!(released, "fresh token releases cleanly");
                             // Wait + hold of the global-layer lock, nested
                             // under this server's serve span.
-                            if let Some((ctx, serve_id, _)) = serve_ctx {
-                                let tr = shared.tracer().expect("ctx implies tracer");
+                            if let Some(serve) = serve_span {
+                                let tr = serve.tracer;
                                 let start = lock_t0.unwrap_or(0);
                                 let parent = SpanCtx {
-                                    trace: ctx.trace,
-                                    span: serve_id,
+                                    span: serve.id,
+                                    ..serve.ctx
                                 };
                                 let mut sp = Span::child(
                                     parent,
-                                    tr.next_span(ctx.trace),
+                                    tr.next_span(parent.trace),
                                     span_names::LOCK,
                                     start,
                                     tr.now_us().saturating_sub(start),
@@ -1075,7 +994,7 @@ fn server_main(
                         }
                         ResponseBody::Served { node: req.target }
                     }
-                    Assignment::Single(owner) if owner == my_id => {
+                    Duty::Mine => {
                         if req.kind == OpKind::Update {
                             // Local-layer mutation: single copy, no lock.
                             let now = shared.now_ms();
@@ -1087,7 +1006,7 @@ fn server_main(
                         }
                         ResponseBody::Served { node: req.target }
                     }
-                    Assignment::Single(owner) => {
+                    Duty::Other(owner) => {
                         shared.redirects.fetch_add(1, Ordering::Relaxed);
                         forwarded_total.inc();
                         shared.registry.journal().record(EventKind::Forwarded {
@@ -1096,12 +1015,12 @@ fn server_main(
                         });
                         ResponseBody::Redirect { owner }
                     }
-                    Assignment::Unassigned => ResponseBody::NotFound,
+                    Duty::Unknown => ResponseBody::NotFound,
                 };
                 if matches!(body, ResponseBody::Served { .. }) {
                     shared.served[me].fetch_add(1, Ordering::Relaxed);
                     served_total.inc();
-                    if matches!(assignment, Assignment::Single(_)) {
+                    if duty == Duty::Mine {
                         if let Some((root, _)) =
                             shared.index.read().locate(&shared.tree, req.target)
                         {
@@ -1131,18 +1050,8 @@ fn server_main(
                 };
                 let frame = resp.encode();
                 let reply_fault = shared.fault(NetEdge::MdsToClient(me as u16));
-                if let Some((ctx, serve_id, start)) = serve_ctx {
-                    let tr = shared.tracer().expect("ctx implies tracer");
-                    let mut sp = Span::child(
-                        ctx,
-                        serve_id,
-                        span_names::SERVE,
-                        start,
-                        tr.now_us().saturating_sub(start),
-                    )
-                    .on_mds(me as u16)
-                    .with_arg(ArgKey::Target, req.target.index() as u64)
-                    .with_arg(
+                if let Some(serve) = serve_span {
+                    let mut sp = serve.close(my_id, req.target).with_arg(
                         ArgKey::Body,
                         match body {
                             ResponseBody::Served { .. } => 0,
@@ -1150,10 +1059,8 @@ fn server_main(
                             ResponseBody::NotFound => 2,
                         },
                     );
-                    if let Some(k) = reply_fault.kind() {
-                        sp = sp.with_fault(k);
-                    }
-                    tr.record(sp);
+                    sp.fault = reply_fault.kind();
+                    serve.tracer.record(sp);
                 }
                 match reply_fault {
                     FaultDecision::Drop => {} // reply lost; client times out
@@ -1612,52 +1519,6 @@ fn live_rebalance(shared: &Shared, mon: &Monitor, m: usize, now: u64) {
     }
 }
 
-/// Errors a live client can hit.
-#[derive(Debug, Clone, PartialEq, Eq)]
-#[non_exhaustive]
-pub enum ClientError {
-    /// The attempt budget ran out, but at least one server responded
-    /// along the way (redirect storms, mid-fail-over races).
-    RetriesExhausted {
-        /// Attempts made.
-        attempts: usize,
-    },
-    /// The attempt budget ran out without a single response — every
-    /// attempt timed out (the cluster looks entirely down or
-    /// partitioned away).
-    Timeout {
-        /// Attempts made, all of which timed out.
-        attempts: usize,
-    },
-    /// The [`RetryPolicy::deadline`] elapsed before the request
-    /// completed, regardless of attempts left.
-    DeadlineExceeded {
-        /// Total time spent on the request.
-        elapsed: Duration,
-    },
-    /// The target node has no assignment anywhere.
-    NotFound,
-}
-
-impl std::fmt::Display for ClientError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            ClientError::RetriesExhausted { attempts } => {
-                write!(f, "request failed after {attempts} attempts")
-            }
-            ClientError::Timeout { attempts } => {
-                write!(f, "no server responded in {attempts} attempts")
-            }
-            ClientError::DeadlineExceeded { elapsed } => {
-                write!(f, "request deadline exceeded after {elapsed:?}")
-            }
-            ClientError::NotFound => f.write_str("target metadata not found"),
-        }
-    }
-}
-
-impl std::error::Error for ClientError {}
-
 /// A client of the live cluster: routes through its cached local index,
 /// retries, follows redirects, refreshes the index when its lease expires
 /// and survives fail-over.
@@ -1757,90 +1618,19 @@ impl LiveClient {
     /// its trace context rides the request frame so servers parent
     /// their serve spans on it.
     pub fn execute(&mut self, op: Operation) -> Result<Response, ClientError> {
-        let tracer = match &self.shared.tracer {
-            Some(t) => Arc::clone(t),
-            None => return self.execute_inner(op, None),
-        };
-        let Some(ctx) = tracer.begin() else {
-            return self.execute_inner(op, None);
-        };
-        let start = tracer.now_us();
-        let result = self.execute_inner(op, Some(ctx));
-        let mut span = Span::root(
-            ctx,
-            span_names::OP,
-            start,
-            tracer.now_us().saturating_sub(start),
-        )
-        .with_arg(ArgKey::Target, op.target.index() as u64)
-        .with_arg(ArgKey::Kind, crate::sim::op_kind_code(op.kind));
-        match &result {
-            Ok(resp) => span = span.with_arg(ArgKey::Hops, u64::from(resp.hops)),
-            Err(_) => span = span.with_arg(ArgKey::Error, 1),
-        }
-        tracer.record(span);
-        result
-    }
-
-    fn execute_inner(
-        &mut self,
-        op: Operation,
-        ctx: Option<SpanCtx>,
-    ) -> Result<Response, ClientError> {
         let tracer = self.shared.tracer.clone();
         let id = RequestId(self.next_id);
         self.next_id += 1;
-        let started = Instant::now();
-        let mut hops = 0u32;
-        let mut forced_dest: Option<MdsId> = None;
-        let mut not_found_streak = 0usize;
-        let mut got_response = false;
-        let mut backoffs = 0usize;
-        // The server whose reply last timed out: its hint is stale, so
-        // the next routed attempt steers around it.
+        let mut machine =
+            RequestMachine::new(id, op, self.retry, Instant::now(), tracer.as_deref());
+        let mut forced: Option<MdsId> = None;
+        // The server whose reply last timed out or never left: its
+        // hint is stale, so the next routed attempt steers around it.
         let mut stale_dest: Option<MdsId> = None;
-        for _attempt in 0..self.retry.max_attempts {
-            if started.elapsed() >= self.retry.deadline {
-                return Err(ClientError::DeadlineExceeded {
-                    elapsed: started.elapsed(),
-                });
-            }
-            if backoffs > 0 {
-                // Only failed attempts (timeouts, NotFound races) back
-                // off; redirects carry fresh routing and retry at once.
-                let pause = self.retry.backoff(backoffs - 1, &mut self.rng);
-                let remaining = self.retry.deadline.saturating_sub(started.elapsed());
-                std::thread::sleep(pause.min(remaining));
-            }
-            let (mut dest, route_code) = match forced_dest.take() {
+        loop {
+            let (mut dest, route_code) = match forced {
                 Some(d) => (d, RouteDecision::REDIRECT_CODE),
-                None => {
-                    let now = self.shared.now_ms();
-                    let decision = self.cache.route(&self.shared.tree, op.target, now);
-                    let code = decision.code();
-                    let dest = match decision {
-                        RouteDecision::Owner(owner) => {
-                            self.cache_hits.inc();
-                            owner
-                        }
-                        RouteDecision::AnyMds => {
-                            self.cache_hits.inc();
-                            self.random_server()
-                        }
-                        RouteDecision::StaleCache => {
-                            self.cache_misses.inc();
-                            self.shared.registry.journal().record(EventKind::CacheMiss {
-                                client: self.client_id,
-                            });
-                            self.refresh_cache();
-                            match self.cache.route(&self.shared.tree, op.target, now) {
-                                RouteDecision::Owner(owner) => owner,
-                                _ => self.random_server(),
-                            }
-                        }
-                    };
-                    (dest, code)
-                }
+                None => self.route(op.target),
             };
             if let Some(stale) = stale_dest.take() {
                 if dest == stale && self.server_txs.len() > 1 {
@@ -1856,123 +1646,85 @@ impl LiveClient {
                     });
                 }
             }
-            let req = Request {
-                id,
-                kind: op.kind,
-                target: op.target,
-                hops,
-                trace: ctx.map(|c| (c.trace.0, c.span.0)),
-            };
-            let frame = req.encode();
-            let (tx, rx) = bounded(1);
-            let mut sent = false;
-            let attempt_t0 = tracer.as_deref().map(Tracer::now_us);
+            let frame = machine.attempt(dest.0, route_code).encode();
             let send_fault = self.shared.fault(NetEdge::ClientToMds(dest.0));
-            let fault_kind = send_fault.kind();
-            // Records this try as an `attempt` span: which server, how it
-            // was routed, how it ended (0 served, 1 redirect, 2 not-found,
-            // 3 timeout, 4 lost/garbled), and any injected fault.
-            let finish_attempt = |outcome: u64| {
-                if let (Some(tr), Some(ctx)) = (tracer.as_deref(), ctx) {
-                    let start = attempt_t0.unwrap_or(0);
-                    let mut sp = Span::child(
-                        ctx,
-                        tr.next_span(ctx.trace),
-                        span_names::ATTEMPT,
-                        start,
-                        tr.now_us().saturating_sub(start),
-                    )
-                    .on_mds(dest.0)
-                    .with_arg(ArgKey::Route, route_code)
-                    .with_arg(ArgKey::Outcome, outcome);
-                    if let Some(k) = fault_kind {
-                        sp = sp.with_fault(k);
-                    }
-                    tr.record(sp);
-                }
-            };
-            match send_fault {
-                FaultDecision::Drop => {} // request lost; attempt times out
-                FaultDecision::Delay(ms) => {
-                    std::thread::sleep(Duration::from_millis(ms).min(self.timeout));
-                    sent = self.server_txs[dest.index()]
-                        .send(ServerMsg::Frame(frame, tx))
-                        .is_ok();
-                }
-                FaultDecision::DeliverTwice => {
-                    sent = self.server_txs[dest.index()]
-                        .send(ServerMsg::Frame(frame.clone(), tx))
-                        .is_ok();
-                    // The duplicate's reply channel is already closed, so
-                    // the server's answer to it is discarded harmlessly.
-                    let (dup_tx, dup_rx) = bounded::<Bytes>(1);
-                    drop(dup_rx);
-                    let _ = self.server_txs[dest.index()].send(ServerMsg::Frame(frame, dup_tx));
-                }
-                FaultDecision::Deliver => {
-                    sent = self.server_txs[dest.index()]
-                        .send(ServerMsg::Frame(frame, tx))
-                        .is_ok();
-                }
-            }
-            if !sent {
-                // Message lost (injected drop or server thread gone):
-                // re-route after backoff like any timed-out attempt.
-                drop(rx);
-                finish_attempt(4);
+            let outcome = self.exchange(dest, frame, send_fault);
+            if matches!(outcome, Outcome::TimedOut | Outcome::Lost) {
                 stale_dest = Some(dest);
-                backoffs += 1;
-                continue;
             }
-            match rx.recv_timeout(self.timeout) {
-                Ok(mut frame) => match Response::decode(&mut frame) {
-                    Some(resp) => {
-                        got_response = true;
-                        match resp.body {
-                            ResponseBody::Served { .. } => {
-                                finish_attempt(0);
-                                return Ok(resp);
-                            }
-                            ResponseBody::Redirect { owner } => {
-                                finish_attempt(1);
-                                hops += 1;
-                                forced_dest = Some(owner);
-                            }
-                            ResponseBody::NotFound => {
-                                finish_attempt(2);
-                                not_found_streak += 1;
-                                if not_found_streak >= 3 {
-                                    return Err(ClientError::NotFound);
-                                }
-                                // Possibly mid-fail-over; back off and
-                                // re-route.
-                                backoffs += 1;
-                            }
-                        }
+            let now = Instant::now();
+            match machine.outcome(outcome, send_fault.kind(), now, &mut self.rng) {
+                Step::Done(result) => return result,
+                Step::Again { backoff, forced: f } => {
+                    if let Some(pause) = backoff {
+                        std::thread::sleep(pause);
                     }
-                    None => {
-                        finish_attempt(4);
-                        backoffs += 1;
-                    }
-                },
-                Err(_) => {
-                    // Dead or overloaded server; the placement (and index)
-                    // may change under us — drop the stale hint and avoid
-                    // this destination on the next routed attempt.
-                    finish_attempt(3);
-                    stale_dest = Some(dest);
-                    backoffs += 1;
+                    forced = f;
                 }
             }
         }
-        if got_response {
-            Err(ClientError::RetriesExhausted {
-                attempts: self.retry.max_attempts,
-            })
-        } else {
-            Err(ClientError::Timeout {
-                attempts: self.retry.max_attempts,
-            })
+    }
+
+    /// Routes by the cached index, refreshing it first when its lease
+    /// has run out: the owner on a prefix hit, any server otherwise.
+    /// Returns the destination and the decision's span code.
+    fn route(&mut self, target: NodeId) -> (MdsId, u64) {
+        let now = self.shared.now_ms();
+        let decision = self.cache.route(&self.shared.tree, target, now);
+        let dest = match decision {
+            RouteDecision::Owner(owner) => {
+                self.cache_hits.inc();
+                owner
+            }
+            RouteDecision::AnyMds => {
+                self.cache_hits.inc();
+                self.random_server()
+            }
+            RouteDecision::StaleCache => {
+                self.cache_misses.inc();
+                self.shared.registry.journal().record(EventKind::CacheMiss {
+                    client: self.client_id,
+                });
+                self.refresh_cache();
+                match self.cache.route(&self.shared.tree, target, now) {
+                    RouteDecision::Owner(owner) => owner,
+                    _ => self.random_server(),
+                }
+            }
+        };
+        (dest, decision.code())
+    }
+
+    /// One attempt over the channel transport: sends `frame` to `dest`
+    /// through the fault plan's decision for it and waits for the
+    /// answer.
+    fn exchange(&self, dest: MdsId, frame: Bytes, send_fault: FaultDecision) -> Outcome {
+        let server = &self.server_txs[dest.index()];
+        let (tx, rx) = bounded(1);
+        let sent = match send_fault {
+            FaultDecision::Drop => false, // request lost
+            FaultDecision::Delay(ms) => {
+                std::thread::sleep(Duration::from_millis(ms).min(self.timeout));
+                server.send(ServerMsg::Frame(frame, tx)).is_ok()
+            }
+            FaultDecision::DeliverTwice => {
+                // The duplicate's reply channel is already closed, so
+                // the server's answer to it is discarded harmlessly.
+                let (dup_tx, _) = bounded::<Bytes>(1);
+                let sent = server.send(ServerMsg::Frame(frame.clone(), tx)).is_ok();
+                let _ = server.send(ServerMsg::Frame(frame, dup_tx));
+                sent
+            }
+            FaultDecision::Deliver => server.send(ServerMsg::Frame(frame, tx)).is_ok(),
+        };
+        if !sent {
+            // Injected drop or server thread gone.
+            return Outcome::Lost;
+        }
+        match rx.recv_timeout(self.timeout) {
+            Ok(mut frame) => Response::decode(&mut frame).map_or(Outcome::Lost, Outcome::from),
+            // Dead or overloaded server.
+            Err(_) => Outcome::TimedOut,
         }
     }
 }

@@ -16,10 +16,11 @@
 //!   tracing). Requests are served through a per-batch [`ServeScope`]
 //!   ([`NetMds::begin_batch`] → [`ServeScope::serve`]… →
 //!   [`ServeScope::commit`]); [`NetMds::serve`], [`NetMds::serve_batch`]
-//!   and [`NetMds::serve_deferred`] are thin entries over it. The serve
-//!   logic mirrors [`crate::live`]'s in-process server: replicated
-//!   global-layer nodes serve anywhere, single-owner nodes either serve
-//!   locally or redirect, unassigned targets report not-found.
+//!   and [`NetMds::serve_deferred`] are thin entries over it. The
+//!   serving decision is the one [`crate::live`]'s in-process server
+//!   makes: replicated global-layer nodes serve anywhere, single-owner
+//!   nodes either serve locally or redirect, unknown targets report
+//!   not-found.
 //! * [`NetServer`] — a blocking thread-per-connection TCP server:
 //!   accept loop on its own thread, one handler thread per client
 //!   connection running a *batched* serve loop (every complete frame
@@ -38,11 +39,11 @@
 //!   workload streams in closed-loop (each worker issues back-to-back)
 //!   or open-loop (target QPS with a pacing clock; latency measured
 //!   from the scheduled send time, so queueing delay is not omitted)
-//!   modes, with owner-routing through a derived [`LocalIndex`],
-//!   redirect following, retry/timeout under the shared
-//!   [`RetryPolicy`], and an optional per-connection pipeline depth
-//!   ([`LoadConfig::pipeline`]) that keeps N requests in flight while
-//!   still measuring latency per operation.
+//!   modes, with owner-routing through a derived [`LocalIndex`], the
+//!   request life-cycle of [`crate::client`] (redirect following,
+//!   retry/timeout under the shared [`RetryPolicy`]), and a
+//!   per-connection window ([`LoadConfig::pipeline`]) of up to N
+//!   requests in flight, latency still measured per operation.
 //!
 //! Trace contexts ride the 17-byte trailer of every [`Request`] frame,
 //! so a sampled operation's span chain — client `op` root, per-try
@@ -54,7 +55,6 @@
 //! replicated (global-layer) updates commit locally without the
 //! Zookeeper-style serialisation of Sec. IV-A3. See DESIGN.md §14.
 
-use std::collections::VecDeque;
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::Path;
@@ -65,10 +65,10 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use d2tree_core::LocalIndex;
-use d2tree_metrics::{Assignment, MdsId, Placement};
+use d2tree_metrics::{MdsId, Placement};
 use d2tree_namespace::{AttrTable, NamespaceTree, NodeId, NodeIdMap};
 use d2tree_store::{MdsRecord, MdsStore, StoreConfig};
-use d2tree_telemetry::trace::{span_names, ArgKey, Span, SpanCtx, SpanId, TraceId, Tracer};
+use d2tree_telemetry::trace::{ArgKey, Tracer};
 use d2tree_telemetry::{
     names, Counter, EventKind, Histogram, HistogramSnapshot, MetricKey, Registry,
 };
@@ -77,8 +77,8 @@ use parking_lot::{Mutex, MutexGuard, RwLock};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
-use crate::client::{RetryPolicy, RouteDecision};
-use crate::live::{attr_state, ClientError};
+use crate::client::{ClientError, Outcome, RequestMachine, RetryPolicy, RouteDecision, Step};
+use crate::mds::{attr_state, duty, open_and_recover, Duty, ServeSpan};
 use crate::message::{Request, RequestId, Response, ResponseBody};
 
 /// Default cap on a single frame's body length. The real codec's frames
@@ -491,61 +491,21 @@ impl NetMds {
     /// not serve from state it cannot trust.
     #[must_use]
     pub fn with_store_root(mut self, root: &Path, config: StoreConfig) -> Self {
-        let k = self.me.index();
-        let dir = root.join(format!("mds-{k}"));
-        let (store, _info) = MdsStore::open(&dir, config).expect("store open failed");
-        let mut store = store.with_registry(&self.registry, self.me.0);
-        if let Some(tr) = &self.tracer {
-            store = store.with_tracer(Arc::clone(tr), self.me.0);
+        let recovered = open_and_recover(
+            root,
+            config,
+            self.me,
+            &self.registry,
+            self.tracer.as_ref(),
+            &self.tree,
+            &self.index,
+            true,
+        );
+        self.attrs = RwLock::new(recovered.attrs);
+        for (root, bits) in recovered.popularity {
+            self.subtree_counts.insert(root, AtomicU64::new(bits));
         }
-        // Recover in-memory state from the journal before serving.
-        {
-            let mut table = self.attrs.write();
-            for (&node, a) in &store.state().attrs {
-                let v = d2tree_namespace::VersionedAttr {
-                    attr: d2tree_namespace::FileAttr {
-                        mode: a.mode,
-                        uid: a.uid,
-                        gid: a.gid,
-                        size: a.size,
-                        mtime: a.mtime,
-                    },
-                    version: a.version,
-                };
-                table.apply_if_newer(NodeId::from_index(node as usize), v);
-            }
-        }
-        for (&r, &bits) in &store.state().popularity {
-            self.subtree_counts
-                .insert(NodeId::from_index(r as usize), AtomicU64::new(bits));
-        }
-        // Converge durable ownership on the seeded index: shed whatever
-        // a previous run left behind, acquire what this run assigns.
-        let seeded: std::collections::BTreeSet<u64> = self
-            .index
-            .iter()
-            .filter(|(_, owner)| *owner == self.me)
-            .map(|(root, _)| root.index() as u64)
-            .collect();
-        let stale: Vec<u64> = store.state().owned.difference(&seeded).copied().collect();
-        for root in stale {
-            store
-                .append(MdsRecord::Ownership {
-                    root,
-                    acquired: false,
-                })
-                .expect("WAL append failed");
-        }
-        for root in seeded {
-            store
-                .append(MdsRecord::Ownership {
-                    root,
-                    acquired: true,
-                })
-                .expect("WAL append failed");
-        }
-        store.sync().expect("WAL sync failed");
-        self.store = Some(Mutex::new(Some(store)));
+        self.store = Some(Mutex::new(Some(recovered.store)));
         self
     }
 
@@ -794,25 +754,9 @@ impl ServeScope<'_> {
     /// from a different workload derivation must not crash the daemon).
     pub fn serve(&mut self, req: Request) -> Response {
         let mds = self.mds;
-        // Serve span id allocated up front so the span parents correctly
-        // on the wire context even though it is recorded at the end.
-        let serve_ctx = match (mds.tracer.as_deref(), req.trace) {
-            (Some(tr), Some((t, s))) => {
-                let ctx = SpanCtx {
-                    trace: TraceId(t),
-                    span: SpanId(s),
-                };
-                Some((tr, ctx, tr.next_span(ctx.trace), tr.now_us()))
-            }
-            _ => None,
-        };
-        let assignment = if mds.tree.contains(req.target) {
-            mds.placement.assignment(req.target)
-        } else {
-            Assignment::Unassigned
-        };
-        let (body, outcome) = match assignment {
-            Assignment::Replicated => {
+        let serve_span = ServeSpan::open(mds.tracer.as_deref(), &req);
+        let (body, outcome) = match duty(&mds.tree, &mds.placement, mds.me, req.target) {
+            Duty::Replicated => {
                 if req.kind == OpKind::Update {
                     // Single-replica global layer: no cross-process lock
                     // service exists yet, so the commit is local-only
@@ -822,7 +766,7 @@ impl ServeScope<'_> {
                 }
                 (ResponseBody::Served { node: req.target }, 0u8)
             }
-            Assignment::Single(owner) if owner == mds.me => {
+            Duty::Mine => {
                 if req.kind == OpKind::Update {
                     self.commit_update(req.target, false);
                 }
@@ -849,7 +793,7 @@ impl ServeScope<'_> {
                 }
                 (ResponseBody::Served { node: req.target }, 0)
             }
-            Assignment::Single(owner) => {
+            Duty::Other(owner) => {
                 self.redirects += 1;
                 mds.registry.journal().record(EventKind::Forwarded {
                     from: mds.me.0,
@@ -857,7 +801,7 @@ impl ServeScope<'_> {
                 });
                 (ResponseBody::Redirect { owner }, 1)
             }
-            Assignment::Unassigned => (ResponseBody::NotFound, 2),
+            Duty::Unknown => (ResponseBody::NotFound, 2),
         };
         self.served += u64::from(outcome == 0);
 
@@ -880,19 +824,10 @@ impl ServeScope<'_> {
                 trace: req.trace.map(|(t, _)| t),
             });
         }
-        if let Some((tr, ctx, serve_id, start)) = serve_ctx {
-            tr.record(
-                Span::child(
-                    ctx,
-                    serve_id,
-                    span_names::SERVE,
-                    start,
-                    tr.now_us().saturating_sub(start),
-                )
-                .on_mds(mds.me.0)
-                .with_arg(ArgKey::Target, req.target.index() as u64)
-                .with_arg(ArgKey::Body, u64::from(outcome)),
-            );
+        if let Some(sp) = serve_span {
+            let span = sp.close(mds.me, req.target);
+            sp.tracer
+                .record(span.with_arg(ArgKey::Body, u64::from(outcome)));
         }
         Response {
             id: req.id,
@@ -1373,18 +1308,19 @@ pub struct LoadConfig {
     pub retry: RetryPolicy,
     /// Seed for per-worker routing/backoff randomness.
     pub seed: u64,
-    /// Requests each worker keeps in flight on one connection (≥ 1).
+    /// Requests each worker may have in flight on one connection (≥ 1).
     ///
-    /// At 1 (the default) every worker is strictly request/response. At
-    /// N, closed-loop workers burst windows of up to N consecutive
-    /// same-destination operations in one buffered write and then drain
-    /// the responses in order; open-loop workers still release each
-    /// request on its schedule but only block for responses once N are
-    /// outstanding. Latency stays per-operation and is measured from
-    /// the send (closed) or scheduled-send (open) time of *that*
-    /// operation, so pipelining adds no coordinated omission. Redirects,
-    /// not-found and transport errors inside a window fall back to the
-    /// sequential retry path, preserving completion semantics.
+    /// A worker writes up to this many consecutive same-destination
+    /// operations that are due in one buffered write and reads the
+    /// responses back in order; at 1 that is strictly request/response.
+    /// In a closed loop every operation is due at once, so windows are
+    /// full; in an open loop one is due at its scheduled time, so a
+    /// window holds more than one only while the worker is behind its
+    /// schedule. Latency stays per-operation, measured from the issue
+    /// (closed) or scheduled (open) time of *that* operation, so
+    /// pipelining adds no coordinated omission. An operation its first
+    /// attempt does not end (redirect, not-found, transport error) makes
+    /// its further attempts one at a time once the window has drained.
     pub pipeline: usize,
 }
 
@@ -1430,17 +1366,17 @@ struct WorkerStats {
     reconnects: u64,
 }
 
-/// One request a pipelined worker has sent but not yet drained the
-/// response for. `t0` is the honest per-op latency origin: the moment
-/// its burst was written (closed loop) or its scheduled send time (open
-/// loop).
-struct Inflight {
-    op: Operation,
-    id: RequestId,
+/// One operation between its first attempt and its end: its request
+/// machine and `t0`, the origin of its latency — the moment it was
+/// issued (closed loop) or was scheduled to be (open loop), so that
+/// queueing behind the schedule, redirect chases and retries all count.
+struct Inflight<'a> {
+    machine: RequestMachine<'a>,
     t0: Instant,
 }
 
-/// One load worker's connections plus routing/retry state.
+/// One load worker: its connections, its routing and retry state, and
+/// where it books results.
 struct LoadWorker<'a> {
     addrs: &'a [String],
     conns: Vec<Option<NetClient>>,
@@ -1451,475 +1387,211 @@ struct LoadWorker<'a> {
     rng: StdRng,
     tracer: Option<&'a Tracer>,
     counters: NetCounters,
+    hist: &'a Histogram,
+    op_latency: Arc<Histogram>,
     stats: WorkerStats,
     next_id: u64,
 }
 
-impl LoadWorker<'_> {
+impl<'a> LoadWorker<'a> {
     /// Maps an owner id onto an address slot (wrapping, see
     /// [`LoadConfig::addrs`]).
     fn slot(&self, owner: MdsId) -> usize {
         owner.index() % self.addrs.len()
     }
 
-    /// Routes one operation at a server slot: the located owner's slot,
-    /// or a random slot for global-layer targets any MDS can serve.
-    fn route(&mut self, op: Operation) -> usize {
+    /// Routes one operation at a server slot — the located owner's, or
+    /// a random one for global-layer targets any MDS can serve — and
+    /// says which it was as a [`RouteDecision`] code.
+    fn route(&mut self, op: Operation) -> (usize, u64) {
         match self.index.locate(self.tree, op.target) {
-            Some((_, owner)) => self.slot(owner),
-            None => self.rng.gen_range(0..self.addrs.len()),
+            Some((_, owner)) => (self.slot(owner), 0),
+            None => (self.rng.gen_range(0..self.addrs.len()), 1),
         }
     }
 
-    /// Opens the connection for `dest` if it is not already up. `false`
-    /// means the server is unreachable right now.
-    fn ensure_conn(&mut self, dest: usize) -> bool {
-        if self.conns[dest].is_some() {
-            return true;
+    /// Forgets a connection whose request/response pairing is gone —
+    /// a late answer to an abandoned request would pair with the wrong
+    /// one — so that its replacement starts clean.
+    fn drop_conn(&mut self, dest: usize) {
+        self.counters.resets.inc();
+        self.conns[dest] = None;
+        self.stats.reconnects += 1;
+    }
+
+    /// Writes `reqs` to `dest` in one buffered write, connecting first
+    /// if need be. `false` means none of them will be answered: the
+    /// server is unreachable (down, or not listening yet) or the write
+    /// failed.
+    fn send(&mut self, dest: usize, reqs: &[Request]) -> bool {
+        if self.conns[dest].is_none() {
+            let Ok(conn) = NetClient::connect(&self.addrs[dest], self.timeout) else {
+                return false;
+            };
+            self.counters.conns.inc();
+            self.conns[dest] = Some(conn);
         }
-        match NetClient::connect(&self.addrs[dest], self.timeout) {
-            Ok(c) => {
-                self.counters.conns.inc();
-                self.conns[dest] = Some(c);
-                true
+        self.counters.frames.add(reqs.len() as u64);
+        let conn = self.conns[dest].as_mut().expect("just ensured");
+        let sent = conn.send_batch(reqs).is_ok();
+        if !sent {
+            self.drop_conn(dest);
+        }
+        sent
+    }
+
+    /// Reads the answer to request `id`, the oldest outstanding on
+    /// `dest`'s connection.
+    fn recv(&mut self, dest: usize, id: RequestId) -> Outcome {
+        let Some(conn) = self.conns[dest].as_mut() else {
+            // An earlier answer of the same window took the connection
+            // down, and this one with it.
+            return Outcome::Lost;
+        };
+        match conn.recv() {
+            Ok(resp) if resp.id == id => {
+                self.counters.frames.inc();
+                resp.into()
             }
-            Err(_) => false,
+            other => {
+                // A desynced stream (an id that is not ours), or a
+                // timeout, reset or garble: same cure.
+                self.drop_conn(dest);
+                if other.is_ok() {
+                    Outcome::Lost
+                } else {
+                    Outcome::TimedOut
+                }
+            }
         }
     }
 
-    /// Builds the next wire request for `op`. Pipelined fast-path
-    /// requests carry no trace context — span linkage needs the
-    /// sequential path, which fallbacks take.
-    fn next_request(&mut self, op: Operation) -> Request {
-        let id = RequestId(self.next_id);
-        self.next_id += 1;
-        Request {
-            id,
-            kind: op.kind,
-            target: op.target,
-            hops: 0,
-            trace: None,
-        }
+    /// Reports how `inf`'s attempt in flight ended.
+    fn feed(&mut self, inf: &mut Inflight<'a>, outcome: Outcome) -> Step {
+        self.stats.redirects += u64::from(matches!(outcome, Outcome::Redirect(_)));
+        inf.machine
+            .outcome(outcome, None, Instant::now(), &mut self.rng)
     }
 
-    /// Books one finished operation: a served response records its
-    /// latency from `t0`, an error lands in the taxonomy.
-    fn account(
-        &mut self,
-        result: &Result<Response, ClientError>,
-        t0: Instant,
-        hist: &Histogram,
-        op_latency: &Histogram,
-    ) {
+    /// Takes an operation from the step its last attempt led to
+    /// through to its end, one attempt at a time, and books the result:
+    /// a served response records its latency from `t0`, an error lands
+    /// in the taxonomy.
+    fn finish(&mut self, mut inf: Inflight<'a>, mut step: Step) {
+        let result = loop {
+            let (backoff, forced) = match step {
+                Step::Done(result) => break result,
+                Step::Again { backoff, forced } => (backoff, forced),
+            };
+            if let Some(pause) = backoff {
+                std::thread::sleep(pause);
+            }
+            let (dest, route) = match forced {
+                Some(owner) => (self.slot(owner), RouteDecision::REDIRECT_CODE),
+                None => self.route(inf.machine.op()),
+            };
+            let req = inf.machine.attempt(dest as u16, route);
+            let outcome = if self.send(dest, &[req]) {
+                self.recv(dest, req.id)
+            } else {
+                Outcome::TimedOut
+            };
+            step = self.feed(&mut inf, outcome);
+        };
         match result {
             Ok(_) => {
-                let us = t0.elapsed().as_micros() as u64;
-                hist.record(us);
-                op_latency.record(us);
+                let us = inf.t0.elapsed().as_micros() as u64;
+                self.hist.record(us);
+                self.op_latency.record(us);
                 self.stats.completed += 1;
             }
             Err(e) => {
                 self.stats.errors += 1;
                 match e {
                     ClientError::Timeout { .. } => self.stats.timeouts += 1,
-                    ClientError::RetriesExhausted { .. } => {
-                        self.stats.retries_exhausted += 1;
-                    }
-                    ClientError::DeadlineExceeded { .. } => {
-                        self.stats.deadline_exceeded += 1;
-                    }
+                    ClientError::RetriesExhausted { .. } => self.stats.retries_exhausted += 1,
+                    ClientError::DeadlineExceeded { .. } => self.stats.deadline_exceeded += 1,
                     ClientError::NotFound => self.stats.not_found += 1,
                 }
             }
         }
     }
 
-    /// Finishes every deferred operation on the sequential retry path,
-    /// keeping each op's original `t0` so retries and redirect chases
-    /// show up as that op's latency, not as omitted time.
-    fn finish_fallbacks(
-        &mut self,
-        fallbacks: &mut Vec<(Operation, Instant)>,
-        hist: &Histogram,
-        op_latency: &Histogram,
-    ) {
-        for (op, t0) in std::mem::take(fallbacks) {
-            let result = self.execute(op);
-            self.account(&result, t0, hist, op_latency);
-        }
-    }
-
-    /// Receives and books one in-flight response. Returns `false` when
-    /// the connection became unusable — every outstanding op (including
-    /// the one just popped) has then been moved to `fallbacks`.
-    fn drain_one(
-        &mut self,
-        dest: usize,
-        window: &mut VecDeque<Inflight>,
-        fallbacks: &mut Vec<(Operation, Instant)>,
-        hist: &Histogram,
-        op_latency: &Histogram,
-    ) -> bool {
-        let Some(inf) = window.pop_front() else {
-            return true;
-        };
-        let Some(conn) = self.conns[dest].as_mut() else {
-            fallbacks.push((inf.op, inf.t0));
-            fallbacks.extend(window.drain(..).map(|r| (r.op, r.t0)));
-            return false;
-        };
-        match conn.recv() {
-            Ok(resp) if resp.id == inf.id => {
-                self.counters.frames.inc();
-                match resp.body {
-                    ResponseBody::Served { .. } => {
-                        let us = inf.t0.elapsed().as_micros() as u64;
-                        hist.record(us);
-                        op_latency.record(us);
-                        self.stats.completed += 1;
-                    }
-                    ResponseBody::Redirect { .. } | ResponseBody::NotFound => {
-                        // The sequential path owns redirect chasing and
-                        // not-found policy; the op keeps its t0.
-                        fallbacks.push((inf.op, inf.t0));
-                    }
-                }
-                true
-            }
-            Ok(_) | Err(_) => {
-                // Timeout, reset, garble or id desync: the stream's
-                // request/response pairing is gone, so the connection
-                // and every response still expected over it are lost.
-                self.counters.resets.inc();
-                self.conns[dest] = None;
-                self.stats.reconnects += 1;
-                fallbacks.push((inf.op, inf.t0));
-                fallbacks.extend(window.drain(..).map(|r| (r.op, r.t0)));
-                false
-            }
-        }
-    }
-
-    /// Drains the whole window (stops early if the connection dies —
-    /// the remainder is in `fallbacks`).
-    fn drain_window(
-        &mut self,
-        dest: usize,
-        window: &mut VecDeque<Inflight>,
-        fallbacks: &mut Vec<(Operation, Instant)>,
-        hist: &Histogram,
-        op_latency: &Histogram,
-    ) {
-        while !window.is_empty() {
-            if !self.drain_one(dest, window, fallbacks, hist, op_latency) {
-                break;
-            }
-        }
-    }
-
-    /// The pipelined worker body (`pipeline > 1`): closed loop bursts
-    /// windows of up to `pipeline` consecutive same-destination ops in
-    /// one buffered write and drains the responses in order; open loop
-    /// releases each request on its schedule and only blocks once
-    /// `pipeline` are outstanding. Latency is per-op from that op's
-    /// send / scheduled-send time. Anything that cannot complete on the
-    /// fast path (redirect, not-found, transport error, unreachable
-    /// server) finishes on the sequential retry path with its original
-    /// t0.
-    #[allow(clippy::too_many_arguments)]
-    fn run_pipelined(
+    /// The worker body: operations `first`, `first + stride`, … of
+    /// `ops`, each making its first attempt through a window of at most
+    /// `pipeline` requests in flight on one connection.
+    ///
+    /// A window is the run of operations that are due by now and routed
+    /// at one server: written in one buffered write, answered in order.
+    /// In a closed loop (`interval` is `None`) every operation is due
+    /// the moment the previous window has drained; in an open loop the
+    /// `k`-th is due at `started + k * interval`, the worker sleeps
+    /// until the first of a window is, and a window grows past one only
+    /// when the worker has fallen behind its schedule. An operation
+    /// that its first attempt does not end (a redirect, a not-found, a
+    /// lost connection) goes on in the same machine — redirect hint,
+    /// hop count, trace context, budgets and `t0` kept — once the
+    /// window has drained, since its next attempt may need this
+    /// connection.
+    fn run(
         &mut self,
         ops: &[Operation],
-        w: usize,
+        first: usize,
         stride: usize,
         pipeline: usize,
         interval: Option<Duration>,
         started: Instant,
-        hist: &Histogram,
-        op_latency: &Histogram,
     ) {
-        let mut fallbacks: Vec<(Operation, Instant)> = Vec::new();
-        let mut window: VecDeque<Inflight> = VecDeque::new();
-        if let Some(iv) = interval {
-            let mut cur_dest: Option<usize> = None;
-            let mut k = 0u32;
-            let mut i = w;
-            while i < ops.len() {
-                let op = ops[i];
-                i += stride;
-                let scheduled = started + iv * k;
-                k += 1;
-                let dest = self.route(op);
-                if let Some(d) = cur_dest {
-                    if d != dest {
-                        // Responses are drained per connection; switch
-                        // destinations only with an empty window.
-                        self.drain_window(d, &mut window, &mut fallbacks, hist, op_latency);
-                    }
-                }
-                cur_dest = Some(dest);
-                while window.len() >= pipeline {
-                    if !self.drain_one(dest, &mut window, &mut fallbacks, hist, op_latency) {
-                        break;
-                    }
-                }
+        let due = |k: u32| interval.map(|iv| started + iv * k);
+        let mut window: Vec<Inflight<'a>> = Vec::with_capacity(pipeline);
+        let mut reqs: Vec<Request> = Vec::with_capacity(pipeline);
+        let mut unfinished: Vec<(Inflight<'a>, Step)> = Vec::new();
+        // The route of `ops[i]`, when the last window stopped at it.
+        let mut routed = None;
+        let (mut i, mut k) = (first, 0u32);
+        while i < ops.len() {
+            let (dest, mut route) = routed.take().unwrap_or_else(|| self.route(ops[i]));
+            if let Some(wait) = due(k).and_then(|at| at.checked_duration_since(Instant::now())) {
+                std::thread::sleep(wait);
+            }
+            loop {
                 let now = Instant::now();
-                if scheduled > now {
-                    std::thread::sleep(scheduled - now);
-                }
-                self.stats.attempted += 1;
-                if self.ensure_conn(dest) {
-                    let req = self.next_request(op);
-                    self.counters.frames.inc();
-                    let sent = self.conns[dest]
-                        .as_mut()
-                        .expect("just ensured")
-                        .send_batch(std::slice::from_ref(&req));
-                    if sent.is_ok() {
-                        window.push_back(Inflight {
-                            op,
-                            id: req.id,
-                            t0: scheduled,
-                        });
-                    } else {
-                        self.counters.resets.inc();
-                        self.conns[dest] = None;
-                        self.stats.reconnects += 1;
-                        fallbacks.push((op, scheduled));
-                    }
-                } else {
-                    fallbacks.push((op, scheduled));
-                }
-                self.finish_fallbacks(&mut fallbacks, hist, op_latency);
-            }
-            if let Some(d) = cur_dest {
-                self.drain_window(d, &mut window, &mut fallbacks, hist, op_latency);
-            }
-        } else {
-            let mut i = w;
-            while i < ops.len() {
-                let first = ops[i];
+                let id = RequestId(self.next_id);
+                self.next_id += 1;
+                let mut inf = Inflight {
+                    machine: RequestMachine::new(id, ops[i], self.retry, now, self.tracer),
+                    t0: due(k).unwrap_or(now),
+                };
+                reqs.push(inf.machine.attempt(dest as u16, route));
+                window.push(inf);
                 i += stride;
-                let dest = self.route(first);
-                let mut batch = vec![first];
-                while batch.len() < pipeline && i < ops.len() {
-                    let op = ops[i];
-                    if self.route(op) != dest {
-                        break;
-                    }
-                    batch.push(op);
-                    i += stride;
+                k += 1;
+                if i >= ops.len() || window.len() == pipeline || due(k).is_some_and(|at| at > now) {
+                    break;
                 }
-                self.stats.attempted += batch.len() as u64;
-                if self.ensure_conn(dest) {
-                    let reqs: Vec<Request> =
-                        batch.iter().map(|&op| self.next_request(op)).collect();
-                    let t0 = Instant::now();
-                    self.counters.frames.add(reqs.len() as u64);
-                    let sent = self.conns[dest]
-                        .as_mut()
-                        .expect("just ensured")
-                        .send_batch(&reqs);
-                    if sent.is_ok() {
-                        for (&op, req) in batch.iter().zip(&reqs) {
-                            window.push_back(Inflight { op, id: req.id, t0 });
-                        }
-                        self.drain_window(dest, &mut window, &mut fallbacks, hist, op_latency);
-                    } else {
-                        self.counters.resets.inc();
-                        self.conns[dest] = None;
-                        self.stats.reconnects += 1;
-                        fallbacks.extend(batch.into_iter().map(|op| (op, t0)));
-                    }
+                let next = self.route(ops[i]);
+                if next.0 != dest {
+                    routed = Some(next);
+                    break;
+                }
+                route = next.1;
+            }
+            self.stats.attempted += window.len() as u64;
+            let sent = self.send(dest, &reqs);
+            for (mut inf, req) in window.drain(..).zip(reqs.drain(..)) {
+                let outcome = if sent {
+                    self.recv(dest, req.id)
                 } else {
-                    let now = Instant::now();
-                    fallbacks.extend(batch.into_iter().map(|op| (op, now)));
-                }
-                self.finish_fallbacks(&mut fallbacks, hist, op_latency);
-            }
-        }
-        self.finish_fallbacks(&mut fallbacks, hist, op_latency);
-    }
-
-    fn execute(&mut self, op: Operation) -> Result<Response, ClientError> {
-        let Some(tracer) = self.tracer else {
-            return self.execute_inner(op, None);
-        };
-        let Some(ctx) = tracer.begin() else {
-            return self.execute_inner(op, None);
-        };
-        let start = tracer.now_us();
-        let result = self.execute_inner(op, Some(ctx));
-        let mut span = Span::root(
-            ctx,
-            span_names::OP,
-            start,
-            tracer.now_us().saturating_sub(start),
-        )
-        .with_arg(ArgKey::Target, op.target.index() as u64)
-        .with_arg(ArgKey::Kind, crate::sim::op_kind_code(op.kind));
-        match &result {
-            Ok(resp) => span = span.with_arg(ArgKey::Hops, u64::from(resp.hops)),
-            Err(_) => span = span.with_arg(ArgKey::Error, 1),
-        }
-        tracer.record(span);
-        result
-    }
-
-    fn execute_inner(
-        &mut self,
-        op: Operation,
-        ctx: Option<SpanCtx>,
-    ) -> Result<Response, ClientError> {
-        let id = RequestId(self.next_id);
-        self.next_id += 1;
-        let started = Instant::now();
-        let mut hops = 0u32;
-        let mut forced: Option<usize> = None;
-        let mut not_found_streak = 0usize;
-        let mut got_response = false;
-        let mut backoffs = 0usize;
-        for _attempt in 0..self.retry.max_attempts {
-            if started.elapsed() >= self.retry.deadline {
-                return Err(ClientError::DeadlineExceeded {
-                    elapsed: started.elapsed(),
-                });
-            }
-            if backoffs > 0 {
-                let pause = self.retry.backoff(backoffs - 1, &mut self.rng);
-                let remaining = self.retry.deadline.saturating_sub(started.elapsed());
-                std::thread::sleep(pause.min(remaining));
-            }
-            let (dest, route_code) = match forced.take() {
-                Some(d) => (d, RouteDecision::REDIRECT_CODE),
-                None => match self.index.locate(self.tree, op.target) {
-                    Some((_, owner)) => (self.slot(owner), 0),
-                    None => (self.rng.gen_range(0..self.addrs.len()), 1),
-                },
-            };
-            if self.conns[dest].is_none() {
-                match NetClient::connect(&self.addrs[dest], self.timeout) {
-                    Ok(c) => {
-                        self.counters.conns.inc();
-                        self.conns[dest] = Some(c);
-                    }
-                    Err(_) => {
-                        // Server unreachable (down, or not listening
-                        // yet): back off and retry like a timeout.
-                        self.attempt_span(ctx, started, dest, route_code, 3);
-                        backoffs += 1;
-                        continue;
-                    }
+                    Outcome::TimedOut
+                };
+                match self.feed(&mut inf, outcome) {
+                    done @ Step::Done(_) => self.finish(inf, done),
+                    again => unfinished.push((inf, again)),
                 }
             }
-            let req = Request {
-                id,
-                kind: op.kind,
-                target: op.target,
-                hops,
-                trace: ctx.map(|c| (c.trace.0, c.span.0)),
-            };
-            let attempt_t0 = self.tracer.map(Tracer::now_us);
-            self.counters.frames.inc();
-            let outcome = self.conns[dest].as_mut().expect("just ensured").call(&req);
-            match outcome {
-                Ok(resp) if resp.id == id => {
-                    self.counters.frames.inc();
-                    got_response = true;
-                    match resp.body {
-                        ResponseBody::Served { .. } => {
-                            self.attempt_span_at(ctx, attempt_t0, dest, route_code, 0);
-                            return Ok(resp);
-                        }
-                        ResponseBody::Redirect { owner } => {
-                            self.attempt_span_at(ctx, attempt_t0, dest, route_code, 1);
-                            hops += 1;
-                            forced = Some(self.slot(owner));
-                            self.stats.redirects += 1;
-                            // A redirect carries fresh routing: no backoff.
-                        }
-                        ResponseBody::NotFound => {
-                            self.attempt_span_at(ctx, attempt_t0, dest, route_code, 2);
-                            not_found_streak += 1;
-                            if not_found_streak >= 3 {
-                                return Err(ClientError::NotFound);
-                            }
-                            backoffs += 1;
-                        }
-                    }
-                }
-                Ok(_) => {
-                    // Response id mismatch: the stream is desynced (a
-                    // late answer to an abandoned request). Drop the
-                    // connection; its replacement starts clean.
-                    self.attempt_span_at(ctx, attempt_t0, dest, route_code, 4);
-                    self.counters.resets.inc();
-                    self.conns[dest] = None;
-                    self.stats.reconnects += 1;
-                    backoffs += 1;
-                }
-                Err(_) => {
-                    // Timeout, reset or garble: same cure — a timed-out
-                    // connection cannot be reused, its late response
-                    // would pair with the wrong request.
-                    self.attempt_span_at(ctx, attempt_t0, dest, route_code, 3);
-                    self.counters.resets.inc();
-                    self.conns[dest] = None;
-                    self.stats.reconnects += 1;
-                    backoffs += 1;
-                }
+            for (inf, step) in unfinished.drain(..) {
+                self.finish(inf, step);
             }
-        }
-        Err(if got_response {
-            ClientError::RetriesExhausted {
-                attempts: self.retry.max_attempts,
-            }
-        } else {
-            ClientError::Timeout {
-                attempts: self.retry.max_attempts,
-            }
-        })
-    }
-
-    /// Attempt span with `start` taken now-ish (connect failures, where
-    /// no pre-call timestamp was captured).
-    fn attempt_span(
-        &self,
-        ctx: Option<SpanCtx>,
-        _started: Instant,
-        dest: usize,
-        route: u64,
-        outcome: u64,
-    ) {
-        let t0 = self.tracer.map(Tracer::now_us);
-        self.attempt_span_at(ctx, t0, dest, route, outcome);
-    }
-
-    /// Records one client try as an `attempt` span: which server slot,
-    /// how it was routed, how it ended (0 served, 1 redirect,
-    /// 2 not-found, 3 timeout/unreachable, 4 desynced/garbled).
-    fn attempt_span_at(
-        &self,
-        ctx: Option<SpanCtx>,
-        t0: Option<u64>,
-        dest: usize,
-        route: u64,
-        outcome: u64,
-    ) {
-        if let (Some(tr), Some(ctx)) = (self.tracer, ctx) {
-            let start = t0.unwrap_or(0);
-            tr.record(
-                Span::child(
-                    ctx,
-                    tr.next_span(ctx.trace),
-                    span_names::ATTEMPT,
-                    start,
-                    tr.now_us().saturating_sub(start),
-                )
-                .on_mds(dest as u16)
-                .with_arg(ArgKey::Route, route)
-                .with_arg(ArgKey::Outcome, outcome),
-            );
         }
     }
 }
@@ -1989,45 +1661,14 @@ pub fn run_load(
                         ),
                         tracer,
                         counters,
+                        hist,
+                        op_latency,
                         stats: WorkerStats::default(),
                         // Ids unique across workers so a desynced frame
                         // can never pair with another worker's request.
                         next_id: (w as u64) << 48 | 1,
                     };
-                    if cfg.pipeline > 1 {
-                        worker.run_pipelined(
-                            ops,
-                            w,
-                            cfg.conns,
-                            cfg.pipeline,
-                            interval,
-                            started,
-                            hist,
-                            &op_latency,
-                        );
-                        return worker.stats;
-                    }
-                    let mut k = 0u32;
-                    let mut i = w;
-                    while i < ops.len() {
-                        let op = ops[i];
-                        let t0 = match interval {
-                            Some(iv) => {
-                                let scheduled = started + iv * k;
-                                let now = Instant::now();
-                                if scheduled > now {
-                                    std::thread::sleep(scheduled - now);
-                                }
-                                scheduled
-                            }
-                            None => Instant::now(),
-                        };
-                        k += 1;
-                        worker.stats.attempted += 1;
-                        let result = worker.execute(op);
-                        worker.account(&result, t0, hist, &op_latency);
-                        i += cfg.conns;
-                    }
+                    worker.run(ops, w, cfg.conns, cfg.pipeline, interval, started);
                     worker.stats
                 })
             })
@@ -2074,6 +1715,7 @@ pub fn run_load(
 #[cfg(test)]
 mod tests {
     use super::*;
+    use d2tree_metrics::Assignment;
     use d2tree_namespace::NodeKind;
 
     fn request_frame(id: u64, target: u32) -> Vec<u8> {

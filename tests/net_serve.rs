@@ -416,6 +416,76 @@ fn pipelined_load_follows_redirects_to_completion() {
 }
 
 #[test]
+fn a_misrouted_op_costs_one_redirect_and_two_round_trips_at_any_depth() {
+    use d2tree::metrics::Assignment;
+    let (tree, trace, placement, owners) = derive(2, 47);
+    let registry = Arc::new(Registry::new());
+    names::register_all(&registry);
+    let (mds0, server0) = start_mds(&tree, &placement, &owners, 0, &registry, None);
+    let (mds1, server1) = start_mds(&tree, &placement, &owners, 1, &registry, None);
+
+    // The client's index is wrong about every other subtree of MDS 1:
+    // it sends their operations to MDS 0, which redirects them.
+    let mut wrong = owners.clone();
+    for entry in wrong.iter_mut().filter(|e| e.1 == 1).step_by(2) {
+        entry.1 = 0;
+    }
+    let ops = 600usize;
+    let index = index_from(&wrong);
+    let misrouted = (0..ops)
+        .map(|i| trace.ops()[i % trace.len()].target)
+        .filter(|&target| match index.locate(&tree, target) {
+            Some((_, guess)) => placement.assignment(target) != Assignment::Single(guess),
+            None => false, // global layer: any daemon serves it
+        })
+        .count() as u64;
+    assert!(
+        misrouted > 0 && misrouted < ops as u64,
+        "the wrong index must misroute some operations and not all: {misrouted}"
+    );
+
+    let mut redirected = 0;
+    for pipeline in [1usize, 8] {
+        // The client counts its frames in a registry of its own.
+        let client_registry = Arc::new(Registry::new());
+        names::register_all(&client_registry);
+        let mut cfg = load_cfg(
+            vec![
+                server0.local_addr().to_string(),
+                server1.local_addr().to_string(),
+            ],
+            3,
+            ops,
+            LoadMode::Closed,
+        );
+        cfg.pipeline = pipeline;
+        let report = run_load(&cfg, &tree, &index, &trace, &client_registry, None);
+
+        assert_eq!(report.completed, ops as u64, "depth {pipeline}");
+        assert_eq!(report.errors, 0, "depth {pipeline}");
+        assert_eq!(report.reconnects, 0, "depth {pipeline}");
+        assert_eq!(
+            report.redirects_followed, misrouted,
+            "depth {pipeline}: one followed redirect per misrouted op"
+        );
+        // Two requests sent and two responses read for a misrouted op,
+        // one of each for the rest: a redirect resumes where it points,
+        // it does not start over through the same wrong index.
+        let frames = client_registry
+            .counter(d2tree::telemetry::MetricKey::global(
+                names::NET_FRAMES_TOTAL,
+            ))
+            .get();
+        assert_eq!(frames, 2 * ops as u64 + 2 * misrouted, "depth {pipeline}");
+        redirected += misrouted;
+        assert_eq!(mds0.redirects() + mds1.redirects(), redirected);
+    }
+    assert_eq!(mds0.served() + mds1.served(), 2 * ops as u64);
+    let _ = server0.shutdown();
+    let _ = server1.shutdown();
+}
+
+#[test]
 fn committed_net_artifact_is_a_live_run() {
     // The committed benchmark report must come from a run that actually
     // completed operations — a dead artifact ("completed": 0) means the

@@ -468,3 +468,175 @@ fn serve_daemon_crash_mid_group_commit_recovers_the_committed_prefix() {
     );
     let _ = fs::remove_dir_all(&dir);
 }
+
+/// Every record in a store directory's WAL, in LSN order.
+fn wal_records(dir: &std::path::Path) -> Vec<MdsRecord> {
+    use d2tree::store::wal::{list_segments, scan_segment};
+    let segments = list_segments(dir).expect("list segments");
+    let last = segments.len().saturating_sub(1);
+    let mut records = Vec::new();
+    for (i, (first_lsn, path)) in segments.iter().enumerate() {
+        let scan = scan_segment(path, *first_lsn, i == last).expect("scan segment");
+        records.extend(scan.frames.into_iter().map(|f| f.record));
+    }
+    records
+}
+
+/// Opening an MDS's store is one procedure with one behaviour, whoever
+/// asks — a TCP daemon attaching its store, a cluster starting on a
+/// used store root, an MDS restarting inside a running cluster: the
+/// attribute table comes back at the journaled versions, the popularity
+/// counts at the journaled values, and journaled ownership converges on
+/// the index — stale roots shed first, then (on a start, not on a
+/// rejoin) the index's roots acquired, in root order.
+#[test]
+fn reopened_stores_resume_journaled_state_and_converge_ownership() {
+    use d2tree::cluster::{NetMds, Request, RequestId, ResponseBody};
+    use d2tree::metrics::{Assignment, Placement};
+    use d2tree::namespace::{NamespaceTree, NodeKind};
+    use d2tree::telemetry::Registry;
+
+    // /a/f and /b/g belong to MDS 0, /c to MDS 1; the root is global.
+    let mut tree = NamespaceTree::new();
+    let [a, b, c] = ["a", "b", "c"].map(|name| {
+        tree.create(tree.root(), name, NodeKind::Directory)
+            .expect("create")
+    });
+    let f = tree.create(a, "f", NodeKind::File).expect("create");
+    let g = tree.create(b, "g", NodeKind::File).expect("create");
+    let tree = Arc::new(tree);
+    let mut placement = Placement::new(&tree, 2);
+    placement.set(tree.root(), Assignment::Replicated);
+    for (node, owner) in [(a, 0), (f, 0), (b, 0), (g, 0), (c, 1)] {
+        placement.set(node, Assignment::Single(MdsId(owner)));
+    }
+    let index = || {
+        let mut index = d2tree::core::LocalIndex::new();
+        index.insert(a, MdsId(0));
+        index.insert(b, MdsId(0));
+        index.insert(c, MdsId(1));
+        index
+    };
+    let id = |n: d2tree::namespace::NodeId| n.index() as u64;
+    let owns = |root, acquired| MdsRecord::Ownership {
+        root: id(root),
+        acquired,
+    };
+    let attr_at = |version| AttrState {
+        version,
+        mode: 0o644,
+        uid: 1,
+        gid: 1,
+        size: 10,
+        mtime: 99,
+    };
+    let counted = |root, count: f64| MdsRecord::Popularity {
+        root: id(root),
+        bits: count.to_bits(),
+    };
+    // What an earlier run left in MDS 0's store: /c, since re-homed,
+    // still owned; /a/f committed three times; /a served 41 times.
+    let previous_run = [
+        owns(a, true),
+        owns(c, true),
+        MdsRecord::AttrCommit {
+            node: id(f),
+            gl: false,
+            attr: attr_at(3),
+        },
+        counted(a, 41.0),
+    ];
+    let leave = |root: &std::path::Path, records: &[MdsRecord]| {
+        let (mut store, _) =
+            MdsStore::open(root.join("mds-0"), StoreConfig::manual()).expect("open");
+        for &record in records {
+            store.append(record).expect("append");
+        }
+        store.sync().expect("sync");
+    };
+    let read = |target| Operation {
+        target,
+        kind: OpKind::Read,
+    };
+    let converged = [owns(c, false), owns(a, true), owns(b, true)];
+
+    // (a) The daemon.
+    let dir = tmp_dir("reopen-net");
+    leave(&dir, &previous_run);
+    let registry = Arc::new(Registry::new());
+    let mds = NetMds::new(
+        Arc::clone(&tree),
+        placement.clone(),
+        index(),
+        MdsId(0),
+        registry,
+    )
+    .with_store_root(&dir, StoreConfig::manual());
+    assert_eq!(mds.store_next_lsn(), Some(7));
+    assert_eq!(mds.attr_version(f), 3);
+    let resp = mds.serve(Request {
+        id: RequestId(1),
+        kind: OpKind::Read,
+        target: f,
+        hops: 0,
+        trace: None,
+    });
+    assert!(matches!(resp.body, ResponseBody::Served { .. }));
+    drop(mds);
+    let mut expected = previous_run.to_vec();
+    expected.extend(converged);
+    let reopened = expected.len();
+    expected.push(counted(a, 42.0));
+    assert_eq!(wal_records(&dir.join("mds-0")), expected);
+    let _ = fs::remove_dir_all(&dir);
+
+    // (b) The cluster: a start on the same used root, then a restart.
+    let dir = tmp_dir("reopen-live");
+    leave(&dir, &previous_run);
+    let cluster = LiveCluster::start_with_index(
+        Arc::clone(&tree),
+        placement,
+        index(),
+        LiveConfig {
+            store_root: Some(dir.clone()),
+            store: StoreConfig::manual(),
+            // Nothing but this test moves a subtree or declares a death.
+            failure_timeout: Duration::from_secs(600),
+            rebalance_factor: f64::INFINITY,
+            ..LiveConfig::default()
+        },
+    );
+    assert_eq!(cluster.attr_version(MdsId(0), f), 3);
+    let mut client = cluster.client(1);
+    client.execute(read(f)).expect("served");
+    assert!(cluster.kill(MdsId(0)));
+    // While it is down the store gains what a longer life would have
+    // journaled: /c owned again, a newer /a/f, a count for /b.
+    let while_down = [
+        owns(c, true),
+        MdsRecord::AttrCommit {
+            node: id(f),
+            gl: false,
+            attr: attr_at(5),
+        },
+        counted(b, 7.0),
+    ];
+    leave(&dir, &while_down);
+    assert!(cluster.restart(MdsId(0)));
+    assert_eq!(cluster.attr_version(MdsId(0), f), 5);
+    client.execute(read(g)).expect("served");
+    client.execute(read(f)).expect("served");
+    drop(client);
+    let _ = cluster.shutdown();
+    // The start journaled what the daemon did. The first read's count
+    // was not synced when the crash came, so the journal lost it — the
+    // cluster's memory did not.
+    expected.truncate(reopened);
+    expected.extend(while_down);
+    // A rejoin sheds and acquires nothing; the count of /b resumes
+    // from the journal, the count of /a from the survivors' memory.
+    expected.extend([owns(c, false), counted(b, 8.0), counted(a, 43.0)]);
+    assert_eq!(wal_records(&dir.join("mds-0")), expected);
+    assert_eq!(wal_records(&dir.join("mds-1")), [owns(c, true)]);
+    let _ = fs::remove_dir_all(&dir);
+}

@@ -10,15 +10,22 @@
 
 use d2tree_namespace::{NamespaceTree, NodeId};
 
+const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
+const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
+
 /// FNV-1a hash of a byte string — stable across platforms and releases.
 #[must_use]
 pub fn fnv1a(bytes: &[u8]) -> u64 {
-    const OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
-    const PRIME: u64 = 0x0000_0100_0000_01b3;
-    let mut h = OFFSET;
+    fnv1a_extend(FNV_OFFSET, bytes)
+}
+
+/// Continues a raw (unfinalised) FNV-1a state over more bytes:
+/// `fnv1a_extend(fnv1a(a), b) == fnv1a(a ++ b)`, so a tree walk can hash
+/// every pathname by extending its parent's state with one component.
+pub(crate) fn fnv1a_extend(mut h: u64, bytes: &[u8]) -> u64 {
     for &b in bytes {
         h ^= u64::from(b);
-        h = h.wrapping_mul(PRIME);
+        h = h.wrapping_mul(FNV_PRIME);
     }
     h
 }
@@ -32,7 +39,11 @@ pub fn fnv1a(bytes: &[u8]) -> u64 {
 /// finaliser folds the high bits down before any modulo.
 #[must_use]
 pub fn stable_hash(bytes: &[u8]) -> u64 {
-    let mut h = fnv1a(bytes);
+    finalise(fnv1a(bytes))
+}
+
+/// [`stable_hash`]'s finaliser, for callers holding a raw FNV-1a state.
+pub(crate) fn finalise(mut h: u64) -> u64 {
     h ^= h >> 30;
     h = h.wrapping_mul(0xbf58_476d_1ce4_e5b9);
     h ^= h >> 27;
@@ -57,29 +68,45 @@ pub fn stable_hash(bytes: &[u8]) -> u64 {
 /// hold `f64::NAN`.
 #[must_use]
 pub fn locality_keys(tree: &NamespaceTree) -> Vec<f64> {
+    // Pre-order, so a reverse sweep sees every child before its parent
+    // and a forward sweep every parent before its children.
+    let mut order: Vec<NodeId> = Vec::with_capacity(tree.node_count());
+    let mut stack = vec![tree.root()];
+    while let Some(id) = stack.pop() {
+        order.push(id);
+        let node = tree.node(id).expect("children of live nodes are live");
+        stack.extend(node.children().map(|(_, c)| c));
+    }
+    let mut size = vec![0usize; tree.arena_size()];
+    for &id in order.iter().rev() {
+        size[id.index()] += 1;
+        if let Some(parent) = tree.node(id).and_then(|n| n.parent()) {
+            size[parent.index()] += size[id.index()];
+        }
+    }
+
+    // `keys[id]` is the start of a node's interval and `ends[id]` its end,
+    // both written when the node's parent is subdivided.
     let mut keys = vec![f64::NAN; tree.arena_size()];
-    // DFS with explicit intervals.
-    let mut stack: Vec<(NodeId, f64, f64)> = vec![(tree.root(), 0.0, 1.0)];
-    while let Some((id, start, end)) = stack.pop() {
-        keys[id.index()] = start;
-        let node = match tree.node(id) {
-            Some(n) => n,
-            None => continue,
-        };
-        let kids: Vec<NodeId> = node.children().map(|(_, c)| c).collect();
-        if kids.is_empty() {
+    let mut ends = vec![f64::NAN; tree.arena_size()];
+    keys[tree.root().index()] = 0.0;
+    ends[tree.root().index()] = 1.0;
+    for &id in &order {
+        let node = tree.node(id).expect("order holds live nodes");
+        if node.child_count() == 0 {
             continue;
         }
-        let sizes: Vec<f64> = kids.iter().map(|&k| tree.subtree_size(k) as f64).collect();
-        let total: f64 = sizes.iter().sum();
+        let (start, end) = (keys[id.index()], ends[id.index()]);
+        let total: f64 = node.children().map(|(_, c)| size[c.index()] as f64).sum();
         // The parent keeps an epsilon-slot at `start`; children share the
         // rest of the interval proportionally.
         let span = end - start;
         let lead = span * 1e-9; // parent's own point
         let mut cursor = start + lead;
-        for (k, sz) in kids.iter().zip(&sizes) {
-            let width = (span - lead) * sz / total;
-            stack.push((*k, cursor, cursor + width));
+        for (_, c) in node.children() {
+            let width = (span - lead) * size[c.index()] as f64 / total;
+            keys[c.index()] = cursor;
+            ends[c.index()] = cursor + width;
             cursor += width;
         }
     }
@@ -155,6 +182,55 @@ mod tests {
         assert_eq!(fnv1a(b""), 0xcbf2_9ce4_8422_2325);
         assert_ne!(fnv1a(b"/a/b"), fnv1a(b"/a/c"));
         assert_eq!(fnv1a(b"/same"), fnv1a(b"/same"));
+    }
+
+    /// The recount implementation `locality_keys` replaced, kept as the
+    /// oracle: `subtree_size` per child, two `Vec`s per node.
+    fn locality_keys_by_recount(tree: &NamespaceTree) -> Vec<f64> {
+        let mut keys = vec![f64::NAN; tree.arena_size()];
+        let mut stack: Vec<(NodeId, f64, f64)> = vec![(tree.root(), 0.0, 1.0)];
+        while let Some((id, start, end)) = stack.pop() {
+            keys[id.index()] = start;
+            let node = match tree.node(id) {
+                Some(n) => n,
+                None => continue,
+            };
+            let kids: Vec<NodeId> = node.children().map(|(_, c)| c).collect();
+            if kids.is_empty() {
+                continue;
+            }
+            let sizes: Vec<f64> = kids.iter().map(|&k| tree.subtree_size(k) as f64).collect();
+            let total: f64 = sizes.iter().sum();
+            let span = end - start;
+            let lead = span * 1e-9;
+            let mut cursor = start + lead;
+            for (k, sz) in kids.iter().zip(&sizes) {
+                let width = (span - lead) * sz / total;
+                stack.push((*k, cursor, cursor + width));
+                cursor += width;
+            }
+        }
+        keys
+    }
+
+    #[test]
+    fn single_pass_keys_are_bit_identical_to_the_recount() {
+        for seed in [1, 2] {
+            for (name, tree) in crate::tests::oracle_trees(seed) {
+                let bits = |keys: Vec<f64>| keys.into_iter().map(f64::to_bits).collect::<Vec<_>>();
+                assert_eq!(
+                    bits(locality_keys(&tree)),
+                    bits(locality_keys_by_recount(&tree)),
+                    "{name} tree, seed {seed}"
+                );
+            }
+        }
+    }
+
+    #[test]
+    fn fnv_extends_incrementally() {
+        assert_eq!(fnv1a_extend(fnv1a(b"/a"), b"/bc"), fnv1a(b"/a/bc"));
+        assert_eq!(finalise(fnv1a(b"/a/bc")), stable_hash(b"/a/bc"));
     }
 
     #[test]

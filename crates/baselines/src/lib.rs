@@ -75,7 +75,42 @@ pub fn extended_lineup(gl_proportion: f64, seed: u64) -> Vec<Box<dyn Partitioner
 mod tests {
     use super::*;
     use d2tree_metrics::ClusterSpec;
+    use d2tree_namespace::NamespaceTree;
     use d2tree_workload::{TraceProfile, WorkloadBuilder};
+
+    /// The trees the single-pass builds are checked on against their
+    /// string/recount oracles: a deep one (DTR, depth 49), a wide one
+    /// (LMBE), and one with tombstones and a subtree moved under a
+    /// younger directory, so arena order is not parent-before-child.
+    pub(crate) fn oracle_trees(seed: u64) -> Vec<(&'static str, NamespaceTree)> {
+        let synth = |profile: TraceProfile| {
+            WorkloadBuilder::new(profile.with_nodes(1_500).with_operations(10))
+                .seed(seed)
+                .build()
+                .tree
+        };
+        let mut edited = synth(TraceProfile::ra());
+        let mut dirs: Vec<_> = edited
+            .nodes()
+            .filter(|(_, n)| n.kind().is_directory() && n.parent() == Some(edited.root()))
+            .map(|(id, _)| id)
+            .collect();
+        assert!(dirs.len() >= 3, "need three first-level directories");
+        let removed = dirs.remove(1);
+        assert!(edited.remove_subtree(removed).expect("live directory") > 1);
+        // The oldest directory goes under the youngest.
+        let (oldest, youngest) = (dirs[0], *dirs.last().expect("non-empty"));
+        assert!(oldest < youngest && edited.subtree_size(oldest) > 1);
+        edited
+            .move_subtree(oldest, youngest)
+            .expect("disjoint subtrees");
+        assert!(edited.arena_size() > edited.node_count());
+        vec![
+            ("dtr", synth(TraceProfile::dtr())),
+            ("lmbe", synth(TraceProfile::lmbe())),
+            ("edited", edited),
+        ]
+    }
 
     #[test]
     fn every_scheme_builds_a_complete_placement() {

@@ -19,13 +19,12 @@
 //! exactly reproducible.
 
 use std::cmp::Reverse;
-use std::collections::{BinaryHeap, HashMap, VecDeque};
+use std::collections::hash_map::Entry;
+use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
-use d2tree_namespace::NodeId;
-
 use d2tree_core::Partitioner;
-use d2tree_namespace::NamespaceTree;
+use d2tree_namespace::{NamespaceTree, NodeId, NodeIdMap};
 use d2tree_telemetry::trace::{span_names, ArgKey, Span, SpanCtx, Tracer};
 use d2tree_telemetry::{names, FaultKind, LocalHistogram, MetricKey, Registry};
 use d2tree_workload::{OpKind, Trace};
@@ -138,6 +137,8 @@ struct ReqState {
     issued_at: u64,
     /// Whether this request takes the lock-service path on arrival.
     locked: bool,
+    /// Times an injected fault has dropped this request so far.
+    resends: u32,
     /// Root span context when this operation was sampled for tracing.
     ctx: Option<SpanCtx>,
     /// Virtual time the in-flight hop arrived (queue start), for span
@@ -145,26 +146,92 @@ struct ReqState {
     hop_arrived_at: u64,
 }
 
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum Event {
+/// What a queued event does when it fires. `who` in the event key is the
+/// client, except for `ApplyDone` and `Waste`, where it is the server.
+#[repr(u8)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+enum EventKind {
     /// A client pulls its next trace operation.
-    Issue { client: u32 },
+    Issue,
     /// A request lands in a server's queue.
-    Arrive { client: u32 },
+    Arrive,
     /// A server finishes one service slot for the request.
-    ServeDone { client: u32 },
+    ServeDone,
     /// A global-layer update reaches the lock service.
-    LockArrive { client: u32 },
+    LockArrive,
     /// The lock holder commits; replicas start applying.
-    LockDone { client: u32 },
-    /// One server finishes applying a replicated update.
-    ApplyDone { server: u32 },
+    LockDone,
+    /// A server finishes a replica apply or a wasted duplicate.
+    ApplyDone,
     /// A client re-sends a request whose first copy an injected fault
     /// dropped (fires after `retry_timeout_ns`).
-    Resend { client: u32 },
+    Resend,
     /// A fault-duplicated request copy arrives: the server does the full
     /// service work, then discards the result.
-    Waste { server: u32 },
+    Waste,
+}
+
+/// An event key `(t, seq, who, kind)`; `seq` is unique, so events pop in
+/// `(t, seq)` order.
+type EventKey = (u64, u64, u32, EventKind);
+
+/// Lanes an [`EventQueue`] opens before new delays go to the overflow
+/// heap. A fault-free replay needs at most seven (the initial zero, client
+/// and hop latency, the two service times, replica apply, the lock hold);
+/// a fault plan adds the resend timeout and one per distinct delay in
+/// milliseconds.
+const MAX_LANES: usize = 12;
+
+/// The pending-event set, popping in `(t, seq)` order.
+///
+/// Every event is pushed at `now + d`, where `now` (the time of the last
+/// pop) never decreases and `d` is one of a handful of configuration
+/// constants. Pushes that share a `d` therefore arrive already sorted by
+/// `(t, seq)`, so one FIFO per distinct delay replaces a heap: push scans
+/// the few lanes for its delay, pop takes the least lane front. Delays
+/// past [`MAX_LANES`] (a fault plan with wide delay jitter) share one
+/// binary heap whose top joins the same minimum.
+#[derive(Debug, Default)]
+struct EventQueue {
+    /// Time of the last pop.
+    now: u64,
+    seq: u64,
+    lanes: Vec<(u64, VecDeque<EventKey>)>,
+    overflow: BinaryHeap<Reverse<EventKey>>,
+}
+
+impl EventQueue {
+    fn push(&mut self, at: u64, who: u32, kind: EventKind) {
+        debug_assert!(at >= self.now, "event at {at} before now {}", self.now);
+        let delay = at - self.now;
+        self.seq += 1;
+        let key = (at, self.seq, who, kind);
+        if let Some((_, lane)) = self.lanes.iter_mut().find(|(d, _)| *d == delay) {
+            lane.push_back(key);
+        } else if self.lanes.len() < MAX_LANES {
+            self.lanes.push((delay, VecDeque::from([key])));
+        } else {
+            self.overflow.push(Reverse(key));
+        }
+    }
+
+    fn pop(&mut self) -> Option<EventKey> {
+        let mut best: Option<(usize, EventKey)> = None;
+        for (i, (_, lane)) in self.lanes.iter().enumerate() {
+            if let Some(&front) = lane.front() {
+                if best.is_none_or(|(_, b)| front < b) {
+                    best = Some((i, front));
+                }
+            }
+        }
+        let key = match (best, self.overflow.peek()) {
+            (Some((_, b)), Some(&Reverse(o))) if o < b => self.overflow.pop()?.0,
+            (Some((i, _)), _) => self.lanes[i].1.pop_front()?,
+            (None, _) => self.overflow.pop()?.0,
+        };
+        self.now = key.0;
+        Some(key)
+    }
 }
 
 /// A unit of work in a server's FIFO queue: a client request stage, the
@@ -179,45 +246,9 @@ enum Job {
     Waste(Option<SpanCtx>),
 }
 
-/// How the (possibly faulty) network treats one client→server send.
-enum SendPlan {
-    /// The request arrives at this virtual time.
-    Deliver(u64),
-    /// It arrives, and a duplicate copy arrives with it (wasted work).
-    DeliverDup(u64),
-    /// It was dropped; the client resends at this virtual time.
-    Resend(u64),
-}
-
 /// Resend cap per client per request: past this, deliver unconditionally
 /// so a 100%-drop plan cannot hang the closed loop forever.
 const MAX_RESENDS: u32 = 64;
-
-fn plan_send(
-    injector: Option<&FaultInjector>,
-    drops: &mut u32,
-    server: u16,
-    t: u64,
-    cfg: &SimConfig,
-) -> SendPlan {
-    let base = t + cfg.client_latency_ns;
-    let Some(inj) = injector else {
-        return SendPlan::Deliver(base);
-    };
-    match inj.decide(NetEdge::ClientToMds(server), t / 1_000_000) {
-        FaultDecision::Deliver => SendPlan::Deliver(base),
-        FaultDecision::Drop => {
-            if *drops >= MAX_RESENDS {
-                SendPlan::Deliver(base)
-            } else {
-                *drops += 1;
-                SendPlan::Resend(t + cfg.retry_timeout_ns)
-            }
-        }
-        FaultDecision::Delay(ms) => SendPlan::Deliver(base + ms * 1_000_000),
-        FaultDecision::DeliverTwice => SendPlan::DeliverDup(base),
-    }
-}
 
 /// Numeric op-kind tag used in root-span args (read 0, write 1, update 2).
 pub(crate) fn op_kind_code(kind: OpKind) -> u64 {
@@ -228,69 +259,7 @@ pub(crate) fn op_kind_code(kind: OpKind) -> u64 {
     }
 }
 
-/// Records the network-leg span for one client→server send, tagging it
-/// with the injected fault (if any), and enqueues the trace context for
-/// a duplicated copy so the eventual `Waste` event can attribute its
-/// wasted service time. Purely observational.
-fn trace_send(
-    tracer: Option<&Tracer>,
-    ctx: Option<SpanCtx>,
-    sp: &SendPlan,
-    t: u64,
-    server: u16,
-    cfg: &SimConfig,
-    waste_ctx: &mut [VecDeque<Option<SpanCtx>>],
-) {
-    let Some(tr) = tracer else { return };
-    if matches!(sp, SendPlan::DeliverDup(_)) {
-        waste_ctx[server as usize].push_back(ctx);
-    }
-    let Some(ctx) = ctx else { return };
-    match *sp {
-        SendPlan::Deliver(at) => {
-            let mut span = Span::child(
-                ctx,
-                tr.next_span(ctx.trace),
-                span_names::NET,
-                t / 1_000,
-                (at - t) / 1_000,
-            )
-            .on_mds(server);
-            if at > t + cfg.client_latency_ns {
-                span = span.with_fault(FaultKind::Delay);
-            }
-            tr.record(span);
-        }
-        SendPlan::DeliverDup(at) => {
-            tr.record(
-                Span::child(
-                    ctx,
-                    tr.next_span(ctx.trace),
-                    span_names::NET,
-                    t / 1_000,
-                    (at - t) / 1_000,
-                )
-                .on_mds(server)
-                .with_fault(FaultKind::Duplicate),
-            );
-        }
-        SendPlan::Resend(at) => {
-            tr.record(
-                Span::child(
-                    ctx,
-                    tr.next_span(ctx.trace),
-                    span_names::RESEND_WAIT,
-                    t / 1_000,
-                    (at - t) / 1_000,
-                )
-                .on_mds(server)
-                .with_fault(FaultKind::Drop),
-            );
-        }
-    }
-}
-
-#[derive(Debug)]
+#[derive(Debug, Default)]
 struct Server {
     busy_workers: usize,
     queue: VecDeque<Job>,
@@ -473,18 +442,6 @@ impl Simulator {
         &self.config
     }
 
-    fn service_ns(&self, kind: OpKind, terminal: bool) -> u64 {
-        if terminal && kind == OpKind::Update {
-            self.update_service()
-        } else {
-            self.config.read_service_ns
-        }
-    }
-
-    fn update_service(&self) -> u64 {
-        self.config.update_service_ns
-    }
-
     /// Replays `trace` in `rounds` chunks, rebalancing the scheme between
     /// chunks against popularity measured from the replayed prefix (with
     /// the paper's decaying counters) — the experimental loop behind
@@ -645,264 +602,94 @@ impl Simulator {
         trace: &Trace,
         scheme: &dyn Partitioner,
     ) -> ReplayOutcome {
+        let cfg = &self.config;
         let m = scheme.placement().cluster_size();
-        let mut tel = self.registry.is_some().then(|| ReplayTelemetry::new(m));
-        let mut rng = StdRng::seed_from_u64(self.config.seed);
-        // Fresh injector per replay: its RNG restarts from the plan seed,
-        // so identical replays see identical fault decisions.
-        let injector = self.faults.as_ref().map(|plan| {
-            let inj = FaultInjector::new(plan);
-            match &self.registry {
-                Some(r) => inj.with_registry(Arc::clone(r)),
-                None => inj,
-            }
-        });
-        let tracer = self.tracer.as_deref();
-        // Trace contexts for in-flight fault-duplicated copies, FIFO per
-        // server: pushed when a duplicate is scheduled, popped when its
-        // `Waste` event fires. Only populated while a tracer is attached,
-        // so push/pop stay aligned within a replay.
-        let mut waste_ctx: Vec<VecDeque<Option<SpanCtx>>> = vec![VecDeque::new(); m];
-        let mut servers: Vec<Server> = (0..m)
-            .map(|_| Server {
-                busy_workers: 0,
-                queue: VecDeque::new(),
-                busy_ns: 0,
-            })
-            .collect();
-        // Per-node lock state: nodes currently held, and FIFO waiters.
-        let mut locked: std::collections::HashSet<NodeId> = std::collections::HashSet::new();
-        let mut lock_waiters: HashMap<NodeId, VecDeque<u32>> = HashMap::new();
-        let mut lock_busy_ns = 0u64;
-
-        let clients = self.config.clients.min(trace.len().max(1));
-        let mut states: Vec<Option<ReqState>> = vec![None; clients];
-        let mut cursor = 0usize; // shared trace cursor
-        let ops = trace.ops();
-
-        let mut heap: BinaryHeap<Reverse<(u64, u64, u32, u8)>> = BinaryHeap::new();
-        let mut seq = 0u64;
-        // Event tags for heap entries (heap stores only copyable keys).
-        const TAG_ISSUE: u8 = 0;
-        const TAG_ARRIVE: u8 = 1;
-        const TAG_SERVE_DONE: u8 = 2;
-        const TAG_LOCK_ARRIVE: u8 = 3;
-        const TAG_LOCK_DONE: u8 = 4;
-        const TAG_APPLY_DONE: u8 = 5;
-        const TAG_RESEND: u8 = 6;
-        const TAG_WASTE: u8 = 7;
-
-        let push = |heap: &mut BinaryHeap<Reverse<(u64, u64, u32, u8)>>,
-                    seq: &mut u64,
-                    t: u64,
-                    ev: Event| {
-            let (client, tag) = match ev {
-                Event::Issue { client } => (client, TAG_ISSUE),
-                Event::Arrive { client } => (client, TAG_ARRIVE),
-                Event::ServeDone { client } => (client, TAG_SERVE_DONE),
-                Event::LockArrive { client } => (client, TAG_LOCK_ARRIVE),
-                Event::LockDone { client } => (client, TAG_LOCK_DONE),
-                Event::ApplyDone { server } => (server, TAG_APPLY_DONE),
-                Event::Resend { client } => (client, TAG_RESEND),
-                Event::Waste { server } => (server, TAG_WASTE),
-            };
-            *seq += 1;
-            heap.push(Reverse((t, *seq, client, tag)));
+        let mut rng = StdRng::seed_from_u64(cfg.seed);
+        let clients = cfg.clients.min(trace.len().max(1));
+        let mut run = Replay {
+            cfg,
+            tracer: self.tracer.as_deref(),
+            // Fresh injector per replay: its RNG restarts from the plan seed,
+            // so identical replays see identical fault decisions.
+            injector: self.faults.as_ref().map(|plan| {
+                let inj = FaultInjector::new(plan);
+                match &self.registry {
+                    Some(r) => inj.with_registry(Arc::clone(r)),
+                    None => inj,
+                }
+            }),
+            queue: EventQueue::default(),
+            servers: (0..m).map(|_| Server::default()).collect(),
+            states: vec![None; clients],
+            waste_ctx: vec![VecDeque::new(); m],
+            tel: self.registry.is_some().then(|| ReplayTelemetry::new(m)),
+            served_ops: vec![0; m],
+            latencies: Vec::with_capacity(trace.len()),
         };
-
-        // Per-client resend counter for the current request, reset on issue.
-        let mut drop_counts = vec![0u32; clients];
-
-        for c in 0..clients as u32 {
-            push(&mut heap, &mut seq, 0, Event::Issue { client: c });
-        }
-
+        // Per-node lock state: a held node maps to its FIFO of waiters.
+        let mut lock_waiters: NodeIdMap<VecDeque<u32>> = NodeIdMap::default();
+        let mut lock_busy_ns = 0u64;
         // Lock hold: fixed coordination cost, the leader's own apply, one
         // replica apply and a parallel broadcast round trip. The per-M
         // scaling cost is the real apply *work* each replica performs
         // (enqueued below on commit), not a serial hold.
-        let hold_ns = self.config.lock_base_ns
-            + self.update_service()
-            + self.config.replica_apply_ns
-            + 2 * self.config.hop_latency_ns;
+        let hold_ns = cfg.lock_base_ns
+            + cfg.update_service_ns
+            + cfg.replica_apply_ns
+            + 2 * cfg.hop_latency_ns;
 
-        let mut completed = 0usize;
-        let mut served_ops = vec![0u64; m];
-        let mut latencies: Vec<u64> = Vec::with_capacity(trace.len());
+        let ops = trace.ops();
+        let mut cursor = 0usize; // shared trace cursor
         let mut total_hops = 0u64;
-        let mut end_time = 0u64;
 
-        while let Some(Reverse((t, _, client, tag))) = heap.pop() {
-            end_time = end_time.max(t);
-            let c = client as usize;
-            match tag {
-                TAG_ISSUE => {
-                    if cursor >= ops.len() {
+        for client in 0..clients as u32 {
+            run.queue.push(0, client, EventKind::Issue);
+        }
+        while let Some((t, _, who, kind)) = run.queue.pop() {
+            let c = who as usize;
+            match kind {
+                EventKind::Issue => {
+                    let Some(&op) = ops.get(cursor) else {
                         continue; // this client retires
-                    }
-                    let op = ops[cursor];
+                    };
                     cursor += 1;
                     let plan = scheme.route(tree, op.target, &mut rng);
                     total_hops += plan.hops() as u64;
-                    let locked_update = plan.target_replicated && op.kind == OpKind::Update;
-                    let ctx = tracer.and_then(Tracer::begin);
-                    states[c] = Some(ReqState {
+                    run.states[c] = Some(ReqState {
+                        locked: plan.target_replicated && op.kind == OpKind::Update,
+                        resends: 0,
                         visits: plan.visits,
                         next_visit: 0,
                         kind: op.kind,
                         target: op.target,
                         issued_at: t,
-                        locked: locked_update,
-                        ctx,
+                        ctx: run.tracer.and_then(Tracer::begin),
                         hop_arrived_at: t,
                     });
-                    drop_counts[c] = 0;
-                    let state = states[c].as_ref().expect("just stored");
-                    let first = state.visits[0].0;
-                    let sp = plan_send(
-                        injector.as_ref(),
-                        &mut drop_counts[c],
-                        first,
-                        t,
-                        &self.config,
-                    );
-                    trace_send(tracer, ctx, &sp, t, first, &self.config, &mut waste_ctx);
-                    match sp {
-                        SendPlan::Deliver(at) => {
-                            if locked_update {
-                                push(&mut heap, &mut seq, at, Event::LockArrive { client });
-                            } else {
-                                push(&mut heap, &mut seq, at, Event::Arrive { client });
-                            }
-                        }
-                        SendPlan::DeliverDup(at) => {
-                            if locked_update {
-                                push(&mut heap, &mut seq, at, Event::LockArrive { client });
-                            } else {
-                                push(&mut heap, &mut seq, at, Event::Arrive { client });
-                            }
-                            push(
-                                &mut heap,
-                                &mut seq,
-                                at,
-                                Event::Waste {
-                                    server: first as u32,
-                                },
-                            );
-                        }
-                        SendPlan::Resend(at) => {
-                            push(&mut heap, &mut seq, at, Event::Resend { client });
-                        }
-                    }
+                    run.send(who, t);
                 }
-                TAG_RESEND => {
-                    let (first, locked_update, ctx) = {
-                        let state = states[c].as_ref().expect("resend without a request");
-                        (state.visits[0].0, state.locked, state.ctx)
-                    };
-                    let sp = plan_send(
-                        injector.as_ref(),
-                        &mut drop_counts[c],
-                        first,
-                        t,
-                        &self.config,
-                    );
-                    trace_send(tracer, ctx, &sp, t, first, &self.config, &mut waste_ctx);
-                    match sp {
-                        SendPlan::Deliver(at) => {
-                            if locked_update {
-                                push(&mut heap, &mut seq, at, Event::LockArrive { client });
-                            } else {
-                                push(&mut heap, &mut seq, at, Event::Arrive { client });
-                            }
-                        }
-                        SendPlan::DeliverDup(at) => {
-                            if locked_update {
-                                push(&mut heap, &mut seq, at, Event::LockArrive { client });
-                            } else {
-                                push(&mut heap, &mut seq, at, Event::Arrive { client });
-                            }
-                            push(
-                                &mut heap,
-                                &mut seq,
-                                at,
-                                Event::Waste {
-                                    server: first as u32,
-                                },
-                            );
-                        }
-                        SendPlan::Resend(at) => {
-                            push(&mut heap, &mut seq, at, Event::Resend { client });
-                        }
-                    }
+                EventKind::Resend => run.send(who, t),
+                EventKind::Waste => {
+                    // The server burns one read-sized service slot on the
+                    // duplicate.
+                    let wctx = run.waste_ctx[c].pop_front().flatten();
+                    run.offer(c, Job::Waste(wctx), t);
                 }
-                TAG_WASTE => {
-                    // The "client" slot carries the server index; the server
-                    // burns one read-sized service slot on the duplicate.
-                    let server = c;
-                    let wctx = waste_ctx[server].pop_front().flatten();
-                    if servers[server].busy_workers < self.config.workers_per_mds {
-                        let svc = self.config.read_service_ns;
-                        if let (Some(tr), Some(ctx)) = (tracer, wctx) {
-                            tr.record(
-                                Span::child(
-                                    ctx,
-                                    tr.next_span(ctx.trace),
-                                    span_names::WASTE,
-                                    t / 1_000,
-                                    svc / 1_000,
-                                )
-                                .on_mds(server as u16)
-                                .with_fault(FaultKind::Duplicate),
-                            );
-                        }
-                        servers[server].busy_workers += 1;
-                        servers[server].busy_ns += svc;
-                        push(
-                            &mut heap,
-                            &mut seq,
-                            t + svc,
-                            Event::ApplyDone {
-                                server: server as u32,
-                            },
-                        );
-                    } else {
-                        servers[server].queue.push_back(Job::Waste(wctx));
-                        if let Some(tel) = &mut tel {
-                            tel.queue_pushed(server, servers[server].queue.len());
-                        }
-                    }
-                }
-                TAG_ARRIVE => {
-                    let state = states[c].as_mut().expect("arrival without a request");
+                EventKind::Arrive => {
+                    let state = run.states[c].as_mut().expect("arrival without a request");
                     state.hop_arrived_at = t;
                     let server = state.visits[state.next_visit].index();
-                    if servers[server].busy_workers < self.config.workers_per_mds {
-                        servers[server].busy_workers += 1;
-                        let terminal = state.next_visit + 1 == state.visits.len();
-                        let svc = self.service_ns(state.kind, terminal);
-                        servers[server].busy_ns += svc;
-                        push(&mut heap, &mut seq, t + svc, Event::ServeDone { client });
-                    } else {
-                        servers[server].queue.push_back(Job::Request(client));
-                        if let Some(tel) = &mut tel {
-                            tel.queue_pushed(server, servers[server].queue.len());
-                        }
-                    }
+                    run.offer(server, Job::Request(who), t);
                 }
-                TAG_SERVE_DONE => {
-                    let (server, finished, ctx, arrived) = {
-                        let state = states[c].as_mut().expect("completion without a request");
-                        let server = state.visits[state.next_visit].index();
-                        state.next_visit += 1;
-                        (
-                            server,
-                            state.next_visit == state.visits.len(),
-                            state.ctx,
-                            state.hop_arrived_at,
-                        )
-                    };
-                    if let (Some(tr), Some(ctx)) = (tracer, ctx) {
+                EventKind::ServeDone => {
+                    let state = run.states[c]
+                        .as_mut()
+                        .expect("completion without a request");
+                    let server = state.visits[state.next_visit].index();
+                    state.next_visit += 1;
+                    let finished = state.next_visit == state.visits.len();
+                    if let (Some(tr), Some(ctx)) = (run.tracer, state.ctx) {
+                        let arrived = state.hop_arrived_at;
                         tr.record(
                             Span::child(
                                 ctx,
@@ -914,152 +701,43 @@ impl Simulator {
                             .on_mds(server as u16),
                         );
                     }
-                    // Free the worker; admit the next queued job.
-                    servers[server].busy_workers -= 1;
-                    match servers[server].queue.pop_front() {
-                        Some(Job::Request(next_client)) => {
-                            let nc = next_client as usize;
-                            let nstate = states[nc].as_ref().expect("queued request state");
-                            let terminal = nstate.next_visit + 1 == nstate.visits.len();
-                            let svc = self.service_ns(nstate.kind, terminal);
-                            servers[server].busy_workers += 1;
-                            servers[server].busy_ns += svc;
-                            push(
-                                &mut heap,
-                                &mut seq,
-                                t + svc,
-                                Event::ServeDone {
-                                    client: next_client,
-                                },
-                            );
-                        }
-                        Some(Job::Apply(jctx)) => {
-                            let svc = self.config.replica_apply_ns;
-                            if let (Some(tr), Some(jctx)) = (tracer, jctx) {
-                                tr.record(
-                                    Span::child(
-                                        jctx,
-                                        tr.next_span(jctx.trace),
-                                        span_names::APPLY,
-                                        t / 1_000,
-                                        svc / 1_000,
-                                    )
-                                    .on_mds(server as u16),
-                                );
-                            }
-                            servers[server].busy_workers += 1;
-                            servers[server].busy_ns += svc;
-                            push(
-                                &mut heap,
-                                &mut seq,
-                                t + svc,
-                                Event::ApplyDone {
-                                    server: server as u32,
-                                },
-                            );
-                        }
-                        Some(Job::Waste(jctx)) => {
-                            let svc = self.config.read_service_ns;
-                            if let (Some(tr), Some(jctx)) = (tracer, jctx) {
-                                tr.record(
-                                    Span::child(
-                                        jctx,
-                                        tr.next_span(jctx.trace),
-                                        span_names::WASTE,
-                                        t / 1_000,
-                                        svc / 1_000,
-                                    )
-                                    .on_mds(server as u16)
-                                    .with_fault(FaultKind::Duplicate),
-                                );
-                            }
-                            servers[server].busy_workers += 1;
-                            servers[server].busy_ns += svc;
-                            push(
-                                &mut heap,
-                                &mut seq,
-                                t + svc,
-                                Event::ApplyDone {
-                                    server: server as u32,
-                                },
-                            );
-                        }
-                        None => {}
-                    }
-                    if let Some(tel) = &mut tel {
-                        tel.queue_popped(server, servers[server].queue.len());
-                    }
+                    run.admit_next(server, t);
                     if finished {
-                        let state = states[c].take().expect("request state");
-                        let served_by = state.visits.last().expect("non-empty").index();
-                        served_ops[served_by] += 1;
-                        let done_at = t + self.config.client_latency_ns;
-                        latencies.push(done_at - state.issued_at);
-                        if let (Some(tr), Some(ctx)) = (tracer, state.ctx) {
-                            tr.record(
-                                Span::root(
-                                    ctx,
-                                    span_names::OP,
-                                    state.issued_at / 1_000,
-                                    (done_at - state.issued_at) / 1_000,
-                                )
-                                .with_arg(ArgKey::Target, state.target.index() as u64)
-                                .with_arg(ArgKey::Kind, op_kind_code(state.kind))
-                                .with_arg(ArgKey::Hops, state.visits.len() as u64 - 1)
-                                .with_arg(ArgKey::Locked, 0),
-                            );
-                        }
-                        if let Some(tel) = &mut tel {
-                            tel.ops[served_by] += 1;
-                            tel.record_latency(state.kind, done_at - state.issued_at);
-                        }
-                        completed += 1;
-                        push(&mut heap, &mut seq, done_at, Event::Issue { client });
+                        run.complete(who, t);
                     } else {
-                        push(
-                            &mut heap,
-                            &mut seq,
-                            t + self.config.hop_latency_ns,
-                            Event::Arrive { client },
-                        );
+                        run.queue
+                            .push(t + cfg.hop_latency_ns, who, EventKind::Arrive);
                     }
                 }
-                TAG_LOCK_ARRIVE => {
-                    let state = states[c].as_mut().expect("lock arrival state");
+                EventKind::ApplyDone => run.admit_next(c, t),
+                EventKind::LockArrive => {
+                    let state = run.states[c].as_mut().expect("lock arrival state");
                     state.hop_arrived_at = t;
-                    let node = state.target;
-                    if locked.contains(&node) {
-                        lock_waiters.entry(node).or_default().push_back(client);
-                    } else {
-                        locked.insert(node);
-                        lock_busy_ns += hold_ns;
-                        push(&mut heap, &mut seq, t + hold_ns, Event::LockDone { client });
+                    match lock_waiters.entry(state.target) {
+                        Entry::Occupied(held) => held.into_mut().push_back(who),
+                        Entry::Vacant(free) => {
+                            free.insert(VecDeque::new());
+                            lock_busy_ns += hold_ns;
+                            run.queue.push(t + hold_ns, who, EventKind::LockDone);
+                        }
                     }
                 }
-                TAG_LOCK_DONE => {
-                    let state = states[c].take().expect("lock holder state");
-                    let node = state.target;
-                    match lock_waiters.get_mut(&node).and_then(VecDeque::pop_front) {
-                        Some(next_client) => {
-                            lock_busy_ns += hold_ns;
-                            push(
-                                &mut heap,
-                                &mut seq,
-                                t + hold_ns,
-                                Event::LockDone {
-                                    client: next_client,
-                                },
-                            );
-                        }
-                        None => {
-                            locked.remove(&node);
-                            lock_waiters.remove(&node);
-                        }
+                EventKind::LockDone => {
+                    let state = run.states[c].as_ref().expect("lock holder state");
+                    let (node, ctx, arrived) = (state.target, state.ctx, state.hop_arrived_at);
+                    let leader = state.visits[0].0;
+                    // The next waiter, if any, takes the lock over.
+                    let waiters = lock_waiters.get_mut(&node).expect("held lock");
+                    if let Some(next) = waiters.pop_front() {
+                        lock_busy_ns += hold_ns;
+                        run.queue.push(t + hold_ns, next, EventKind::LockDone);
+                    } else {
+                        lock_waiters.remove(&node);
                     }
                     // Lock span: the wait (if any) plus the hold, charged to
                     // the commit leader. Replica applies parent on it so the
                     // viewer shows the causal fan-out of the commit.
-                    let lock_ctx = match (tracer, state.ctx) {
+                    let lock_ctx = match (run.tracer, ctx) {
                         (Some(tr), Some(ctx)) => {
                             let id = tr.next_span(ctx.trace);
                             tr.record(
@@ -1067,10 +745,10 @@ impl Simulator {
                                     ctx,
                                     id,
                                     span_names::LOCK,
-                                    state.hop_arrived_at / 1_000,
-                                    (t - state.hop_arrived_at) / 1_000,
+                                    arrived / 1_000,
+                                    (t - arrived) / 1_000,
                                 )
-                                .on_mds(state.visits[0].0)
+                                .on_mds(leader)
                                 .with_arg(ArgKey::Node, node.index() as u64),
                             );
                             Some(SpanCtx {
@@ -1083,158 +761,34 @@ impl Simulator {
                     // Every replica applies the committed mutation —
                     // real work on every replica's queue, which is what
                     // slows update-heavy traces as the cluster grows.
-                    let replicas = scheme.placement().replicas().clone();
-                    for (s, server) in servers.iter_mut().enumerate() {
-                        if !replicas.contains(d2tree_metrics::MdsId(s as u16)) {
-                            continue;
-                        }
-                        if server.busy_workers < self.config.workers_per_mds {
-                            if let (Some(tr), Some(pctx)) = (tracer, lock_ctx) {
-                                tr.record(
-                                    Span::child(
-                                        pctx,
-                                        tr.next_span(pctx.trace),
-                                        span_names::APPLY,
-                                        t / 1_000,
-                                        self.config.replica_apply_ns / 1_000,
-                                    )
-                                    .on_mds(s as u16),
-                                );
-                            }
-                            server.busy_workers += 1;
-                            server.busy_ns += self.config.replica_apply_ns;
-                            push(
-                                &mut heap,
-                                &mut seq,
-                                t + self.config.replica_apply_ns,
-                                Event::ApplyDone { server: s as u32 },
-                            );
-                        } else {
-                            server.queue.push_back(Job::Apply(lock_ctx));
-                            if let Some(tel) = &mut tel {
-                                tel.queue_pushed(s, server.queue.len());
-                            }
+                    let replicas = scheme.placement().replicas();
+                    for s in 0..m {
+                        if replicas.contains(d2tree_metrics::MdsId(s as u16)) {
+                            run.offer(s, Job::Apply(lock_ctx), t);
                         }
                     }
-                    // The op itself is charged to the MDS the client first
-                    // contacted (the commit leader).
-                    let served_by = state.visits[0].index();
-                    served_ops[served_by] += 1;
-                    let done_at = t + self.config.client_latency_ns;
-                    latencies.push(done_at - state.issued_at);
-                    if let (Some(tr), Some(ctx)) = (tracer, state.ctx) {
-                        tr.record(
-                            Span::root(
-                                ctx,
-                                span_names::OP,
-                                state.issued_at / 1_000,
-                                (done_at - state.issued_at) / 1_000,
-                            )
-                            .with_arg(ArgKey::Target, state.target.index() as u64)
-                            .with_arg(ArgKey::Kind, op_kind_code(state.kind))
-                            .with_arg(ArgKey::Hops, 0)
-                            .with_arg(ArgKey::Locked, 1),
-                        );
-                    }
-                    if let Some(tel) = &mut tel {
-                        tel.ops[served_by] += 1;
-                        tel.record_latency(state.kind, done_at - state.issued_at);
-                    }
-                    completed += 1;
-                    push(&mut heap, &mut seq, done_at, Event::Issue { client });
+                    run.complete(who, t);
                 }
-                TAG_APPLY_DONE => {
-                    let server = c; // the "client" slot carries the server index
-                    servers[server].busy_workers -= 1;
-                    match servers[server].queue.pop_front() {
-                        Some(Job::Request(next_client)) => {
-                            let nc = next_client as usize;
-                            let nstate = states[nc].as_ref().expect("queued request state");
-                            let terminal = nstate.next_visit + 1 == nstate.visits.len();
-                            let svc = self.service_ns(nstate.kind, terminal);
-                            servers[server].busy_workers += 1;
-                            servers[server].busy_ns += svc;
-                            push(
-                                &mut heap,
-                                &mut seq,
-                                t + svc,
-                                Event::ServeDone {
-                                    client: next_client,
-                                },
-                            );
-                        }
-                        Some(Job::Apply(jctx)) => {
-                            let svc = self.config.replica_apply_ns;
-                            if let (Some(tr), Some(jctx)) = (tracer, jctx) {
-                                tr.record(
-                                    Span::child(
-                                        jctx,
-                                        tr.next_span(jctx.trace),
-                                        span_names::APPLY,
-                                        t / 1_000,
-                                        svc / 1_000,
-                                    )
-                                    .on_mds(server as u16),
-                                );
-                            }
-                            servers[server].busy_workers += 1;
-                            servers[server].busy_ns += svc;
-                            push(
-                                &mut heap,
-                                &mut seq,
-                                t + svc,
-                                Event::ApplyDone {
-                                    server: server as u32,
-                                },
-                            );
-                        }
-                        Some(Job::Waste(jctx)) => {
-                            let svc = self.config.read_service_ns;
-                            if let (Some(tr), Some(jctx)) = (tracer, jctx) {
-                                tr.record(
-                                    Span::child(
-                                        jctx,
-                                        tr.next_span(jctx.trace),
-                                        span_names::WASTE,
-                                        t / 1_000,
-                                        svc / 1_000,
-                                    )
-                                    .on_mds(server as u16)
-                                    .with_fault(FaultKind::Duplicate),
-                                );
-                            }
-                            servers[server].busy_workers += 1;
-                            servers[server].busy_ns += svc;
-                            push(
-                                &mut heap,
-                                &mut seq,
-                                t + svc,
-                                Event::ApplyDone {
-                                    server: server as u32,
-                                },
-                            );
-                        }
-                        None => {}
-                    }
-                    if let Some(tel) = &mut tel {
-                        tel.queue_popped(server, servers[server].queue.len());
-                    }
-                }
-                _ => unreachable!("unknown event tag"),
             }
         }
 
-        latencies.sort_unstable();
-        let sim_seconds = (end_time.max(1)) as f64 / 1e9;
-        let mean_latency_us = if latencies.is_empty() {
-            0.0
+        let Replay {
+            queue,
+            servers,
+            tel,
+            served_ops,
+            mut latencies,
+            ..
+        } = run;
+        let completed = latencies.len();
+        // Pops never go back in time, so the last one is the end.
+        let sim_seconds = queue.now.max(1) as f64 / 1e9;
+        let (mean_latency_us, p99_latency_us) = if latencies.is_empty() {
+            (0.0, 0.0)
         } else {
-            latencies.iter().sum::<u64>() as f64 / latencies.len() as f64 / 1e3
-        };
-        let p99_latency_us = if latencies.is_empty() {
-            0.0
-        } else {
-            latencies[(latencies.len() * 99 / 100).min(latencies.len() - 1)] as f64 / 1e3
+            let mean = latencies.iter().sum::<u64>() as f64 / completed as f64 / 1e3;
+            let rank = (completed * 99 / 100).min(completed - 1);
+            (mean, *latencies.select_nth_unstable(rank).1 as f64 / 1e3)
         };
         let server_busy_ns: Vec<u64> = servers.into_iter().map(|s| s.busy_ns).collect();
         if let Some(registry) = self.registry.as_deref() {
@@ -1267,6 +821,197 @@ impl Simulator {
     }
 }
 
+/// The mutable state of one replay that more than one event kind
+/// touches; [`Simulator::replay`]'s event loop drives it.
+struct Replay<'a> {
+    cfg: &'a SimConfig,
+    tracer: Option<&'a Tracer>,
+    injector: Option<FaultInjector>,
+    queue: EventQueue,
+    servers: Vec<Server>,
+    /// The request each closed-loop client has outstanding.
+    states: Vec<Option<ReqState>>,
+    /// Trace contexts for in-flight fault-duplicated copies, FIFO per
+    /// server: pushed when a duplicate is scheduled, popped when its
+    /// `Waste` event fires. Only populated while a tracer is attached,
+    /// so push/pop stay aligned within a replay.
+    waste_ctx: Vec<VecDeque<Option<SpanCtx>>>,
+    tel: Option<ReplayTelemetry>,
+    served_ops: Vec<u64>,
+    latencies: Vec<u64>,
+}
+
+impl Replay<'_> {
+    /// Sends (or re-sends) `client`'s outstanding request to its first
+    /// server through the possibly faulty network: a dropped request is
+    /// resent after `retry_timeout_ns`, a delayed one arrives late, a
+    /// duplicated one arrives with a copy that wastes a service slot. The
+    /// network-leg span is tagged with the injected fault, if any.
+    fn send(&mut self, client: u32, t: u64) {
+        let cfg = self.cfg;
+        let state = self.states[client as usize]
+            .as_mut()
+            .expect("send without a request");
+        let (first, ctx) = (state.visits[0].0, state.ctx);
+        let decision = match &self.injector {
+            Some(inj) => inj.decide(NetEdge::ClientToMds(first), t / 1_000_000),
+            None => FaultDecision::Deliver,
+        };
+        let arrival = t + cfg.client_latency_ns;
+        // When the send's outcome reaches its receiver, and the fault to
+        // tag the leg with. Past the resend cap a drop delivers instead.
+        let (at, fault) = match decision {
+            FaultDecision::Drop if state.resends < MAX_RESENDS => {
+                state.resends += 1;
+                (t + cfg.retry_timeout_ns, Some(FaultKind::Drop))
+            }
+            FaultDecision::Deliver | FaultDecision::Drop => (arrival, None),
+            FaultDecision::Delay(ms) => (
+                arrival + ms * 1_000_000,
+                (ms > 0).then_some(FaultKind::Delay),
+            ),
+            FaultDecision::DeliverTwice => (arrival, Some(FaultKind::Duplicate)),
+        };
+        let arrive = if state.locked {
+            EventKind::LockArrive
+        } else {
+            EventKind::Arrive
+        };
+        let (dropped, duplicated) = (
+            fault == Some(FaultKind::Drop),
+            fault == Some(FaultKind::Duplicate),
+        );
+        if let Some(tr) = self.tracer {
+            // The eventual `Waste` event attributes its service time here.
+            if duplicated {
+                self.waste_ctx[first as usize].push_back(ctx);
+            }
+            if let Some(ctx) = ctx {
+                let name = if dropped {
+                    span_names::RESEND_WAIT
+                } else {
+                    span_names::NET
+                };
+                let id = tr.next_span(ctx.trace);
+                let mut span =
+                    Span::child(ctx, id, name, t / 1_000, (at - t) / 1_000).on_mds(first);
+                span.fault = fault;
+                tr.record(span);
+            }
+        }
+        if dropped {
+            self.queue.push(at, client, EventKind::Resend);
+        } else {
+            self.queue.push(at, client, arrive);
+            if duplicated {
+                self.queue.push(at, u32::from(first), EventKind::Waste);
+            }
+        }
+    }
+
+    /// Hands `job` to `server`: a free worker starts it, otherwise it
+    /// waits in the server's FIFO.
+    fn offer(&mut self, server: usize, job: Job, t: u64) {
+        if self.servers[server].busy_workers < self.cfg.workers_per_mds {
+            self.start(server, job, t);
+        } else {
+            self.servers[server].queue.push_back(job);
+            if let Some(tel) = &mut self.tel {
+                tel.queue_pushed(server, self.servers[server].queue.len());
+            }
+        }
+    }
+
+    /// Frees the worker whose job just finished on `server` and admits
+    /// the next queued job.
+    fn admit_next(&mut self, server: usize, t: u64) {
+        self.servers[server].busy_workers -= 1;
+        if let Some(job) = self.servers[server].queue.pop_front() {
+            self.start(server, job, t);
+        }
+        if let Some(tel) = &mut self.tel {
+            tel.queue_popped(server, self.servers[server].queue.len());
+        }
+    }
+
+    /// Occupies one worker of `server` with `job` for its service time.
+    fn start(&mut self, server: usize, job: Job, t: u64) {
+        let cfg = self.cfg;
+        let (svc, who, done, span) = match job {
+            Job::Request(client) => {
+                let state = self.states[client as usize]
+                    .as_ref()
+                    .expect("queued request state");
+                let terminal = state.next_visit + 1 == state.visits.len();
+                let svc = if terminal && state.kind == OpKind::Update {
+                    cfg.update_service_ns
+                } else {
+                    cfg.read_service_ns
+                };
+                (svc, client, EventKind::ServeDone, None)
+            }
+            Job::Apply(ctx) => (
+                cfg.replica_apply_ns,
+                server as u32,
+                EventKind::ApplyDone,
+                ctx.map(|ctx| (ctx, span_names::APPLY, None)),
+            ),
+            Job::Waste(ctx) => (
+                cfg.read_service_ns,
+                server as u32,
+                EventKind::ApplyDone,
+                ctx.map(|ctx| (ctx, span_names::WASTE, Some(FaultKind::Duplicate))),
+            ),
+        };
+        if let (Some(tr), Some((ctx, name, fault))) = (self.tracer, span) {
+            let id = tr.next_span(ctx.trace);
+            let mut span = Span::child(ctx, id, name, t / 1_000, svc / 1_000).on_mds(server as u16);
+            span.fault = fault;
+            tr.record(span);
+        }
+        self.servers[server].busy_workers += 1;
+        self.servers[server].busy_ns += svc;
+        self.queue.push(t + svc, who, done);
+    }
+
+    /// Completes `client`'s request at `t`: the reply travels back, the
+    /// operation is charged to the server that served it (for a locked
+    /// update, the commit leader the client first contacted), and the
+    /// client issues its next operation on receipt.
+    fn complete(&mut self, client: u32, t: u64) {
+        let state = self.states[client as usize].take().expect("request state");
+        let (served_by, hops) = if state.locked {
+            (state.visits[0].index(), 0)
+        } else {
+            let last = state.visits.last().expect("non-empty");
+            (last.index(), state.visits.len() as u64 - 1)
+        };
+        self.served_ops[served_by] += 1;
+        let done_at = t + self.cfg.client_latency_ns;
+        let latency = done_at - state.issued_at;
+        self.latencies.push(latency);
+        if let (Some(tr), Some(ctx)) = (self.tracer, state.ctx) {
+            tr.record(
+                Span::root(
+                    ctx,
+                    span_names::OP,
+                    state.issued_at / 1_000,
+                    latency / 1_000,
+                )
+                .with_arg(ArgKey::Target, state.target.index() as u64)
+                .with_arg(ArgKey::Kind, op_kind_code(state.kind))
+                .with_arg(ArgKey::Hops, hops)
+                .with_arg(ArgKey::Locked, u64::from(state.locked)),
+            );
+        }
+        if let Some(tel) = &mut self.tel {
+            tel.ops[served_by] += 1;
+            tel.record_latency(state.kind, latency);
+        }
+        self.queue.push(done_at, client, EventKind::Issue);
+    }
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -1289,6 +1034,52 @@ mod tests {
             seed: 1,
             ..SimConfig::default()
         })
+    }
+
+    #[test]
+    fn event_queue_pops_in_binary_heap_order() {
+        use rand::Rng;
+        const KINDS: [EventKind; 8] = [
+            EventKind::Issue,
+            EventKind::Arrive,
+            EventKind::ServeDone,
+            EventKind::LockArrive,
+            EventKind::LockDone,
+            EventKind::ApplyDone,
+            EventKind::Resend,
+            EventKind::Waste,
+        ];
+        // More distinct delays than lanes, zero among them, and small
+        // enough that different (pop time, delay) pairs tie on `t`.
+        let delays = MAX_LANES as u64 + 8;
+        for seed in 0..16 {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut queue = EventQueue::default();
+            let mut heap: BinaryHeap<Reverse<EventKey>> = BinaryHeap::new();
+            let (mut now, mut seq) = (0u64, 0u64);
+            let (mut overflowed, mut ties) = (false, 0);
+            for step in 0..6_000 {
+                // Push-heavy first so the queues fill, then drain.
+                if step < 4_000 && rng.gen_bool(0.55) {
+                    let at = now + rng.gen_range(0..delays);
+                    let (who, kind) = (rng.gen_range(0..200u32), KINDS[rng.gen_range(0..8)]);
+                    seq += 1;
+                    heap.push(Reverse((at, seq, who, kind)));
+                    queue.push(at, who, kind);
+                    overflowed |= !queue.overflow.is_empty();
+                } else {
+                    let expected = heap.pop().map(|r| r.0);
+                    assert_eq!(queue.pop(), expected, "seed {seed}, step {step}");
+                    if let Some((t, ..)) = expected {
+                        ties += usize::from(t == now);
+                        now = t;
+                    }
+                }
+            }
+            assert!(heap.is_empty() && queue.pop().is_none());
+            assert!(overflowed, "the overflow heap must carry events");
+            assert!(ties > 500, "only {ties} equal-time pops");
+        }
     }
 
     #[test]
@@ -1558,6 +1349,85 @@ mod tests {
             a.sim_seconds,
             clean.sim_seconds
         );
+    }
+
+    /// The fields of a [`ReplayOutcome`] the golden table pins, floats by
+    /// bit pattern: throughput, p99, mean, hops, served ops, lock time.
+    type Fingerprint = (u64, u64, u64, u64, Vec<u64>, u64);
+
+    fn fingerprint(out: &ReplayOutcome) -> Fingerprint {
+        (
+            out.throughput.to_bits(),
+            out.p99_latency_us.to_bits(),
+            out.mean_latency_us.to_bits(),
+            out.total_hops,
+            out.served_ops.clone(),
+            out.lock_busy_ns,
+        )
+    }
+
+    /// A plan whose delay jitter (25 distinct millisecond values) spans
+    /// more delays than the event queue has lanes, so the overflow heap
+    /// carries real traffic.
+    fn wide_jitter_plan() -> FaultPlan {
+        use crate::fault::{FaultAction, FaultRule, FaultScope};
+        FaultPlan::new(9)
+            .with_rule(
+                FaultRule::new(FaultScope::AllLinks, FaultAction::Drop).with_probability(0.05),
+            )
+            .with_rule(
+                FaultRule::new(FaultScope::AllLinks, FaultAction::Duplicate).with_probability(0.05),
+            )
+            .with_rule(
+                FaultRule::new(
+                    FaultScope::AllLinks,
+                    FaultAction::Delay {
+                        fixed_ms: 1,
+                        jitter_ms: 24,
+                    },
+                )
+                .with_probability(0.5),
+            )
+    }
+
+    #[test]
+    fn replay_outcomes_match_the_goldens_recorded_before_the_event_queue_change() {
+        let w = WorkloadBuilder::new(TraceProfile::ra().with_nodes(1_500).with_operations(3_000))
+            .seed(3)
+            .build();
+        let pop = w.popularity();
+        let cluster = ClusterSpec::homogeneous(4, 1.0);
+        let mut got = Vec::new();
+        for mut scheme in d2tree_baselines::extended_lineup(0.01, 3) {
+            scheme.build(&w.tree, &pop, &cluster);
+            got.push((
+                scheme.name(),
+                fingerprint(&sim(32).replay(&w.tree, &w.trace, scheme.as_ref())),
+            ));
+            if scheme.name() == "D2-Tree" {
+                let faulty = sim(32).with_faults(wide_jitter_plan()).replay(
+                    &w.tree,
+                    &w.trace,
+                    scheme.as_ref(),
+                );
+                assert_eq!(faulty.completed, 3_000);
+                got.push(("D2-Tree + wide-jitter faults", fingerprint(&faulty)));
+            }
+        }
+        // Recorded at the parent commit (binary-heap event queue,
+        // string-hash and recount baseline builds). An intended change
+        // of simulated behaviour re-records them and says why.
+        #[rustfmt::skip]
+        let golden: Vec<(&str, Fingerprint)> = vec![
+            ("D2-Tree", (4676764048501880100, 4653344314980564992, 4649105477753162957, 152, vec![740, 721, 792, 747], 28080000)),
+            ("D2-Tree + wide-jitter faults", (4661648436356102123, 4672766088373600256, 4664417841097540457, 152, vec![740, 721, 792, 747], 28080000)),
+            ("Static Subtree", (4673616671830841029, 4654751689864118272, 4652587411176003994, 0, vec![29, 682, 361, 1928], 0)),
+            ("Dynamic Subtree", (4673088729536663843, 4655411396840783872, 4652943872845728973, 1636, vec![927, 720, 591, 762], 0)),
+            ("DROP", (4675377128747471351, 4654311885213007872, 4650668836686310059, 746, vec![754, 748, 752, 746], 0)),
+            ("AngleCut", (4675428993298591875, 4655411396840783872, 4650611515480115336, 1027, vec![772, 734, 748, 746], 0)),
+            ("Hash Mapping", (4671728731750173616, 4660464752282042368, 4654107742554117461, 3851, vec![613, 874, 739, 774], 0)),
+        ];
+        assert_eq!(got, golden);
     }
 
     #[test]

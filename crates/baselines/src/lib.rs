@@ -74,9 +74,12 @@ pub fn extended_lineup(gl_proportion: f64, seed: u64) -> Vec<Box<dyn Partitioner
 #[cfg(test)]
 mod tests {
     use super::*;
-    use d2tree_metrics::ClusterSpec;
-    use d2tree_namespace::NamespaceTree;
+    use d2tree_core::{Router, CLIENT_CACHED_DEPTH};
+    use d2tree_metrics::{path_jumps, Assignment, ClusterSpec, MdsId, Placement};
+    use d2tree_namespace::{NamespaceTree, NodeId, Popularity};
     use d2tree_workload::{TraceProfile, WorkloadBuilder};
+    use rand::rngs::StdRng;
+    use rand::{Rng, RngCore, SeedableRng};
 
     /// The trees the single-pass builds are checked on against their
     /// string/recount oracles: a deep one (DTR, depth 49), a wide one
@@ -110,6 +113,103 @@ mod tests {
             ("lmbe", synth(TraceProfile::lmbe())),
             ("edited", edited),
         ]
+    }
+
+    /// The per-operation walk `Router` replaced, kept as its oracle:
+    /// collect the chain, reverse it, skip the client-cached levels (but
+    /// never the target), collapse consecutive repeats, and pick a random
+    /// MDS when nothing pinned the traversal.
+    fn chain_route_from(
+        tree: &NamespaceTree,
+        placement: &Placement,
+        node: NodeId,
+        rng: &mut dyn RngCore,
+        start_depth: usize,
+    ) -> (Vec<MdsId>, bool) {
+        let mut chain: Vec<NodeId> = tree.chain_up(node).collect();
+        chain.reverse();
+        let start = start_depth.min(chain.len() - 1);
+        let mut visits: Vec<MdsId> = Vec::new();
+        for &id in &chain[start..] {
+            match placement.assignment(id) {
+                Assignment::Unassigned => panic!("routing requires a complete placement"),
+                Assignment::Replicated => {}
+                Assignment::Single(m) => {
+                    if visits.last() != Some(&m) {
+                        visits.push(m);
+                    }
+                }
+            }
+        }
+        if visits.is_empty() {
+            visits.push(MdsId(rng.gen_range(0..placement.cluster_size()) as u16));
+        }
+        (visits, placement.assignment(node).is_replicated())
+    }
+
+    #[test]
+    fn the_router_is_the_walk() {
+        // Requests whose traversal never pinned, so the rng picked the MDS.
+        let mut random_picks = 0usize;
+        for seed in [1, 2] {
+            for (name, tree) in oracle_trees(seed) {
+                let mut pop = Popularity::new(&tree);
+                let mut weights = StdRng::seed_from_u64(seed);
+                for (id, _) in tree.nodes() {
+                    pop.record(id, f64::from(weights.gen_range(1..100u32)));
+                }
+                pop.rollup(&tree);
+                for m in [1, 7, 16] {
+                    for mut scheme in extended_lineup(0.01, seed) {
+                        scheme.build(&tree, &pop, &ClusterSpec::homogeneous(m, 1.0));
+                        let placement = scheme.placement();
+                        // The default router of the five baselines, and the
+                        // full walk `StrictChainRoute` asks for, over all six
+                        // placements (D2-Tree's has replicated chains).
+                        let mut routers = vec![(0, Router::chain(&tree, placement, 0))];
+                        if scheme.name() != "D2-Tree" {
+                            routers.push((CLIENT_CACHED_DEPTH, scheme.router(&tree)));
+                        }
+                        for (start_depth, mut router) in routers {
+                            let ctx = format!(
+                                "{name} tree, seed {seed}, M = {m}, {}, depth {start_depth}",
+                                scheme.name()
+                            );
+                            let mut rng = StdRng::seed_from_u64(seed ^ 0xd2);
+                            let mut oracle_rng = rng.clone();
+                            for round in ["miss", "hit"] {
+                                for (id, _) in tree.nodes() {
+                                    let plan = router.route(id, &mut rng);
+                                    let (visits, replicated) = chain_route_from(
+                                        &tree,
+                                        placement,
+                                        id,
+                                        &mut oracle_rng,
+                                        start_depth,
+                                    );
+                                    assert_eq!(plan.visits, visits, "{ctx}, {round}, node {id}");
+                                    assert_eq!(plan.target_replicated, replicated, "{ctx}");
+                                    random_picks += usize::from(replicated);
+                                    if start_depth == 0 {
+                                        // Def. 1, independently of the oracle.
+                                        assert_eq!(
+                                            plan.hops() as u32,
+                                            path_jumps(&tree, placement, id),
+                                            "{ctx}, {round}, node {id}"
+                                        );
+                                    }
+                                }
+                            }
+                            assert_eq!(rng.next_u64(), oracle_rng.next_u64(), "{ctx}");
+                        }
+                    }
+                }
+            }
+        }
+        assert!(
+            random_picks > 0,
+            "a global-layer target routes to a random MDS"
+        );
     }
 
     #[test]

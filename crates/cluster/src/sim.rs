@@ -24,10 +24,11 @@ use std::collections::{BinaryHeap, VecDeque};
 use std::sync::Arc;
 
 use d2tree_core::Partitioner;
+use d2tree_metrics::MdsId;
 use d2tree_namespace::{NamespaceTree, NodeId, NodeIdMap};
 use d2tree_telemetry::trace::{span_names, ArgKey, Span, SpanCtx, Tracer};
 use d2tree_telemetry::{names, FaultKind, LocalHistogram, MetricKey, Registry};
-use d2tree_workload::{OpKind, Trace};
+use d2tree_workload::{OpKind, Operation, Trace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use serde::{Deserialize, Serialize};
@@ -130,7 +131,7 @@ pub struct RebalancedReplay {
 
 #[derive(Debug, Clone)]
 struct ReqState {
-    visits: Vec<d2tree_metrics::MdsId>,
+    /// Position in the client's visit list of the server now serving.
     next_visit: usize,
     kind: OpKind,
     target: NodeId,
@@ -511,9 +512,9 @@ impl Simulator {
             } else {
                 start + chunk
             };
-            let sub = Trace::from_ops(trace.ops()[start..end].to_vec());
+            let sub = &trace.ops()[start..end];
 
-            let out = self.replay(tree, &sub, scheme);
+            let out = self.replay_ops(tree, sub, scheme);
             let loads: Vec<f64> = out.served_ops.iter().map(|&s| s as f64).collect();
             let total: f64 = loads.iter().sum();
             let measured = d2tree_metrics::ClusterSpec::homogeneous(
@@ -524,7 +525,7 @@ impl Simulator {
 
             // Decayed counters, then one adjustment round.
             pop.decay(decay);
-            for op in &sub {
+            for op in sub {
                 pop.record(op.target, 1.0);
             }
             pop.rollup(tree);
@@ -602,10 +603,24 @@ impl Simulator {
         trace: &Trace,
         scheme: &dyn Partitioner,
     ) -> ReplayOutcome {
+        self.replay_ops(tree, trace.ops(), scheme)
+    }
+
+    /// [`replay`](Self::replay) over a borrowed run of operations, so a
+    /// chunked replay needs no copy of each chunk.
+    fn replay_ops(
+        &self,
+        tree: &NamespaceTree,
+        ops: &[Operation],
+        scheme: &dyn Partitioner,
+    ) -> ReplayOutcome {
         let cfg = &self.config;
         let m = scheme.placement().cluster_size();
         let mut rng = StdRng::seed_from_u64(cfg.seed);
-        let clients = cfg.clients.min(trace.len().max(1));
+        // The placement is borrowed for the whole replay, so one router
+        // serves every operation of it.
+        let mut router = scheme.router(tree);
+        let clients = cfg.clients.min(ops.len().max(1));
         let mut run = Replay {
             cfg,
             tracer: self.tracer.as_deref(),
@@ -621,10 +636,11 @@ impl Simulator {
             queue: EventQueue::default(),
             servers: (0..m).map(|_| Server::default()).collect(),
             states: vec![None; clients],
+            visits: vec![Vec::new(); clients],
             waste_ctx: vec![VecDeque::new(); m],
             tel: self.registry.is_some().then(|| ReplayTelemetry::new(m)),
             served_ops: vec![0; m],
-            latencies: Vec::with_capacity(trace.len()),
+            latencies: Vec::with_capacity(ops.len()),
         };
         // Per-node lock state: a held node maps to its FIFO of waiters.
         let mut lock_waiters: NodeIdMap<VecDeque<u32>> = NodeIdMap::default();
@@ -638,7 +654,6 @@ impl Simulator {
             + cfg.replica_apply_ns
             + 2 * cfg.hop_latency_ns;
 
-        let ops = trace.ops();
         let mut cursor = 0usize; // shared trace cursor
         let mut total_hops = 0u64;
 
@@ -653,12 +668,13 @@ impl Simulator {
                         continue; // this client retires
                     };
                     cursor += 1;
-                    let plan = scheme.route(tree, op.target, &mut rng);
+                    let plan = router.route(op.target, &mut rng);
                     total_hops += plan.hops() as u64;
+                    run.visits[c].clear();
+                    run.visits[c].extend_from_slice(plan.visits);
                     run.states[c] = Some(ReqState {
                         locked: plan.target_replicated && op.kind == OpKind::Update,
                         resends: 0,
-                        visits: plan.visits,
                         next_visit: 0,
                         kind: op.kind,
                         target: op.target,
@@ -678,16 +694,16 @@ impl Simulator {
                 EventKind::Arrive => {
                     let state = run.states[c].as_mut().expect("arrival without a request");
                     state.hop_arrived_at = t;
-                    let server = state.visits[state.next_visit].index();
+                    let server = run.visits[c][state.next_visit].index();
                     run.offer(server, Job::Request(who), t);
                 }
                 EventKind::ServeDone => {
                     let state = run.states[c]
                         .as_mut()
                         .expect("completion without a request");
-                    let server = state.visits[state.next_visit].index();
+                    let server = run.visits[c][state.next_visit].index();
                     state.next_visit += 1;
-                    let finished = state.next_visit == state.visits.len();
+                    let finished = state.next_visit == run.visits[c].len();
                     if let (Some(tr), Some(ctx)) = (run.tracer, state.ctx) {
                         let arrived = state.hop_arrived_at;
                         tr.record(
@@ -725,7 +741,7 @@ impl Simulator {
                 EventKind::LockDone => {
                     let state = run.states[c].as_ref().expect("lock holder state");
                     let (node, ctx, arrived) = (state.target, state.ctx, state.hop_arrived_at);
-                    let leader = state.visits[0].0;
+                    let leader = run.visits[c][0].0;
                     // The next waiter, if any, takes the lock over.
                     let waiters = lock_waiters.get_mut(&node).expect("held lock");
                     if let Some(next) = waiters.pop_front() {
@@ -763,7 +779,7 @@ impl Simulator {
                     // slows update-heavy traces as the cluster grows.
                     let replicas = scheme.placement().replicas();
                     for s in 0..m {
-                        if replicas.contains(d2tree_metrics::MdsId(s as u16)) {
+                        if replicas.contains(MdsId(s as u16)) {
                             run.offer(s, Job::Apply(lock_ctx), t);
                         }
                     }
@@ -831,6 +847,9 @@ struct Replay<'a> {
     servers: Vec<Server>,
     /// The request each closed-loop client has outstanding.
     states: Vec<Option<ReqState>>,
+    /// The servers each client's outstanding request visits, in order:
+    /// one buffer per client, refilled at every issue.
+    visits: Vec<Vec<MdsId>>,
     /// Trace contexts for in-flight fault-duplicated copies, FIFO per
     /// server: pushed when a duplicate is scheduled, popped when its
     /// `Waste` event fires. Only populated while a tracer is attached,
@@ -852,7 +871,7 @@ impl Replay<'_> {
         let state = self.states[client as usize]
             .as_mut()
             .expect("send without a request");
-        let (first, ctx) = (state.visits[0].0, state.ctx);
+        let (first, ctx) = (self.visits[client as usize][0].0, state.ctx);
         let decision = match &self.injector {
             Some(inj) => inj.decide(NetEdge::ClientToMds(first), t / 1_000_000),
             None => FaultDecision::Deliver,
@@ -942,7 +961,7 @@ impl Replay<'_> {
                 let state = self.states[client as usize]
                     .as_ref()
                     .expect("queued request state");
-                let terminal = state.next_visit + 1 == state.visits.len();
+                let terminal = state.next_visit + 1 == self.visits[client as usize].len();
                 let svc = if terminal && state.kind == OpKind::Update {
                     cfg.update_service_ns
                 } else {
@@ -980,11 +999,12 @@ impl Replay<'_> {
     /// client issues its next operation on receipt.
     fn complete(&mut self, client: u32, t: u64) {
         let state = self.states[client as usize].take().expect("request state");
+        let visits = &self.visits[client as usize];
         let (served_by, hops) = if state.locked {
-            (state.visits[0].index(), 0)
+            (visits[0].index(), 0)
         } else {
-            let last = state.visits.last().expect("non-empty");
-            (last.index(), state.visits.len() as u64 - 1)
+            let last = visits.last().expect("non-empty");
+            (last.index(), visits.len() as u64 - 1)
         };
         self.served_ops[served_by] += 1;
         let done_at = t + self.cfg.client_latency_ns;

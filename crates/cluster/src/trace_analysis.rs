@@ -8,7 +8,7 @@
 //! the root while production routing skips the client-cached top
 //! levels and D2-Tree's own router short-circuits through the local
 //! index. [`StrictChainRoute`] wraps any built scheme and swaps its
-//! routing for `chain_route_from(…, start_depth = 0)`; under that walk
+//! router for `Router::chain(…, start_depth = 0)`; under that walk
 //! the deduplicated visit sequence jumps exactly where Def. 1 jumps,
 //! so the span-derived hop count (serve spans − 1) must equal
 //! `path_jumps` for every traced operation. Replicated targets route
@@ -22,17 +22,16 @@
 
 use std::collections::BTreeMap;
 
-use d2tree_core::{chain_route_from, AccessPlan, Partitioner};
+use d2tree_core::{Partitioner, Router};
 use d2tree_metrics::{
     locality_from_jumps, path_jumps, ClusterSpec, LocalityReport, Migration, Placement,
 };
 use d2tree_namespace::{NamespaceTree, NodeId, Popularity};
 use d2tree_telemetry::trace::{span_names, ArgKey, Span};
 use d2tree_telemetry::FaultKind;
-use rand::RngCore;
 
 /// Verification-mode router: delegates everything to the wrapped
-/// (already built) scheme except [`Partitioner::route`], which walks
+/// (already built) scheme except [`Partitioner::router`], which walks
 /// the full root-to-target chain with no client caching, and
 /// [`Partitioner::jumps`], which is pinned to Def. 1's `path_jumps`
 /// (not a scheme-specific convention like D2-Tree's Eq. 7).
@@ -68,8 +67,8 @@ impl Partitioner for StrictChainRoute<'_> {
         path_jumps(tree, self.placement(), node)
     }
 
-    fn route(&self, tree: &NamespaceTree, node: NodeId, rng: &mut dyn RngCore) -> AccessPlan {
-        chain_route_from(tree, self.placement(), node, rng, 0)
+    fn router<'a>(&'a self, tree: &'a NamespaceTree) -> Router<'a> {
+        Router::chain(tree, self.placement(), 0)
     }
 
     fn rebalance(

@@ -53,8 +53,7 @@ pub use adjust::{
 pub use allocate::{allocate_full, allocate_sampled, collect_subtrees, SampleStrategy, Subtree};
 pub use index::LocalIndex;
 pub use scheme::{
-    chain_route, chain_route_from, AccessPlan, D2TreeConfig, D2TreeScheme, Partitioner,
-    CLIENT_CACHED_DEPTH,
+    AccessPlan, D2TreeConfig, D2TreeScheme, Partitioner, Router, CLIENT_CACHED_DEPTH,
 };
 pub use split::{
     split_to_proportion, tree_split, GlobalLayer, ImpliedBounds, SplitBounds, SplitError,

@@ -3,7 +3,7 @@
 
 use d2tree_metrics::{
     locality_from_jumps, path_jumps, Assignment, ClusterSpec, LocalityReport, MdsId, Migration,
-    Placement,
+    Placement, ReplicaSet,
 };
 use d2tree_namespace::{NamespaceTree, NodeId, Popularity};
 use rand::rngs::StdRng;
@@ -15,21 +15,22 @@ use crate::allocate::{allocate_full, allocate_sampled, collect_subtrees, SampleS
 use crate::index::LocalIndex;
 use crate::split::{split_to_proportion, tree_split, GlobalLayer, SplitBounds, SplitError};
 
-/// The sequence of MDSs one metadata access visits, in order.
+/// The sequence of MDSs one metadata access visits, in order, borrowed
+/// from the [`Router`] that planned it.
 ///
 /// The first server is the one the client contacts; each further entry is
 /// a forwarding hop. Replicated (global-layer) targets record whether the
 /// plan may be served by *any* server, which the throughput simulator uses
 /// to spread load.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
-pub struct AccessPlan {
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct AccessPlan<'r> {
     /// Servers visited, in order. Never empty.
-    pub visits: Vec<MdsId>,
+    pub visits: &'r [MdsId],
     /// Whether the target node is replicated cluster-wide.
     pub target_replicated: bool,
 }
 
-impl AccessPlan {
+impl AccessPlan<'_> {
     /// Number of inter-server forwarding hops (visits − 1).
     #[must_use]
     pub fn hops(&self) -> usize {
@@ -51,82 +52,163 @@ impl AccessPlan {
 /// affects who does work, not the formal locality measure).
 pub const CLIENT_CACHED_DEPTH: usize = 2;
 
-/// Walks the root-to-target chain over a single-copy placement and emits
-/// the server sequence a POSIX traversal visits (deduplicating consecutive
-/// repeats). The first [`CLIENT_CACHED_DEPTH`] levels are client-cached
-/// and skipped — without this, the root's owner would serve every single
-/// operation in the cluster, which no real deployment does. Replicated
-/// chain nodes are served wherever the traversal currently is; a traversal
-/// that never pins to a server picks one at random.
+/// Routes accesses for one scheme over one tree, for as long as it
+/// borrows both — one per replay, from [`Partitioner::router`].
 ///
-/// This is the default routing for all baselines; D2-Tree overrides it
-/// with its global-layer/local-index rule.
-///
-/// # Panics
-///
-/// Panics if a chain node is unassigned.
-#[must_use]
-pub fn chain_route(
-    tree: &NamespaceTree,
-    placement: &Placement,
-    node: NodeId,
-    rng: &mut dyn RngCore,
-) -> AccessPlan {
-    chain_route_from(tree, placement, node, rng, CLIENT_CACHED_DEPTH)
+/// The borrow is what lets a chain-routed router remember: the placement
+/// and the tree cannot change while it exists, so the walk a node's first
+/// request does is still the answer on every later request and nothing is
+/// ever invalidated. What is remembered is the walk, not the plan: a
+/// traversal that never pins to a server draws its random MDS on every
+/// request, so the caller's rng is consumed per operation exactly as an
+/// unremembered walk would consume it.
+#[derive(Debug)]
+pub struct Router<'a> {
+    tree: &'a NamespaceTree,
+    placement: &'a Placement,
+    rule: Rule<'a>,
+    /// Holds a plan that is not a remembered walk: the random pick of a
+    /// never-pinned traversal, D2-Tree's one or two visits.
+    scratch: [MdsId; 2],
 }
 
-/// [`chain_route`] with an explicit first traversed depth.
-///
-/// `start_depth = 0` walks the full root-to-target chain with no client
-/// caching. Under a full walk the deduplicated visit count minus one
-/// equals Def. 1's [`path_jumps`] exactly — the property the trace
-/// analyzer verifies per operation against observed spans.
-///
-/// # Panics
-///
-/// Panics if a chain node is unassigned.
-#[must_use]
-pub fn chain_route_from(
-    tree: &NamespaceTree,
-    placement: &Placement,
-    node: NodeId,
-    rng: &mut dyn RngCore,
+#[derive(Debug)]
+enum Rule<'a> {
+    Chain(ChainMemo),
+    D2Tree { state: &'a State, index_miss: f64 },
+}
+
+/// The chain walks one router has done so far.
+#[derive(Debug)]
+struct ChainMemo {
+    /// Depth of the shallowest traversed chain node.
     start_depth: usize,
-) -> AccessPlan {
-    thread_local! {
-        // Routing happens once per simulated operation; reusing one
-        // buffer per thread removes the per-call chain allocation.
-        static CHAIN_BUF: std::cell::RefCell<Vec<NodeId>> =
-            const { std::cell::RefCell::new(Vec::new()) };
-    }
-    let mut visits: Vec<MdsId> = Vec::new();
-    CHAIN_BUF.with(|buf| {
-        let mut chain = buf.borrow_mut();
-        chain.clear();
-        chain.extend(tree.chain_up(node));
-        chain.reverse();
-        // Always traverse the target itself, even when it is shallow.
-        let start = start_depth.min(chain.len() - 1);
-        for &id in &chain[start..] {
+    /// Per arena slot of the tree: where in `lists` the node's visits
+    /// begin, 0 until its first request.
+    first_visit: Vec<u32>,
+    /// Every routed node's visits, each list behind one header element
+    /// holding its length.
+    lists: Vec<MdsId>,
+}
+
+impl ChainMemo {
+    /// Walks `node`'s chain over a single-copy placement, appends the
+    /// servers a POSIX traversal visits (consecutive repeats collapsed,
+    /// replicated chain nodes served wherever the traversal already is)
+    /// and returns where the list begins. The top `start_depth` levels
+    /// are client-cached and skipped — without this the root's owner
+    /// would serve every operation in the cluster — but the target is
+    /// always traversed, however shallow; a removed node has no parent
+    /// left, so its chain is the node alone. A list may come out empty:
+    /// the traversal never pinned to a server.
+    fn walk(&mut self, tree: &NamespaceTree, placement: &Placement, node: NodeId) -> usize {
+        self.lists.push(MdsId(0));
+        let at = self.lists.len();
+        // `lead` climbs `start_depth` levels ahead of the walk and runs
+        // off the root as the walk reaches the shallowest traversed level.
+        let mut lead = tree.chain_up(node).skip(self.start_depth + 1);
+        for id in tree.chain_up(node) {
             match placement.assignment(id) {
                 Assignment::Unassigned => panic!("routing requires a complete placement"),
                 Assignment::Replicated => {}
                 Assignment::Single(m) => {
-                    if visits.last() != Some(&m) {
-                        visits.push(m);
+                    if self.lists[at..].last() != Some(&m) {
+                        self.lists.push(m);
                     }
                 }
             }
+            if lead.next().is_none() {
+                break;
+            }
         }
-    });
-    let target_replicated = placement.assignment(node).is_replicated();
-    if visits.is_empty() {
-        let any = MdsId(rng.gen_range(0..placement.cluster_size()) as u16);
-        visits.push(any);
+        // Collected target-first; a traversal runs root-first.
+        self.lists[at..].reverse();
+        let len = u16::try_from(self.lists.len() - at).expect("visit list fits its u16 header");
+        self.lists[at - 1] = MdsId(len);
+        self.first_visit[node.index()] = u32::try_from(at).expect("visit lists fit u32 offsets");
+        at
     }
-    AccessPlan {
-        visits,
-        target_replicated,
+}
+
+impl<'a> Router<'a> {
+    /// The POSIX-traversal router every baseline uses (see
+    /// [`Partitioner::router`]), with an explicit first traversed depth.
+    ///
+    /// `start_depth = 0` walks the full root-to-target chain with no
+    /// client caching. Under a full walk the visit count minus one equals
+    /// Def. 1's [`path_jumps`] exactly — the property the trace analyzer
+    /// verifies per operation against observed spans.
+    #[must_use]
+    pub fn chain(tree: &'a NamespaceTree, placement: &'a Placement, start_depth: usize) -> Self {
+        Router {
+            tree,
+            placement,
+            rule: Rule::Chain(ChainMemo {
+                start_depth,
+                first_visit: vec![0; tree.arena_size()],
+                lists: Vec::new(),
+            }),
+            scratch: [MdsId(0); 2],
+        }
+    }
+
+    /// The servers an access to `node` visits.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `node` is outside the tree's arena or a chain node is
+    /// unassigned.
+    pub fn route(&mut self, node: NodeId, rng: &mut dyn RngCore) -> AccessPlan<'_> {
+        let m = self.placement.cluster_size();
+        match &mut self.rule {
+            Rule::Chain(memo) => {
+                let at = match memo.first_visit[node.index()] {
+                    0 => memo.walk(self.tree, self.placement, node),
+                    at => at as usize,
+                };
+                let len = usize::from(memo.lists[at - 1].0);
+                let visits = if len == 0 {
+                    self.scratch[0] = MdsId(rng.gen_range(0..m) as u16);
+                    &self.scratch[..1]
+                } else {
+                    &memo.lists[at..at + len]
+                };
+                AccessPlan {
+                    visits,
+                    target_replicated: self.placement.assignment(node).is_replicated(),
+                }
+            }
+            Rule::D2Tree { state, index_miss } => {
+                if state.layer.contains(node) {
+                    self.scratch[0] = match self.placement.replicas() {
+                        ReplicaSet::All => MdsId(rng.gen_range(0..m) as u16),
+                        ReplicaSet::Subset(set) => set[rng.gen_range(0..set.len())],
+                    };
+                    return AccessPlan {
+                        visits: &self.scratch[..1],
+                        target_replicated: true,
+                    };
+                }
+                let (_, owner) = state
+                    .index
+                    .locate(self.tree, node)
+                    .expect("local-layer nodes always have an indexed subtree root");
+                // A fresh client index points straight at the owner; a
+                // stale entry (probability grows with cluster size, see
+                // `D2TreeConfig::index_miss_per_mds`) costs one extra hop
+                // through an arbitrary MDS, which — holding the replicated
+                // local index — forwards to the owner.
+                let mut first = owner;
+                if rng.gen_range(0.0..1.0) < *index_miss {
+                    first = MdsId(rng.gen_range(0..m) as u16);
+                }
+                self.scratch = [first, owner];
+                AccessPlan {
+                    visits: &self.scratch[usize::from(first == owner)..],
+                    target_replicated: false,
+                }
+            }
+        }
     }
 }
 
@@ -134,7 +216,7 @@ pub fn chain_route_from(
 ///
 /// The lifecycle is `build` once, then interleave metric queries
 /// ([`jumps`](Partitioner::jumps), [`locality`](Partitioner::locality)),
-/// routing ([`route`](Partitioner::route)) and periodic
+/// routing (through a [`router`](Partitioner::router)) and periodic
 /// [`rebalance`](Partitioner::rebalance) rounds as the workload evolves.
 pub trait Partitioner {
     /// Scheme name as it appears in the paper's figures.
@@ -155,9 +237,11 @@ pub trait Partitioner {
         path_jumps(tree, self.placement(), node)
     }
 
-    /// The servers an access to `node` visits.
-    fn route(&self, tree: &NamespaceTree, node: NodeId, rng: &mut dyn RngCore) -> AccessPlan {
-        chain_route(tree, self.placement(), node, rng)
+    /// A router over the current placement and `tree`. The default walks
+    /// the target's ancestor chain below the client-cached levels;
+    /// D2-Tree overrides it with its global-layer/local-index rule.
+    fn router<'a>(&'a self, tree: &'a NamespaceTree) -> Router<'a> {
+        Router::chain(tree, self.placement(), CLIENT_CACHED_DEPTH)
     }
 
     /// One dynamic-rebalancing round; returns the migrations performed
@@ -399,7 +483,7 @@ impl D2TreeScheme {
                     .take(limit)
                     .map(|k| MdsId(k as u16))
                     .collect();
-                placement.set_replicas(d2tree_metrics::ReplicaSet::Subset(subset));
+                placement.set_replicas(ReplicaSet::Subset(subset));
             }
         }
         let mut index = LocalIndex::new();
@@ -520,41 +604,17 @@ impl Partitioner for D2TreeScheme {
         u32::from(!self.state().layer.contains(node))
     }
 
-    fn route(&self, tree: &NamespaceTree, node: NodeId, rng: &mut dyn RngCore) -> AccessPlan {
-        let s = self.state();
-        let m = s.placement.cluster_size();
-        if s.layer.contains(node) {
-            let any = match s.placement.replicas() {
-                d2tree_metrics::ReplicaSet::All => MdsId(rng.gen_range(0..m) as u16),
-                d2tree_metrics::ReplicaSet::Subset(set) => set[rng.gen_range(0..set.len())],
-            };
-            return AccessPlan {
-                visits: vec![any],
-                target_replicated: true,
-            };
-        }
-        let (_, owner) = s
-            .index
-            .locate(tree, node)
-            .expect("local-layer nodes always have an indexed subtree root");
-        // A fresh client index points straight at the owner; a stale entry
-        // (probability grows with cluster size, see
-        // `D2TreeConfig::index_miss_per_mds`) costs one extra hop through
-        // an arbitrary MDS, which — holding the replicated local index —
-        // forwards to the owner.
-        let miss = (self.config.index_miss_per_mds * m as f64).min(0.75);
-        if rng.gen_range(0.0..1.0) < miss {
-            let first = MdsId(rng.gen_range(0..m) as u16);
-            if first != owner {
-                return AccessPlan {
-                    visits: vec![first, owner],
-                    target_replicated: false,
-                };
-            }
-        }
-        AccessPlan {
-            visits: vec![owner],
-            target_replicated: false,
+    fn router<'a>(&'a self, tree: &'a NamespaceTree) -> Router<'a> {
+        let state = self.state();
+        let m = state.placement.cluster_size();
+        Router {
+            tree,
+            placement: &state.placement,
+            rule: Rule::D2Tree {
+                state,
+                index_miss: (self.config.index_miss_per_mds * m as f64).min(0.75),
+            },
+            scratch: [MdsId(0); 2],
         }
     }
 
@@ -633,10 +693,11 @@ mod tests {
     fn routes_reach_owner_in_at_most_two_visits() {
         let (w, _pop, scheme) = built(1_000, 4);
         let mut rng = StdRng::seed_from_u64(9);
+        let mut router = scheme.router(&w.tree);
         let mut extra_hops = 0usize;
         let mut total = 0usize;
         for (id, _) in w.tree.nodes().take(400) {
-            let plan = scheme.route(&w.tree, id, &mut rng);
+            let plan = router.route(id, &mut rng);
             total += 1;
             assert!(plan.hops() <= 1, "Eq. 7: at most one jump");
             if plan.target_replicated {
@@ -652,6 +713,75 @@ mod tests {
             extra_hops < total / 4,
             "too many stale-index hops: {extra_hops}/{total}"
         );
+    }
+
+    #[test]
+    fn chain_router_traverses_shallow_and_removed_targets_alone() {
+        use d2tree_namespace::NodeKind::{Directory, File};
+        // /a/b/c/f on servers 1,1,2,1 under a root on 0; /x/y on 3,2 is
+        // removed after placement; /r is replicated.
+        let mut tree = NamespaceTree::new();
+        let root = tree.root();
+        let a = tree.create(root, "a", Directory).unwrap();
+        let b = tree.create(a, "b", Directory).unwrap();
+        let c = tree.create(b, "c", Directory).unwrap();
+        let f = tree.create(c, "f", File).unwrap();
+        let x = tree.create(root, "x", Directory).unwrap();
+        let y = tree.create(x, "y", File).unwrap();
+        let r = tree.create(root, "r", Directory).unwrap();
+        let mut placement = Placement::new(&tree, 4);
+        for (id, k) in [(root, 0), (a, 1), (b, 1), (c, 2), (f, 1), (x, 3), (y, 2)] {
+            placement.set(id, Assignment::Single(MdsId(k)));
+        }
+        placement.set(r, Assignment::Replicated);
+        assert_eq!(tree.remove_subtree(x).unwrap(), 2);
+
+        let full: [(NodeId, &[u16]); 7] = [
+            (root, &[0]),
+            (a, &[0, 1]),
+            (b, &[0, 1]),
+            (c, &[0, 1, 2]),
+            (f, &[0, 1, 2, 1]),
+            // A removed node has no chain left: it is traversed alone.
+            (x, &[3]),
+            (y, &[2]),
+        ];
+        let cached: [(NodeId, &[u16]); 7] = [
+            // Above the client-cached depth the target is still traversed.
+            (root, &[0]),
+            (a, &[1]),
+            (b, &[1]),
+            (c, &[1, 2]),
+            (f, &[1, 2, 1]),
+            (x, &[3]),
+            (y, &[2]),
+        ];
+        for (start_depth, expected) in [(0, full), (CLIENT_CACHED_DEPTH, cached)] {
+            let mut router = Router::chain(&tree, &placement, start_depth);
+            let mut rng = StdRng::seed_from_u64(3);
+            for round in ["miss", "hit"] {
+                for (node, visits) in expected {
+                    let plan = router.route(node, &mut rng);
+                    let got: Vec<u16> = plan.visits.iter().map(|m| m.0).collect();
+                    assert_eq!(got, visits, "depth {start_depth}, {round}, node {node}");
+                    assert!(!plan.target_replicated);
+                }
+            }
+            // None of those drew from the rng. /r is pinned by the root's
+            // owner under a full walk; below the cached levels nothing pins
+            // it, and it draws on every request, remembered or not.
+            let mut fresh = StdRng::seed_from_u64(3);
+            for _ in 0..2 {
+                let plan = router.route(r, &mut rng);
+                assert!(plan.target_replicated);
+                let pick = match start_depth {
+                    0 => MdsId(0),
+                    _ => MdsId(fresh.gen_range(0..4usize) as u16),
+                };
+                assert_eq!(plan.visits, [pick], "depth {start_depth}");
+            }
+            assert_eq!(rng.next_u64(), fresh.next_u64(), "depth {start_depth}");
+        }
     }
 
     #[test]
@@ -744,8 +874,9 @@ mod tests {
         assert_eq!(replicas.count(6), 2);
         // Global-layer routes only land on replica servers.
         let mut rng = StdRng::seed_from_u64(5);
+        let mut router = scheme.router(&w.tree);
         for &id in scheme.global_layer().members() {
-            let plan = scheme.route(&w.tree, id, &mut rng);
+            let plan = router.route(id, &mut rng);
             assert!(
                 replicas.contains(plan.terminal()),
                 "routed off the replica set"

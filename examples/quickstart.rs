@@ -70,9 +70,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
 
     // 4. Ask the scheme where accesses go.
     let mut rng = rand::thread_rng();
+    let mut router = scheme.router(&tree);
     for path in ["/projects/website/app.js", "/archive/2020/report.pdf"] {
         let node = tree.resolve_str(path)?;
-        let plan = scheme.route(&tree, node, &mut rng);
+        let plan = router.route(node, &mut rng);
         println!(
             "\naccess {path}: served by {}{}",
             plan.terminal(),

@@ -1,4 +1,4 @@
-//! Allocation regression guard for the TCP serving path.
+//! Allocation regression guards for the two per-operation hot paths.
 //!
 //! A pipelined window driven through [`NetServer`] + [`NetClient`] on
 //! loopback must cost O(batches) heap allocations in steady state, not
@@ -6,23 +6,29 @@
 //! encodes into a reused write buffer, and the client encodes into a
 //! reused send buffer and decodes out of its read buffer.
 //!
+//! A [`Simulator::replay`] must cost O(1) allocations per replay (plus
+//! amortised buffer growth), not O(operations): one router remembers the
+//! chain walks and each closed-loop client refills one visit buffer.
+//!
 //! The counter is a process-wide `#[global_allocator]`, so this file is
-//! its own test binary and holds exactly one test — nothing else may
-//! allocate while the window is measured.
+//! its own test binary and its tests take turns under [`MEASURING`] —
+//! nothing else may allocate while one of them counts.
 
 use std::alloc::{GlobalAlloc, Layout, System};
 use std::sync::atomic::{AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, PoisonError};
 use std::time::Duration;
 
+use d2tree::baselines::{HashMapping, StaticSubtree};
 use d2tree::cluster::{
-    NetClient, NetMds, NetServer, NetServerConfig, Request, RequestId, ResponseBody,
+    NetClient, NetMds, NetServer, NetServerConfig, Request, RequestId, ResponseBody, SimConfig,
+    Simulator,
 };
-use d2tree::core::LocalIndex;
-use d2tree::metrics::{Assignment, MdsId, Placement};
+use d2tree::core::{LocalIndex, Partitioner};
+use d2tree::metrics::{Assignment, ClusterSpec, MdsId, Placement};
 use d2tree::namespace::{NamespaceTree, NodeId, NodeKind};
 use d2tree::telemetry::Registry;
-use d2tree::workload::OpKind;
+use d2tree::workload::{OpKind, Trace, TraceProfile, WorkloadBuilder};
 
 /// The system allocator, counting every allocation it hands out.
 struct Counting;
@@ -55,6 +61,10 @@ unsafe impl GlobalAlloc for Counting {
 #[global_allocator]
 static GLOBAL: Counting = Counting;
 
+/// Held by whichever test is counting; guards no data, so a holder that
+/// panicked leaves nothing to repair.
+static MEASURING: Mutex<()> = Mutex::new(());
+
 const WINDOW: usize = 128;
 const WARMUP_WINDOWS: usize = 20;
 const MEASURED_WINDOWS: usize = 100;
@@ -75,6 +85,7 @@ fn round_trip(client: &mut NetClient, window: &mut [Request], next_id: &mut u64)
 
 #[test]
 fn steady_state_wire_path_allocates_per_batch_not_per_request() {
+    let _turn = MEASURING.lock().unwrap_or_else(PoisonError::into_inner);
     // One MDS owning a small local-layer subtree: every request walks
     // the whole serve path (locate, popularity bump, latency tally).
     let mut tree = NamespaceTree::new();
@@ -146,4 +157,52 @@ fn steady_state_wire_path_allocates_per_batch_not_per_request() {
     );
     drop(client);
     let _ = server.shutdown();
+}
+
+#[test]
+fn replay_allocates_per_replay_not_per_operation() {
+    let _turn = MEASURING.lock().unwrap_or_else(PoisonError::into_inner);
+    let w = WorkloadBuilder::new(
+        TraceProfile::lmbe()
+            .with_nodes(25_000)
+            .with_operations(100_000),
+    )
+    .seed(1)
+    .build();
+    let pop = w.popularity();
+    let short = Trace::from_ops(w.trace.ops()[..10_000].to_vec());
+    let sim = Simulator::new(SimConfig {
+        seed: 1,
+        ..SimConfig::default()
+    });
+    // Neither scheme replicates a node, so no operation takes the lock
+    // path and its per-node waiter queues.
+    let schemes: [Box<dyn Partitioner>; 2] = [
+        Box::new(StaticSubtree::new(1)),
+        Box::new(HashMapping::new(1)),
+    ];
+    for mut scheme in schemes {
+        scheme.build(&w.tree, &pop, &ClusterSpec::homogeneous(16, 1.0));
+        let allocations_of = |trace: &Trace| {
+            let before = ALLOCATIONS.load(Ordering::Relaxed);
+            let out = sim.replay(&w.tree, trace, scheme.as_ref());
+            assert_eq!(out.completed, trace.len());
+            ALLOCATIONS.load(Ordering::Relaxed) - before
+        };
+        let (few, many) = (allocations_of(&short), allocations_of(&w.trace));
+        let extra_ops = (w.trace.len() - short.len()) as f64;
+        let per_extra_op = many.saturating_sub(few) as f64 / extra_ops;
+        // At the parent commit (an owned `Vec` of visits per plan) this
+        // read 1.0000 per extra operation for `static` (10 063 → 100 063)
+        // and 1.0788 for `hash` (10 841 → 107 935); it reads 274 → 279
+        // and 477 → 493 now.
+        assert!(
+            per_extra_op < 0.01,
+            "{}: {few} allocations for {} operations, {many} for {} \
+             ({per_extra_op:.4} per extra operation): replay allocates per operation again",
+            scheme.name(),
+            short.len(),
+            w.trace.len()
+        );
+    }
 }

@@ -85,8 +85,9 @@ proptest! {
         let mut rng = StdRng::seed_from_u64(seed);
         for mut scheme in extended_lineup(0.02, seed) {
             scheme.build(&w.tree, &pop, &cluster);
+            let mut router = scheme.router(&w.tree);
             for (id, _) in w.tree.nodes().take(40) {
-                let plan = scheme.route(&w.tree, id, &mut rng);
+                let plan = router.route(id, &mut rng);
                 prop_assert!(!plan.visits.is_empty());
                 let terminal = plan.terminal();
                 prop_assert!(terminal.index() < m);

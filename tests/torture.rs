@@ -87,13 +87,14 @@ fn d2tree_survives_sustained_churn() {
         assert!(plan.new_layer.is_closed_under_parents(&workload.tree));
 
         // Routing still terminates at owners for a random sample.
+        let mut router = scheme.router(&workload.tree);
         for _ in 0..50 {
             let idx = rng.gen_range(0..workload.tree.arena_size());
             let id = d2tree::namespace::NodeId::from_index(idx);
             if !workload.tree.contains(id) {
                 continue;
             }
-            let plan = scheme.route(&workload.tree, id, &mut rng);
+            let plan = router.route(id, &mut rng);
             if let Some(owner) = scheme.placement().assignment(id).owner() {
                 assert_eq!(plan.terminal(), owner);
             }

@@ -23,11 +23,10 @@ use std::time::Duration;
 
 use d2tree_baselines::{AngleCut, DropScheme, DynamicSubtree, HashMapping, StaticSubtree};
 use d2tree_cluster::{
-    admin_get, analyze, parse_metrics_json, run_chaos, run_load, run_monitor_chaos,
-    run_store_chaos, AdminConfig, AdminServer, ChaosConfig, FaultAction, FaultPlan, FaultRule,
-    FaultScope, LoadConfig, LoadMode, LoadReport, MetricsDoc, MonitorChaosConfig, NetMds,
-    NetServer, NetServerConfig, ReplayOutcome, RetryPolicy, SimConfig, Simulator, StoreChaosConfig,
-    StrictChainRoute,
+    admin_get, analyze, parse_metrics_json, run_chaos, run_load, run_store_chaos, AdminConfig,
+    AdminServer, ChaosConfig, ChaosReport, FaultAction, FaultPlan, FaultRule, FaultScope,
+    LoadConfig, LoadMode, LoadReport, MetricsDoc, NetMds, NetServer, NetServerConfig,
+    ReplayOutcome, RetryPolicy, SimConfig, Simulator, StoreChaosConfig, StrictChainRoute,
 };
 use d2tree_core::{D2TreeConfig, D2TreeScheme, LocalIndex, Partitioner};
 use d2tree_metrics::{balance, ClusterSpec, MdsId, Placement};
@@ -158,7 +157,7 @@ Common options:
     --check-overhead <pct>  with --bench: error out if the 100%-sampling
                      overhead exceeds <pct> percent (0 = off, default)
 
-`chaos` options (schedule is derived from --seed):
+`chaos` options (schedule is derived from --seed; one Monitor replica):
     --mds <n>         cluster size (default 4)
     --nodes <n>       namespace size (default 600)
     --ticks <n>       virtual ticks to run (default 400)
@@ -167,11 +166,12 @@ Common options:
     --partitions <n>  monitor-link partition windows (default 1)
     --store-crashes <n>  also run a WAL/torn-write store-chaos schedule
                          with this many crash-recover cycles (default 0 = off)
-    --monitor-crashes <n>  also run a replicated-control-plane chaos schedule
-                         that crash-restarts the Monitor leader this many
-                         times (plus peer partitions and a forced split
-                         vote), checking election safety, fencing-token
-                         monotonicity and bounded failover (default 0 = off)
+    --monitor-crashes <n>  also run the same engine over three Monitor
+                         replicas, crash-restarting the leader this many
+                         times (plus a peer partition, a forced split
+                         vote and an MDS kill), checking election safety,
+                         fencing-token monotonicity and bounded failover
+                         (default 0 = off)
 
 `health` options (all optional):
     --profile <name>  dtr | lmbe | ra (default lmbe; lmbe drifts hardest)
@@ -830,30 +830,18 @@ fn cmd_check(opts: &Opts) -> Result<String, CliError> {
     }
 }
 
-fn cmd_chaos(opts: &Opts) -> Result<String, CliError> {
-    let seed = opts.num("seed", 42u64)?;
-    let defaults = ChaosConfig::default();
-    let config = ChaosConfig {
-        mds: opts.num("mds", defaults.mds)?,
-        nodes: opts.num("nodes", defaults.nodes)?,
-        ticks: opts.num("ticks", defaults.ticks)?,
-        tick_ms: opts.num("tick-ms", defaults.tick_ms)?,
-        kills: opts.num("kills", defaults.kills)?,
-        partitions: opts.num("partitions", defaults.partitions)?,
-    };
-    if config.mds < 2 {
-        return Err(CliError::Usage("--mds must be at least 2".to_owned()));
-    }
-    let report = run_chaos(seed, &config);
-    let replayed = run_chaos(seed, &config);
-    if report != replayed {
+/// Runs one chaos schedule twice; a report that differs between the
+/// runs or carries violations is an error naming `what` failed.
+fn chaos_twice(seed: u64, config: &ChaosConfig, what: &str) -> Result<ChaosReport, CliError> {
+    let report = run_chaos(seed, config);
+    if report != run_chaos(seed, config) {
         return Err(CliError::Chaos(format!(
-            "seed {seed} did not reproduce: two runs produced different reports"
+            "{what}seed {seed} did not reproduce: two runs produced different reports"
         )));
     }
     if !report.violations.is_empty() {
         let mut msg = format!(
-            "seed {seed}: {} invariant violation(s):\n",
+            "{what}seed {seed}: {} invariant violation(s):\n",
             report.violations.len()
         );
         for v in report.violations.iter().take(20) {
@@ -861,6 +849,25 @@ fn cmd_chaos(opts: &Opts) -> Result<String, CliError> {
         }
         return Err(CliError::Chaos(msg));
     }
+    Ok(report)
+}
+
+fn cmd_chaos(opts: &Opts) -> Result<String, CliError> {
+    let seed = opts.num("seed", 42u64)?;
+    let defaults = ChaosConfig::lone_monitor();
+    let config = ChaosConfig {
+        mds: opts.num("mds", defaults.mds)?,
+        nodes: opts.num("nodes", defaults.nodes)?,
+        ticks: opts.num("ticks", defaults.ticks)?,
+        tick_ms: opts.num("tick-ms", defaults.tick_ms)?,
+        kills: opts.num("kills", defaults.kills)?,
+        partitions: opts.num("partitions", defaults.partitions)?,
+        ..defaults
+    };
+    if config.mds < 2 {
+        return Err(CliError::Usage("--mds must be at least 2".to_owned()));
+    }
+    let report = chaos_twice(seed, &config, "")?;
     let mut out = format!(
         "chaos seed {seed}: {} MDSs, {} ticks x {} ms\n\
          kills: {}  restarts: {}  partitions: {}\n\
@@ -926,26 +933,11 @@ fn cmd_chaos(opts: &Opts) -> Result<String, CliError> {
 
     let monitor_crashes = opts.num("monitor-crashes", 0usize)?;
     if monitor_crashes > 0 {
-        let monitor_config = MonitorChaosConfig {
+        let monitor_config = ChaosConfig {
             monitor_kills: monitor_crashes,
-            ..MonitorChaosConfig::default()
+            ..ChaosConfig::replicated()
         };
-        let monitor_report = run_monitor_chaos(seed, &monitor_config);
-        if monitor_report != run_monitor_chaos(seed, &monitor_config) {
-            return Err(CliError::Chaos(format!(
-                "monitor seed {seed} did not reproduce: two runs produced different reports"
-            )));
-        }
-        if !monitor_report.violations.is_empty() {
-            let mut msg = format!(
-                "monitor seed {seed}: {} control-plane violation(s):\n",
-                monitor_report.violations.len()
-            );
-            for v in monitor_report.violations.iter().take(20) {
-                msg.push_str(&format!("  {v}\n"));
-            }
-            return Err(CliError::Chaos(msg));
-        }
+        let monitor_report = chaos_twice(seed, &monitor_config, "monitor ")?;
         out.push_str(&format!(
             "monitor chaos: {} leader crashes, {} restarts; {} elections, {} leader changes\n\
              replicated log: {} commits — {} grants, {} GL writes, {} migrations\n\

@@ -1,27 +1,36 @@
-//! Deterministic virtual-time chaos engine for the recovery protocol.
+//! Deterministic virtual-time chaos engines.
 //!
-//! [`run_chaos`] replays a seeded schedule of MDS crashes, restarts and
-//! Monitor-link partitions against the full recovery stack — the real
-//! [`Monitor`] state machine, the real lease-based [`LockService`] and
-//! the real mirror-division rejoin path — on a virtual millisecond
-//! clock. Unlike the wall-clock live runtime, every run with the same
-//! seed and config produces an *identical* event journal, so a failing
-//! schedule is a reproducible test case, not an anecdote.
+//! [`run_chaos`] replays a seeded schedule of MDS crashes, restarts,
+//! Monitor-link partitions, Monitor-replica crashes, peer partitions and
+//! forced split votes against the whole control plane — a
+//! [`ConsensusCluster`] of `replicas ∈ {1, 3}` Monitor replicas, the
+//! real [`Monitor`] verdict logic, the replicated lease table and the
+//! mirror-division fail-over and rejoin planners — on a virtual
+//! millisecond clock. Nothing takes effect until it commits: the
+//! engine proposes [`Command`]s and folds the [`Applied`] outcomes back
+//! into its world model. Unlike the wall-clock live runtime, every run
+//! with the same seed and config produces an *identical* event journal,
+//! so a failing schedule is a reproducible test case, not an anecdote.
 //!
 //! The engine machine-checks the cluster's safety invariants at every
-//! quiesce point (no partition active, every crash declared and failed
-//! over, schedule given time to settle):
+//! quiesce point (a leader up, no partition active, every crash
+//! declared and failed over, nothing in flight, schedule given time to
+//! settle) and again at the end:
 //!
 //! * no local-layer subtree is lost — the ownership table always covers
 //!   exactly the subtrees the initial placement published;
 //! * no subtree is owned by a crashed server once fail-over settles;
 //! * global-layer versions converge across all live replicas (a crashed
-//!   replica freezes, misses commits, and must re-sync on restart).
+//!   replica freezes, misses commits, and must re-sync on restart);
+//! * election safety, log matching and strictly increasing fencing
+//!   tokens across every crash, partition and re-election.
 //!
-//! Crashes are adversarial: a victim that can grab the global-layer
-//! lock crashes *while holding it*, so the schedule also exercises the
+//! Crashes are adversarial: the schedule's next victim leads the
+//! global-layer updates, so it dies *holding* the GL lease (or grabs it
+//! with its last breath), and the schedule also exercises the
 //! lease-expiry path (updates stay blocked until the dead holder's
-//! lease runs out, never forever).
+//! lease runs out, never forever). Monitor crashes are aimed at
+//! whoever leads at fire time.
 //!
 //! [`run_store_chaos`] is the durability counterpart: it drives real
 //! [`MdsStore`]s on disk through a seeded schedule of appends, group
@@ -38,10 +47,10 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
 use d2tree_core::{D2TreeConfig, D2TreeScheme, Heartbeat, Partitioner, Subtree};
-use d2tree_metrics::{ClusterSpec, MdsId, Migration};
+use d2tree_metrics::{ClusterSpec, MdsId};
 use d2tree_namespace::{NamespaceTree, NodeId};
 use d2tree_store::{AttrState, MdsRecord, MdsState, MdsStore, StoreConfig};
-use d2tree_telemetry::{names, EventKind, FaultKind, MetricKey, Registry};
+use d2tree_telemetry::{names, EventJournal, EventKind, FaultKind, MetricKey, Registry};
 use d2tree_workload::{TraceProfile, WorkloadBuilder};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -53,16 +62,19 @@ use crate::fault::{
     FaultDecision, FaultInjector, FaultPlan, FaultRule, FaultScope, NetEdge, StorageFault,
     StorageFaultRule,
 };
-use crate::lock::LockService;
-use crate::monitor::{ClusterEvent, Monitor, MonitorConfig};
+use crate::monitor::{Monitor, MonitorConfig};
 
 /// Shape of a chaos run. The schedule itself (who dies when, where the
 /// partitions fall) is derived deterministically from the seed passed
 /// to [`run_chaos`].
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ChaosConfig {
-    /// Cluster size.
+    /// Data-plane cluster size (MDS servers sending heartbeats).
     pub mds: usize,
+    /// Monitor replicas: 1 is the paper's lone Monitor (every proposal
+    /// commits as it is made; a Monitor crash is an outage), 3
+    /// tolerates one crash.
+    pub replicas: usize,
     /// Namespace-tree size the placement is built over.
     pub nodes: usize,
     /// Virtual ticks to run; disruptions are scheduled in the first 60%,
@@ -70,49 +82,131 @@ pub struct ChaosConfig {
     pub ticks: u64,
     /// Virtual milliseconds per tick (one heartbeat round).
     pub tick_ms: u64,
-    /// Crash-restart cycles to schedule.
+    /// MDS crash-restart cycles to schedule.
     pub kills: usize,
     /// Monitor-link partition windows to schedule (long enough to cause
     /// false failure declarations, so recovery must also cope with
     /// resurrections of servers that never actually died).
     pub partitions: usize,
+    /// Monitor-leader crash/restart cycles to schedule.
+    pub monitor_kills: usize,
+    /// Replica-link partition windows (one replica loses its inbound
+    /// peer traffic for a while — long enough to force a re-election
+    /// when the victim is the leader).
+    pub peer_partitions: usize,
+    /// Forced split votes (every live replica campaigns at once; the
+    /// randomized timeouts must untangle it).
+    pub split_votes: usize,
+    /// When set, a window late in the run crashes all but one replica:
+    /// the cluster must degrade to read-only serving (no panics, reads
+    /// keep answering, writes blocked) and recover when quorum returns.
+    pub quorum_loss: bool,
 }
 
-impl Default for ChaosConfig {
-    fn default() -> Self {
+impl ChaosConfig {
+    /// The paper's deployment: one Monitor, and a schedule of MDS
+    /// crashes and Monitor-link partitions.
+    #[must_use]
+    pub fn lone_monitor() -> Self {
         ChaosConfig {
             mds: 4,
+            replicas: 1,
             nodes: 600,
             ticks: 400,
             tick_ms: 20,
             kills: 2,
             partitions: 1,
+            monitor_kills: 0,
+            peer_partitions: 0,
+            split_votes: 0,
+            quorum_loss: false,
+        }
+    }
+
+    /// Three Monitor replicas under leader crashes, a peer partition
+    /// and a forced split vote, with one MDS crash so fail-over
+    /// decisions flow through the log while the control plane itself
+    /// is being disrupted.
+    #[must_use]
+    pub fn replicated() -> Self {
+        ChaosConfig {
+            mds: 4,
+            replicas: 3,
+            nodes: 400,
+            ticks: 900,
+            tick_ms: 10,
+            kills: 1,
+            partitions: 0,
+            monitor_kills: 2,
+            peer_partitions: 1,
+            split_votes: 1,
+            quorum_loss: false,
+        }
+    }
+
+    /// The replica timing a run uses, all derived from the tick.
+    #[must_use]
+    pub fn timing(&self) -> ConsensusTiming {
+        ConsensusTiming {
+            heartbeat_ms: 2 * self.tick_ms,
+            election_min_ms: 10 * self.tick_ms,
+            election_jitter_ms: 10 * self.tick_ms,
+            net_delay_ms: 1,
         }
     }
 }
 
 /// What a chaos run did and found.
-#[derive(Debug, Clone, PartialEq)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct ChaosReport {
     /// The seed the schedule was derived from.
     pub seed: u64,
     /// Ticks executed.
     pub ticks: u64,
-    /// Crashes injected.
+    /// MDS crashes injected.
     pub kills: usize,
-    /// Restarts performed.
+    /// MDS restarts performed.
     pub restarts: usize,
-    /// Partition windows injected.
+    /// Monitor-link partition windows injected.
     pub partitions: usize,
-    /// Rejoin protocols completed (restarts plus partition resurrections).
+    /// Rejoin protocols run (restarts of declared-dead servers plus
+    /// partition resurrections).
     pub rejoins: usize,
-    /// Rejoins in which the returning server claimed at least one subtree.
+    /// Rejoins in which the returning server was handed at least one
+    /// subtree.
     pub rejoins_with_claims: usize,
     /// Global-layer updates blocked by a crashed lock holder's
     /// still-live lease (they unblock at lease expiry).
     pub blocked_updates: u64,
-    /// Invariant violations observed at quiesce points (empty = the
-    /// recovery protocol survived the schedule).
+    /// Monitor-replica crashes injected.
+    pub monitor_kills: usize,
+    /// Monitor-replica restarts performed.
+    pub monitor_restarts: usize,
+    /// Elections started across all replicas (`elections_total`).
+    pub elections: u64,
+    /// Distinct leader handovers (`leader_changes_total`).
+    pub leader_changes: u64,
+    /// Entries committed through the replicated log (`log_commits_total`).
+    pub commits: u64,
+    /// Leases granted by the replicated lock state machine.
+    pub grants: u64,
+    /// Global-layer writes committed under a valid lease.
+    pub gl_writes: u64,
+    /// Writes rejected for stale or expired fencing tokens.
+    pub fence_rejections: u64,
+    /// Deliberate expired-fence probes that were correctly rejected.
+    pub stale_probes_confirmed: usize,
+    /// Control-plane submissions that were redirected or re-aimed
+    /// (`monitor_retries_total`).
+    pub monitor_retries: u64,
+    /// Write attempts that found no leader to accept them (read-only
+    /// degradation in action).
+    pub blocked_writes: u64,
+    /// Longest observed leader-loss → re-election gap, in virtual ms.
+    pub max_failover_ms: u64,
+    /// Subtree re-homings committed through the log.
+    pub migrations_committed: u64,
+    /// Invariant violations (empty = the cluster survived the schedule).
     pub violations: Vec<String>,
     /// The run's event journal (heartbeats elided), in order. Two runs
     /// with the same seed and config produce identical journals.
@@ -125,27 +219,164 @@ pub struct ChaosReport {
     pub faults_duplicated: u64,
 }
 
-/// One scheduled disruption, in virtual ms.
-#[derive(Debug, Clone, Copy)]
-enum Disruption {
-    Kill(MdsId),
-    Restart(MdsId),
+static CHAOS_SEQ: AtomicU64 = AtomicU64::new(0);
+
+fn chaos_root() -> PathBuf {
+    std::env::temp_dir().join(format!(
+        "d2tree-chaos-{}-{}",
+        std::process::id(),
+        CHAOS_SEQ.fetch_add(1, Ordering::Relaxed)
+    ))
+}
+
+/// Everything the seed decides, in virtual ms.
+struct Schedule {
+    /// MDS `(kill_at, back_at, victim)` cycles, back to back (never
+    /// overlapping), so every scheduled kill fires and gets its restart.
+    mds_cycles: Vec<(u64, u64, MdsId)>,
+    /// Monitor `(kill_at, back_at)` windows, back to back; the victim is
+    /// whoever leads at fire time.
+    monitor_windows: Vec<(u64, u64)>,
+    split_votes: Vec<u64>,
+    /// All-but-one replicas down; lands after the disruption window so
+    /// it cannot overlap the single-kill schedules.
+    quorum_window: Option<(u64, u64)>,
+    /// Monitor-link and peer-link partition windows.
+    partition_windows: Vec<(u64, u64)>,
+    plan: FaultPlan,
+}
+
+fn build_schedule(
+    seed: u64,
+    config: &ChaosConfig,
+    failure_timeout_ms: u64,
+    reelect_slack_ms: u64,
+) -> Schedule {
+    let tick_ms = config.tick_ms;
+    let timing = config.timing();
+    let disrupt_until_ms = config.ticks * tick_ms * 3 / 5;
+    let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
+    // Nothing is scheduled before the first election can have finished.
+    let first_leader_ms = timing.election_min_ms + timing.election_jitter_ms + 2 * tick_ms;
+
+    let mut mds_cycles = Vec::new();
+    let mut cursor = first_leader_ms;
+    for _ in 0..config.kills {
+        let at = cursor + rng.gen_range(1..=5) * tick_ms;
+        let back_at = at + failure_timeout_ms + rng.gen_range(2..=6) * tick_ms;
+        let victim = MdsId(rng.gen_range(0..config.mds) as u16);
+        mds_cycles.push((at, back_at, victim));
+        cursor = back_at + tick_ms;
+    }
+    assert!(
+        cursor <= disrupt_until_ms,
+        "MDS-kill schedule does not fit: raise ticks or lower kills"
+    );
+    // Restarts come after the re-election bound so each Monitor crash
+    // forces a full failover.
+    let mut monitor_windows = Vec::new();
+    let mut cursor = first_leader_ms;
+    for _ in 0..config.monitor_kills {
+        let at = cursor + rng.gen_range(1..=5) * tick_ms;
+        let back_at = at + reelect_slack_ms + rng.gen_range(1..=5) * tick_ms;
+        monitor_windows.push((at, back_at));
+        cursor = back_at + 4 * tick_ms;
+    }
+    assert!(
+        cursor <= disrupt_until_ms,
+        "monitor-kill schedule does not fit: raise ticks or lower monitor_kills"
+    );
+    let mut plan = FaultPlan::new(seed);
+    let mut partition_windows = Vec::new();
+    let mut window = |rng: &mut StdRng, hold_ms: u64, scope: FaultScope| {
+        let from = rng.gen_range(tick_ms..disrupt_until_ms.max(tick_ms + 1));
+        let until = from + hold_ms + rng.gen_range(1..=4) * tick_ms;
+        partition_windows.push((from, until));
+        FaultRule::partition(scope, from, until)
+    };
+    for _ in 0..config.partitions {
+        let victim = rng.gen_range(0..config.mds) as u16;
+        let rule = window(
+            &mut rng,
+            failure_timeout_ms,
+            FaultScope::MonitorLink(victim),
+        );
+        plan = plan.with_rule(rule);
+    }
+    for _ in 0..config.peer_partitions {
+        let victim = rng.gen_range(0..config.replicas) as u16;
+        let rule = window(&mut rng, reelect_slack_ms, FaultScope::PeerLink(victim));
+        plan = plan.with_rule(rule);
+    }
+    let mut split_votes: Vec<u64> = (0..config.split_votes)
+        .map(|_| rng.gen_range(tick_ms..disrupt_until_ms.max(tick_ms + 1)))
+        .collect();
+    split_votes.sort_unstable();
+    let quorum_window = config.quorum_loss.then(|| {
+        let from = disrupt_until_ms + 5 * tick_ms;
+        (from, from + 20 * tick_ms)
+    });
+    Schedule {
+        mds_cycles,
+        monitor_windows,
+        split_votes,
+        quorum_window,
+        partition_windows,
+        plan,
+    }
+}
+
+/// The GL writer drives its lease lifecycle through these phases.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+enum GlPhase {
+    Idle,
+    Acquiring,
+    Holding {
+        fence: u64,
+    },
+    Writing {
+        fence: u64,
+    },
+    /// The write committed; the lease goes back.
+    Releasing {
+        fence: u64,
+    },
+    /// Deliberately sitting on an expiring lease to probe the fencing
+    /// path: the write is submitted only after `expires_at_ms`.
+    StaleWait {
+        fence: u64,
+        expires_at_ms: u64,
+    },
+    StaleProbe {
+        fence: u64,
+    },
 }
 
 /// Runs one seeded chaos schedule to completion.
 ///
 /// # Panics
 ///
-/// Panics if `config` is degenerate (zero MDSs, ticks or tick length,
-/// or fewer than two servers to fail over between).
+/// Panics if `config` is degenerate (fewer than two MDSs to fail over
+/// between, no replicas, zero ticks or tick length, or a schedule that
+/// does not fit the disruption window).
 #[must_use]
+#[allow(clippy::too_many_lines)]
 pub fn run_chaos(seed: u64, config: &ChaosConfig) -> ChaosReport {
     assert!(config.mds >= 2, "chaos needs at least two servers");
+    assert!(config.replicas >= 1, "a control plane needs replicas");
     assert!(config.ticks > 0 && config.tick_ms > 0, "empty schedule");
-    let failure_timeout_ms = 5 * config.tick_ms;
-    let lease_ms = 4 * config.tick_ms;
-    let horizon_ms = config.ticks * config.tick_ms;
-    let disrupt_until_ms = horizon_ms * 3 / 5;
+    let tick_ms = config.tick_ms;
+    let replicas = config.replicas as u16;
+    let failure_timeout_ms = 5 * tick_ms;
+    let lease_ms = 8 * tick_ms;
+    let timing = config.timing();
+    let reelect_slack_ms = timing.reelect_bound_ms() + 2 * tick_ms;
+    let settle_ms = failure_timeout_ms + 2 * timing.heartbeat_ms + 2 * tick_ms;
+    let stale_probe_after_ms = config.ticks * tick_ms / 2;
+    // How long the GL writer waits on a commit before assuming the
+    // proposal died with a leader and re-issuing (failover-sized, plus
+    // the lease the retry may have to wait out).
+    let give_up_ms = reelect_slack_ms + 2 * lease_ms;
 
     // Deterministic topology: placement and local index from the real
     // scheme over a seeded workload tree.
@@ -157,192 +388,443 @@ pub fn run_chaos(seed: u64, config: &ChaosConfig) -> ChaosReport {
     .seed(seed)
     .build();
     let pop = w.popularity();
+    let cluster_spec = ClusterSpec::homogeneous(config.mds, 1.0);
     let mut scheme = D2TreeScheme::new(D2TreeConfig::paper_default());
-    scheme.build(&w.tree, &pop, &ClusterSpec::homogeneous(config.mds, 1.0));
+    scheme.build(&w.tree, &pop, &cluster_spec);
     let tree = &w.tree;
     // BTreeMap: deterministic iteration order is what makes the journal
     // reproducible.
     let mut owned: BTreeMap<NodeId, MdsId> = scheme.local_index().iter().collect();
     let initial_roots: BTreeSet<NodeId> = owned.keys().copied().collect();
-    let gl_node = tree.root(); // always replicated
+    let gl_node = tree.root().index() as u64; // always replicated
 
-    // Seeded schedule: kills with a restart after the failure timeout,
-    // partition windows long enough to trigger false declarations.
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
-    let mut schedule: Vec<(u64, Disruption)> = Vec::new();
-    let mut plan = FaultPlan::new(seed);
-    // Crash-restart cycles are laid out back-to-back (never overlapping),
-    // so every scheduled kill actually fires and gets its restart.
-    let mut cursor = failure_timeout_ms;
-    for _ in 0..config.kills {
-        let at = cursor + rng.gen_range(1..=5) * config.tick_ms;
-        let victim = MdsId(rng.gen_range(0..config.mds) as u16);
-        let back_at = at + failure_timeout_ms + rng.gen_range(1..=5) * config.tick_ms;
-        schedule.push((at, Disruption::Kill(victim)));
-        schedule.push((back_at, Disruption::Restart(victim)));
-        cursor = back_at + config.tick_ms;
-    }
-    assert!(
-        cursor <= disrupt_until_ms,
-        "schedule does not fit: raise ticks or lower kills"
-    );
-    let mut partition_windows: Vec<(u64, u64)> = Vec::new();
-    for _ in 0..config.partitions {
-        let from = rng.gen_range(config.tick_ms..disrupt_until_ms.max(config.tick_ms + 1));
-        let until = from + failure_timeout_ms + rng.gen_range(1..=4) * config.tick_ms;
-        let victim = rng.gen_range(0..config.mds) as u16;
-        plan = plan.with_rule(FaultRule::partition(
-            FaultScope::MonitorLink(victim),
-            from,
-            until,
-        ));
-        partition_windows.push((from, until));
-    }
-    schedule.sort_by_key(|&(at, _)| at);
-
+    let schedule = build_schedule(seed, config, failure_timeout_ms, reelect_slack_ms);
     let registry = Arc::new(Registry::with_journal_capacity(64 * 1024));
     names::register_all(&registry);
-    let injector = FaultInjector::new(&plan).with_registry(Arc::clone(&registry));
+    let journal = Arc::clone(registry.journal());
+    let injector = FaultInjector::new(&schedule.plan).with_registry(Arc::clone(&registry));
+    let wal_root = chaos_root();
+    let mut cluster = ConsensusCluster::new(
+        seed,
+        ConsensusConfig {
+            replicas: config.replicas,
+            timing,
+            lease_ms,
+            wal_root: Some(wal_root.clone()),
+            segment_bytes: 16 * 1024,
+        },
+    )
+    .with_registry(Arc::clone(&registry))
+    .with_journal(Arc::clone(&journal));
+    // One Monitor stands for whichever replica leads: `take_lead` wipes
+    // what a fresh leader could not know. Membership verdicts reach the
+    // journal only when they commit.
     let mut mon = Monitor::with_journal(
         MonitorConfig {
-            heartbeat_interval_ms: config.tick_ms,
+            heartbeat_interval_ms: tick_ms,
             failure_timeout_ms,
             ..MonitorConfig::default()
         },
         config.mds,
-        Arc::clone(registry.journal()),
+        Arc::clone(&journal),
     );
-    let locks = LockService::new(lease_ms);
-    let cluster_spec = ClusterSpec::homogeneous(config.mds, 1.0);
+    let mut client = LeaderClient::new(seed, replicas).with_registry(&registry);
 
+    // The data plane: who is crashed, who the committed view has
+    // declared, each MDS's GL replica version.
     let mut killed = vec![false; config.mds];
-    let mut declared: BTreeSet<usize> = BTreeSet::new();
+    let mut declared: BTreeSet<u16> = BTreeSet::new();
+    let mut rejoining: Vec<MdsId> = Vec::new();
     let mut gl_versions = vec![0u64; config.mds];
+    // Subtrees with a `Migrate` proposed and not yet committed.
+    let mut in_flight: BTreeSet<u64> = BTreeSet::new();
+    let mut known_leader: Option<(u16, u64)> = None;
+    let mut reelect_deadline: Option<u64> = None;
+    let mut gl_phase = GlPhase::Idle;
+    let mut writer = 0u16;
+    let mut phase_since = 0u64;
+    let mut last_fence = 0u64;
     let mut last_disruption_ms = 0u64;
-    let mut next_sched = 0usize;
-    let mut kills = 0usize;
-    let mut restarts = 0usize;
-    let mut rejoins = 0usize;
-    let mut rejoins_with_claims = 0usize;
-    let mut blocked_updates = 0u64;
-    let mut violations: Vec<String> = Vec::new();
+    let (mut next_cycle, mut cycle_fired) = (0usize, false);
+    let mut next_window = 0usize;
+    let mut next_split = 0usize;
+
+    let mut report = ChaosReport {
+        seed,
+        ticks: config.ticks,
+        partitions: config.partitions,
+        ..ChaosReport::default()
+    };
 
     for tick in 0..config.ticks {
-        let now = tick * config.tick_ms;
+        let now = tick * tick_ms;
+        let within = |&(from, until): &(u64, u64)| now >= from && now < until;
+        let in_partition = schedule.partition_windows.iter().any(within);
+        let in_quorum_loss = schedule.quorum_window.as_ref().is_some_and(within);
 
-        // 1. Scheduled disruptions due at this tick.
-        while next_sched < schedule.len() && schedule[next_sched].0 <= now {
-            let (_, d) = schedule[next_sched];
-            next_sched += 1;
+        // 1. Scheduled control-plane disruptions.
+        if let Some(&(at, back_at)) = schedule.monitor_windows.get(next_window) {
+            if now >= back_at {
+                report.monitor_restarts +=
+                    (0..replicas).filter(|&r| cluster.restart(r, now)).count();
+                if cluster.leader().is_none() {
+                    reelect_deadline = Some(now + reelect_slack_ms);
+                }
+                last_disruption_ms = now;
+                next_window += 1;
+            } else if now >= at && cluster.up_count() == config.replicas {
+                // Kill the current leader (or replica 0 while leaderless).
+                let victim = cluster.leader().unwrap_or(0);
+                if cluster.kill(victim, now) {
+                    report.monitor_kills += 1;
+                    known_leader = None;
+                    reelect_deadline = Some(now + reelect_slack_ms);
+                    last_disruption_ms = now;
+                }
+            }
+        }
+        if let Some((_, until)) = schedule.quorum_window {
+            if in_quorum_loss && cluster.up_count() == config.replicas {
+                let survivor = cluster.leader().map_or(0, |l| (l + 1) % replicas);
+                report.monitor_kills += (0..replicas)
+                    .filter(|&r| r != survivor && cluster.kill(r, now))
+                    .count();
+                known_leader = None;
+                reelect_deadline = None;
+            }
+            if now >= until && cluster.up_count() < config.replicas {
+                report.monitor_restarts +=
+                    (0..replicas).filter(|&r| cluster.restart(r, now)).count();
+                reelect_deadline = Some(now + reelect_slack_ms);
+                last_disruption_ms = now;
+            }
+        }
+        if schedule
+            .split_votes
+            .get(next_split)
+            .is_some_and(|&at| now >= at)
+        {
+            next_split += 1;
+            cluster.force_split_vote(now);
+            known_leader = None;
+            reelect_deadline = Some(now + reelect_slack_ms);
             last_disruption_ms = now;
-            match d {
-                Disruption::Kill(v) => {
-                    if !killed[v.index()] {
-                        // Adversarial crash: die holding the GL lock if
-                        // it is free, wedging updates until lease expiry.
-                        let _leaked = locks.try_acquire(gl_node, now);
-                        killed[v.index()] = true;
-                        kills += 1;
+        }
+
+        // 2. Scheduled data-plane disruptions. A victim stays down
+        // until the control plane has declared it (bounded by one
+        // re-election), so its restart races the fail-over it caused.
+        if let Some(&(at, back_at, victim)) = schedule.mds_cycles.get(next_cycle) {
+            let v = victim.index();
+            if !cycle_fired {
+                if now >= at {
+                    // Adversarial crash: the victim dies leading a GL
+                    // update — holding its lease, or grabbing a free one
+                    // with its last message — wedging updates until
+                    // lease expiry.
+                    if gl_phase == GlPhase::Idle {
+                        let grab = Command::LeaseAcquire {
+                            node: gl_node,
+                            holder: victim.0,
+                            now_ms: now,
+                        };
+                        let _ = client.try_submit(&mut cluster, grab, now);
+                    } else if writer == victim.0 {
+                        gl_phase = GlPhase::Idle;
+                    }
+                    killed[v] = true;
+                    cycle_fired = true;
+                    report.kills += 1;
+                    last_disruption_ms = now;
+                }
+            } else if now >= back_at
+                && (declared.contains(&victim.0) || now >= back_at + reelect_slack_ms)
+            {
+                // GL re-sync: a restarted replica copies the committed
+                // state before serving (mirrors LiveCluster::restart).
+                gl_versions[v] = cluster.observer().gl_version(gl_node);
+                killed[v] = false;
+                report.restarts += 1;
+                last_disruption_ms = now;
+                (next_cycle, cycle_fired) = (next_cycle + 1, false);
+            }
+        }
+
+        // 3. Leadership bookkeeping: a fresh leader's Monitor starts
+        // its clocks over and forgets uncommitted proposals; a quorate
+        // cluster must not stay leaderless past the re-election bound.
+        let leader = cluster.leader();
+        if let Some(l) = leader {
+            let term = cluster.replica(l).term();
+            if known_leader != Some((l, term)) {
+                known_leader = Some((l, term));
+                mon.take_lead(now);
+                in_flight.clear();
+                last_disruption_ms = now;
+            }
+            reelect_deadline = None;
+            if let Some(f) = cluster.last_failover_ms() {
+                report.max_failover_ms = report.max_failover_ms.max(f);
+            }
+        } else if let Some(deadline) = reelect_deadline {
+            let quorum = cluster.up_count() * 2 > config.replicas;
+            if now > deadline && quorum && !in_partition && !in_quorum_loss {
+                report.violations.push(format!(
+                    "t={now}: no leader within the re-election bound ({}ms past loss)",
+                    timing.reelect_bound_ms()
+                ));
+                reelect_deadline = None;
+            }
+        }
+
+        if let Some(l) = leader {
+            // 4. MDS heartbeats reach the leader's Monitor through the
+            // (possibly partitioned) monitor links; its verdicts become
+            // proposals. A first heartbeat registers the server.
+            for (k, &dead) in killed.iter().enumerate() {
+                let edge = NetEdge::MdsToMonitor(k as u16);
+                if dead || injector.decide(edge, now) == FaultDecision::Drop {
+                    continue;
+                }
+                let hb = Heartbeat {
+                    mds: MdsId(k as u16),
+                    load: owned.values().filter(|&&o| o.index() == k).count() as f64,
+                };
+                if let Some(cmd) = mon.on_heartbeat(hb, now, cluster.observer()) {
+                    let _ = cluster.submit(l, cmd, now);
+                }
+            }
+            for cmd in mon.detect_failures(now, cluster.observer()) {
+                let _ = cluster.submit(l, cmd, now);
+            }
+
+            // 5. Planning over the committed view. Rejoin: a server
+            // whose `MdsAlive` just committed is handed subtrees.
+            // Fail-over (and its resume): any subtree still owned by a
+            // committed-dead MDS gets a re-homing proposed — including
+            // orphans inherited from a leader that died mid-rebalance.
+            let dead_owners: BTreeSet<MdsId> = owned
+                .values()
+                .filter(|o| declared.contains(&o.0))
+                .copied()
+                .collect();
+            let mut plans = Vec::new();
+            if !(rejoining.is_empty() && dead_owners.is_empty()) {
+                let table = subtree_table(tree, &owned);
+                for back in std::mem::take(&mut rejoining) {
+                    let plan = mon.plan_rejoin(back, &table, cluster.observer());
+                    let claimed = plan.iter().filter(|mg| mg.to == back).count();
+                    report.rejoins += 1;
+                    report.rejoins_with_claims += usize::from(claimed > 0);
+                    journal.record(EventKind::MdsRejoined {
+                        mds: back.0,
+                        claimed: claimed as u64,
+                    });
+                    plans.extend(plan);
+                }
+                for dead in dead_owners {
+                    let plan = mon.plan_failover(dead, &table, &cluster_spec, cluster.observer());
+                    plans.extend(plan);
+                }
+            }
+            for mg in plans {
+                let subtree = mg.node.index() as u64;
+                if in_flight.insert(subtree) {
+                    let migrate = Command::Migrate {
+                        subtree,
+                        from: mg.from.0,
+                        to: mg.to.0,
+                    };
+                    let _ = cluster.submit(l, migrate, now);
+                }
+            }
+        }
+
+        // 6. The GL writer drives its lease lifecycle through the
+        // replicated lock state machine, via leader discovery + the
+        // shared retry policy: what it wants to submit this tick, and
+        // the phase a successful submission moves it to.
+        let step = match gl_phase {
+            GlPhase::Idle => {
+                // The schedule's next victim leads the update while it
+                // lives; otherwise any live server can.
+                let lead = schedule
+                    .mds_cycles
+                    .get(next_cycle)
+                    .map(|&(_, _, v)| v.index())
+                    .filter(|&v| !killed[v])
+                    .or_else(|| killed.iter().position(|&dead| !dead));
+                lead.map(|lead| {
+                    writer = lead as u16;
+                    let acquire = Command::LeaseAcquire {
+                        node: gl_node,
+                        holder: writer,
+                        now_ms: now,
+                    };
+                    (acquire, GlPhase::Acquiring)
+                })
+            }
+            GlPhase::Holding { fence }
+                if report.stale_probes_confirmed == 0 && now >= stale_probe_after_ms =>
+            {
+                // Hold the lease past expiry instead of writing.
+                gl_phase = GlPhase::StaleWait {
+                    fence,
+                    expires_at_ms: now + lease_ms,
+                };
+                None
+            }
+            GlPhase::Holding { fence } => {
+                let write = Command::GlWrite {
+                    node: gl_node,
+                    fence,
+                    now_ms: now,
+                };
+                Some((write, GlPhase::Writing { fence }))
+            }
+            GlPhase::Releasing { fence } => {
+                let release = Command::LeaseRelease {
+                    node: gl_node,
+                    fence,
+                };
+                Some((release, GlPhase::Idle))
+            }
+            GlPhase::StaleWait {
+                fence,
+                expires_at_ms,
+            } => (now > expires_at_ms).then(|| {
+                let write = Command::GlWrite {
+                    node: gl_node,
+                    fence,
+                    now_ms: now,
+                };
+                (write, GlPhase::StaleProbe { fence })
+            }),
+            GlPhase::Acquiring | GlPhase::Writing { .. } | GlPhase::StaleProbe { .. } => {
+                // Waiting on a commit; resolved in step 7. A proposal
+                // accepted by a leader that died before replicating it
+                // is simply lost — after a failover-sized wait assume
+                // the worst and re-issue, like a real client timing out.
+                if now.saturating_sub(phase_since) > give_up_ms {
+                    gl_phase = match gl_phase {
+                        // Re-arm the probe: the expired fence must
+                        // still be submitted and rejected, not
+                        // forgotten with the lost message.
+                        GlPhase::StaleProbe { fence } => GlPhase::StaleWait {
+                            fence,
+                            expires_at_ms: now,
+                        },
+                        _ => GlPhase::Idle,
+                    };
+                    phase_since = now;
+                }
+                None
+            }
+        };
+        if let Some((cmd, then)) = step {
+            if client.try_submit(&mut cluster, cmd, now).is_some() {
+                gl_phase = then;
+                phase_since = now;
+            } else if leader.is_none() {
+                // Nobody to take it: the control plane is read-only.
+                report.blocked_writes += 1;
+            }
+        }
+
+        // 7. Advance the consensus cluster one step and fold the newly
+        // committed entries back into the chaos world.
+        for (_entry, outcome) in cluster.tick(now, Some(&injector)) {
+            mon.on_applied(&outcome);
+            match outcome {
+                Applied::Membership { mds, alive: false } => {
+                    declared.insert(mds);
+                    last_disruption_ms = now;
+                }
+                Applied::Membership { mds, alive: true } => {
+                    if declared.remove(&mds) {
+                        rejoining.push(MdsId(mds));
+                    }
+                    last_disruption_ms = now;
+                }
+                Applied::Granted { fence, holder, .. } => {
+                    if fence <= last_fence {
+                        report.violations.push(format!(
+                            "t={now}: fence regression {fence} after {last_fence}"
+                        ));
+                    }
+                    last_fence = fence;
+                    let live = !killed.get(holder as usize).copied().unwrap_or(true);
+                    if gl_phase == GlPhase::Acquiring && holder == writer && live {
+                        gl_phase = GlPhase::Holding { fence };
                     }
                 }
-                Disruption::Restart(v) => {
-                    if killed[v.index()] {
-                        // GL re-sync: a restarted replica copies the
-                        // freshest committed state from the live ones
-                        // before serving (mirrors LiveCluster::restart).
-                        let freshest = gl_versions
-                            .iter()
-                            .enumerate()
-                            .filter(|&(k, _)| !killed[k])
-                            .map(|(_, &v)| v)
-                            .max()
-                            .unwrap_or(gl_versions[v.index()]);
-                        gl_versions[v.index()] = freshest.max(gl_versions[v.index()]);
-                        killed[v.index()] = false;
-                        restarts += 1;
+                Applied::Busy => {
+                    let holder = cluster.observer().lease(gl_node).map(|l| l.holder);
+                    if holder.is_some_and(|h| killed.get(h as usize).copied().unwrap_or(false)) {
+                        report.blocked_updates += 1; // wedged by a crashed holder
+                    }
+                    if gl_phase == GlPhase::Acquiring {
+                        gl_phase = GlPhase::Idle;
                     }
                 }
-            }
-        }
-
-        // 2. Heartbeats through the (possibly partitioned) monitor links.
-        for (k, &dead) in killed.iter().enumerate() {
-            if dead {
-                continue;
-            }
-            let edge = NetEdge::MdsToMonitor(k as u16);
-            if injector.decide(edge, now) == FaultDecision::Drop {
-                continue; // partitioned away from the Monitor
-            }
-            let hb = Heartbeat {
-                mds: MdsId(k as u16),
-                load: owned.values().filter(|&&o| o.index() == k).count() as f64,
-            };
-            if let Some(ClusterEvent::MdsRecovered(back)) = mon.on_heartbeat(hb, now) {
-                declared.remove(&back.index());
-                let claimed = rejoin(&registry, &mut mon, tree, &mut owned, back, config.mds, now);
-                rejoins += 1;
-                if claimed > 0 {
-                    rejoins_with_claims += 1;
-                }
-                registry.journal().record(EventKind::MdsRejoined {
-                    mds: back.0,
-                    claimed: claimed as u64,
-                });
-            }
-        }
-
-        // 3. Failure detection and fail-over.
-        for event in mon.detect_failures(now) {
-            let ClusterEvent::MdsFailed(dead) = event else {
-                continue;
-            };
-            declared.insert(dead.index());
-            last_disruption_ms = now;
-            let owned_vec = subtree_table(tree, &owned);
-            let migrations = mon.plan_failover(dead, &owned_vec, &cluster_spec, now);
-            apply_migrations(&registry, tree, &mut owned, &migrations);
-        }
-
-        // 4. One global-layer update per tick through the lock service
-        // (any live server can lead the commit).
-        if killed.iter().any(|&dead| !dead) {
-            match locks.try_acquire(gl_node, now) {
-                Some(token) => {
+                Applied::GlWritten { version, .. } => {
+                    report.gl_writes += 1;
+                    // The commit propagates to live replicas only.
                     for (k, v) in gl_versions.iter_mut().enumerate() {
                         if !killed[k] {
-                            *v += 1; // commit propagates to live replicas only
+                            *v = version;
                         }
                     }
-                    let released = locks.release(token);
-                    debug_assert!(released, "fresh token releases cleanly");
+                    if let GlPhase::Writing { fence } = gl_phase {
+                        gl_phase = GlPhase::Releasing { fence };
+                    }
                 }
-                None => blocked_updates += 1, // wedged by a crashed holder
+                Applied::Rejected { .. } => match gl_phase {
+                    GlPhase::StaleProbe { .. } => {
+                        report.stale_probes_confirmed += 1;
+                        gl_phase = GlPhase::Idle;
+                    }
+                    // An honest write raced lease expiry (e.g. blocked
+                    // behind a long failover): the fence did its job.
+                    // Start over.
+                    GlPhase::Writing { .. } => gl_phase = GlPhase::Idle,
+                    _ => {}
+                },
+                Applied::Migrated { subtree, to, .. } => {
+                    report.migrations_committed += 1;
+                    in_flight.remove(&subtree);
+                    if !apply_migration(&journal, tree, &mut owned, subtree, MdsId(to)) {
+                        report
+                            .violations
+                            .push(format!("t={now}: migrate of unknown subtree {subtree}"));
+                    }
+                }
+                Applied::Noop | Applied::Released => {}
             }
         }
 
-        // 5. Invariant check at quiesce points.
-        let partitioned = partition_windows
-            .iter()
-            .any(|&(from, until)| now >= from && now < until);
-        let undetected_crash = killed
+        // 8. Invariant check at quiesce points.
+        let undeclared_crash = killed
             .iter()
             .enumerate()
-            .any(|(k, &dead)| dead && !declared.contains(&k));
-        let settled = now >= last_disruption_ms + failure_timeout_ms + 2 * config.tick_ms;
-        if !partitioned && !undetected_crash && settled {
+            .any(|(k, &dead)| dead && !declared.contains(&(k as u16)));
+        let idle = in_flight.is_empty() && rejoining.is_empty();
+        let settled = now >= last_disruption_ms + settle_ms;
+        if leader.is_some() && !in_partition && !undeclared_crash && idle && settled {
+            let committed = cluster.observer().gl_version(gl_node);
             check_invariants(
                 tick,
                 &owned,
                 &initial_roots,
                 &killed,
                 &gl_versions,
-                &mut violations,
+                committed,
+                &mut report.violations,
             );
         }
     }
 
-    // Final check: the schedule restarts every victim, so the run must
+    // Final sweep: the schedule restarts every victim, so the run must
     // end healthy regardless of where the last quiesce point fell.
     check_invariants(
         config.ticks,
@@ -350,41 +832,73 @@ pub fn run_chaos(seed: u64, config: &ChaosConfig) -> ChaosReport {
         &initial_roots,
         &killed,
         &gl_versions,
-        &mut violations,
+        cluster.observer().gl_version(gl_node),
+        &mut report.violations,
     );
-
+    report.violations.extend(cluster.check_invariants());
+    // A replica that has applied as far as the observer — recovered
+    // from its WAL or not — holds exactly the committed membership,
+    // leases, fence counter, GL versions and ownership.
+    for r in (0..replicas).filter(|&r| cluster.is_up(r)) {
+        let state = cluster.replica(r).state();
+        if state.applied == cluster.observer().applied && state != cluster.observer() {
+            report
+                .violations
+                .push(format!("replica {r} diverged from the committed state"));
+        }
+    }
+    for (&root, &owner) in &owned {
+        if !cluster.observer().is_alive(owner.0) {
+            report.violations.push(format!(
+                "subtree {} still owned by dead mds{} at the end",
+                root.index(),
+                owner.0
+            ));
+        }
+    }
+    // Fencing tokens in the shared journal must be strictly monotonic —
+    // across failovers, restarts and partitions.
     let snap = registry.snapshot();
+    let mut prev = 0u64;
+    for e in &snap.events {
+        if let EventKind::LeaseGranted { fence, .. } = e.kind {
+            if fence <= prev {
+                report
+                    .violations
+                    .push(format!("journal fence regression: {fence} after {prev}"));
+            }
+            prev = fence;
+        }
+    }
+
     let counter = |name: &str| {
         snap.counters
             .iter()
             .find(|(k, _)| k.name == name)
             .map_or(0, |&(_, v)| v)
     };
-    ChaosReport {
-        seed,
-        ticks: config.ticks,
-        kills,
-        restarts,
-        partitions: partition_windows.len(),
-        rejoins,
-        rejoins_with_claims,
-        blocked_updates,
-        violations,
-        journal: snap
-            .events
-            .iter()
-            .map(|e| e.kind)
-            .filter(|k| !matches!(k, EventKind::Heartbeat { .. }))
-            .collect(),
-        faults_dropped: counter(names::FAULTS_DROPPED),
-        faults_delayed: counter(names::FAULTS_DELAYED),
-        faults_duplicated: counter(names::FAULTS_DUPLICATED),
-    }
+    report.elections = counter(names::ELECTIONS_TOTAL);
+    report.leader_changes = counter(names::LEADER_CHANGES_TOTAL);
+    report.commits = counter(names::LOG_COMMITS_TOTAL);
+    report.monitor_retries = counter(names::MONITOR_RETRIES_TOTAL);
+    report.grants = cluster.observer().grants;
+    report.fence_rejections = cluster.observer().fence_rejections;
+    report.faults_dropped = counter(names::FAULTS_DROPPED);
+    report.faults_delayed = counter(names::FAULTS_DELAYED);
+    report.faults_duplicated = counter(names::FAULTS_DUPLICATED);
+    report.journal = snap
+        .events
+        .iter()
+        .map(|e| e.kind)
+        .filter(|k| !matches!(k, EventKind::Heartbeat { .. }))
+        .collect();
+    fs::remove_dir_all(&wal_root).ok();
+    report
 }
 
-/// The ownership table as the Monitor's rebalancing APIs want it:
-/// subtree descriptors (size-weighted popularity keeps weights positive
-/// and deterministic) paired with their current owner.
+/// The ownership table as the Monitor's planners want it: subtree
+/// descriptors (size-weighted popularity keeps weights positive and
+/// deterministic) paired with their current owner.
 fn subtree_table(tree: &NamespaceTree, owned: &BTreeMap<NodeId, MdsId>) -> Vec<(Subtree, MdsId)> {
     owned
         .iter()
@@ -403,91 +917,34 @@ fn subtree_table(tree: &NamespaceTree, owned: &BTreeMap<NodeId, MdsId>) -> Vec<(
         .collect()
 }
 
-/// Rewrites the ownership table for a batch of migrations, journaling
-/// each re-homing as a shed/claim pair.
-fn apply_migrations(
-    registry: &Registry,
+/// Applies one committed re-homing to the ownership table and journals
+/// it as a shed/claim pair. `false` if the table has no such subtree.
+fn apply_migration(
+    journal: &EventJournal,
     tree: &NamespaceTree,
     owned: &mut BTreeMap<NodeId, MdsId>,
-    migrations: &[Migration],
-) {
-    for mg in migrations {
-        owned.insert(mg.node, mg.to);
-        let size = tree.subtree_size(mg.node) as u64;
-        let subtree = mg.node.index() as u64;
-        registry.journal().record(EventKind::SubtreeShed {
-            from: mg.from.0,
-            subtree,
-            size,
-            popularity: size as f64,
-        });
-        registry.journal().record(EventKind::SubtreeClaimed {
-            to: mg.to.0,
-            subtree,
-            size,
-            popularity: size as f64,
-        });
-    }
-}
-
-/// The claiming half of the rejoin protocol (mirrors the live runtime's
-/// `rejoin_claims`): run a pending-pool rebalancing round over the live
-/// capacities; if the load is too even for the adjuster to route
-/// anything to the rejoiner, the owner with the most subtrees hands one
-/// over so a rejoined server never sits idle. Returns claims by `back`.
-fn rejoin(
-    registry: &Registry,
-    mon: &mut Monitor,
-    tree: &NamespaceTree,
-    owned: &mut BTreeMap<NodeId, MdsId>,
-    back: MdsId,
-    m: usize,
-    now: u64,
-) -> usize {
-    let owned_vec = subtree_table(tree, owned);
-    if owned_vec.is_empty() {
-        return 0;
-    }
-    // Dead servers get a vanishing capacity (ClusterSpec requires
-    // strictly positive) so the adjuster routes essentially nothing at
-    // them; migrations onto a still-dead server are filtered anyway.
-    let capacities: Vec<f64> = (0..m)
-        .map(|k| {
-            let id = MdsId(k as u16);
-            if id == back || mon.is_alive(id, now) {
-                1.0
-            } else {
-                1e-9
-            }
-        })
-        .collect();
-    let mut migrations = mon.rebalance(&owned_vec, &ClusterSpec::new(capacities));
-    migrations.retain(|mg| mg.to == back || mon.is_alive(mg.to, now));
-    if !migrations.iter().any(|mg| mg.to == back) {
-        // Deterministic fallback: the busiest other live owner (most
-        // subtrees, ties to the lowest id) hands over its first subtree.
-        let mut per_owner: BTreeMap<MdsId, usize> = BTreeMap::new();
-        for (_, owner) in &owned_vec {
-            if *owner != back && mon.is_alive(*owner, now) {
-                *per_owner.entry(*owner).or_insert(0) += 1;
-            }
-        }
-        let busiest = per_owner
-            .iter()
-            .max_by_key(|(id, n)| (**n, std::cmp::Reverse(id.0)))
-            .map(|(&id, _)| id);
-        if let Some(busiest) = busiest {
-            if let Some((sub, _)) = owned_vec.iter().find(|(_, o)| *o == busiest) {
-                migrations.push(Migration {
-                    node: sub.root,
-                    from: busiest,
-                    to: back,
-                });
-            }
-        }
-    }
-    apply_migrations(registry, tree, owned, &migrations);
-    migrations.iter().filter(|mg| mg.to == back).count()
+    subtree: u64,
+    to: MdsId,
+) -> bool {
+    let root = NodeId::from_index(subtree as usize);
+    let Some(owner) = owned.get_mut(&root) else {
+        return false;
+    };
+    let from = std::mem::replace(owner, to);
+    let size = tree.subtree_size(root) as u64;
+    journal.record(EventKind::SubtreeShed {
+        from: from.0,
+        subtree,
+        size,
+        popularity: size as f64,
+    });
+    journal.record(EventKind::SubtreeClaimed {
+        to: to.0,
+        subtree,
+        size,
+        popularity: size as f64,
+    });
+    true
 }
 
 /// One invariant sweep; violations are appended with their tick.
@@ -497,6 +954,7 @@ fn check_invariants(
     initial_roots: &BTreeSet<NodeId>,
     killed: &[bool],
     gl_versions: &[u64],
+    committed_gl_version: u64,
     violations: &mut Vec<String>,
 ) {
     let roots: BTreeSet<NodeId> = owned.keys().copied().collect();
@@ -526,8 +984,10 @@ fn check_invariants(
         .filter(|&(k, _)| !killed[k])
         .map(|(k, &v)| (k, v))
         .collect();
-    if live.windows(2).any(|w| w[0].1 != w[1].1) {
-        violations.push(format!("tick {tick}: GL replica divergence {live:?}"));
+    if live.iter().any(|&(_, v)| v != committed_gl_version) {
+        violations.push(format!(
+            "tick {tick}: GL replica divergence {live:?} vs committed {committed_gl_version}"
+        ));
     }
 }
 
@@ -1049,727 +1509,23 @@ pub fn run_store_chaos(seed: u64, config: &StoreChaosConfig) -> StoreChaosReport
     }
 }
 
-// ---------------------------------------------------------------------------
-// Monitor chaos: leader failover of the replicated control plane.
-
-/// Shape of a monitor-chaos run: a seeded schedule of Monitor-replica
-/// crashes, replica-link partitions, forced split votes and data-plane
-/// MDS failures, replayed against the replicated control plane of
-/// [`crate::consensus`].
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct MonitorChaosConfig {
-    /// Data-plane cluster size (MDS servers sending heartbeats).
-    pub mds: usize,
-    /// Monitor replicas (3 tolerates one crash).
-    pub replicas: usize,
-    /// Namespace-tree size the placement is built over.
-    pub nodes: usize,
-    /// Virtual ticks to run; disruptions land in the first 60%.
-    pub ticks: u64,
-    /// Virtual milliseconds per tick.
-    pub tick_ms: u64,
-    /// Monitor-leader crash/restart cycles to schedule.
-    pub monitor_kills: usize,
-    /// Replica-link partition windows (one replica loses its inbound
-    /// peer traffic for a while — long enough to force a re-election
-    /// when the victim is the leader).
-    pub peer_partitions: usize,
-    /// Forced split votes (every live replica campaigns at once; the
-    /// randomized timeouts must untangle it).
-    pub split_votes: usize,
-    /// Data-plane MDS crash/restart cycles, so failover and rebalance
-    /// decisions flow through the replicated log while the control
-    /// plane itself is being disrupted.
-    pub mds_kills: usize,
-    /// When set, a window late in the run crashes 2 of 3 replicas: the
-    /// cluster must degrade to read-only serving (no panics, reads keep
-    /// answering, writes blocked) and recover when quorum returns.
-    pub quorum_loss: bool,
-}
-
-impl Default for MonitorChaosConfig {
-    fn default() -> Self {
-        MonitorChaosConfig {
-            mds: 4,
-            replicas: 3,
-            nodes: 400,
-            ticks: 900,
-            tick_ms: 10,
-            monitor_kills: 2,
-            peer_partitions: 1,
-            split_votes: 1,
-            mds_kills: 1,
-            quorum_loss: false,
-        }
-    }
-}
-
-/// What a monitor-chaos run did and found.
-#[derive(Debug, Clone, PartialEq)]
-pub struct MonitorChaosReport {
-    /// The seed the schedule was derived from.
-    pub seed: u64,
-    /// Ticks executed.
-    pub ticks: u64,
-    /// Monitor-replica crashes injected.
-    pub monitor_kills: usize,
-    /// Monitor-replica restarts performed.
-    pub monitor_restarts: usize,
-    /// Elections started across all replicas (`elections_total`).
-    pub elections: u64,
-    /// Distinct leader handovers (`leader_changes_total`).
-    pub leader_changes: u64,
-    /// Entries committed through the replicated log (`log_commits_total`).
-    pub commits: u64,
-    /// Leases granted by the replicated lock state machine.
-    pub grants: u64,
-    /// Global-layer writes committed under a valid lease.
-    pub gl_writes: u64,
-    /// Writes rejected for stale or expired fencing tokens.
-    pub fence_rejections: u64,
-    /// Deliberate expired-fence probes that were correctly rejected.
-    pub stale_probes_confirmed: usize,
-    /// Control-plane submissions that were redirected or re-aimed
-    /// (`monitor_retries_total`).
-    pub monitor_retries: u64,
-    /// Write attempts that found no leader to accept them (read-only
-    /// degradation in action).
-    pub blocked_writes: u64,
-    /// Longest observed leader-loss → re-election gap, in virtual ms.
-    pub max_failover_ms: u64,
-    /// Subtree re-homings committed through the log.
-    pub migrations_committed: u64,
-    /// Safety violations (empty = the control plane survived).
-    pub violations: Vec<String>,
-    /// The shared journal (heartbeats elided), in order. Two runs with
-    /// the same seed and config produce identical journals.
-    pub journal: Vec<EventKind>,
-}
-
-static MONITOR_CHAOS_SEQ: AtomicU64 = AtomicU64::new(0);
-
-fn monitor_chaos_root() -> PathBuf {
-    std::env::temp_dir().join(format!(
-        "d2tree-monchaos-{}-{}",
-        std::process::id(),
-        MONITOR_CHAOS_SEQ.fetch_add(1, Ordering::Relaxed)
-    ))
-}
-
-/// The GL writer drives its lease lifecycle through these phases.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-enum GlPhase {
-    Idle,
-    Acquiring,
-    Holding {
-        fence: u64,
-    },
-    Writing {
-        fence: u64,
-    },
-    /// Deliberately sitting on an expiring lease to probe the fencing
-    /// path: the write is submitted only after `expires_at_ms`.
-    StaleWait {
-        fence: u64,
-        expires_at_ms: u64,
-    },
-    StaleProbe {
-        fence: u64,
-    },
-}
-
-/// MDS id the GL writer submits lease operations as.
-const GL_WRITER: u16 = 0;
-
-/// Runs one seeded monitor-chaos schedule to completion.
-///
-/// # Panics
-///
-/// Panics if `config` is degenerate (fewer than 2 MDSs or replicas,
-/// zero ticks or tick length, or a schedule that does not fit the
-/// disruption window).
-#[must_use]
-#[allow(clippy::too_many_lines)]
-pub fn run_monitor_chaos(seed: u64, config: &MonitorChaosConfig) -> MonitorChaosReport {
-    assert!(config.mds >= 2, "monitor chaos needs at least two MDSs");
-    assert!(
-        config.replicas >= 2,
-        "a replicated control plane needs peers"
-    );
-    assert!(config.ticks > 0 && config.tick_ms > 0, "empty schedule");
-    let tick_ms = config.tick_ms;
-    let horizon_ms = config.ticks * tick_ms;
-    let disrupt_until_ms = horizon_ms * 3 / 5;
-    let failure_timeout_ms = 5 * tick_ms;
-    let lease_ms = 8 * tick_ms;
-    let timing = ConsensusTiming {
-        heartbeat_ms: 2 * tick_ms,
-        election_min_ms: 10 * tick_ms,
-        election_jitter_ms: 10 * tick_ms,
-        net_delay_ms: 1,
-    };
-    let reelect_slack_ms = timing.reelect_bound_ms() + 2 * tick_ms;
-
-    // Deterministic topology, as in `run_chaos`.
-    let w = WorkloadBuilder::new(
-        TraceProfile::dtr()
-            .with_nodes(config.nodes)
-            .with_operations(config.nodes),
-    )
-    .seed(seed)
-    .build();
-    let pop = w.popularity();
-    let mut scheme = D2TreeScheme::new(D2TreeConfig::paper_default());
-    scheme.build(&w.tree, &pop, &ClusterSpec::homogeneous(config.mds, 1.0));
-    let tree = &w.tree;
-    let mut owned: BTreeMap<NodeId, MdsId> = scheme.local_index().iter().collect();
-    let initial_roots: BTreeSet<NodeId> = owned.keys().copied().collect();
-    let gl_node = tree.root().index() as u64;
-    let cluster_spec = ClusterSpec::homogeneous(config.mds, 1.0);
-
-    // Seeded schedule. Monitor kills are aimed at whoever leads at
-    // fire time (maximally adversarial); restarts come after the
-    // re-election bound so each crash forces a full failover.
-    let mut rng = StdRng::seed_from_u64(seed ^ 0x5de3_4d4b_a2c8_b711);
-    let mut kill_windows: Vec<(u64, u64)> = Vec::new();
-    let mut cursor = timing.election_min_ms + timing.election_jitter_ms + 2 * tick_ms;
-    for _ in 0..config.monitor_kills {
-        let at = cursor + rng.gen_range(1..=5) * tick_ms;
-        let back_at = at + reelect_slack_ms + rng.gen_range(1..=5) * tick_ms;
-        kill_windows.push((at, back_at));
-        cursor = back_at + 4 * tick_ms;
-    }
-    assert!(
-        cursor <= disrupt_until_ms,
-        "monitor-kill schedule does not fit: raise ticks or lower kills"
-    );
-    let mut plan = FaultPlan::new(seed);
-    let mut partition_windows: Vec<(u64, u64)> = Vec::new();
-    for _ in 0..config.peer_partitions {
-        let from = rng.gen_range(tick_ms..disrupt_until_ms.max(tick_ms + 1));
-        let until = from + reelect_slack_ms + rng.gen_range(1..=4) * tick_ms;
-        let victim = rng.gen_range(0..config.replicas) as u16;
-        plan = plan.with_rule(FaultRule::partition(
-            FaultScope::PeerLink(victim),
-            from,
-            until,
-        ));
-        partition_windows.push((from, until));
-    }
-    let split_vote_at: Vec<u64> = (0..config.split_votes)
-        .map(|_| rng.gen_range(tick_ms..disrupt_until_ms.max(tick_ms + 1)))
-        .collect();
-    let mut mds_kill_windows: Vec<(u64, u64, MdsId)> = Vec::new();
-    for _ in 0..config.mds_kills {
-        let at = rng.gen_range(failure_timeout_ms..disrupt_until_ms.max(failure_timeout_ms + 1));
-        let back_at = at + failure_timeout_ms + rng.gen_range(2..=6) * tick_ms;
-        // Never the GL writer: its lease lifecycle must keep running
-        // through every disruption.
-        let victim = MdsId(rng.gen_range(1..config.mds) as u16);
-        mds_kill_windows.push((at, back_at, victim));
-    }
-    // Quorum loss lands after the disruption window so it cannot overlap
-    // the single-kill schedules.
-    let quorum_window = config.quorum_loss.then(|| {
-        let from = disrupt_until_ms + 5 * tick_ms;
-        let until = from + 20 * tick_ms;
-        (from, until)
-    });
-    let stale_probe_after_ms = horizon_ms / 2;
-
-    let registry = Arc::new(Registry::with_journal_capacity(64 * 1024));
-    names::register_all(&registry);
-    let injector = FaultInjector::new(&plan).with_registry(Arc::clone(&registry));
-    let wal_root = monitor_chaos_root();
-    let mut cluster = ConsensusCluster::new(
-        seed,
-        ConsensusConfig {
-            replicas: config.replicas,
-            timing,
-            lease_ms,
-            wal_root: Some(wal_root.clone()),
-            segment_bytes: 16 * 1024,
-        },
-    )
-    .with_registry(Arc::clone(&registry))
-    .with_journal(Arc::clone(registry.journal()));
-    // One Monitor state machine per replica, each with a private journal
-    // (only committed membership decisions reach the shared journal,
-    // via the observer).
-    let mut monitors: Vec<Monitor> = (0..config.replicas)
-        .map(|_| {
-            Monitor::new(
-                MonitorConfig {
-                    heartbeat_interval_ms: tick_ms,
-                    failure_timeout_ms,
-                    ..MonitorConfig::default()
-                },
-                config.mds,
-            )
-        })
-        .collect();
-    let mut client = LeaderClient::new(seed, config.replicas as u16).with_registry(&registry);
-
-    let mut mds_killed = vec![false; config.mds];
-    let mut registered = false;
-    let mut known_leader: Option<u16> = None;
-    let mut reelect_deadline: Option<u64> = None;
-    let mut pending_failover: BTreeSet<u64> = BTreeSet::new();
-    let mut gl_phase = GlPhase::Idle;
-    // When the writer entered its current in-flight phase, and how long
-    // it waits for the commit before assuming the proposal died with a
-    // leader and re-issuing (failover-sized, plus the lease the retry
-    // may have to wait out).
-    let mut phase_since = 0u64;
-    let give_up_ms = reelect_slack_ms + 2 * lease_ms;
-    let mut stale_probe_done = false;
-    let mut stale_probes_confirmed = 0usize;
-    let mut monitor_kills = 0usize;
-    let mut monitor_restarts = 0usize;
-    let mut gl_writes = 0u64;
-    let mut blocked_writes = 0u64;
-    let mut migrations_committed = 0u64;
-    let mut max_failover_ms = 0u64;
-    let mut last_fence = 0u64;
-    let mut next_kill = 0usize;
-    let mut next_mds_kill = 0usize;
-    let mut next_split = 0usize;
-    let mut violations: Vec<String> = Vec::new();
-
-    for tick in 0..config.ticks {
-        let now = tick * tick_ms;
-        let in_partition = partition_windows
-            .iter()
-            .any(|&(from, until)| now >= from && now < until);
-        let in_quorum_loss = quorum_window.is_some_and(|(from, until)| now >= from && now < until);
-
-        // 1. Scheduled control-plane disruptions.
-        if next_kill < kill_windows.len() && now >= kill_windows[next_kill].0 {
-            let (_, back_at) = kill_windows[next_kill];
-            if now >= back_at {
-                // Restart whoever is down from this window.
-                for r in 0..config.replicas as u16 {
-                    if !cluster.is_up(r) && cluster.restart(r, now) {
-                        monitor_restarts += 1;
-                    }
-                }
-                next_kill += 1;
-            } else if cluster.up_count() == config.replicas {
-                // Kill the current leader (or replica 0 while leaderless).
-                let victim = cluster.leader().unwrap_or(0);
-                if cluster.kill(victim, now) {
-                    monitor_kills += 1;
-                    known_leader = None;
-                    pending_failover.clear();
-                    reelect_deadline = Some(now + reelect_slack_ms);
-                }
-            }
-        }
-        if let Some((from, until)) = quorum_window {
-            if now >= from && now < until && cluster.up_count() == config.replicas {
-                // Crash everything but one replica: quorum is gone.
-                let survivor = cluster
-                    .leader()
-                    .map_or(0, |l| (l + 1) % config.replicas as u16);
-                for r in 0..config.replicas as u16 {
-                    if r != survivor && cluster.kill(r, now) {
-                        monitor_kills += 1;
-                    }
-                }
-                known_leader = None;
-                pending_failover.clear();
-                reelect_deadline = None;
-            }
-            if now >= until && cluster.up_count() < config.replicas {
-                for r in 0..config.replicas as u16 {
-                    if !cluster.is_up(r) && cluster.restart(r, now) {
-                        monitor_restarts += 1;
-                    }
-                }
-                reelect_deadline = Some(now + reelect_slack_ms);
-            }
-        }
-        if next_split < split_vote_at.len() && now >= split_vote_at[next_split] {
-            next_split += 1;
-            cluster.force_split_vote(now);
-            known_leader = None;
-            reelect_deadline = Some(now + reelect_slack_ms);
-        }
-
-        // 2. Scheduled data-plane disruptions.
-        if next_mds_kill < mds_kill_windows.len() {
-            let (at, back_at, victim) = mds_kill_windows[next_mds_kill];
-            if now >= back_at {
-                mds_killed[victim.index()] = false;
-                next_mds_kill += 1;
-            } else if now >= at {
-                mds_killed[victim.index()] = true;
-            }
-        }
-
-        // 3. Leadership bookkeeping: adopt the committed membership on
-        // a fresh leader; enforce the re-election bound.
-        let leader = cluster.leader();
-        if let Some(l) = leader {
-            if known_leader != Some(l) {
-                known_leader = Some(l);
-                let alive: Vec<bool> = (0..config.mds as u16)
-                    .map(|k| cluster.observer().alive.get(&k).copied().unwrap_or(false))
-                    .collect();
-                monitors[l as usize].adopt_membership(&alive, now);
-                pending_failover.clear();
-            }
-            reelect_deadline = None;
-            if let Some(f) = cluster.last_failover_ms() {
-                max_failover_ms = max_failover_ms.max(f);
-            }
-        } else if let Some(deadline) = reelect_deadline {
-            let quorum = cluster.up_count() * 2 > config.replicas;
-            if now > deadline && quorum && !in_partition && !in_quorum_loss {
-                violations.push(format!(
-                    "t={now}: no leader within the re-election bound ({}ms past loss)",
-                    timing.reelect_bound_ms()
-                ));
-                reelect_deadline = None;
-            }
-        }
-
-        // 4. MDS heartbeats flow to the leader's Monitor through the
-        // injected network; membership decisions become log entries.
-        if let Some(l) = leader {
-            if !registered {
-                for k in 0..config.mds as u16 {
-                    let _ = cluster.submit(l, Command::MdsAlive { mds: k }, now);
-                }
-                registered = true;
-            }
-            let mon = &mut monitors[l as usize];
-            for (k, &dead) in mds_killed.iter().enumerate() {
-                if dead {
-                    continue;
-                }
-                let edge = NetEdge::MdsToMonitor(k as u16);
-                if injector.decide(edge, now) == FaultDecision::Drop {
-                    continue;
-                }
-                let hb = Heartbeat {
-                    mds: MdsId(k as u16),
-                    load: owned.values().filter(|&&o| o.index() == k).count() as f64,
-                };
-                if let Some(ClusterEvent::MdsRecovered(back)) = mon.on_heartbeat(hb, now) {
-                    let _ = cluster.submit(l, Command::MdsAlive { mds: back.0 }, now);
-                }
-            }
-            for event in monitors[l as usize].detect_failures(now) {
-                if let ClusterEvent::MdsFailed(dead) = event {
-                    let _ = cluster.submit(l, Command::MdsDead { mds: dead.0 }, now);
-                }
-            }
-        }
-
-        // 5. Failover resume: any subtree still owned by a
-        // committed-dead MDS gets a re-homing proposed by the current
-        // leader — including orphans inherited from a leader that died
-        // mid-rebalance.
-        if let Some(l) = leader {
-            let dead_owners: BTreeSet<MdsId> = owned
-                .values()
-                .filter(|o| {
-                    cluster
-                        .observer()
-                        .alive
-                        .get(&o.0)
-                        .is_some_and(|alive| !alive)
-                })
-                .copied()
-                .collect();
-            for dead in dead_owners {
-                let owned_vec = subtree_table(tree, &owned);
-                let migrations =
-                    monitors[l as usize].plan_failover(dead, &owned_vec, &cluster_spec, now);
-                for mg in migrations {
-                    let subtree = mg.node.index() as u64;
-                    if pending_failover.insert(subtree) {
-                        let _ = cluster.submit(
-                            l,
-                            Command::Migrate {
-                                subtree,
-                                from: mg.from.0,
-                                to: mg.to.0,
-                            },
-                            now,
-                        );
-                    }
-                }
-            }
-        }
-
-        // 6. The GL writer drives its lease lifecycle through the
-        // replicated lock state machine, via leader discovery + the
-        // shared retry policy.
-        match gl_phase {
-            GlPhase::Idle => {
-                if leader.is_some() || cluster.up_count() * 2 > config.replicas {
-                    if client
-                        .try_submit(
-                            &mut cluster,
-                            Command::LeaseAcquire {
-                                node: gl_node,
-                                holder: GL_WRITER,
-                                now_ms: now,
-                            },
-                            now,
-                        )
-                        .is_some()
-                    {
-                        gl_phase = GlPhase::Acquiring;
-                        phase_since = now;
-                    } else if leader.is_none() {
-                        blocked_writes += 1;
-                    }
-                } else {
-                    // Quorum lost: reads still answer from the observer
-                    // (and any surviving replica), writes are blocked.
-                    let _ = cluster.observer().gl_version(gl_node);
-                    blocked_writes += 1;
-                }
-            }
-            GlPhase::Holding { fence } => {
-                if !stale_probe_done && now >= stale_probe_after_ms {
-                    // Hold the lease past expiry instead of writing.
-                    stale_probe_done = true;
-                    gl_phase = GlPhase::StaleWait {
-                        fence,
-                        expires_at_ms: now + lease_ms,
-                    };
-                } else if client
-                    .try_submit(
-                        &mut cluster,
-                        Command::GlWrite {
-                            node: gl_node,
-                            fence,
-                            now_ms: now,
-                        },
-                        now,
-                    )
-                    .is_some()
-                {
-                    gl_phase = GlPhase::Writing { fence };
-                    phase_since = now;
-                }
-            }
-            GlPhase::StaleWait {
-                fence,
-                expires_at_ms,
-            } => {
-                if now > expires_at_ms
-                    && client
-                        .try_submit(
-                            &mut cluster,
-                            Command::GlWrite {
-                                node: gl_node,
-                                fence,
-                                now_ms: now,
-                            },
-                            now,
-                        )
-                        .is_some()
-                {
-                    gl_phase = GlPhase::StaleProbe { fence };
-                    phase_since = now;
-                }
-            }
-            GlPhase::Acquiring | GlPhase::Writing { .. } | GlPhase::StaleProbe { .. } => {
-                // Waiting on a commit; resolved in step 7. A proposal
-                // accepted by a leader that died before replicating it
-                // is simply lost — after a failover-sized wait assume
-                // the worst and re-issue, like a real client timing out.
-                if now.saturating_sub(phase_since) > give_up_ms {
-                    gl_phase = match gl_phase {
-                        GlPhase::StaleProbe { fence } => {
-                            // Re-arm the probe: the expired fence must
-                            // still be submitted and rejected, not
-                            // forgotten with the lost message.
-                            GlPhase::StaleWait {
-                                fence,
-                                expires_at_ms: now,
-                            }
-                        }
-                        _ => GlPhase::Idle,
-                    };
-                    phase_since = now;
-                }
-            }
-        }
-
-        // 7. Advance the consensus cluster one step and fold the newly
-        // committed entries back into the chaos world.
-        for (_entry, outcome) in cluster.tick(now, Some(&injector)) {
-            match outcome {
-                Applied::Granted {
-                    node,
-                    fence,
-                    holder,
-                } if node == gl_node && holder == GL_WRITER => {
-                    if fence <= last_fence {
-                        violations.push(format!(
-                            "t={now}: fence regression {fence} after {last_fence}"
-                        ));
-                    }
-                    last_fence = fence;
-                    if gl_phase == GlPhase::Acquiring {
-                        gl_phase = GlPhase::Holding { fence };
-                    }
-                }
-                Applied::GlWritten { node, .. } if node == gl_node => {
-                    gl_writes += 1;
-                    if let GlPhase::Writing { fence } = gl_phase {
-                        let _ = client.try_submit(
-                            &mut cluster,
-                            Command::LeaseRelease {
-                                node: gl_node,
-                                fence,
-                            },
-                            now,
-                        );
-                        gl_phase = GlPhase::Idle;
-                    }
-                }
-                Applied::Rejected { node, .. } if node == gl_node => {
-                    match gl_phase {
-                        GlPhase::StaleProbe { .. } => {
-                            stale_probes_confirmed += 1;
-                            gl_phase = GlPhase::Idle;
-                        }
-                        GlPhase::Writing { .. } => {
-                            // An honest write raced lease expiry (e.g.
-                            // blocked behind a long failover): the fence
-                            // did its job. Start over.
-                            gl_phase = GlPhase::Idle;
-                        }
-                        _ => {}
-                    }
-                }
-                Applied::Migrated { subtree, to, .. } => {
-                    migrations_committed += 1;
-                    pending_failover.remove(&subtree);
-                    let root = NodeId::from_index(subtree as usize);
-                    if let Some(owner) = owned.get_mut(&root) {
-                        let from = *owner;
-                        *owner = MdsId(to);
-                        let size = tree.subtree_size(root) as u64;
-                        registry.journal().record(EventKind::SubtreeShed {
-                            from: from.0,
-                            subtree,
-                            size,
-                            popularity: size as f64,
-                        });
-                        registry.journal().record(EventKind::SubtreeClaimed {
-                            to,
-                            subtree,
-                            size,
-                            popularity: size as f64,
-                        });
-                    } else {
-                        violations.push(format!("t={now}: migrate of unknown subtree {subtree}"));
-                    }
-                }
-                _ => {}
-            }
-        }
-
-        // During quorum loss, reads must still answer (the acceptance
-        // bar: degraded, not dead).
-        if in_quorum_loss {
-            let _ = cluster.observer().gl_version(gl_node);
-            let _ = cluster.observer().lease(gl_node);
-        }
-    }
-
-    // Final sweep.
-    violations.extend(cluster.check_invariants());
-    let roots: BTreeSet<NodeId> = owned.keys().copied().collect();
-    if roots != initial_roots {
-        violations.push("ownership table lost or invented subtrees".to_string());
-    }
-    for (&root, &owner) in &owned {
-        let alive = cluster
-            .observer()
-            .alive
-            .get(&owner.0)
-            .copied()
-            .unwrap_or(false);
-        if !alive {
-            violations.push(format!(
-                "subtree {} still owned by dead mds{} at quiesce",
-                root.index(),
-                owner.0
-            ));
-        }
-    }
-    // Fencing tokens in the shared journal must be strictly monotonic —
-    // across failovers, restarts and partitions.
-    let mut prev = 0u64;
-    for e in registry.journal().snapshot() {
-        if let EventKind::LeaseGranted { fence, .. } = e.kind {
-            if fence <= prev {
-                violations.push(format!("journal fence regression: {fence} after {prev}"));
-            }
-            prev = fence;
-        }
-    }
-
-    let snap = registry.snapshot();
-    let counter = |name: &str| {
-        snap.counters
-            .iter()
-            .find(|(k, _)| k.name == name)
-            .map_or(0, |&(_, v)| v)
-    };
-    let report = MonitorChaosReport {
-        seed,
-        ticks: config.ticks,
-        monitor_kills,
-        monitor_restarts,
-        elections: counter(names::ELECTIONS_TOTAL),
-        leader_changes: counter(names::LEADER_CHANGES_TOTAL),
-        commits: counter(names::LOG_COMMITS_TOTAL),
-        grants: cluster.observer().grants,
-        gl_writes,
-        fence_rejections: cluster.observer().fence_rejections,
-        stale_probes_confirmed,
-        monitor_retries: counter(names::MONITOR_RETRIES_TOTAL),
-        blocked_writes,
-        max_failover_ms,
-        migrations_committed,
-        violations,
-        journal: snap
-            .events
-            .iter()
-            .map(|e| e.kind)
-            .filter(|k| !matches!(k, EventKind::Heartbeat { .. }))
-            .collect(),
-    };
-    fs::remove_dir_all(&wal_root).ok();
-    report
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
 
     #[test]
     fn same_seed_same_journal_and_report() {
-        let config = ChaosConfig::default();
-        let a = run_chaos(42, &config);
-        let b = run_chaos(42, &config);
-        assert_eq!(a, b, "chaos runs must be fully reproducible");
-        assert!(!a.journal.is_empty(), "schedule must leave a trace");
+        for config in [ChaosConfig::lone_monitor(), ChaosConfig::replicated()] {
+            let a = run_chaos(42, &config);
+            let b = run_chaos(42, &config);
+            assert_eq!(a, b, "chaos runs must be fully reproducible");
+            assert!(!a.journal.is_empty(), "schedule must leave a trace");
+        }
     }
 
     #[test]
     fn default_schedule_recovers_without_violations() {
-        let report = run_chaos(42, &ChaosConfig::default());
+        let report = run_chaos(42, &ChaosConfig::lone_monitor());
         assert_eq!(report.kills, 2);
         assert_eq!(report.restarts, report.kills, "every victim restarts");
         assert!(report.rejoins >= report.restarts);
@@ -1786,7 +1542,7 @@ mod tests {
 
     #[test]
     fn different_seeds_produce_different_schedules() {
-        let config = ChaosConfig::default();
+        let config = ChaosConfig::lone_monitor();
         let a = run_chaos(1, &config);
         let b = run_chaos(2, &config);
         assert_ne!(a.journal, b.journal, "seed must steer the schedule");
@@ -1794,13 +1550,14 @@ mod tests {
 
     #[test]
     fn crashed_lock_holder_blocks_updates_until_lease_expiry() {
-        // With kills scheduled, some victim dies holding the GL lock and
-        // the per-tick updates stall until the lease runs out.
-        let report = run_chaos(7, &ChaosConfig::default());
+        // With kills scheduled, the victim dies holding the GL lease and
+        // updates stall until the lease runs out — never forever.
+        let report = run_chaos(7, &ChaosConfig::lone_monitor());
         assert!(
             report.blocked_updates > 0,
             "adversarial crash must wedge at least one update"
         );
+        assert!(report.gl_writes > report.blocked_updates, "and unwedge");
         assert!(report.violations.is_empty(), "{:?}", report.violations);
     }
 
@@ -1809,7 +1566,7 @@ mod tests {
         let config = ChaosConfig {
             kills: 0,
             partitions: 2,
-            ..ChaosConfig::default()
+            ..ChaosConfig::lone_monitor()
         };
         let report = run_chaos(11, &config);
         assert_eq!(report.kills, 0);
@@ -1821,29 +1578,26 @@ mod tests {
     }
 
     #[test]
-    fn seeds_sweep_clean_across_the_ci_matrix() {
-        for seed in [1u64, 7, 42] {
-            let report = run_chaos(seed, &ChaosConfig::default());
-            assert!(
-                report.violations.is_empty(),
-                "seed {seed}: {:?}",
-                report.violations
-            );
+    fn seeds_sweep_clean_across_the_ci_matrix_and_differ() {
+        for config in [ChaosConfig::lone_monitor(), ChaosConfig::replicated()] {
+            let mut journals = Vec::new();
+            for seed in [1u64, 7, 42] {
+                let report = run_chaos(seed, &config);
+                assert!(
+                    report.violations.is_empty(),
+                    "seed {seed}, {} replicas: {:?}",
+                    config.replicas,
+                    report.violations
+                );
+                journals.push(report.journal);
+            }
+            assert_ne!(journals[0], journals[1], "seed must steer the schedule");
         }
     }
 
     #[test]
-    fn monitor_chaos_same_seed_same_report() {
-        let config = MonitorChaosConfig::default();
-        let a = run_monitor_chaos(42, &config);
-        let b = run_monitor_chaos(42, &config);
-        assert_eq!(a, b, "monitor-chaos runs must be fully reproducible");
-        assert!(!a.journal.is_empty(), "schedule must leave a trace");
-    }
-
-    #[test]
-    fn monitor_chaos_default_schedule_survives() {
-        let report = run_monitor_chaos(42, &MonitorChaosConfig::default());
+    fn replicated_default_schedule_survives() {
+        let report = run_chaos(42, &ChaosConfig::replicated());
         assert!(
             report.violations.is_empty(),
             "control plane violated safety: {:?}",
@@ -1868,24 +1622,8 @@ mod tests {
     }
 
     #[test]
-    fn monitor_chaos_seeds_sweep_clean_and_differ() {
-        let config = MonitorChaosConfig::default();
-        let mut journals = Vec::new();
-        for seed in [1u64, 7, 42] {
-            let report = run_monitor_chaos(seed, &config);
-            assert!(
-                report.violations.is_empty(),
-                "seed {seed}: {:?}",
-                report.violations
-            );
-            journals.push(report.journal);
-        }
-        assert_ne!(journals[0], journals[1], "seed must steer the schedule");
-    }
-
-    #[test]
-    fn monitor_chaos_mds_kill_rebalances_through_the_log() {
-        let report = run_monitor_chaos(7, &MonitorChaosConfig::default());
+    fn mds_kill_rebalances_through_the_log() {
+        let report = run_chaos(7, &ChaosConfig::replicated());
         assert!(
             report.migrations_committed >= 1,
             "an MDS crash must re-home its subtrees via committed entries"
@@ -1894,13 +1632,13 @@ mod tests {
     }
 
     #[test]
-    fn monitor_chaos_quorum_loss_degrades_read_only_then_recovers() {
-        let config = MonitorChaosConfig {
+    fn quorum_loss_degrades_read_only_then_recovers() {
+        let config = ChaosConfig {
             quorum_loss: true,
             ticks: 1200,
-            ..MonitorChaosConfig::default()
+            ..ChaosConfig::replicated()
         };
-        let report = run_monitor_chaos(42, &config);
+        let report = run_chaos(42, &config);
         assert!(
             report.blocked_writes > 0,
             "quorum loss must block writes (while reads keep serving)"

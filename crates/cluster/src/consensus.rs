@@ -1,13 +1,19 @@
-//! Replicated control plane: deterministic Raft-style consensus across
-//! Monitor replicas.
+//! The control plane: one state machine, and deterministic Raft-style
+//! consensus to replicate it across Monitor replicas.
 //!
 //! The paper hangs its whole dynamic-adjustment loop (Sec. IV-A3) off a
-//! single Ceph-style Monitor plus a Zookeeper-like lock service. A
-//! killed Monitor therefore means no failure detection, no rebalance
-//! and no global-layer writes. This module closes that availability gap
-//! the way real deployments do: the Monitor's membership decisions and
-//! the lock service's lease grants are applied only through entries
-//! committed by a majority of (by default three) replicas.
+//! single Ceph-style Monitor plus a Zookeeper-like lock service.
+//! [`ControlState`] is what those two decide, held once: MDS
+//! membership, global-layer leases with their fence counter, committed
+//! GL versions and subtree ownership. Everything else proposes
+//! [`Command`]s and reacts to [`Applied`]s. The live runtime applies
+//! each command to a mutex-guarded `ControlState` as it is issued (one
+//! replica, commit is immediate — see [`crate::lock::LockService`]). A
+//! killed lone Monitor means no failure detection, no rebalance and no
+//! global-layer writes; the rest of this module closes that
+//! availability gap the way real deployments do, applying commands only
+//! through entries committed by a majority of (by default three)
+//! replicas.
 //!
 //! Design constraints, in order:
 //!
@@ -259,9 +265,10 @@ pub enum Applied {
     },
 }
 
-/// The replicated control-plane state machine: the lock service's lease
-/// table (with the global monotonic fencing counter), the Monitor's
-/// membership map, committed GL versions and subtree ownership.
+/// The control-plane state machine, and the only holder of what it
+/// tracks: the lock service's lease table (with the global monotonic
+/// fencing counter), MDS membership, committed GL versions and subtree
+/// ownership.
 ///
 /// Everything time-dependent uses the clock reading carried *inside*
 /// the command, so replaying the same entries always yields the same
@@ -306,14 +313,20 @@ impl ControlState {
         }
     }
 
-    /// Applies one committed entry. When `journal` is given (the
-    /// cluster's single journaling observer), grant/rejection and
-    /// membership events are recorded — exactly once per commit, never
-    /// per replica.
+    /// Applies one committed log entry: [`ControlState::apply_command`]
+    /// plus the gapless-order check replicas rely on.
     pub fn apply(&mut self, entry: &Entry, journal: Option<&EventJournal>) -> Applied {
         debug_assert_eq!(entry.index, self.applied + 1, "gapless apply order");
-        self.applied = entry.index;
-        match entry.cmd {
+        self.apply_command(entry.cmd, journal)
+    }
+
+    /// Applies one committed command. When `journal` is given (the
+    /// single journaling applier: the cluster's observer, or the live
+    /// runtime's Monitor), membership flips and grant/rejection events
+    /// are recorded — exactly once per commit, never per replica.
+    pub fn apply_command(&mut self, cmd: Command, journal: Option<&EventJournal>) -> Applied {
+        self.applied += 1;
+        match cmd {
             Command::Noop => Applied::Noop,
             Command::MdsAlive { mds } => {
                 let was = self.alive.insert(mds, true);
@@ -325,9 +338,13 @@ impl ControlState {
                 Applied::Membership { mds, alive: true }
             }
             Command::MdsDead { mds } => {
-                self.alive.insert(mds, false);
-                if let Some(j) = journal {
-                    j.record(EventKind::MdsDown { mds });
+                // A verdict re-proposed across a leader change may commit
+                // twice; only the flip is an event.
+                let was = self.alive.insert(mds, false);
+                if was != Some(false) {
+                    if let Some(j) = journal {
+                        j.record(EventKind::MdsDown { mds });
+                    }
                 }
                 Applied::Membership { mds, alive: false }
             }
@@ -382,11 +399,7 @@ impl ControlState {
                 fence,
                 now_ms,
             } => {
-                let valid = self
-                    .leases
-                    .get(&node)
-                    .is_some_and(|l| l.fence == fence && l.expires_at_ms > now_ms);
-                if valid {
+                if self.validate(node, fence, now_ms) {
                     let v = self.gl_versions.entry(node).or_insert(0);
                     *v += 1;
                     Applied::GlWritten { node, version: *v }
@@ -413,6 +426,24 @@ impl ControlState {
     #[must_use]
     pub fn lease(&self, node: u64) -> Option<LeaseState> {
         self.leases.get(&node).copied()
+    }
+
+    /// Whether `fence` still authorises a write to `node` at `now_ms`:
+    /// the lease must be held under that fence *and* be unexpired. The
+    /// rule `GlWrite` is applied under, and the one writers re-check
+    /// just before applying an in-flight mutation.
+    #[must_use]
+    pub fn validate(&self, node: u64, fence: u64, now_ms: u64) -> bool {
+        self.leases
+            .get(&node)
+            .is_some_and(|l| l.fence == fence && l.expires_at_ms > now_ms)
+    }
+
+    /// Whether `mds` is committed alive (registered and not declared
+    /// dead).
+    #[must_use]
+    pub fn is_alive(&self, mds: u16) -> bool {
+        self.alive.get(&mds) == Some(&true)
     }
 
     /// Committed GL version of `node` (0 if never written).
@@ -866,7 +897,7 @@ impl Replica {
     /// # Errors
     ///
     /// `Err(leader_hint)` when this replica is not the leader.
-    pub fn propose(&mut self, cmd: Command, _now_ms: u64) -> Result<(u64, u64), Option<u16>> {
+    pub fn propose(&mut self, cmd: Command, now_ms: u64) -> Result<(u64, u64), Option<u16>> {
         if self.role != Role::Leader {
             return Err(self.leader_hint);
         }
@@ -878,6 +909,11 @@ impl Replica {
         self.log.push(entry);
         self.persist_entry(&entry);
         self.match_index[self.id as usize] = entry.index;
+        // The leader's own copy counts toward the majority: in a
+        // cluster of one it *is* the majority, and no `AppendReply`
+        // will ever arrive to run the commit rule. With peers this
+        // finds nothing new (one match of n >= 2 is no majority).
+        self.advance_commit(now_ms);
         Ok((entry.term, entry.index))
     }
 
@@ -2157,6 +2193,47 @@ mod tests {
         let now = drive_until_leader(&mut c, now + 10, 10);
         assert!(c.check_invariants().is_empty());
         let _ = now;
+        fs::remove_dir_all(&root).ok();
+    }
+
+    #[test]
+    fn a_single_replica_elects_itself_commits_at_once_and_replays_its_wal() {
+        let root = consensus_test_root();
+        let config = ConsensusConfig {
+            replicas: 1,
+            wal_root: Some(root.clone()),
+            ..ConsensusConfig::default()
+        };
+        let timing = config.timing;
+        let mut c = ConsensusCluster::new(5, config);
+        let mut now = drive_until_leader(&mut c, 0, 10);
+        assert!(
+            now <= timing.election_min_ms + timing.election_jitter_ms + 10,
+            "the lone replica wins its first timeout, at {now} ms"
+        );
+        // No peer will ever acknowledge anything: the leader's own copy
+        // is the majority, so a proposal is committed by the next tick.
+        let out = c.submit(0, Command::MdsAlive { mds: 3 }, now);
+        assert!(matches!(out, SubmitOutcome::Accepted { .. }));
+        now += 10;
+        let applied: Vec<Applied> = c.tick(now, None).into_iter().map(|(_, a)| a).collect();
+        assert!(
+            applied.contains(&Applied::Membership {
+                mds: 3,
+                alive: true
+            }),
+            "committed by the next tick: {applied:?}"
+        );
+        assert!(c.observer().is_alive(3));
+        // Crash; recovery replays the entry from the WAL and the next
+        // term's no-op commits it again into the replica's own state.
+        assert!(c.kill(0, now));
+        assert!(c.restart(0, now + 10));
+        assert!(!c.replica(0).state().is_alive(3), "volatile state is gone");
+        let now = drive_until_leader(&mut c, now + 10, 10);
+        assert!(c.replica(0).state().is_alive(3), "replayed at {now} ms");
+        assert_eq!(c.replica(0).state(), c.observer());
+        assert!(c.check_invariants().is_empty());
         fs::remove_dir_all(&root).ok();
     }
 

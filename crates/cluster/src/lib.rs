@@ -22,8 +22,12 @@
 //! (the client half of the access protocol: the local-index cache and the
 //! sans-I/O request machine — route, follow the redirect, back off, give
 //! up — that the `live` client and the `net` load workers both drive),
-//! [`lock`] (the lease-based lock service of Sec. IV-A3) and [`monitor`]
-//! (membership, heartbeats, pending pool, failure detection). What an
+//! [`lock`] (the lease-based lock service of Sec. IV-A3, a thread-safe
+//! view of the control state) and [`monitor`] (heartbeat clocks, failure
+//! verdicts, the pending pool and the fail-over and rejoin planners).
+//! Membership, leases and their fence counter, committed GL versions and
+//! subtree ownership are held once, by [`consensus::ControlState`];
+//! everything else proposes `Command`s to it. What an
 //! MDS does the same way behind channels and behind sockets — whose
 //! request this is, its `serve` span, opening and recovering its durable
 //! store — lives in one private module that `live` and `net` both call.
@@ -32,11 +36,12 @@
 //! over client↔MDS, MDS↔Monitor and MDS↔lock edges, consulted by the
 //! simulator and the channel transport), [`chaos`] (a virtual-time chaos
 //! engine that replays seeded kill/partition/restart schedules against
-//! the full recovery protocol and machine-checks ownership and
-//! GL-convergence invariants) and [`consensus`] (a replicated control
-//! plane: Raft-style leader election and log replication across Monitor
-//! replicas, with membership and lease decisions applied only through
-//! committed, WAL-persisted log entries).
+//! the control plane at one or three Monitor replicas and machine-checks
+//! ownership, GL-convergence, election and fencing invariants) and
+//! [`consensus`] (the control plane itself: the `ControlState` machine,
+//! and Raft-style leader election and log replication across Monitor
+//! replicas that apply it only through committed, WAL-persisted log
+//! entries).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -57,8 +62,7 @@ pub mod trace_analysis;
 
 pub use admin::{admin_get, parse_metrics_json, AdminConfig, AdminServer, AdminStats, MetricsDoc};
 pub use chaos::{
-    run_chaos, run_monitor_chaos, run_store_chaos, ChaosConfig, ChaosReport, MonitorChaosConfig,
-    MonitorChaosReport, StoreChaosConfig, StoreChaosReport,
+    run_chaos, run_store_chaos, ChaosConfig, ChaosReport, StoreChaosConfig, StoreChaosReport,
 };
 pub use client::{CacheStats, ClientCache, RetryPolicy};
 pub use consensus::{

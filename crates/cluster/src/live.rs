@@ -1,7 +1,9 @@
 //! A real multi-threaded MDS cluster: one OS thread per server, crossbeam
 //! channels as the network, the `bytes` wire codec on every message, a
 //! Monitor thread doing heartbeat-based failure detection, and fail-over
-//! that re-homes a dead server's nodes onto the survivors.
+//! that re-homes a dead server's subtrees onto the survivors. Membership,
+//! GL leases and ownership decisions live in one mutex-guarded
+//! `ControlState` that every command is applied to as it is issued.
 //!
 //! This runtime exists to exercise true concurrency — races between
 //! clients, the Monitor and fail-over — that the deterministic simulator
@@ -28,7 +30,7 @@ use rand::{Rng, SeedableRng};
 
 use d2tree_core::LocalIndex;
 
-use d2tree_telemetry::trace::{span_names, ArgKey, Span, SpanCtx, Tracer};
+use d2tree_telemetry::trace::{span_names, ArgKey, Span, SpanCtx, SpanName, Tracer};
 use d2tree_telemetry::{
     names, Counter, Event, EventKind, FaultKind, FlightRecorder, HealthTick, MetricKey, Registry,
     TickSample,
@@ -38,6 +40,7 @@ pub use crate::client::ClientError;
 use crate::client::{
     CacheStats, ClientCache, Outcome, RequestMachine, RetryPolicy, RouteDecision, Step,
 };
+use crate::consensus::Command;
 use crate::fault::{FaultDecision, FaultInjector, FaultPlan, NetEdge};
 use crate::lock::LockService;
 use crate::mds::{attr_state, duty, open_and_recover, Duty, ServeSpan};
@@ -139,6 +142,9 @@ struct Shared {
     subtree_counts: RwLock<HashMap<NodeId, f64>>,
     rebalance_factor: f64,
     migrations: AtomicU64,
+    /// The cluster's one control plane: server threads take GL leases
+    /// through it, and the Monitor applies its membership and migration
+    /// commands to the `ControlState` it is a view of.
     locks: LockService,
     killed: Vec<AtomicBool>,
     /// Wall-ms timestamp of each server's last [`LiveCluster::restart`]
@@ -575,12 +581,10 @@ impl LiveCluster {
             // Fetch under the node's lock so a concurrent writer cannot
             // interleave a partial commit, re-reading the freshest copy
             // now that we hold it.
-            let token = loop {
-                if let Some(t) = self.shared.locks.try_acquire(node, self.shared.now_ms()) {
-                    break t;
-                }
-                std::thread::yield_now();
-            };
+            let (token, _) = self
+                .shared
+                .locks
+                .acquire_spin(node, || self.shared.now_ms());
             let freshest = self
                 .shared
                 .attr_stores
@@ -639,7 +643,8 @@ impl LiveCluster {
     /// * the placement is complete — no node lost its assignment;
     /// * every single-owner node's owner is a live (non-killed) MDS;
     /// * the published local index agrees with the placement (no
-    ///   subtree double-owned between the index and the placement);
+    ///   subtree double-owned between the index and the placement), and
+    ///   no published subtree is split across servers (Def. 3);
     /// * global-layer attribute versions agree across live replicas.
     ///
     /// Returns human-readable violation descriptions (empty = healthy).
@@ -676,6 +681,25 @@ impl LiveCluster {
                     owner.0,
                     other
                 )),
+            }
+        }
+        // Def. 3: a published subtree is one unit of ownership — every
+        // single-owner node under its root belongs to the root's owner.
+        for (root, owner) in index.iter() {
+            let stray = self.shared.tree.descendants(root).find_map(|id| {
+                match placement.assignment(id).owner() {
+                    Some(o) if o != owner => Some((id, o)),
+                    _ => None,
+                }
+            });
+            if let Some((id, o)) = stray {
+                violations.push(format!(
+                    "subtree {} of mds{} is split: node {} is on mds{}",
+                    root.index(),
+                    owner.0,
+                    id.index(),
+                    o.0
+                ));
             }
         }
         for (id, _) in self.shared.tree.nodes() {
@@ -1120,28 +1144,35 @@ fn monitor_main(
         match hb_rx.recv_timeout(tick) {
             Ok(hb) => {
                 let hb_t0 = shared.tracer().map(Tracer::now_us);
-                if let Some(ClusterEvent::MdsRecovered(back)) =
-                    mon.on_heartbeat(hb, shared.now_ms())
-                {
-                    let now = shared.now_ms();
-                    let claimed = rejoin_claims(shared, &mut mon, m, back, now);
+                let now = shared.now_ms();
+                let back = hb.mds;
+                // A first heartbeat registers; one from a committed-dead
+                // server is a rejoin.
+                let rejoining = shared.locks.control().alive.get(&back.0) == Some(&false);
+                // (Bound first: a guard in the `if let` scrutinee would
+                // still be held when `commit` locks again.)
+                let verdict = mon.on_heartbeat(hb, now, &shared.locks.control());
+                if let Some(cmd) = verdict {
+                    commit(shared, &mut mon, cmd);
+                }
+                if rejoining {
+                    let owned = ownership_table(shared, None);
+                    let plan = mon.plan_rejoin(back, &owned, &shared.locks.control());
+                    for &mg in &plan {
+                        apply_migration(shared, mg);
+                    }
+                    let claimed = plan.iter().filter(|mg| mg.to == back).count();
                     // The heartbeat that flipped an MDS back to alive is a
                     // monitor decision worth a span of its own.
-                    if let Some(tr) = shared.tracer() {
-                        if let Some(ctx) = tr.begin() {
-                            let start = hb_t0.unwrap_or(0);
-                            tr.record(
-                                Span::root(
-                                    ctx,
-                                    span_names::HEARTBEAT,
-                                    start,
-                                    tr.now_us().saturating_sub(start),
-                                )
-                                .with_arg(ArgKey::Mds, u64::from(back.0))
-                                .with_arg(ArgKey::Claimed, claimed as u64),
-                            );
-                        }
-                    }
+                    monitor_span(
+                        shared,
+                        span_names::HEARTBEAT,
+                        hb_t0,
+                        [
+                            (ArgKey::Mds, u64::from(back.0)),
+                            (ArgKey::Claimed, claimed as u64),
+                        ],
+                    );
                     rejoins_total.inc();
                     let restarted =
                         shared.restarted_at[back.index()].swap(u64::MAX, Ordering::SeqCst);
@@ -1158,13 +1189,13 @@ fn monitor_main(
             Err(RecvTimeoutError::Disconnected) => break,
         }
         let now = shared.now_ms();
-        live_rebalance(shared, &mon, m, now);
+        live_rebalance(shared, m);
         // Fixed-interval health sampling: one tick per heartbeat
         // interval, no matter how bursty the heartbeat traffic is.
         if let Some(rec) = &shared.recorder {
             if now >= next_sample_ms {
                 next_sample_ms = now + tick_ms;
-                let loads = per_server_load(shared, m);
+                let (_, loads) = per_server_load(shared, m);
                 let total: f64 = loads.iter().sum();
                 #[allow(clippy::cast_precision_loss)]
                 let spec = ClusterSpec::homogeneous(m, (total / m as f64).max(f64::MIN_POSITIVE));
@@ -1191,256 +1222,205 @@ fn monitor_main(
             }
         }
         let detect_t0 = shared.tracer().map(Tracer::now_us);
-        let failures = mon.detect_failures(now);
-        if !failures.is_empty() {
-            if let Some(tr) = shared.tracer() {
-                if let Some(ctx) = tr.begin() {
-                    let start = detect_t0.unwrap_or(0);
-                    tr.record(
-                        Span::root(
-                            ctx,
-                            span_names::DETECT,
-                            start,
-                            tr.now_us().saturating_sub(start),
-                        )
-                        .with_arg(ArgKey::Failures, failures.len() as u64),
-                    );
-                }
-            }
+        let verdicts = mon.detect_failures(now, &shared.locks.control());
+        if !verdicts.is_empty() {
+            let failures = (ArgKey::Failures, verdicts.len() as u64);
+            monitor_span(shared, span_names::DETECT, detect_t0, [failures]);
         }
-        for event in failures {
-            if let ClusterEvent::MdsFailed(dead) = event {
-                failures_total.inc();
-                let failover_t0 = shared.tracer().map(Tracer::now_us);
-                // Re-home the dead server's nodes onto the survivors,
-                // spreading round-robin (whole subtrees stay together
-                // because children shared the dead owner).
-                let survivors: Vec<MdsId> = (0..m as u16)
-                    .map(MdsId)
-                    .filter(|&k| k != dead && mon.is_alive(k, now))
-                    .collect();
-                if survivors.is_empty() {
-                    continue;
-                }
-                let mut placement = shared.placement.write();
-                let mut i = 0usize;
-                for (id, _) in shared.tree.nodes() {
-                    if placement.assignment(id).owner() == Some(dead) {
-                        placement.set(id, Assignment::Single(survivors[i % survivors.len()]));
-                        i += 1;
-                    }
-                }
-                drop(placement);
-                // Snapshot popularity before touching the index lock:
-                // servers take index.read → subtree_counts.write, so taking
-                // subtree_counts under index.write would invert the order.
-                let counts: HashMap<NodeId, f64> = shared.subtree_counts.read().clone();
-                // Re-point the published local index so freshly-fetched
-                // client caches route around the dead server.
-                let placement = shared.placement.read();
-                let mut index = shared.index.write();
-                let stale: Vec<_> = index
-                    .iter()
-                    .filter(|(_, owner)| *owner == dead)
-                    .map(|(root, _)| root)
-                    .collect();
-                for root in stale {
-                    if let Some(new_owner) = placement.assignment(root).owner() {
-                        index.insert(root, new_owner);
-                        // The claimer journals its acquisition durably;
-                        // the dead owner's store is down and sheds this
-                        // subtree when it recovers and reconciles.
-                        shared.journal_ownership(new_owner.index(), root, true);
-                        shared.registry.journal().record(EventKind::SubtreeClaimed {
-                            to: new_owner.0,
-                            subtree: root.index() as u64,
-                            size: shared.tree.subtree_size(root) as u64,
-                            popularity: counts.get(&root).copied().unwrap_or(0.0),
-                        });
-                    }
-                }
-                drop(index);
-                drop(placement);
-                if let Some(tr) = shared.tracer() {
-                    if let Some(ctx) = tr.begin() {
-                        let start = failover_t0.unwrap_or(0);
-                        tr.record(
-                            Span::root(
-                                ctx,
-                                span_names::FAILOVER,
-                                start,
-                                tr.now_us().saturating_sub(start),
-                            )
-                            .with_arg(ArgKey::Mds, u64::from(dead.0))
-                            .with_arg(ArgKey::Rehomed, i as u64),
-                        );
-                    }
-                }
+        for cmd in verdicts {
+            let Command::MdsDead { mds } = cmd else {
+                continue;
+            };
+            let dead = MdsId(mds);
+            commit(shared, &mut mon, cmd);
+            failures_total.inc();
+            let failover_t0 = shared.tracer().map(Tracer::now_us);
+            // Re-home the dead server's subtrees, whole, onto the
+            // survivors. The claimers journal their acquisitions durably;
+            // the dead owner's store is down and sheds these subtrees
+            // when it recovers and reconciles.
+            let owned = ownership_table(shared, Some(dead));
+            let plan = mon.plan_failover(
+                dead,
+                &owned,
+                &ClusterSpec::homogeneous(m, 1.0),
+                &shared.locks.control(),
+            );
+            for &mg in &plan {
+                apply_migration(shared, mg);
             }
+            monitor_span(
+                shared,
+                span_names::FAILOVER,
+                failover_t0,
+                [
+                    (ArgKey::Mds, u64::from(dead.0)),
+                    (ArgKey::Rehomed, plan.len() as u64),
+                ],
+            );
         }
     }
     mon
 }
 
-/// The claiming half of the rejoin protocol (Sec. IV-B applied to a
-/// crash-restart): when a declared-dead server heartbeats again, the
-/// Monitor rebuilds the subtree-ownership table from the published
-/// index and access counters, runs a pending-pool rebalancing round
-/// over the live capacities (overloaded servers shed into the pool, the
-/// rejoiner claims by mirror division), and rewrites placement + index
-/// for every resulting migration. If the load is too even for the
-/// adjuster to shed anything toward the rejoiner, the busiest other
-/// server hands over its hottest subtree so a rejoined MDS never sits
-/// idle. Returns how many subtrees the rejoiner claimed.
-fn rejoin_claims(shared: &Shared, mon: &mut Monitor, m: usize, back: MdsId, now: u64) -> usize {
-    // Snapshot popularity before touching the index lock (same lock
-    // order as fail-over: servers take index.read → subtree_counts.write).
+/// Records one Monitor decision as a root span running from `t0` (read
+/// off the tracer's clock when the decision began) to now.
+fn monitor_span<const N: usize>(
+    shared: &Shared,
+    name: SpanName,
+    t0: Option<u64>,
+    args: [(ArgKey, u64); N],
+) {
+    let Some(tr) = shared.tracer() else { return };
+    let Some(ctx) = tr.begin() else { return };
+    let start = t0.unwrap_or(0);
+    let span = Span::root(ctx, name, start, tr.now_us().saturating_sub(start));
+    tr.record(
+        args.into_iter()
+            .fold(span, |sp, (key, value)| sp.with_arg(key, value)),
+    );
+}
+
+/// Commits one control-plane command. The live runtime is the
+/// one-replica case: the Monitor's proposal is applied to the shared
+/// `ControlState` as it is issued, and membership flips are journaled
+/// there, once.
+fn commit(shared: &Shared, mon: &mut Monitor, cmd: Command) {
+    let applied = shared
+        .locks
+        .control()
+        .apply_command(cmd, Some(shared.registry.journal()));
+    mon.on_applied(&applied);
+}
+
+/// The subtree-ownership table the Monitor plans over: every published
+/// index root with its owner, weighted by its access counter. With
+/// `orphaned_by`, the maximal subtrees that server owns in the placement
+/// under no published root are listed too — a cluster started without a
+/// seeded index publishes nothing — so fail-over re-homes, and
+/// publishes, them as whole subtrees as well.
+fn ownership_table(shared: &Shared, orphaned_by: Option<MdsId>) -> Vec<(Subtree, MdsId)> {
+    // Snapshot popularity before touching the index lock: servers take
+    // index.read → subtree_counts.write, so taking subtree_counts under
+    // an index guard would invert the order.
     let counts: HashMap<NodeId, f64> = shared.subtree_counts.read().clone();
-    let owned: Vec<(Subtree, MdsId)> = {
-        let index = shared.index.read();
-        index
-            .iter()
-            .map(|(root, owner)| {
-                let parent = shared
-                    .tree
-                    .node(root)
-                    .and_then(|n| n.parent())
-                    .unwrap_or(root);
-                (
-                    Subtree {
-                        root,
-                        parent,
-                        // +1 keeps weights positive so mirror division
-                        // spreads even never-accessed subtrees.
-                        popularity: counts.get(&root).copied().unwrap_or(0.0) + 1.0,
-                        size: shared.tree.subtree_size(root),
-                    },
-                    owner,
-                )
-            })
-            .collect()
+    let tree = &shared.tree;
+    let describe = |root: NodeId, owner: MdsId| {
+        let parent = tree.node(root).and_then(|n| n.parent()).unwrap_or(root);
+        let subtree = Subtree {
+            root,
+            parent,
+            // +1 keeps weights positive so mirror division spreads even
+            // never-accessed subtrees.
+            popularity: counts.get(&root).copied().unwrap_or(0.0) + 1.0,
+            size: tree.subtree_size(root),
+        };
+        (subtree, owner)
     };
-    if owned.is_empty() {
-        return 0; // nothing published to claim
-    }
-    // Dead servers get a vanishing capacity (ClusterSpec requires
-    // strictly positive) so the adjuster routes essentially nothing at
-    // them; the rejoiner counts as alive (its heartbeat just arrived).
-    let capacities: Vec<f64> = (0..m)
-        .map(|k| {
-            let id = MdsId(k as u16);
-            if id == back || mon.is_alive(id, now) {
-                1.0
-            } else {
-                1e-9
+    let index = shared.index.read();
+    let mut owned: Vec<(Subtree, MdsId)> = index.iter().map(|(r, o)| describe(r, o)).collect();
+    if let Some(dead) = orphaned_by {
+        let placement = shared.placement.read();
+        let on_dead = |id: NodeId| placement.assignment(id).owner() == Some(dead);
+        for (id, node) in tree.nodes() {
+            if on_dead(id)
+                && !node.parent().is_some_and(on_dead)
+                && index.locate(tree, id).is_none()
+            {
+                owned.push(describe(id, dead));
             }
-        })
-        .collect();
-    let mut migrations = mon.rebalance(&owned, &ClusterSpec::new(capacities));
-    // Belt and braces: never migrate a subtree onto a still-dead server.
-    migrations.retain(|mg| mg.to == back || mon.is_alive(mg.to, now));
-    if !migrations.iter().any(|mg| mg.to == back) {
-        if let Some((sub, from)) = owned
-            .iter()
-            .filter(|(_, o)| *o != back && mon.is_alive(*o, now))
-            .max_by(|a, b| a.0.popularity.total_cmp(&b.0.popularity))
-        {
-            shared.registry.journal().record(EventKind::SubtreeShed {
-                from: from.0,
-                subtree: sub.root.index() as u64,
-                size: sub.size as u64,
-                popularity: sub.popularity,
-            });
-            shared.registry.journal().record(EventKind::SubtreeClaimed {
-                to: back.0,
-                subtree: sub.root.index() as u64,
-                size: sub.size as u64,
-                popularity: sub.popularity,
-            });
-            migrations.push(Migration {
-                node: sub.root,
-                from: *from,
-                to: back,
-            });
         }
     }
-    if migrations.is_empty() {
-        return 0;
-    }
-    {
-        let mut placement = shared.placement.write();
-        for mg in &migrations {
-            placement.assign_subtree(&shared.tree, mg.node, mg.to);
-        }
-    }
-    {
-        let mut index = shared.index.write();
-        for mg in &migrations {
-            index.insert(mg.node, mg.to);
-        }
-    }
-    for mg in &migrations {
-        shared.journal_ownership(mg.from.index(), mg.node, false);
-        shared.journal_ownership(mg.to.index(), mg.node, true);
-    }
+    owned
+}
+
+/// Executes one committed subtree re-homing — fail-over, rejoin and
+/// live rebalancing all end here: the `Migrate` lands in the control
+/// state, placement and the published index are rewritten so
+/// (re-)fetched client caches route to the new owner, both stores
+/// journal the ownership change (a crashed store is out of its slot and
+/// reconciles on recovery), and the move is counted and journaled as a
+/// shed/claim pair.
+fn apply_migration(shared: &Shared, mg: Migration) {
+    let journal = shared.registry.journal();
+    let subtree = mg.node.index() as u64;
+    let _ = shared.locks.control().apply_command(
+        Command::Migrate {
+            subtree,
+            from: mg.from.0,
+            to: mg.to.0,
+        },
+        Some(journal),
+    );
     shared
-        .migrations
-        .fetch_add(migrations.len() as u64, Ordering::Relaxed);
+        .placement
+        .write()
+        .assign_subtree(&shared.tree, mg.node, mg.to);
+    shared.index.write().insert(mg.node, mg.to);
+    shared.journal_ownership(mg.from.index(), mg.node, false);
+    shared.journal_ownership(mg.to.index(), mg.node, true);
+    shared.migrations.fetch_add(1, Ordering::Relaxed);
     shared
         .registry
         .counter(MetricKey::global(names::MIGRATIONS_TOTAL))
-        .add(migrations.len() as u64);
-    migrations.iter().filter(|mg| mg.to == back).count()
+        .inc();
+    let size = shared.tree.subtree_size(mg.node) as u64;
+    let popularity = shared
+        .subtree_counts
+        .read()
+        .get(&mg.node)
+        .copied()
+        .unwrap_or(0.0);
+    journal.record(EventKind::SubtreeShed {
+        from: mg.from.0,
+        subtree,
+        size,
+        popularity,
+    });
+    journal.record(EventKind::SubtreeClaimed {
+        to: mg.to.0,
+        subtree,
+        size,
+        popularity,
+    });
+}
+
+/// The subtree access counters and the recent local-layer load per
+/// server they add up to by current owner (the quantity live
+/// rebalancing triggers on).
+fn per_server_load(shared: &Shared, m: usize) -> (Vec<(NodeId, f64)>, Vec<f64>) {
+    let counts_snapshot: Vec<(NodeId, f64)> = {
+        let counts = shared.subtree_counts.read();
+        counts.iter().map(|(&k, &v)| (k, v)).collect()
+    };
+    let placement = shared.placement.read();
+    let mut per_server = vec![0.0f64; m];
+    for &(root, c) in &counts_snapshot {
+        if let Some(owner) = placement.assignment(root).owner() {
+            per_server[owner.index()] += c;
+        }
+    }
+    (counts_snapshot, per_server)
 }
 
 /// One live rebalancing inspection (Sec. IV-B's dynamic adjustment,
 /// driven by the access counters the servers accumulate): when the
 /// busiest alive server's recent local-layer load exceeds the lightest's
-/// by the configured factor, its hottest subtree migrates — placement and
-/// published index are rewritten so subsequent (re-)fetched client caches
-/// route to the new owner.
-/// Recent local-layer load per server: the decayed subtree access
-/// counters summed by current owner (the same quantity live rebalancing
-/// triggers on). Snapshot-then-read lock order matches
-/// [`live_rebalance`].
-fn per_server_load(shared: &Shared, m: usize) -> Vec<f64> {
-    let counts_snapshot: Vec<(NodeId, f64)> = {
-        let counts = shared.subtree_counts.read();
-        counts.iter().map(|(&k, &v)| (k, v)).collect()
-    };
-    let placement = shared.placement.read();
-    let mut per_server = vec![0.0f64; m];
-    for &(root, c) in &counts_snapshot {
-        if let Some(owner) = placement.assignment(root).owner() {
-            per_server[owner.index()] += c;
-        }
-    }
-    per_server
-}
-
-fn live_rebalance(shared: &Shared, mon: &Monitor, m: usize, now: u64) {
+/// by the configured factor, its hottest subtree migrates to the
+/// lightest.
+fn live_rebalance(shared: &Shared, m: usize) {
     if !shared.rebalance_factor.is_finite() {
         return;
     }
     let t0 = shared.tracer().map(Tracer::now_us);
-    let counts_snapshot: Vec<(NodeId, f64)> = {
-        let counts = shared.subtree_counts.read();
-        counts.iter().map(|(&k, &v)| (k, v)).collect()
-    };
+    let (counts_snapshot, per_server) = per_server_load(shared, m);
     if counts_snapshot.is_empty() {
         return;
     }
-    let placement = shared.placement.read();
-    let mut per_server = vec![0.0f64; m];
-    for &(root, c) in &counts_snapshot {
-        if let Some(owner) = placement.assignment(root).owner() {
-            per_server[owner.index()] += c;
-        }
-    }
-    drop(placement);
-    let alive: Vec<usize> = (0..m)
-        .filter(|&k| mon.is_alive(MdsId(k as u16), now))
-        .collect();
+    let alive: Vec<usize> = {
+        let control = shared.locks.control();
+        (0..m).filter(|&k| control.is_alive(k as u16)).collect()
+    };
     if alive.len() < 2 {
         return;
     }
@@ -1464,54 +1444,22 @@ fn live_rebalance(shared: &Shared, mon: &Monitor, m: usize, now: u64) {
         .map(|&(root, _)| root);
     drop(placement);
     let Some(root) = hottest else { return };
-    let to = MdsId(light as u16);
-    {
-        let mut placement = shared.placement.write();
-        placement.assign_subtree(&shared.tree, root, to);
-    }
-    shared.index.write().insert(root, to);
-    shared.journal_ownership(busy, root, false);
-    shared.journal_ownership(to.index(), root, true);
-    shared.migrations.fetch_add(1, Ordering::Relaxed);
-    shared
-        .registry
-        .counter(MetricKey::global(names::MIGRATIONS_TOTAL))
-        .inc();
-    let size = shared.tree.subtree_size(root) as u64;
-    let popularity = counts_snapshot
-        .iter()
-        .find(|(r, _)| *r == root)
-        .map_or(0.0, |&(_, c)| c);
-    let subtree = root.index() as u64;
-    let journal = shared.registry.journal();
-    journal.record(EventKind::SubtreeShed {
-        from: busy as u16,
-        subtree,
-        size,
-        popularity,
-    });
-    journal.record(EventKind::SubtreeClaimed {
-        to: to.0,
-        subtree,
-        size,
-        popularity,
-    });
-    if let Some(tr) = shared.tracer() {
-        if let Some(ctx) = tr.begin() {
-            let start = t0.unwrap_or(0);
-            tr.record(
-                Span::root(
-                    ctx,
-                    span_names::REBALANCE,
-                    start,
-                    tr.now_us().saturating_sub(start),
-                )
-                .with_arg(ArgKey::Subtree, subtree)
-                .with_arg(ArgKey::From, busy as u64)
-                .with_arg(ArgKey::To, u64::from(to.0)),
-            );
-        }
-    }
+    let mg = Migration {
+        node: root,
+        from: MdsId(busy as u16),
+        to: MdsId(light as u16),
+    };
+    apply_migration(shared, mg);
+    monitor_span(
+        shared,
+        span_names::REBALANCE,
+        t0,
+        [
+            (ArgKey::Subtree, root.index() as u64),
+            (ArgKey::From, busy as u64),
+            (ArgKey::To, light as u64),
+        ],
+    );
     // Decay the counters so the next decision reflects fresh traffic.
     let mut counts = shared.subtree_counts.write();
     for v in counts.values_mut() {

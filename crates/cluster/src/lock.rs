@@ -10,28 +10,30 @@
 //! usable from both the live runtime (wall clock) and deterministic tests
 //! (virtual clock).
 
-use std::collections::HashMap;
-
 use d2tree_namespace::NodeId;
-use parking_lot::Mutex;
+use parking_lot::{Mutex, MutexGuard};
+
+use crate::consensus::{Applied, Command, ControlState};
 
 /// Proof of lock ownership; required to release.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct LockToken {
     /// Locked node.
     pub node: NodeId,
-    /// Fencing token: strictly increases every time the node's lock is
-    /// granted, so a stale holder's writes can be rejected downstream.
+    /// Fencing token: strictly increases every time any lock is granted,
+    /// so a stale holder's writes can be rejected downstream.
     pub fence: u64,
 }
 
-#[derive(Debug)]
-struct Held {
-    fence: u64,
-    expires_at_ms: u64,
-}
+/// Holder recorded for grants taken through the view: callers are
+/// threads of one process and do not identify themselves.
+const LOCAL_HOLDER: u16 = u16::MAX;
 
-/// The lock manager. All methods are thread-safe.
+/// The lock manager: a thread-safe view over a mutex-guarded
+/// [`ControlState`]. Each call applies one lease command as it is
+/// issued — the one-replica, commit-is-immediate control plane — so
+/// the lease table, the fence counter and the three lease rules are
+/// `ControlState`'s, not a second copy.
 ///
 /// # Example
 ///
@@ -48,14 +50,7 @@ struct Held {
 /// ```
 #[derive(Debug)]
 pub struct LockService {
-    lease_ms: u64,
-    inner: Mutex<Inner>,
-}
-
-#[derive(Debug, Default)]
-struct Inner {
-    held: HashMap<NodeId, Held>,
-    next_fence: u64,
+    state: Mutex<ControlState>,
 }
 
 impl LockService {
@@ -68,9 +63,15 @@ impl LockService {
     pub fn new(lease_ms: u64) -> Self {
         assert!(lease_ms > 0, "lease must be positive");
         LockService {
-            lease_ms,
-            inner: Mutex::new(Inner::default()),
+            state: Mutex::new(ControlState::new(lease_ms)),
         }
+    }
+
+    /// The committed control state this service is a view of. The live
+    /// runtime's Monitor applies its membership and migration commands
+    /// here, so leases, liveness and ownership share one object.
+    pub fn control(&self) -> MutexGuard<'_, ControlState> {
+        self.state.lock()
     }
 
     /// Attempts to take the lock on `node` at time `now_ms`.
@@ -80,24 +81,20 @@ impl LockService {
     /// stale one.
     #[must_use]
     pub fn try_acquire(&self, node: NodeId, now_ms: u64) -> Option<LockToken> {
-        let mut inner = self.inner.lock();
-        let expired = match inner.held.get(&node) {
-            Some(h) => h.expires_at_ms <= now_ms,
-            None => true,
-        };
-        if !expired {
-            return None;
-        }
-        inner.next_fence += 1;
-        let fence = inner.next_fence;
-        inner.held.insert(
-            node,
-            Held {
-                fence,
-                expires_at_ms: now_ms + self.lease_ms,
+        // No journal: one `LeaseGranted` per GL update would flood the
+        // event ring.
+        let applied = self.control().apply_command(
+            Command::LeaseAcquire {
+                node: node.index() as u64,
+                holder: LOCAL_HOLDER,
+                now_ms,
             },
+            None,
         );
-        Some(LockToken { node, fence })
+        match applied {
+            Applied::Granted { fence, .. } => Some(LockToken { node, fence }),
+            _ => None,
+        }
     }
 
     /// Spins (yielding between tries) until the lock on `node` is
@@ -117,63 +114,28 @@ impl LockService {
         }
     }
 
-    /// Extends the lease of a held lock. Returns `false` if the token is
-    /// stale (the lock was re-granted after a lease expiry).
-    #[must_use]
-    pub fn renew(&self, token: LockToken, now_ms: u64) -> bool {
-        let mut inner = self.inner.lock();
-        match inner.held.get_mut(&token.node) {
-            Some(h) if h.fence == token.fence => {
-                h.expires_at_ms = now_ms + self.lease_ms;
-                true
-            }
-            _ => false,
-        }
-    }
-
     /// Whether `token` still authorises a write at `now_ms`: the lock
     /// must be held under the same fence *and* the lease must still be
     /// live. Writers re-check this immediately before applying an
     /// in-flight global-layer mutation — a lease that expired mid-write
-    /// must fence the write out rather than let it land stale. The
-    /// replicated control plane enforces the same rule at log-apply
-    /// time (`GlWrite` rejection in `consensus::ControlState`).
+    /// must fence the write out rather than let it land stale. It is
+    /// the rule a replicated `GlWrite` is applied under.
     #[must_use]
     pub fn validate(&self, token: LockToken, now_ms: u64) -> bool {
-        self.inner
-            .lock()
-            .held
-            .get(&token.node)
-            .is_some_and(|h| h.fence == token.fence && h.expires_at_ms > now_ms)
+        self.control()
+            .validate(token.node.index() as u64, token.fence, now_ms)
     }
 
     /// Releases a held lock. Returns `false` if the token is stale.
     pub fn release(&self, token: LockToken) -> bool {
-        let mut inner = self.inner.lock();
-        match inner.held.get(&token.node) {
-            Some(h) if h.fence == token.fence => {
-                inner.held.remove(&token.node);
-                true
-            }
-            _ => false,
-        }
-    }
-
-    /// Whether `node` is locked (with a live lease) at `now_ms`.
-    #[must_use]
-    pub fn is_held(&self, node: NodeId, now_ms: u64) -> bool {
-        self.inner
-            .lock()
-            .held
-            .get(&node)
-            .map(|h| h.expires_at_ms > now_ms)
-            .unwrap_or(false)
-    }
-
-    /// Number of currently-tracked (possibly expired) locks.
-    #[must_use]
-    pub fn held_count(&self) -> usize {
-        self.inner.lock().held.len()
+        let applied = self.control().apply_command(
+            Command::LeaseRelease {
+                node: token.node.index() as u64,
+                fence: token.fence,
+            },
+            None,
+        );
+        applied == Applied::Released
     }
 }
 
@@ -201,20 +163,9 @@ mod tests {
         // Lease runs out at t=50; a new holder takes over.
         let fresh = locks.try_acquire(n(2), 50).unwrap();
         assert!(fresh.fence > stale.fence);
-        // The stale holder can no longer release or renew.
+        // The stale holder can no longer release.
         assert!(!locks.release(stale));
-        assert!(!locks.renew(stale, 60));
         assert!(locks.release(fresh));
-    }
-
-    #[test]
-    fn renew_extends_lease() {
-        let locks = LockService::new(50);
-        let t = locks.try_acquire(n(3), 0).unwrap();
-        assert!(locks.renew(t, 40)); // now expires at 90
-        assert!(locks.is_held(n(3), 80));
-        assert!(locks.try_acquire(n(3), 80).is_none());
-        assert!(locks.release(t));
     }
 
     #[test]
@@ -266,10 +217,10 @@ mod tests {
         let locks = LockService::new(100);
         let a = locks.try_acquire(n(1), 0).unwrap();
         let b = locks.try_acquire(n(2), 0).unwrap();
-        assert_eq!(locks.held_count(), 2);
+        assert_eq!(locks.control().leases.len(), 2);
         assert!(locks.release(a));
         assert!(locks.release(b));
-        assert_eq!(locks.held_count(), 0);
+        assert!(locks.control().leases.is_empty());
     }
 
     #[test]

@@ -109,7 +109,7 @@ fn main() {
 
     // ── Part 2: the deterministic chaos engine, replayed twice ──
     println!("\nreplaying a virtual-time chaos schedule (seed {seed}) twice…");
-    let config = ChaosConfig::default();
+    let config = ChaosConfig::lone_monitor();
     let a = run_chaos(seed, &config);
     let b = run_chaos(seed, &config);
     println!(

@@ -212,6 +212,84 @@ fn killing_an_mds_journals_mds_down_then_subtree_claimed() {
 }
 
 #[test]
+fn failover_rehomes_whole_subtrees_each_claimed_once() {
+    use d2tree::telemetry::EventKind;
+    use std::collections::BTreeMap;
+
+    let w = WorkloadBuilder::new(TraceProfile::lmbe().with_nodes(800).with_operations(500))
+        .seed(21)
+        .build();
+    let pop = w.popularity();
+    let mut scheme = D2TreeScheme::new(D2TreeConfig::paper_default());
+    scheme.build(&w.tree, &pop, &ClusterSpec::homogeneous(4, 1.0));
+    let index = scheme.local_index().clone();
+    let tree = Arc::new(w.tree);
+    let cluster = LiveCluster::start_with_index(
+        Arc::clone(&tree),
+        scheme.placement().clone(),
+        index.clone(),
+        LiveConfig::default(),
+    );
+    let victim = MdsId(1);
+    let orphaned: Vec<_> = index
+        .iter()
+        .filter(|&(_, owner)| owner == victim)
+        .map(|(root, _)| root)
+        .collect();
+    assert!(
+        orphaned.iter().any(|&r| tree.subtree_size(r) > 1),
+        "the victim must own a multi-node subtree for a split to show"
+    );
+    std::thread::sleep(Duration::from_millis(100)); // all servers known
+    cluster.kill(victim);
+
+    let deadline = Instant::now() + Duration::from_secs(5);
+    let violations = loop {
+        let v = cluster.check_invariants();
+        if v.is_empty() || Instant::now() >= deadline {
+            break v;
+        }
+        std::thread::sleep(Duration::from_millis(20));
+    };
+    assert!(
+        violations.is_empty(),
+        "fail-over never settled: {violations:?}"
+    );
+
+    // Def. 3: a subtree is one unit of ownership — every node of each
+    // re-homed subtree landed on the same survivor.
+    let placement = cluster.placement_snapshot();
+    for &root in &orphaned {
+        let owners: std::collections::BTreeSet<_> = tree
+            .descendants(root)
+            .map(|id| placement.assignment(id).owner())
+            .collect();
+        assert_eq!(
+            owners.len(),
+            1,
+            "subtree {} was scattered over {owners:?}",
+            root.index()
+        );
+        assert!(!owners.contains(&Some(victim)) && !owners.contains(&None));
+    }
+    let report = cluster.shutdown();
+    let mut claims: BTreeMap<u64, usize> = BTreeMap::new();
+    for e in &report.journal {
+        if let EventKind::SubtreeClaimed { subtree, .. } = e.kind {
+            *claims.entry(subtree).or_insert(0) += 1;
+        }
+    }
+    for &root in &orphaned {
+        assert_eq!(
+            claims.get(&(root.index() as u64)),
+            Some(&1),
+            "subtree {} must be claimed exactly once",
+            root.index()
+        );
+    }
+}
+
+#[test]
 fn report_counts_redirects_when_placement_changes_under_clients() {
     let (_tree, cluster, trace) = start(4, 24);
     let mut client = cluster.client(5);

@@ -1,9 +1,9 @@
 //! Live admin plane: a second listener on a running `d2tree serve`
 //! daemon answering operator HTTP GETs from the daemon's own telemetry.
 //!
-//! Every observability surface before this PR was post-mortem — the
-//! registry export, span digests, and the flight recorder were only
-//! written out after a run ended. The [`AdminServer`] makes them live:
+//! The registry export, span digests and the flight recorder are
+//! otherwise only written out after a run ends; the [`AdminServer`]
+//! makes them live:
 //!
 //! * `GET /metrics` — Prometheus text from a registry snapshot taken at
 //!   scrape time (race-safe against concurrently recording serve
@@ -41,10 +41,9 @@ use std::sync::Arc;
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
+use d2tree_telemetry::json::Writer;
 use d2tree_telemetry::trace::chrome_trace_json;
-use d2tree_telemetry::{
-    export, names, Counter, FlightRecorder, HealthRules, HistogramSnapshot, MetricKey,
-};
+use d2tree_telemetry::{export, names, Counter, FlightRecorder, HealthRules, MetricKey};
 use parking_lot::Mutex;
 
 use crate::net::{AcceptLoop, NetMds, SlowEntry};
@@ -375,7 +374,7 @@ fn dispatch(head: &[u8], state: &AdminState) -> (u16, &'static str, String) {
             let snap = state.mds.registry().snapshot();
             (200, "application/json", export::json(&snap))
         }
-        "/health" => health_body(state),
+        "/health" => health_body(&state.recorder.lock(), &state.rules),
         "/trace" => {
             let n = query
                 .and_then(|q| {
@@ -402,74 +401,58 @@ fn dispatch(head: &[u8], state: &AdminState) -> (u16, &'static str, String) {
 
 /// Evaluates the health rules over the recorder ring: `200` when clean,
 /// `503` when any post-warm-up tick violates a rule.
-fn health_body(state: &AdminState) -> (u16, &'static str, String) {
-    let recorder = state.recorder.lock();
-    let violations = state.rules.check(recorder.ticks());
-    let latest = recorder
-        .to_jsonl()
-        .lines()
-        .last()
-        .map_or_else(|| "null".to_owned(), str::to_owned);
-    let mut body = String::from("{\"status\":\"");
-    body.push_str(if violations.is_empty() {
-        "ok"
-    } else {
-        "unhealthy"
-    });
-    body.push_str(&format!(
-        "\",\"ticks\":{},\"violations\":[",
-        recorder.total_recorded()
-    ));
-    for (i, v) in violations.iter().enumerate() {
-        if i > 0 {
-            body.push(',');
+fn health_body(recorder: &FlightRecorder, rules: &HealthRules) -> (u16, &'static str, String) {
+    let violations = rules.check(recorder.ticks());
+    let healthy = violations.is_empty();
+    let mut body = String::new();
+    let mut w = Writer::new(&mut body);
+    w.open('{');
+    w.key("status")
+        .string(if healthy { "ok" } else { "unhealthy" });
+    w.key("ticks").uint(recorder.total_recorded());
+    w.key("violations").open('[');
+    for v in &violations {
+        w.open('{');
+        w.key("tick").uint(v.tick).key("rule").string(v.rule);
+        w.key("value").float(v.value).key("limit").float(v.limit);
+        w.close('}');
+    }
+    w.close(']').key("latest");
+    match recorder.latest() {
+        Some(tick) => tick.write_json(&mut w),
+        None => {
+            w.null();
         }
-        body.push_str(&format!(
-            "{{\"tick\":{},\"rule\":\"{}\",\"value\":{},\"limit\":{}}}",
-            v.tick,
-            v.rule,
-            finite_or_null(v.value),
-            finite_or_null(v.limit),
-        ));
     }
-    body.push_str("],\"latest\":");
-    body.push_str(&latest);
-    body.push('}');
-    let status = if violations.is_empty() { 200 } else { 503 };
-    (status, "application/json", body)
-}
-
-fn finite_or_null(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_owned()
-    }
+    w.close('}');
+    (if healthy { 200 } else { 503 }, "application/json", body)
 }
 
 /// Renders the slow-request log as a JSON array, slowest first.
 fn slow_body(entries: &[SlowEntry]) -> String {
-    let mut out = String::from("[");
-    for (i, e) in entries.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        let trace = e.trace.map_or_else(|| "null".to_owned(), |t| t.to_string());
-        out.push_str(&format!(
-            "{{\"dur_us\":{},\"t_us\":{},\"kind\":\"{:?}\",\"target\":{},\
-             \"outcome\":{},\"trace\":{trace}}}",
-            e.dur_us, e.t_us, e.kind, e.target, e.outcome
-        ));
+    let mut out = String::new();
+    let mut w = Writer::new(&mut out);
+    w.open('[');
+    for e in entries {
+        w.open('{');
+        w.key("dur_us").uint(e.dur_us).key("t_us").uint(e.t_us);
+        w.key("kind").string(&format!("{:?}", e.kind));
+        w.key("target").uint(e.target);
+        w.key("outcome")
+            .uint(e.outcome)
+            .key("trace")
+            .opt_uint(e.trace);
+        w.close('}');
     }
-    out.push(']');
+    w.close(']');
     out
 }
 
 /// Issues one admin-plane GET and returns `(status, body)`.
 ///
-/// A convenience for `d2tree top`, the load generator's mid-run
-/// scraper, tests, and CI — it speaks exactly the HTTP/1.0 subset the
-/// server serves: one request, read to EOF, connection closed.
+/// A convenience for `d2tree top` and tests — it speaks exactly the
+/// HTTP/1.0 subset the server serves: one request, read to EOF,
+/// connection closed.
 ///
 /// # Errors
 ///
@@ -501,204 +484,65 @@ pub fn admin_get(addr: &str, path: &str, timeout: Duration) -> io::Result<(u16, 
     Ok((status, body))
 }
 
-/// A parsed `/metrics.json` document — the subset `d2tree top` and the
-/// load generator's scraper need, extracted by a hand-rolled scanner
-/// over the exporter's (stable, machine-written) output format. Each
-/// entry is `(name, mds_lane, value)`.
-#[derive(Debug, Clone, Default)]
-pub struct MetricsDoc {
-    /// Registry uptime at scrape time, microseconds.
-    pub uptime_us: u64,
-    /// Counter values.
-    pub counters: Vec<(String, Option<u16>, u64)>,
-    /// Gauge values.
-    pub gauges: Vec<(String, Option<u16>, u64)>,
-    /// Histogram summaries.
-    pub histograms: Vec<(String, Option<u16>, HistogramSnapshot)>,
-}
-
-impl MetricsDoc {
-    /// Sum of a counter across every lane (global + per-MDS).
-    #[must_use]
-    pub fn counter(&self, name: &str) -> u64 {
-        self.counters
-            .iter()
-            .filter(|(n, _, _)| n == name)
-            .map(|&(_, _, v)| v)
-            .sum()
-    }
-
-    /// Sum of a gauge across every lane.
-    #[must_use]
-    pub fn gauge(&self, name: &str) -> u64 {
-        self.gauges
-            .iter()
-            .filter(|(n, _, _)| n == name)
-            .map(|&(_, _, v)| v)
-            .sum()
-    }
-
-    /// A histogram summary for `name`: counts and sums are added across
-    /// lanes; quantiles/min/max come from the busiest lane (quantiles
-    /// cannot be merged exactly — for a single daemon there is only one
-    /// lane anyway).
-    #[must_use]
-    pub fn histogram(&self, name: &str) -> Option<HistogramSnapshot> {
-        let lanes: Vec<&HistogramSnapshot> = self
-            .histograms
-            .iter()
-            .filter(|(n, _, _)| n == name)
-            .map(|(_, _, h)| h)
-            .collect();
-        let busiest = lanes.iter().max_by_key(|h| h.count)?;
-        let mut merged = **busiest;
-        merged.count = lanes.iter().map(|h| h.count).sum();
-        merged.sum = lanes.iter().map(|h| h.sum).sum();
-        Some(merged)
-    }
-
-    /// Sum of every histogram lane count whose name passes `pred` —
-    /// e.g. total server-observed requests across the op-kind ×
-    /// outcome matrix.
-    #[must_use]
-    pub fn histogram_count_where(&self, pred: impl Fn(&str) -> bool) -> u64 {
-        self.histograms
-            .iter()
-            .filter(|(n, _, _)| pred(n))
-            .map(|(_, _, h)| h.count)
-            .sum()
-    }
-}
-
-/// Extracts the body of `"key":[ ... ]` from `doc`, bracket-balanced.
-fn array_section<'a>(doc: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":[");
-    let start = doc.find(&pat)? + pat.len();
-    let mut depth = 1usize;
-    for (i, b) in doc[start..].bytes().enumerate() {
-        match b {
-            b'[' => depth += 1,
-            b']' => {
-                depth -= 1;
-                if depth == 0 {
-                    return Some(&doc[start..start + i]);
-                }
-            }
-            _ => {}
-        }
-    }
-    None
-}
-
-/// Splits a flat JSON array body into its `{...}` objects.
-fn objects(body: &str) -> impl Iterator<Item = &str> {
-    body.split("},{")
-        .map(|o| o.trim_matches(|c| c == '{' || c == '}'))
-        .filter(|o| !o.is_empty())
-}
-
-/// The raw text of `"key":<value>` inside one flat object.
-fn field_raw<'a>(obj: &'a str, key: &str) -> Option<&'a str> {
-    let pat = format!("\"{key}\":");
-    let start = obj.find(&pat)? + pat.len();
-    let rest = &obj[start..];
-    let end = rest.find([',', '}']).unwrap_or(rest.len());
-    Some(&rest[..end])
-}
-
-fn field_u64(obj: &str, key: &str) -> Option<u64> {
-    field_raw(obj, key)?.trim().parse().ok()
-}
-
-fn field_key(obj: &str) -> Option<(String, Option<u16>)> {
-    let name = field_raw(obj, "name")?.trim_matches('"').to_owned();
-    let mds = match field_raw(obj, "mds")? {
-        "null" => None,
-        m => Some(m.parse().ok()?),
-    };
-    Some((name, mds))
-}
-
-/// Parses the exporter's `/metrics.json` document. Returns `None` on
-/// anything that does not look like the exporter's output — the caller
-/// (a polling `top`) should skip the sample, not crash.
-#[must_use]
-pub fn parse_metrics_json(doc: &str) -> Option<MetricsDoc> {
-    let uptime_us = field_u64(doc, "uptime_us")?;
-    let mut out = MetricsDoc {
-        uptime_us,
-        ..MetricsDoc::default()
-    };
-    for obj in objects(array_section(doc, "counters")?) {
-        let (name, mds) = field_key(obj)?;
-        out.counters.push((name, mds, field_u64(obj, "value")?));
-    }
-    for obj in objects(array_section(doc, "gauges")?) {
-        let (name, mds) = field_key(obj)?;
-        out.gauges.push((name, mds, field_u64(obj, "value")?));
-    }
-    for obj in objects(array_section(doc, "histograms")?) {
-        let (name, mds) = field_key(obj)?;
-        let h = HistogramSnapshot {
-            count: field_u64(obj, "count")?,
-            sum: field_u64(obj, "sum")?,
-            min: field_u64(obj, "min")?,
-            max: field_u64(obj, "max")?,
-            p50: field_u64(obj, "p50")?,
-            p90: field_u64(obj, "p90")?,
-            p99: field_u64(obj, "p99")?,
-            p999: field_u64(obj, "p999")?,
-        };
-        out.histograms.push((name, mds, h));
-    }
-    Some(out)
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
-    use d2tree_telemetry::Registry;
+    use d2tree_telemetry::TickSample;
+    use d2tree_workload::OpKind;
 
+    /// `/health` and `/slow` are scraped by `d2tree top`, CI's curl loop
+    /// and operators' scripts: their bytes are an interface.
     #[test]
-    fn parse_round_trips_the_exporter() {
-        let registry = Registry::new();
-        names::register_all(&registry);
-        registry
-            .counter(MetricKey::mds(names::SERVER_SERVED_TOTAL, 0))
-            .add(7);
-        registry
-            .counter(MetricKey::mds(names::SERVER_SERVED_TOTAL, 1))
-            .add(5);
-        registry
-            .gauge(MetricKey::global(names::NET_ACTIVE_CONNS))
-            .add(3);
-        let h = registry.histogram(MetricKey::mds(names::SRV_LATENCY_US_READ_OK, 0));
-        for v in [10u64, 20, 30] {
-            h.record(v);
-        }
-        let snapshot = registry.snapshot();
-        let doc = export::json(&snapshot);
-        let parsed = parse_metrics_json(&doc).expect("exporter output parses");
-        assert_eq!(parsed.counter(names::SERVER_SERVED_TOTAL), 12);
-        assert_eq!(parsed.gauge(names::NET_ACTIVE_CONNS), 3);
-        let snap = parsed
-            .histogram(names::SRV_LATENCY_US_READ_OK)
-            .expect("histogram present");
-        assert_eq!(snap.count, 3);
-        assert_eq!(snap.sum, 60);
-        assert_eq!(snap.min, 10);
-        assert_eq!(parsed.uptime_us, snapshot.uptime_us);
+    fn health_and_slow_bodies_are_pinned() {
+        let mut recorder = FlightRecorder::new(4);
+        let rules = HealthRules {
+            warmup_ticks: 0,
+            ..HealthRules::default()
+        };
         assert_eq!(
-            parsed.histogram_count_where(|n| n.starts_with("srv_latency_us_")),
-            3
+            health_body(&recorder, &rules),
+            (
+                200,
+                "application/json",
+                "{\"status\":\"ok\",\"ticks\":0,\"violations\":[],\"latest\":null}".to_owned()
+            )
         );
-    }
+        recorder.sample(
+            TickSample {
+                t_us: 2_500,
+                locality: f64::NAN,
+                balance: 0.5,
+                ops_total: 10,
+                loads: vec![1.0, 2.5],
+                ..TickSample::default()
+            },
+            None,
+        );
+        let (status, _, body) = health_body(&recorder, &rules);
+        assert_eq!(status, 503);
+        assert_eq!(
+            body,
+            "{\"status\":\"unhealthy\",\"ticks\":1,\"violations\":[{\"tick\":0,\
+             \"rule\":\"balance_below_min\",\"value\":0.5,\"limit\":1}],\"latest\":\
+             {\"tick\":0,\"t_us\":2500,\"t_ms\":2,\"locality\":null,\"balance\":0.5,\
+             \"ops\":10,\"retries\":0,\"faults\":0,\"migrations\":0,\"spans_dropped\":0,\
+             \"wal_fsync_p99_us\":0,\"loads\":[1,2.5]}}"
+        );
 
-    #[test]
-    fn parse_rejects_garbage_gracefully() {
-        assert!(parse_metrics_json("").is_none());
-        assert!(parse_metrics_json("not json at all").is_none());
-        assert!(parse_metrics_json("{\"uptime_us\":5}").is_none());
+        let entry = |dur_us, trace| SlowEntry {
+            dur_us,
+            t_us: 9,
+            kind: OpKind::Read,
+            target: 42,
+            outcome: 1,
+            trace,
+        };
+        assert_eq!(slow_body(&[]), "[]");
+        assert_eq!(
+            slow_body(&[entry(70, Some(5)), entry(3, None)]),
+            "[{\"dur_us\":70,\"t_us\":9,\"kind\":\"Read\",\"target\":42,\"outcome\":1,\"trace\":5},\
+             {\"dur_us\":3,\"t_us\":9,\"kind\":\"Read\",\"target\":42,\"outcome\":1,\"trace\":null}]"
+        );
     }
 
     #[test]

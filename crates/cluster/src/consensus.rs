@@ -703,12 +703,6 @@ impl Replica {
         self
     }
 
-    /// This replica's id.
-    #[must_use]
-    pub fn id(&self) -> u16 {
-        self.id
-    }
-
     /// Current role.
     #[must_use]
     pub fn role(&self) -> Role {
@@ -739,12 +733,6 @@ impl Replica {
     #[must_use]
     pub fn state(&self) -> &ControlState {
         &self.state
-    }
-
-    /// Where this replica believes the leader is.
-    #[must_use]
-    pub fn leader_hint(&self) -> Option<u16> {
-        self.leader_hint
     }
 
     /// Forces the election timeout to expire at the next tick —
@@ -1246,10 +1234,6 @@ impl MsgBus {
         }
         due
     }
-
-    fn len(&self) -> usize {
-        self.queue.len()
-    }
 }
 
 /// Cluster-level configuration.
@@ -1413,12 +1397,6 @@ impl ConsensusCluster {
         self
     }
 
-    /// Number of replicas.
-    #[must_use]
-    pub fn n(&self) -> usize {
-        self.replicas.len()
-    }
-
     /// Whether replica `id` is up.
     #[must_use]
     pub fn is_up(&self, id: u16) -> bool {
@@ -1468,12 +1446,6 @@ impl ConsensusCluster {
     #[must_use]
     pub fn last_failover_ms(&self) -> Option<u64> {
         self.last_failover_ms
-    }
-
-    /// Messages currently in flight on the replica bus.
-    #[must_use]
-    pub fn inflight(&self) -> usize {
-        self.bus.len()
     }
 
     /// Crashes a replica: it stops processing, its in-flight messages
@@ -1765,13 +1737,6 @@ impl LeaderClient {
         }
     }
 
-    /// Overrides the retry policy.
-    #[must_use]
-    pub fn with_policy(mut self, policy: RetryPolicy) -> Self {
-        self.policy = policy;
-        self
-    }
-
     /// Attaches a registry (`monitor_retries_total`).
     #[must_use]
     pub fn with_registry(mut self, registry: &Registry) -> Self {
@@ -1783,12 +1748,6 @@ impl LeaderClient {
     #[must_use]
     pub fn retries(&self) -> u64 {
         self.retries
-    }
-
-    /// The replica the next attempt will contact.
-    #[must_use]
-    pub fn target(&self) -> u16 {
-        self.target
     }
 
     /// One submission attempt at `now_ms`. Returns the accepted

@@ -60,7 +60,7 @@ pub mod net;
 pub mod sim;
 pub mod trace_analysis;
 
-pub use admin::{admin_get, parse_metrics_json, AdminConfig, AdminServer, AdminStats, MetricsDoc};
+pub use admin::{admin_get, AdminConfig, AdminServer, AdminStats};
 pub use chaos::{
     run_chaos, run_store_chaos, ChaosConfig, ChaosReport, StoreChaosConfig, StoreChaosReport,
 };

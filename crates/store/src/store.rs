@@ -726,12 +726,21 @@ mod tests {
             ..StoreConfig::default()
         };
         let (mut store, _) = MdsStore::open(&dir, config).unwrap();
-        for i in 0..40 {
+        // The same records applied to a purely in-memory state: what the
+        // store must equal however many snapshots it cut on the way.
+        let mut expect = MdsState::default();
+        for i in 0..100 {
             store.append(rec(i)).unwrap();
+            expect.apply(&rec(i));
         }
+        assert_eq!(*store.state(), expect, "six snapshot boundaries crossed");
+        store.sync().unwrap();
         drop(store);
         let report = verify(&dir).unwrap();
         assert!(report.snapshot_lsn >= 16, "auto snapshot happened");
+        let (reopened, _) = MdsStore::open(&dir, config).unwrap();
+        assert_eq!(*reopened.state(), expect, "snapshot + WAL tail replay");
+        drop(reopened);
         fs::remove_dir_all(&dir).unwrap();
     }
 

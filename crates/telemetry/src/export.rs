@@ -1,14 +1,16 @@
-//! Snapshot exporters: Prometheus text exposition and JSON.
+//! Snapshot exporters: Prometheus text exposition and JSON, plus the
+//! reader of the JSON form ([`parse_metrics_json`]).
 //!
-//! Both are hand-rolled string builders so the crate stays free of
-//! external dependencies. Metric names are prefixed `d2tree_` and
-//! sanitised to `[a-zA-Z0-9_]`.
+//! Both are hand-rolled so the crate stays free of external
+//! dependencies; the JSON goes through [`crate::json`]. Metric names
+//! are prefixed `d2tree_` and sanitised to `[a-zA-Z0-9_]`.
 
 use std::collections::BTreeMap;
 use std::fmt::Write;
 
 use crate::journal::{Event, EventKind};
-use crate::metrics::{MetricKey, Snapshot};
+use crate::json::{self, Writer};
+use crate::metrics::{HistogramSnapshot, MetricKey, Snapshot};
 
 fn sanitize(name: &str) -> String {
     name.chars()
@@ -58,38 +60,16 @@ pub fn prometheus_text(snap: &Snapshot) -> String {
         snap.uptime_us
     );
 
-    let mut last_family = "";
-    for &(key, value) in &snap.counters {
-        let family = key.name;
-        if family != last_family {
-            let name = format!("d2tree_{}", sanitize(family));
-            let _ = writeln!(out, "# TYPE {name} counter");
-            last_family = family;
+    for (kind, scalars) in [("counter", &snap.counters), ("gauge", &snap.gauges)] {
+        let mut last_family = "";
+        for &(key, value) in scalars {
+            let name = format!("d2tree_{}", sanitize(key.name));
+            if key.name != last_family {
+                let _ = writeln!(out, "# TYPE {name} {kind}");
+                last_family = key.name;
+            }
+            prom_line(&mut out, &name, key, None, value);
         }
-        prom_line(
-            &mut out,
-            &format!("d2tree_{}", sanitize(family)),
-            key,
-            None,
-            value,
-        );
-    }
-
-    let mut last_family = "";
-    for &(key, value) in &snap.gauges {
-        let family = key.name;
-        if family != last_family {
-            let name = format!("d2tree_{}", sanitize(family));
-            let _ = writeln!(out, "# TYPE {name} gauge");
-            last_family = family;
-        }
-        prom_line(
-            &mut out,
-            &format!("d2tree_{}", sanitize(family)),
-            key,
-            None,
-            value,
-        );
     }
 
     let mut last_family = "";
@@ -126,41 +106,21 @@ pub fn prometheus_text(snap: &Snapshot) -> String {
     out
 }
 
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        // Trim to a compact fixed representation; metrics are loads and
-        // popularities where 6 decimals is plenty.
-        let s = format!("{v:.6}");
-        s.trim_end_matches('0').trim_end_matches('.').to_owned()
-    } else {
-        "null".to_owned()
-    }
+fn json_key(w: &mut Writer<'_>, key: MetricKey) {
+    w.key("name").string(&sanitize(key.name));
+    w.key("mds").opt_uint(key.mds);
 }
 
-fn json_key(out: &mut String, key: MetricKey) {
-    let _ = write!(out, "\"name\":\"{}\",", sanitize(key.name));
-    match key.mds {
-        Some(m) => {
-            let _ = write!(out, "\"mds\":{m},");
-        }
-        None => out.push_str("\"mds\":null,"),
-    }
-}
-
-fn json_event(out: &mut String, e: &Event) {
-    let _ = write!(
-        out,
-        "{{\"seq\":{},\"ts_us\":{},\"kind\":\"{}\"",
-        e.seq,
-        e.ts_us,
-        e.kind.label()
-    );
+fn json_event(w: &mut Writer<'_>, e: &Event) {
+    w.open('{');
+    w.key("seq").uint(e.seq).key("ts_us").uint(e.ts_us);
+    w.key("kind").string(e.kind.label());
     match e.kind {
         EventKind::Heartbeat { mds, load } => {
-            let _ = write!(out, ",\"mds\":{mds},\"load\":{}", json_f64(load));
+            w.key("mds").uint(mds).key("load").float6(load);
         }
         EventKind::MdsDown { mds } | EventKind::MdsRecovered { mds } => {
-            let _ = write!(out, ",\"mds\":{mds}");
+            w.key("mds").uint(mds);
         }
         EventKind::SubtreeShed {
             from,
@@ -168,11 +128,9 @@ fn json_event(out: &mut String, e: &Event) {
             size,
             popularity,
         } => {
-            let _ = write!(
-                out,
-                ",\"from\":{from},\"subtree\":{subtree},\"size\":{size},\"popularity\":{}",
-                json_f64(popularity)
-            );
+            w.key("from").uint(from).key("subtree").uint(subtree);
+            w.key("size").uint(size);
+            w.key("popularity").float6(popularity);
         }
         EventKind::SubtreeClaimed {
             to,
@@ -180,33 +138,29 @@ fn json_event(out: &mut String, e: &Event) {
             size,
             popularity,
         } => {
-            let _ = write!(
-                out,
-                ",\"to\":{to},\"subtree\":{subtree},\"size\":{size},\"popularity\":{}",
-                json_f64(popularity)
-            );
+            w.key("to").uint(to).key("subtree").uint(subtree);
+            w.key("size").uint(size);
+            w.key("popularity").float6(popularity);
         }
         EventKind::GlRecut {
             promoted,
             demoted,
             churn,
         } => {
-            let _ = write!(
-                out,
-                ",\"promoted\":{promoted},\"demoted\":{demoted},\"churn\":{churn}"
-            );
+            w.key("promoted").uint(promoted);
+            w.key("demoted").uint(demoted).key("churn").uint(churn);
         }
         EventKind::CacheMiss { client } => {
-            let _ = write!(out, ",\"client\":{client}");
+            w.key("client").uint(client);
         }
         EventKind::Forwarded { from, to } => {
-            let _ = write!(out, ",\"from\":{from},\"to\":{to}");
+            w.key("from").uint(from).key("to").uint(to);
         }
         EventKind::FaultInjected { fault, mds } => {
-            let _ = write!(out, ",\"fault\":\"{}\",\"mds\":{mds}", fault.label());
+            w.key("fault").string(fault.label()).key("mds").uint(mds);
         }
         EventKind::MdsRejoined { mds, claimed } => {
-            let _ = write!(out, ",\"mds\":{mds},\"claimed\":{claimed}");
+            w.key("mds").uint(mds).key("claimed").uint(claimed);
         }
         EventKind::StoreRecovered {
             mds,
@@ -214,32 +168,29 @@ fn json_event(out: &mut String, e: &Event) {
             torn_bytes,
             recovery_ms,
         } => {
-            let _ = write!(
-                out,
-                ",\"mds\":{mds},\"records\":{records},\"torn_bytes\":{torn_bytes},\"recovery_ms\":{recovery_ms}"
-            );
+            w.key("mds").uint(mds).key("records").uint(records);
+            w.key("torn_bytes").uint(torn_bytes);
+            w.key("recovery_ms").uint(recovery_ms);
         }
         EventKind::GlDeltaSync { mds, entries } => {
-            let _ = write!(out, ",\"mds\":{mds},\"entries\":{entries}");
+            w.key("mds").uint(mds).key("entries").uint(entries);
         }
         EventKind::LeaderElected { replica, term } => {
-            let _ = write!(out, ",\"replica\":{replica},\"term\":{term}");
+            w.key("replica").uint(replica).key("term").uint(term);
         }
         EventKind::LeaseGranted {
             node,
             fence,
             holder,
         } => {
-            let _ = write!(
-                out,
-                ",\"node\":{node},\"fence\":{fence},\"holder\":{holder}"
-            );
+            w.key("node").uint(node).key("fence").uint(fence);
+            w.key("holder").uint(holder);
         }
         EventKind::FenceRejected { node, fence } => {
-            let _ = write!(out, ",\"node\":{node},\"fence\":{fence}");
+            w.key("node").uint(node).key("fence").uint(fence);
         }
     }
-    out.push('}');
+    w.close('}');
 }
 
 /// Renders the journal portion of a snapshot as JSON Lines: one event
@@ -249,58 +200,145 @@ fn json_event(out: &mut String, e: &Event) {
 pub fn events_jsonl(snap: &Snapshot) -> String {
     let mut out = String::new();
     for e in &snap.events {
-        json_event(&mut out, e);
+        json_event(&mut Writer::new(&mut out), e);
         out.push('\n');
     }
     out
 }
 
-/// Renders a snapshot as a self-contained JSON document.
+/// Renders a snapshot as a self-contained JSON document — the
+/// `/metrics.json` format [`parse_metrics_json`] reads back.
 #[must_use]
 pub fn json(snap: &Snapshot) -> String {
     let mut out = String::new();
-    let _ = write!(out, "{{\"uptime_us\":{},", snap.uptime_us);
-
-    out.push_str("\"counters\":[");
-    for (i, &(key, value)) in snap.counters.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
+    let mut w = Writer::new(&mut out);
+    w.open('{').key("uptime_us").uint(snap.uptime_us);
+    for (section, scalars) in [("counters", &snap.counters), ("gauges", &snap.gauges)] {
+        w.key(section).open('[');
+        for &(key, value) in scalars {
+            w.open('{');
+            json_key(&mut w, key);
+            w.key("value").uint(value).close('}');
         }
-        out.push('{');
-        json_key(&mut out, key);
-        let _ = write!(out, "\"value\":{value}}}");
+        w.close(']');
     }
-    out.push_str("],\"gauges\":[");
-    for (i, &(key, value)) in snap.gauges.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('{');
-        json_key(&mut out, key);
-        let _ = write!(out, "\"value\":{value}}}");
+    w.key("histograms").open('[');
+    for &(key, h) in &snap.histograms {
+        w.open('{');
+        json_key(&mut w, key);
+        w.key("count").uint(h.count).key("sum").uint(h.sum);
+        w.key("min").uint(h.min).key("max").uint(h.max);
+        w.key("p50").uint(h.p50).key("p90").uint(h.p90);
+        w.key("p99").uint(h.p99).key("p999").uint(h.p999);
+        w.close('}');
     }
-    out.push_str("],\"histograms\":[");
-    for (i, &(key, h)) in snap.histograms.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        out.push('{');
-        json_key(&mut out, key);
-        let _ = write!(
-            out,
-            "\"count\":{},\"sum\":{},\"min\":{},\"max\":{},\"p50\":{},\"p90\":{},\"p99\":{},\"p999\":{}}}",
-            h.count, h.sum, h.min, h.max, h.p50, h.p90, h.p99, h.p999
-        );
+    w.close(']').key("events").open('[');
+    for e in &snap.events {
+        json_event(&mut w, e);
     }
-    out.push_str("],\"events\":[");
-    for (i, e) in snap.events.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
-        json_event(&mut out, e);
-    }
-    out.push_str("]}");
+    w.close(']').close('}');
     out
+}
+
+/// A parsed `/metrics.json` document — the subset `d2tree top` and
+/// scrapers need, read back from [`json`]'s (stable, machine-written)
+/// output. Each entry is `(name, mds_lane, value)`.
+#[derive(Debug, Clone, Default)]
+pub struct MetricsDoc {
+    /// Registry uptime at scrape time, microseconds.
+    pub uptime_us: u64,
+    /// Counter values.
+    pub counters: Vec<(String, Option<u16>, u64)>,
+    /// Gauge values.
+    pub gauges: Vec<(String, Option<u16>, u64)>,
+    /// Histogram summaries.
+    pub histograms: Vec<(String, Option<u16>, HistogramSnapshot)>,
+}
+
+impl MetricsDoc {
+    /// Sum of a gauge across every lane (global + per-MDS).
+    #[must_use]
+    pub fn gauge(&self, name: &str) -> u64 {
+        self.gauges
+            .iter()
+            .filter(|(n, _, _)| n == name)
+            .map(|&(_, _, v)| v)
+            .sum()
+    }
+
+    /// A histogram summary for `name`: counts and sums are added across
+    /// lanes; quantiles/min/max come from the busiest lane (quantiles
+    /// cannot be merged exactly — for a single daemon there is only one
+    /// lane anyway).
+    #[must_use]
+    pub fn histogram(&self, name: &str) -> Option<HistogramSnapshot> {
+        let lanes: Vec<&HistogramSnapshot> = self
+            .histograms
+            .iter()
+            .filter(|(n, _, _)| n == name)
+            .map(|(_, _, h)| h)
+            .collect();
+        let busiest = lanes.iter().max_by_key(|h| h.count)?;
+        let mut merged = **busiest;
+        merged.count = lanes.iter().map(|h| h.count).sum();
+        merged.sum = lanes.iter().map(|h| h.sum).sum();
+        Some(merged)
+    }
+
+    /// Sum of every histogram lane count whose name passes `pred` —
+    /// e.g. total server-observed requests across the op-kind ×
+    /// outcome matrix.
+    #[must_use]
+    pub fn histogram_count_where(&self, pred: impl Fn(&str) -> bool) -> u64 {
+        self.histograms
+            .iter()
+            .filter(|(n, _, _)| pred(n))
+            .map(|(_, _, h)| h.count)
+            .sum()
+    }
+}
+
+/// One `"section":[{"name":…,"mds":…,<value fields>},…]` array.
+fn parse_rows<T>(
+    doc: &str,
+    section: &str,
+    value: impl Fn(&str) -> Option<T>,
+) -> Option<Vec<(String, Option<u16>, T)>> {
+    json::array_objects(doc, section)?
+        .map(|obj| {
+            let name = json::field(obj, "name")?.trim_matches('"').to_owned();
+            let mds = match json::field(obj, "mds")? {
+                "null" => None,
+                m => Some(m.parse().ok()?),
+            };
+            Some((name, mds, value(obj)?))
+        })
+        .collect()
+}
+
+/// Parses [`json`]'s output. Returns `None` on anything that does not
+/// look like it — the caller (a polling `top`) should skip the sample,
+/// not crash.
+#[must_use]
+pub fn parse_metrics_json(doc: &str) -> Option<MetricsDoc> {
+    let scalar = |obj: &str| json::field_u64(obj, "value");
+    Some(MetricsDoc {
+        uptime_us: json::field_u64(doc, "uptime_us")?,
+        counters: parse_rows(doc, "counters", scalar)?,
+        gauges: parse_rows(doc, "gauges", scalar)?,
+        histograms: parse_rows(doc, "histograms", |obj| {
+            Some(HistogramSnapshot {
+                count: json::field_u64(obj, "count")?,
+                sum: json::field_u64(obj, "sum")?,
+                min: json::field_u64(obj, "min")?,
+                max: json::field_u64(obj, "max")?,
+                p50: json::field_u64(obj, "p50")?,
+                p90: json::field_u64(obj, "p90")?,
+                p99: json::field_u64(obj, "p99")?,
+                p999: json::field_u64(obj, "p999")?,
+            })
+        })?,
+    })
 }
 
 #[cfg(test)]
@@ -468,5 +506,53 @@ mod tests {
         );
         assert!(doc.contains("\"kind\":\"subtree_claimed\""), "{doc}");
         assert!(doc.contains("\"popularity\":0.25"), "{doc}");
+    }
+
+    #[test]
+    fn parse_round_trips_the_exporter() {
+        let registry = Registry::new();
+        names::register_all(&registry);
+        registry
+            .counter(MetricKey::mds(names::SERVER_SERVED_TOTAL, 0))
+            .add(7);
+        registry
+            .counter(MetricKey::mds(names::SERVER_SERVED_TOTAL, 1))
+            .add(5);
+        registry
+            .gauge(MetricKey::global(names::NET_ACTIVE_CONNS))
+            .add(3);
+        let h = registry.histogram(MetricKey::mds(names::SRV_LATENCY_US_READ_OK, 0));
+        for v in [10u64, 20, 30] {
+            h.record(v);
+        }
+        let snapshot = registry.snapshot();
+        let doc = super::json(&snapshot);
+        let parsed = super::parse_metrics_json(&doc).expect("exporter output parses");
+        let served: Vec<_> = parsed
+            .counters
+            .iter()
+            .filter(|(name, _, _)| name == names::SERVER_SERVED_TOTAL)
+            .map(|&(_, mds, v)| (mds, v))
+            .collect();
+        assert_eq!(served, [(Some(0), 7), (Some(1), 5)]);
+        assert_eq!(parsed.gauge(names::NET_ACTIVE_CONNS), 3);
+        let snap = parsed
+            .histogram(names::SRV_LATENCY_US_READ_OK)
+            .expect("histogram present");
+        assert_eq!(snap.count, 3);
+        assert_eq!(snap.sum, 60);
+        assert_eq!(snap.min, 10);
+        assert_eq!(parsed.uptime_us, snapshot.uptime_us);
+        assert_eq!(
+            parsed.histogram_count_where(|n| n.starts_with("srv_latency_us_")),
+            3
+        );
+    }
+
+    #[test]
+    fn parse_rejects_garbage_gracefully() {
+        assert!(super::parse_metrics_json("").is_none());
+        assert!(super::parse_metrics_json("not json at all").is_none());
+        assert!(super::parse_metrics_json("{\"uptime_us\":5}").is_none());
     }
 }

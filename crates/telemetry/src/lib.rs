@@ -15,6 +15,8 @@
 //!   …) with monotone timestamps and global sequence numbers.
 //! * [`export`] — Prometheus text exposition and JSON snapshot
 //!   rendering, both hand-rolled so the crate stays dependency-free.
+//! * [`json`] — the one JSON writer (and flat-document reader) every
+//!   emitter in the workspace goes through.
 //!
 //! Everything is `Sync`; instrumented code shares an `Arc<Registry>`
 //! and caches `Arc<Counter>` handles outside hot loops. When no
@@ -27,6 +29,7 @@ mod journal;
 mod metrics;
 
 pub mod export;
+pub mod json;
 pub mod recorder;
 pub mod sink;
 pub mod trace;

@@ -18,6 +18,7 @@
 
 use std::collections::VecDeque;
 
+use crate::json::Writer;
 #[cfg(test)]
 use crate::metrics::MetricKey;
 use crate::metrics::Registry;
@@ -62,6 +63,31 @@ pub struct HealthTick {
     pub wal_fsync_p99_us: u64,
     /// Per-MDS load (served ops or popularity mass) at this tick.
     pub loads: Vec<f64>,
+}
+
+impl HealthTick {
+    /// Writes the tick as one JSON object — a [`FlightRecorder::to_jsonl`]
+    /// line and `/health`'s `latest` member.
+    pub fn write_json(&self, w: &mut Writer<'_>) {
+        w.open('{');
+        w.key("tick").uint(self.tick).key("t_us").uint(self.t_us);
+        w.key("t_ms").uint(self.t_ms);
+        w.key("locality").float(self.locality);
+        w.key("balance").float(self.balance);
+        w.key("ops")
+            .uint(self.ops)
+            .key("retries")
+            .uint(self.retries);
+        w.key("faults").uint(self.faults);
+        w.key("migrations").uint(self.migrations);
+        w.key("spans_dropped").uint(self.spans_dropped);
+        w.key("wal_fsync_p99_us").uint(self.wal_fsync_p99_us);
+        w.key("loads").open('[');
+        for &l in &self.loads {
+            w.float(l);
+        }
+        w.close(']').close('}');
+    }
 }
 
 /// Cumulative inputs for one tick; the recorder differences them
@@ -197,29 +223,8 @@ impl FlightRecorder {
     pub fn to_jsonl(&self) -> String {
         let mut out = String::new();
         for t in &self.ticks {
-            out.push_str(&format!(
-                "{{\"tick\":{},\"t_us\":{},\"t_ms\":{},\"locality\":{},\"balance\":{},\"ops\":{},\
-                 \"retries\":{},\"faults\":{},\"migrations\":{},\"spans_dropped\":{},\
-                 \"wal_fsync_p99_us\":{},\"loads\":[",
-                t.tick,
-                t.t_us,
-                t.t_ms,
-                json_f64(t.locality),
-                json_f64(t.balance),
-                t.ops,
-                t.retries,
-                t.faults,
-                t.migrations,
-                t.spans_dropped,
-                t.wal_fsync_p99_us,
-            ));
-            for (i, l) in t.loads.iter().enumerate() {
-                if i > 0 {
-                    out.push(',');
-                }
-                out.push_str(&json_f64(*l));
-            }
-            out.push_str("]}\n");
+            t.write_json(&mut Writer::new(&mut out));
+            out.push('\n');
         }
         out
     }
@@ -252,16 +257,6 @@ impl FlightRecorder {
             ));
         }
         out
-    }
-}
-
-/// Renders an `f64` as a JSON value; infinities and NaN become `null`
-/// (JSON has no representation for them).
-fn json_f64(v: f64) -> String {
-    if v.is_finite() {
-        format!("{v}")
-    } else {
-        "null".to_owned()
     }
 }
 

@@ -32,6 +32,7 @@ use std::sync::atomic::{AtomicU64, Ordering};
 use std::time::Instant;
 
 use crate::journal::FaultKind;
+use crate::json::Writer;
 
 /// Interned span name: the closed set of names any instrumented
 /// component gives a span.
@@ -633,20 +634,6 @@ impl Tracer {
     }
 }
 
-fn push_json_escaped(out: &mut String, s: &str) {
-    for c in s.chars() {
-        match c {
-            '"' => out.push_str("\\\""),
-            '\\' => out.push_str("\\\\"),
-            c if (c as u32) < 0x20 => {
-                use std::fmt::Write;
-                let _ = write!(out, "\\u{:04x}", c as u32);
-            }
-            c => out.push(c),
-        }
-    }
-}
-
 /// Renders spans as a Chrome trace-event JSON document (the
 /// `{"traceEvents": […]}` object form) loadable in `chrome://tracing`
 /// and Perfetto.
@@ -656,42 +643,33 @@ fn push_json_escaped(out: &mut String, s: &str) {
 /// the viewer groups work by MDS lane.
 #[must_use]
 pub fn chrome_trace_json(spans: &[Span]) -> String {
-    use std::fmt::Write;
     let mut out = String::with_capacity(128 * spans.len() + 64);
-    out.push_str("{\"displayTimeUnit\":\"ms\",\"traceEvents\":[");
-    for (i, s) in spans.iter().enumerate() {
-        if i > 0 {
-            out.push(',');
-        }
+    let mut w = Writer::new(&mut out);
+    w.open('{').key("displayTimeUnit").string("ms");
+    w.key("traceEvents").open('[');
+    for s in spans {
         let tid = s.mds.map_or(0u32, |m| u32::from(m) + 1);
-        let _ = write!(
-            out,
-            "{{\"name\":\"{}\",\"ph\":\"X\",\"pid\":0,\"tid\":{tid},\"ts\":{},\"dur\":{},\"args\":{{\"trace\":{},\"span\":{}",
-            s.name.as_str(),
-            s.start_us,
-            s.dur_us,
-            s.trace.0,
-            s.id.0
-        );
+        w.open('{');
+        w.key("name").string(s.name.as_str()).key("ph").string("X");
+        w.key("pid").uint(0u32).key("tid").uint(tid);
+        w.key("ts").uint(s.start_us).key("dur").uint(s.dur_us);
+        w.key("args").open('{');
+        w.key("trace").uint(s.trace.0).key("span").uint(s.id.0);
         if let Some(p) = s.parent {
-            let _ = write!(out, ",\"parent\":{}", p.0);
+            w.key("parent").uint(p.0);
         }
         if let Some(m) = s.mds {
-            let _ = write!(out, ",\"mds\":{m}");
+            w.key("mds").uint(m);
         }
         if let Some(f) = s.fault {
-            out.push_str(",\"fault\":\"");
-            push_json_escaped(&mut out, f.label());
-            out.push('"');
+            w.key("fault").string(f.label());
         }
         for (k, v) in &s.args {
-            out.push_str(",\"");
-            push_json_escaped(&mut out, k.name());
-            let _ = write!(out, "\":{v}");
+            w.key(k.name()).uint(*v);
         }
-        out.push_str("}}");
+        w.close('}').close('}');
     }
-    out.push_str("]}");
+    w.close(']').close('}');
     out
 }
 

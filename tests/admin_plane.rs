@@ -11,12 +11,13 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use d2tree::cluster::{
-    admin_get, parse_metrics_json, run_load, AdminConfig, AdminServer, LoadConfig, LoadMode,
-    NetMds, NetServer, NetServerConfig, RetryPolicy,
+    admin_get, run_load, AdminConfig, AdminServer, LoadConfig, LoadMode, NetMds, NetServer,
+    NetServerConfig, RetryPolicy,
 };
 use d2tree::core::{D2TreeConfig, D2TreeScheme, LocalIndex, Partitioner};
 use d2tree::metrics::{ClusterSpec, MdsId, Placement};
 use d2tree::namespace::NamespaceTree;
+use d2tree::telemetry::export::{parse_metrics_json, MetricsDoc};
 use d2tree::telemetry::{names, Registry, Sampler, Tracer};
 use d2tree::workload::{Trace, TraceProfile, WorkloadBuilder};
 
@@ -110,7 +111,7 @@ fn load_cfg(addrs: Vec<String>, conns: usize, ops: usize) -> LoadConfig {
 const GET_TIMEOUT: Duration = Duration::from_secs(2);
 
 /// Total server-observed requests in a parsed `/metrics.json`.
-fn srv_ops(doc: &d2tree::cluster::MetricsDoc) -> u64 {
+fn srv_ops(doc: &MetricsDoc) -> u64 {
     doc.histogram_count_where(|n| n.starts_with("srv_latency_us_"))
 }
 

@@ -95,20 +95,18 @@ pub(crate) fn cmd_serve(opts: &Opts) -> Result<String, CliError> {
     if let Some(port_file) = port_file {
         write_port_file(port_file, &bound.to_string())?;
     }
-    let admin = match admin_addr {
-        Some(admin_addr) => {
+    let admin = admin_addr
+        .map(|admin_addr| {
             let config = AdminConfig {
                 tick_interval: admin_tick,
                 ..AdminConfig::default()
             };
-            let admin = AdminServer::bind(admin_addr, Arc::clone(&mds), config)?;
-            if let Some(port_file) = admin_port_file {
-                write_port_file(port_file, &admin.local_addr().to_string())?;
-            }
-            Some(admin)
-        }
-        None => None,
-    };
+            AdminServer::bind(admin_addr, Arc::clone(&mds), config)
+        })
+        .transpose()?;
+    if let (Some(admin), Some(port_file)) = (&admin, admin_port_file) {
+        write_port_file(port_file, &admin.local_addr().to_string())?;
+    }
     if duration_ms == 0 {
         // Daemon mode: serve until the process is killed. (`park` can
         // wake spuriously, hence the loop.)
@@ -151,20 +149,6 @@ fn write_port_file(path: &str, addr: &str) -> Result<(), CliError> {
     Ok(())
 }
 
-/// The server-side latency matrix: one histogram per op kind × outcome,
-/// as registered by `NetMds`.
-const SRV_LATENCY: [&str; 9] = [
-    names::SRV_LATENCY_US_READ_OK,
-    names::SRV_LATENCY_US_READ_REDIRECT,
-    names::SRV_LATENCY_US_READ_ERROR,
-    names::SRV_LATENCY_US_WRITE_OK,
-    names::SRV_LATENCY_US_WRITE_REDIRECT,
-    names::SRV_LATENCY_US_WRITE_ERROR,
-    names::SRV_LATENCY_US_UPDATE_OK,
-    names::SRV_LATENCY_US_UPDATE_REDIRECT,
-    names::SRV_LATENCY_US_UPDATE_ERROR,
-];
-
 /// Total server-observed requests: every lane of the op × outcome matrix.
 fn srv_ops(doc: &MetricsDoc) -> u64 {
     doc.histogram_count_where(|n| n.starts_with("srv_latency_us_"))
@@ -195,11 +179,12 @@ fn top_line(doc: &MetricsDoc, prev: Option<&MetricsDoc>, health: &(u16, String))
         ),
     };
     let rate = delta_ops as f64 / (delta_us.max(1) as f64 / 1e6);
-    let busiest = SRV_LATENCY
+    let busiest = doc
+        .histograms
         .iter()
-        .filter_map(|name| doc.histogram(name))
-        .max_by_key(|h| h.count);
-    let (p50, p99) = busiest.map_or((0, 0), |h| (h.p50, h.p99));
+        .filter(|(name, _, _)| name.starts_with("srv_latency_us_"))
+        .max_by_key(|(_, _, h)| h.count);
+    let (p50, p99) = busiest.map_or((0, 0), |(_, _, h)| (h.p50, h.p99));
     let redirect_pct = if ops == 0 {
         0.0
     } else {
@@ -264,16 +249,16 @@ pub(crate) fn cmd_top(opts: &Opts) -> Result<String, CliError> {
 pub(crate) fn cmd_load(opts: &Opts) -> Result<String, CliError> {
     // Every flag is read, and a stray one rejected, before the first
     // complaint about a missing one and before any connection opens.
+    let (tree, trace, _placement, index, _m) = derive_cluster(opts)?;
     let addr_list = opts.get("addr");
     let conns = opts.num("conns", 4usize)?;
-    let count = opts.get("count");
+    let count = opts.num("count", trace.len())?;
     let qps = opts.num("qps", 2_000.0f64)?;
     let timeout = Duration::from_millis(opts.num("timeout-ms", 2_000u64)?);
     let seed = opts.num("seed", 42u64)?;
     let check_p99_us = opts.num("check-p99-us", 0u64)?;
     let mode = opts.get("mode").unwrap_or("closed");
     let pipeline_list = opts.get("pipeline").unwrap_or("1");
-    let (tree, trace, _placement, index, _m) = derive_cluster(opts)?;
     opts.reject_unread()?;
 
     let addrs: Vec<String> = addr_list
@@ -291,12 +276,6 @@ pub(crate) fn cmd_load(opts: &Opts) -> Result<String, CliError> {
     if conns == 0 {
         return Err(CliError::Usage("--conns must be at least 1".to_owned()));
     }
-    let count = match count {
-        None => trace.len(),
-        Some(v) => v
-            .parse()
-            .map_err(|_| CliError::Usage(format!("--count expects a number, got {v:?}")))?,
-    };
     if qps <= 0.0 {
         return Err(CliError::Usage("--qps must be positive".to_owned()));
     }

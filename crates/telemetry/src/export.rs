@@ -266,25 +266,6 @@ impl MetricsDoc {
             .sum()
     }
 
-    /// A histogram summary for `name`: counts and sums are added across
-    /// lanes; quantiles/min/max come from the busiest lane (quantiles
-    /// cannot be merged exactly — for a single daemon there is only one
-    /// lane anyway).
-    #[must_use]
-    pub fn histogram(&self, name: &str) -> Option<HistogramSnapshot> {
-        let lanes: Vec<&HistogramSnapshot> = self
-            .histograms
-            .iter()
-            .filter(|(n, _, _)| n == name)
-            .map(|(_, _, h)| h)
-            .collect();
-        let busiest = lanes.iter().max_by_key(|h| h.count)?;
-        let mut merged = **busiest;
-        merged.count = lanes.iter().map(|h| h.count).sum();
-        merged.sum = lanes.iter().map(|h| h.sum).sum();
-        Some(merged)
-    }
-
     /// Sum of every histogram lane count whose name passes `pred` —
     /// e.g. total server-observed requests across the op-kind ×
     /// outcome matrix.
@@ -536,8 +517,10 @@ mod tests {
             .collect();
         assert_eq!(served, [(Some(0), 7), (Some(1), 5)]);
         assert_eq!(parsed.gauge(names::NET_ACTIVE_CONNS), 3);
-        let snap = parsed
-            .histogram(names::SRV_LATENCY_US_READ_OK)
+        let (_, _, snap) = parsed
+            .histograms
+            .iter()
+            .find(|(name, mds, _)| name == names::SRV_LATENCY_US_READ_OK && *mds == Some(0))
             .expect("histogram present");
         assert_eq!(snap.count, 3);
         assert_eq!(snap.sum, 60);

@@ -27,6 +27,8 @@ pub enum TreeError {
     },
     /// The root cannot be removed, renamed or moved.
     RootImmutable,
+    /// No node lives at this (well-formed) absolute path.
+    PathNotFound(String),
 }
 
 impl fmt::Display for TreeError {
@@ -46,6 +48,7 @@ impl fmt::Display for TreeError {
                 )
             }
             TreeError::RootImmutable => f.write_str("the root node cannot be modified"),
+            TreeError::PathNotFound(p) => write!(f, "path {p:?} not found"),
         }
     }
 }
@@ -69,6 +72,7 @@ mod tests {
             }
             .to_string(),
             TreeError::RootImmutable.to_string(),
+            TreeError::PathNotFound("/a/b".into()).to_string(),
         ];
         for m in msgs {
             assert!(!m.is_empty());

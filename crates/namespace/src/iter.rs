@@ -14,8 +14,10 @@ pub struct Ancestors<'a> {
 
 impl<'a> Ancestors<'a> {
     pub(crate) fn new(tree: &'a NamespaceTree, start: NodeId) -> Self {
-        let next = tree.node(start).and_then(|n| n.parent());
-        Ancestors { tree, next }
+        Ancestors {
+            tree,
+            next: tree.parent_of(start),
+        }
     }
 }
 
@@ -24,7 +26,7 @@ impl Iterator for Ancestors<'_> {
 
     fn next(&mut self) -> Option<NodeId> {
         let cur = self.next?;
-        self.next = self.tree.node(cur).and_then(|n| n.parent());
+        self.next = self.tree.parent_of(cur);
         Some(cur)
     }
 }
@@ -57,7 +59,7 @@ impl Iterator for ChainUp<'_> {
 
     fn next(&mut self) -> Option<NodeId> {
         let cur = self.next?;
-        self.next = self.tree.node(cur).and_then(|n| n.parent());
+        self.next = self.tree.parent_of(cur);
         Some(cur)
     }
 }
@@ -88,12 +90,9 @@ impl Iterator for Descendants<'_> {
 
     fn next(&mut self) -> Option<NodeId> {
         let cur = self.stack.pop()?;
-        if let Some(node) = self.tree.node(cur) {
-            // Push in reverse name order so name order pops first.
-            let mut kids: Vec<NodeId> = node.children().map(|(_, id)| id).collect();
-            kids.reverse();
-            self.stack.extend(kids);
-        }
+        // Push in reverse name order so name order pops first.
+        let kids = self.tree.child_edges(cur).iter().rev();
+        self.stack.extend(kids.map(|&(_, id)| id));
         Some(cur)
     }
 }

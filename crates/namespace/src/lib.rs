@@ -30,6 +30,7 @@
 
 mod attrs;
 mod builder;
+mod children;
 mod error;
 mod intern;
 mod iter;

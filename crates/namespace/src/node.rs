@@ -6,7 +6,8 @@ use std::hash::{BuildHasherDefault, Hasher};
 
 use serde::{Deserialize, Serialize};
 
-use crate::intern::{Sym, SymbolTable};
+use crate::intern::Sym;
+use crate::tree::NamespaceTree;
 
 /// Stable identifier of a node inside a [`NamespaceTree`](crate::NamespaceTree).
 ///
@@ -111,111 +112,57 @@ impl fmt::Display for NodeKind {
     }
 }
 
-/// A directory's children: `(Sym, NodeId)` entries kept sorted by the
-/// child's *name string*, so iteration order is identical to the old
-/// `BTreeMap<Box<str>, NodeId>` representation (every seeded experiment
-/// depends on that traversal order) while lookups compare interned `u32`
-/// handles instead of strings.
+/// A view of one live node: name, kind, parent link and (for
+/// directories) the name-ordered children.
 ///
-/// Mutations need the owning tree's [`SymbolTable`] to find the sorted
-/// insertion point, so they live on [`NamespaceTree`](crate::NamespaceTree).
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
-pub(crate) struct ChildMap {
-    entries: Vec<(Sym, NodeId)>,
+/// The tree stores no per-node record — a node is a row of its columns
+/// and a span of its child-edge pool — so this is a `Copy` handle (tree
+/// reference + id) that reads them on demand. Children are keyed by
+/// interned [`Sym`] handles but kept sorted by name, so traversal order
+/// is deterministic — which keeps every downstream experiment
+/// reproducible under a fixed seed — while child lookup is a contiguous
+/// `u32` scan instead of a string-keyed search.
+#[derive(Clone, Copy)]
+pub struct Node<'a> {
+    tree: &'a NamespaceTree,
+    id: NodeId,
 }
 
-impl ChildMap {
-    pub(crate) fn new() -> Self {
-        ChildMap {
-            entries: Vec::new(),
-        }
+impl<'a> Node<'a> {
+    /// A view of `id`, which the caller has checked is live in `tree`.
+    pub(crate) fn new(tree: &'a NamespaceTree, id: NodeId) -> Self {
+        Node { tree, id }
     }
 
-    pub(crate) fn len(&self) -> usize {
-        self.entries.len()
-    }
-
-    /// Membership/lookup by interned symbol: a linear `u32` scan. Typical
-    /// fanouts are small and the entries are contiguous, so this beats
-    /// pointer-chasing B-tree nodes by a wide margin.
-    #[inline]
-    pub(crate) fn get(&self, sym: Sym) -> Option<NodeId> {
-        self.entries
-            .iter()
-            .find(|&&(s, _)| s == sym)
-            .map(|&(_, id)| id)
-    }
-
-    /// Inserts keeping name order; the caller guarantees `sym` is absent.
-    pub(crate) fn insert(&mut self, sym: Sym, id: NodeId, table: &SymbolTable) {
-        let name = table.resolve(sym);
-        let at = self
-            .entries
-            .partition_point(|&(s, _)| table.resolve(s) < name);
-        self.entries.insert(at, (sym, id));
-    }
-
-    pub(crate) fn remove(&mut self, sym: Sym) -> Option<NodeId> {
-        let at = self.entries.iter().position(|&(s, _)| s == sym)?;
-        Some(self.entries.remove(at).1)
-    }
-
-    pub(crate) fn clear(&mut self) {
-        self.entries.clear();
-    }
-
-    pub(crate) fn iter(&self) -> std::slice::Iter<'_, (Sym, NodeId)> {
-        self.entries.iter()
-    }
-}
-
-/// A single metadata node: name, kind, parent link and (for directories) a
-/// name-ordered child map.
-///
-/// Children are keyed by interned [`Sym`] handles but kept sorted by name,
-/// so traversal order is deterministic — which keeps every downstream
-/// experiment reproducible under a fixed seed — while child lookup is a
-/// contiguous `u32` scan instead of a string-keyed B-tree probe.
-#[derive(Debug, Clone, Serialize, Deserialize)]
-pub struct Node {
-    pub(crate) name: Box<str>,
-    /// The interned handle for `name` in the owning tree's symbol table.
-    pub(crate) sym: Sym,
-    pub(crate) kind: NodeKind,
-    pub(crate) parent: Option<NodeId>,
-    pub(crate) children: ChildMap,
-}
-
-impl Node {
     /// The node's own name component (empty string for the root).
     #[must_use]
-    pub fn name(&self) -> &str {
-        &self.name
+    pub fn name(self) -> &'a str {
+        self.tree.symbols().resolve(self.name_sym())
     }
 
     /// The interned symbol of the node's name, valid in the owning tree's
     /// [`SymbolTable`](crate::SymbolTable).
     #[must_use]
-    pub fn name_sym(&self) -> Sym {
-        self.sym
+    pub fn name_sym(self) -> Sym {
+        self.tree.sym_of(self.id)
     }
 
     /// The node's kind.
     #[must_use]
-    pub fn kind(&self) -> NodeKind {
-        self.kind
+    pub fn kind(self) -> NodeKind {
+        self.tree.kind_of(self.id)
     }
 
     /// The parent id, or `None` for the root.
     #[must_use]
-    pub fn parent(&self) -> Option<NodeId> {
-        self.parent
+    pub fn parent(self) -> Option<NodeId> {
+        self.tree.parent_of(self.id)
     }
 
     /// Number of live children.
     #[must_use]
-    pub fn child_count(&self) -> usize {
-        self.children.len()
+    pub fn child_count(self) -> usize {
+        self.tree.child_edges(self.id).len()
     }
 
     /// Iterates over `(name_sym, id)` pairs of live children in name order.
@@ -224,14 +171,26 @@ impl Node {
     /// [`NamespaceTree::symbols`](crate::NamespaceTree::symbols) when the
     /// name itself is needed; traversals that only follow ids (the common
     /// case) pay nothing for it.
-    pub fn children(&self) -> impl Iterator<Item = (Sym, NodeId)> + '_ {
-        self.children.iter().copied()
+    pub fn children(self) -> std::iter::Copied<std::slice::Iter<'a, (Sym, NodeId)>> {
+        self.tree.child_edges(self.id).iter().copied()
     }
 
     /// Looks up a child by its interned name symbol.
     #[must_use]
-    pub fn child_by_sym(&self, sym: Sym) -> Option<NodeId> {
-        self.children.get(sym)
+    pub fn child_by_sym(self, sym: Sym) -> Option<NodeId> {
+        self.tree.child_by_sym(self.id, sym)
+    }
+}
+
+impl fmt::Debug for Node<'_> {
+    fn fmt(&self, f: &mut fmt::Formatter<'_>) -> fmt::Result {
+        f.debug_struct("Node")
+            .field("id", &self.id)
+            .field("name", &self.name())
+            .field("kind", &self.kind())
+            .field("parent", &self.parent())
+            .field("children", &self.child_count())
+            .finish()
     }
 }
 
@@ -261,22 +220,5 @@ mod tests {
     #[test]
     fn node_ids_order_by_creation() {
         assert!(NodeId::from_index(1) < NodeId::from_index(2));
-    }
-
-    #[test]
-    fn child_map_keeps_name_order() {
-        let mut table = SymbolTable::new();
-        let mut map = ChildMap::new();
-        for (i, name) in ["z", "a", "m"].iter().enumerate() {
-            let sym = table.intern(name);
-            map.insert(sym, NodeId::from_index(i + 1), &table);
-        }
-        let names: Vec<&str> = map.iter().map(|&(s, _)| table.resolve(s)).collect();
-        assert_eq!(names, vec!["a", "m", "z"]);
-        let a = table.lookup("a").unwrap();
-        assert_eq!(map.get(a), Some(NodeId::from_index(2)));
-        assert_eq!(map.remove(a), Some(NodeId::from_index(2)));
-        assert_eq!(map.get(a), None);
-        assert_eq!(map.len(), 2);
     }
 }

@@ -116,31 +116,18 @@ impl Popularity {
 
     /// Recomputes all totals bottom-up in `O(n)`.
     ///
-    /// Processing order is deepest-first so parents always see final child
-    /// totals, regardless of how subtrees were moved around.
+    /// Pre-order lists a node before its descendants, so walking it
+    /// backwards meets every node after all of its children have their
+    /// final totals, regardless of how subtrees were moved around; each
+    /// directory then adds its children in name order.
     pub fn rollup(&mut self, tree: &NamespaceTree) {
         self.resize_for(tree);
         self.total.copy_from_slice(&self.individual);
-        // Bucket nodes by depth, then accumulate child into parent from the
-        // deepest level upwards.
-        let mut depth = vec![0usize; tree.arena_size()];
-        let mut by_depth: Vec<Vec<NodeId>> = Vec::new();
-        for id in tree.descendants(tree.root()) {
-            let d = match tree.node(id).and_then(|n| n.parent()) {
-                Some(p) => depth[p.index()] + 1,
-                None => 0,
-            };
-            depth[id.index()] = d;
-            if by_depth.len() <= d {
-                by_depth.resize_with(d + 1, Vec::new);
-            }
-            by_depth[d].push(id);
-        }
-        for level in by_depth.iter().rev() {
-            for &id in level {
-                if let Some(p) = tree.node(id).and_then(|n| n.parent()) {
-                    self.total[p.index()] += self.total[id.index()];
-                }
+        let mut order = Vec::with_capacity(tree.node_count());
+        order.extend(tree.descendants(tree.root()));
+        for &id in order.iter().rev() {
+            for &(_, child) in tree.child_edges(id) {
+                self.total[id.index()] += self.total[child.index()];
             }
         }
         self.rolled_up = true;

@@ -4,10 +4,11 @@ use std::sync::atomic::{AtomicU64, Ordering};
 
 use serde::{Deserialize, Serialize};
 
+use crate::children::ChildPool;
 use crate::error::TreeError;
 use crate::intern::{Sym, SymbolTable};
 use crate::iter::{Ancestors, ChainUp, Descendants};
-use crate::node::{ChildMap, Node, NodeId, NodeKind};
+use crate::node::{Node, NodeId, NodeKind};
 use crate::path::NsPath;
 
 /// Source of unique tree identities, so tables derived from a tree (see
@@ -19,9 +20,35 @@ fn fresh_tree_id() -> u64 {
     NEXT_TREE_ID.fetch_add(1, Ordering::Relaxed)
 }
 
-/// Word index and mask of `id`'s bit in `NamespaceTree::live_bits`.
-fn live_bit(id: NodeId) -> (usize, u64) {
-    (id.index() / 64, 1 << (id.index() % 64))
+/// `parent` entry of the root and of every tombstone.
+const NO_PARENT: u32 = u32::MAX;
+
+/// Whether `id`'s bit is set in a one-bit-per-arena-slot column; `false`
+/// past its end.
+fn bit(bits: &[u64], id: NodeId) -> bool {
+    bits.get(id.index() / 64)
+        .is_some_and(|word| word & (1 << (id.index() % 64)) != 0)
+}
+
+/// Writes `id`'s bit, growing the column by a word when `id` is the
+/// first slot of one.
+fn set_bit(bits: &mut Vec<u64>, id: NodeId, on: bool) {
+    let (word, mask) = (id.index() / 64, 1 << (id.index() % 64));
+    if word == bits.len() {
+        bits.push(0);
+    }
+    if on {
+        bits[word] |= mask;
+    } else {
+        bits[word] &= !mask;
+    }
+}
+
+fn check_component(name: &str) -> Result<(), TreeError> {
+    if name.is_empty() || name.contains('/') {
+        return Err(TreeError::InvalidPath(name.to_owned()));
+    }
+    Ok(())
 }
 
 /// A POSIX-style namespace tree of files and directories.
@@ -31,9 +58,13 @@ fn live_bit(id: NodeId) -> (usize, u64) {
 /// stay valid across removals. Removed nodes are tombstoned and skipped by
 /// all traversals.
 ///
-/// Name components are interned in a per-tree [`SymbolTable`]: child maps
-/// store `(Sym, NodeId)` pairs, so path resolution hashes each component
-/// once and then compares `u32` handles instead of strings.
+/// The arena is columns, not records: a parent id, a name symbol and two
+/// bits (live, directory) per slot, plus a span of one shared child-edge
+/// pool — no pointer and no allocation per node. Name components are
+/// interned in a per-tree [`SymbolTable`] and child edges are
+/// `(Sym, NodeId)` pairs, so path resolution hashes each component once
+/// and then compares `u32` handles instead of strings. [`Node`] is the
+/// read-only view over one slot.
 ///
 /// # Example
 ///
@@ -51,12 +82,19 @@ fn live_bit(id: NodeId) -> (usize, u64) {
 /// ```
 #[derive(Debug, Serialize, Deserialize)]
 pub struct NamespaceTree {
-    nodes: Vec<Node>,
+    /// Raw parent id per arena slot, [`NO_PARENT`] for the root and for
+    /// tombstones — so an upward walk stops at a dead node by itself.
+    parent: Vec<u32>,
+    /// Name symbol per arena slot.
+    sym: Vec<Sym>,
     /// One bit per arena slot, set while the node is part of the tree
     /// and cleared when it is removed — the only record of liveness, so
     /// [`contains`](Self::contains) answers from these 25 KB (at 200 k
-    /// nodes) without pulling a `Node` out of the arena.
+    /// nodes) without touching another column.
     live_bits: Vec<u64>,
+    /// One bit per arena slot, set for directories.
+    dir_bits: Vec<u64>,
+    children: ChildPool,
     live: usize,
     symbols: SymbolTable,
     /// Bumped on every structural mutation; see [`version`](Self::version).
@@ -69,22 +107,32 @@ impl NamespaceTree {
     /// Creates a tree containing only the root directory.
     #[must_use]
     pub fn new() -> Self {
-        let mut symbols = SymbolTable::new();
-        let root_sym = symbols.intern("");
-        NamespaceTree {
-            nodes: vec![Node {
-                name: Box::from(""),
-                sym: root_sym,
-                kind: NodeKind::Directory,
-                parent: None,
-                children: ChildMap::new(),
-            }],
-            live_bits: vec![1],
-            live: 1,
-            symbols,
+        let mut tree = NamespaceTree {
+            parent: Vec::new(),
+            sym: Vec::new(),
+            live_bits: Vec::new(),
+            dir_bits: Vec::new(),
+            children: ChildPool::default(),
+            live: 0,
+            symbols: SymbolTable::new(),
             version: 0,
             identity: fresh_tree_id(),
-        }
+        };
+        let root_sym = tree.symbols.intern("");
+        tree.push_node(NO_PARENT, root_sym, NodeKind::Directory);
+        tree
+    }
+
+    /// Appends one live arena slot and returns its id.
+    fn push_node(&mut self, parent: u32, sym: Sym, kind: NodeKind) -> NodeId {
+        let id = NodeId::from_index(self.parent.len());
+        self.parent.push(parent);
+        self.sym.push(sym);
+        set_bit(&mut self.live_bits, id, true);
+        set_bit(&mut self.dir_bits, id, kind.is_directory());
+        self.children.push_node();
+        self.live += 1;
+        id
     }
 
     /// The root directory's id.
@@ -105,7 +153,7 @@ impl NamespaceTree {
     /// value, not to [`node_count`](Self::node_count).
     #[must_use]
     pub fn arena_size(&self) -> usize {
-        self.nodes.len()
+        self.parent.len()
     }
 
     /// Monotonic mutation counter: bumped by every `create`, `rename`,
@@ -131,33 +179,59 @@ impl NamespaceTree {
         &self.symbols
     }
 
-    /// Returns the node payload, or `None` if the id is out of range or the
-    /// node has been removed.
+    /// Returns a view of the node, or `None` if the id is out of range or
+    /// the node has been removed.
     #[must_use]
-    pub fn node(&self, id: NodeId) -> Option<&Node> {
-        self.nodes.get(id.index()).filter(|_| self.contains(id))
+    pub fn node(&self, id: NodeId) -> Option<Node<'_>> {
+        self.contains(id).then(|| Node::new(self, id))
     }
 
     /// Whether `id` refers to a live node: one load from the liveness
     /// bitmap, `false` for a tombstone and for an id past the arena.
     #[must_use]
     pub fn contains(&self, id: NodeId) -> bool {
-        let (word, mask) = live_bit(id);
-        self.live_bits
-            .get(word)
-            .is_some_and(|bits| bits & mask != 0)
+        bit(&self.live_bits, id)
     }
 
-    fn get(&self, id: NodeId) -> Result<&Node, TreeError> {
+    fn get(&self, id: NodeId) -> Result<Node<'_>, TreeError> {
         self.node(id).ok_or(TreeError::NodeNotFound(id))
     }
 
-    fn get_mut(&mut self, id: NodeId) -> Result<&mut Node, TreeError> {
-        let live = self.contains(id);
-        self.nodes
-            .get_mut(id.index())
-            .filter(|_| live)
-            .ok_or(TreeError::NodeNotFound(id))
+    /// The parent of `id`; `None` for the root, a tombstone and an id
+    /// past the arena. One load from the `parent` column.
+    #[inline]
+    pub(crate) fn parent_of(&self, id: NodeId) -> Option<NodeId> {
+        match self.parent.get(id.index()) {
+            Some(&raw) if raw != NO_PARENT => Some(NodeId(raw)),
+            _ => None,
+        }
+    }
+
+    /// The name symbol of arena slot `id`.
+    pub(crate) fn sym_of(&self, id: NodeId) -> Sym {
+        self.sym[id.index()]
+    }
+
+    /// The kind of arena slot `id`.
+    pub(crate) fn kind_of(&self, id: NodeId) -> NodeKind {
+        if bit(&self.dir_bits, id) {
+            NodeKind::Directory
+        } else {
+            NodeKind::File
+        }
+    }
+
+    /// The `(name_sym, id)` edges of `id`'s children in name order;
+    /// empty for files, tombstones and ids past the arena.
+    #[inline]
+    pub(crate) fn child_edges(&self, id: NodeId) -> &[(Sym, NodeId)] {
+        self.children.of(id)
+    }
+
+    /// The child of `id` whose name is `sym`.
+    #[inline]
+    pub(crate) fn child_by_sym(&self, id: NodeId, sym: Sym) -> Option<NodeId> {
+        self.children.get(id, sym)
     }
 
     /// Looks up a child of `parent` by name.
@@ -167,7 +241,24 @@ impl NamespaceTree {
     #[must_use]
     pub fn child_of(&self, parent: NodeId, name: &str) -> Option<NodeId> {
         let sym = self.symbols.lookup(name)?;
-        self.node(parent)?.child_by_sym(sym)
+        self.child_by_sym(parent, sym)
+    }
+
+    /// Interns `name` — one hash, one probe — for an entry of `dir`, and
+    /// refuses it if a child of `dir` other than `current` already has
+    /// it. A symbol this call minted names no node yet, so only a known
+    /// one costs the sibling scan.
+    fn claim_name(
+        &mut self,
+        dir: NodeId,
+        name: &str,
+        current: Option<Sym>,
+    ) -> Result<Sym, TreeError> {
+        let (sym, minted) = self.symbols.intern_new(name);
+        if !minted && Some(sym) != current && self.child_by_sym(dir, sym).is_some() {
+            return Err(TreeError::DuplicateName(name.to_owned()));
+        }
+        Ok(sym)
     }
 
     /// Creates a child of `parent` and returns its id.
@@ -184,36 +275,13 @@ impl NamespaceTree {
         name: &str,
         kind: NodeKind,
     ) -> Result<NodeId, TreeError> {
-        if name.is_empty() || name.contains('/') {
-            return Err(TreeError::InvalidPath(name.to_owned()));
-        }
-        let p = self.get(parent)?;
-        if !p.kind.is_directory() {
+        check_component(name)?;
+        if !self.get(parent)?.kind().is_directory() {
             return Err(TreeError::NotADirectory(parent));
         }
-        if let Some(sym) = self.symbols.lookup(name) {
-            if p.child_by_sym(sym).is_some() {
-                return Err(TreeError::DuplicateName(name.to_owned()));
-            }
-        }
-        let sym = self.symbols.intern(name);
-        let id = NodeId::from_index(self.nodes.len());
-        self.nodes.push(Node {
-            name: Box::from(name),
-            sym,
-            kind,
-            parent: Some(parent),
-            children: ChildMap::new(),
-        });
-        let (word, mask) = live_bit(id);
-        if word == self.live_bits.len() {
-            self.live_bits.push(0);
-        }
-        self.live_bits[word] |= mask;
-        self.nodes[parent.index()]
-            .children
-            .insert(sym, id, &self.symbols);
-        self.live += 1;
+        let sym = self.claim_name(parent, name, None)?;
+        let id = self.push_node(parent.0, sym, kind);
+        self.children.insert(parent, sym, id, &self.symbols);
         self.version += 1;
         Ok(id)
     }
@@ -237,11 +305,11 @@ impl NamespaceTree {
             self.get(cur)?;
             match self.child_of(cur, comp) {
                 Some(next) => {
-                    let existing = self.get(next)?;
-                    if last && existing.kind != want {
+                    let existing = self.get(next)?.kind();
+                    if last && existing != want {
                         return Err(TreeError::DuplicateName(comp.to_owned()));
                     }
-                    if !last && !existing.kind.is_directory() {
+                    if !last && !existing.is_directory() {
                         return Err(TreeError::NotADirectory(next));
                     }
                     cur = next;
@@ -261,8 +329,7 @@ impl NamespaceTree {
     pub fn resolve(&self, path: &NsPath) -> Option<NodeId> {
         let mut cur = self.root();
         for comp in path.components() {
-            let sym = self.symbols.lookup(comp)?;
-            cur = self.node(cur)?.child_by_sym(sym)?;
+            cur = self.child_of(cur, comp)?;
         }
         Some(cur)
     }
@@ -291,7 +358,7 @@ impl NamespaceTree {
     pub fn resolve_syms(&self, syms: &[Sym]) -> Option<NodeId> {
         let mut cur = self.root();
         for &sym in syms {
-            cur = self.node(cur)?.child_by_sym(sym)?;
+            cur = self.child_by_sym(cur, sym)?;
         }
         Some(cur)
     }
@@ -301,11 +368,11 @@ impl NamespaceTree {
     /// # Errors
     ///
     /// Returns [`TreeError::InvalidPath`] for malformed strings and
-    /// [`TreeError::NodeNotFound`] when the path does not exist.
+    /// [`TreeError::PathNotFound`] when the path does not exist.
     pub fn resolve_str(&self, path: &str) -> Result<NodeId, TreeError> {
         let p: NsPath = path.parse()?;
         self.resolve(&p)
-            .ok_or(TreeError::NodeNotFound(NodeId::ROOT))
+            .ok_or_else(|| TreeError::PathNotFound(path.to_owned()))
     }
 
     /// Reconstructs the absolute path of a live node.
@@ -315,11 +382,12 @@ impl NamespaceTree {
     /// Panics if `id` is not a live node.
     #[must_use]
     pub fn path_of(&self, id: NodeId) -> NsPath {
+        assert!(self.contains(id), "path_of of a live node");
         let mut comps: Vec<&str> = Vec::new();
-        let mut cur = self.get(id).expect("path_of of a live node");
-        while let Some(parent) = cur.parent {
-            comps.push(&cur.name);
-            cur = self.get(parent).expect("parent chain is live");
+        let mut cur = id;
+        while let Some(parent) = self.parent_of(cur) {
+            comps.push(self.symbols.resolve(self.sym_of(cur)));
+            cur = parent;
         }
         comps.reverse();
         NsPath::from_components(comps).expect("stored names are valid components")
@@ -396,26 +464,17 @@ impl NamespaceTree {
     /// * [`TreeError::DuplicateName`] — a sibling named `new_name` exists.
     /// * [`TreeError::InvalidPath`] — `new_name` is malformed.
     pub fn rename(&mut self, id: NodeId, new_name: &str) -> Result<(), TreeError> {
-        if new_name.is_empty() || new_name.contains('/') {
-            return Err(TreeError::InvalidPath(new_name.to_owned()));
-        }
+        check_component(new_name)?;
         let node = self.get(id)?;
-        let parent = node.parent.ok_or(TreeError::RootImmutable)?;
-        let old_sym = node.sym;
-        if node.name.as_ref() == new_name {
+        let parent = node.parent().ok_or(TreeError::RootImmutable)?;
+        let old_sym = node.name_sym();
+        let new_sym = self.claim_name(parent, new_name, Some(old_sym))?;
+        if new_sym == old_sym {
             return Ok(());
         }
-        if self.child_of(parent, new_name).is_some() {
-            return Err(TreeError::DuplicateName(new_name.to_owned()));
-        }
-        let new_sym = self.symbols.intern(new_name);
-        self.nodes[parent.index()].children.remove(old_sym);
-        self.nodes[parent.index()]
-            .children
-            .insert(new_sym, id, &self.symbols);
-        let n = self.get_mut(id)?;
-        n.name = Box::from(new_name);
-        n.sym = new_sym;
+        self.children.remove(parent, old_sym);
+        self.children.insert(parent, new_sym, id, &self.symbols);
+        self.sym[id.index()] = new_sym;
         self.version += 1;
         Ok(())
     }
@@ -432,10 +491,10 @@ impl NamespaceTree {
     ///   moved subtree.
     pub fn move_subtree(&mut self, id: NodeId, new_parent: NodeId) -> Result<(), TreeError> {
         let node = self.get(id)?;
-        let old_parent = node.parent.ok_or(TreeError::RootImmutable)?;
-        let sym = node.sym;
+        let old_parent = node.parent().ok_or(TreeError::RootImmutable)?;
+        let sym = node.name_sym();
         let dest = self.get(new_parent)?;
-        if !dest.kind.is_directory() {
+        if !dest.kind().is_directory() {
             return Err(TreeError::NotADirectory(new_parent));
         }
         if new_parent == id || self.is_ancestor_of(id, new_parent) {
@@ -451,11 +510,9 @@ impl NamespaceTree {
             let name = self.symbols.resolve(sym).to_owned();
             return Err(TreeError::DuplicateName(name));
         }
-        self.get_mut(old_parent)?.children.remove(sym);
-        self.nodes[new_parent.index()]
-            .children
-            .insert(sym, id, &self.symbols);
-        self.get_mut(id)?.parent = Some(new_parent);
+        self.children.remove(old_parent, sym);
+        self.children.insert(new_parent, sym, id, &self.symbols);
+        self.parent[id.index()] = new_parent.0;
         self.version += 1;
         Ok(())
     }
@@ -472,14 +529,14 @@ impl NamespaceTree {
     /// * [`TreeError::NodeNotFound`] — `id` is not live.
     pub fn remove_subtree(&mut self, id: NodeId) -> Result<usize, TreeError> {
         let node = self.get(id)?;
-        let parent = node.parent.ok_or(TreeError::RootImmutable)?;
-        let sym = node.sym;
+        let parent = node.parent().ok_or(TreeError::RootImmutable)?;
+        let sym = node.name_sym();
         let victims: Vec<NodeId> = self.descendants(id).collect();
-        self.get_mut(parent)?.children.remove(sym);
-        for v in &victims {
-            self.nodes[v.index()].children.clear();
-            let (word, mask) = live_bit(*v);
-            self.live_bits[word] &= !mask;
+        self.children.remove(parent, sym);
+        for &v in &victims {
+            self.children.clear(v);
+            self.parent[v.index()] = NO_PARENT;
+            set_bit(&mut self.live_bits, v, false);
         }
         self.live -= victims.len();
         self.version += 1;
@@ -487,24 +544,25 @@ impl NamespaceTree {
     }
 
     /// Iterates over all live nodes as `(id, node)` in id (creation) order.
-    pub fn nodes(&self) -> impl Iterator<Item = (NodeId, &Node)> + '_ {
-        self.nodes
-            .iter()
-            .enumerate()
-            .map(|(i, n)| (NodeId::from_index(i), n))
-            .filter(|&(id, _)| self.contains(id))
+    pub fn nodes(&self) -> impl Iterator<Item = (NodeId, Node<'_>)> + '_ {
+        (0..self.arena_size())
+            .map(NodeId::from_index)
+            .filter(|&id| self.contains(id))
+            .map(|id| (id, Node::new(self, id)))
     }
 
     /// Number of live directories.
     #[must_use]
     pub fn directory_count(&self) -> usize {
-        self.nodes().filter(|(_, n)| n.kind.is_directory()).count()
+        let both = self.live_bits.iter().zip(&self.dir_bits);
+        both.map(|(live, dir)| (live & dir).count_ones() as usize)
+            .sum()
     }
 
     /// Number of live files.
     #[must_use]
     pub fn file_count(&self) -> usize {
-        self.nodes().filter(|(_, n)| !n.kind.is_directory()).count()
+        self.live - self.directory_count()
     }
 
     /// Maximum depth over all live nodes (the paper's Table I "Max Depth").
@@ -513,7 +571,7 @@ impl NamespaceTree {
         let mut depth = vec![0usize; self.arena_size()];
         let mut max = 0;
         for (id, node) in self.nodes() {
-            if let Some(p) = node.parent {
+            if let Some(p) = node.parent() {
                 depth[id.index()] = depth[p.index()] + 1;
                 max = max.max(depth[id.index()]);
             }
@@ -525,8 +583,11 @@ impl NamespaceTree {
 impl Clone for NamespaceTree {
     fn clone(&self) -> Self {
         NamespaceTree {
-            nodes: self.nodes.clone(),
+            parent: self.parent.clone(),
+            sym: self.sym.clone(),
             live_bits: self.live_bits.clone(),
+            dir_bits: self.dir_bits.clone(),
+            children: self.children.clone(),
             live: self.live,
             symbols: self.symbols.clone(),
             version: self.version,
@@ -562,6 +623,18 @@ mod tests {
         assert_eq!(p.to_string(), "/home/a/f.txt");
         assert_eq!(t.resolve(&p), Some(f));
         assert_eq!(t.resolve_str("/home/a/f.txt").unwrap(), f);
+    }
+
+    #[test]
+    fn resolve_str_names_the_missing_path_not_the_root() {
+        let (t, ..) = sample();
+        let err = t.resolve_str("/home/nope/f.txt").unwrap_err();
+        assert_eq!(err, TreeError::PathNotFound("/home/nope/f.txt".into()));
+        assert_eq!(err.to_string(), "path \"/home/nope/f.txt\" not found");
+        assert!(matches!(
+            t.resolve_str("no-leading-slash"),
+            Err(TreeError::InvalidPath(_))
+        ));
     }
 
     #[test]
@@ -721,7 +794,7 @@ mod tests {
             let mut stack = vec![t.root()];
             while let Some(id) = stack.pop() {
                 reachable[id.index()] = true;
-                stack.extend(t.nodes[id.index()].children.iter().map(|&(_, c)| c));
+                stack.extend(t.child_edges(id).iter().map(|&(_, c)| c));
             }
             for (slot, &live) in reachable.iter().enumerate() {
                 let id = NodeId::from_index(slot);

@@ -1,5 +1,7 @@
 //! Namespace-tree synthesis from a [`TraceProfile`].
 
+use std::fmt::Write as _;
+
 use d2tree_namespace::{NamespaceTree, NodeId, NodeKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -74,9 +76,12 @@ pub fn synthesize_tree(profile: &TraceProfile, seed: u64) -> (NamespaceTree, Syn
     tree.create(cur, "spine_leaf", NodeKind::File)
         .expect("fresh leaf name");
 
+    // One cumulative-weight buffer and one name buffer serve every node.
+    let mut weights = Vec::with_capacity(profile.max_depth);
+    let mut name = String::new();
     while tree.node_count() < profile.nodes {
         // Pick an attachment depth proportional to count_d * gamma^d.
-        let mut weights = Vec::with_capacity(profile.max_depth);
+        weights.clear();
         let mut total = 0.0;
         let mut gamma_pow = 1.0;
         for dirs in &dirs_at {
@@ -93,16 +98,18 @@ pub fn synthesize_tree(profile: &TraceProfile, seed: u64) -> (NamespaceTree, Syn
 
         let make_dir = rng.gen_bool(profile.dir_ratio.clamp(0.0, 1.0));
         next_name += 1;
-        if make_dir {
-            let id = tree
-                .create(parent, &format!("d{next_name}"), NodeKind::Directory)
-                .expect("generated names are unique");
-            if depth + 1 < profile.max_depth {
-                dirs_at[depth + 1].push(id);
-            }
+        name.clear();
+        let (prefix, kind) = if make_dir {
+            ('d', NodeKind::Directory)
         } else {
-            tree.create(parent, &format!("f{next_name}"), NodeKind::File)
-                .expect("generated names are unique");
+            ('f', NodeKind::File)
+        };
+        write!(name, "{prefix}{next_name}").expect("writing to a String cannot fail");
+        let id = tree
+            .create(parent, &name, kind)
+            .expect("generated names are unique");
+        if make_dir && depth + 1 < profile.max_depth {
+            dirs_at[depth + 1].push(id);
         }
     }
 

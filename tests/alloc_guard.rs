@@ -1,4 +1,5 @@
-//! Allocation regression guards for the two per-operation hot paths.
+//! Allocation regression guards for the two per-operation hot paths
+//! and the namespace's byte budget.
 //!
 //! A pipelined window driven through [`NetServer`] + [`NetClient`] on
 //! loopback must cost O(batches) heap allocations in steady state, not
@@ -9,6 +10,11 @@
 //! A [`Simulator::replay`] must cost O(1) allocations per replay (plus
 //! amortised buffer growth), not O(operations): one router remembers the
 //! chain walks and each closed-loop client refills one visit buffer.
+//!
+//! Synthesising a namespace must cost O(1) allocations and a bounded
+//! number of live heap bytes per node: the tree is columns, one pooled
+//! child-edge array and one name arena, not a record, a child `Vec` and
+//! two boxed names per node.
 //!
 //! The counter is a process-wide `#[global_allocator]`, so this file is
 //! its own test binary and its tests take turns under [`MEASURING`] —
@@ -28,24 +34,31 @@ use d2tree::core::{LocalIndex, Partitioner};
 use d2tree::metrics::{Assignment, ClusterSpec, MdsId, Placement};
 use d2tree::namespace::{NamespaceTree, NodeId, NodeKind};
 use d2tree::telemetry::Registry;
-use d2tree::workload::{OpKind, Trace, TraceProfile, WorkloadBuilder};
+use d2tree::workload::{synthesize_tree, OpKind, Trace, TraceProfile, WorkloadBuilder};
 
-/// The system allocator, counting every allocation it hands out.
+/// The system allocator, counting every allocation it hands out and the
+/// bytes currently handed out.
 struct Counting;
 
 static ALLOCATIONS: AtomicU64 = AtomicU64::new(0);
+/// Bytes allocated and not yet freed. Wraps below zero only between a
+/// thread's `dealloc` and the `alloc` it has yet to count, never across
+/// a measurement taken under [`MEASURING`].
+static LIVE_BYTES: AtomicU64 = AtomicU64::new(0);
 
 // SAFETY: every method forwards its arguments unchanged to `System`,
-// which upholds the `GlobalAlloc` contract; the counter is a side effect
-// that touches no allocator state.
+// which upholds the `GlobalAlloc` contract; the counters are a side
+// effect that touches no allocator state.
 unsafe impl GlobalAlloc for Counting {
     unsafe fn alloc(&self, layout: Layout) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: the caller's `layout` is passed through as received.
         unsafe { System.alloc(layout) }
     }
 
     unsafe fn dealloc(&self, ptr: *mut u8, layout: Layout) {
+        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: `ptr` came from `System` through `alloc`/`realloc`
         // above with this `layout`.
         unsafe { System.dealloc(ptr, layout) }
@@ -53,6 +66,8 @@ unsafe impl GlobalAlloc for Counting {
 
     unsafe fn realloc(&self, ptr: *mut u8, layout: Layout, new_size: usize) -> *mut u8 {
         ALLOCATIONS.fetch_add(1, Ordering::Relaxed);
+        LIVE_BYTES.fetch_add(new_size as u64, Ordering::Relaxed);
+        LIVE_BYTES.fetch_sub(layout.size() as u64, Ordering::Relaxed);
         // SAFETY: as for `dealloc`; `new_size` is the caller's.
         unsafe { System.realloc(ptr, layout, new_size) }
     }
@@ -205,4 +220,47 @@ fn replay_allocates_per_replay_not_per_operation() {
             w.trace.len()
         );
     }
+}
+
+#[test]
+fn namespace_holds_a_bounded_number_of_bytes_and_no_allocation_per_node() {
+    let _turn = MEASURING.lock().unwrap_or_else(PoisonError::into_inner);
+    // The `hot_read` namespace: LMBE, 200 k nodes, seed 1.
+    let profile = TraceProfile::lmbe().with_nodes(200_000);
+    let (allocations, live) = (
+        ALLOCATIONS.load(Ordering::Relaxed),
+        LIVE_BYTES.load(Ordering::Relaxed),
+    );
+    let (tree, _) = synthesize_tree(&profile, 1);
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - allocations;
+    let live = LIVE_BYTES.load(Ordering::Relaxed).wrapping_sub(live);
+    // At the parent commit (a 56-byte record, a child `Vec` per
+    // directory and two boxed copies of every name) this read 129.5
+    // bytes per node in 1 053 473 allocations; `Vec` capacity slack
+    // counts as held.
+    let per_node = live as f64 / tree.node_count() as f64;
+    assert!(
+        per_node <= 72.0,
+        "{live} live bytes for {} nodes ({per_node:.1} per node): over the 72-byte budget",
+        tree.node_count()
+    );
+    assert!(
+        allocations < 1_000,
+        "{allocations} allocations to synthesise {} nodes: the tree allocates per node again",
+        tree.node_count()
+    );
+
+    // One pass over the tree, one stack: at the parent commit the
+    // traversal collected every directory's children into a `Vec` of
+    // its own (28 604 allocations).
+    let trace = Trace::from_ops(Vec::new());
+    let before = ALLOCATIONS.load(Ordering::Relaxed);
+    let pop = trace.popularity(&tree);
+    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    assert!(pop.is_rolled_up());
+    assert!(
+        allocations < 50,
+        "{allocations} allocations to roll popularity up over {} nodes",
+        tree.node_count()
+    );
 }

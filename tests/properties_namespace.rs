@@ -399,3 +399,317 @@ mod interned_hot_path {
         }
     }
 }
+
+/// The synthesised namespaces are pinned against the build that recorded
+/// `results/tree_digests.txt`: a storage-layout change that renumbers a
+/// node, loses a name or reorders a directory's children moves a digest.
+mod same_trees {
+    use super::*;
+    use d2tree::workload::{synthesize_tree, TraceProfile};
+
+    /// FNV-1a over every node in id order: parent, name, kind, then the
+    /// children in the order `children()` yields them.
+    fn tree_digest(tree: &NamespaceTree) -> u64 {
+        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
+        let mut eat = |bytes: &[u8]| {
+            for &b in bytes {
+                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+            }
+        };
+        let word = |index: usize| u32::try_from(index).expect("fits").to_le_bytes();
+        for (id, node) in tree.nodes() {
+            eat(&word(id.index()));
+            eat(&node.parent().map_or([0xff; 4], |p| word(p.index())));
+            eat(node.name().as_bytes());
+            eat(&[0xff, u8::from(node.kind().is_directory())]);
+            eat(&word(node.child_count()));
+            for (sym, child) in node.children() {
+                eat(tree.symbols().resolve(sym).as_bytes());
+                eat(&word(child.index()));
+            }
+        }
+        h
+    }
+
+    #[test]
+    fn synthesised_trees_match_the_recorded_digests() {
+        let recorded: Vec<&str> = include_str!("../results/tree_digests.txt")
+            .lines()
+            .filter(|l| !l.starts_with('#') && !l.is_empty())
+            .collect();
+        let mut recomputed = Vec::new();
+        for (name, profile) in [
+            ("dtr", TraceProfile::dtr()),
+            ("lmbe", TraceProfile::lmbe()),
+            ("ra", TraceProfile::ra()),
+        ] {
+            for seed in [1, 7, 42] {
+                let (tree, _) = synthesize_tree(&profile.clone().with_nodes(25_000), seed);
+                recomputed.push(format!("{name} {seed} 25000 {:016x}", tree_digest(&tree)));
+            }
+        }
+        assert_eq!(
+            recorded,
+            recomputed,
+            "synthesised trees differ from results/tree_digests.txt; recomputed lines:\n{}",
+            recomputed.join("\n")
+        );
+    }
+}
+
+/// Model check of the arena across span moves: random `create` /
+/// `rename` / `move_subtree` / `remove_subtree` against a
+/// `BTreeMap<String, NodeId>`-per-directory model that knows nothing of
+/// columns, symbols or the edge pool. Fan-outs cross every span size
+/// class up to 256 on the way up and on the way down, and removals
+/// vacate spans that later growth reuses.
+mod arena_model {
+    use super::*;
+    use d2tree::namespace::NodeId;
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeMap;
+
+    /// `(parent, name, kind)` per arena slot, `None` once removed, and
+    /// each slot's children by name.
+    struct Model {
+        nodes: Vec<Option<(Option<NodeId>, String, NodeKind)>>,
+        kids: Vec<BTreeMap<String, NodeId>>,
+    }
+
+    impl Model {
+        fn new() -> Self {
+            Model {
+                nodes: vec![Some((None, String::new(), NodeKind::Directory))],
+                kids: vec![BTreeMap::new()],
+            }
+        }
+
+        fn live(&self, id: NodeId) -> Option<&(Option<NodeId>, String, NodeKind)> {
+            self.nodes.get(id.index())?.as_ref()
+        }
+
+        fn is_dir(&self, id: NodeId) -> bool {
+            self.live(id).is_some_and(|n| n.2.is_directory())
+        }
+
+        fn preorder(&self, id: NodeId, out: &mut Vec<NodeId>) {
+            out.push(id);
+            for &child in self.kids[id.index()].values() {
+                self.preorder(child, out);
+            }
+        }
+
+        fn path(&self, id: NodeId) -> String {
+            let mut comps = Vec::new();
+            let mut cur = id;
+            while let (Some(parent), name, _) = self.live(cur).expect("live") {
+                comps.push(name.as_str());
+                cur = *parent;
+            }
+            comps.reverse();
+            format!("/{}", comps.join("/"))
+        }
+
+        fn create(&mut self, parent: NodeId, name: &str, kind: NodeKind) -> Option<NodeId> {
+            if !self.is_dir(parent) || self.kids[parent.index()].contains_key(name) {
+                return None;
+            }
+            let id = NodeId::from_index(self.nodes.len());
+            self.nodes.push(Some((Some(parent), name.to_owned(), kind)));
+            self.kids.push(BTreeMap::new());
+            self.kids[parent.index()].insert(name.to_owned(), id);
+            Some(id)
+        }
+
+        fn rename(&mut self, id: NodeId, new_name: &str) -> bool {
+            let Some((Some(parent), name, _)) = self.live(id).cloned() else {
+                return false;
+            };
+            if name == new_name {
+                return true;
+            }
+            let siblings = &mut self.kids[parent.index()];
+            if siblings.contains_key(new_name) {
+                return false;
+            }
+            siblings.remove(&name);
+            siblings.insert(new_name.to_owned(), id);
+            self.nodes[id.index()].as_mut().expect("live").1 = new_name.to_owned();
+            true
+        }
+
+        fn move_subtree(&mut self, id: NodeId, dest: NodeId) -> bool {
+            let Some((Some(parent), name, _)) = self.live(id).cloned() else {
+                return false;
+            };
+            let mut inside = Vec::new();
+            self.preorder(id, &mut inside);
+            if !self.is_dir(dest) || inside.contains(&dest) {
+                return false;
+            }
+            if dest == parent {
+                return true;
+            }
+            if self.kids[dest.index()].contains_key(&name) {
+                return false;
+            }
+            self.kids[parent.index()].remove(&name);
+            self.kids[dest.index()].insert(name, id);
+            self.nodes[id.index()].as_mut().expect("live").0 = Some(dest);
+            true
+        }
+
+        fn remove_subtree(&mut self, id: NodeId) -> Option<usize> {
+            let (Some(parent), name, _) = self.live(id).cloned()? else {
+                return None;
+            };
+            let mut victims = Vec::new();
+            self.preorder(id, &mut victims);
+            self.kids[parent.index()].remove(&name);
+            for v in &victims {
+                self.nodes[v.index()] = None;
+                self.kids[v.index()].clear();
+            }
+            Some(victims.len())
+        }
+    }
+
+    /// One directory's children: ids and names, in iteration order.
+    fn assert_same_children(
+        tree: &NamespaceTree,
+        model: &Model,
+        dir: NodeId,
+    ) -> Result<(), TestCaseError> {
+        let node = tree.node(dir).expect("live");
+        let got: Vec<(&str, NodeId)> = node
+            .children()
+            .map(|(sym, id)| (tree.symbols().resolve(sym), id))
+            .collect();
+        let want: Vec<(&str, NodeId)> = model.kids[dir.index()]
+            .iter()
+            .map(|(name, &id)| (name.as_str(), id))
+            .collect();
+        prop_assert_eq!(node.child_count(), want.len());
+        prop_assert_eq!(got, want, "children of {}", dir);
+        Ok(())
+    }
+
+    fn assert_same(tree: &NamespaceTree, model: &Model) -> Result<(), TestCaseError> {
+        prop_assert_eq!(tree.arena_size(), model.nodes.len());
+        let live = model.nodes.iter().flatten().count();
+        prop_assert_eq!(tree.node_count(), live);
+        prop_assert_eq!(tree.nodes().count(), live);
+        for slot in 0..model.nodes.len() {
+            let id = NodeId::from_index(slot);
+            let Some((parent, name, kind)) = model.live(id) else {
+                prop_assert!(tree.node(id).is_none() && !tree.contains(id));
+                prop_assert_eq!(tree.chain_up(id).collect::<Vec<_>>(), vec![id]);
+                prop_assert_eq!(tree.descendants(id).count(), 0);
+                continue;
+            };
+            let node = tree.node(id).expect("live in the model");
+            prop_assert_eq!(node.parent(), *parent);
+            prop_assert_eq!(node.name(), name.as_str());
+            prop_assert_eq!(node.kind(), *kind);
+            assert_same_children(tree, model, id)?;
+            let path = tree.path_of(id);
+            prop_assert_eq!(path.to_string(), model.path(id));
+            prop_assert_eq!(tree.resolve(&path), Some(id));
+        }
+        let mut preorder = Vec::new();
+        model.preorder(tree.root(), &mut preorder);
+        prop_assert_eq!(tree.descendants(tree.root()).collect::<Vec<_>>(), preorder);
+        Ok(())
+    }
+
+    /// Fan-out steps that land on and just past each span size class.
+    const BURSTS: [usize; 10] = [1, 1, 2, 3, 5, 9, 17, 33, 65, 257];
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(10))]
+
+        #[test]
+        fn arena_matches_a_btreemap_model_across_span_moves(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut tree = NamespaceTree::new();
+            let mut model = Model::new();
+            // Names from a small space, scattered so inserts land
+            // anywhere in a span and collide now and then.
+            let name = |rng: &mut StdRng| format!("{}{}", ["a", "b", "é"][rng.gen_range(0..3)], rng.gen_range(0..900));
+
+            // Up through every size class one child at a time, then
+            // down again from the middle, beside a second directory
+            // whose growth interleaves with it in the pool.
+            let hub = tree.create(tree.root(), "hub", NodeKind::Directory).unwrap();
+            let side = tree.create(tree.root(), "side", NodeKind::Directory).unwrap();
+            prop_assert_eq!(model.create(tree.root(), "hub", NodeKind::Directory), Some(hub));
+            prop_assert_eq!(model.create(tree.root(), "side", NodeKind::Directory), Some(side));
+            while model.kids[hub.index()].len() < 300 {
+                for dir in [hub, side] {
+                    let name = name(&mut rng);
+                    let made = tree.create(dir, &name, NodeKind::File).ok();
+                    prop_assert_eq!(made, model.create(dir, &name, NodeKind::File));
+                    assert_same_children(&tree, &model, dir)?;
+                }
+            }
+            assert_same(&tree, &model)?;
+            while model.kids[hub.index()].len() > 3 {
+                let at = rng.gen_range(0..model.kids[hub.index()].len());
+                let victim = *model.kids[hub.index()].values().nth(at).unwrap();
+                prop_assert_eq!(tree.remove_subtree(victim).ok(), model.remove_subtree(victim));
+                assert_same_children(&tree, &model, hub)?;
+            }
+            assert_same(&tree, &model)?;
+
+            for step in 0..40 {
+                let any_id = |rng: &mut StdRng| NodeId::from_index(rng.gen_range(0..model.nodes.len()));
+                let subject = any_id(&mut rng);
+                // Mostly a live directory; sometimes any slot, so files
+                // and tombstones are refused the same way.
+                let dirs: Vec<NodeId> = (0..model.nodes.len())
+                    .map(NodeId::from_index)
+                    .filter(|&id| model.is_dir(id))
+                    .collect();
+                let dir = if rng.gen_range(0..8) == 0 {
+                    any_id(&mut rng)
+                } else {
+                    dirs[rng.gen_range(0..dirs.len())]
+                };
+                match rng.gen_range(0..10) {
+                    0..=4 => {
+                        for _ in 0..BURSTS[rng.gen_range(0..BURSTS.len())] {
+                            let name = name(&mut rng);
+                            let kind = if rng.gen_range(0..4) == 0 {
+                                NodeKind::Directory
+                            } else {
+                                NodeKind::File
+                            };
+                            let made = tree.create(dir, &name, kind).ok();
+                            prop_assert_eq!(made, model.create(dir, &name, kind));
+                        }
+                    }
+                    5 | 6 => {
+                        let name = name(&mut rng);
+                        prop_assert_eq!(tree.rename(subject, &name).is_ok(), model.rename(subject, &name));
+                    }
+                    7 | 8 => {
+                        prop_assert_eq!(tree.move_subtree(subject, dir).is_ok(), model.move_subtree(subject, dir));
+                    }
+                    _ => {
+                        prop_assert_eq!(tree.remove_subtree(dir).ok(), model.remove_subtree(dir));
+                    }
+                }
+                assert_same(&tree, &model)?;
+                if step % 8 == 7 {
+                    // Carry on in a clone: same content, its own identity.
+                    let copy = tree.clone();
+                    prop_assert_ne!(copy.identity(), tree.identity());
+                    prop_assert_eq!(copy.version(), tree.version());
+                    assert_same(&copy, &model)?;
+                    tree = copy;
+                }
+            }
+        }
+    }
+}

@@ -472,7 +472,7 @@ impl LiveCluster {
     /// 1. With durability enabled ([`LiveConfig::store_root`]), the MDS
     ///    first recovers locally from disk: it reopens its store
     ///    (snapshot + WAL replay, truncating a torn final record),
-    ///    rebuilds its attribute table from the journaled commits,
+    ///    inserts the journaled commits into a fresh attribute table,
     ///    re-seeds its popularity counters, and sheds — durably — any
     ///    subtree the cluster re-homed while it was down. The recovery
     ///    time lands in the `recovery_ms` histogram and an
@@ -645,7 +645,10 @@ impl LiveCluster {
     /// * the published local index agrees with the placement (no
     ///   subtree double-owned between the index and the placement), and
     ///   no published subtree is split across servers (Def. 3);
-    /// * global-layer attribute versions agree across live replicas.
+    /// * global-layer attribute versions agree across live replicas;
+    /// * with durable stores, each live MDS's journal names the subtrees
+    ///   the index gives it, and its journal and its attribute table
+    ///   hold the same nodes at the same versions — both ways.
     ///
     /// Returns human-readable violation descriptions (empty = healthy).
     /// Mid-fail-over the checker legitimately reports transient
@@ -755,6 +758,20 @@ impl LiveCluster {
                         a.version
                     ));
                 }
+            }
+            // ... and the other way round: a record the table holds and the
+            // journal does not is an update a crash right now would lose.
+            // (One the journal holds at another version is reported above.)
+            let mut unjournaled: Vec<(usize, u64)> = table
+                .records()
+                .filter(|(id, _)| !state.attrs.contains_key(&(id.index() as u64)))
+                .map(|(id, rec)| (id.index(), rec.version))
+                .collect();
+            unjournaled.sort_unstable();
+            for (node, version) in unjournaled {
+                violations.push(format!(
+                    "mds{k} serves attr version {version} for node {node}, journaled none"
+                ));
             }
         }
         violations
@@ -971,10 +988,9 @@ fn server_main(
                                 spins += 1;
                             };
                             let now = shared.now_ms();
-                            shared.attr_stores[me]
+                            let committed = shared.attr_stores[me]
                                 .write()
                                 .update(req.target, |a| a.mtime = now);
-                            let committed = shared.attr_stores[me].read().get(req.target);
                             shared.journal_attr(me, req.target, true, committed);
                             for (k, store) in shared.attr_stores.iter().enumerate() {
                                 // A killed replica is a crashed process: it
@@ -1022,10 +1038,9 @@ fn server_main(
                         if req.kind == OpKind::Update {
                             // Local-layer mutation: single copy, no lock.
                             let now = shared.now_ms();
-                            shared.attr_stores[me]
+                            let committed = shared.attr_stores[me]
                                 .write()
                                 .update(req.target, |a| a.mtime = now);
-                            let committed = shared.attr_stores[me].read().get(req.target);
                             shared.journal_attr(me, req.target, false, committed);
                         }
                         ResponseBody::Served { node: req.target }
@@ -1701,6 +1716,73 @@ mod tests {
             LiveConfig::default(),
         );
         (tree, cluster, w.trace)
+    }
+
+    /// The store invariant runs both ways: a record the table holds and
+    /// the journal does not is reported, in node order.
+    #[test]
+    fn a_record_the_journal_lacks_is_a_violation() {
+        let w = WorkloadBuilder::new(TraceProfile::ra().with_nodes(400).with_operations(300))
+            .seed(12)
+            .build();
+        let pop = w.popularity();
+        let mut scheme = D2TreeScheme::new(D2TreeConfig::paper_default());
+        scheme.build(&w.tree, &pop, &ClusterSpec::homogeneous(2, 1.0));
+        let store_root = std::env::temp_dir().join(format!(
+            "d2tree-live-two-way-{}-{}",
+            std::process::id(),
+            std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .expect("clock")
+                .as_nanos()
+        ));
+        let _ = std::fs::remove_dir_all(&store_root);
+        let config = LiveConfig {
+            store_root: Some(store_root.clone()),
+            ..LiveConfig::default()
+        };
+        let cluster = LiveCluster::start_with_index(
+            Arc::new(w.tree),
+            scheme.placement().clone(),
+            scheme.local_index().clone(),
+            config,
+        );
+        let mut client = cluster.client(1);
+        for op in w.trace.iter() {
+            client.execute(*op).expect("op served");
+        }
+        drop(client);
+        let tables = &cluster.shared.attr_stores;
+        assert!(
+            tables.iter().all(|t| t.read().record_count() > 0),
+            "RA updates reached both servers"
+        );
+        assert_eq!(cluster.check_invariants(), Vec::<String>::new());
+
+        // Two local-layer updates that skip the journal, the higher
+        // node first.
+        let placement = cluster.placement_snapshot();
+        let untouched: Vec<NodeId> = (0..tables[1].read().len())
+            .map(NodeId::from_index)
+            .filter(|&id| placement.assignment(id).owner().is_some())
+            .filter(|&id| tables[1].read().get(id).version == 0)
+            .take(2)
+            .collect();
+        for &id in untouched.iter().rev() {
+            tables[1].write().update(id, |a| a.size = 1);
+        }
+        let expected: Vec<String> = untouched
+            .iter()
+            .map(|id| {
+                format!(
+                    "mds1 serves attr version 1 for node {}, journaled none",
+                    id.index()
+                )
+            })
+            .collect();
+        assert_eq!(cluster.check_invariants(), expected);
+        let _ = cluster.shutdown();
+        let _ = std::fs::remove_dir_all(&store_root);
     }
 
     #[test]

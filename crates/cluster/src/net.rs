@@ -481,7 +481,7 @@ impl NetMds {
     }
 
     /// Attaches a durable store at `<root>/mds-<k>`: recovers whatever a
-    /// previous run left on disk (rebuilding the attribute table and
+    /// previous run left on disk (the journaled attribute records and
     /// popularity counters), then converges the journaled ownership set
     /// on the seeded index, exactly like the in-process cluster does.
     ///
@@ -575,6 +575,13 @@ impl NetMds {
     #[must_use]
     pub fn attr_version(&self, node: NodeId) -> u64 {
         self.attrs.read().get(node).version
+    }
+
+    /// How many nodes this MDS holds an attribute record for: the ones
+    /// it has updated or recovered from its journal, not the namespace.
+    #[must_use]
+    pub fn attr_records(&self) -> usize {
+        self.attrs.read().record_count()
     }
 
     /// Flushes the durable store (if any) so a clean shutdown leaves the
@@ -737,8 +744,7 @@ impl ServeScope<'_> {
     fn commit_update(&mut self, node: NodeId, gl: bool) {
         let mds = self.mds;
         let now_ms = self.stamp.duration_since(mds.epoch).as_millis() as u64;
-        mds.attrs.write().update(node, |a| a.mtime = now_ms);
-        let committed = mds.attrs.read().get(node);
+        let committed = mds.attrs.write().update(node, |a| a.mtime = now_ms);
         self.journal(MdsRecord::AttrCommit {
             node: node.index() as u64,
             gl,
@@ -2403,6 +2409,88 @@ mod tests {
             mds.store_next_lsn().expect("store attached"),
             lsn_before + 3,
             "one Popularity record per served read"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+    /// Two connections updating one node: every version the table hands
+    /// out reaches the journal exactly once. (Fetching the record to
+    /// journal under a second lock let the other connection's bump in
+    /// between: one version journaled twice, its predecessor never.)
+    #[test]
+    fn contended_updates_journal_each_version_exactly_once() {
+        const PER_THREAD: u64 = 20_000;
+        let dir = std::env::temp_dir().join(format!(
+            "d2tree-net-contend-{}-{}",
+            std::process::id(),
+            std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .expect("clock")
+                .as_nanos()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut tree = NamespaceTree::new();
+        let hot = tree
+            .create(tree.root(), "hot", NodeKind::File)
+            .expect("create");
+        let tree = Arc::new(tree);
+        let mut placement = Placement::new(&tree, 1);
+        for (id, _) in tree.nodes() {
+            placement.set(id, Assignment::Single(MdsId(0)));
+        }
+        let mut index = LocalIndex::new();
+        index.insert(tree.root(), MdsId(0));
+        let mds = NetMds::new(
+            Arc::clone(&tree),
+            placement,
+            index,
+            MdsId(0),
+            Arc::new(Registry::new()),
+        )
+        .with_store_root(&dir, StoreConfig::manual());
+
+        let start = std::sync::Barrier::new(2);
+        std::thread::scope(|threads| {
+            for t in 0..2 {
+                let (mds, start) = (&mds, &start);
+                threads.spawn(move || {
+                    start.wait();
+                    for i in 0..PER_THREAD {
+                        let resp = mds.serve_deferred(Request {
+                            id: RequestId(t * PER_THREAD + i),
+                            kind: OpKind::Update,
+                            target: hot,
+                            hops: 0,
+                            trace: None,
+                        });
+                        assert_eq!(resp.body, ResponseBody::Served { node: hot });
+                    }
+                });
+            }
+        });
+        assert_eq!(mds.attr_version(hot), 2 * PER_THREAD);
+        assert_eq!(mds.attr_records(), 1);
+        mds.sync();
+        drop(mds);
+
+        let segments = d2tree_store::wal::list_segments(&dir.join("mds-0")).expect("list");
+        let mut journaled = Vec::new();
+        for (i, (first_lsn, path)) in segments.iter().enumerate() {
+            let scan = d2tree_store::wal::scan_segment(path, *first_lsn, i + 1 == segments.len())
+                .expect("clean WAL");
+            assert_eq!(scan.torn_bytes, 0);
+            journaled.extend(scan.frames.iter().filter_map(|f| match f.record {
+                MdsRecord::AttrCommit { node, attr, .. } if node == hot.index() as u64 => {
+                    Some(attr.version)
+                }
+                _ => None,
+            }));
+        }
+        journaled.sort_unstable();
+        assert_eq!(journaled, (1..=2 * PER_THREAD).collect::<Vec<_>>());
+        let (store, _) = MdsStore::open(dir.join("mds-0"), StoreConfig::manual()).expect("reopen");
+        assert_eq!(
+            store.state().attrs[&(hot.index() as u64)].version,
+            2 * PER_THREAD
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -2,15 +2,16 @@
 //!
 //! The partitioning machinery only needs the tree structure, but a
 //! metadata server ultimately serves `stat`-like records. [`AttrTable`]
-//! is the dense per-node store the cluster runtimes read and mutate;
-//! every mutation bumps a per-node version, which is what the
-//! global-layer consistency machinery (fencing tokens, client leases)
-//! synchronises on.
+//! is the per-node store the cluster runtimes read and mutate — sparse,
+//! like the durable store's `MdsState::attrs`: a server holds a record
+//! only for a node it has mutated. Every mutation bumps a per-node
+//! version, which is what the global-layer consistency machinery
+//! (fencing tokens, client leases) synchronises on.
 
 use serde::{Deserialize, Serialize};
 
-use crate::node::NodeId;
-use crate::tree::NamespaceTree;
+use crate::node::{NodeId, NodeIdMap};
+use crate::tree::{bit, NamespaceTree};
 
 /// A `stat`-like attribute record.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
@@ -76,7 +77,14 @@ pub struct VersionedAttr {
     pub version: u64,
 }
 
-/// Dense per-node attribute store, indexed by [`NodeId::index`].
+/// Per-node attribute store: a record for every node that has left its
+/// default, and the node's kind — one bit — for every other.
+///
+/// A node nobody has updated reads as [`FileAttr::directory`] or
+/// [`FileAttr::default`] at version 0, answered from a copy of the
+/// tree's directory bitmap, so the table's memory follows the nodes
+/// this server has mutated (a map entry is 56–100 bytes, growth slack
+/// included), not the size of the namespace.
 ///
 /// # Example
 ///
@@ -87,51 +95,64 @@ pub struct VersionedAttr {
 /// let mut tree = NamespaceTree::new();
 /// let f = tree.create(tree.root(), "f", NodeKind::File)?;
 /// let mut attrs = AttrTable::new(&tree);
+/// assert_eq!(attrs.record_count(), 0);
 ///
 /// let v0 = attrs.get(f).version;
-/// attrs.update(f, |a| a.size = 4096);
-/// assert_eq!(attrs.get(f).attr.size, 4096);
-/// assert!(attrs.get(f).version > v0);
+/// let committed = attrs.update(f, |a| a.size = 4096);
+/// assert_eq!(attrs.get(f), committed);
+/// assert_eq!(committed.attr.size, 4096);
+/// assert!(committed.version > v0);
+/// assert_eq!(attrs.record_count(), 1);
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct AttrTable {
-    records: Vec<VersionedAttr>,
+    /// The nodes whose record is not their kind's default at version 0.
+    records: NodeIdMap<VersionedAttr>,
+    /// The tree's directory bitmap as of `new` / the last `resize_for`.
+    /// A slot keeps its kind for life, tombstoned or not.
+    dir_bits: Vec<u64>,
+    /// Arena slots covered; ids at or past it are outside the table.
+    slots: usize,
 }
 
 impl AttrTable {
-    /// Creates a table sized for `tree`, with directory defaults for
-    /// directories and file defaults for files.
+    /// Creates a table covering `tree`'s arena, every node at its kind's
+    /// default: directory defaults for directories, file defaults for
+    /// files.
     #[must_use]
     pub fn new(tree: &NamespaceTree) -> Self {
-        let mut records = vec![
-            VersionedAttr {
-                attr: FileAttr::default(),
-                version: 0
-            };
-            tree.arena_size()
-        ];
-        for (id, node) in tree.nodes() {
-            if node.kind().is_directory() {
-                records[id.index()].attr = FileAttr::directory();
-            }
+        AttrTable {
+            records: NodeIdMap::default(),
+            dir_bits: tree.dir_bits().to_vec(),
+            slots: tree.arena_size(),
         }
-        AttrTable { records }
     }
 
-    /// Grows the table to cover nodes created after it was built.
+    /// Grows the table to cover nodes created after it was built, each
+    /// at its kind's default.
     pub fn resize_for(&mut self, tree: &NamespaceTree) {
-        let n = tree.arena_size();
-        if n > self.records.len() {
-            self.records.resize(
-                n,
-                VersionedAttr {
-                    attr: FileAttr::default(),
-                    version: 0,
-                },
-            );
+        if tree.arena_size() > self.slots {
+            tree.dir_bits().clone_into(&mut self.dir_bits);
+            self.slots = tree.arena_size();
         }
+    }
+
+    /// What `id` reads as until something mutates it.
+    fn default_of(&self, id: NodeId) -> VersionedAttr {
+        assert!(
+            id.index() < self.slots,
+            "node {} is outside the {}-slot attribute table",
+            id.index(),
+            self.slots
+        );
+        let attr = if bit(&self.dir_bits, id) {
+            FileAttr::directory()
+        } else {
+            FileAttr::default()
+        };
+        VersionedAttr { attr, version: 0 }
     }
 
     /// Reads a node's versioned record.
@@ -141,32 +162,43 @@ impl AttrTable {
     /// Panics if the id is outside the table.
     #[must_use]
     pub fn get(&self, id: NodeId) -> VersionedAttr {
-        self.records[id.index()]
+        match self.records.get(&id) {
+            Some(&rec) => rec,
+            None => self.default_of(id),
+        }
     }
 
     /// Mutates a node's attributes in place and bumps its version;
-    /// returns the new version.
-    pub fn update<F>(&mut self, id: NodeId, mutate: F) -> u64
+    /// returns the record this update committed, whose `version` no
+    /// other update of the node will carry.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id is outside the table.
+    pub fn update<F>(&mut self, id: NodeId, mutate: F) -> VersionedAttr
     where
         F: FnOnce(&mut FileAttr),
     {
-        let rec = &mut self.records[id.index()];
+        let default = self.default_of(id);
+        let rec = self.records.entry(id).or_insert(default);
         mutate(&mut rec.attr);
         rec.version += 1;
-        rec.version
+        *rec
     }
 
     /// Applies a replica record if it is newer; returns whether it was
     /// applied. This is the convergence rule replicas use after a
     /// global-layer commit.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the id is outside the table.
     pub fn apply_if_newer(&mut self, id: NodeId, incoming: VersionedAttr) -> bool {
-        let rec = &mut self.records[id.index()];
-        if incoming.version > rec.version {
-            *rec = incoming;
-            true
-        } else {
-            false
+        let newer = incoming.version > self.get(id).version;
+        if newer {
+            self.records.insert(id, incoming);
         }
+        newer
     }
 
     /// Walks the root-to-`node` chain checking traversal permission on
@@ -175,11 +207,11 @@ impl AttrTable {
     #[must_use]
     pub fn permission_walk(&self, tree: &NamespaceTree, node: NodeId, uid: u32, gid: u32) -> bool {
         for anc in tree.ancestors(node) {
-            if !self.records[anc.index()].attr.allows_traversal(uid, gid) {
+            if !self.get(anc).attr.allows_traversal(uid, gid) {
                 return false;
             }
         }
-        let target = self.records[node.index()].attr;
+        let target = self.get(node).attr;
         let shift = if uid == 0 {
             return true;
         } else if uid == target.uid {
@@ -195,13 +227,25 @@ impl AttrTable {
     /// Number of slots.
     #[must_use]
     pub fn len(&self) -> usize {
-        self.records.len()
+        self.slots
     }
 
     /// Whether the table has no slots.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.records.is_empty()
+        self.slots == 0
+    }
+
+    /// How many nodes hold a record of their own — the ones some
+    /// `update` or `apply_if_newer` has touched.
+    #[must_use]
+    pub fn record_count(&self) -> usize {
+        self.records.len()
+    }
+
+    /// The nodes holding a record of their own, in no particular order.
+    pub fn records(&self) -> impl Iterator<Item = (NodeId, VersionedAttr)> + '_ {
+        self.records.iter().map(|(&id, &rec)| (id, rec))
     }
 }
 
@@ -231,7 +275,7 @@ mod tests {
         let mut attrs = AttrTable::new(&t);
         let v1 = attrs.update(f, |a| a.size = 1);
         let v2 = attrs.update(f, |a| a.mtime = 99);
-        assert!(v2 > v1);
+        assert!(v2.version > v1.version);
         assert_eq!(attrs.get(f).attr.size, 1);
         assert_eq!(attrs.get(f).attr.mtime, 99);
     }
@@ -283,11 +327,58 @@ mod tests {
     }
 
     #[test]
+    fn update_returns_the_record_it_committed() {
+        let (t, _, f) = tree_with_file();
+        let mut attrs = AttrTable::new(&t);
+        for round in 1..=3 {
+            let committed = attrs.update(f, |a| a.size += 10);
+            assert_eq!(committed, attrs.get(f));
+            assert_eq!(committed.version, round);
+            assert_eq!(committed.attr.size, 10 * round);
+        }
+    }
+
+    #[test]
+    fn only_mutated_nodes_hold_a_record() {
+        let (t, d, f) = tree_with_file();
+        let mut attrs = AttrTable::new(&t);
+        assert_eq!((attrs.len(), attrs.record_count()), (3, 0));
+        attrs.update(f, |a| a.size = 1);
+        attrs.update(f, |a| a.size = 2);
+        // A replica record no newer than the default leaves none behind.
+        assert!(!attrs.apply_if_newer(d, attrs.get(d)));
+        assert_eq!(attrs.records().collect::<Vec<_>>(), [(f, attrs.get(f))]);
+        assert_eq!(attrs.clone().get(f), attrs.get(f));
+    }
+
+    #[test]
     fn resize_for_covers_new_nodes() {
         let (mut t, d, _) = tree_with_file();
         let mut attrs = AttrTable::new(&t);
         let extra = t.create(d, "extra", NodeKind::File).unwrap();
         attrs.resize_for(&t);
         assert_eq!(attrs.get(extra).version, 0);
+    }
+
+    #[test]
+    fn late_directories_get_directory_defaults() {
+        let (mut t, _, _) = tree_with_file();
+        let mut attrs = AttrTable::new(&t);
+        let dir = t.create(t.root(), "late", NodeKind::Directory).unwrap();
+        let file = t.create(dir, "f", NodeKind::File).unwrap();
+        attrs.resize_for(&t);
+        assert_eq!(attrs.get(dir).attr, FileAttr::directory());
+        assert_eq!(attrs.get(file).attr, FileAttr::default());
+        // A file-mode (`0o644`) parent denied every non-root caller here.
+        assert!(attrs.permission_walk(&t, file, 1000, 1000));
+    }
+
+    #[test]
+    #[should_panic(expected = "outside the 3-slot attribute table")]
+    fn nodes_created_after_the_table_are_outside_it_until_resized() {
+        let (mut t, d, _) = tree_with_file();
+        let attrs = AttrTable::new(&t);
+        let extra = t.create(d, "extra", NodeKind::File).unwrap();
+        let _ = attrs.get(extra);
     }
 }

@@ -25,7 +25,7 @@ const NO_PARENT: u32 = u32::MAX;
 
 /// Whether `id`'s bit is set in a one-bit-per-arena-slot column; `false`
 /// past its end.
-fn bit(bits: &[u64], id: NodeId) -> bool {
+pub(crate) fn bit(bits: &[u64], id: NodeId) -> bool {
     bits.get(id.index() / 64)
         .is_some_and(|word| word & (1 << (id.index() % 64)) != 0)
 }
@@ -219,6 +219,11 @@ impl NamespaceTree {
         } else {
             NodeKind::File
         }
+    }
+
+    /// The directory bitmap: one bit per arena slot, tombstones included.
+    pub(crate) fn dir_bits(&self) -> &[u64] {
+        &self.dir_bits
     }
 
     /// The `(name_sym, id)` edges of `id`'s children in name order;

@@ -30,11 +30,11 @@ use d2tree::cluster::{
     NetClient, NetMds, NetServer, NetServerConfig, Request, RequestId, ResponseBody, SimConfig,
     Simulator,
 };
-use d2tree::core::{LocalIndex, Partitioner};
+use d2tree::core::{D2TreeConfig, D2TreeScheme, LocalIndex, Partitioner};
 use d2tree::metrics::{Assignment, ClusterSpec, MdsId, Placement};
 use d2tree::namespace::{NamespaceTree, NodeId, NodeKind};
-use d2tree::telemetry::Registry;
-use d2tree::workload::{synthesize_tree, OpKind, Trace, TraceProfile, WorkloadBuilder};
+use d2tree::telemetry::{names, Registry};
+use d2tree::workload::{synthesize_tree, OpKind, Trace, TraceGen, TraceProfile, WorkloadBuilder};
 
 /// The system allocator, counting every allocation it hands out and the
 /// bytes currently handed out.
@@ -222,45 +222,146 @@ fn replay_allocates_per_replay_not_per_operation() {
     }
 }
 
+/// Runs `step` and reports what it left behind: its result, the heap
+/// bytes still allocated when it returned (`Vec` capacity slack counts
+/// as held) and the allocations it made. Only under [`MEASURING`].
+fn measured<T>(step: impl FnOnce() -> T) -> (T, u64, u64) {
+    let (live, allocations) = (
+        LIVE_BYTES.load(Ordering::Relaxed),
+        ALLOCATIONS.load(Ordering::Relaxed),
+    );
+    let out = step();
+    (
+        out,
+        LIVE_BYTES.load(Ordering::Relaxed).wrapping_sub(live),
+        ALLOCATIONS.load(Ordering::Relaxed) - allocations,
+    )
+}
+
+/// The byte budget of what one `hot_read` episode holds before its
+/// first request, step by step in the order the benchmark's
+/// `Cluster::start` builds it. DESIGN.md §11's table is this test's
+/// output: `cargo test --release --test alloc_guard namespace_holds -- --nocapture`.
 #[test]
 fn namespace_holds_a_bounded_number_of_bytes_and_no_allocation_per_node() {
     let _turn = MEASURING.lock().unwrap_or_else(PoisonError::into_inner);
-    // The `hot_read` namespace: LMBE, 200 k nodes, seed 1.
-    let profile = TraceProfile::lmbe().with_nodes(200_000);
-    let (allocations, live) = (
-        ALLOCATIONS.load(Ordering::Relaxed),
-        LIVE_BYTES.load(Ordering::Relaxed),
-    );
-    let (tree, _) = synthesize_tree(&profile, 1);
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - allocations;
-    let live = LIVE_BYTES.load(Ordering::Relaxed).wrapping_sub(live);
-    // At the parent commit (a 56-byte record, a child `Vec` per
-    // directory and two boxed copies of every name) this read 129.5
-    // bytes per node in 1 053 473 allocations; `Vec` capacity slack
-    // counts as held.
-    let per_node = live as f64 / tree.node_count() as f64;
+    // The `hot_read` workload: LMBE, 200 k nodes, a 1 M-op trace, seed 1.
+    let profile = TraceProfile::lmbe()
+        .with_nodes(200_000)
+        .with_operations(1_000_000);
+    let mut rows = Vec::new();
+    let mut step =
+        |name: &'static str, live: u64, allocations: u64| rows.push((name, live, allocations));
+
+    let ((tree, _), live, allocations) = measured(|| synthesize_tree(&profile, 1));
+    step("tree (synthesize_tree)", live, allocations);
+    let nodes = tree.node_count();
+    // At PR 22 (a 56-byte record, a child `Vec` per directory and two
+    // boxed copies of every name) this read 129.5 bytes per node in
+    // 1 053 473 allocations.
+    let per_node = live as f64 / nodes as f64;
     assert!(
         per_node <= 72.0,
-        "{live} live bytes for {} nodes ({per_node:.1} per node): over the 72-byte budget",
-        tree.node_count()
+        "{live} live bytes for {nodes} nodes ({per_node:.1} per node): over the 72-byte budget"
     );
     assert!(
         allocations < 1_000,
-        "{allocations} allocations to synthesise {} nodes: the tree allocates per node again",
-        tree.node_count()
+        "{allocations} allocations to synthesise {nodes} nodes: the tree allocates per node again"
     );
 
-    // One pass over the tree, one stack: at the parent commit the
-    // traversal collected every directory's children into a `Vec` of
-    // its own (28 604 allocations).
-    let trace = Trace::from_ops(Vec::new());
-    let before = ALLOCATIONS.load(Ordering::Relaxed);
-    let pop = trace.popularity(&tree);
-    let allocations = ALLOCATIONS.load(Ordering::Relaxed) - before;
+    let (trace, live, allocations) =
+        measured(|| TraceGen::new(&profile, &tree, 1).collect::<Trace>());
+    step("trace (TraceGen::collect)", live, allocations);
+
+    // One pass over the tree, one stack: at PR 22 the traversal
+    // collected every directory's children into a `Vec` of its own
+    // (28 604 allocations).
+    let (pop, live, allocations) = measured(|| trace.popularity(&tree));
+    step("popularity (Trace::popularity)", live, allocations);
     assert!(pop.is_rolled_up());
     assert!(
         allocations < 50,
-        "{allocations} allocations to roll popularity up over {} nodes",
-        tree.node_count()
+        "{allocations} allocations to roll popularity up over {nodes} nodes"
+    );
+
+    let tree = Arc::new(tree);
+    let (scheme, live, allocations) = measured(|| {
+        let mut s = D2TreeScheme::new(D2TreeConfig::by_proportion(0.01).with_seed(1));
+        s.build(&tree, &pop, &ClusterSpec::homogeneous(1, 1.0));
+        s
+    });
+    step("scheme (D2TreeScheme::build)", live, allocations);
+
+    let (registry, live, allocations) = measured(|| {
+        let registry = Arc::new(Registry::new());
+        names::register_all(&registry);
+        registry
+    });
+    step("registry (register_all)", live, allocations);
+
+    let (mds, live, allocations) = measured(|| {
+        NetMds::new(
+            Arc::clone(&tree),
+            scheme.placement().clone(),
+            scheme.local_index().clone(),
+            MdsId(0),
+            Arc::clone(&registry),
+        )
+    });
+    step("NetMds::new", live, allocations);
+    // What a daemon holds is its copy of the placement, the index's
+    // root table and a popularity counter per root — no attribute
+    // record. With a dense 40-byte record per node this
+    // read 54.3 bytes per node.
+    let per_node = live as f64 / nodes as f64;
+    assert!(
+        per_node <= 20.0,
+        "{live} live bytes in NetMds::new for {nodes} nodes ({per_node:.1} per node): \
+         over the 20-byte budget"
+    );
+
+    println!(
+        "{:<32} {:>9} {:>9} {:>12}",
+        "step", "live MiB", "B/node", "allocations"
+    );
+    let total = (
+        "all six",
+        rows.iter().map(|row| row.1).sum(),
+        rows.iter().map(|row| row.2).sum(),
+    );
+    for (name, live, allocations) in rows.into_iter().chain([total]) {
+        println!(
+            "{name:<32} {:>9.2} {:>9.1} {allocations:>12}",
+            live as f64 / (1 << 20) as f64,
+            live as f64 / nodes as f64,
+        );
+    }
+
+    // Queries never touch the attribute table: after 10 k of them the
+    // daemon holds a record for no node at all.
+    let queries: Vec<Request> = trace
+        .ops()
+        .iter()
+        .filter(|op| op.kind != OpKind::Update)
+        .take(10_000)
+        .enumerate()
+        .map(|(i, op)| Request {
+            id: RequestId(i as u64),
+            kind: op.kind,
+            target: op.target,
+            hops: 0,
+            trace: None,
+        })
+        .collect();
+    assert_eq!(queries.len(), 10_000);
+    for batch in queries.chunks(WINDOW) {
+        for (req, resp) in batch.iter().zip(mds.serve_batch(batch)) {
+            assert_eq!(resp.body, ResponseBody::Served { node: req.target });
+        }
+    }
+    assert_eq!(
+        mds.attr_records(),
+        0,
+        "a query left an attribute record behind"
     );
 }

@@ -713,3 +713,197 @@ mod arena_model {
         }
     }
 }
+
+/// Model check of the sparse attribute table: seeded `update` /
+/// `apply_if_newer` / `create` + `resize_for` / `clone` sequences
+/// against the dense one-record-per-slot table it replaced, which knows
+/// nothing of maps or bitmaps.
+mod attr_model {
+    use super::*;
+    use d2tree::namespace::{AttrTable, FileAttr, NodeId, VersionedAttr};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::panic::{catch_unwind, AssertUnwindSafe};
+
+    /// The parent commit's `AttrTable` — a `VersionedAttr` per arena
+    /// slot — with its one bug fixed: a slot's default comes from the
+    /// node's kind whenever the slot is made, not only in `new`.
+    struct Dense {
+        records: Vec<VersionedAttr>,
+    }
+
+    impl Dense {
+        fn new(tree: &NamespaceTree) -> Self {
+            let mut dense = Dense {
+                records: Vec::new(),
+            };
+            dense.resize_for(tree);
+            dense
+        }
+
+        fn resize_for(&mut self, tree: &NamespaceTree) {
+            for slot in self.records.len()..tree.arena_size() {
+                let node = tree
+                    .node(NodeId::from_index(slot))
+                    .expect("nothing is removed");
+                self.records.push(default_of(node.kind()));
+            }
+        }
+
+        fn update(&mut self, id: NodeId, mutate: impl FnOnce(&mut FileAttr)) -> VersionedAttr {
+            let rec = &mut self.records[id.index()];
+            mutate(&mut rec.attr);
+            rec.version += 1;
+            *rec
+        }
+
+        fn apply_if_newer(&mut self, id: NodeId, incoming: VersionedAttr) -> bool {
+            let rec = &mut self.records[id.index()];
+            let newer = incoming.version > rec.version;
+            if newer {
+                *rec = incoming;
+            }
+            newer
+        }
+
+        fn permission_walk(&self, tree: &NamespaceTree, node: NodeId, uid: u32, gid: u32) -> bool {
+            let traversable = tree
+                .ancestors(node)
+                .all(|anc| self.records[anc.index()].attr.allows_traversal(uid, gid));
+            let target = self.records[node.index()].attr;
+            let shift = if uid == target.uid {
+                6
+            } else if gid == target.gid {
+                3
+            } else {
+                0
+            };
+            traversable && (uid == 0 || target.mode >> shift & 0o4 == 0o4)
+        }
+    }
+
+    fn default_of(kind: NodeKind) -> VersionedAttr {
+        let attr = if kind.is_directory() {
+            FileAttr::directory()
+        } else {
+            FileAttr::default()
+        };
+        VersionedAttr { attr, version: 0 }
+    }
+
+    /// Owners and callers come from the same three ids, so owner, group
+    /// and other bits all get exercised.
+    const IDS: [u32; 3] = [0, 1, 1000];
+    const MODES: [u16; 6] = [0o755, 0o644, 0o700, 0o040, 0o001, 0o000];
+
+    fn random_attr(rng: &mut StdRng) -> FileAttr {
+        FileAttr {
+            mode: MODES[rng.gen_range(0..MODES.len())],
+            uid: IDS[rng.gen_range(0..IDS.len())],
+            gid: IDS[rng.gen_range(0..IDS.len())],
+            size: rng.gen_range(0..1 << 20),
+            mtime: rng.gen_range(0..1 << 30),
+        }
+    }
+
+    fn assert_same(
+        table: &AttrTable,
+        dense: &Dense,
+        tree: &NamespaceTree,
+        rng: &mut StdRng,
+    ) -> Result<(), TestCaseError> {
+        prop_assert_eq!(table.len(), dense.records.len());
+        let mut left_default = 0;
+        for (slot, &want) in dense.records.iter().enumerate() {
+            let id = NodeId::from_index(slot);
+            prop_assert_eq!(table.get(id), want, "slot {}", slot);
+            let kind = tree.node(id).expect("nothing is removed").kind();
+            left_default += usize::from(want != default_of(kind));
+        }
+        // Sparse means sparse: a record per slot that left its default.
+        prop_assert_eq!(table.record_count(), left_default);
+        prop_assert_eq!(table.records().count(), left_default);
+        for _ in 0..8 {
+            let node = NodeId::from_index(rng.gen_range(0..dense.records.len()));
+            let (uid, gid) = (IDS[rng.gen_range(0..3)], IDS[rng.gen_range(0..3)]);
+            prop_assert_eq!(
+                table.permission_walk(tree, node, uid, gid),
+                dense.permission_walk(tree, node, uid, gid),
+                "walk to {} as {}:{}",
+                node,
+                uid,
+                gid
+            );
+        }
+        Ok(())
+    }
+
+    /// Every entry point refuses an id outside the table by panicking.
+    fn assert_outside(table: &AttrTable, tree: &NamespaceTree, id: NodeId) {
+        let incoming = VersionedAttr {
+            attr: FileAttr::default(),
+            version: 9,
+        };
+        let mut scratch = table.clone();
+        assert!(catch_unwind(|| table.get(id)).is_err());
+        // As root, so no ancestor ends the walk before it reaches `id`.
+        assert!(catch_unwind(|| table.permission_walk(tree, id, 0, 0)).is_err());
+        assert!(catch_unwind(AssertUnwindSafe(|| scratch.update(id, |a| a.size = 1))).is_err());
+        assert!(catch_unwind(AssertUnwindSafe(|| scratch.apply_if_newer(id, incoming))).is_err());
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(24))]
+
+        #[test]
+        fn sparse_table_matches_the_dense_one_it_replaced(seed in any::<u64>()) {
+            let mut rng = StdRng::seed_from_u64(seed);
+            let mut tree = NamespaceTree::new();
+            let mut dirs = vec![tree.root()];
+            let mut grow = |tree: &mut NamespaceTree, rng: &mut StdRng, at_least: usize| {
+                for _ in 0..rng.gen_range(at_least..70) {
+                    let parent = dirs[rng.gen_range(0..dirs.len())];
+                    let kind = if rng.gen_range(0..3) == 0 { NodeKind::Directory } else { NodeKind::File };
+                    let id = tree.create(parent, &format!("n{}", tree.arena_size()), kind).unwrap();
+                    if kind.is_directory() {
+                        dirs.push(id);
+                    }
+                }
+            };
+            grow(&mut tree, &mut rng, 0);
+            let mut table = AttrTable::new(&tree);
+            let mut dense = Dense::new(&tree);
+            assert_same(&table, &dense, &tree, &mut rng)?;
+
+            for _ in 0..120 {
+                let node = NodeId::from_index(rng.gen_range(0..tree.arena_size()));
+                match rng.gen_range(0..10) {
+                    0..=3 => {
+                        let to = random_attr(&mut rng);
+                        // Sometimes a mutation that changes nothing: the
+                        // version still moves, so the record stays.
+                        let changes = rng.gen_range(0..5) != 0;
+                        let mutate = |a: &mut FileAttr| if changes { *a = to };
+                        prop_assert_eq!(table.update(node, mutate), dense.update(node, mutate));
+                    }
+                    4..=6 => {
+                        // Older, equal and newer in equal measure.
+                        let version = (dense.records[node.index()].version + rng.gen_range(0..3u64)).saturating_sub(1);
+                        let incoming = VersionedAttr { attr: random_attr(&mut rng), version };
+                        prop_assert_eq!(table.apply_if_newer(node, incoming), dense.apply_if_newer(node, incoming));
+                    }
+                    7 | 8 => {
+                        let first_new = NodeId::from_index(tree.arena_size());
+                        grow(&mut tree, &mut rng, 1);
+                        assert_outside(&table, &tree, first_new);
+                        table.resize_for(&tree);
+                        dense.resize_for(&tree);
+                    }
+                    _ => table = table.clone(),
+                }
+                assert_same(&table, &dense, &tree, &mut rng)?;
+            }
+            assert_outside(&table, &tree, NodeId::from_index(tree.arena_size()));
+        }
+    }
+}

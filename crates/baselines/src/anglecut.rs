@@ -88,6 +88,7 @@ impl AngleCut {
     fn rebuild_placement(&self, tree: &NamespaceTree, m: usize) -> Placement {
         let max_depth = tree.max_depth();
         let mut placement = Placement::new(tree, m);
+        let mut slots = placement.writer(tree);
         let mut depth = vec![0usize; tree.arena_size()];
         for (id, node) in tree.nodes() {
             if let Some(p) = node.parent() {
@@ -95,7 +96,7 @@ impl AngleCut {
             }
             let ring = self.ring_of_depth(depth[id.index()], max_depth);
             let owner = range_owner(&self.boundaries[ring], self.angles[id.index()]);
-            placement.set(id, Assignment::Single(MdsId(owner as u16)));
+            slots.set(id, Assignment::Single(MdsId(owner as u16)));
         }
         placement
     }

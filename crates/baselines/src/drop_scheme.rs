@@ -46,9 +46,10 @@ impl DropScheme {
 
     fn rebuild_placement(&mut self, tree: &NamespaceTree, m: usize) -> Placement {
         let mut placement = Placement::new(tree, m);
+        let mut slots = placement.writer(tree);
         for (id, _) in tree.nodes() {
             let owner = range_owner(&self.boundaries, self.keys[id.index()]);
-            placement.set(id, Assignment::Single(MdsId(owner as u16)));
+            slots.set(id, Assignment::Single(MdsId(owner as u16)));
         }
         placement
     }

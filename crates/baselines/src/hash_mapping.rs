@@ -109,10 +109,11 @@ impl Partitioner for HashMapping {
     fn build(&mut self, tree: &NamespaceTree, _pop: &Popularity, cluster: &ClusterSpec) {
         let m = cluster.len();
         let mut placement = Placement::new(tree, m);
+        let mut slots = placement.writer(tree);
         walk_hashed(tree, tree.root(), [fnv1a(b"")], |id, [h]| {
             // As a prefix the root is empty, but its own pathname is "/".
             let h = if id == tree.root() { fnv1a(b"/") } else { h };
-            placement.set(id, Assignment::Single(self.owner_of(h, m)));
+            slots.set(id, Assignment::Single(self.owner_of(h, m)));
         });
         self.placement = Some(placement);
     }

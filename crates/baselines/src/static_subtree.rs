@@ -63,6 +63,7 @@ impl Partitioner for StaticSubtree {
     fn build(&mut self, tree: &NamespaceTree, _pop: &Popularity, cluster: &ClusterSpec) {
         let m = cluster.len();
         let mut placement = Placement::new(tree, m);
+        let mut slots = placement.writer(tree);
         // Depth-first walk carrying the current depth; subtree roots at
         // cut_depth fix the owner for their whole subtree.
         let mut stack: Vec<(NodeId, usize, Option<MdsId>)> = vec![(tree.root(), 0, None)];
@@ -71,7 +72,7 @@ impl Partitioner for StaticSubtree {
                 Some(o) => o,
                 None => self.hash_to_mds(tree, id, m),
             };
-            placement.set(id, Assignment::Single(owner));
+            slots.set(id, Assignment::Single(owner));
             if let Some(node) = tree.node(id) {
                 // Children strictly below the cut inherit the owner; the
                 // subtree roots at the cut (and anything above it) hash

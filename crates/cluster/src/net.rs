@@ -66,7 +66,7 @@ use std::time::{Duration, Instant};
 use bytes::Bytes;
 use d2tree_core::LocalIndex;
 use d2tree_metrics::{MdsId, Placement};
-use d2tree_namespace::{AttrTable, NamespaceTree, NodeId, NodeIdMap};
+use d2tree_namespace::{AttrTable, NamespaceTree, NodeId};
 use d2tree_store::{MdsRecord, MdsStore, StoreConfig};
 use d2tree_telemetry::trace::{ArgKey, Tracer};
 use d2tree_telemetry::{
@@ -376,14 +376,15 @@ pub struct NetMds {
     index: LocalIndex,
     me: MdsId,
     attrs: RwLock<AttrTable>,
-    /// Served-op counts (`f64` bits) per local-layer subtree root,
-    /// journaled so a restarted daemon recovers its popularity signal.
-    /// The key set is fixed once serving starts — every root of the
-    /// index, whoever owns it (a served node is counted under its
-    /// shallowest indexed ancestor, which nested roots can make another
-    /// MDS's), plus whatever a previous run journaled — so a bump is a
-    /// probe and one atomic update, no lock of its own.
-    subtree_counts: NodeIdMap<AtomicU64>,
+    /// Served-op counts (`f64` bits) by index slot, one per local-layer
+    /// subtree root, journaled so a restarted daemon recovers its
+    /// popularity signal. Every root of the index has one, whoever owns
+    /// it (a served node is counted under its shallowest indexed
+    /// ancestor, which nested roots can make another MDS's), and the
+    /// index never changes under a daemon, so a bump is one atomic
+    /// update at the slot `locate_slot` answers with: no probe, no lock
+    /// of its own.
+    subtree_counts: Vec<AtomicU64>,
     /// `None` when no store was ever attached, so a store-less daemon
     /// never touches a lock for it; the inner `Option` empties when
     /// [`simulate_store_crash`](Self::simulate_store_crash) takes the
@@ -455,9 +456,8 @@ impl NetMds {
         ];
         let srv_latency =
             srv_names.map(|row| row.map(|name| registry.histogram(MetricKey::mds(name, me.0))));
-        let subtree_counts = index
-            .iter()
-            .map(|(root, _)| (root, AtomicU64::new(0f64.to_bits())))
+        let subtree_counts = (0..index.len())
+            .map(|_| AtomicU64::new(0f64.to_bits()))
             .collect();
         NetMds {
             tree,
@@ -485,6 +485,11 @@ impl NetMds {
     /// popularity counters), then converges the journaled ownership set
     /// on the seeded index, exactly like the in-process cluster does.
     ///
+    /// A journaled counter of a root the seeded index holds continues
+    /// from its journaled value. One of a root the index lacks is
+    /// dropped: nothing can be counted under it again. The store keeps
+    /// its record; only this daemon does not carry it.
+    ///
     /// # Panics
     ///
     /// Panics if the store cannot be opened or recovered — a daemon must
@@ -503,7 +508,9 @@ impl NetMds {
         );
         self.attrs = RwLock::new(recovered.attrs);
         for (root, bits) in recovered.popularity {
-            self.subtree_counts.insert(root, AtomicU64::new(bits));
+            if let Some(slot) = self.index.slot_of(root) {
+                *self.subtree_counts[slot].get_mut() = bits;
+            }
         }
         self.store = Some(Mutex::new(Some(recovered.store)));
         self
@@ -776,12 +783,11 @@ impl ServeScope<'_> {
                 if req.kind == OpKind::Update {
                     self.commit_update(req.target, false);
                 }
-                if let Some((root, _)) = mds.index.locate(&mds.tree, req.target) {
-                    // `locate` answers with an index root, and every
-                    // index root has a count. The store is locked before
-                    // the bump, so counts reach the journal in the order
-                    // they were bumped, whichever connection bumps.
-                    let count = &mds.subtree_counts[&root];
+                if let Some((slot, root, _)) = mds.index.locate_slot(&mds.tree, req.target) {
+                    // The store is locked before the bump, so counts
+                    // reach the journal in the order they were bumped,
+                    // whichever connection bumps.
+                    let count = &mds.subtree_counts[slot];
                     let store = self.locked_store();
                     let prev = count
                         .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
@@ -1724,6 +1730,14 @@ mod tests {
     use d2tree_metrics::Assignment;
     use d2tree_namespace::NodeKind;
 
+    /// The served-op count under index root `root`, if `mds` keeps one.
+    fn subtree_count(mds: &NetMds, root: NodeId) -> Option<f64> {
+        let slot = mds.index.slot_of(root)?;
+        Some(f64::from_bits(
+            mds.subtree_counts[slot].load(Ordering::Relaxed),
+        ))
+    }
+
     fn request_frame(id: u64, target: u32) -> Vec<u8> {
         Request {
             id: RequestId(id),
@@ -2401,15 +2415,97 @@ mod tests {
             });
             assert_eq!(resp.body, ResponseBody::Served { node: file });
         }
-        assert_eq!(
-            f64::from_bits(mds.subtree_counts[&outer].load(Ordering::Relaxed)),
-            3.0
-        );
+        assert_eq!(subtree_count(&mds, outer), Some(3.0));
+        assert_eq!(subtree_count(&mds, inner), Some(0.0));
         assert_eq!(
             mds.store_next_lsn().expect("store attached"),
             lsn_before + 3,
             "one Popularity record per served read"
         );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A daemon reopened on its store: the journaled counter of a root
+    /// the seeded index holds continues from its journaled value; that
+    /// of a root the index no longer holds is not carried, while the
+    /// store keeps its record.
+    #[test]
+    fn reopened_daemon_continues_index_counters_and_drops_the_rest() {
+        let dir = std::env::temp_dir().join(format!(
+            "d2tree-net-reopen-{}-{}",
+            std::process::id(),
+            std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .expect("clock")
+                .as_nanos()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut tree = NamespaceTree::new();
+        let kept = tree
+            .create(tree.root(), "kept", NodeKind::Directory)
+            .expect("create");
+        let gone = tree
+            .create(tree.root(), "gone", NodeKind::Directory)
+            .expect("create");
+        let kept_file = tree.create(kept, "f", NodeKind::File).expect("create");
+        let gone_file = tree.create(gone, "f", NodeKind::File).expect("create");
+        let tree = Arc::new(tree);
+        let mut placement = Placement::new(&tree, 1);
+        for (id, _) in tree.nodes() {
+            placement.set(id, Assignment::Single(MdsId(0)));
+        }
+        let daemon = |index: LocalIndex| {
+            NetMds::new(
+                Arc::clone(&tree),
+                placement.clone(),
+                index,
+                MdsId(0),
+                Arc::new(Registry::new()),
+            )
+            .with_store_root(&dir, StoreConfig::manual())
+        };
+        let read = |mds: &NetMds, i: u64, target: NodeId| {
+            let resp = mds.serve(Request {
+                id: RequestId(i),
+                kind: OpKind::Read,
+                target,
+                hops: 0,
+                trace: None,
+            });
+            assert_eq!(resp.body, ResponseBody::Served { node: target });
+        };
+
+        let mut both = LocalIndex::new();
+        both.insert(gone, MdsId(0));
+        both.insert(kept, MdsId(0));
+        let mds = daemon(both);
+        for i in 0..3 {
+            read(&mds, i, kept_file);
+        }
+        read(&mds, 3, gone_file);
+        assert_eq!(subtree_count(&mds, kept), Some(3.0));
+        assert_eq!(subtree_count(&mds, gone), Some(1.0));
+        mds.sync();
+        drop(mds);
+
+        // `kept` now sits in slot 0, where `gone` was before.
+        let mut only_kept = LocalIndex::new();
+        only_kept.insert(kept, MdsId(0));
+        let mds = daemon(only_kept);
+        assert_eq!(subtree_count(&mds, kept), Some(3.0));
+        assert_eq!(subtree_count(&mds, gone), None);
+        assert_eq!(mds.subtree_counts.len(), 1, "one counter per index root");
+        read(&mds, 4, kept_file);
+        read(&mds, 5, gone_file);
+        assert_eq!(subtree_count(&mds, kept), Some(4.0));
+        mds.sync();
+        drop(mds);
+
+        let (store, _) = MdsStore::open(dir.join("mds-0"), StoreConfig::manual()).expect("reopen");
+        let journaled =
+            |root: NodeId| f64::from_bits(store.state().popularity[&(root.index() as u64)]);
+        assert_eq!(journaled(kept), 4.0, "continued from the journaled 3");
+        assert_eq!(journaled(gone), 1.0, "the store keeps what it journaled");
         let _ = std::fs::remove_dir_all(&dir);
     }
     /// Two connections updating one node: every version the table hands

@@ -30,6 +30,8 @@ pub struct Subtree {
 #[must_use]
 pub fn collect_subtrees(tree: &NamespaceTree, gl: &GlobalLayer, pop: &Popularity) -> Vec<Subtree> {
     let mut subtrees = Vec::new();
+    // One stack sizes every subtree: `restart` keeps its allocation.
+    let mut walk = tree.descendants(tree.root());
     for &inter in &gl.inter_nodes(tree) {
         let node = tree.node(inter).expect("inter nodes are live");
         for (_, child) in node.children() {
@@ -38,7 +40,7 @@ pub fn collect_subtrees(tree: &NamespaceTree, gl: &GlobalLayer, pop: &Popularity
                     root: child,
                     parent: inter,
                     popularity: pop.total(child),
-                    size: tree.subtree_size(child),
+                    size: walk.restart(child).count(),
                 });
             }
         }

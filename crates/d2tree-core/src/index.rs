@@ -65,7 +65,7 @@ impl Labels {
         labels.paint(index, tree, tree.root());
         // The pass never reaches a tombstone; one that is still indexed
         // answers with itself, like the uncached walk.
-        for &(root, _) in &index.roots {
+        for &(root, _) in index.roots.iter() {
             if labels.of.get(root.index()) == Some(&NO_ROOT) {
                 labels.paint(index, tree, root);
             }
@@ -88,6 +88,12 @@ impl Labels {
 /// it, to be built again by the next `locate` or by
 /// [`relabel`](LocalIndex::relabel).
 ///
+/// The root table itself is copy-on-write: a clone — a client's cache,
+/// each daemon's copy — shares it until either side inserts, removes or
+/// replaces a root. A root's *slot*, its position in that table (see
+/// [`locate_slot`](LocalIndex::locate_slot)), is in `0..len()` and stays
+/// put until a root is removed or the table replaced.
+///
 /// # Example
 ///
 /// ```
@@ -108,9 +114,12 @@ impl Labels {
 #[derive(Debug, Default, Clone, Serialize, Deserialize)]
 pub struct LocalIndex {
     /// Subtree root → its position in `roots`.
-    slots: NodeIdMap<u32>,
-    /// `(subtree root, owner)` by slot — what the labels point into.
-    roots: Vec<(NodeId, MdsId)>,
+    slots: Arc<NodeIdMap<u32>>,
+    /// `(subtree root, owner)` by slot — what the labels point into. A
+    /// slice, so `locate` reaches an entry in one load from the index, as
+    /// it did from a `Vec`; adding or removing a root copies it, which
+    /// the relabel such a change causes dwarfs.
+    roots: Arc<[(NodeId, MdsId)]>,
     version: u64,
     /// Derived from `slots` and one tree state; empty until first needed
     /// and after every change to the set of roots. Behind an `Arc` so
@@ -147,39 +156,47 @@ impl LocalIndex {
     /// — what a migration does — is one store; a new root drops the label
     /// table.
     pub fn insert(&mut self, subtree_root: NodeId, owner: MdsId) {
-        self.set(subtree_root, owner);
+        match self.slot_of(subtree_root) {
+            Some(slot) => Arc::make_mut(&mut self.roots)[slot].1 = owner,
+            None => {
+                Arc::make_mut(&mut self.slots).insert(subtree_root, self.roots.len() as u32);
+                let old = self.roots.iter().copied();
+                self.roots = old.chain([(subtree_root, owner)]).collect();
+                self.labels.take();
+            }
+        }
         self.version += 1;
     }
 
     /// Removes a subtree root (e.g. when it is promoted into the global
-    /// layer). Returns the previous owner, if any.
+    /// layer). Returns the previous owner, if any. The root that held the
+    /// last slot moves into the vacated one.
     pub fn remove(&mut self, subtree_root: NodeId) -> Option<MdsId> {
-        let slot = self.slots.remove(&subtree_root)?;
-        let (_, owner) = self.roots.swap_remove(slot as usize);
-        if let Some(&(moved, _)) = self.roots.get(slot as usize) {
-            self.slots.insert(moved, slot);
+        let slot = self.slot_of(subtree_root)?;
+        let slots = Arc::make_mut(&mut self.slots);
+        slots.remove(&subtree_root);
+        let mut roots = self.roots.to_vec();
+        let (_, owner) = roots.swap_remove(slot);
+        if let Some(&(moved, _)) = roots.get(slot) {
+            slots.insert(moved, slot as u32);
         }
+        self.roots = roots.into();
         self.labels.take();
         self.version += 1;
         Some(owner)
     }
 
-    fn set(&mut self, subtree_root: NodeId, owner: MdsId) {
-        match self.slots.entry(subtree_root) {
-            Entry::Occupied(slot) => self.roots[*slot.get() as usize].1 = owner,
-            Entry::Vacant(slot) => {
-                slot.insert(self.roots.len() as u32);
-                self.roots.push((subtree_root, owner));
-                self.labels.take();
-            }
-        }
-    }
-
     /// Direct owner lookup for a known subtree root.
     #[must_use]
     pub fn owner_of(&self, subtree_root: NodeId) -> Option<MdsId> {
-        let &slot = self.slots.get(&subtree_root)?;
-        Some(self.roots[slot as usize].1)
+        let slot = self.slot_of(subtree_root)?;
+        Some(self.roots[slot].1)
+    }
+
+    /// The slot of a known subtree root.
+    #[must_use]
+    pub fn slot_of(&self, subtree_root: NodeId) -> Option<usize> {
+        self.slots.get(&subtree_root).map(|&slot| slot as usize)
     }
 
     /// The client lookup of Sec. IV-A2: find the first (shallowest)
@@ -199,18 +216,39 @@ impl LocalIndex {
     /// [`relabel`](Self::relabel) to get the fast path back.
     #[must_use]
     pub fn locate(&self, tree: &NamespaceTree, target: NodeId) -> Option<(NodeId, MdsId)> {
+        let slot = self.root_slot(tree, target)?;
+        Some(self.roots[slot])
+    }
+
+    /// [`locate`](Self::locate), answering with the root's slot as well:
+    /// `(slot, subtree root, owner)`, from the same label load.
+    #[must_use]
+    pub fn locate_slot(
+        &self,
+        tree: &NamespaceTree,
+        target: NodeId,
+    ) -> Option<(usize, NodeId, MdsId)> {
+        let slot = self.root_slot(tree, target)?;
+        let (root, owner) = self.roots[slot];
+        Some((slot, root, owner))
+    }
+
+    /// The slot of `target`'s shallowest indexed ancestor. Answers with a
+    /// slot alone, not the root and owner as well, so that both callers
+    /// get it back in registers.
+    fn root_slot(&self, tree: &NamespaceTree, target: NodeId) -> Option<usize> {
         let labels = self
             .labels
             .get_or_init(|| Arc::new(Labels::build(self, tree)));
         if labels.stamp != Labels::stamp_of(tree) {
-            return self.locate_uncached(tree, target);
+            return self.walk(tree, target);
         }
         match labels.of.get(target.index()) {
             Some(&NO_ROOT) => None,
-            Some(&slot) => Some(self.roots[slot as usize]),
+            Some(&slot) => Some(slot as usize),
             // Past the arena: not a node of this tree, though nothing
             // stops a caller from having indexed it.
-            None => self.locate_uncached(tree, target),
+            None => self.walk(tree, target),
         }
     }
 
@@ -240,13 +278,22 @@ impl LocalIndex {
     /// when the table does not match the tree.
     #[must_use]
     pub fn locate_uncached(&self, tree: &NamespaceTree, target: NodeId) -> Option<(NodeId, MdsId)> {
+        let slot = self.walk(tree, target)?;
+        Some(self.roots[slot])
+    }
+
+    /// The slot [`locate_uncached`](Self::locate_uncached) answers with.
+    /// Out of line, so that its hash probes and register saves stay out
+    /// of `locate`'s two loads.
+    #[inline(never)]
+    fn walk(&self, tree: &NamespaceTree, target: NodeId) -> Option<usize> {
         // Walking upward visits the chain deepest-first, so the last hit
         // seen is the shallowest — the one the downward client walk of
         // Sec. IV-A2 would report first.
         tree.chain_up(target)
             .filter_map(|id| self.slots.get(&id))
             .last()
-            .map(|&slot| self.roots[slot as usize])
+            .map(|&slot| slot as usize)
     }
 
     /// Iterates over `(subtree_root, owner)` pairs in unspecified order.
@@ -266,13 +313,21 @@ impl LocalIndex {
         let entries = entries.into_iter();
         // A fresh map reserved up front, as collecting into one would:
         // the bucket count decides the iteration order (see `iter`).
-        self.slots = NodeIdMap::default();
-        self.slots.reserve(entries.size_hint().0);
-        self.roots.clear();
-        self.labels.take();
+        let mut slots = NodeIdMap::default();
+        slots.reserve(entries.size_hint().0);
+        let mut roots: Vec<(NodeId, MdsId)> = Vec::with_capacity(entries.size_hint().0);
         for (subtree_root, owner) in entries {
-            self.set(subtree_root, owner);
+            match slots.entry(subtree_root) {
+                Entry::Occupied(slot) => roots[*slot.get() as usize].1 = owner,
+                Entry::Vacant(slot) => {
+                    slot.insert(roots.len() as u32);
+                    roots.push((subtree_root, owner));
+                }
+            }
         }
+        self.slots = Arc::new(slots);
+        self.roots = roots.into();
+        self.labels.take();
         self.version += 1;
     }
 }
@@ -472,6 +527,13 @@ mod tests {
         idx.insert(c, MdsId(9));
         idx.remove(c);
         assert_eq!(idx, other);
+        assert!(
+            !Arc::ptr_eq(&idx.roots, &other.roots),
+            "equal by contents, not by sharing a table"
+        );
+        idx.insert(b, MdsId(3));
+        other.insert(b, MdsId(4));
+        assert_ne!(idx, other, "same version, another owner");
     }
 
     /// What the serving set-up relies on: the index is labelled once,
@@ -501,6 +563,84 @@ mod tests {
         assert!(!shared(&idx, &router) && shared(&idx, &daemon));
         assert_eq!(idx.locate(&t, c), Some((b, MdsId(2))));
         assert_eq!(daemon.locate(&t, c), Some((b, MdsId(4))));
+    }
+
+    /// A clone shares the root table until either side writes, and the
+    /// write lands on the writer alone, whichever side that is.
+    #[test]
+    fn clones_share_the_root_table_until_one_side_writes() {
+        use std::collections::BTreeMap;
+
+        let (mut t, a, b, c) = deep_tree();
+        let d = t.create(t.root(), "d", NodeKind::Directory).unwrap();
+        let other_tree = t.clone();
+        let mut base = LocalIndex::new();
+        base.insert(b, MdsId(2));
+        base.insert(d, MdsId(3));
+        base.relabel(&t);
+        let reads = |idx: &LocalIndex| {
+            let answers: Vec<_> = [t.root(), a, b, c, d]
+                .into_iter()
+                .map(|n| (idx.locate_slot(&t, n), idx.locate_uncached(&t, n)))
+                .collect();
+            let owners: BTreeMap<_, _> = idx.iter().collect();
+            (idx.version(), idx.len(), owners, answers)
+        };
+        let shared = |x: &LocalIndex, y: &LocalIndex| Arc::ptr_eq(&x.roots, &y.roots);
+        type Write<'a> = Box<dyn Fn(&mut LocalIndex) + 'a>;
+        let writes: [(&str, bool, Write); 5] = [
+            (
+                "insert of an existing root",
+                true,
+                Box::new(|i| i.insert(b, MdsId(5))),
+            ),
+            (
+                "insert of a new root",
+                true,
+                Box::new(|i| i.insert(a, MdsId(7))),
+            ),
+            (
+                "remove",
+                true,
+                Box::new(|i| assert_eq!(i.remove(b), Some(MdsId(2)))),
+            ),
+            (
+                "replace_all",
+                true,
+                Box::new(|i| i.replace_all([(c, MdsId(1))])),
+            ),
+            ("relabel", false, Box::new(|i| i.relabel(&other_tree))),
+        ];
+        let before = reads(&base);
+        for (name, writes_roots, write) in &writes {
+            let mut copy = base.clone();
+            assert!(shared(&copy, &base) && copy == base, "{name}");
+            write(&mut copy);
+            assert_eq!(!shared(&copy, &base), *writes_roots, "{name}");
+            assert_eq!(
+                reads(&base),
+                before,
+                "{name} on a clone reached the original"
+            );
+
+            let mut original = base.clone();
+            let kept = original.clone();
+            write(&mut original);
+            assert_eq!(
+                reads(&kept),
+                before,
+                "{name} on the original reached a clone"
+            );
+            assert_eq!(
+                reads(&original),
+                reads(&copy),
+                "{name}: the same write, the same index"
+            );
+        }
+        // A miss writes nothing and copies nothing.
+        let mut copy = base.clone();
+        assert_eq!(copy.remove(c), None);
+        assert!(shared(&copy, &base) && copy == base);
     }
 
     #[test]
@@ -608,6 +748,12 @@ mod tests {
                     walked,
                     "step {step} clone {k} target {target:?}"
                 );
+                // The slot is the root's, through every swap a removal made.
+                let slotted = idx.locate_slot(t, target);
+                assert_eq!(slotted.map(|(_, root, owner)| (root, owner)), walked);
+                if let Some((slot, root, _)) = slotted {
+                    assert_eq!(idx.slot_of(root), Some(slot), "step {step} clone {k}");
+                }
                 let modelled = t
                     .chain_up(target)
                     .filter_map(|id| model.get(&id).map(|&owner| (id, owner)))

@@ -464,8 +464,9 @@ impl D2TreeScheme {
         };
 
         let mut placement = Placement::new(tree, cluster.len());
+        let mut slots = placement.writer(tree);
         for &id in layer.members() {
-            placement.set(id, Assignment::Replicated);
+            slots.set(id, Assignment::Replicated);
         }
         if let Some(limit) = self.config.replication_limit {
             if limit < cluster.len() {
@@ -491,9 +492,10 @@ impl D2TreeScheme {
         // Labelled here, before anyone clones it: a client router and
         // every daemon of a cluster then read this one array.
         index.relabel(tree);
-        for (s, &o) in subtrees.iter().zip(&owners) {
-            placement.assign_subtree(tree, s.root, o);
-        }
+        placement.assign_subtrees(
+            tree,
+            subtrees.iter().zip(&owners).map(|(s, &o)| (s.root, o)),
+        );
 
         self.state = Some(State {
             layer,

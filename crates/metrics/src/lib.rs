@@ -39,4 +39,4 @@ mod placement;
 pub use cluster_spec::{ClusterSpec, MdsId};
 pub use ecdf::{Ecdf, Histogram};
 pub use measures::{balance, locality_from_jumps, path_jumps, update_cost, LocalityReport};
-pub use placement::{Assignment, Migration, Placement, ReplicaSet};
+pub use placement::{Assignment, Migration, Placement, PlacementWriter, ReplicaSet};

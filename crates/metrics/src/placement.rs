@@ -1,5 +1,8 @@
 //! Node-to-server placement with replication support.
 
+use std::iter;
+use std::sync::Arc;
+
 use d2tree_namespace::{NamespaceTree, NodeId, Popularity};
 use serde::{Deserialize, Serialize};
 
@@ -82,7 +85,11 @@ impl ReplicaSet {
 /// Dense per-node assignment table for one cluster size.
 ///
 /// Indexed by [`NodeId::index`]; size it with
-/// [`NamespaceTree::arena_size`].
+/// [`NamespaceTree::arena_size`]. Copy-on-write: a clone shares the
+/// table until either side writes, so the copies a cluster hands to each
+/// server cost nothing until one of them migrates a subtree. Equality
+/// compares what [`assignment`](Self::assignment) reads, so a table
+/// grown for a late node equals one that never was.
 ///
 /// # Example
 ///
@@ -100,9 +107,11 @@ impl ReplicaSet {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Serialize, Deserialize)]
 pub struct Placement {
-    assignments: Vec<Assignment>,
+    /// One slot per arena slot: read per routed operation, so one
+    /// indirection from the placement to the slot.
+    assignments: Arc<[Assignment]>,
     cluster_size: usize,
     replicas: ReplicaSet,
 }
@@ -118,10 +127,22 @@ impl Placement {
     pub fn new(tree: &NamespaceTree, cluster_size: usize) -> Self {
         assert!(cluster_size > 0, "cluster must have at least one MDS");
         Placement {
-            assignments: vec![Assignment::Unassigned; tree.arena_size()],
+            assignments: iter::repeat_n(Assignment::Unassigned, tree.arena_size()).collect(),
             cluster_size,
             replicas: ReplicaSet::All,
         }
+    }
+
+    /// The table to write, unshared and at least `len` slots long. Growth
+    /// copies the table once; it only happens for nodes created after
+    /// the placement was.
+    fn slots_mut(&mut self, len: usize) -> &mut [Assignment] {
+        if len > self.assignments.len() {
+            let old = self.assignments.iter().copied();
+            let padding = iter::repeat(Assignment::Unassigned);
+            self.assignments = old.chain(padding).take(len).collect();
+        }
+        Arc::make_mut(&mut self.assignments)
     }
 
     /// Number of servers this placement targets.
@@ -180,30 +201,60 @@ impl Placement {
             .unwrap_or(Assignment::Unassigned)
     }
 
-    /// Sets the assignment of one node.
+    /// Sets the assignment of one node. Unshares the table first, which
+    /// is an atomic read-modify-write even when it is not shared: to set
+    /// many nodes, use a [`writer`](Self::writer).
     ///
     /// # Panics
     ///
     /// Panics if a [`Assignment::Single`] id is outside the cluster.
     pub fn set(&mut self, id: NodeId, assignment: Assignment) {
-        if let Assignment::Single(m) = assignment {
-            assert!(
-                m.index() < self.cluster_size,
-                "{m} outside cluster of {}",
-                self.cluster_size
-            );
+        let cluster_size = self.cluster_size;
+        PlacementWriter {
+            slots: self.slots_mut(id.index() + 1),
+            cluster_size,
         }
-        if id.index() >= self.assignments.len() {
-            self.assignments
-                .resize(id.index() + 1, Assignment::Unassigned);
+        .set(id, assignment);
+    }
+
+    /// The table unshared once, for setting any number of the nodes of
+    /// `tree`: what a scheme that places every node at build time writes
+    /// through.
+    pub fn writer(&mut self, tree: &NamespaceTree) -> PlacementWriter<'_> {
+        let cluster_size = self.cluster_size;
+        PlacementWriter {
+            slots: self.slots_mut(tree.arena_size()),
+            cluster_size,
         }
-        self.assignments[id.index()] = assignment;
     }
 
     /// Assigns the whole subtree rooted at `root` to one server.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `mds` is outside the cluster.
     pub fn assign_subtree(&mut self, tree: &NamespaceTree, root: NodeId, mds: MdsId) {
-        for id in tree.descendants(root) {
-            self.set(id, Assignment::Single(mds));
+        self.assign_subtrees(tree, [(root, mds)]);
+    }
+
+    /// Assigns each `(root, mds)` subtree to its server, in order, with
+    /// one traversal stack for all of them. Unshares the table even when
+    /// `subtrees` is empty.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a server is outside the cluster.
+    pub fn assign_subtrees<I>(&mut self, tree: &NamespaceTree, subtrees: I)
+    where
+        I: IntoIterator<Item = (NodeId, MdsId)>,
+    {
+        let mut slots = self.writer(tree);
+        // One stack for every subtree: `restart` keeps its allocation.
+        let mut walk = tree.descendants(tree.root());
+        for (root, mds) in subtrees {
+            for id in walk.restart(root) {
+                slots.set(id, Assignment::Single(mds));
+            }
         }
     }
 
@@ -266,9 +317,7 @@ impl Placement {
     /// Applies a batch of migrations: each moves the whole subtree rooted at
     /// `migration.node` to `migration.to`.
     pub fn apply_migrations(&mut self, tree: &NamespaceTree, migrations: &[Migration]) {
-        for m in migrations {
-            self.assign_subtree(tree, m.node, m.to);
-        }
+        self.assign_subtrees(tree, migrations.iter().map(|m| (m.node, m.to)));
     }
 
     /// Iterates over `(node, assignment)` for all live nodes of `tree`.
@@ -290,6 +339,48 @@ impl Placement {
             cluster.len(),
             "placement built for a different cluster size"
         );
+    }
+}
+
+impl PartialEq for Placement {
+    fn eq(&self, other: &Self) -> bool {
+        let (short, long) = if self.assignments.len() <= other.assignments.len() {
+            (&self.assignments, &other.assignments)
+        } else {
+            (&other.assignments, &self.assignments)
+        };
+        let (head, tail) = long.split_at(short.len());
+        self.cluster_size == other.cluster_size
+            && self.replicas == other.replicas
+            && head == &short[..]
+            && tail.iter().all(|&a| a == Assignment::Unassigned)
+    }
+}
+
+/// A [`Placement`]'s table, unshared once for many writes (see
+/// [`Placement::writer`]).
+#[derive(Debug)]
+pub struct PlacementWriter<'a> {
+    slots: &'a mut [Assignment],
+    cluster_size: usize,
+}
+
+impl PlacementWriter<'_> {
+    /// Sets the assignment of one node.
+    ///
+    /// # Panics
+    ///
+    /// Panics if a [`Assignment::Single`] id is outside the cluster, or
+    /// if `id` is not a node of the tree the writer was made for.
+    pub fn set(&mut self, id: NodeId, assignment: Assignment) {
+        if let Assignment::Single(m) = assignment {
+            assert!(
+                m.index() < self.cluster_size,
+                "{m} outside cluster of {}",
+                self.cluster_size
+            );
+        }
+        self.slots[id.index()] = assignment;
     }
 }
 
@@ -420,5 +511,97 @@ mod tests {
         let n = t.create(a, "new", NodeKind::File).unwrap();
         p.set(n, Assignment::Single(MdsId(1)));
         assert_eq!(p.assignment(n), Assignment::Single(MdsId(1)));
+    }
+
+    /// A clone shares the table until either side writes, and the write
+    /// lands on the writer alone, whichever side that is — including a
+    /// write that grows the table for a node created after the build.
+    #[test]
+    fn clones_share_the_table_until_one_side_writes() {
+        let (mut t, a, f) = tree3();
+        let mut base = Placement::new(&t, 2);
+        base.set(t.root(), Assignment::Replicated);
+        base.assign_subtree(&t, a, MdsId(0));
+        let late = t.create(a, "late", NodeKind::File).unwrap();
+        let reads = |p: &Placement| -> Vec<Assignment> {
+            (0..t.arena_size() + 2)
+                .map(|i| p.assignment(NodeId::from_index(i)))
+                .collect()
+        };
+        let shared = |x: &Placement, y: &Placement| Arc::ptr_eq(&x.assignments, &y.assignments);
+        let to_1 = Assignment::Single(MdsId(1));
+        let migration = Migration {
+            node: a,
+            from: MdsId(0),
+            to: MdsId(1),
+        };
+        type Write<'a> = Box<dyn Fn(&mut Placement) + 'a>;
+        let writes: [(&str, Write); 5] = [
+            ("set", Box::new(|p| p.set(f, to_1))),
+            ("writer", Box::new(|p| p.writer(&t).set(f, to_1))),
+            (
+                "assign_subtree",
+                Box::new(|p| p.assign_subtree(&t, a, MdsId(1))),
+            ),
+            ("set past the table", Box::new(|p| p.set(late, to_1))),
+            (
+                "apply_migrations",
+                Box::new(|p| p.apply_migrations(&t, &[migration])),
+            ),
+        ];
+        let before = reads(&base);
+        for (name, write) in &writes {
+            let mut copy = base.clone();
+            assert!(shared(&copy, &base) && copy == base, "{name}");
+            write(&mut copy);
+            assert!(!shared(&copy, &base), "{name}");
+            assert_eq!(
+                reads(&base),
+                before,
+                "{name} on a clone reached the original"
+            );
+            assert_ne!(copy, base, "{name}");
+
+            let mut original = base.clone();
+            let kept = original.clone();
+            write(&mut original);
+            assert_eq!(
+                reads(&kept),
+                before,
+                "{name} on the original reached a clone"
+            );
+            assert_eq!(original, copy, "{name}: the same write, the same table");
+        }
+    }
+
+    /// Equality is by what `assignment` reads, not by table identity or
+    /// length: slots past the end read as unassigned.
+    #[test]
+    fn equality_compares_contents() {
+        let (mut t, a, f) = tree3();
+        let build = |t: &NamespaceTree| {
+            let mut p = Placement::new(t, 2);
+            p.set(t.root(), Assignment::Replicated);
+            p.assign_subtree(t, a, MdsId(1));
+            p
+        };
+        let (x, y) = (build(&t), build(&t));
+        assert!(!Arc::ptr_eq(&x.assignments, &y.assignments));
+        assert_eq!(x, y);
+        let late = t.create(a, "late", NodeKind::File).unwrap();
+        let mut grown = x.clone();
+        grown.set(late, Assignment::Unassigned);
+        assert!(grown.assignments.len() > y.assignments.len());
+        assert_eq!(grown, y);
+        assert_eq!(y, grown);
+        grown.set(late, Assignment::Single(MdsId(0)));
+        assert_ne!(grown, y);
+        assert_ne!(y, grown);
+        let mut other = y.clone();
+        other.set(f, Assignment::Single(MdsId(0)));
+        assert_ne!(other, x);
+        let mut wider = x.clone();
+        wider.grow_cluster(3);
+        assert_ne!(wider, x, "the cluster size is part of a placement");
     }
 }

@@ -76,12 +76,22 @@ pub struct Descendants<'a> {
 
 impl<'a> Descendants<'a> {
     pub(crate) fn new(tree: &'a NamespaceTree, start: NodeId) -> Self {
-        let stack = if tree.contains(start) {
-            vec![start]
-        } else {
-            Vec::new()
+        let mut walk = Descendants {
+            tree,
+            stack: Vec::new(),
         };
-        Descendants { tree, stack }
+        walk.restart(start);
+        walk
+    }
+
+    /// Starts the walk over at `start`, keeping the stack's allocation, so
+    /// one walker can visit many subtrees for one allocation.
+    pub fn restart(&mut self, start: NodeId) -> &mut Self {
+        self.stack.clear();
+        if self.tree.contains(start) {
+            self.stack.push(start);
+        }
+        self
     }
 }
 
@@ -124,6 +134,22 @@ mod tests {
         let m = t.create(d, "m", NodeKind::File).unwrap();
         let order: Vec<_> = t.descendants(d).collect();
         assert_eq!(order, vec![d, a, m, z]);
+    }
+
+    #[test]
+    fn a_restarted_walk_visits_what_a_fresh_one_does() {
+        let mut t = NamespaceTree::new();
+        let a = t.create(t.root(), "a", NodeKind::Directory).unwrap();
+        let b = t.create(a, "b", NodeKind::Directory).unwrap();
+        t.create(b, "f", NodeKind::File).unwrap();
+        let gone = t.create(t.root(), "gone", NodeKind::Directory).unwrap();
+        t.remove_subtree(gone).unwrap();
+        let mut walk = t.descendants(t.root());
+        walk.next();
+        for start in [b, t.root(), gone, a] {
+            let fresh: Vec<_> = t.descendants(start).collect();
+            assert_eq!(walk.restart(start).collect::<Vec<_>>(), fresh);
+        }
     }
 
     #[test]

@@ -32,7 +32,13 @@ impl OpKind {
 }
 
 /// One trace record: an operation aimed at a namespace node.
+///
+/// Packed to 5 bytes, where alignment would pad it to 8: a trace is
+/// held whole, a million records per process at benchmark scale. Read
+/// the fields by value (`op.target`); a reference to a field of a packed
+/// struct does not compile.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[repr(C, packed)]
 pub struct Operation {
     /// Target node.
     pub target: NodeId,

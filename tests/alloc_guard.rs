@@ -34,7 +34,9 @@ use d2tree::core::{D2TreeConfig, D2TreeScheme, LocalIndex, Partitioner};
 use d2tree::metrics::{Assignment, ClusterSpec, MdsId, Placement};
 use d2tree::namespace::{NamespaceTree, NodeId, NodeKind};
 use d2tree::telemetry::{names, Registry};
-use d2tree::workload::{synthesize_tree, OpKind, Trace, TraceGen, TraceProfile, WorkloadBuilder};
+use d2tree::workload::{
+    synthesize_tree, OpKind, Operation, Trace, TraceGen, TraceProfile, WorkloadBuilder,
+};
 
 /// The system allocator, counting every allocation it hands out and the
 /// bytes currently handed out.
@@ -238,10 +240,11 @@ fn measured<T>(step: impl FnOnce() -> T) -> (T, u64, u64) {
     )
 }
 
-/// The byte budget of what one `hot_read` episode holds before its
-/// first request, step by step in the order the benchmark's
-/// `Cluster::start` builds it. DESIGN.md §11's table is this test's
-/// output: `cargo test --release --test alloc_guard namespace_holds -- --nocapture`.
+/// The byte budget of what one serving episode holds before its first
+/// request — the `hot_read` workload on `cluster_route`'s shape of two
+/// daemons and a client router — step by step in the order the
+/// benchmark's `Cluster::start` builds it. DESIGN.md §11's table is this
+/// test's output: `cargo test --release --test alloc_guard namespace_holds -- --nocapture`.
 #[test]
 fn namespace_holds_a_bounded_number_of_bytes_and_no_allocation_per_node() {
     let _turn = MEASURING.lock().unwrap_or_else(PoisonError::into_inner);
@@ -272,6 +275,14 @@ fn namespace_holds_a_bounded_number_of_bytes_and_no_allocation_per_node() {
     let (trace, live, allocations) =
         measured(|| TraceGen::new(&profile, &tree, 1).collect::<Trace>());
     step("trace (TraceGen::collect)", live, allocations);
+    // An aligned record padded the 5 bytes of a target and a kind to 8.
+    assert_eq!(std::mem::size_of::<Operation>(), 5);
+    let per_op = live as f64 / trace.len() as f64;
+    assert!(
+        per_op <= 5.0,
+        "{live} live bytes for {} operations ({per_op:.2} per operation): over 5",
+        trace.len()
+    );
 
     // One pass over the tree, one stack: at PR 22 the traversal
     // collected every directory's children into a `Vec` of its own
@@ -287,37 +298,67 @@ fn namespace_holds_a_bounded_number_of_bytes_and_no_allocation_per_node() {
     let tree = Arc::new(tree);
     let (scheme, live, allocations) = measured(|| {
         let mut s = D2TreeScheme::new(D2TreeConfig::by_proportion(0.01).with_seed(1));
-        s.build(&tree, &pop, &ClusterSpec::homogeneous(1, 1.0));
+        s.build(&tree, &pop, &ClusterSpec::homogeneous(2, 1.0));
         s
     });
     step("scheme (D2TreeScheme::build)", live, allocations);
+    // One traversal stack for all ≈ 34 k subtrees: sizing each one and
+    // assigning each one with a fresh stack made 85 854 allocations.
+    assert!(
+        allocations < 1_000,
+        "{allocations} allocations to build the scheme: it allocates per subtree again"
+    );
 
-    let (registry, live, allocations) = measured(|| {
+    // Clones share the placement and the index's root and label tables.
+    let (copies, live, _) = measured(|| (scheme.placement().clone(), scheme.local_index().clone()));
+    assert!(
+        live < 1 << 10,
+        "cloning the placement and the index left {live} live bytes: a clone copies again"
+    );
+    drop(copies);
+
+    let registry = || {
         let registry = Arc::new(Registry::new());
         names::register_all(&registry);
         registry
-    });
-    step("registry (register_all)", live, allocations);
-
-    let (mds, live, allocations) = measured(|| {
+    };
+    let new_mds = |me: u16, registry: &Arc<Registry>| {
         NetMds::new(
             Arc::clone(&tree),
             scheme.placement().clone(),
             scheme.local_index().clone(),
-            MdsId(0),
-            Arc::clone(&registry),
+            MdsId(me),
+            Arc::clone(registry),
         )
-    });
+    };
+    let (registry_0, live, allocations) = measured(registry);
+    step("registry (register_all)", live, allocations);
+    let (mds, live, allocations) = measured(|| new_mds(0, &registry_0));
     step("NetMds::new", live, allocations);
-    // What a daemon holds is its copy of the placement, the index's
-    // root table and a popularity counter per root — no attribute
-    // record. With a dense 40-byte record per node this
-    // read 54.3 bytes per node.
+    // What a daemon holds beyond the shared tree is a clone of the
+    // placement and the index, which copy nothing, and a popularity
+    // counter per index root. A dense 40-byte attribute record per node
+    // read 54.3 bytes per node, the private copies of the placement,
+    // root table and a counter map 14.4.
     let per_node = live as f64 / nodes as f64;
     assert!(
-        per_node <= 20.0,
+        per_node <= 4.0,
         "{live} live bytes in NetMds::new for {nodes} nodes ({per_node:.1} per node): \
-         over the 20-byte budget"
+         over the 4-byte budget"
+    );
+
+    // `Cluster::start` gives each daemon a registry; the first one's is
+    // the row above.
+    let registry_1 = registry();
+    let (_second, second_live, allocations) = measured(|| new_mds(1, &registry_1));
+    step("NetMds::new (second daemon)", second_live, allocations);
+    let (_router, router_live, allocations) = measured(|| scheme.local_index().clone());
+    step("client index (local_index clone)", router_live, allocations);
+    let per_node = (second_live + router_live) as f64 / nodes as f64;
+    assert!(
+        per_node <= 4.0,
+        "a second daemon and a client index cache hold {per_node:.1} bytes per node: \
+         over the 4-byte budget"
     );
 
     println!(
@@ -325,7 +366,7 @@ fn namespace_holds_a_bounded_number_of_bytes_and_no_allocation_per_node() {
         "step", "live MiB", "B/node", "allocations"
     );
     let total = (
-        "all six",
+        "all eight",
         rows.iter().map(|row| row.1).sum(),
         rows.iter().map(|row| row.2).sum(),
     );
@@ -354,11 +395,17 @@ fn namespace_holds_a_bounded_number_of_bytes_and_no_allocation_per_node() {
         })
         .collect();
     assert_eq!(queries.len(), 10_000);
+    let mut served = 0;
     for batch in queries.chunks(WINDOW) {
         for (req, resp) in batch.iter().zip(mds.serve_batch(batch)) {
-            assert_eq!(resp.body, ResponseBody::Served { node: req.target });
+            match resp.body {
+                ResponseBody::Served { node } if node == req.target => served += 1,
+                ResponseBody::Redirect { owner: MdsId(1) } => {}
+                other => panic!("{other:?} for {:?}", req.target),
+            }
         }
     }
+    assert!(served > 0 && served == mds.served() as usize);
     assert_eq!(
         mds.attr_records(),
         0,

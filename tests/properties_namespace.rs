@@ -400,22 +400,47 @@ mod interned_hot_path {
     }
 }
 
-/// The synthesised namespaces are pinned against the build that recorded
-/// `results/tree_digests.txt`: a storage-layout change that renumbers a
-/// node, loses a name or reorders a directory's children moves a digest.
+/// The synthesised namespaces and the traces generated over them are
+/// pinned against the builds that recorded `results/tree_digests.txt`
+/// and `results/trace_op_digests.txt`: a storage-layout change that
+/// renumbers a node, loses a name, reorders a directory's children or
+/// alters an operation moves a digest.
 mod same_trees {
     use super::*;
-    use d2tree::workload::{synthesize_tree, TraceProfile};
+    use d2tree::workload::{synthesize_tree, OpKind, Operation, TraceGen, TraceProfile};
+
+    const PROFILES: [&str; 3] = ["dtr", "lmbe", "ra"];
+    const SEEDS: [u64; 3] = [1, 7, 42];
+
+    fn profile(name: &str) -> TraceProfile {
+        match name {
+            "dtr" => TraceProfile::dtr(),
+            "lmbe" => TraceProfile::lmbe(),
+            _ => TraceProfile::ra(),
+        }
+    }
+
+    /// The data lines of a digest file: comments and blank lines dropped.
+    fn recorded(file: &str) -> Vec<&str> {
+        file.lines()
+            .filter(|l| !l.starts_with('#') && !l.is_empty())
+            .collect()
+    }
+
+    /// One FNV-1a step over `bytes`.
+    fn fnv1a(h: &mut u64, bytes: &[u8]) {
+        for &b in bytes {
+            *h = (*h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
+        }
+    }
+
+    const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 
     /// FNV-1a over every node in id order: parent, name, kind, then the
     /// children in the order `children()` yields them.
     fn tree_digest(tree: &NamespaceTree) -> u64 {
-        let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-        let mut eat = |bytes: &[u8]| {
-            for &b in bytes {
-                h = (h ^ u64::from(b)).wrapping_mul(0x0000_0100_0000_01b3);
-            }
-        };
+        let mut h = FNV_OFFSET;
+        let mut eat = |bytes: &[u8]| fnv1a(&mut h, bytes);
         let word = |index: usize| u32::try_from(index).expect("fits").to_le_bytes();
         for (id, node) in tree.nodes() {
             eat(&word(id.index()));
@@ -433,25 +458,53 @@ mod same_trees {
 
     #[test]
     fn synthesised_trees_match_the_recorded_digests() {
-        let recorded: Vec<&str> = include_str!("../results/tree_digests.txt")
-            .lines()
-            .filter(|l| !l.starts_with('#') && !l.is_empty())
-            .collect();
         let mut recomputed = Vec::new();
-        for (name, profile) in [
-            ("dtr", TraceProfile::dtr()),
-            ("lmbe", TraceProfile::lmbe()),
-            ("ra", TraceProfile::ra()),
-        ] {
-            for seed in [1, 7, 42] {
-                let (tree, _) = synthesize_tree(&profile.clone().with_nodes(25_000), seed);
+        for name in PROFILES {
+            for seed in SEEDS {
+                let (tree, _) = synthesize_tree(&profile(name).with_nodes(25_000), seed);
                 recomputed.push(format!("{name} {seed} 25000 {:016x}", tree_digest(&tree)));
             }
         }
         assert_eq!(
-            recorded,
+            recorded(include_str!("../results/tree_digests.txt")),
             recomputed,
             "synthesised trees differ from results/tree_digests.txt; recomputed lines:\n{}",
+            recomputed.join("\n")
+        );
+    }
+
+    /// FNV-1a over every operation in order: the target's id as a
+    /// little-endian `u32`, then the kind as one byte.
+    fn trace_digest(ops: impl Iterator<Item = Operation>) -> u64 {
+        let mut h = FNV_OFFSET;
+        for op in ops {
+            let target = u32::try_from(op.target.index()).expect("fits");
+            let kind = match op.kind {
+                OpKind::Read => 0u8,
+                OpKind::Write => 1,
+                OpKind::Update => 2,
+            };
+            fnv1a(&mut h, &target.to_le_bytes());
+            fnv1a(&mut h, &[kind]);
+        }
+        h
+    }
+
+    #[test]
+    fn generated_traces_match_the_recorded_digests() {
+        let mut recomputed = Vec::new();
+        for name in PROFILES {
+            for seed in SEEDS {
+                let profile = profile(name).with_nodes(25_000).with_operations(100_000);
+                let (tree, _) = synthesize_tree(&profile, seed);
+                let digest = trace_digest(TraceGen::new(&profile, &tree, seed));
+                recomputed.push(format!("{name} {seed} 25000 100000 {digest:016x}"));
+            }
+        }
+        assert_eq!(
+            recorded(include_str!("../results/trace_op_digests.txt")),
+            recomputed,
+            "generated traces differ from results/trace_op_digests.txt; recomputed lines:\n{}",
             recomputed.join("\n")
         );
     }

@@ -9,10 +9,10 @@
 //!   lock serialisation of global-layer updates. Fig. 5 is regenerated on
 //!   top of it.
 //! * [`live`] — a real multi-threaded cluster in one process (one OS
-//!   thread per MDS, crossbeam channels as the network, the `bytes` wire
-//!   codec on every message, a Monitor thread) used by the integration
-//!   tests and examples to exercise true concurrency, heartbeats and
-//!   fail-over.
+//!   thread per MDS, each serving through its own [`NetMds`], crossbeam
+//!   channels carrying the wire codec's frames as the network, a Monitor
+//!   thread) used by the integration tests and examples to exercise true
+//!   concurrency, heartbeats and fail-over.
 //! * [`net`] — the same wire codec on real TCP sockets: one MDS per
 //!   daemon ([`NetMds`] behind a [`NetServer`]), a blocking client and the
 //!   multi-connection load generator [`run_load`]; [`admin`] is its live
@@ -27,10 +27,11 @@
 //! verdicts, the pending pool and the fail-over and rejoin planners).
 //! Membership, leases and their fence counter, committed GL versions and
 //! subtree ownership are held once, by [`consensus::ControlState`];
-//! everything else proposes `Command`s to it. What an
-//! MDS does the same way behind channels and behind sockets — whose
-//! request this is, its `serve` span, opening and recovering its durable
-//! store — lives in one private module that `live` and `net` both call.
+//! everything else proposes `Command`s to it. An MDS is one thing behind
+//! either transport: [`NetMds`] answers every request of a TCP daemon and
+//! of a `live` server thread alike, and a private module beside it
+//! decides whose request it is, opens its `serve` span and recovers its
+//! durable store.
 //!
 //! Robustness layers: [`fault`] (deterministic seeded fault injection
 //! over client↔MDS, MDS↔Monitor and MDS↔lock edges, consulted by the

@@ -1,9 +1,14 @@
-//! A real multi-threaded MDS cluster: one OS thread per server, crossbeam
-//! channels as the network, the `bytes` wire codec on every message, a
-//! Monitor thread doing heartbeat-based failure detection, and fail-over
-//! that re-homes a dead server's subtrees onto the survivors. Membership,
-//! GL leases and ownership decisions live in one mutex-guarded
+//! A real multi-threaded MDS cluster in one process: M [`NetMds`] — the
+//! serving core `d2tree serve` runs — one per OS thread, crossbeam
+//! channels as the network carrying the wire codec's frames, a Monitor
+//! thread doing heartbeat-based failure detection, and fail-over that
+//! re-homes a dead server's subtrees onto the survivors. Membership, GL
+//! leases and ownership decisions live in one mutex-guarded
 //! `ControlState` that every command is applied to as it is issued.
+//!
+//! A server thread keeps only heartbeats, the crash flag, index fetches
+//! and the fault edges of its links; the cluster adds a GL replication
+//! group and the Monitor's migrations to what the daemon does alone.
 //!
 //! This runtime exists to exercise true concurrency — races between
 //! clients, the Monitor and fail-over — that the deterministic simulator
@@ -13,28 +18,24 @@
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use bytes::Bytes;
 use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
-use d2tree_core::{Heartbeat, Subtree};
+use d2tree_core::{Heartbeat, LocalIndex, Subtree};
 use d2tree_metrics::{Assignment, ClusterSpec, MdsId, Migration, Placement};
-use d2tree_namespace::{AttrTable, NamespaceTree, NodeId, VersionedAttr};
-use d2tree_store::{MdsRecord, MdsStore, StoreConfig};
-use d2tree_workload::{OpKind, Operation};
-use parking_lot::{Mutex, RwLock};
-use rand::rngs::StdRng;
-use rand::{Rng, SeedableRng};
-
-use d2tree_core::LocalIndex;
-
+use d2tree_namespace::{NamespaceTree, NodeId, VersionedAttr};
+use d2tree_store::StoreConfig;
 use d2tree_telemetry::trace::{span_names, ArgKey, Span, SpanCtx, SpanName, Tracer};
 use d2tree_telemetry::{
     names, Counter, Event, EventKind, FaultKind, FlightRecorder, HealthTick, MetricKey, Registry,
     TickSample,
 };
+use d2tree_workload::Operation;
+use parking_lot::Mutex;
+use rand::rngs::StdRng;
+use rand::{Rng, SeedableRng};
 
 pub use crate::client::ClientError;
 use crate::client::{
@@ -43,9 +44,10 @@ use crate::client::{
 use crate::consensus::Command;
 use crate::fault::{FaultDecision, FaultInjector, FaultPlan, NetEdge};
 use crate::lock::LockService;
-use crate::mds::{attr_state, duty, open_and_recover, Duty, ServeSpan};
-use crate::message::{Request, RequestId, Response, ResponseBody};
+use crate::mds::ServeSpan;
+use crate::message::{Request, RequestId, Response, REQUEST_FRAME_BYTES};
 use crate::monitor::{ClusterEvent, Monitor, MonitorConfig};
+use crate::net::NetMds;
 
 /// Tuning of the live runtime.
 #[derive(Debug, Clone)]
@@ -120,39 +122,27 @@ impl Default for LiveConfig {
 
 #[derive(Debug)]
 enum ServerMsg {
-    Frame(Bytes, Sender<Bytes>),
+    Frame(Vec<u8>, Sender<Vec<u8>>),
     /// Control-plane request for the current local index (clients refresh
     /// their cache through this; it is not part of the data-path codec).
     FetchIndex(Sender<LocalIndex>),
     Shutdown,
 }
 
+/// Cluster-level state: all per-MDS state is in the MDSs' `NetMds`.
 #[derive(Debug)]
 struct Shared {
     tree: Arc<NamespaceTree>,
-    placement: RwLock<Placement>,
-    index: RwLock<LocalIndex>,
-    /// One attribute store per server — the replicated metadata state.
-    /// Global-layer mutations commit on the serving replica and propagate
-    /// version-gated to the others while the per-node lock is held.
-    attr_stores: Vec<RwLock<AttrTable>>,
-    /// Recent served-op counts per local-layer subtree root — the access
-    /// counters MDSs report so the Monitor can rebalance (Sec. IV-B).
-    /// Decayed by the Monitor after each inspection.
-    subtree_counts: RwLock<HashMap<NodeId, f64>>,
-    rebalance_factor: f64,
     migrations: AtomicU64,
-    /// The cluster's one control plane: server threads take GL leases
-    /// through it, and the Monitor applies its membership and migration
-    /// commands to the `ControlState` it is a view of.
+    /// The cluster's one control plane: GL leases are taken through it,
+    /// and the Monitor applies its membership and migration commands to
+    /// the `ControlState` it is a view of.
     locks: LockService,
     killed: Vec<AtomicBool>,
     /// Wall-ms timestamp of each server's last [`LiveCluster::restart`]
     /// (`u64::MAX` when never restarted, or already consumed by the
     /// Monitor's rejoin-latency measurement).
     restarted_at: Vec<AtomicU64>,
-    served: Vec<AtomicU64>,
-    redirects: AtomicU64,
     epoch: Instant,
     /// Cluster-wide telemetry: counters plus the event journal the
     /// Monitor also writes membership transitions into.
@@ -160,13 +150,6 @@ struct Shared {
     /// Seeded fault injector both transport directions consult; `None`
     /// runs the cluster fault-free with zero overhead.
     faults: Option<FaultInjector>,
-    /// Per-MDS durable stores (empty when durability is disabled).
-    /// `None` inside a slot means that MDS is crashed: its store died
-    /// with it and is reopened — recovered from disk — on restart.
-    /// Lock order: a store mutex is always taken *last*, after any
-    /// placement/index/attr/counts locks are released or while only
-    /// read guards are held that nothing else orders after it.
-    stores: Vec<Mutex<Option<MdsStore>>>,
     /// Tracer shared by every component, `None` when tracing is off.
     tracer: Option<Arc<Tracer>>,
     /// Monitor-sampled health trajectory, `None` when recording is off.
@@ -183,6 +166,10 @@ impl Shared {
         self.tracer.as_deref()
     }
 
+    fn alive(&self, k: usize) -> bool {
+        !self.killed[k].load(Ordering::SeqCst)
+    }
+
     /// Consults the fault plan for one message on `edge` (a no-op
     /// `Deliver` when the cluster runs fault-free).
     fn fault(&self, edge: NetEdge) -> FaultDecision {
@@ -191,39 +178,79 @@ impl Shared {
             None => FaultDecision::Deliver,
         }
     }
+}
 
-    /// Appends one record to MDS `k`'s WAL. A no-op when durability is
-    /// disabled or the MDS is crashed (its store is out of its slot —
-    /// exactly like a write racing a real crash: it never happened).
-    fn journal_record(&self, k: usize, record: MdsRecord) {
-        if let Some(slot) = self.stores.get(k) {
-            if let Some(store) = slot.lock().as_mut() {
-                store.append(record).expect("WAL append failed");
+/// The global layer's replication group inside a [`LiveCluster`]: it
+/// serialises a member's replicated update through the lock service,
+/// across the member's `MdsToLock` fault edge, and propagates the
+/// committed record, version-gated, to every live sibling replica.
+#[derive(Debug)]
+pub(crate) struct GlGroup {
+    shared: Arc<Shared>,
+    members: Weak<Vec<Arc<NetMds>>>,
+}
+
+impl GlGroup {
+    /// Commits an update of global-layer `node` for member `me`: `local`
+    /// commits it on `me`'s replica under the node's lease, released
+    /// once the siblings have it, and a `gl_lock` span nested in `serve`
+    /// records the wait and the hold. `false` when the lock edge dropped
+    /// the request: it dies here, its `serve` span tagged with the drop,
+    /// and the client's retry policy copes.
+    pub(crate) fn commit(
+        &self,
+        me: MdsId,
+        node: NodeId,
+        serve: Option<ServeSpan<'_>>,
+        local: impl FnOnce() -> VersionedAttr,
+    ) -> bool {
+        let shared = &*self.shared;
+        let lock_fault = shared.fault(NetEdge::MdsToLock(me.0));
+        match lock_fault {
+            FaultDecision::Drop => {
+                if let Some(sp) = serve {
+                    sp.tracer
+                        .record(sp.close(me, node).with_fault(FaultKind::Drop));
+                }
+                return false;
+            }
+            FaultDecision::Delay(ms) => std::thread::sleep(Duration::from_millis(ms)),
+            _ => {}
+        }
+        let lock_t0 = serve.map(|sp| sp.tracer.now_us());
+        let (token, spins) = shared.locks.acquire_spin(node, || shared.now_ms());
+        let committed = local();
+        // A killed replica is a crashed process: it misses propagation
+        // and re-syncs through the lock service on restart.
+        if let Some(members) = self.members.upgrade() {
+            for (k, sibling) in members.iter().enumerate() {
+                if k != me.index() && shared.alive(k) {
+                    sibling.replicate(node, committed);
+                }
             }
         }
-    }
-
-    /// Journals an attribute commit on MDS `k`.
-    fn journal_attr(&self, k: usize, node: NodeId, gl: bool, committed: VersionedAttr) {
-        self.journal_record(
-            k,
-            MdsRecord::AttrCommit {
-                node: node.index() as u64,
-                gl,
-                attr: attr_state(committed),
-            },
-        );
-    }
-
-    /// Journals a subtree ownership change on MDS `k`.
-    fn journal_ownership(&self, k: usize, root: NodeId, acquired: bool) {
-        self.journal_record(
-            k,
-            MdsRecord::Ownership {
-                root: root.index() as u64,
-                acquired,
-            },
-        );
+        let released = shared.locks.release(token);
+        debug_assert!(released, "fresh token releases cleanly");
+        if let (Some(serve), Some(start)) = (serve, lock_t0) {
+            let tr = serve.tracer;
+            let parent = SpanCtx {
+                span: serve.id,
+                ..serve.ctx
+            };
+            let mut sp = Span::child(
+                parent,
+                tr.next_span(parent.trace),
+                span_names::LOCK,
+                start,
+                tr.now_us().saturating_sub(start),
+            )
+            .on_mds(me.0)
+            .with_arg(ArgKey::Node, node.index() as u64)
+            .with_arg(ArgKey::Spins, spins);
+            sp.fault = lock_fault.kind();
+            tr.record(sp);
+        }
+        true
     }
 }
 
@@ -254,6 +281,9 @@ pub struct LiveReport {
 #[derive(Debug)]
 pub struct LiveCluster {
     shared: Arc<Shared>,
+    /// The MDSs, by id. Every migration reaches every view, a crashed
+    /// MDS's too, so daemon 0's is the one the Monitor plans over.
+    daemons: Arc<Vec<Arc<NetMds>>>,
     config: LiveConfig,
     server_txs: Vec<Sender<ServerMsg>>,
     server_handles: Vec<JoinHandle<()>>,
@@ -313,83 +343,71 @@ impl LiveCluster {
     fn start_inner(
         tree: Arc<NamespaceTree>,
         placement: Placement,
-        index: LocalIndex,
+        mut index: LocalIndex,
         config: LiveConfig,
         plan: Option<FaultPlan>,
     ) -> Self {
-        assert!(
-            placement.is_complete(&tree),
-            "live cluster needs a complete placement"
-        );
         let m = placement.cluster_size();
         let registry = Arc::new(Registry::new());
         let faults = plan
             .filter(|p| !p.is_empty())
             .map(|p| FaultInjector::new(&p).with_registry(Arc::clone(&registry)));
-        let mut attr_stores: Vec<RwLock<AttrTable>> =
-            (0..m).map(|_| RwLock::new(AttrTable::new(&tree))).collect();
-        let mut subtree_counts = HashMap::new();
-        // Durable stores: each server resumes what a previous run left
-        // on disk and journals the subtrees the seeded index gives it.
-        let stores: Vec<Mutex<Option<MdsStore>>> = match &config.store_root {
-            Some(root) => (0..m)
-                .map(|k| {
-                    let recovered = open_and_recover(
-                        root,
-                        config.store,
-                        MdsId(k as u16),
-                        &registry,
-                        config.tracer.as_ref(),
-                        &tree,
-                        &index,
-                        true,
-                    );
-                    attr_stores[k] = RwLock::new(recovered.attrs);
-                    for (root, bits) in recovered.popularity {
-                        subtree_counts
-                            .entry(root)
-                            .or_insert_with(|| f64::from_bits(bits));
-                    }
-                    Mutex::new(Some(recovered.store))
-                })
-                .collect(),
-            None => Vec::new(),
-        };
         let shared = Arc::new(Shared {
-            tree,
-            placement: RwLock::new(placement),
-            index: RwLock::new(index),
-            attr_stores,
-            subtree_counts: RwLock::new(subtree_counts),
-            rebalance_factor: config.rebalance_factor,
+            tree: Arc::clone(&tree),
             migrations: AtomicU64::new(0),
             locks: LockService::new(1_000),
             killed: (0..m).map(|_| AtomicBool::new(false)).collect(),
             restarted_at: (0..m).map(|_| AtomicU64::new(u64::MAX)).collect(),
-            served: (0..m).map(|_| AtomicU64::new(0)).collect(),
-            redirects: AtomicU64::new(0),
             epoch: Instant::now(),
-            registry,
+            registry: Arc::clone(&registry),
             faults,
-            stores,
             tracer: config.tracer.clone(),
             recorder: config
                 .recorder_capacity
                 .map(|c| Mutex::new(FlightRecorder::new(c))),
         });
+        // Labelled once, the index's table is shared by every copy.
+        index.relabel(&tree);
+        // With durable stores, each server resumes what a previous run
+        // left on disk and journals the subtrees the seeded index gives it.
+        let daemons = Arc::new_cyclic(|members| {
+            let group = Arc::new(GlGroup {
+                shared: Arc::clone(&shared),
+                members: Weak::clone(members),
+            });
+            (0..m)
+                .map(|k| {
+                    let mut mds = NetMds::new(
+                        Arc::clone(&tree),
+                        placement.clone(),
+                        index.clone(),
+                        MdsId(k as u16),
+                        Arc::clone(&registry),
+                    )
+                    .with_gl_group(Arc::clone(&group));
+                    if let Some(tracer) = &config.tracer {
+                        mds = mds.with_tracer(Arc::clone(tracer));
+                    }
+                    if let Some(root) = &config.store_root {
+                        mds = mds.with_store_root(root, config.store);
+                    }
+                    Arc::new(mds)
+                })
+                .collect()
+        });
 
         let (hb_tx, hb_rx) = unbounded::<Heartbeat>();
         let mut server_txs = Vec::with_capacity(m);
         let mut server_handles = Vec::with_capacity(m);
-        for k in 0..m {
+        for (k, mds) in daemons.iter().enumerate() {
             let (tx, rx) = unbounded::<ServerMsg>();
             server_txs.push(tx);
             let shared = Arc::clone(&shared);
+            let mds = Arc::clone(mds);
             let hb_tx = hb_tx.clone();
-            let interval = config.heartbeat_interval;
-            let retry = config.retry;
+            let (interval, retry) = (config.heartbeat_interval, config.retry);
             server_handles.push(std::thread::spawn(move || {
-                server_main(&shared, k, &rx, &hb_tx, interval, retry);
+                server_main(&shared, &mds, k, &rx, &hb_tx, interval, retry);
             }));
         }
         drop(hb_tx);
@@ -397,17 +415,15 @@ impl LiveCluster {
         let monitor_stop = Arc::new(AtomicBool::new(false));
         let monitor_handle = {
             let shared = Arc::clone(&shared);
+            let daemons = Arc::clone(&daemons);
             let stop = Arc::clone(&monitor_stop);
-            let mon_config = MonitorConfig {
-                heartbeat_interval_ms: config.heartbeat_interval.as_millis() as u64,
-                failure_timeout_ms: config.failure_timeout.as_millis() as u64,
-                ..MonitorConfig::default()
-            };
-            std::thread::spawn(move || monitor_main(&shared, m, mon_config, &hb_rx, &stop))
+            let config = config.clone();
+            std::thread::spawn(move || monitor_main(&shared, &daemons, &config, &hb_rx, &stop))
         };
 
         LiveCluster {
             shared,
+            daemons,
             config,
             server_txs,
             server_handles,
@@ -447,20 +463,12 @@ impl LiveCluster {
             None => false,
         };
         if changed {
-            if let Some(slot) = self.shared.stores.get(mds.index()) {
-                if let Some(store) = slot.lock().take() {
-                    // The crash happens at an arbitrary point in the
-                    // group-commit window: a prefix of the unsynced
-                    // buffer tears into the file, the rest is lost.
-                    let pending = store.pending_bytes();
-                    let keep = if pending == 0 {
-                        0
-                    } else {
-                        (self.shared.now_ms() as usize).wrapping_mul(2_654_435_761) % (pending + 1)
-                    };
-                    store.simulate_crash(keep).expect("crash simulation failed");
-                }
-            }
+            // The crash happens at an arbitrary point in the group-commit
+            // window: a prefix of the unsynced buffer tears into the
+            // file, the rest is lost.
+            let at = self.shared.now_ms() as usize;
+            self.daemons[mds.index()]
+                .crash_store(|pending| at.wrapping_mul(2_654_435_761) % (pending + 1));
         }
         changed
     }
@@ -473,10 +481,10 @@ impl LiveCluster {
     ///    first recovers locally from disk: it reopens its store
     ///    (snapshot + WAL replay, truncating a torn final record),
     ///    inserts the journaled commits into a fresh attribute table,
-    ///    re-seeds its popularity counters, and sheds — durably — any
-    ///    subtree the cluster re-homed while it was down. The recovery
-    ///    time lands in the `recovery_ms` histogram and an
-    ///    [`EventKind::StoreRecovered`] journal event.
+    ///    resumes its own popularity counters from its journal, and
+    ///    sheds — durably — any subtree the cluster re-homed while it
+    ///    was down. The recovery time lands in the `recovery_ms`
+    ///    histogram and an [`EventKind::StoreRecovered`] journal event.
     /// 2. The replica then **delta-syncs** its global-layer state
     ///    through the lock service: only nodes where some live replica
     ///    holds a *newer* version than the local (recovered) copy are
@@ -502,134 +510,80 @@ impl LiveCluster {
     /// recovered (I/O failure or corruption worse than a torn tail) —
     /// an MDS must not serve from state it cannot trust.
     pub fn restart(&self, mds: MdsId) -> bool {
-        let Some(flag) = self.shared.killed.get(mds.index()) else {
+        let shared = &*self.shared;
+        let Some(flag) = shared.killed.get(mds.index()) else {
             return false;
         };
         if !flag.load(Ordering::SeqCst) {
             return false;
         }
         let me = mds.index();
+        let daemon = &self.daemons[me];
+        let registry = &shared.registry;
         // Phase 1: local recovery from disk (durability enabled only).
-        let mut recovered = None;
+        // The crash wiped the process: the table and the counters are
+        // the durable state alone. Unsynced commits inside the last
+        // group-commit window are gone — for GL nodes the delta sync
+        // below re-fetches them from live replicas.
         if let Some(root) = &self.config.store_root {
-            // Anything the Monitor re-homed while we were down is
-            // durably shed before we serve again.
-            let index = self.shared.index.read().clone();
-            let r = open_and_recover(
-                root,
-                self.config.store,
-                mds,
-                &self.shared.registry,
-                self.shared.tracer.as_ref(),
-                &self.shared.tree,
-                &index,
-                false,
-            );
-            let recovery_ms = r.info.duration.as_millis() as u64;
-            self.shared
-                .registry
-                .histogram(MetricKey::mds(names::RECOVERY_MS, me as u16))
+            let info = daemon.recover(root, self.config.store, false);
+            let recovery_ms = info.duration.as_millis() as u64;
+            registry
+                .histogram(MetricKey::mds(names::RECOVERY_MS, mds.0))
                 .record(recovery_ms);
-            self.shared
-                .registry
-                .journal()
-                .record(EventKind::StoreRecovered {
-                    mds: me as u16,
-                    records: r.info.records_replayed,
-                    torn_bytes: r.info.torn_bytes,
-                    recovery_ms,
-                });
-            // The crash wiped the process: the in-memory table is the
-            // durable state alone. Unsynced commits inside the last
-            // group-commit window are gone — for GL nodes the delta
-            // sync below re-fetches them from live replicas.
-            *self.shared.attr_stores[me].write() = r.attrs;
-            // Live popularity (accumulated by the survivors since the
-            // crash) wins over journaled values.
-            let mut counts = self.shared.subtree_counts.write();
-            for (root, bits) in r.popularity {
-                counts.entry(root).or_insert_with(|| f64::from_bits(bits));
-            }
-            recovered = Some(r.store);
+            registry.journal().record(EventKind::StoreRecovered {
+                mds: mds.0,
+                records: info.records_replayed,
+                torn_bytes: info.torn_bytes,
+                recovery_ms,
+            });
         }
         // Phase 2: version-gated GL delta sync. Only nodes where a live
         // replica is ahead of the local copy are locked and copied; the
         // common case after a short outage touches a handful of nodes
         // instead of the whole global layer.
-        let replicated: Vec<NodeId> = {
-            let placement = self.shared.placement.read();
-            self.shared
-                .tree
-                .nodes()
-                .map(|(id, _)| id)
-                .filter(|&id| placement.assignment(id) == Assignment::Replicated)
-                .collect()
+        let (placement, _) = daemon.view();
+        let replicated: Vec<NodeId> = (shared.tree.nodes())
+            .map(|(id, _)| id)
+            .filter(|&id| placement.assignment(id) == Assignment::Replicated)
+            .collect();
+        let siblings = || {
+            self.daemons
+                .iter()
+                .enumerate()
+                .filter(move |&(k, _)| k != me && shared.alive(k))
+                .map(|(_, sibling)| sibling)
         };
         let mut entries = 0u64;
         for node in replicated {
-            let mine = self.shared.attr_stores[me].read().get(node).version;
-            let behind = self
-                .shared
-                .attr_stores
-                .iter()
-                .enumerate()
-                .filter(|&(k, _)| k != me && !self.shared.killed[k].load(Ordering::SeqCst))
-                .any(|(_, store)| store.read().get(node).version > mine);
-            if !behind {
+            let mine = daemon.attr(node).version;
+            if !siblings().any(|s| s.attr(node).version > mine) {
                 continue; // already current: no lock, no copy
             }
-            // Fetch under the node's lock so a concurrent writer cannot
+            // Fetch under the node's lease so a concurrent writer cannot
             // interleave a partial commit, re-reading the freshest copy
             // now that we hold it.
-            let (token, _) = self
-                .shared
-                .locks
-                .acquire_spin(node, || self.shared.now_ms());
-            let freshest = self
-                .shared
-                .attr_stores
-                .iter()
-                .enumerate()
-                .filter(|&(k, _)| k != me && !self.shared.killed[k].load(Ordering::SeqCst))
-                .map(|(_, store)| store.read().get(node))
+            let (token, _) = shared.locks.acquire_spin(node, || shared.now_ms());
+            let freshest = siblings()
+                .map(|s| s.attr(node))
                 .max_by_key(|attr| attr.version);
-            if let Some(attr) = freshest {
-                if self.shared.attr_stores[me]
-                    .write()
-                    .apply_if_newer(node, attr)
-                {
-                    entries += 1;
-                    if let Some(store) = recovered.as_mut() {
-                        store
-                            .append(MdsRecord::AttrCommit {
-                                node: node.index() as u64,
-                                gl: true,
-                                attr: attr_state(attr),
-                            })
-                            .expect("WAL append failed");
-                    }
-                }
+            if freshest.is_some_and(|attr| daemon.replicate(node, attr)) {
+                entries += 1;
             }
-            let released = self.shared.locks.release(token);
+            let released = shared.locks.release(token);
             debug_assert!(released, "fresh token releases cleanly");
         }
-        self.shared
-            .registry
+        registry
             .counter(MetricKey::global(names::GL_DELTA_SYNC_ENTRIES))
             .add(entries);
-        self.shared
-            .registry
-            .journal()
-            .record(EventKind::GlDeltaSync {
-                mds: me as u16,
-                entries,
-            });
-        // Publish the recovered store so the serve path journals again.
-        if let Some(mut store) = recovered {
-            store.sync().expect("WAL sync failed");
-            *self.shared.stores[me].lock() = Some(store);
-        }
-        self.shared.restarted_at[me].store(self.shared.now_ms(), Ordering::SeqCst);
+        registry.journal().record(EventKind::GlDeltaSync {
+            mds: mds.0,
+            entries,
+        });
+        // What the recovery and the sync journaled is durable before the
+        // MDS serves again.
+        daemon.sync();
+        shared.restarted_at[me].store(shared.now_ms(), Ordering::SeqCst);
         // Clearing the flag resumes serving and heartbeating; the
         // Monitor completes the rejoin on the next heartbeat.
         flag.store(false, Ordering::SeqCst);
@@ -640,6 +594,7 @@ impl LiveCluster {
     /// invariants at a quiesce point (no kill/restart/partition
     /// currently in flight and fail-over given time to settle):
     ///
+    /// * every live MDS routes by the Monitor's placement and index;
     /// * the placement is complete — no node lost its assignment;
     /// * every single-owner node's owner is a live (non-killed) MDS;
     /// * the published local index agrees with the placement (no
@@ -647,8 +602,9 @@ impl LiveCluster {
     ///   no published subtree is split across servers (Def. 3);
     /// * global-layer attribute versions agree across live replicas;
     /// * with durable stores, each live MDS's journal names the subtrees
-    ///   the index gives it, and its journal and its attribute table
-    ///   hold the same nodes at the same versions — both ways.
+    ///   the index gives it, its journal and its attribute table hold
+    ///   the same nodes at the same versions — both ways — and its
+    ///   journaled popularity counts are the ones it keeps.
     ///
     /// Returns human-readable violation descriptions (empty = healthy).
     /// Mid-fail-over the checker legitimately reports transient
@@ -656,25 +612,32 @@ impl LiveCluster {
     #[must_use]
     pub fn check_invariants(&self) -> Vec<String> {
         let mut violations = Vec::new();
-        let alive = |k: MdsId| -> bool { !self.shared.killed[k.index()].load(Ordering::SeqCst) };
-        let placement = self.shared.placement.read().clone();
-        if !placement.is_complete(&self.shared.tree) {
-            violations.push("placement incomplete: some node lost its assignment".to_string());
-        }
-        for (id, _) in self.shared.tree.nodes() {
-            if let Some(owner) = placement.assignment(id).owner() {
-                if owner.index() >= self.shared.killed.len() {
-                    violations.push(format!(
-                        "node {} owned by unknown mds{}",
-                        id.index(),
-                        owner.0
-                    ));
-                } else if !alive(owner) {
-                    violations.push(format!("node {} owned by dead mds{}", id.index(), owner.0));
-                }
+        let shared = &*self.shared;
+        let tree = &shared.tree;
+        let live: Vec<(usize, &Arc<NetMds>)> = self
+            .daemons
+            .iter()
+            .enumerate()
+            .filter(|&(k, _)| shared.alive(k))
+            .collect();
+        let (placement, index) = self.daemons[0].view();
+        for &(k, mds) in &live {
+            let (p, i) = mds.view();
+            if p != placement || i != index {
+                violations.push(format!(
+                    "mds{k} routes by another placement or index than the Monitor's"
+                ));
             }
         }
-        let index = self.shared.index.read().clone();
+        if !placement.is_complete(tree) {
+            violations.push("placement incomplete: some node lost its assignment".to_string());
+        }
+        for (id, _) in tree.nodes() {
+            let owner = placement.assignment(id).owner();
+            if let Some(dead) = owner.filter(|o| !shared.alive(o.index())) {
+                violations.push(format!("node {} owned by dead mds{}", id.index(), dead.0));
+            }
+        }
         for (root, owner) in index.iter() {
             match placement.assignment(root).owner() {
                 Some(o) if o == owner => {}
@@ -689,12 +652,12 @@ impl LiveCluster {
         // Def. 3: a published subtree is one unit of ownership — every
         // single-owner node under its root belongs to the root's owner.
         for (root, owner) in index.iter() {
-            let stray = self.shared.tree.descendants(root).find_map(|id| {
-                match placement.assignment(id).owner() {
-                    Some(o) if o != owner => Some((id, o)),
-                    _ => None,
-                }
-            });
+            let stray =
+                tree.descendants(root)
+                    .find_map(|id| match placement.assignment(id).owner() {
+                        Some(o) if o != owner => Some((id, o)),
+                        _ => None,
+                    });
             if let Some((id, o)) = stray {
                 violations.push(format!(
                     "subtree {} of mds{} is split: node {} is on mds{}",
@@ -705,17 +668,13 @@ impl LiveCluster {
                 ));
             }
         }
-        for (id, _) in self.shared.tree.nodes() {
+        for (id, _) in tree.nodes() {
             if placement.assignment(id) != Assignment::Replicated {
                 continue;
             }
-            let versions: Vec<(usize, u64)> = self
-                .shared
-                .attr_stores
+            let versions: Vec<(usize, u64)> = live
                 .iter()
-                .enumerate()
-                .filter(|&(k, _)| alive(MdsId(k as u16)))
-                .map(|(k, store)| (k, store.read().get(id).version))
+                .map(|&(k, mds)| (k, mds.attr_version(id)))
                 .collect();
             if versions.windows(2).any(|w| w[0].1 != w[1].1) {
                 violations.push(format!(
@@ -724,55 +683,11 @@ impl LiveCluster {
                 ));
             }
         }
-        // Durable-store invariants (durability enabled only): each live
-        // MDS's journaled state must agree with the cluster's in-memory
-        // state — what a crash right now would recover is exactly what
-        // the MDS is serving.
-        for (k, slot) in self.shared.stores.iter().enumerate() {
-            if !alive(MdsId(k as u16)) {
-                continue;
-            }
-            let guard = slot.lock();
-            let Some(store) = guard.as_ref() else {
-                violations.push(format!("live mds{k} has no open store"));
-                continue;
-            };
-            let state = store.state();
-            let index_owned: std::collections::BTreeSet<u64> = index
-                .iter()
-                .filter(|(_, owner)| owner.index() == k)
-                .map(|(root, _)| root.index() as u64)
-                .collect();
-            if state.owned != index_owned {
-                violations.push(format!(
-                    "mds{k} journaled ownership {:?} disagrees with index {:?}",
-                    state.owned, index_owned
-                ));
-            }
-            let table = self.shared.attr_stores[k].read();
-            for (&node, a) in &state.attrs {
-                let live = table.get(NodeId::from_index(node as usize)).version;
-                if live != a.version {
-                    violations.push(format!(
-                        "mds{k} journaled attr version {} for node {node}, serving {live}",
-                        a.version
-                    ));
-                }
-            }
-            // ... and the other way round: a record the table holds and the
-            // journal does not is an update a crash right now would lose.
-            // (One the journal holds at another version is reported above.)
-            let mut unjournaled: Vec<(usize, u64)> = table
-                .records()
-                .filter(|(id, _)| !state.attrs.contains_key(&(id.index() as u64)))
-                .map(|(id, rec)| (id.index(), rec.version))
-                .collect();
-            unjournaled.sort_unstable();
-            for (node, version) in unjournaled {
-                violations.push(format!(
-                    "mds{k} serves attr version {version} for node {node}, journaled none"
-                ));
-            }
+        // Durable-store invariants: each live MDS's journaled state must
+        // agree with what it serves — what a crash right now would
+        // recover is exactly what the MDS is serving.
+        for (_, mds) in &live {
+            violations.extend(mds.store_violations());
         }
         violations
     }
@@ -780,7 +695,7 @@ impl LiveCluster {
     /// Snapshot of the current placement (e.g. to observe fail-over).
     #[must_use]
     pub fn placement_snapshot(&self) -> Placement {
-        self.shared.placement.read().clone()
+        self.daemons[0].view().0
     }
 
     /// The cluster's telemetry registry: per-MDS counters plus the
@@ -808,10 +723,7 @@ impl LiveCluster {
     /// verify replica convergence after global-layer updates.
     #[must_use]
     pub fn attr_version(&self, mds: MdsId, node: NodeId) -> u64 {
-        self.shared.attr_stores[mds.index()]
-            .read()
-            .get(node)
-            .version
+        self.daemons[mds.index()].attr_version(node)
     }
 
     /// Stops every thread and returns the run's report.
@@ -836,19 +748,12 @@ impl LiveCluster {
             .expect("monitor thread panicked");
         // A clean shutdown leaves every surviving store durable up to
         // its last append.
-        for slot in &self.shared.stores {
-            if let Some(store) = slot.lock().as_mut() {
-                store.sync().expect("WAL sync failed");
-            }
+        for mds in self.daemons.iter() {
+            mds.sync();
         }
         LiveReport {
-            served: self
-                .shared
-                .served
-                .iter()
-                .map(|s| s.load(Ordering::SeqCst))
-                .collect(),
-            redirects: self.shared.redirects.load(Ordering::SeqCst),
+            served: self.daemons.iter().map(|mds| mds.served()).collect(),
+            redirects: self.daemons.iter().map(|mds| mds.redirects()).sum(),
             migrations: self.shared.migrations.load(Ordering::SeqCst),
             events: monitor.events(),
             journal: self.shared.registry.journal().snapshot(),
@@ -856,8 +761,11 @@ impl LiveCluster {
     }
 }
 
+/// One server thread: heartbeats, and each request frame served and
+/// committed through one `ServeScope` before the reply leaves.
 fn server_main(
     shared: &Shared,
+    mds: &NetMds,
     me: usize,
     rx: &Receiver<ServerMsg>,
     hb_tx: &Sender<Heartbeat>,
@@ -865,14 +773,8 @@ fn server_main(
     retry: RetryPolicy,
 ) {
     let my_id = MdsId(me as u16);
-    // Cache counter handles once; the serve loop must not take the
+    // Cache the counter handle once; the loop must not take the
     // registry's map locks.
-    let served_total = shared
-        .registry
-        .counter(MetricKey::mds(names::SERVER_SERVED_TOTAL, me as u16));
-    let forwarded_total = shared
-        .registry
-        .counter(MetricKey::global(names::FORWARDED_TOTAL));
     let monitor_retries = shared
         .registry
         .counter(MetricKey::global(names::MONITOR_RETRIES_TOTAL));
@@ -882,10 +784,12 @@ fn server_main(
     let mut hb_rng = StdRng::seed_from_u64(0x6d6f_6e5f_7274_7279 ^ me as u64);
     let mut last_hb = Instant::now() - interval; // heartbeat immediately
     loop {
-        if !shared.killed[me].load(Ordering::SeqCst) && last_hb.elapsed() >= interval {
-            let load = shared.served[me].load(Ordering::SeqCst) as f64;
-            let hb = Heartbeat { mds: my_id, load };
-            match shared.fault(NetEdge::MdsToMonitor(me as u16)) {
+        if shared.alive(me) && last_hb.elapsed() >= interval {
+            let hb = Heartbeat {
+                mds: my_id,
+                load: mds.served() as f64,
+            };
+            match shared.fault(NetEdge::MdsToMonitor(my_id.0)) {
                 FaultDecision::Drop => {
                     // Heartbeat lost in transit. A silent loss costs a
                     // whole interval and edges the server toward a false
@@ -897,229 +801,47 @@ fn server_main(
                         monitor_retries.inc();
                         let pause = retry.backoff(attempt, &mut hb_rng).min(interval / 8);
                         std::thread::sleep(pause);
-                        if shared.killed[me].load(Ordering::SeqCst) {
+                        if !shared.alive(me) {
                             break;
                         }
-                        if shared.fault(NetEdge::MdsToMonitor(me as u16)) != FaultDecision::Drop {
+                        if shared.fault(NetEdge::MdsToMonitor(my_id.0)) != FaultDecision::Drop {
                             let _ = hb_tx.send(hb);
                             break;
                         }
                     }
                 }
-                FaultDecision::Delay(ms) => {
-                    let hb_tx = hb_tx.clone();
-                    std::thread::spawn(move || {
-                        std::thread::sleep(Duration::from_millis(ms));
-                        let _ = hb_tx.send(hb);
-                    });
-                }
-                FaultDecision::DeliverTwice => {
-                    let _ = hb_tx.send(hb);
-                    let _ = hb_tx.send(hb); // heartbeats are idempotent
-                }
-                FaultDecision::Deliver => {
-                    let _ = hb_tx.send(hb);
-                }
+                // Heartbeats are idempotent, so a duplicate is harmless.
+                decision => deliver(hb_tx, hb, decision),
             }
             last_hb = Instant::now();
         }
         match rx.recv_timeout(interval) {
             Ok(ServerMsg::Shutdown) => break,
             Ok(ServerMsg::FetchIndex(reply)) => {
-                if !shared.killed[me].load(Ordering::SeqCst) {
-                    let _ = reply.send(shared.index.read().clone());
+                if shared.alive(me) {
+                    let _ = reply.send(mds.view().1);
                 }
             }
             Ok(ServerMsg::Frame(mut frame, reply)) => {
-                if shared.killed[me].load(Ordering::SeqCst) {
+                if !shared.alive(me) {
                     continue; // crashed: silently drop
                 }
-                let Some(req) = Request::decode(&mut frame) else {
+                let Some(req) = Request::decode_frame(&frame) else {
                     continue;
                 };
-                let serve_span = ServeSpan::open(shared.tracer(), &req);
-                let duty = duty(&shared.tree, &shared.placement.read(), my_id, req.target);
-                let body = match duty {
-                    Duty::Replicated => {
-                        if req.kind == OpKind::Update {
-                            // The lock service sits across the network:
-                            // consult the fault plan before talking to it.
-                            // Partitioned from it, the server cannot
-                            // serialise the update — drop the request and
-                            // let the client's retry policy cope.
-                            let lock_fault = shared.fault(NetEdge::MdsToLock(me as u16));
-                            let lock_fault_kind = lock_fault.kind();
-                            match lock_fault {
-                                FaultDecision::Drop => {
-                                    // Partitioned from the lock service: the
-                                    // request dies here — attribute the loss
-                                    // to this hop before dropping it.
-                                    if let Some(sp) = serve_span {
-                                        sp.tracer.record(
-                                            sp.close(my_id, req.target).with_fault(FaultKind::Drop),
-                                        );
-                                    }
-                                    continue;
-                                }
-                                FaultDecision::Delay(ms) => {
-                                    std::thread::sleep(Duration::from_millis(ms));
-                                }
-                                _ => {}
-                            }
-                            // Global-layer mutation: serialise through the
-                            // lock service (spin until granted), commit on
-                            // this replica, propagate to the others while
-                            // the lock is held.
-                            let lock_t0 = shared.tracer().map(Tracer::now_us);
-                            // Spin until granted *and still live at apply
-                            // time*: a lease that expired while the write
-                            // was in flight (e.g. behind an injected
-                            // delay) must not authorise the mutation —
-                            // re-acquire under a fresh fence instead of
-                            // applying stale.
-                            let mut spins = 0u64;
-                            let token = loop {
-                                let (t, s) =
-                                    shared.locks.acquire_spin(req.target, || shared.now_ms());
-                                spins += s;
-                                if shared.locks.validate(t, shared.now_ms()) {
-                                    break t;
-                                }
-                                spins += 1;
-                            };
-                            let now = shared.now_ms();
-                            let committed = shared.attr_stores[me]
-                                .write()
-                                .update(req.target, |a| a.mtime = now);
-                            shared.journal_attr(me, req.target, true, committed);
-                            for (k, store) in shared.attr_stores.iter().enumerate() {
-                                // A killed replica is a crashed process: it
-                                // misses propagation and must re-sync through
-                                // the lock service on restart.
-                                if k != me && !shared.killed[k].load(Ordering::SeqCst) {
-                                    // Each replica that actually advanced
-                                    // journals the propagated commit; a
-                                    // stale duplicate is not re-journaled.
-                                    if store.write().apply_if_newer(req.target, committed) {
-                                        shared.journal_attr(k, req.target, true, committed);
-                                    }
-                                }
-                            }
-                            let released = shared.locks.release(token);
-                            debug_assert!(released, "fresh token releases cleanly");
-                            // Wait + hold of the global-layer lock, nested
-                            // under this server's serve span.
-                            if let Some(serve) = serve_span {
-                                let tr = serve.tracer;
-                                let start = lock_t0.unwrap_or(0);
-                                let parent = SpanCtx {
-                                    span: serve.id,
-                                    ..serve.ctx
-                                };
-                                let mut sp = Span::child(
-                                    parent,
-                                    tr.next_span(parent.trace),
-                                    span_names::LOCK,
-                                    start,
-                                    tr.now_us().saturating_sub(start),
-                                )
-                                .on_mds(me as u16)
-                                .with_arg(ArgKey::Node, req.target.index() as u64)
-                                .with_arg(ArgKey::Spins, spins);
-                                if let Some(k) = lock_fault_kind {
-                                    sp = sp.with_fault(k);
-                                }
-                                tr.record(sp);
-                            }
-                        }
-                        ResponseBody::Served { node: req.target }
-                    }
-                    Duty::Mine => {
-                        if req.kind == OpKind::Update {
-                            // Local-layer mutation: single copy, no lock.
-                            let now = shared.now_ms();
-                            let committed = shared.attr_stores[me]
-                                .write()
-                                .update(req.target, |a| a.mtime = now);
-                            shared.journal_attr(me, req.target, false, committed);
-                        }
-                        ResponseBody::Served { node: req.target }
-                    }
-                    Duty::Other(owner) => {
-                        shared.redirects.fetch_add(1, Ordering::Relaxed);
-                        forwarded_total.inc();
-                        shared.registry.journal().record(EventKind::Forwarded {
-                            from: me as u16,
-                            to: owner.0,
-                        });
-                        ResponseBody::Redirect { owner }
-                    }
-                    Duty::Unknown => ResponseBody::NotFound,
+                let reply_fault = shared.fault(NetEdge::MdsToClient(my_id.0));
+                let mut scope = mds.begin_batch();
+                let resp = scope.serve_or_drop(req, reply_fault.kind());
+                // The reply acknowledges durable state: commit, then send.
+                scope.commit();
+                let Some(resp) = resp else {
+                    continue; // dropped on the way to the lock service
                 };
-                if matches!(body, ResponseBody::Served { .. }) {
-                    shared.served[me].fetch_add(1, Ordering::Relaxed);
-                    served_total.inc();
-                    if duty == Duty::Mine {
-                        if let Some((root, _)) =
-                            shared.index.read().locate(&shared.tree, req.target)
-                        {
-                            let bits = {
-                                let mut counts = shared.subtree_counts.write();
-                                let v = counts.entry(root).or_insert(0.0);
-                                *v += 1.0;
-                                v.to_bits()
-                            };
-                            // Journal the counter's new absolute value so
-                            // recovery restores popularity exactly.
-                            shared.journal_record(
-                                me,
-                                MdsRecord::Popularity {
-                                    root: root.index() as u64,
-                                    bits,
-                                },
-                            );
-                        }
-                    }
-                }
-                let resp = Response {
-                    id: req.id,
-                    from: my_id,
-                    body,
-                    hops: req.hops,
-                };
-                let frame = resp.encode();
-                let reply_fault = shared.fault(NetEdge::MdsToClient(me as u16));
-                if let Some(serve) = serve_span {
-                    let mut sp = serve.close(my_id, req.target).with_arg(
-                        ArgKey::Body,
-                        match body {
-                            ResponseBody::Served { .. } => 0,
-                            ResponseBody::Redirect { .. } => 1,
-                            ResponseBody::NotFound => 2,
-                        },
-                    );
-                    sp.fault = reply_fault.kind();
-                    serve.tracer.record(sp);
-                }
-                match reply_fault {
-                    FaultDecision::Drop => {} // reply lost; client times out
-                    FaultDecision::Delay(ms) => {
-                        // Deliver late without stalling the serve loop.
-                        std::thread::spawn(move || {
-                            std::thread::sleep(Duration::from_millis(ms));
-                            let _ = reply.try_send(frame);
-                        });
-                    }
-                    FaultDecision::DeliverTwice => {
-                        let _ = reply.send(frame.clone());
-                        // The client consumes one copy and drops the
-                        // channel; never block on the duplicate.
-                        let _ = reply.try_send(frame);
-                    }
-                    FaultDecision::Deliver => {
-                        let _ = reply.send(frame);
-                    }
-                }
+                frame.clear();
+                resp.encode_into(&mut frame);
+                // A lost reply leaves the client to time out; the client
+                // consumes one copy of a duplicate and drops the channel.
+                deliver(&reply, frame, reply_fault);
             }
             Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => break,
@@ -1127,13 +849,41 @@ fn server_main(
     }
 }
 
+/// Sends `msg` as the fault plan decided — never, late (from a thread
+/// of its own, not stalling the sender), twice or once — never blocking.
+fn deliver<T: Clone + Send + 'static>(tx: &Sender<T>, msg: T, decision: FaultDecision) {
+    match decision {
+        FaultDecision::Drop => {}
+        FaultDecision::Delay(ms) => {
+            let tx = tx.clone();
+            std::thread::spawn(move || {
+                std::thread::sleep(Duration::from_millis(ms));
+                let _ = tx.try_send(msg);
+            });
+        }
+        FaultDecision::DeliverTwice => {
+            let _ = tx.try_send(msg.clone());
+            let _ = tx.try_send(msg);
+        }
+        FaultDecision::Deliver => {
+            let _ = tx.try_send(msg);
+        }
+    }
+}
+
 fn monitor_main(
     shared: &Shared,
-    m: usize,
-    config: MonitorConfig,
+    daemons: &[Arc<NetMds>],
+    live_config: &LiveConfig,
     hb_rx: &Receiver<Heartbeat>,
     stop: &AtomicBool,
 ) -> Monitor {
+    let m = daemons.len();
+    let config = MonitorConfig {
+        heartbeat_interval_ms: live_config.heartbeat_interval.as_millis() as u64,
+        failure_timeout_ms: live_config.failure_timeout.as_millis() as u64,
+        ..MonitorConfig::default()
+    };
     // Share the registry's journal so membership transitions land in the
     // same ordered stream as sheds/claims/forwards.
     let mut mon = Monitor::with_journal(config, m, Arc::clone(shared.registry.journal()));
@@ -1171,10 +921,10 @@ fn monitor_main(
                     commit(shared, &mut mon, cmd);
                 }
                 if rejoining {
-                    let owned = ownership_table(shared, None);
+                    let owned = ownership_table(shared, daemons, None);
                     let plan = mon.plan_rejoin(back, &owned, &shared.locks.control());
                     for &mg in &plan {
-                        apply_migration(shared, mg);
+                        apply_migration(shared, daemons, mg);
                     }
                     let claimed = plan.iter().filter(|mg| mg.to == back).count();
                     // The heartbeat that flipped an MDS back to alive is a
@@ -1204,13 +954,13 @@ fn monitor_main(
             Err(RecvTimeoutError::Disconnected) => break,
         }
         let now = shared.now_ms();
-        live_rebalance(shared, m);
+        live_rebalance(shared, daemons, live_config.rebalance_factor);
         // Fixed-interval health sampling: one tick per heartbeat
         // interval, no matter how bursty the heartbeat traffic is.
         if let Some(rec) = &shared.recorder {
             if now >= next_sample_ms {
                 next_sample_ms = now + tick_ms;
-                let (_, loads) = per_server_load(shared, m);
+                let (_, loads) = per_server_load(daemons);
                 let total: f64 = loads.iter().sum();
                 #[allow(clippy::cast_precision_loss)]
                 let spec = ClusterSpec::homogeneous(m, (total / m as f64).max(f64::MIN_POSITIVE));
@@ -1222,12 +972,8 @@ fn monitor_main(
                         // marks it unknown (exported as null).
                         locality: f64::NAN,
                         balance: d2tree_metrics::balance(&loads, &spec),
-                        ops_total: shared
-                            .served
-                            .iter()
-                            .map(|s| s.load(Ordering::Relaxed))
-                            .sum(),
-                        retries_total: shared.redirects.load(Ordering::Relaxed),
+                        ops_total: daemons.iter().map(|mds| mds.served()).sum(),
+                        retries_total: daemons.iter().map(|mds| mds.redirects()).sum(),
                         migrations_total: shared.migrations.load(Ordering::Relaxed),
                         loads,
                     },
@@ -1254,7 +1000,7 @@ fn monitor_main(
             // survivors. The claimers journal their acquisitions durably;
             // the dead owner's store is down and sheds these subtrees
             // when it recovers and reconciles.
-            let owned = ownership_table(shared, Some(dead));
+            let owned = ownership_table(shared, daemons, Some(dead));
             let plan = mon.plan_failover(
                 dead,
                 &owned,
@@ -1262,7 +1008,7 @@ fn monitor_main(
                 &shared.locks.control(),
             );
             for &mg in &plan {
-                apply_migration(shared, mg);
+                apply_migration(shared, daemons, mg);
             }
             monitor_span(
                 shared,
@@ -1308,17 +1054,28 @@ fn commit(shared: &Shared, mon: &mut Monitor, cmd: Command) {
     mon.on_applied(&applied);
 }
 
+/// The served-op count of every counted subtree root, summed over the
+/// daemons that counted it.
+fn popularity(daemons: &[Arc<NetMds>]) -> HashMap<NodeId, f64> {
+    let mut sum = HashMap::new();
+    for (root, count) in daemons.iter().flat_map(|mds| mds.popularity()) {
+        *sum.entry(root).or_insert(0.0) += count;
+    }
+    sum
+}
+
 /// The subtree-ownership table the Monitor plans over: every published
 /// index root with its owner, weighted by its access counter. With
 /// `orphaned_by`, the maximal subtrees that server owns in the placement
 /// under no published root are listed too — a cluster started without a
 /// seeded index publishes nothing — so fail-over re-homes, and
 /// publishes, them as whole subtrees as well.
-fn ownership_table(shared: &Shared, orphaned_by: Option<MdsId>) -> Vec<(Subtree, MdsId)> {
-    // Snapshot popularity before touching the index lock: servers take
-    // index.read → subtree_counts.write, so taking subtree_counts under
-    // an index guard would invert the order.
-    let counts: HashMap<NodeId, f64> = shared.subtree_counts.read().clone();
+fn ownership_table(
+    shared: &Shared,
+    daemons: &[Arc<NetMds>],
+    orphaned_by: Option<MdsId>,
+) -> Vec<(Subtree, MdsId)> {
+    let counts = popularity(daemons);
     let tree = &shared.tree;
     let describe = |root: NodeId, owner: MdsId| {
         let parent = tree.node(root).and_then(|n| n.parent()).unwrap_or(root);
@@ -1332,10 +1089,9 @@ fn ownership_table(shared: &Shared, orphaned_by: Option<MdsId>) -> Vec<(Subtree,
         };
         (subtree, owner)
     };
-    let index = shared.index.read();
+    let (placement, index) = daemons[0].view();
     let mut owned: Vec<(Subtree, MdsId)> = index.iter().map(|(r, o)| describe(r, o)).collect();
     if let Some(dead) = orphaned_by {
-        let placement = shared.placement.read();
         let on_dead = |id: NodeId| placement.assignment(id).owner() == Some(dead);
         for (id, node) in tree.nodes() {
             if on_dead(id)
@@ -1351,12 +1107,12 @@ fn ownership_table(shared: &Shared, orphaned_by: Option<MdsId>) -> Vec<(Subtree,
 
 /// Executes one committed subtree re-homing — fail-over, rejoin and
 /// live rebalancing all end here: the `Migrate` lands in the control
-/// state, placement and the published index are rewritten so
-/// (re-)fetched client caches route to the new owner, both stores
-/// journal the ownership change (a crashed store is out of its slot and
-/// reconciles on recovery), and the move is counted and journaled as a
-/// shed/claim pair.
-fn apply_migration(shared: &Shared, mg: Migration) {
+/// state, every daemon's view points the subtree at its new owner (so
+/// (re-)fetched client caches route there), both ends journal the
+/// ownership change (a crashed store is out of its slot and reconciles
+/// on recovery), and the move is counted and journaled as a shed/claim
+/// pair.
+fn apply_migration(shared: &Shared, daemons: &[Arc<NetMds>], mg: Migration) {
     let journal = shared.registry.journal();
     let subtree = mg.node.index() as u64;
     let _ = shared.locks.control().apply_command(
@@ -1367,25 +1123,16 @@ fn apply_migration(shared: &Shared, mg: Migration) {
         },
         Some(journal),
     );
-    shared
-        .placement
-        .write()
-        .assign_subtree(&shared.tree, mg.node, mg.to);
-    shared.index.write().insert(mg.node, mg.to);
-    shared.journal_ownership(mg.from.index(), mg.node, false);
-    shared.journal_ownership(mg.to.index(), mg.node, true);
+    for mds in daemons {
+        mds.apply_migration(mg);
+    }
     shared.migrations.fetch_add(1, Ordering::Relaxed);
     shared
         .registry
         .counter(MetricKey::global(names::MIGRATIONS_TOTAL))
         .inc();
     let size = shared.tree.subtree_size(mg.node) as u64;
-    let popularity = shared
-        .subtree_counts
-        .read()
-        .get(&mg.node)
-        .copied()
-        .unwrap_or(0.0);
+    let popularity = popularity(daemons).get(&mg.node).copied().unwrap_or(0.0);
     journal.record(EventKind::SubtreeShed {
         from: mg.from.0,
         subtree,
@@ -1403,38 +1150,36 @@ fn apply_migration(shared: &Shared, mg: Migration) {
 /// The subtree access counters and the recent local-layer load per
 /// server they add up to by current owner (the quantity live
 /// rebalancing triggers on).
-fn per_server_load(shared: &Shared, m: usize) -> (Vec<(NodeId, f64)>, Vec<f64>) {
-    let counts_snapshot: Vec<(NodeId, f64)> = {
-        let counts = shared.subtree_counts.read();
-        counts.iter().map(|(&k, &v)| (k, v)).collect()
-    };
-    let placement = shared.placement.read();
-    let mut per_server = vec![0.0f64; m];
-    for &(root, c) in &counts_snapshot {
+fn per_server_load(daemons: &[Arc<NetMds>]) -> (Vec<(NodeId, f64)>, Vec<f64>) {
+    let counts: Vec<(NodeId, f64)> = popularity(daemons).into_iter().collect();
+    let (placement, _) = daemons[0].view();
+    let mut per_server = vec![0.0f64; daemons.len()];
+    for &(root, c) in &counts {
         if let Some(owner) = placement.assignment(root).owner() {
             per_server[owner.index()] += c;
         }
     }
-    (counts_snapshot, per_server)
+    (counts, per_server)
 }
 
 /// One live rebalancing inspection (Sec. IV-B's dynamic adjustment,
 /// driven by the access counters the servers accumulate): when the
 /// busiest alive server's recent local-layer load exceeds the lightest's
-/// by the configured factor, its hottest subtree migrates to the
-/// lightest.
-fn live_rebalance(shared: &Shared, m: usize) {
-    if !shared.rebalance_factor.is_finite() {
+/// by `factor`, its hottest subtree migrates to the lightest.
+fn live_rebalance(shared: &Shared, daemons: &[Arc<NetMds>], factor: f64) {
+    if !factor.is_finite() {
         return;
     }
     let t0 = shared.tracer().map(Tracer::now_us);
-    let (counts_snapshot, per_server) = per_server_load(shared, m);
-    if counts_snapshot.is_empty() {
+    let (counts, per_server) = per_server_load(daemons);
+    if counts.is_empty() {
         return;
     }
     let alive: Vec<usize> = {
         let control = shared.locks.control();
-        (0..m).filter(|&k| control.is_alive(k as u16)).collect()
+        (0..daemons.len())
+            .filter(|&k| control.is_alive(k as u16))
+            .collect()
     };
     if alive.len() < 2 {
         return;
@@ -1447,24 +1192,23 @@ fn live_rebalance(shared: &Shared, m: usize) {
         .iter()
         .min_by(|&&a, &&b| per_server[a].total_cmp(&per_server[b]))
         .expect("non-empty");
-    if per_server[busy] < shared.rebalance_factor * per_server[light].max(1.0) {
+    if per_server[busy] < factor * per_server[light].max(1.0) {
         return;
     }
     // Shed the busy server's hottest subtree to the light one.
-    let placement = shared.placement.read();
-    let hottest = counts_snapshot
+    let (placement, _) = daemons[0].view();
+    let hottest = counts
         .iter()
         .filter(|(root, _)| placement.assignment(*root).owner() == Some(MdsId(busy as u16)))
         .max_by(|a, b| a.1.total_cmp(&b.1))
         .map(|&(root, _)| root);
-    drop(placement);
     let Some(root) = hottest else { return };
     let mg = Migration {
         node: root,
         from: MdsId(busy as u16),
         to: MdsId(light as u16),
     };
-    apply_migration(shared, mg);
+    apply_migration(shared, daemons, mg);
     monitor_span(
         shared,
         span_names::REBALANCE,
@@ -1476,9 +1220,8 @@ fn live_rebalance(shared: &Shared, m: usize) {
         ],
     );
     // Decay the counters so the next decision reflects fresh traffic.
-    let mut counts = shared.subtree_counts.write();
-    for v in counts.values_mut() {
-        *v *= 0.5;
+    for mds in daemons {
+        mds.decay_popularity();
     }
 }
 
@@ -1609,7 +1352,8 @@ impl LiveClient {
                     });
                 }
             }
-            let frame = machine.attempt(dest.0, route_code).encode();
+            let mut frame = Vec::with_capacity(REQUEST_FRAME_BYTES);
+            machine.attempt(dest.0, route_code).encode_into(&mut frame);
             let send_fault = self.shared.fault(NetEdge::ClientToMds(dest.0));
             let outcome = self.exchange(dest, frame, send_fault);
             if matches!(outcome, Outcome::TimedOut | Outcome::Lost) {
@@ -1661,7 +1405,7 @@ impl LiveClient {
     /// One attempt over the channel transport: sends `frame` to `dest`
     /// through the fault plan's decision for it and waits for the
     /// answer.
-    fn exchange(&self, dest: MdsId, frame: Bytes, send_fault: FaultDecision) -> Outcome {
+    fn exchange(&self, dest: MdsId, frame: Vec<u8>, send_fault: FaultDecision) -> Outcome {
         let server = &self.server_txs[dest.index()];
         let (tx, rx) = bounded(1);
         let sent = match send_fault {
@@ -1673,7 +1417,7 @@ impl LiveClient {
             FaultDecision::DeliverTwice => {
                 // The duplicate's reply channel is already closed, so
                 // the server's answer to it is discarded harmlessly.
-                let (dup_tx, _) = bounded::<Bytes>(1);
+                let (dup_tx, _) = bounded::<Vec<u8>>(1);
                 let sent = server.send(ServerMsg::Frame(frame.clone(), tx)).is_ok();
                 let _ = server.send(ServerMsg::Frame(frame, dup_tx));
                 sent
@@ -1685,7 +1429,7 @@ impl LiveClient {
             return Outcome::Lost;
         }
         match rx.recv_timeout(self.timeout) {
-            Ok(mut frame) => Response::decode(&mut frame).map_or(Outcome::Lost, Outcome::from),
+            Ok(frame) => Response::decode_frame(&frame).map_or(Outcome::Lost, Outcome::from),
             // Dead or overloaded server.
             Err(_) => Outcome::TimedOut,
         }
@@ -1695,11 +1439,18 @@ impl LiveClient {
 #[cfg(test)]
 mod tests {
     use super::*;
+    use crate::message::ResponseBody;
     use d2tree_core::{D2TreeConfig, D2TreeScheme, Partitioner};
-    use d2tree_metrics::ClusterSpec;
-    use d2tree_workload::{TraceProfile, WorkloadBuilder};
+    use d2tree_workload::{OpKind, TraceProfile, WorkloadBuilder};
 
     fn build_cluster(m: usize) -> (Arc<NamespaceTree>, LiveCluster, d2tree_workload::Trace) {
+        build_cluster_with(m, LiveConfig::default())
+    }
+
+    fn build_cluster_with(
+        m: usize,
+        config: LiveConfig,
+    ) -> (Arc<NamespaceTree>, LiveCluster, d2tree_workload::Trace) {
         let w = WorkloadBuilder::new(TraceProfile::dtr().with_nodes(600).with_operations(600))
             .seed(10)
             .build();
@@ -1709,13 +1460,35 @@ mod tests {
         let placement = scheme.placement().clone();
         let index = scheme.local_index().clone();
         let tree = Arc::new(w.tree);
-        let cluster = LiveCluster::start_with_index(
-            Arc::clone(&tree),
-            placement,
-            index,
-            LiveConfig::default(),
-        );
+        let cluster = LiveCluster::start_with_index(Arc::clone(&tree), placement, index, config);
         (tree, cluster, w.trace)
+    }
+
+    /// A fresh store root under the system temp directory.
+    fn temp_store_root(tag: &str) -> PathBuf {
+        let root = std::env::temp_dir().join(format!(
+            "d2tree-live-{tag}-{}-{}",
+            std::process::id(),
+            std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .expect("clock")
+                .as_nanos()
+        ));
+        let _ = std::fs::remove_dir_all(&root);
+        root
+    }
+
+    /// Polls the invariant checker until it reports clean or `within`
+    /// passes, returning the last report.
+    fn settle(cluster: &LiveCluster, within: Duration) -> Vec<String> {
+        let deadline = Instant::now() + within;
+        loop {
+            let violations = cluster.check_invariants();
+            if violations.is_empty() || Instant::now() >= deadline {
+                return violations;
+            }
+            std::thread::sleep(Duration::from_millis(20));
+        }
     }
 
     /// The store invariant runs both ways: a record the table holds and
@@ -1728,15 +1501,7 @@ mod tests {
         let pop = w.popularity();
         let mut scheme = D2TreeScheme::new(D2TreeConfig::paper_default());
         scheme.build(&w.tree, &pop, &ClusterSpec::homogeneous(2, 1.0));
-        let store_root = std::env::temp_dir().join(format!(
-            "d2tree-live-two-way-{}-{}",
-            std::process::id(),
-            std::time::SystemTime::now()
-                .duration_since(std::time::UNIX_EPOCH)
-                .expect("clock")
-                .as_nanos()
-        ));
-        let _ = std::fs::remove_dir_all(&store_root);
+        let store_root = temp_store_root("two-way");
         let config = LiveConfig {
             store_root: Some(store_root.clone()),
             ..LiveConfig::default()
@@ -1752,9 +1517,9 @@ mod tests {
             client.execute(*op).expect("op served");
         }
         drop(client);
-        let tables = &cluster.shared.attr_stores;
+        let daemons = &cluster.daemons;
         assert!(
-            tables.iter().all(|t| t.read().record_count() > 0),
+            daemons.iter().all(|mds| mds.attr_records() > 0),
             "RA updates reached both servers"
         );
         assert_eq!(cluster.check_invariants(), Vec::<String>::new());
@@ -1762,14 +1527,14 @@ mod tests {
         // Two local-layer updates that skip the journal, the higher
         // node first.
         let placement = cluster.placement_snapshot();
-        let untouched: Vec<NodeId> = (0..tables[1].read().len())
+        let untouched: Vec<NodeId> = (0..cluster.shared.tree.arena_size())
             .map(NodeId::from_index)
             .filter(|&id| placement.assignment(id).owner().is_some())
-            .filter(|&id| tables[1].read().get(id).version == 0)
+            .filter(|&id| daemons[1].attr_version(id) == 0)
             .take(2)
             .collect();
         for &id in untouched.iter().rev() {
-            tables[1].write().update(id, |a| a.size = 1);
+            daemons[1].update_unjournaled(id);
         }
         let expected: Vec<String> = untouched
             .iter()
@@ -2058,38 +1823,183 @@ mod tests {
         assert!(report.migrations > 0);
     }
 
+    /// Without a store and with one: with durable GL writes each server
+    /// propagates into its siblings' stores while their own batches may
+    /// hold them, so a lock-order inversion between two servers updating
+    /// two GL nodes would hang the clients — the joins are bounded to
+    /// catch it.
     #[test]
     fn concurrent_gl_updates_converge_on_all_replicas() {
-        let (tree, cluster, _trace) = build_cluster(3);
-        let cluster = Arc::new(cluster);
-        let root = tree.root();
-        let mut handles = Vec::new();
-        for c in 0..4u64 {
-            let mut client = cluster.client(100 + c);
-            handles.push(std::thread::spawn(move || {
-                for _ in 0..25 {
-                    client
-                        .execute(Operation {
-                            target: root,
-                            kind: OpKind::Update,
-                        })
-                        .expect("update served");
-                }
-            }));
+        for store_root in [None, Some(temp_store_root("gl-converge"))] {
+            let config = LiveConfig {
+                store_root: store_root.clone(),
+                ..LiveConfig::default()
+            };
+            let (tree, cluster, _trace) = build_cluster_with(3, config);
+            let cluster = Arc::new(cluster);
+            let root = tree.root();
+            let placement = cluster.placement_snapshot();
+            let other = tree
+                .nodes()
+                .map(|(id, _)| id)
+                .find(|&id| id != root && placement.assignment(id) == Assignment::Replicated)
+                .expect("a second global-layer node");
+            let mut handles = Vec::new();
+            for c in 0..4u64 {
+                let mut client = cluster.client(100 + c);
+                handles.push(std::thread::spawn(move || {
+                    for target in [root, other].repeat(25) {
+                        client
+                            .execute(Operation {
+                                target,
+                                kind: OpKind::Update,
+                            })
+                            .expect("update served");
+                    }
+                }));
+            }
+            let deadline = Instant::now() + Duration::from_secs(30);
+            while !handles.iter().all(JoinHandle::is_finished) {
+                assert!(
+                    Instant::now() < deadline,
+                    "GL updates hung (store: {})",
+                    store_root.is_some()
+                );
+                std::thread::sleep(Duration::from_millis(10));
+            }
+            for h in handles {
+                h.join().unwrap();
+            }
+            // Every replica saw every one of the 100 lock-serialised
+            // commits of each node.
+            for node in [root, other] {
+                let versions: Vec<u64> = (0..3)
+                    .map(|k| cluster.attr_version(MdsId(k), node))
+                    .collect();
+                assert_eq!(
+                    versions,
+                    vec![100, 100, 100],
+                    "replicas diverged: {versions:?}"
+                );
+            }
+            assert_eq!(cluster.check_invariants(), Vec::<String>::new());
+            let _ = Arc::try_unwrap(cluster).unwrap().shutdown();
+            if let Some(root) = store_root {
+                let _ = std::fs::remove_dir_all(root);
+            }
         }
-        for h in handles {
-            h.join().unwrap();
+    }
+
+    /// Live rebalancing halves every counter after a migration; with a
+    /// store each daemon journals the halved values, so a daemon that
+    /// restarts resumes the counts it kept, not the undecayed ones.
+    #[test]
+    fn decayed_counts_are_journaled_and_survive_a_restart() {
+        let store_root = temp_store_root("decay");
+        let config = LiveConfig {
+            store_root: Some(store_root.clone()),
+            rebalance_factor: 1.5,
+            ..LiveConfig::default()
+        };
+        let (tree, cluster, _trace) = build_cluster_with(3, config);
+        std::thread::sleep(Duration::from_millis(80)); // servers known
+        let (placement, index) = cluster.daemons[0].view();
+        let (root, original_owner) = index
+            .iter()
+            .find(|&(root, _)| tree.subtree_size(root) > 1)
+            .expect("a multi-node indexed subtree");
+        let deep = tree
+            .descendants(root)
+            .find(|&id| id != root)
+            .expect("a node below the root");
+        assert_eq!(placement.assignment(deep).owner(), Some(original_owner));
+        let mut client = cluster.client(60);
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while cluster.placement_snapshot().assignment(root).owner() == Some(original_owner) {
+            for _ in 0..100 {
+                let _ = client.execute(Operation {
+                    target: deep,
+                    kind: OpKind::Read,
+                });
+            }
+            assert!(Instant::now() < deadline, "the hot subtree never moved");
         }
-        // Every replica saw every one of the 100 lock-serialised commits.
-        let versions: Vec<u64> = (0..3)
-            .map(|k| cluster.attr_version(MdsId(k), root))
-            .collect();
-        assert_eq!(
-            versions,
-            vec![100, 100, 100],
-            "replicas diverged: {versions:?}"
+        assert!(cluster.shared.migrations.load(Ordering::SeqCst) > 0);
+        let violations = settle(&cluster, Duration::from_secs(5));
+        assert!(violations.is_empty(), "after the migration: {violations:?}");
+
+        assert!(cluster.kill(original_owner));
+        std::thread::sleep(Duration::from_millis(300)); // declared, failed over
+        assert!(cluster.restart(original_owner));
+        let violations = settle(&cluster, Duration::from_secs(5));
+        assert!(violations.is_empty(), "after the restart: {violations:?}");
+        drop(client);
+        let _ = cluster.shutdown();
+        let _ = std::fs::remove_dir_all(&store_root);
+    }
+
+    /// The two fault tags a live server writes on spans: the lock edge's
+    /// on `gl_lock`, the reply edge's on `serve`.
+    #[test]
+    fn live_spans_carry_lock_and_reply_fault_tags() {
+        use crate::fault::{FaultAction, FaultRule, FaultScope};
+        use d2tree_telemetry::trace::Sampler;
+        let w = WorkloadBuilder::new(TraceProfile::dtr().with_nodes(400).with_operations(100))
+            .seed(19)
+            .build();
+        let pop = w.popularity();
+        let mut scheme = D2TreeScheme::new(D2TreeConfig::paper_default());
+        scheme.build(&w.tree, &pop, &ClusterSpec::homogeneous(2, 1.0));
+        let tree = Arc::new(w.tree);
+        let tracer = Arc::new(Tracer::new(Sampler::always(0)));
+        let mut plan = FaultPlan::new(23);
+        for k in 0..2 {
+            let delay = FaultAction::Delay {
+                fixed_ms: 1,
+                jitter_ms: 0,
+            };
+            plan = plan
+                .with_rule(FaultRule::new(FaultScope::LockLink(k), delay))
+                .with_rule(
+                    FaultRule::new(FaultScope::ClientLink(k), FaultAction::Drop)
+                        .with_probability(0.3),
+                );
+        }
+        let cluster = LiveCluster::start_with_faults(
+            Arc::clone(&tree),
+            scheme.placement().clone(),
+            scheme.local_index().clone(),
+            LiveConfig::default().with_tracer(Arc::clone(&tracer)),
+            plan,
         );
-        let _ = Arc::try_unwrap(cluster).unwrap().shutdown();
+        let mut client = cluster.client(4);
+        for i in 0..40 {
+            let kind = if i % 2 == 0 {
+                OpKind::Update
+            } else {
+                OpKind::Read
+            };
+            let _ = client.execute(Operation {
+                target: tree.root(),
+                kind,
+            });
+        }
+        drop(client);
+        let _ = cluster.shutdown();
+        let spans = tracer.drain();
+        assert!(
+            spans
+                .iter()
+                .any(|s| s.name == span_names::LOCK && s.fault == Some(FaultKind::Delay)),
+            "no gl_lock span tagged with the lock edge's delay"
+        );
+        let answered = |s: &Span| s.args.as_slice().iter().any(|&(k, _)| k == ArgKey::Body);
+        assert!(
+            spans.iter().any(|s| s.name == span_names::SERVE
+                && s.fault == Some(FaultKind::Drop)
+                && answered(s)),
+            "no answered serve span tagged with the reply edge's drop"
+        );
     }
 
     #[test]

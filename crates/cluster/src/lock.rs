@@ -98,16 +98,19 @@ impl LockService {
     }
 
     /// Spins (yielding between tries) until the lock on `node` is
-    /// granted, re-reading the clock through `now_ms` on every try so
-    /// lease expiry is honoured mid-wait. Returns the token plus the
-    /// number of failed tries — the live server's traced path turns the
-    /// wait into a `gl_lock` span annotated with the spin count.
+    /// granted *and still live when handed out*, re-reading the clock
+    /// through `now_ms` on every try so lease expiry is honoured
+    /// mid-wait. Returns the token plus the number of failed tries —
+    /// the live server's traced path turns the wait into a `gl_lock`
+    /// span annotated with the spin count.
     #[must_use]
     pub fn acquire_spin(&self, node: NodeId, mut now_ms: impl FnMut() -> u64) -> (LockToken, u64) {
         let mut spins = 0u64;
         loop {
             if let Some(token) = self.try_acquire(node, now_ms()) {
-                return (token, spins);
+                if self.validate(token, now_ms()) {
+                    return (token, spins);
+                }
             }
             spins += 1;
             std::thread::yield_now();

@@ -1,9 +1,10 @@
-//! What one MDS does the same way behind either transport — the
-//! channel runtime of [`crate::live`] and the TCP daemon of
-//! [`crate::net`]: decide whose request this is, open its `serve` span,
-//! and bring its durable store back up.
+//! Building blocks of the one serving core, [`crate::net::NetMds`],
+//! which runs behind a TCP socket and behind a
+//! [`LiveCluster`](crate::live::LiveCluster)'s channels alike: decide
+//! whose request this is, open its `serve` span, and bring its durable
+//! store back up.
 
-use std::collections::BTreeSet;
+use std::collections::{BTreeSet, HashMap};
 use std::path::Path;
 use std::sync::Arc;
 
@@ -118,7 +119,7 @@ pub(crate) struct Recovered {
     /// Attributes at their journaled versions, defaults elsewhere.
     pub(crate) attrs: AttrTable,
     /// Journaled served-op counts (`f64` bits) per subtree root.
-    pub(crate) popularity: Vec<(NodeId, u64)>,
+    pub(crate) popularity: HashMap<NodeId, u64>,
 }
 
 /// Opens MDS `me`'s store at `<root>/mds-<me>` — snapshot plus WAL

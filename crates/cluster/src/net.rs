@@ -13,13 +13,14 @@
 //!   cursor, and the buffer compacts once per received chunk.
 //! * [`NetMds`] — one MDS worth of serving state (placement, local
 //!   index, attribute table, optional WAL-backed durable store, metrics,
-//!   tracing). Requests are served through a per-batch [`ServeScope`]
+//!   tracing), and the one serving core: every request a `d2tree serve`
+//!   daemon or a [`LiveCluster`](crate::live::LiveCluster) server
+//!   answers goes through a per-batch [`ServeScope`]
 //!   ([`NetMds::begin_batch`] → [`ServeScope::serve`]… →
 //!   [`ServeScope::commit`]); [`NetMds::serve`], [`NetMds::serve_batch`]
-//!   and [`NetMds::serve_deferred`] are thin entries over it. The
-//!   serving decision is the one [`crate::live`]'s in-process server
-//!   makes: replicated global-layer nodes serve anywhere, single-owner
-//!   nodes either serve locally or redirect, unknown targets report
+//!   and [`NetMds::serve_deferred`] are thin entries over it.
+//!   Replicated global-layer nodes serve anywhere, single-owner nodes
+//!   either serve locally or redirect, unknown targets report
 //!   not-found.
 //! * [`NetServer`] — a blocking thread-per-connection TCP server:
 //!   accept loop on its own thread, one handler thread per client
@@ -50,11 +51,12 @@
 //! `attempt` children, server `serve` span — links across the socket
 //! exactly as it does over the in-process transport.
 //!
-//! One caveat versus the in-process cluster: each `d2tree serve`
-//! process is a *single* replica with no cross-process lock service, so
-//! replicated (global-layer) updates commit locally without the
-//! Zookeeper-style serialisation of Sec. IV-A3. See DESIGN.md §14.
+//! One caveat versus the in-process cluster: only there is a daemon in a
+//! GL replication group, which serialises a global-layer update through
+//! the lock service (Sec. IV-A3) and hands it to the sibling replicas; a
+//! `d2tree serve` process commits it on its own replica. See DESIGN.md §14.
 
+use std::collections::{BTreeMap, BTreeSet};
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::Path;
@@ -65,19 +67,20 @@ use std::time::{Duration, Instant};
 
 use bytes::Bytes;
 use d2tree_core::LocalIndex;
-use d2tree_metrics::{MdsId, Placement};
-use d2tree_namespace::{AttrTable, NamespaceTree, NodeId};
-use d2tree_store::{MdsRecord, MdsStore, StoreConfig};
+use d2tree_metrics::{MdsId, Migration, Placement};
+use d2tree_namespace::{AttrTable, NamespaceTree, NodeId, VersionedAttr};
+use d2tree_store::{MdsRecord, MdsStore, RecoveryInfo, StoreConfig};
 use d2tree_telemetry::trace::{ArgKey, Tracer};
 use d2tree_telemetry::{
-    names, Counter, EventKind, Histogram, HistogramSnapshot, MetricKey, Registry,
+    names, Counter, EventKind, FaultKind, Histogram, HistogramSnapshot, MetricKey, Registry,
 };
 use d2tree_workload::{OpKind, Operation, Trace};
-use parking_lot::{Mutex, MutexGuard, RwLock};
+use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 use crate::client::{ClientError, Outcome, RequestMachine, RetryPolicy, RouteDecision, Step};
+use crate::live::GlGroup;
 use crate::mds::{attr_state, duty, open_and_recover, Duty, ServeSpan};
 use crate::message::{Request, RequestId, Response, ResponseBody};
 
@@ -363,7 +366,24 @@ fn kind_index(kind: OpKind) -> usize {
     }
 }
 
-/// One MDS worth of serving state behind a real socket.
+/// A daemon's view and counters, under one lock: a migration changes
+/// them together, a batch reads them under one read guard.
+#[derive(Debug)]
+struct Routing {
+    placement: Placement,
+    index: LocalIndex,
+    /// Served-op counts (`f64` bits) by index slot, one per local-layer
+    /// subtree root, journaled so a restarted daemon recovers its
+    /// popularity signal. Every root of the index has one, whoever owns
+    /// it (a served node is counted under its shallowest indexed
+    /// ancestor, which nested roots can make another MDS's). A migration
+    /// never moves a root's slot, so a bump is one atomic update at the
+    /// slot `locate_slot` answers with: no probe, no lock of its own.
+    counts: Vec<AtomicU64>,
+}
+
+/// One MDS worth of serving state, behind a real socket or a
+/// [`LiveCluster`](crate::live::LiveCluster)'s channels.
 ///
 /// Built from the same deterministic workspace derivation the load
 /// generator uses (profile + seed → tree, trace popularity → placement
@@ -372,29 +392,24 @@ fn kind_index(kind: OpKind) -> usize {
 #[derive(Debug)]
 pub struct NetMds {
     tree: Arc<NamespaceTree>,
-    placement: Placement,
-    index: LocalIndex,
     me: MdsId,
+    routing: RwLock<Routing>,
     attrs: RwLock<AttrTable>,
-    /// Served-op counts (`f64` bits) by index slot, one per local-layer
-    /// subtree root, journaled so a restarted daemon recovers its
-    /// popularity signal. Every root of the index has one, whoever owns
-    /// it (a served node is counted under its shallowest indexed
-    /// ancestor, which nested roots can make another MDS's), and the
-    /// index never changes under a daemon, so a bump is one atomic
-    /// update at the slot `locate_slot` answers with: no probe, no lock
-    /// of its own.
-    subtree_counts: Vec<AtomicU64>,
     /// `None` when no store was ever attached, so a store-less daemon
     /// never touches a lock for it; the inner `Option` empties when
     /// [`simulate_store_crash`](Self::simulate_store_crash) takes the
     /// store away.
     store: Option<Mutex<Option<MdsStore>>>,
+    /// Set only inside a `LiveCluster`; without it a replicated update
+    /// commits on this replica alone.
+    group: Option<Arc<GlGroup>>,
     epoch: Instant,
     registry: Arc<Registry>,
     tracer: Option<Arc<Tracer>>,
     served: AtomicU64,
     redirects: AtomicU64,
+    /// Migrations applied to this daemon's view.
+    migrations: AtomicU64,
     served_total: Arc<Counter>,
     forwarded_total: Arc<Counter>,
     /// Group commits on the serving path: one per batch whose journaled
@@ -456,22 +471,26 @@ impl NetMds {
         ];
         let srv_latency =
             srv_names.map(|row| row.map(|name| registry.histogram(MetricKey::mds(name, me.0))));
-        let subtree_counts = (0..index.len())
+        let counts = (0..index.len())
             .map(|_| AtomicU64::new(0f64.to_bits()))
             .collect();
         NetMds {
             tree,
-            placement,
-            index,
             me,
+            routing: RwLock::new(Routing {
+                placement,
+                index,
+                counts,
+            }),
             attrs,
-            subtree_counts,
             store: None,
+            group: None,
             epoch: Instant::now(),
             registry,
             tracer: None,
             served: AtomicU64::new(0),
             redirects: AtomicU64::new(0),
+            migrations: AtomicU64::new(0),
             served_total,
             forwarded_total,
             wal_group_commits,
@@ -496,6 +515,17 @@ impl NetMds {
     /// not serve from state it cannot trust.
     #[must_use]
     pub fn with_store_root(mut self, root: &Path, config: StoreConfig) -> Self {
+        self.store = Some(Mutex::new(None));
+        self.recover(root, config, true);
+        self
+    }
+
+    /// Opens the store through [`open_and_recover`] against this
+    /// daemon's index and takes over the table, the store and each
+    /// counter's journaled value (or zero). A rejoining daemon acquires
+    /// nothing: the Monitor hands it subtrees afterwards.
+    pub(crate) fn recover(&self, root: &Path, config: StoreConfig, acquire: bool) -> RecoveryInfo {
+        let routing = self.routing.read();
         let recovered = open_and_recover(
             root,
             config,
@@ -503,17 +533,18 @@ impl NetMds {
             &self.registry,
             self.tracer.as_ref(),
             &self.tree,
-            &self.index,
-            true,
+            &routing.index,
+            acquire,
         );
-        self.attrs = RwLock::new(recovered.attrs);
-        for (root, bits) in recovered.popularity {
-            if let Some(slot) = self.index.slot_of(root) {
-                *self.subtree_counts[slot].get_mut() = bits;
-            }
+        *self.attrs.write() = recovered.attrs;
+        for (root, count) in routing.counters() {
+            let journaled = recovered.popularity.get(&root).copied();
+            count.store(journaled.unwrap_or(0), Ordering::Relaxed);
         }
-        self.store = Some(Mutex::new(Some(recovered.store)));
-        self
+        if let Some(store) = self.lock_store().as_deref_mut() {
+            *store = Some(recovered.store);
+        }
+        recovered.info
     }
 
     /// Attaches a tracer; sampled requests record `serve` spans parented
@@ -522,6 +553,159 @@ impl NetMds {
     pub fn with_tracer(mut self, tracer: Arc<Tracer>) -> Self {
         self.tracer = Some(tracer);
         self
+    }
+
+    /// Puts this daemon's replicated updates through `group`.
+    pub(crate) fn with_gl_group(mut self, group: Arc<GlGroup>) -> Self {
+        self.group = Some(group);
+        self
+    }
+
+    /// This daemon's view: the placement and the index it routes by.
+    pub(crate) fn view(&self) -> (Placement, LocalIndex) {
+        let routing = self.routing.read();
+        (routing.placement.clone(), routing.index.clone())
+    }
+
+    /// The served-op count of every root of this daemon's index that
+    /// has one.
+    pub(crate) fn popularity(&self) -> Vec<(NodeId, f64)> {
+        let routing = self.routing.read();
+        let count = |c: &AtomicU64| f64::from_bits(c.load(Ordering::Relaxed));
+        let counts = routing.counters().map(|(root, c)| (root, count(c)));
+        counts.filter(|&(_, c)| c > 0.0).collect()
+    }
+
+    /// Applies a committed re-homing to this daemon's view — a root new
+    /// to the index gets a zero counter in the next slot — and, at either
+    /// end of it, journals the shed or the acquisition durably.
+    pub(crate) fn apply_migration(&self, mg: Migration) {
+        {
+            let mut routing = self.routing.write();
+            routing.placement.assign_subtree(&self.tree, mg.node, mg.to);
+            if routing.index.slot_of(mg.node).is_none() {
+                routing.counts.push(AtomicU64::new(0f64.to_bits()));
+            }
+            routing.index.insert(mg.node, mg.to);
+            routing.index.relabel(&self.tree);
+        }
+        self.migrations.fetch_add(1, Ordering::Relaxed);
+        let mut scope = self.begin_batch();
+        for (end, acquired) in [(mg.from, false), (mg.to, true)] {
+            if end == self.me {
+                let root = mg.node.index() as u64;
+                scope.journal(MdsRecord::Ownership { root, acquired });
+            }
+        }
+        scope.commit();
+    }
+
+    /// The Monitor's decay after a rebalancing move: halves every
+    /// counter, journals each that changed and commits once.
+    pub(crate) fn decay_popularity(&self) {
+        let mut scope = self.begin_batch();
+        let mut store = lock_once(self, &mut scope.store);
+        let half = |bits| (f64::from_bits(bits) * 0.5).to_bits();
+        for (root, count) in scope.routing.counters() {
+            let changed = count.fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
+                Some(half(bits)).filter(|&h| h != bits)
+            });
+            // A zero stays zero and journals nothing.
+            if let (Ok(prev), Some(store)) = (changed, store.as_deref_mut()) {
+                store
+                    .append_deferred(MdsRecord::Popularity {
+                        root: root.index() as u64,
+                        bits: half(prev),
+                    })
+                    .expect("WAL append failed");
+            }
+        }
+        scope.commit();
+    }
+
+    /// The attribute record this MDS holds for `node`.
+    pub(crate) fn attr(&self, node: NodeId) -> VersionedAttr {
+        self.attrs.read().get(node)
+    }
+
+    /// Installs a sibling replica's commit of global-layer `node` if it
+    /// is newer, journaled under the store's own sync policy.
+    pub(crate) fn replicate(&self, node: NodeId, committed: VersionedAttr) -> bool {
+        // The table is let go first: a batch holding the store takes it.
+        let newer = self.attrs.write().apply_if_newer(node, committed);
+        if newer {
+            if let Some(store) = self.lock_store().as_deref_mut().and_then(Option::as_mut) {
+                store
+                    .append(MdsRecord::AttrCommit {
+                        node: node.index() as u64,
+                        gl: true,
+                        attr: attr_state(committed),
+                    })
+                    .expect("WAL append failed");
+            }
+        }
+        newer
+    }
+
+    /// Where a crash now would recover other than what this daemon
+    /// serves (read at a quiesce point): owned subtrees, attribute
+    /// records both ways, counters. Empty without a store.
+    pub(crate) fn store_violations(&self) -> Vec<String> {
+        let k = self.me.0;
+        let routing = self.routing.read();
+        let Some(guard) = self.lock_store() else {
+            return Vec::new();
+        };
+        let Some(store) = guard.as_ref() else {
+            return vec![format!("live mds{k} has no open store")];
+        };
+        let mut violations = Vec::new();
+        let state = store.state();
+        let index_owned: BTreeSet<u64> = routing
+            .index
+            .iter()
+            .filter(|&(_, owner)| owner == self.me)
+            .map(|(root, _)| root.index() as u64)
+            .collect();
+        if state.owned != index_owned {
+            violations.push(format!(
+                "mds{k} journaled ownership {:?} disagrees with index {:?}",
+                state.owned, index_owned
+            ));
+        }
+        let table = self.attrs.read();
+        let mut served: BTreeMap<u64, u64> = table
+            .records()
+            .map(|(id, r)| (id.index() as u64, r.version))
+            .collect();
+        for (&node, a) in &state.attrs {
+            let live = served.remove(&node).unwrap_or(0);
+            if live != a.version {
+                violations.push(format!(
+                    "mds{k} journaled attr version {} for node {node}, serving {live}",
+                    a.version
+                ));
+            }
+        }
+        // What is left, the table holds and the journal does not: an
+        // update a crash right now would lose.
+        for (node, version) in served {
+            violations.push(format!(
+                "mds{k} serves attr version {version} for node {node}, journaled none"
+            ));
+        }
+        for (root, count) in routing.counters() {
+            let root = root.index() as u64;
+            let journaled = state.popularity.get(&root).copied().unwrap_or(0);
+            let live = count.load(Ordering::Relaxed);
+            if live != journaled {
+                let (journaled, live) = (f64::from_bits(journaled), f64::from_bits(live));
+                violations.push(format!(
+                    "mds{k} journaled popularity {journaled} for subtree {root}, counts {live}"
+                ));
+            }
+        }
+        violations
     }
 
     /// The telemetry registry this MDS instruments itself against.
@@ -572,7 +756,7 @@ impl NetMds {
             balance: f64::INFINITY,
             ops_total: served,
             retries_total: self.redirects(),
-            migrations_total: 0,
+            migrations_total: self.migrations.load(Ordering::Relaxed),
             loads: vec![served as f64],
         }
     }
@@ -623,6 +807,7 @@ impl NetMds {
     pub fn begin_batch(&self) -> ServeScope<'_> {
         ServeScope {
             mds: self,
+            routing: self.routing.read(),
             stamp: Instant::now(),
             store: None,
             served: 0,
@@ -685,14 +870,44 @@ impl NetMds {
     /// hook — pairs with [`serve_deferred`](Self::serve_deferred) to
     /// open a mid-group-commit window and verify recovery semantics.
     pub fn simulate_store_crash(&self, keep: usize) -> bool {
+        self.crash_store(|_| keep)
+    }
+
+    /// [`simulate_store_crash`](Self::simulate_store_crash), keeping
+    /// `keep(pending)` of the `pending` unsynced bytes.
+    pub(crate) fn crash_store(&self, keep: impl FnOnce(usize) -> usize) -> bool {
         match self.lock_store().and_then(|mut guard| guard.take()) {
             Some(store) => {
+                let keep = keep(store.pending_bytes());
                 store.simulate_crash(keep).expect("simulated crash failed");
                 true
             }
             None => false,
         }
     }
+}
+
+impl Routing {
+    /// Every root of the index with its counter.
+    fn counters(&self) -> impl Iterator<Item = (NodeId, &AtomicU64)> {
+        self.index.iter().map(|(root, _)| {
+            let slot = self
+                .index
+                .slot_of(root)
+                .expect("an indexed root has a slot");
+            (root, &self.counts[slot])
+        })
+    }
+}
+
+/// `mds`'s store, locked into `held` on first use and kept there;
+/// `None`, and no lock, without one.
+fn lock_once<'s, 'a>(
+    mds: &'a NetMds,
+    held: &'s mut Option<MutexGuard<'a, Option<MdsStore>>>,
+) -> Option<&'s mut MdsStore> {
+    let lock = mds.store.as_ref()?;
+    held.get_or_insert_with(|| lock.lock()).as_mut()
 }
 
 /// The serving context of one batch of requests on one thread — the
@@ -714,9 +929,12 @@ impl NetMds {
 /// to interleave record by record and wait only on each other's fsync.
 /// A connection that waits has bumped no popularity count yet, so each
 /// root's counts are journaled in bump order; recovery keeps the last.
+/// A GL group's update lets go of the store first: no thread holds two.
+/// The view is read-locked for the scope; migrations land between.
 #[derive(Debug)]
 pub struct ServeScope<'a> {
     mds: &'a NetMds,
+    routing: RwLockReadGuard<'a, Routing>,
     /// End of the previous request (or the scope's opening): the start
     /// stamp of the next one.
     stamp: Instant,
@@ -731,24 +949,17 @@ pub struct ServeScope<'a> {
 }
 
 impl ServeScope<'_> {
-    /// The attached store, locked on the scope's first use and held
-    /// until the scope ends; `None`, and no lock, without one.
-    fn locked_store(&mut self) -> Option<&mut MdsStore> {
-        let lock = self.mds.store.as_ref()?;
-        self.store.get_or_insert_with(|| lock.lock()).as_mut()
-    }
-
     /// Buffers one record in the store's WAL; durability comes from
     /// [`commit`](Self::commit).
     fn journal(&mut self, record: MdsRecord) {
-        if let Some(store) = self.locked_store() {
+        if let Some(store) = lock_once(self.mds, &mut self.store) {
             store.append_deferred(record).expect("WAL append failed");
         }
     }
 
     /// Commits an `Update` of `node`: bumps its mtime to the request's
     /// start stamp and journals the committed attributes.
-    fn commit_update(&mut self, node: NodeId, gl: bool) {
+    fn commit_update(&mut self, node: NodeId, gl: bool) -> VersionedAttr {
         let mds = self.mds;
         let now_ms = self.stamp.duration_since(mds.epoch).as_millis() as u64;
         let committed = mds.attrs.write().update(node, |a| a.mtime = now_ms);
@@ -757,6 +968,29 @@ impl ServeScope<'_> {
             gl,
             attr: attr_state(committed),
         });
+        committed
+    }
+
+    /// Commits an `Update` of global-layer `node`; `false` when the GL
+    /// group's lock edge dropped it.
+    fn commit_gl_update(&mut self, node: NodeId, serve_span: Option<ServeSpan<'_>>) -> bool {
+        let mds = self.mds;
+        let Some(group) = &mds.group else {
+            // Single-replica global layer: no cross-process lock service
+            // exists yet, so the commit is local-only (DESIGN.md §14
+            // spells out the divergence risk when several daemons of one
+            // cluster run concurrently).
+            self.commit_update(node, true);
+            return true;
+        };
+        // Neither wait on the lock service nor write into a sibling's
+        // store holding our own: two daemons doing both would deadlock.
+        self.store = None;
+        group.commit(mds.me, node, serve_span, || {
+            let committed = self.commit_update(node, true);
+            self.store = None;
+            committed
+        })
     }
 
     /// Serves one decoded request. Journaled mutations stay buffered
@@ -766,16 +1000,25 @@ impl ServeScope<'_> {
     /// tree does not have answers `NotFound` (a foreign client built
     /// from a different workload derivation must not crash the daemon).
     pub fn serve(&mut self, req: Request) -> Response {
+        self.serve_or_drop(req, None)
+            .expect("only a GL group's lock edge drops a request")
+    }
+
+    /// [`serve`](Self::serve) for a transport with fault edges: the
+    /// `serve` span carries `reply_fault`, the fault the reply is about
+    /// to meet, and `None` comes back for a request the GL group's lock
+    /// edge dropped, which gets no answer.
+    pub(crate) fn serve_or_drop(
+        &mut self,
+        req: Request,
+        reply_fault: Option<FaultKind>,
+    ) -> Option<Response> {
         let mds = self.mds;
         let serve_span = ServeSpan::open(mds.tracer.as_deref(), &req);
-        let (body, outcome) = match duty(&mds.tree, &mds.placement, mds.me, req.target) {
+        let (body, outcome) = match duty(&mds.tree, &self.routing.placement, mds.me, req.target) {
             Duty::Replicated => {
-                if req.kind == OpKind::Update {
-                    // Single-replica global layer: no cross-process lock
-                    // service exists yet, so the commit is local-only
-                    // (DESIGN.md §14 spells out the divergence risk when
-                    // several daemons of one cluster run concurrently).
-                    self.commit_update(req.target, true);
+                if req.kind == OpKind::Update && !self.commit_gl_update(req.target, serve_span) {
+                    return None;
                 }
                 (ResponseBody::Served { node: req.target }, 0u8)
             }
@@ -783,12 +1026,13 @@ impl ServeScope<'_> {
                 if req.kind == OpKind::Update {
                     self.commit_update(req.target, false);
                 }
-                if let Some((slot, root, _)) = mds.index.locate_slot(&mds.tree, req.target) {
+                if let Some((slot, root, _)) = self.routing.index.locate_slot(&mds.tree, req.target)
+                {
                     // The store is locked before the bump, so counts
                     // reach the journal in the order they were bumped,
                     // whichever connection bumps.
-                    let count = &mds.subtree_counts[slot];
-                    let store = self.locked_store();
+                    let store = lock_once(mds, &mut self.store);
+                    let count = &self.routing.counts[slot];
                     let prev = count
                         .fetch_update(Ordering::Relaxed, Ordering::Relaxed, |bits| {
                             Some((f64::from_bits(bits) + 1.0).to_bits())
@@ -837,16 +1081,18 @@ impl ServeScope<'_> {
             });
         }
         if let Some(sp) = serve_span {
-            let span = sp.close(mds.me, req.target);
-            sp.tracer
-                .record(span.with_arg(ArgKey::Body, u64::from(outcome)));
+            let mut span = sp
+                .close(mds.me, req.target)
+                .with_arg(ArgKey::Body, u64::from(outcome));
+            span.fault = reply_fault;
+            sp.tracer.record(span);
         }
-        Response {
+        Some(Response {
             id: req.id,
             from: mds.me,
             body,
             hops: req.hops,
-        }
+        })
     }
 
     /// Publishes the pending run of latency samples.
@@ -1730,12 +1976,19 @@ mod tests {
     use d2tree_metrics::Assignment;
     use d2tree_namespace::NodeKind;
 
+    impl NetMds {
+        /// Updates `node` behind the journal's back, for tests of the
+        /// check that catches it.
+        pub(crate) fn update_unjournaled(&self, node: NodeId) {
+            self.attrs.write().update(node, |a| a.size = 1);
+        }
+    }
+
     /// The served-op count under index root `root`, if `mds` keeps one.
     fn subtree_count(mds: &NetMds, root: NodeId) -> Option<f64> {
-        let slot = mds.index.slot_of(root)?;
-        Some(f64::from_bits(
-            mds.subtree_counts[slot].load(Ordering::Relaxed),
-        ))
+        let routing = mds.routing.read();
+        let (_, count) = routing.counters().find(|&(r, _)| r == root)?;
+        Some(f64::from_bits(count.load(Ordering::Relaxed)))
     }
 
     fn request_frame(id: u64, target: u32) -> Vec<u8> {
@@ -1973,7 +2226,7 @@ mod tests {
             MdsId(0),
             Arc::new(Registry::new()),
         );
-        assert!(mds.index.labelled_for(&mds.tree));
+        assert!(mds.view().1.labelled_for(&mds.tree));
     }
 
     #[test]
@@ -2425,6 +2678,103 @@ mod tests {
         let _ = std::fs::remove_dir_all(&dir);
     }
 
+    /// A migration re-points a daemon's view: a node's request turns
+    /// from one end's to the other's, each end journals its half
+    /// durably, a root the index held keeps its slot and its count, and
+    /// a root the migration publishes gets the next slot, where the next
+    /// bump lands.
+    #[test]
+    fn apply_migration_moves_duty_journals_both_ends_and_keeps_slots() {
+        let dir = std::env::temp_dir().join(format!(
+            "d2tree-net-migrate-{}-{}",
+            std::process::id(),
+            std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .expect("clock")
+                .as_nanos()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut tree = NamespaceTree::new();
+        let [a, b] = ["a", "b"].map(|name| {
+            tree.create(tree.root(), name, NodeKind::Directory)
+                .expect("create")
+        });
+        let fa = tree.create(a, "f", NodeKind::File).expect("create");
+        let fb = tree.create(b, "f", NodeKind::File).expect("create");
+        let tree = Arc::new(tree);
+        let mut placement = Placement::new(&tree, 2);
+        placement.set(tree.root(), Assignment::Replicated);
+        for (node, owner) in [(a, 0), (fa, 0), (b, 1), (fb, 1)] {
+            placement.set(node, Assignment::Single(MdsId(owner)));
+        }
+        let mut index = LocalIndex::new();
+        index.insert(a, MdsId(0));
+        let daemon = |k| {
+            NetMds::new(
+                Arc::clone(&tree),
+                placement.clone(),
+                index.clone(),
+                MdsId(k),
+                Arc::new(Registry::new()),
+            )
+            .with_store_root(&dir, StoreConfig::manual())
+        };
+        let (d0, d1) = (daemon(0), daemon(1));
+        let read = |mds: &NetMds, target: NodeId| {
+            mds.serve(Request {
+                id: RequestId(0),
+                kind: OpKind::Read,
+                target,
+                hops: 0,
+                trace: None,
+            })
+            .body
+        };
+        // The subtrees each store holds as owned, all of it durable.
+        let owned = |mds: &NetMds| {
+            let guard = mds.lock_store().expect("store attached");
+            let store = guard.as_ref().expect("store open");
+            assert_eq!(store.pending_bytes(), 0, "journaled durably");
+            store.state().owned.iter().copied().collect::<Vec<u64>>()
+        };
+        let id = |node: NodeId| node.index() as u64;
+        let both = |mg: Migration| {
+            d0.apply_migration(mg);
+            d1.apply_migration(mg);
+        };
+
+        assert_eq!(read(&d0, fa), ResponseBody::Served { node: fa });
+        assert_eq!(read(&d1, fa), ResponseBody::Redirect { owner: MdsId(0) });
+        let slot_a = d0.routing.read().index.slot_of(a);
+        assert_eq!(subtree_count(&d0, a), Some(1.0));
+
+        both(Migration {
+            node: a,
+            from: MdsId(0),
+            to: MdsId(1),
+        });
+        assert_eq!(read(&d0, fa), ResponseBody::Redirect { owner: MdsId(1) });
+        assert_eq!(read(&d1, fa), ResponseBody::Served { node: fa });
+        assert_eq!((owned(&d0), owned(&d1)), (vec![], vec![id(a)]));
+        assert_eq!(d0.routing.read().index.slot_of(a), slot_a);
+        assert_eq!(subtree_count(&d0, a), Some(1.0), "the count stays put");
+        assert_eq!(subtree_count(&d1, a), Some(1.0));
+
+        both(Migration {
+            node: b,
+            from: MdsId(1),
+            to: MdsId(0),
+        });
+        assert_eq!((owned(&d0), owned(&d1)), (vec![id(b)], vec![id(a)]));
+        assert_eq!(d0.routing.read().index.slot_of(b), Some(1));
+        assert_eq!(subtree_count(&d0, b), Some(0.0));
+        assert_eq!(read(&d0, fb), ResponseBody::Served { node: fb });
+        assert_eq!(read(&d1, fb), ResponseBody::Redirect { owner: MdsId(0) });
+        assert_eq!(subtree_count(&d0, b), Some(1.0));
+        assert_eq!(d0.tick_sample().migrations_total, 2);
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
     /// A daemon reopened on its store: the journaled counter of a root
     /// the seeded index holds continues from its journaled value; that
     /// of a root the index no longer holds is not carried, while the
@@ -2494,7 +2844,11 @@ mod tests {
         let mds = daemon(only_kept);
         assert_eq!(subtree_count(&mds, kept), Some(3.0));
         assert_eq!(subtree_count(&mds, gone), None);
-        assert_eq!(mds.subtree_counts.len(), 1, "one counter per index root");
+        assert_eq!(
+            mds.routing.read().counts.len(),
+            1,
+            "one counter per index root"
+        );
         read(&mds, 4, kept_file);
         read(&mds, 5, gone_file);
         assert_eq!(subtree_count(&mds, kept), Some(4.0));

@@ -585,7 +585,6 @@ fn reopened_stores_resume_journaled_state_and_converge_ownership() {
     drop(mds);
     let mut expected = previous_run.to_vec();
     expected.extend(converged);
-    let reopened = expected.len();
     expected.push(counted(a, 42.0));
     assert_eq!(wal_records(&dir.join("mds-0")), expected);
     let _ = fs::remove_dir_all(&dir);
@@ -628,13 +627,12 @@ fn reopened_stores_resume_journaled_state_and_converge_ownership() {
     client.execute(read(f)).expect("served");
     drop(client);
     let _ = cluster.shutdown();
-    // The start journaled what the daemon did. The first read's count
-    // was not synced when the crash came, so the journal lost it — the
-    // cluster's memory did not.
-    expected.truncate(reopened);
+    // The start journaled what the daemon did, first read included: a
+    // cluster's MDS is the daemon, so that read's count was committed
+    // before its ack and the crash cannot take it.
     expected.extend(while_down);
-    // A rejoin sheds and acquires nothing; the count of /b resumes
-    // from the journal, the count of /a from the survivors' memory.
+    // A rejoin sheds and acquires nothing; the counts of /a and /b both
+    // resume from the MDS's own journal.
     expected.extend([owns(c, false), counted(b, 8.0), counted(a, 43.0)]);
     assert_eq!(wal_records(&dir.join("mds-0")), expected);
     assert_eq!(wal_records(&dir.join("mds-1")), [owns(c, true)]);

@@ -101,7 +101,7 @@ mod tests {
                         bits: (i as f64).to_bits(),
                     }
                 };
-                store.append(record).unwrap();
+                store.append_deferred(record).unwrap();
             }
             store.sync().unwrap();
         }

@@ -49,6 +49,7 @@ use std::sync::Arc;
 use d2tree_core::{D2TreeConfig, D2TreeScheme, Heartbeat, Partitioner, Subtree};
 use d2tree_metrics::{ClusterSpec, MdsId};
 use d2tree_namespace::{NamespaceTree, NodeId};
+use d2tree_store::wal::{list_segments, FRAME_HEADER, SEGMENT_MAGIC};
 use d2tree_store::{AttrState, MdsRecord, MdsState, MdsStore, StoreConfig};
 use d2tree_telemetry::{names, EventJournal, EventKind, FaultKind, MetricKey, Registry};
 use d2tree_workload::{TraceProfile, WorkloadBuilder};
@@ -58,10 +59,7 @@ use rand::{Rng, SeedableRng};
 use crate::consensus::{
     Applied, Command, ConsensusCluster, ConsensusConfig, ConsensusTiming, LeaderClient,
 };
-use crate::fault::{
-    FaultDecision, FaultInjector, FaultPlan, FaultRule, FaultScope, NetEdge, StorageFault,
-    StorageFaultRule,
-};
+use crate::fault::{FaultDecision, FaultInjector, FaultPlan, FaultRule, FaultScope, NetEdge};
 use crate::monitor::{Monitor, MonitorConfig};
 
 /// Shape of a chaos run. The schedule itself (who dies when, where the
@@ -1003,9 +1001,6 @@ pub struct StoreChaosConfig {
     pub mds: usize,
     /// Virtual steps; every store appends one record per step.
     pub steps: u64,
-    /// Virtual milliseconds per step (the clock storage-fault rule
-    /// windows are evaluated against).
-    pub step_ms: u64,
     /// Crash-recover cycles to schedule across the run.
     pub crashes: usize,
     /// Bit-flip corruption probes to schedule in the second half.
@@ -1020,7 +1015,6 @@ impl Default for StoreChaosConfig {
         StoreChaosConfig {
             mds: 3,
             steps: 240,
-            step_ms: 10,
             crashes: 6,
             corrupt_probes: 2,
             segment_bytes: 2048,
@@ -1118,57 +1112,26 @@ fn replay_prefix(history: &[MdsRecord]) -> MdsState {
     state
 }
 
-/// WAL segment files in a store directory, in LSN order.
-fn wal_segments_sorted(dir: &Path) -> Vec<PathBuf> {
-    let mut found: Vec<(u64, PathBuf)> = Vec::new();
-    if let Ok(entries) = fs::read_dir(dir) {
-        for entry in entries.flatten() {
-            let name = entry.file_name().to_string_lossy().into_owned();
-            if let Some(hex) = name
-                .strip_prefix("wal-")
-                .and_then(|s| s.strip_suffix(".log"))
-            {
-                if let Ok(lsn) = u64::from_str_radix(hex, 16) {
-                    found.push((lsn, entry.path()));
-                }
-            }
-        }
-    }
-    found.sort();
-    found.into_iter().map(|(_, path)| path).collect()
-}
-
 /// Flips one CRC-covered payload bit in a segment's first frame, but
 /// only when a second complete frame follows it — that guarantees the
 /// recovery scan must call the damage corruption, never a torn tail.
 /// Returns whether a bit was flipped.
 fn flip_bit_in_first_frame(path: &Path) -> std::io::Result<bool> {
-    const MAGIC: usize = 8;
-    const HEADER: usize = 8; // len u32 + crc u32
     let mut bytes = fs::read(path)?;
-    if bytes.len() < MAGIC + HEADER {
+    // The `len` field of the frame starting at `at`, if its header is there.
+    let frame_len = |at: usize| {
+        let header = bytes.get(at..at + FRAME_HEADER)?;
+        Some(u32::from_be_bytes(header[..4].try_into().expect("4 bytes")) as usize)
+    };
+    let first = SEGMENT_MAGIC.len();
+    let Some(second) = frame_len(first).map(|len| first + FRAME_HEADER + len) else {
         return Ok(false);
+    };
+    match frame_len(second) {
+        Some(len) if bytes.len() >= second + FRAME_HEADER + len => {}
+        _ => return Ok(false),
     }
-    let len = u32::from_be_bytes([
-        bytes[MAGIC],
-        bytes[MAGIC + 1],
-        bytes[MAGIC + 2],
-        bytes[MAGIC + 3],
-    ]) as usize;
-    let first_end = MAGIC + HEADER + len;
-    if bytes.len() < first_end + HEADER {
-        return Ok(false);
-    }
-    let len2 = u32::from_be_bytes([
-        bytes[first_end],
-        bytes[first_end + 1],
-        bytes[first_end + 2],
-        bytes[first_end + 3],
-    ]) as usize;
-    if bytes.len() < first_end + HEADER + len2 {
-        return Ok(false);
-    }
-    bytes[MAGIC + HEADER] ^= 0x01; // first payload byte, inside the CRC
+    bytes[first + FRAME_HEADER] ^= 0x01; // first payload byte, inside the CRC
     fs::write(path, bytes)?;
     Ok(true)
 }
@@ -1181,9 +1144,10 @@ fn corrupt_probe(src: &Path, probe: &Path, config: StoreConfig) -> Option<bool> 
     for entry in fs::read_dir(src).ok()?.flatten() {
         fs::copy(entry.path(), probe.join(entry.file_name())).ok()?;
     }
-    let flipped = wal_segments_sorted(probe)
+    let flipped = list_segments(probe)
+        .ok()?
         .iter()
-        .any(|seg| flip_bit_in_first_frame(seg).unwrap_or(false));
+        .any(|(_, seg)| flip_bit_in_first_frame(seg).unwrap_or(false));
     if !flipped {
         return None;
     }
@@ -1212,7 +1176,7 @@ fn crash_recover_check(
     store: MdsStore,
     history: &mut Vec<MdsRecord>,
     synced: &mut usize,
-    fault: Option<StorageFault>,
+    fault: Option<FaultKind>,
     rng: &mut StdRng,
     step: u64,
     violations: &mut Vec<String>,
@@ -1224,7 +1188,7 @@ fn crash_recover_check(
         None => store.simulate_crash(0).expect("crash"),
         // Torn write: a prefix of the pending buffer reaches the
         // platter, usually cutting the last frame mid-way.
-        Some(StorageFault::TornWrite) => {
+        Some(FaultKind::TornWrite) => {
             let pending = store.pending_bytes();
             let keep = if pending == 0 {
                 0
@@ -1233,15 +1197,16 @@ fn crash_recover_check(
             };
             store.simulate_crash(keep).expect("crash");
         }
-        // Lying fsync: the store syncs, the drive reports success, and
-        // a suffix of the segment is destroyed anyway.
-        Some(StorageFault::PartialFsync | StorageFault::CorruptRecord) => {
+        // Lying fsync (the only other fault drawn): the store syncs, the
+        // drive reports success, and a suffix of the segment is
+        // destroyed anyway.
+        Some(_) => {
             let mut store = store;
             store.sync().expect("sync");
             store.simulate_crash(0).expect("crash");
-            if let Some(tail) = wal_segments_sorted(dir).pop() {
+            if let Some((_, tail)) = list_segments(dir).ok().and_then(|mut segs| segs.pop()) {
                 let len = fs::metadata(&tail).map(|m| m.len()).unwrap_or(0);
-                if len > 8 {
+                if len > SEGMENT_MAGIC.len() as u64 {
                     let cut = rng.gen_range(1..=len.min(64));
                     let file = fs::OpenOptions::new()
                         .write(true)
@@ -1324,7 +1289,7 @@ fn crash_recover_check(
 #[must_use]
 pub fn run_store_chaos(seed: u64, config: &StoreChaosConfig) -> StoreChaosReport {
     assert!(config.mds >= 1, "store chaos needs at least one store");
-    assert!(config.steps > 0 && config.step_ms > 0, "empty schedule");
+    assert!(config.steps > 0, "empty schedule");
     assert!(
         config.crashes <= config.steps as usize / 4,
         "schedule does not fit: raise steps or lower crashes"
@@ -1340,12 +1305,10 @@ pub fn run_store_chaos(seed: u64, config: &StoreChaosConfig) -> StoreChaosReport
 
     let registry = Arc::new(Registry::with_journal_capacity(64 * 1024));
     names::register_all(&registry);
-    // Crash points consult the storage rules: ~50% torn writes, ~25%
-    // lying fsyncs, the rest crash cleanly between frames.
-    let plan = FaultPlan::new(seed)
-        .with_storage_rule(StorageFaultRule::new(StorageFault::TornWrite).with_probability(0.5))
-        .with_storage_rule(StorageFaultRule::new(StorageFault::PartialFsync).with_probability(0.5));
-    let injector = FaultInjector::new(&plan).with_registry(Arc::clone(&registry));
+    // Each crash draws how it tears from a stream of its own: ~50% torn
+    // writes, ~25% lying fsyncs, the rest crash cleanly between frames.
+    let mut fault_rng = StdRng::seed_from_u64(seed);
+    let storage_faults = registry.counter(MetricKey::global(names::FAULTS_STORAGE));
     let mut rng = StdRng::seed_from_u64(seed ^ 0x5851_f42d_4c95_7f2d);
 
     let mut stores: Vec<MdsStore> = (0..config.mds)
@@ -1387,12 +1350,10 @@ pub fn run_store_chaos(seed: u64, config: &StoreChaosConfig) -> StoreChaosReport
     let mut violations: Vec<String> = Vec::new();
 
     for step in 0..config.steps {
-        let now = step * config.step_ms;
-
         // 1. Every store appends one record.
         for (k, store) in stores.iter_mut().enumerate() {
             let record = random_store_record(&mut rng);
-            store.append(record).expect("append");
+            store.append_deferred(record).expect("append");
             history[k].push(record);
             records_appended += 1;
         }
@@ -1412,9 +1373,22 @@ pub fn run_store_chaos(seed: u64, config: &StoreChaosConfig) -> StoreChaosReport
             snapshots += 1;
         }
 
-        // 3. Scheduled crash: the storage rules pick how it tears.
+        // 3. Scheduled crash, torn as its draw says.
         if let Some(&victim) = crash_steps.get(&step) {
-            let fault = injector.decide_storage(victim as u16, now);
+            let fault = if fault_rng.gen_bool(0.5) {
+                Some(FaultKind::TornWrite)
+            } else if fault_rng.gen_bool(0.5) {
+                Some(FaultKind::PartialFsync)
+            } else {
+                None
+            };
+            if let Some(fault) = fault {
+                storage_faults.inc();
+                registry.journal().record(EventKind::FaultInjected {
+                    fault,
+                    mds: victim as u16,
+                });
+            }
             let dir = root.join(format!("mds-{victim}"));
             let store = stores.remove(victim);
             let outcome = crash_recover_check(
@@ -1436,7 +1410,7 @@ pub fn run_store_chaos(seed: u64, config: &StoreChaosConfig) -> StoreChaosReport
             if outcome.torn {
                 torn_crashes += 1;
             }
-            if matches!(fault, Some(StorageFault::PartialFsync)) {
+            if fault == Some(FaultKind::PartialFsync) {
                 partial_fsyncs += 1;
             }
             if outcome.loud_failure {
@@ -1451,9 +1425,7 @@ pub fn run_store_chaos(seed: u64, config: &StoreChaosConfig) -> StoreChaosReport
             let probe_dir = root.join(format!("probe-{step}"));
             if let Some(detected) = corrupt_probe(stores[victim].dir(), &probe_dir, store_config) {
                 probes_run += 1;
-                registry
-                    .counter(MetricKey::global(names::FAULTS_STORAGE))
-                    .inc();
+                storage_faults.inc();
                 registry.journal().record(EventKind::FaultInjected {
                     fault: FaultKind::CorruptRecord,
                     mds: victim as u16,
@@ -1672,7 +1644,7 @@ mod tests {
         assert!(report.syncs > 0 && report.snapshots > 0);
         assert!(
             report.torn_crashes + report.partial_fsyncs > 0,
-            "the storage rules must actually tear something"
+            "the crash draws must actually tear something"
         );
         assert_eq!(
             report.corruptions_detected, report.corrupt_probes,

@@ -4,8 +4,8 @@
 //! The paper hangs its whole dynamic-adjustment loop (Sec. IV-A3) off a
 //! single Ceph-style Monitor plus a Zookeeper-like lock service.
 //! [`ControlState`] is what those two decide, held once: MDS
-//! membership, global-layer leases with their fence counter, committed
-//! GL versions and subtree ownership. Everything else proposes
+//! membership, global-layer leases with their fence counter and
+//! committed GL versions. Everything else proposes
 //! [`Command`]s and reacts to [`Applied`]s. The live runtime applies
 //! each command to a mutex-guarded `ControlState` as it is issued (one
 //! replica, commit is immediate — see [`crate::lock::LockService`]). A
@@ -29,9 +29,11 @@
 //!   thread with the same semantics.
 //! * **Durable via the existing WAL.** Each replica persists its hard
 //!   state (term, vote) and log through a `d2tree-store`
-//!   [`WalWriter`] — one segmented, CRC-framed log per replica, with
-//!   crash recovery = scan + tail replay and torn final frames
-//!   truncated by the same code paths the MDS stores use.
+//!   [`WalWriter`] — one segmented, CRC-framed log per replica, synced
+//!   before the replica acts on what it wrote. Recovery is the MDS
+//!   stores' own scan ([`scan_log`]): the same gap and torn-tail rules,
+//!   the torn final frame truncated. A replica does not use an
+//!   `MdsStore`, whose snapshots would prune the log it replays.
 //! * **Fencing stays monotonic across failover.** Lease grants are
 //!   log entries; the fencing counter lives in the replicated
 //!   [`ControlState`], so a new leader can never re-issue or regress a
@@ -50,7 +52,7 @@ use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use bytes::Bytes;
-use d2tree_store::wal::{list_segments, scan_segment, WalWriter};
+use d2tree_store::wal::{scan_log, WalWriter};
 use d2tree_store::{MdsRecord, StoreResult};
 use d2tree_telemetry::trace::span_names;
 use d2tree_telemetry::{
@@ -75,6 +77,17 @@ const OP_ENTRY_BASE: u8 = 16;
 /// `voted_for` is persisted in the hard-state record's `index` slot;
 /// this sentinel encodes "no vote this term".
 const NO_VOTE: u64 = u64::MAX;
+
+/// What a replica journals before acting on it.
+#[derive(Clone, Copy)]
+enum Durable {
+    /// Its term and vote.
+    HardState,
+    /// An entry appended to its log.
+    Entry(Entry),
+    /// A conflict truncation: the log suffix from this index goes.
+    Truncate(u64),
+}
 
 /// A command the replicated control-plane state machine understands.
 ///
@@ -127,7 +140,8 @@ pub enum Command {
     },
     /// A subtree re-homing decided by the Monitor (rebalance or
     /// failover) — ownership changes are control-plane decisions, so
-    /// they only take effect once committed.
+    /// they only take effect once committed, by whoever applies the
+    /// resulting [`Applied::Migrated`].
     Migrate {
         /// Root of the migrating subtree (arena index).
         subtree: u64,
@@ -267,8 +281,7 @@ pub enum Applied {
 
 /// The control-plane state machine, and the only holder of what it
 /// tracks: the lock service's lease table (with the global monotonic
-/// fencing counter), MDS membership, committed GL versions and subtree
-/// ownership.
+/// fencing counter), MDS membership and committed GL versions.
 ///
 /// Everything time-dependent uses the clock reading carried *inside*
 /// the command, so replaying the same entries always yields the same
@@ -283,8 +296,6 @@ pub struct ControlState {
     pub alive: BTreeMap<u16, bool>,
     /// Committed GL version per node.
     pub gl_versions: BTreeMap<u64, u64>,
-    /// Committed subtree ownership (arena index → MDS).
-    pub owner: BTreeMap<u64, u16>,
     /// Index of the last applied entry.
     pub applied: u64,
     /// Total leases granted.
@@ -305,7 +316,6 @@ impl ControlState {
             leases: BTreeMap::new(),
             alive: BTreeMap::new(),
             gl_versions: BTreeMap::new(),
-            owner: BTreeMap::new(),
             applied: 0,
             grants: 0,
             fence_rejections: 0,
@@ -414,10 +424,7 @@ impl ControlState {
                     Applied::Rejected { node, fence }
                 }
             }
-            Command::Migrate { subtree, from, to } => {
-                self.owner.insert(subtree, to);
-                Applied::Migrated { subtree, from, to }
-            }
+            Command::Migrate { subtree, from, to } => Applied::Migrated { subtree, from, to },
         }
     }
 
@@ -640,8 +647,8 @@ impl Replica {
     }
 
     /// Opens (or creates) a durable replica whose hard state and log
-    /// live in `dir`: recovery scans the WAL segments, truncates a torn
-    /// tail, and replays term/vote/entries/truncations in order.
+    /// live in `dir`: [`scan_log`] replays term/vote/entries/truncations
+    /// in order, and the writer reopens with a torn tail truncated.
     ///
     /// # Errors
     ///
@@ -661,24 +668,11 @@ impl Replica {
         segment_bytes: u64,
     ) -> StoreResult<Self> {
         fs::create_dir_all(dir)?;
-        let segments = list_segments(dir)?;
-        let mut term = 0u64;
-        let mut voted_for: Option<u16> = None;
-        let mut log: Vec<Entry> = Vec::new();
-        let mut next_lsn = 0u64;
-        let mut last_segment: Option<(u64, u64)> = None;
-        for (i, (first_lsn, path)) in segments.iter().enumerate() {
-            let is_last = i + 1 == segments.len();
-            let scan = scan_segment(path, *first_lsn, is_last)?;
-            for frame in &scan.frames {
-                next_lsn = frame.lsn + 1;
-                replay_consensus_record(&frame.record, &mut term, &mut voted_for, &mut log)?;
-            }
-            if is_last {
-                last_segment = Some((*first_lsn, scan.valid_len));
-            }
-        }
-        let wal = WalWriter::open(dir, segment_bytes, last_segment, next_lsn)?;
+        let (mut term, mut voted_for, mut log) = (0u64, None, Vec::new());
+        let scan = scan_log(dir, 0, |frame| {
+            replay_consensus_record(&frame.record, &mut term, &mut voted_for, &mut log)
+        })?;
+        let wal = scan.writer(dir, segment_bytes)?;
         let mut r = Replica::new(id, n, seed, timing, lease_ms, now_ms);
         r.rng = StdRng::seed_from_u64(replica_seed(seed, id, generation));
         r.current_term = term;
@@ -765,50 +759,32 @@ impl Replica {
         self.log.last().map_or(0, |e| e.term)
     }
 
-    fn persist_hard_state(&mut self) {
-        if let Some(w) = self.wal.as_mut() {
-            let rec = MdsRecord::Consensus {
-                term: self.current_term,
-                index: self.voted_for.map_or(NO_VOTE, u64::from),
-                op: OP_HARD_STATE,
-                a: 0,
-                b: 0,
-                c: 0,
-            };
-            w.append(&rec);
-            w.sync().expect("consensus WAL sync");
-        }
-    }
-
-    fn persist_entry(&mut self, e: &Entry) {
-        if let Some(w) = self.wal.as_mut() {
-            let (op, a, b, c) = e.cmd.to_wire();
-            let rec = MdsRecord::Consensus {
-                term: e.term,
-                index: e.index,
-                op: OP_ENTRY_BASE + op,
-                a,
-                b,
-                c,
-            };
-            w.append(&rec);
-            w.sync().expect("consensus WAL sync");
-        }
-    }
-
-    fn persist_truncate(&mut self, from_index: u64) {
-        if let Some(w) = self.wal.as_mut() {
-            let rec = MdsRecord::Consensus {
-                term: self.current_term,
-                index: from_index,
-                op: OP_TRUNCATE,
-                a: 0,
-                b: 0,
-                c: 0,
-            };
-            w.append(&rec);
-            w.sync().expect("consensus WAL sync");
-        }
+    /// Journals `event` and syncs it before the replica acts on it; a
+    /// replica without a WAL keeps nothing.
+    fn persist(&mut self, event: Durable) {
+        let Some(w) = self.wal.as_mut() else {
+            return;
+        };
+        let (term, index, op, [a, b, c]) = match event {
+            Durable::HardState => {
+                let vote = self.voted_for.map_or(NO_VOTE, u64::from);
+                (self.current_term, vote, OP_HARD_STATE, [0; 3])
+            }
+            Durable::Entry(e) => {
+                let (op, a, b, c) = e.cmd.to_wire();
+                (e.term, e.index, OP_ENTRY_BASE + op, [a, b, c])
+            }
+            Durable::Truncate(from) => (self.current_term, from, OP_TRUNCATE, [0; 3]),
+        };
+        w.append(&MdsRecord::Consensus {
+            term,
+            index,
+            op,
+            a,
+            b,
+            c,
+        });
+        w.sync().expect("consensus WAL sync");
     }
 
     fn step_down(&mut self, term: u64, now_ms: u64) {
@@ -817,7 +793,7 @@ impl Replica {
         self.role = Role::Follower;
         self.votes.clear();
         self.election_ctx = None;
-        self.persist_hard_state();
+        self.persist(Durable::HardState);
         self.reset_election_deadline(now_ms);
     }
 
@@ -828,7 +804,7 @@ impl Replica {
         self.votes.clear();
         self.votes.insert(self.id);
         self.campaign_started_ms = now_ms;
-        self.persist_hard_state();
+        self.persist(Durable::HardState);
         self.reset_election_deadline(now_ms);
         if let Some(c) = &self.elections {
             c.inc();
@@ -895,7 +871,7 @@ impl Replica {
             cmd,
         };
         self.log.push(entry);
-        self.persist_entry(&entry);
+        self.persist(Durable::Entry(entry));
         self.match_index[self.id as usize] = entry.index;
         // The leader's own copy counts toward the majority: in a
         // cluster of one it *is* the majority, and no `AppendReply`
@@ -976,7 +952,7 @@ impl Replica {
                     && up_to_date;
                 if granted {
                     self.voted_for = Some(candidate);
-                    self.persist_hard_state();
+                    self.persist(Durable::HardState);
                     self.reset_election_deadline(now_ms);
                 }
                 out.push((
@@ -1052,13 +1028,13 @@ impl Replica {
                             // Conflict: drop our divergent suffix, then
                             // take the leader's entry.
                             self.log.truncate(idx as usize - 1);
-                            self.persist_truncate(idx);
+                            self.persist(Durable::Truncate(idx));
                             self.log.push(*e);
-                            self.persist_entry(e);
+                            self.persist(Durable::Entry(*e));
                         }
                     } else {
                         self.log.push(*e);
-                        self.persist_entry(e);
+                        self.persist(Durable::Entry(*e));
                     }
                 }
                 let new_commit = commit.min(self.last_log_index());
@@ -1427,7 +1403,7 @@ impl ConsensusCluster {
     }
 
     /// The journaling observer's state: the canonical committed view
-    /// of leases, membership, GL versions and ownership. Readable even
+    /// of leases, membership and GL versions. Readable even
     /// with zero live replicas (read-only degradation).
     #[must_use]
     pub fn observer(&self) -> &ControlState {

@@ -121,92 +121,6 @@ pub enum FaultAction {
     },
 }
 
-/// A perturbation of an MDS's durable store rather than of a network
-/// message. Storage faults are consulted by the store-chaos engine (and
-/// by `LiveCluster` crash handling) at durability boundaries — crash
-/// points and fsyncs — not per message.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub enum StorageFault {
-    /// The crash tears the last in-flight WAL frame: only a prefix of
-    /// the unsynced buffer reaches disk, cutting a frame mid-way.
-    TornWrite,
-    /// An fsync that claimed success persisted only a prefix of the
-    /// buffered bytes (lost-write firmware bug model).
-    PartialFsync,
-    /// A bit of an already-durable, CRC-covered record is flipped on
-    /// disk (latent media corruption model).
-    CorruptRecord,
-}
-
-impl StorageFault {
-    /// The journal label for this fault.
-    #[must_use]
-    pub fn kind(self) -> FaultKind {
-        match self {
-            StorageFault::TornWrite => FaultKind::TornWrite,
-            StorageFault::PartialFsync => FaultKind::PartialFsync,
-            StorageFault::CorruptRecord => FaultKind::CorruptRecord,
-        }
-    }
-}
-
-/// One probabilistic storage perturbation, scoped to one MDS's store or
-/// to all of them, with the same optional activity window as
-/// [`FaultRule`].
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct StorageFaultRule {
-    /// The MDS whose store the rule watches; `None` means every store.
-    pub mds: Option<u16>,
-    /// What happens to the store when the rule fires.
-    pub fault: StorageFault,
-    /// Per-consultation firing probability in `[0, 1]`.
-    pub probability: f64,
-    /// Half-open `[from_ms, until_ms)` activity window; `None` means
-    /// always active.
-    pub active_ms: Option<(u64, u64)>,
-}
-
-impl StorageFaultRule {
-    /// A rule that always fires for every store, with no window.
-    #[must_use]
-    pub fn new(fault: StorageFault) -> Self {
-        StorageFaultRule {
-            mds: None,
-            fault,
-            probability: 1.0,
-            active_ms: None,
-        }
-    }
-
-    /// Restricts the rule to one MDS's store.
-    #[must_use]
-    pub fn on_mds(mut self, mds: u16) -> Self {
-        self.mds = Some(mds);
-        self
-    }
-
-    /// Sets the per-consultation firing probability.
-    #[must_use]
-    pub fn with_probability(mut self, p: f64) -> Self {
-        self.probability = p.clamp(0.0, 1.0);
-        self
-    }
-
-    /// Restricts the rule to the half-open window `[from_ms, until_ms)`.
-    #[must_use]
-    pub fn during(mut self, from_ms: u64, until_ms: u64) -> Self {
-        self.active_ms = Some((from_ms, until_ms));
-        self
-    }
-
-    fn active_at(&self, now_ms: u64) -> bool {
-        match self.active_ms {
-            None => true,
-            Some((from, until)) => now_ms >= from && now_ms < until,
-        }
-    }
-}
-
 /// One scoped, probabilistic perturbation with an optional activity
 /// window (in the clock domain of the transport consulting the plan —
 /// virtual ms for the simulator/chaos engine, wall ms since cluster
@@ -274,9 +188,6 @@ pub struct FaultPlan {
     pub seed: u64,
     /// The rules, consulted in order; the first firing rule wins.
     pub rules: Vec<FaultRule>,
-    /// Storage-fault rules, consulted (in order, first firing rule
-    /// wins) at durability boundaries instead of per message.
-    pub storage_rules: Vec<StorageFaultRule>,
 }
 
 impl FaultPlan {
@@ -286,7 +197,6 @@ impl FaultPlan {
         FaultPlan {
             seed,
             rules: Vec::new(),
-            storage_rules: Vec::new(),
         }
     }
 
@@ -297,17 +207,10 @@ impl FaultPlan {
         self
     }
 
-    /// Appends a storage-fault rule (builder style).
-    #[must_use]
-    pub fn with_storage_rule(mut self, rule: StorageFaultRule) -> Self {
-        self.storage_rules.push(rule);
-        self
-    }
-
-    /// Whether the plan has no rules of either kind.
+    /// Whether the plan has no rules.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.rules.is_empty() && self.storage_rules.is_empty()
+        self.rules.is_empty()
     }
 }
 
@@ -343,14 +246,12 @@ struct FaultTelemetry {
     dropped: Arc<Counter>,
     delayed: Arc<Counter>,
     duplicated: Arc<Counter>,
-    storage: Arc<Counter>,
 }
 
 /// Runtime companion of a [`FaultPlan`]: owns the seeded RNG and the
 /// optional telemetry handles. Cheap to consult when the plan is empty.
 pub struct FaultInjector {
     rules: Vec<FaultRule>,
-    storage_rules: Vec<StorageFaultRule>,
     rng: Mutex<StdRng>,
     telemetry: Option<FaultTelemetry>,
 }
@@ -372,7 +273,6 @@ impl FaultInjector {
     pub fn new(plan: &FaultPlan) -> Self {
         FaultInjector {
             rules: plan.rules.clone(),
-            storage_rules: plan.storage_rules.clone(),
             rng: Mutex::new(StdRng::seed_from_u64(plan.seed)),
             telemetry: None,
         }
@@ -385,13 +285,11 @@ impl FaultInjector {
         let dropped = registry.counter(MetricKey::global(names::FAULTS_DROPPED));
         let delayed = registry.counter(MetricKey::global(names::FAULTS_DELAYED));
         let duplicated = registry.counter(MetricKey::global(names::FAULTS_DUPLICATED));
-        let storage = registry.counter(MetricKey::global(names::FAULTS_STORAGE));
         self.telemetry = Some(FaultTelemetry {
             registry,
             dropped,
             delayed,
             duplicated,
-            storage,
         });
         self
     }
@@ -399,7 +297,7 @@ impl FaultInjector {
     /// Whether the injector has any rules at all.
     #[must_use]
     pub fn is_empty(&self) -> bool {
-        self.rules.is_empty() && self.storage_rules.is_empty()
+        self.rules.is_empty()
     }
 
     /// Decides the fate of one message crossing `edge` at `now_ms`.
@@ -444,50 +342,21 @@ impl FaultInjector {
                 }
             };
             drop(rng);
-            self.record(kind, edge.mds());
+            if let Some(tel) = &self.telemetry {
+                let counter = match decision {
+                    FaultDecision::Drop => &tel.dropped,
+                    FaultDecision::DeliverTwice => &tel.duplicated,
+                    _ => &tel.delayed,
+                };
+                counter.inc();
+                tel.registry.journal().record(EventKind::FaultInjected {
+                    fault: kind,
+                    mds: edge.mds(),
+                });
+            }
             return decision;
         }
         FaultDecision::Deliver
-    }
-
-    /// Decides whether a storage fault strikes `mds`'s store at the
-    /// durability boundary happening at `now_ms`. Storage rules are
-    /// consulted in plan order; the first firing rule wins. A firing
-    /// rule is journaled and counted when a registry is attached.
-    pub fn decide_storage(&self, mds: u16, now_ms: u64) -> Option<StorageFault> {
-        if self.storage_rules.is_empty() {
-            return None;
-        }
-        let mut rng = self.rng.lock().unwrap_or_else(|e| e.into_inner());
-        for rule in &self.storage_rules {
-            if !rule.active_at(now_ms) || rule.mds.is_some_and(|m| m != mds) {
-                continue;
-            }
-            let fires = rule.probability >= 1.0
-                || (rule.probability > 0.0 && rng.gen_bool(rule.probability));
-            if !fires {
-                continue;
-            }
-            drop(rng);
-            self.record(rule.fault.kind(), mds);
-            return Some(rule.fault);
-        }
-        None
-    }
-
-    fn record(&self, kind: FaultKind, mds: u16) {
-        let Some(tel) = &self.telemetry else { return };
-        match kind {
-            FaultKind::Drop => tel.dropped.inc(),
-            FaultKind::Delay | FaultKind::Reorder => tel.delayed.inc(),
-            FaultKind::Duplicate => tel.duplicated.inc(),
-            FaultKind::TornWrite | FaultKind::PartialFsync | FaultKind::CorruptRecord => {
-                tel.storage.inc();
-            }
-        }
-        tel.registry
-            .journal()
-            .record(EventKind::FaultInjected { fault: kind, mds });
     }
 }
 
@@ -583,58 +452,6 @@ mod tests {
                 other => panic!("expected delay, got {other:?}"),
             }
         }
-    }
-
-    #[test]
-    fn storage_rules_scope_window_and_determinism() {
-        let plan = FaultPlan::new(11)
-            .with_storage_rule(
-                StorageFaultRule::new(StorageFault::TornWrite)
-                    .on_mds(1)
-                    .during(100, 200),
-            )
-            .with_storage_rule(
-                StorageFaultRule::new(StorageFault::PartialFsync).with_probability(0.4),
-            );
-        assert!(!plan.is_empty());
-        let a = FaultInjector::new(&plan);
-        let b = FaultInjector::new(&plan);
-        // Scoped rule: only mds 1 inside [100, 200).
-        assert_eq!(a.decide_storage(1, 150), Some(StorageFault::TornWrite));
-        assert_eq!(b.decide_storage(1, 150), Some(StorageFault::TornWrite));
-        assert_eq!(a.decide_storage(1, 250), b.decide_storage(1, 250));
-        // Same plan, same seed: identical probabilistic decisions.
-        for t in 0..200u64 {
-            assert_eq!(a.decide_storage(0, t), b.decide_storage(0, t));
-        }
-        // The fallthrough rule does fire sometimes and never tears.
-        let hits = (0..200u64)
-            .filter(|&t| a.decide_storage(2, t) == Some(StorageFault::PartialFsync))
-            .count();
-        assert!(hits > 0, "probabilistic storage rule never fired");
-    }
-
-    #[test]
-    fn storage_faults_are_journaled_and_counted() {
-        let registry = Arc::new(Registry::new());
-        let plan =
-            FaultPlan::new(3).with_storage_rule(StorageFaultRule::new(StorageFault::CorruptRecord));
-        let inj = FaultInjector::new(&plan).with_registry(Arc::clone(&registry));
-        assert_eq!(inj.decide_storage(2, 0), Some(StorageFault::CorruptRecord));
-        let snap = registry.snapshot();
-        let n = snap
-            .counters
-            .iter()
-            .find(|(k, _)| k.name == names::FAULTS_STORAGE)
-            .map(|(_, v)| *v);
-        assert_eq!(n, Some(1));
-        assert!(registry.journal().snapshot().iter().any(|e| matches!(
-            e.kind,
-            EventKind::FaultInjected {
-                fault: FaultKind::CorruptRecord,
-                mds: 2
-            }
-        )));
     }
 
     #[test]

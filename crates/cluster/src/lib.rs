@@ -25,9 +25,11 @@
 //! [`lock`] (the lease-based lock service of Sec. IV-A3, a thread-safe
 //! view of the control state) and [`monitor`] (heartbeat clocks, failure
 //! verdicts, the pending pool and the fail-over and rejoin planners).
-//! Membership, leases and their fence counter, committed GL versions and
-//! subtree ownership are held once, by [`consensus::ControlState`];
-//! everything else proposes `Command`s to it. An MDS is one thing behind
+//! Membership, leases and their fence counter and committed GL versions
+//! are held once, by [`consensus::ControlState`]; everything else
+//! proposes `Command`s to it. Subtree ownership is not part of it: a
+//! committed `Migrate` is a decision, and its applier re-homes the
+//! subtree in the placement it routes by. An MDS is one thing behind
 //! either transport: [`NetMds`] answers every request of a TCP daemon and
 //! of a `live` server thread alike, and a private module beside it
 //! decides whose request it is, opens its `serve` span and recovers its
@@ -72,7 +74,6 @@ pub use consensus::{
 };
 pub use fault::{
     FaultAction, FaultDecision, FaultInjector, FaultPlan, FaultRule, FaultScope, NetEdge,
-    StorageFault, StorageFaultRule,
 };
 pub use lock::{LockService, LockToken};
 pub use message::{Request, RequestId, Response, ResponseBody};

@@ -2,9 +2,9 @@
 //! serving core `d2tree serve` runs — one per OS thread, crossbeam
 //! channels as the network carrying the wire codec's frames, a Monitor
 //! thread doing heartbeat-based failure detection, and fail-over that
-//! re-homes a dead server's subtrees onto the survivors. Membership, GL
-//! leases and ownership decisions live in one mutex-guarded
-//! `ControlState` that every command is applied to as it is issued.
+//! re-homes a dead server's subtrees onto the survivors. Membership and
+//! GL leases live in one mutex-guarded `ControlState` that every
+//! command, ownership decisions included, is applied to as it is issued.
 //!
 //! A server thread keeps only heartbeats, the crash flag, index fetches
 //! and the fault edges of its links; the cluster adds a GL replication

@@ -69,7 +69,7 @@ impl LockService {
 
     /// The committed control state this service is a view of. The live
     /// runtime's Monitor applies its membership and migration commands
-    /// here, so leases, liveness and ownership share one object.
+    /// here, so every control-plane command goes through one object.
     pub fn control(&self) -> MutexGuard<'_, ControlState> {
         self.state.lock()
     }

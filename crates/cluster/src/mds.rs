@@ -175,7 +175,7 @@ pub(crate) fn open_and_recover(
         .map(|root| (root, true));
     for (root, acquired) in shed.chain(acquired) {
         store
-            .append(MdsRecord::Ownership { root, acquired })
+            .append_deferred(MdsRecord::Ownership { root, acquired })
             .expect("WAL append failed");
     }
     store.sync().expect("WAL sync failed");

@@ -629,14 +629,15 @@ impl NetMds {
     }
 
     /// Installs a sibling replica's commit of global-layer `node` if it
-    /// is newer, journaled under the store's own sync policy.
+    /// is newer. The record is journaled like any other and becomes
+    /// durable at this daemon's next commit.
     pub(crate) fn replicate(&self, node: NodeId, committed: VersionedAttr) -> bool {
         // The table is let go first: a batch holding the store takes it.
         let newer = self.attrs.write().apply_if_newer(node, committed);
         if newer {
             if let Some(store) = self.lock_store().as_deref_mut().and_then(Option::as_mut) {
                 store
-                    .append(MdsRecord::AttrCommit {
+                    .append_deferred(MdsRecord::AttrCommit {
                         node: node.index() as u64,
                         gl: true,
                         attr: attr_state(committed),
@@ -831,8 +832,8 @@ impl NetMds {
     }
 
     /// Serves one decoded request with durability deferred: journaled
-    /// mutations stay buffered until the next [`commit_batch`]
-    /// (or store-policy sync). Callers must not acknowledge the
+    /// mutations stay buffered until the next [`commit_batch`] (or any
+    /// other commit of this daemon). Callers must not acknowledge the
     /// response to a remote peer before committing. Public for crash
     /// tests that need to open the ack-before-fsync window on purpose;
     /// everything else wants [`serve`](Self::serve),
@@ -2922,19 +2923,17 @@ mod tests {
         mds.sync();
         drop(mds);
 
-        let segments = d2tree_store::wal::list_segments(&dir.join("mds-0")).expect("list");
         let mut journaled = Vec::new();
-        for (i, (first_lsn, path)) in segments.iter().enumerate() {
-            let scan = d2tree_store::wal::scan_segment(path, *first_lsn, i + 1 == segments.len())
-                .expect("clean WAL");
-            assert_eq!(scan.torn_bytes, 0);
-            journaled.extend(scan.frames.iter().filter_map(|f| match f.record {
-                MdsRecord::AttrCommit { node, attr, .. } if node == hot.index() as u64 => {
-                    Some(attr.version)
+        let scan = d2tree_store::wal::scan_log(&dir.join("mds-0"), 0, |f| {
+            if let MdsRecord::AttrCommit { node, attr, .. } = f.record {
+                if node == hot.index() as u64 {
+                    journaled.push(attr.version);
                 }
-                _ => None,
-            }));
-        }
+            }
+            Ok(())
+        })
+        .expect("clean WAL");
+        assert_eq!(scan.torn_bytes, 0);
         journaled.sort_unstable();
         assert_eq!(journaled, (1..=2 * PER_THREAD).collect::<Vec<_>>());
         let (store, _) = MdsStore::open(dir.join("mds-0"), StoreConfig::manual()).expect("reopen");

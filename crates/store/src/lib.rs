@@ -10,15 +10,18 @@
 //!   workspace's serde shim derives are no-ops, so nothing here relies
 //!   on derived serialization).
 //! * [`wal`] — a length-prefixed, CRC32-checksummed, segmented
-//!   write-ahead log with group commit: appends buffer in memory and
-//!   become durable at the next [`MdsStore::sync`], batching fsyncs.
+//!   write-ahead log, and the only code that knows its layout. Appends
+//!   buffer in memory; [`wal::scan_log`] is the one recovery scan, for
+//!   MDS stores and consensus replica logs alike.
 //! * [`snapshot`] — periodic whole-state snapshots written
 //!   tmp+rename+dir-fsync so a crash never leaves a torn snapshot
 //!   visible; covered WAL segments are pruned afterwards.
 //! * [`MdsStore`] — ties the two together: `open` recovers
-//!   snapshot+tail (truncating a torn final record), `append` journals
-//!   and applies, `verify`/`inspect`/`compact` back the
-//!   `d2tree store` CLI.
+//!   snapshot+tail (truncating a torn final record), `append_deferred`
+//!   journals and applies, and `sync`, the writer's commit, is the one
+//!   point where records become durable (one fsync for everything
+//!   buffered — nothing syncs on a timer). `verify`/`inspect`/`compact`
+//!   back the `d2tree store` CLI.
 //!
 //! ## Failure policy
 //!
@@ -30,7 +33,8 @@
 //!   [`RecoveryInfo::torn_bytes`], and the log resumes from the valid
 //!   prefix;
 //! * a bad frame **followed by** a CRC-valid frame (a mid-log bit
-//!   flip), or any bad frame in a non-last segment, is *corruption*:
+//!   flip), any bad frame in a non-last segment, or a missing segment
+//!   (an LSN gap between two segments) is *corruption*:
 //!   [`StoreError::Corrupt`] — silently truncating would drop records
 //!   that were acknowledged as durable.
 

@@ -1,5 +1,6 @@
 //! [`MdsStore`]: the durable state machine one MDS owns — WAL +
-//! snapshots + group-commit policy + recovery.
+//! snapshots + recovery. Its writer decides when records are durable:
+//! [`MdsStore::sync`] is the only fsync.
 
 use std::collections::BTreeMap;
 use std::fs;
@@ -12,8 +13,10 @@ use d2tree_telemetry::{names, Counter, Histogram, MetricKey, Registry};
 
 use crate::record::{MdsRecord, MdsState};
 use crate::snapshot::{list_snapshots, read_snapshot, remove_stale_tmp, write_snapshot};
-use crate::wal::{list_segments, scan_segment, WalWriter};
-use crate::{StoreError, StoreResult};
+use crate::wal::{list_segments, scan_log, LogScan, SegmentInfo, WalWriter};
+#[cfg(doc)]
+use crate::StoreError;
+use crate::StoreResult;
 
 /// Tuning knobs for one MDS store.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -21,12 +24,6 @@ pub struct StoreConfig {
     /// Rotate to a new WAL segment once the current one reaches this
     /// many bytes.
     pub segment_bytes: u64,
-    /// Group commit: fsync at most this often under steady appends.
-    /// Appends within the window batch into one fsync.
-    pub flush_interval_ms: u64,
-    /// Group commit: fsync early once this many bytes are buffered,
-    /// bounding the data at risk between fsyncs.
-    pub group_buffer_bytes: usize,
     /// Take a snapshot (and prune covered segments) every this many
     /// appended records.
     pub snapshot_every: u64,
@@ -36,24 +33,20 @@ impl Default for StoreConfig {
     fn default() -> Self {
         StoreConfig {
             segment_bytes: 64 * 1024,
-            flush_interval_ms: 5,
-            group_buffer_bytes: 64 * 1024,
             snapshot_every: 1024,
         }
     }
 }
 
 impl StoreConfig {
-    /// A configuration that never syncs or snapshots on its own:
-    /// every fsync is an explicit [`MdsStore::sync`] call. Chaos tests
-    /// use this so the durability boundary is deterministic.
+    /// A configuration that never snapshots on its own, so every fsync
+    /// is an explicit [`MdsStore::sync`] call. Chaos tests use this so
+    /// the durability boundary is deterministic.
     #[must_use]
     pub fn manual() -> Self {
         StoreConfig {
-            segment_bytes: 64 * 1024,
-            flush_interval_ms: u64::MAX,
-            group_buffer_bytes: usize::MAX,
             snapshot_every: u64::MAX,
+            ..StoreConfig::default()
         }
     }
 }
@@ -79,81 +72,27 @@ pub struct RecoveryInfo {
 struct ScanOutcome {
     state: MdsState,
     snapshot_lsn: u64,
-    records_replayed: u64,
-    torn_bytes: u64,
-    /// `(first_lsn, path, frames, valid_len)` per segment, LSN order.
-    segments: Vec<(u64, PathBuf, u64, u64)>,
-    next_lsn: u64,
+    log: LogScan,
     record_counts: BTreeMap<&'static str, u64>,
 }
 
-/// Replays a store directory without mutating it: newest snapshot,
-/// then every WAL segment in LSN order, enforcing LSN continuity.
+/// Replays a store directory without mutating it: the newest snapshot,
+/// then the WAL past it through [`scan_log`].
 fn scan_store(dir: &Path) -> StoreResult<ScanOutcome> {
-    let snapshots = list_snapshots(dir)?;
-    let (snapshot_lsn, mut state) = match snapshots.last() {
+    let (snapshot_lsn, mut state) = match list_snapshots(dir)?.last() {
         Some((lsn, path)) => (*lsn, read_snapshot(path, *lsn)?),
         None => (0, MdsState::default()),
     };
-
-    let segments = list_segments(dir)?;
-    let mut next_lsn = snapshot_lsn;
-    let mut records_replayed = 0u64;
-    let mut torn_bytes = 0u64;
     let mut record_counts: BTreeMap<&'static str, u64> = BTreeMap::new();
-    let mut scanned = Vec::with_capacity(segments.len());
-
-    for (i, (first_lsn, path)) in segments.iter().enumerate() {
-        let is_last = i + 1 == segments.len();
-        if i == 0 && *first_lsn > snapshot_lsn {
-            return Err(StoreError::corrupt(format!(
-                "WAL starts at lsn {first_lsn} but snapshot only covers lsn {snapshot_lsn}"
-            )));
-        }
-        let scan = scan_segment(path, *first_lsn, is_last)?;
-        if let Some((prev_first, _, prev_frames, _)) = scanned.last() {
-            let prev_end: u64 = prev_first + prev_frames;
-            if *first_lsn != prev_end {
-                return Err(StoreError::corrupt(format!(
-                    "segment gap: previous segment ends at lsn {prev_end}, next starts at {first_lsn}"
-                )));
-            }
-        }
-        for frame in &scan.frames {
-            if frame.lsn >= snapshot_lsn {
-                state.apply(&frame.record);
-                records_replayed += 1;
-                *record_counts.entry(frame.record.label()).or_insert(0) += 1;
-            }
-            next_lsn = frame.lsn + 1;
-        }
-        if scan.frames.is_empty() && is_last {
-            // A fresh (or fully torn) last segment: appends resume at
-            // its nominal first LSN.
-            next_lsn = next_lsn.max(*first_lsn);
-        }
-        torn_bytes = scan.torn_bytes;
-        scanned.push((
-            *first_lsn,
-            path.clone(),
-            scan.frames.len() as u64,
-            scan.valid_len,
-        ));
-    }
-
-    if next_lsn < snapshot_lsn {
-        return Err(StoreError::corrupt(format!(
-            "snapshot covers lsn {snapshot_lsn} but the WAL ends at lsn {next_lsn}"
-        )));
-    }
-
+    let log = scan_log(dir, snapshot_lsn, |frame| {
+        state.apply(&frame.record);
+        *record_counts.entry(frame.record.label()).or_insert(0) += 1;
+        Ok(())
+    })?;
     Ok(ScanOutcome {
         state,
         snapshot_lsn,
-        records_replayed,
-        torn_bytes,
-        segments: scanned,
-        next_lsn,
+        log,
         record_counts,
     })
 }
@@ -171,11 +110,10 @@ struct StoreTelemetry {
 /// lock-step with a write-ahead log and periodic snapshots.
 pub struct MdsStore {
     dir: PathBuf,
-    config: StoreConfig,
+    snapshot_every: u64,
     state: MdsState,
     wal: WalWriter,
     records_since_snapshot: u64,
-    last_sync: Instant,
     telemetry: Option<StoreTelemetry>,
     /// Tracer plus the owning MDS id for span attribution; `None` keeps
     /// the WAL hot path span-free.
@@ -205,27 +143,27 @@ impl MdsStore {
         fs::create_dir_all(dir)?;
         let t0 = Instant::now();
         remove_stale_tmp(dir)?;
-        let outcome = scan_store(dir)?;
-        let last_segment = outcome
-            .segments
-            .last()
-            .map(|&(first_lsn, _, _, valid_len)| (first_lsn, valid_len));
-        let wal = WalWriter::open(dir, config.segment_bytes, last_segment, outcome.next_lsn)?;
+        let ScanOutcome {
+            state,
+            snapshot_lsn,
+            log,
+            ..
+        } = scan_store(dir)?;
+        let wal = log.writer(dir, config.segment_bytes)?;
         let info = RecoveryInfo {
-            snapshot_lsn: outcome.snapshot_lsn,
-            records_replayed: outcome.records_replayed,
-            torn_bytes: outcome.torn_bytes,
-            segments: outcome.segments.len(),
-            next_lsn: outcome.next_lsn,
+            snapshot_lsn,
+            records_replayed: log.replayed,
+            torn_bytes: log.torn_bytes,
+            segments: log.segments.len(),
+            next_lsn: log.next_lsn,
             duration: t0.elapsed(),
         };
         let store = MdsStore {
             dir: dir.to_path_buf(),
-            config,
-            state: outcome.state,
+            snapshot_every: config.snapshot_every,
+            state,
             wal,
             records_since_snapshot: 0,
-            last_sync: Instant::now(),
             telemetry: None,
             tracer: None,
         };
@@ -254,34 +192,16 @@ impl MdsStore {
         self
     }
 
-    /// Journals one record and applies it to the in-memory state.
-    /// Durability follows the group-commit policy: the record is
-    /// buffered and becomes durable at the next sync (time- or
-    /// size-triggered here, or an explicit [`MdsStore::sync`]).
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Io`] if a policy-triggered sync or snapshot fails.
-    pub fn append(&mut self, record: MdsRecord) -> StoreResult<()> {
-        self.append_inner(record, true)
-    }
-
-    /// [`append`](Self::append) minus the time/size sync policy: the
-    /// record is buffered and applied, but no sync happens here even if
-    /// the group buffer is full or the flush interval has elapsed. The
-    /// caller owns durability and must call [`sync`](Self::sync) (one
-    /// group-committed fsync for the whole batch) before acknowledging —
-    /// this is the batch-serving path's building block. The snapshot
-    /// trigger still fires (a snapshot syncs internally first).
+    /// Journals one record and applies it to the in-memory state. The
+    /// record is only buffered: it becomes durable at the writer's next
+    /// [`sync`](Self::sync) (one group-committed fsync for everything
+    /// buffered), which the caller must issue before acknowledging. The
+    /// snapshot trigger still fires here (a snapshot syncs first).
     ///
     /// # Errors
     ///
     /// [`StoreError::Io`] if a triggered snapshot fails.
     pub fn append_deferred(&mut self, record: MdsRecord) -> StoreResult<()> {
-        self.append_inner(record, false)
-    }
-
-    fn append_inner(&mut self, record: MdsRecord, policy_sync: bool) -> StoreResult<()> {
         let t0 = Instant::now();
         let (_, bytes) = self.wal.append(&record);
         self.state.apply(&record);
@@ -302,21 +222,14 @@ impl MdsStore {
                 );
             }
         }
-        if policy_sync
-            && (self.wal.pending_bytes() >= self.config.group_buffer_bytes
-                || u128::from(self.config.flush_interval_ms)
-                    <= self.last_sync.elapsed().as_millis())
-        {
-            self.sync()?;
-        }
-        if self.records_since_snapshot >= self.config.snapshot_every {
+        if self.records_since_snapshot >= self.snapshot_every {
             self.snapshot()?;
         }
         Ok(())
     }
 
-    /// Group commit: makes every buffered append durable with one
-    /// fsync.
+    /// Group commit, and the store's only WAL fsync: makes every
+    /// buffered append durable at once.
     ///
     /// # Errors
     ///
@@ -324,7 +237,6 @@ impl MdsStore {
     pub fn sync(&mut self) -> StoreResult<()> {
         let t0 = Instant::now();
         let bytes = self.wal.sync()?;
-        self.last_sync = Instant::now();
         if bytes > 0 {
             if let Some(t) = &self.telemetry {
                 t.fsync_us.record(t0.elapsed().as_micros() as u64);
@@ -401,12 +313,6 @@ impl MdsStore {
         &self.dir
     }
 
-    /// The configuration this store was opened with.
-    #[must_use]
-    pub fn config(&self) -> StoreConfig {
-        self.config
-    }
-
     /// Crash model for chaos tests: consumes the store, tearing only
     /// the first `keep` bytes of the unsynced buffer into the file.
     /// See [`WalWriter::simulate_crash`].
@@ -443,25 +349,16 @@ pub struct VerifyReport {
 /// (anything worse than a torn tail); [`StoreError::Io`] on read
 /// failure.
 pub fn verify(dir: impl AsRef<Path>) -> StoreResult<VerifyReport> {
-    let outcome = scan_store(dir.as_ref())?;
+    let ScanOutcome {
+        snapshot_lsn, log, ..
+    } = scan_store(dir.as_ref())?;
     Ok(VerifyReport {
-        snapshot_lsn: outcome.snapshot_lsn,
-        records: outcome.records_replayed,
-        torn_bytes: outcome.torn_bytes,
-        segments: outcome.segments.len(),
-        next_lsn: outcome.next_lsn,
+        snapshot_lsn,
+        records: log.replayed,
+        torn_bytes: log.torn_bytes,
+        segments: log.segments.len(),
+        next_lsn: log.next_lsn,
     })
-}
-
-/// One WAL segment as seen by [`inspect`].
-#[derive(Debug, Clone)]
-pub struct SegmentInfo {
-    /// LSN of the segment's first frame.
-    pub first_lsn: u64,
-    /// Valid frames in the segment.
-    pub frames: u64,
-    /// Bytes in the valid prefix (magic + whole frames).
-    pub valid_bytes: u64,
 }
 
 /// Report from [`inspect`]: layout plus replayed-state summary.
@@ -496,17 +393,9 @@ pub fn inspect(dir: impl AsRef<Path>) -> StoreResult<InspectReport> {
     let outcome = scan_store(dir.as_ref())?;
     Ok(InspectReport {
         snapshot_lsn: outcome.snapshot_lsn,
-        next_lsn: outcome.next_lsn,
-        torn_bytes: outcome.torn_bytes,
-        segments: outcome
-            .segments
-            .iter()
-            .map(|&(first_lsn, _, frames, valid_bytes)| SegmentInfo {
-                first_lsn,
-                frames,
-                valid_bytes,
-            })
-            .collect(),
+        next_lsn: outcome.log.next_lsn,
+        torn_bytes: outcome.log.torn_bytes,
+        segments: outcome.log.segments,
         record_counts: outcome
             .record_counts
             .iter()
@@ -588,7 +477,7 @@ mod tests {
         let (mut store, info) = MdsStore::open(&dir, StoreConfig::manual()).unwrap();
         assert_eq!(info.next_lsn, 0);
         for i in 0..50 {
-            store.append(rec(i)).unwrap();
+            store.append_deferred(rec(i)).unwrap();
         }
         store.sync().unwrap();
         let expect = store.state().clone();
@@ -601,29 +490,22 @@ mod tests {
         fs::remove_dir_all(&dir).unwrap();
     }
 
-    /// `append_deferred` must ignore both the size and the time sync
-    /// triggers: with a 1-byte group buffer and a 0ms flush interval,
-    /// policy appends would sync on every record, yet deferred appends
-    /// keep everything buffered until the caller's explicit group commit.
+    /// Appends only buffer: pending bytes grow with every record and
+    /// nothing reaches the log until the writer's `sync`.
     #[test]
-    fn append_deferred_buffers_past_every_policy_trigger() {
+    fn pending_bytes_grow_until_sync() {
         let dir = tmp_dir("deferred");
-        let config = StoreConfig {
-            group_buffer_bytes: 1,
-            flush_interval_ms: 0,
-            ..StoreConfig::manual()
-        };
-        let (mut store, _) = MdsStore::open(&dir, config).unwrap();
+        let (mut store, _) = MdsStore::open(&dir, StoreConfig::default()).unwrap();
+        let mut pending = 0;
         for i in 0..10 {
             store.append_deferred(rec(i)).unwrap();
+            assert!(store.pending_bytes() > pending, "record {i} was buffered");
+            pending = store.pending_bytes();
         }
-        assert!(
-            store.pending_bytes() > 0,
-            "no policy sync fired under deferred appends"
-        );
-        // Crash before the commit: nothing was durable.
+        assert_eq!(verify(&dir).unwrap().records, 0, "nothing durable yet");
         let expect_after_commit = store.state().clone();
         store.sync().unwrap();
+        assert_eq!(store.pending_bytes(), 0);
         drop(store);
         let (store, info) = MdsStore::open(&dir, StoreConfig::manual()).unwrap();
         assert_eq!(info.records_replayed, 10);
@@ -638,7 +520,7 @@ mod tests {
         let dir = tmp_dir("deferred-crash");
         let (mut store, _) = MdsStore::open(&dir, StoreConfig::manual()).unwrap();
         for i in 0..8 {
-            store.append(rec(i)).unwrap();
+            store.append_deferred(rec(i)).unwrap();
         }
         store.sync().unwrap();
         let committed = store.state().clone();
@@ -658,14 +540,14 @@ mod tests {
         let (mut store, _) = MdsStore::open(&dir, StoreConfig::manual()).unwrap();
         let mut synced_state = MdsState::default();
         for i in 0..20 {
-            store.append(rec(i)).unwrap();
+            store.append_deferred(rec(i)).unwrap();
         }
         store.sync().unwrap();
         for i in 0..20 {
             synced_state.apply(&rec(i));
         }
         for i in 20..30 {
-            store.append(rec(i)).unwrap();
+            store.append_deferred(rec(i)).unwrap();
         }
         // Tear 7 bytes of the unsynced records into the file.
         store.simulate_crash(7).unwrap();
@@ -687,7 +569,7 @@ mod tests {
         };
         let (mut store, _) = MdsStore::open(&dir, config).unwrap();
         for i in 0..60 {
-            store.append(rec(i)).unwrap();
+            store.append_deferred(rec(i)).unwrap();
             if i % 10 == 9 {
                 store.sync().unwrap();
             }
@@ -705,7 +587,7 @@ mod tests {
         assert_eq!(store.state(), &expect);
         assert_eq!(info.snapshot_lsn, 60);
         // Appends continue past the snapshot and replay on reopen.
-        store.append(rec(60)).unwrap();
+        store.append_deferred(rec(60)).unwrap();
         store.sync().unwrap();
         drop(store);
         let (store, info) = MdsStore::open(&dir, config).unwrap();
@@ -721,8 +603,6 @@ mod tests {
         let dir = tmp_dir("auto");
         let config = StoreConfig {
             snapshot_every: 16,
-            flush_interval_ms: u64::MAX,
-            group_buffer_bytes: usize::MAX,
             ..StoreConfig::default()
         };
         let (mut store, _) = MdsStore::open(&dir, config).unwrap();
@@ -730,7 +610,7 @@ mod tests {
         // store must equal however many snapshots it cut on the way.
         let mut expect = MdsState::default();
         for i in 0..100 {
-            store.append(rec(i)).unwrap();
+            store.append_deferred(rec(i)).unwrap();
             expect.apply(&rec(i));
         }
         assert_eq!(*store.state(), expect, "six snapshot boundaries crossed");
@@ -753,7 +633,7 @@ mod tests {
         };
         let (mut store, _) = MdsStore::open(&dir, config).unwrap();
         for i in 0..80 {
-            store.append(rec(i)).unwrap();
+            store.append_deferred(rec(i)).unwrap();
             if i % 8 == 7 {
                 store.sync().unwrap();
             }
@@ -776,7 +656,7 @@ mod tests {
         let dir = tmp_dir("inspect");
         let (mut store, _) = MdsStore::open(&dir, StoreConfig::manual()).unwrap();
         for i in 0..12 {
-            store.append(rec(i)).unwrap();
+            store.append_deferred(rec(i)).unwrap();
         }
         store.sync().unwrap();
         drop(store);
@@ -797,7 +677,7 @@ mod tests {
         let (store, _) = MdsStore::open(&dir, StoreConfig::manual()).unwrap();
         let mut store = store.with_registry(&registry, 3);
         for i in 0..5 {
-            store.append(rec(i)).unwrap();
+            store.append_deferred(rec(i)).unwrap();
         }
         store.sync().unwrap();
         store.snapshot().unwrap();
@@ -828,7 +708,7 @@ mod tests {
         let (store, _) = MdsStore::open(&dir, StoreConfig::manual()).unwrap();
         let mut store = store.with_tracer(Arc::clone(&tracer), 5);
         for i in 0..4 {
-            store.append(rec(i)).unwrap();
+            store.append_deferred(rec(i)).unwrap();
         }
         store.sync().unwrap();
         let spans = tracer.drain();

@@ -16,17 +16,29 @@
 //! `crc` is CRC-32/IEEE over the payload. LSNs are assigned densely
 //! (one per record, starting at 0), and a segment's frames must carry
 //! consecutive LSNs starting at its `first_lsn` — a CRC-valid frame
-//! with the wrong LSN is corruption.
+//! with the wrong LSN is corruption. Code outside this module reads
+//! the layout through [`list_segments`], [`SEGMENT_MAGIC`] and
+//! [`FRAME_HEADER`], never by hand.
 //!
 //! ## Group commit
 //!
 //! [`WalWriter::append`] only buffers the encoded frame in memory;
 //! nothing reaches the file until [`WalWriter::sync`], which writes the
-//! buffer, fsyncs, and rotates segments. The caller (the store's group
-//! commit policy) decides when to sync; a crash between appends and the
-//! next sync loses exactly the unsynced suffix — which is what
-//! [`WalWriter::simulate_crash`] models for chaos tests, including a
-//! *torn* write of a prefix of the buffer.
+//! buffer, fsyncs, and rotates segments. The writer's owner commits
+//! explicitly — for an MDS that is `MdsStore::sync`, the one fsync
+//! point — and nothing syncs on a timer or a buffer size. A crash
+//! between appends and the next sync loses exactly the unsynced suffix,
+//! which is what [`WalWriter::simulate_crash`] models for chaos tests,
+//! including a *torn* write of a prefix of the buffer.
+//!
+//! ## Recovery
+//!
+//! [`scan_log`] is the one recovery scan, behind the MDS store's open,
+//! verify and inspect and behind a consensus replica's restart. It
+//! walks a directory's segments in LSN order and refuses any log that
+//! breaks continuity: the first segment must start at or below the
+//! replay start, each segment must start where the previous one ended,
+//! and only the last segment may end in a torn tail.
 
 use std::fs::{self, File, OpenOptions};
 use std::io::{Seek, SeekFrom, Write};
@@ -43,17 +55,15 @@ pub const SEGMENT_MAGIC: &[u8; 8] = b"D2WAL001";
 pub const FRAME_HEADER: usize = 8;
 
 /// Upper bound on a frame payload; anything larger is malformed.
-pub const MAX_PAYLOAD: u32 = 1 << 20;
+const MAX_PAYLOAD: u32 = 1 << 20;
 
 /// File name of the segment whose first frame has LSN `first_lsn`.
-#[must_use]
-pub fn segment_file_name(first_lsn: u64) -> String {
+fn segment_file_name(first_lsn: u64) -> String {
     format!("wal-{first_lsn:016x}.log")
 }
 
 /// Parses a segment file name back into its `first_lsn`.
-#[must_use]
-pub fn parse_segment_name(name: &str) -> Option<u64> {
+fn parse_segment_name(name: &str) -> Option<u64> {
     let hex = name.strip_prefix("wal-")?.strip_suffix(".log")?;
     if hex.len() != 16 {
         return None;
@@ -62,8 +72,7 @@ pub fn parse_segment_name(name: &str) -> Option<u64> {
 }
 
 /// Encodes one frame (`len` + `crc` + payload) for LSN `lsn`.
-#[must_use]
-pub fn encode_frame(lsn: u64, record: &MdsRecord) -> Vec<u8> {
+fn encode_frame(lsn: u64, record: &MdsRecord) -> Vec<u8> {
     let body = record.encode();
     let mut payload = Vec::with_capacity(8 + body.len());
     payload.extend_from_slice(&lsn.to_be_bytes());
@@ -86,14 +95,14 @@ pub struct Frame {
 
 /// Result of scanning one segment file.
 #[derive(Debug)]
-pub struct SegmentScan {
+struct SegmentScan {
     /// Frames in the valid prefix, in LSN order.
-    pub frames: Vec<Frame>,
+    frames: Vec<Frame>,
     /// Byte length of the valid prefix (magic + whole frames).
-    pub valid_len: u64,
+    valid_len: u64,
     /// Bytes beyond the valid prefix (non-zero only for a torn tail
     /// in the last segment).
-    pub torn_bytes: u64,
+    torn_bytes: u64,
 }
 
 /// Why a frame failed to parse at some offset — used to decide between
@@ -179,12 +188,7 @@ fn any_valid_frame_after(data: &[u8], from: usize) -> bool {
 /// torn tail ([`SegmentScan::torn_bytes`]); anywhere else, or when a
 /// valid frame follows the bad bytes, the scan fails with
 /// [`StoreError::Corrupt`].
-///
-/// # Errors
-///
-/// [`StoreError::Io`] on read failure, [`StoreError::Corrupt`] as
-/// described above.
-pub fn scan_segment(path: &Path, first_lsn: u64, is_last: bool) -> StoreResult<SegmentScan> {
+fn scan_segment(path: &Path, first_lsn: u64, is_last: bool) -> StoreResult<SegmentScan> {
     let data = fs::read(path)?;
     let name = path.display();
     if data.len() < SEGMENT_MAGIC.len() || &data[..SEGMENT_MAGIC.len()] != SEGMENT_MAGIC {
@@ -250,6 +254,111 @@ pub fn list_segments(dir: &Path) -> StoreResult<Vec<(u64, PathBuf)>> {
     Ok(out)
 }
 
+/// One WAL segment as [`scan_log`] found it.
+#[derive(Debug, Clone)]
+pub struct SegmentInfo {
+    /// LSN of the segment's first frame.
+    pub first_lsn: u64,
+    /// Valid frames in the segment.
+    pub frames: u64,
+    /// Bytes in the valid prefix (magic + whole frames).
+    pub valid_bytes: u64,
+}
+
+/// What [`scan_log`] found in a log directory.
+#[derive(Debug, Clone)]
+pub struct LogScan {
+    /// Every segment, in LSN order.
+    pub segments: Vec<SegmentInfo>,
+    /// Frames handed to the visitor: those at or past the replay start.
+    pub replayed: u64,
+    /// Bytes past the last segment's valid prefix (a torn tail).
+    pub torn_bytes: u64,
+    /// LSN the next append receives.
+    pub next_lsn: u64,
+}
+
+impl LogScan {
+    /// A writer appending where the scan ended, the torn tail (if any)
+    /// truncated away.
+    ///
+    /// # Errors
+    ///
+    /// [`StoreError::Io`] on any filesystem failure.
+    pub fn writer(&self, dir: &Path, segment_bytes: u64) -> StoreResult<WalWriter> {
+        let last = self.segments.last().map(|s| (s.first_lsn, s.valid_bytes));
+        WalWriter::open(dir, segment_bytes, last, self.next_lsn)
+    }
+}
+
+/// The one recovery scan: walks the segments in `dir` in LSN order,
+/// hands `visit` every frame at or past `replay_from` (the frames below
+/// it are covered by a snapshot), and never writes.
+///
+/// # Errors
+///
+/// [`StoreError::Io`] on read failure. [`StoreError::Corrupt`] when the
+/// first segment starts past `replay_from`, a segment does not start
+/// where the previous one ended, a segment is damaged by more than a
+/// torn tail of the last one, the log ends before `replay_from`, or
+/// `visit` refuses a frame.
+pub fn scan_log(
+    dir: &Path,
+    replay_from: u64,
+    mut visit: impl FnMut(&Frame) -> StoreResult<()>,
+) -> StoreResult<LogScan> {
+    let paths = list_segments(dir)?;
+    let mut scan = LogScan {
+        segments: Vec::with_capacity(paths.len()),
+        replayed: 0,
+        torn_bytes: 0,
+        next_lsn: replay_from,
+    };
+    for (i, (first_lsn, path)) in paths.iter().enumerate() {
+        let first_lsn = *first_lsn;
+        match scan.segments.last() {
+            None if first_lsn > replay_from => {
+                return Err(StoreError::corrupt(format!(
+                    "WAL starts at lsn {first_lsn} but replay starts at lsn {replay_from}"
+                )));
+            }
+            Some(prev) if prev.first_lsn + prev.frames != first_lsn => {
+                return Err(StoreError::corrupt(format!(
+                    "segment gap: previous segment ends at lsn {}, next starts at {first_lsn}",
+                    prev.first_lsn + prev.frames
+                )));
+            }
+            _ => {}
+        }
+        let is_last = i + 1 == paths.len();
+        let seg = scan_segment(path, first_lsn, is_last)?;
+        for frame in seg.frames.iter().filter(|f| f.lsn >= replay_from) {
+            visit(frame)?;
+            scan.replayed += 1;
+        }
+        if let Some(frame) = seg.frames.last() {
+            scan.next_lsn = frame.lsn + 1;
+        } else if is_last {
+            // A fresh (or fully torn) last segment: appends resume at
+            // its nominal first LSN.
+            scan.next_lsn = scan.next_lsn.max(first_lsn);
+        }
+        scan.torn_bytes = seg.torn_bytes;
+        scan.segments.push(SegmentInfo {
+            first_lsn,
+            frames: seg.frames.len() as u64,
+            valid_bytes: seg.valid_len,
+        });
+    }
+    if scan.next_lsn < replay_from {
+        return Err(StoreError::corrupt(format!(
+            "replay starts at lsn {replay_from} but the WAL ends at lsn {}",
+            scan.next_lsn
+        )));
+    }
+    Ok(scan)
+}
+
 fn sync_dir(dir: &Path) -> StoreResult<()> {
     File::open(dir)?.sync_all()?;
     Ok(())
@@ -270,17 +379,14 @@ pub struct WalWriter {
 }
 
 impl WalWriter {
-    /// Opens a writer appending at `next_lsn`.
+    /// Opens a writer appending at `next_lsn`; outside this module a
+    /// writer comes only from a recovery scan ([`LogScan::writer`]).
     ///
     /// When `last_segment` names an existing segment and its valid
     /// byte length, that file is truncated to the valid prefix (torn
     /// tails die here) and appended to; otherwise a fresh segment is
     /// created for `next_lsn`.
-    ///
-    /// # Errors
-    ///
-    /// [`StoreError::Io`] on any filesystem failure.
-    pub fn open(
+    fn open(
         dir: &Path,
         segment_bytes: u64,
         last_segment: Option<(u64, u64)>,
@@ -449,12 +555,11 @@ mod tests {
     }
 
     fn scan_all(dir: &Path) -> StoreResult<Vec<Frame>> {
-        let segs = list_segments(dir)?;
         let mut frames = Vec::new();
-        for (i, (first_lsn, path)) in segs.iter().enumerate() {
-            let scan = scan_segment(path, *first_lsn, i + 1 == segs.len())?;
-            frames.extend(scan.frames);
-        }
+        scan_log(dir, 0, |f| {
+            frames.push(f.clone());
+            Ok(())
+        })?;
         Ok(frames)
     }
 

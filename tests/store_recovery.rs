@@ -9,7 +9,7 @@
 //! invents records and never silently drops fsynced interior ones.
 
 use std::fs;
-use std::path::PathBuf;
+use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 use std::time::{Duration, Instant};
@@ -18,6 +18,7 @@ use d2tree::cluster::live::{LiveCluster, LiveConfig};
 use d2tree::cluster::{run_store_chaos, FaultPlan, StoreChaosConfig};
 use d2tree::core::{D2TreeConfig, D2TreeScheme, Partitioner};
 use d2tree::metrics::{ClusterSpec, MdsId};
+use d2tree::store::wal::{list_segments, scan_log};
 use d2tree::store::{AttrState, MdsRecord, MdsState, MdsStore, StoreConfig};
 use d2tree::telemetry::names;
 use d2tree::telemetry::EventKind;
@@ -95,25 +96,15 @@ fn synced_store(tag: &str, n: u64) -> (PathBuf, Vec<MdsRecord>, Vec<usize>) {
         .collect();
     let (mut store, _) = MdsStore::open(&dir, StoreConfig::manual()).expect("fresh open");
     for r in &records {
-        store.append(*r).expect("append");
+        store.append_deferred(*r).expect("append");
     }
     store.sync().expect("sync");
     (dir, records, frame_lens)
 }
 
-fn wal_files(dir: &PathBuf) -> Vec<PathBuf> {
-    let mut out: Vec<PathBuf> = fs::read_dir(dir)
-        .expect("read store dir")
-        .flatten()
-        .map(|e| e.path())
-        .filter(|p| {
-            p.file_name()
-                .and_then(|n| n.to_str())
-                .is_some_and(|n| n.starts_with("wal-") && n.ends_with(".log"))
-        })
-        .collect();
-    out.sort();
-    out
+fn wal_files(dir: &Path) -> Vec<PathBuf> {
+    let segments = list_segments(dir).expect("list segments");
+    segments.into_iter().map(|(_, path)| path).collect()
 }
 
 /// Crash at EVERY byte offset of the log: recovery must come back with
@@ -216,6 +207,78 @@ fn bit_flips_fail_loudly_or_truncate_exactly() {
     let _ = fs::remove_dir_all(&work);
 }
 
+/// Removes the segment starting at `first_lsn` and checks it was there.
+fn remove_segment(dir: &Path, first_lsn: u64) {
+    let segments = list_segments(dir).expect("list segments");
+    let (_, path) = segments
+        .iter()
+        .find(|(lsn, _)| *lsn == first_lsn)
+        .expect("segment present");
+    fs::remove_file(path).expect("remove segment");
+}
+
+/// A log missing a middle segment lost records that were durable, so
+/// recovery must refuse it, whoever replays it: an MDS store and a
+/// consensus replica go through the one scan and both name the gap. A
+/// replica that skipped it would come back with an older vote, free
+/// to vote twice in one term.
+#[test]
+fn a_missing_middle_segment_fails_every_recovery_loudly() {
+    use d2tree::cluster::{ConsensusTiming, PeerMsg, Replica};
+
+    // One frame per segment: every sync rotates.
+    let tiny = StoreConfig {
+        segment_bytes: 1,
+        ..StoreConfig::manual()
+    };
+    let dir = tmp_dir("gap-store");
+    let (mut store, _) = MdsStore::open(&dir, tiny).expect("fresh open");
+    for i in 0..5 {
+        store.append_deferred(record_at(i)).expect("append");
+        store.sync().expect("sync");
+    }
+    drop(store);
+    remove_segment(&dir, 2);
+    match MdsStore::open(&dir, tiny) {
+        Err(d2tree::store::StoreError::Corrupt(msg)) => {
+            assert!(msg.contains("segment gap"), "{msg}");
+        }
+        other => panic!("store opened across a gap: {other:?}"),
+    }
+    let _ = fs::remove_dir_all(&dir);
+
+    // Replica 0 of three votes for replica 1 in terms 1 and 2: hard
+    // states (1, -), (1, 1), (2, -), (2, 1) at LSNs 0..4.
+    let dir = tmp_dir("gap-replica");
+    let timing = ConsensusTiming::default();
+    let open = || Replica::recover(0, 3, 7, timing, 100, 0, 0, &dir, 1);
+    let mut replica = open().expect("fresh replica");
+    let mut out = Vec::new();
+    for term in 1..=2 {
+        let vote = PeerMsg::RequestVote {
+            term,
+            candidate: 1,
+            last_log_index: 0,
+            last_log_term: 0,
+        };
+        replica.receive(vote, 0, &mut out);
+    }
+    assert_eq!(replica.term(), 2);
+    drop(replica);
+    remove_segment(&dir, 3);
+    match open() {
+        Err(d2tree::store::StoreError::Corrupt(msg)) => {
+            assert!(msg.contains("segment gap"), "{msg}");
+        }
+        Err(e) => panic!("replica failed for another reason: {e}"),
+        Ok(r) => panic!(
+            "replica recovered across a gap at term {}, its vote lost",
+            r.term()
+        ),
+    }
+    let _ = fs::remove_dir_all(&dir);
+}
+
 /// Snapshot + compact + reopen: the snapshot fully covers the log, the
 /// covered segments are pruned and recovery reproduces the same state.
 #[test]
@@ -227,7 +290,7 @@ fn snapshot_compact_reopen_roundtrip() {
     {
         let (mut store, _) = MdsStore::open(&dir, config).expect("open");
         for (i, r) in records.iter().enumerate() {
-            store.append(*r).expect("append");
+            store.append_deferred(*r).expect("append");
             if i % 37 == 0 {
                 store.sync().expect("sync");
             }
@@ -470,15 +533,13 @@ fn serve_daemon_crash_mid_group_commit_recovers_the_committed_prefix() {
 }
 
 /// Every record in a store directory's WAL, in LSN order.
-fn wal_records(dir: &std::path::Path) -> Vec<MdsRecord> {
-    use d2tree::store::wal::{list_segments, scan_segment};
-    let segments = list_segments(dir).expect("list segments");
-    let last = segments.len().saturating_sub(1);
+fn wal_records(dir: &Path) -> Vec<MdsRecord> {
     let mut records = Vec::new();
-    for (i, (first_lsn, path)) in segments.iter().enumerate() {
-        let scan = scan_segment(path, *first_lsn, i == last).expect("scan segment");
-        records.extend(scan.frames.into_iter().map(|f| f.record));
-    }
+    scan_log(dir, 0, |frame| {
+        records.push(frame.record);
+        Ok(())
+    })
+    .expect("scan log");
     records
 }
 
@@ -546,11 +607,11 @@ fn reopened_stores_resume_journaled_state_and_converge_ownership() {
         },
         counted(a, 41.0),
     ];
-    let leave = |root: &std::path::Path, records: &[MdsRecord]| {
+    let leave = |root: &Path, records: &[MdsRecord]| {
         let (mut store, _) =
             MdsStore::open(root.join("mds-0"), StoreConfig::manual()).expect("open");
         for &record in records {
-            store.append(record).expect("append");
+            store.append_deferred(record).expect("append");
         }
         store.sync().expect("sync");
     };

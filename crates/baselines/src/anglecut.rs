@@ -58,18 +58,29 @@ impl AngleCut {
         (depth * self.rings / (max_depth + 1)).min(self.rings - 1)
     }
 
-    fn retune(&mut self, tree: &NamespaceTree, pop: &Popularity, cluster: &ClusterSpec) {
-        let max_depth = tree.max_depth();
+    /// The ring of every arena slot, from the tree's true depths.
+    fn rings_of(&self, tree: &NamespaceTree) -> Vec<usize> {
+        let depth = tree.depths();
+        let max_depth = depth.iter().copied().max().unwrap_or(0) as usize;
+        depth
+            .iter()
+            .map(|&d| self.ring_of_depth(d as usize, max_depth))
+            .collect()
+    }
+
+    fn retune(
+        &mut self,
+        tree: &NamespaceTree,
+        rings: &[usize],
+        pop: &Popularity,
+        cluster: &ClusterSpec,
+    ) {
         let shares: Vec<f64> = cluster.ids().map(|k| cluster.capacity_share(k)).collect();
         let jitter = (self.seed % 89) as f64 * 1e-15;
         let mut per_ring: Vec<Vec<(f64, f64)>> = vec![Vec::new(); self.rings];
-        let mut depth = vec![0usize; tree.arena_size()];
-        for (id, node) in tree.nodes() {
-            if let Some(p) = node.parent() {
-                depth[id.index()] = depth[p.index()] + 1;
-            }
-            let ring = self.ring_of_depth(depth[id.index()], max_depth);
-            per_ring[ring].push((self.angles[id.index()] + jitter, pop.individual(id)));
+        for (id, _) in tree.nodes() {
+            per_ring[rings[id.index()]]
+                .push((self.angles[id.index()] + jitter, pop.individual(id)));
         }
         self.boundaries = per_ring
             .iter_mut()
@@ -85,17 +96,12 @@ impl AngleCut {
             .collect();
     }
 
-    fn rebuild_placement(&self, tree: &NamespaceTree, m: usize) -> Placement {
-        let max_depth = tree.max_depth();
+    fn rebuild_placement(&self, tree: &NamespaceTree, rings: &[usize], m: usize) -> Placement {
         let mut placement = Placement::new(tree, m);
         let mut slots = placement.writer(tree);
-        let mut depth = vec![0usize; tree.arena_size()];
-        for (id, node) in tree.nodes() {
-            if let Some(p) = node.parent() {
-                depth[id.index()] = depth[p.index()] + 1;
-            }
-            let ring = self.ring_of_depth(depth[id.index()], max_depth);
-            let owner = range_owner(&self.boundaries[ring], self.angles[id.index()]);
+        for (id, _) in tree.nodes() {
+            let boundaries = &self.boundaries[rings[id.index()]];
+            let owner = range_owner(boundaries, self.angles[id.index()]);
             slots.set(id, Assignment::Single(MdsId(owner as u16)));
         }
         placement
@@ -109,8 +115,9 @@ impl Partitioner for AngleCut {
 
     fn build(&mut self, tree: &NamespaceTree, pop: &Popularity, cluster: &ClusterSpec) {
         self.angles = locality_keys(tree);
-        self.retune(tree, pop, cluster);
-        self.placement = Some(self.rebuild_placement(tree, cluster.len()));
+        let rings = self.rings_of(tree);
+        self.retune(tree, &rings, pop, cluster);
+        self.placement = Some(self.rebuild_placement(tree, &rings, cluster.len()));
     }
 
     fn placement(&self) -> &Placement {
@@ -124,8 +131,9 @@ impl Partitioner for AngleCut {
         cluster: &ClusterSpec,
     ) -> Vec<Migration> {
         let old = self.placement.take().expect("AngleCut used before build");
-        self.retune(tree, pop, cluster);
-        let fresh = self.rebuild_placement(tree, cluster.len());
+        let rings = self.rings_of(tree);
+        self.retune(tree, &rings, pop, cluster);
+        let fresh = self.rebuild_placement(tree, &rings, cluster.len());
         let migrations = tree
             .nodes()
             .filter_map(|(id, _)| {

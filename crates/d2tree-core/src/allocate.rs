@@ -114,9 +114,12 @@ pub fn allocate_sampled<R: Rng + ?Sized>(
         SampleStrategy::Uniform => (0..sample_size)
             .map(|_| subtrees[rng.gen_range(0..subtrees.len())].popularity)
             .collect(),
-        SampleStrategy::TreeWalk => (0..sample_size)
-            .map(|_| tree_walk_sample(tree, gl, subtrees, rng))
-            .collect(),
+        SampleStrategy::TreeWalk => {
+            let max_depth = tree.max_depth();
+            (0..sample_size)
+                .map(|_| tree_walk_sample(tree, max_depth, gl, subtrees, rng))
+                .collect()
+        }
     };
     let sample_total: f64 = sample.iter().sum();
 
@@ -157,15 +160,17 @@ pub fn allocate_sampled<R: Rng + ?Sized>(
 /// One random-walk draw: descend from the root through uniformly random
 /// children until leaving the global layer, returning that subtree's
 /// popularity. Falls back to a uniform draw if the walk dead-ends inside
-/// the layer (an inter-node-free branch).
+/// the layer (an inter-node-free branch). `max_depth` is the tree's,
+/// computed once per sample rather than once per draw.
 fn tree_walk_sample<R: Rng + ?Sized>(
     tree: &NamespaceTree,
+    max_depth: usize,
     gl: &GlobalLayer,
     subtrees: &[Subtree],
     rng: &mut R,
 ) -> f64 {
     let mut cur = tree.root();
-    for _ in 0..tree.max_depth() + 1 {
+    for _ in 0..max_depth + 1 {
         let node = match tree.node(cur) {
             Some(n) => n,
             None => break,

@@ -44,6 +44,22 @@ pub(crate) struct ChildPool {
 }
 
 impl ChildPool {
+    /// An empty pool whose span table has room for `nodes` arena slots.
+    /// The edges are not reserved: how many slots the spans take depends
+    /// on the fan-outs, not on the node count.
+    pub(crate) fn with_capacity(nodes: usize) -> Self {
+        ChildPool {
+            spans: Vec::with_capacity(nodes),
+            ..ChildPool::default()
+        }
+    }
+
+    /// Drops the spare capacity of the span table and the edge pool.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.spans.shrink_to_fit();
+        self.edges.shrink_to_fit();
+    }
+
     /// Adds the (empty) span of the next arena slot.
     pub(crate) fn push_node(&mut self) {
         self.spans.push(Span::default());

@@ -64,11 +64,29 @@ impl SymbolTable {
     /// An empty table.
     #[must_use]
     pub fn new() -> Self {
+        Self::with_capacity(0)
+    }
+
+    /// An empty table with room for `names` names: the offsets column
+    /// and the probe table are allocated at the size interning that many
+    /// would grow them to, so doing so never rehashes. The name bytes
+    /// still grow as they arrive.
+    #[must_use]
+    pub(crate) fn with_capacity(names: usize) -> Self {
+        let mut offsets = Vec::with_capacity(names + 1);
+        offsets.push(0);
         SymbolTable {
             bytes: Vec::new(),
-            offsets: vec![0],
-            slots: vec![EMPTY_SLOT; 16],
+            offsets,
+            slots: vec![EMPTY_SLOT; (2 * names).next_power_of_two().max(16)],
         }
+    }
+
+    /// Drops the spare capacity of the name arena and its offsets; the
+    /// probe table keeps its size, which bounds its load factor.
+    pub(crate) fn shrink_to_fit(&mut self) {
+        self.bytes.shrink_to_fit();
+        self.offsets.shrink_to_fit();
     }
 
     /// Number of interned names.
@@ -221,6 +239,21 @@ mod tests {
             assert_eq!(t.lookup(&format!("name-{i}")), Some(s));
         }
         assert_eq!(t.len(), 1000);
+    }
+
+    #[test]
+    fn a_presized_table_never_rehashes_and_matches_the_grown_size() {
+        for names in [0, 1, 8, 9, 1000] {
+            let mut grown = SymbolTable::new();
+            let mut presized = SymbolTable::with_capacity(names);
+            let slots = presized.slots.len();
+            for i in 0..names {
+                let name = format!("n{i}");
+                assert_eq!(grown.intern(&name), presized.intern(&name));
+            }
+            assert_eq!(presized.slots.len(), slots, "{names} names rehashed");
+            assert_eq!(presized.slots.len(), grown.slots.len());
+        }
     }
 
     #[test]

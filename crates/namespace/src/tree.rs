@@ -107,14 +107,29 @@ impl NamespaceTree {
     /// Creates a tree containing only the root directory.
     #[must_use]
     pub fn new() -> Self {
+        Self::with_capacity(0)
+    }
+
+    /// Creates a tree containing only the root directory, with room for
+    /// `nodes` nodes with distinct names, the root included.
+    ///
+    /// The columns, the span table, the name offsets and the intern probe
+    /// table are reserved at the size `nodes` creates would grow them to,
+    /// so building the tree copies no column and rehashes no name. What
+    /// `nodes` does not determine — the name bytes and the child-edge
+    /// pool — still grows; [`shrink_to_fit`](Self::shrink_to_fit) drops
+    /// its slack once the tree is built.
+    #[must_use]
+    pub fn with_capacity(nodes: usize) -> Self {
+        let words = nodes.div_ceil(64);
         let mut tree = NamespaceTree {
-            parent: Vec::new(),
-            sym: Vec::new(),
-            live_bits: Vec::new(),
-            dir_bits: Vec::new(),
-            children: ChildPool::default(),
+            parent: Vec::with_capacity(nodes),
+            sym: Vec::with_capacity(nodes),
+            live_bits: Vec::with_capacity(words),
+            dir_bits: Vec::with_capacity(words),
+            children: ChildPool::with_capacity(nodes),
             live: 0,
-            symbols: SymbolTable::new(),
+            symbols: SymbolTable::with_capacity(nodes),
             version: 0,
             identity: fresh_tree_id(),
         };
@@ -573,15 +588,52 @@ impl NamespaceTree {
     /// Maximum depth over all live nodes (the paper's Table I "Max Depth").
     #[must_use]
     pub fn max_depth(&self) -> usize {
-        let mut depth = vec![0usize; self.arena_size()];
-        let mut max = 0;
-        for (id, node) in self.nodes() {
-            if let Some(p) = node.parent() {
-                depth[id.index()] = depth[p.index()] + 1;
-                max = max.max(depth[id.index()]);
+        self.depths().into_iter().max().unwrap_or(0) as usize
+    }
+
+    /// The depth of every arena slot, indexed by [`NodeId::index`]; 0 for
+    /// the root and for tombstones.
+    ///
+    /// One pass in arena order. A node whose parent sits later in the
+    /// arena — one [`move_subtree`](Self::move_subtree) put under a
+    /// younger directory — walks up to its nearest ancestor already
+    /// computed and fills in the chain on the way down, so every slot is
+    /// computed once and the pass is O(arena) for any tree; for a tree
+    /// built by creates alone, every parent is already known.
+    #[must_use]
+    pub fn depths(&self) -> Vec<u32> {
+        const UNKNOWN: u32 = u32::MAX;
+        let mut depth = vec![UNKNOWN; self.arena_size()];
+        let mut chain = Vec::new();
+        for slot in 0..self.arena_size() {
+            let mut cur = NodeId::from_index(slot);
+            while depth[cur.index()] == UNKNOWN {
+                match self.parent_of(cur) {
+                    Some(parent) => {
+                        chain.push(cur);
+                        cur = parent;
+                    }
+                    None => depth[cur.index()] = 0,
+                }
+            }
+            let mut d = depth[cur.index()];
+            while let Some(id) = chain.pop() {
+                d += 1;
+                depth[id.index()] = d;
             }
         }
-        max
+        depth
+    }
+
+    /// Drops the spare capacity of every column and pool, for a tree that
+    /// is done growing. A later mutation grows them again as usual.
+    pub fn shrink_to_fit(&mut self) {
+        self.parent.shrink_to_fit();
+        self.sym.shrink_to_fit();
+        self.live_bits.shrink_to_fit();
+        self.dir_bits.shrink_to_fit();
+        self.children.shrink_to_fit();
+        self.symbols.shrink_to_fit();
     }
 }
 
@@ -859,6 +911,57 @@ mod tests {
         assert_eq!(t.directory_count(), 3); // root, home, a
         assert_eq!(t.file_count(), 1);
         assert_eq!(t.max_depth(), 3);
+    }
+
+    /// A subtree moved under a younger directory has its parent later in
+    /// the arena; its depths still follow the parent chain.
+    #[test]
+    fn depths_follow_a_parent_that_sits_later_in_the_arena() {
+        let mut t = NamespaceTree::new();
+        let a = t.create(t.root(), "a", NodeKind::Directory).unwrap();
+        let x = t.create(a, "x", NodeKind::File).unwrap();
+        let b = t.create(t.root(), "b", NodeKind::Directory).unwrap();
+        t.move_subtree(a, b).unwrap();
+        assert_eq!(t.depth(x), 3);
+        assert_eq!(t.max_depth(), 3);
+        let depths = t.depths();
+        for (id, _) in t.nodes() {
+            assert_eq!(depths[id.index()] as usize, t.depth(id), "{id:?}");
+        }
+        // A tombstone reads 0.
+        t.remove_subtree(a).unwrap();
+        assert_eq!(t.depths(), [0, 0, 0, 1]);
+        assert_eq!(t.max_depth(), 1);
+    }
+
+    #[test]
+    fn a_presized_tree_copies_no_column_and_equals_the_grown_one() {
+        let build = |mut t: NamespaceTree| {
+            let mut dirs = vec![t.root()];
+            for i in 0..500 {
+                let kind = if i % 3 == 0 {
+                    NodeKind::Directory
+                } else {
+                    NodeKind::File
+                };
+                let id = t
+                    .create(dirs[i % dirs.len()], &format!("n{i}"), kind)
+                    .unwrap();
+                if kind.is_directory() {
+                    dirs.push(id);
+                }
+            }
+            t
+        };
+        let grown = build(NamespaceTree::new());
+        let mut presized = build(NamespaceTree::with_capacity(501));
+        assert_eq!(presized.parent.capacity(), 501, "no column grew");
+        presized.shrink_to_fit();
+        let paths = |t: &NamespaceTree| -> Vec<String> {
+            t.nodes().map(|(id, _)| t.path_of(id).to_string()).collect()
+        };
+        assert_eq!(paths(&grown), paths(&presized));
+        assert_eq!(grown.depths(), presized.depths());
     }
 
     #[test]

@@ -57,10 +57,10 @@ pub fn synthesize_tree(profile: &TraceProfile, seed: u64) -> (NamespaceTree, Syn
         "need at least max_depth + 1 nodes for the spine"
     );
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut tree = NamespaceTree::new();
+    let mut tree = NamespaceTree::with_capacity(profile.nodes);
 
-    // Directories eligible for children, bucketed by depth. Depth-level
-    // sampling keeps attachment O(max_depth) per node.
+    // Directories eligible for children, bucketed by depth: a node picks
+    // a depth, then a directory at it.
     let mut dirs_at: Vec<Vec<NodeId>> = vec![Vec::new(); profile.max_depth];
     dirs_at[0].push(tree.root());
     let mut next_name = 0usize;
@@ -76,19 +76,26 @@ pub fn synthesize_tree(profile: &TraceProfile, seed: u64) -> (NamespaceTree, Syn
     tree.create(cur, "spine_leaf", NodeKind::File)
         .expect("fresh leaf name");
 
-    // One cumulative-weight buffer and one name buffer serve every node.
-    let mut weights = Vec::with_capacity(profile.max_depth);
+    // An attachment depth is drawn proportional to count_d * gamma^d.
+    // `weights` holds the running sums of those terms; a directory added
+    // at depth d changes only the sums from d on, which are recomputed in
+    // the same order from the same gamma powers, so every float is the
+    // one a full recomputation would give.
+    let gamma_pow: Vec<f64> = std::iter::successors(Some(1.0), |g| Some(g * profile.depth_gamma))
+        .take(profile.max_depth)
+        .collect();
+    let mut weights = vec![0.0; profile.max_depth];
+    let resum = |weights: &mut [f64], dirs_at: &[Vec<NodeId>], from: usize| {
+        let mut total = if from == 0 { 0.0 } else { weights[from - 1] };
+        for d in from..weights.len() {
+            total += dirs_at[d].len() as f64 * gamma_pow[d];
+            weights[d] = total;
+        }
+    };
+    resum(&mut weights, &dirs_at, 0);
     let mut name = String::new();
     while tree.node_count() < profile.nodes {
-        // Pick an attachment depth proportional to count_d * gamma^d.
-        weights.clear();
-        let mut total = 0.0;
-        let mut gamma_pow = 1.0;
-        for dirs in &dirs_at {
-            total += dirs.len() as f64 * gamma_pow;
-            gamma_pow *= profile.depth_gamma;
-            weights.push(total);
-        }
+        let total = weights[profile.max_depth - 1];
         let x: f64 = rng.gen_range(0.0..total);
         let depth = weights
             .partition_point(|&w| w <= x)
@@ -110,25 +117,19 @@ pub fn synthesize_tree(profile: &TraceProfile, seed: u64) -> (NamespaceTree, Syn
             .expect("generated names are unique");
         if make_dir && depth + 1 < profile.max_depth {
             dirs_at[depth + 1].push(id);
+            resum(&mut weights, &dirs_at, depth + 1);
         }
     }
+    tree.shrink_to_fit();
 
-    let mut depth_sum = 0usize;
-    let mut count = 0usize;
-    let mut depth = vec![0usize; tree.arena_size()];
-    for (id, node) in tree.nodes() {
-        if let Some(p) = node.parent() {
-            depth[id.index()] = depth[p.index()] + 1;
-        }
-        depth_sum += depth[id.index()];
-        count += 1;
-    }
+    // Synthesis only creates, so every slot is a live node.
+    let depth = tree.depths();
     let report = SynthesisReport {
         nodes: tree.node_count(),
         directories: tree.directory_count(),
         files: tree.file_count(),
-        max_depth: tree.max_depth(),
-        mean_depth: depth_sum as f64 / count as f64,
+        max_depth: depth.iter().copied().max().unwrap_or(0) as usize,
+        mean_depth: depth.iter().map(|&d| d as usize).sum::<usize>() as f64 / depth.len() as f64,
     };
     (tree, report)
 }

@@ -140,20 +140,19 @@ impl TraceGen {
     #[must_use]
     pub fn new(profile: &TraceProfile, tree: &NamespaceTree, seed: u64) -> Self {
         let mut rng = StdRng::seed_from_u64(seed ^ 0x9e37_79b9_7f4a_7c15);
-        let max_depth = tree.max_depth().max(1) as f64;
+        let depth = tree.depths();
+        let max_depth = f64::from(depth.iter().copied().max().unwrap_or(0).max(1));
 
-        let mut depth = vec![0usize; tree.arena_size()];
         let mut keyed: Vec<(f64, NodeId)> = Vec::with_capacity(tree.node_count());
-        for (id, node) in tree.nodes() {
-            if let Some(p) = node.parent() {
-                depth[id.index()] = depth[p.index()] + 1;
-            }
+        for (id, _) in tree.nodes() {
             let noise: f64 = rng.gen_range(0.0..1.0);
-            let key = profile.shallow_bias * (depth[id.index()] as f64 / max_depth)
+            let key = profile.shallow_bias * (f64::from(depth[id.index()]) / max_depth)
                 + (1.0 - profile.shallow_bias) * noise;
             keyed.push((key, id));
         }
-        keyed.sort_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
+        // The keys are unique — no two share an id — so the unstable
+        // sort yields the one order a stable sort would.
+        keyed.sort_unstable_by(|a, b| a.0.total_cmp(&b.0).then(a.1.cmp(&b.1)));
         let order: Vec<NodeId> = keyed.into_iter().map(|(_, id)| id).collect();
         let zipf = Zipf::with_shift(order.len(), profile.zipf_exponent, profile.zipf_shift);
         TraceGen {
@@ -346,5 +345,21 @@ mod tests {
         let (tree, _) = synthesize_tree(&p, 2);
         let gen = TraceGen::new(&p, &tree, 2);
         assert_eq!(gen.hot_order().len(), tree.node_count());
+    }
+
+    /// Hotness keys come from true depths even when a moved subtree's
+    /// parent sits later in the arena.
+    #[test]
+    fn hot_order_ranks_a_moved_subtree_by_its_depth() {
+        use d2tree_namespace::NodeKind;
+        let mut tree = NamespaceTree::new();
+        let a = tree.create(tree.root(), "a", NodeKind::Directory).unwrap();
+        let x = tree.create(a, "x", NodeKind::File).unwrap();
+        let b = tree.create(tree.root(), "b", NodeKind::Directory).unwrap();
+        tree.move_subtree(a, b).unwrap();
+        // Depth alone orders the nodes: root, b, a, x.
+        let p = TraceProfile::dtr().with_shallow_bias(1.0);
+        let gen = TraceGen::new(&p, &tree, 3);
+        assert_eq!(gen.hot_order(), [tree.root(), b, a, x]);
     }
 }

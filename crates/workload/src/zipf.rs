@@ -12,9 +12,12 @@ use rand::Rng;
 /// captures) stays tunable through `s`.
 ///
 /// The sampler precomputes the cumulative weight table once (`O(n)`
-/// memory) and draws by binary search (`O(log n)` per sample), which is
-/// fast and — unlike rejection samplers — exactly matches the weights
-/// used for analytic popularity assignment.
+/// memory) and draws by inverting it, which — unlike rejection samplers
+/// — exactly matches the weights used for analytic popularity
+/// assignment. A guide table beside it (one `u32` per rank) cuts the
+/// total mass into `n` equal buckets and records the first rank each
+/// one can hold, so a draw binary-searches only its bucket's few ranks:
+/// `O(1)` expected per sample instead of `O(log n)`, and the same rank.
 ///
 /// # Example
 ///
@@ -36,6 +39,12 @@ use rand::Rng;
 #[derive(Debug, Clone)]
 pub struct Zipf {
     cumulative: Vec<f64>,
+    /// `guide[b]` is the number of ranks whose cumulative weight falls
+    /// in a bucket below `b` (see [`bucket`](Self::bucket)): the first
+    /// rank a draw from bucket `b` can return.
+    guide: Vec<u32>,
+    /// Buckets per unit of weight: `n / total`.
+    scale: f64,
     exponent: f64,
     shift: f64,
 }
@@ -46,7 +55,8 @@ impl Zipf {
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0` or `s` is negative or non-finite.
+    /// Panics if `n == 0` or `n` exceeds `u32::MAX`, or `s` is negative
+    /// or non-finite.
     #[must_use]
     pub fn new(n: usize, s: f64) -> Self {
         Self::with_shift(n, s, 0.0)
@@ -56,8 +66,8 @@ impl Zipf {
     ///
     /// # Panics
     ///
-    /// Panics if `n == 0`, `s` is negative or non-finite, or `q` is
-    /// negative or non-finite.
+    /// Panics if `n == 0` or `n` exceeds `u32::MAX`, `s` is negative or
+    /// non-finite, or `q` is negative or non-finite.
     #[must_use]
     pub fn with_shift(n: usize, s: f64, q: f64) -> Self {
         assert!(n > 0, "Zipf needs at least one rank");
@@ -69,17 +79,36 @@ impl Zipf {
             q.is_finite() && q >= 0.0,
             "Zipf shift must be finite and non-negative"
         );
+        assert!(u32::try_from(n).is_ok(), "Zipf ranks must fit in u32");
         let mut cumulative = Vec::with_capacity(n);
         let mut acc = 0.0;
         for k in 1..=n {
             acc += 1.0 / (k as f64 + q).powf(s);
             cumulative.push(acc);
         }
-        Zipf {
+        let mut zipf = Zipf {
+            scale: n as f64 / acc,
             cumulative,
+            guide: Vec::with_capacity(n),
             exponent: s,
             shift: q,
+        };
+        let mut rank = 0;
+        for b in 0..n {
+            while rank < n && zipf.bucket(zipf.cumulative[rank]) < b {
+                rank += 1;
+            }
+            zipf.guide.push(rank as u32);
         }
+        zipf
+    }
+
+    /// The guide bucket of weight `w`, one of `n`. Monotone in `w` — a
+    /// rounded product with a positive constant, floored and clamped — so
+    /// a cumulative weight in a lower bucket than `x` is at most `x`, and
+    /// one in a higher bucket is above it.
+    fn bucket(&self, w: f64) -> usize {
+        ((w * self.scale) as usize).min(self.cumulative.len() - 1)
     }
 
     /// Number of ranks.
@@ -126,7 +155,20 @@ impl Zipf {
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let total = *self.cumulative.last().expect("non-empty");
         let x: f64 = rng.gen_range(0.0..total);
-        self.cumulative.partition_point(|&c| c <= x)
+        self.rank_of(x)
+    }
+
+    /// The rank a draw of `x` in `[0, total)` selects: the number of
+    /// cumulative weights at most `x`. Since [`bucket`](Self::bucket) is
+    /// monotone, every rank below `guide[b]` has a weight at most `x` and
+    /// every rank from `guide[b + 1]` on one above it, so searching that
+    /// bracket gives the full search's rank.
+    fn rank_of(&self, x: f64) -> usize {
+        let c = &self.cumulative;
+        let b = self.bucket(x);
+        let lo = self.guide[b] as usize;
+        let hi = self.guide.get(b + 1).map_or(c.len(), |&r| r as usize);
+        lo + c[lo..hi].partition_point(|&w| w <= x)
     }
 }
 
@@ -187,5 +229,47 @@ mod tests {
     #[should_panic(expected = "at least one rank")]
     fn zero_ranks_panics() {
         let _ = Zipf::new(0, 1.0);
+    }
+
+    /// The guide-table search picks the rank the full binary search
+    /// would, and the guide brackets it, for random draws, at every
+    /// cumulative weight and its two float neighbours, and just below
+    /// the total — across sizes, the three presets' exponents and
+    /// shifts, and the flat `s = 0`.
+    #[test]
+    fn guide_table_rank_equals_the_full_search() {
+        use crate::TraceProfile;
+        let shapes = [
+            TraceProfile::dtr(),
+            TraceProfile::lmbe(),
+            TraceProfile::ra(),
+        ]
+        .map(|p| (p.zipf_exponent, p.zipf_shift));
+        let mut rng = StdRng::seed_from_u64(0x6a1de);
+        for n in [1, 2, 3, 1_000, 200_000] {
+            for (s, q) in shapes.into_iter().chain([(0.0, 0.0)]) {
+                let z = Zipf::with_shift(n, s, q);
+                let c = &z.cumulative;
+                let total = c[n - 1];
+                let full = |x: f64| c.partition_point(|&w| w <= x);
+                let mut xs: Vec<f64> = (0..20_000).map(|_| rng.gen_range(0.0..total)).collect();
+                for &w in c {
+                    xs.extend([w.next_down(), w, w.next_up()]);
+                }
+                xs.extend([0.0, total.next_down()]);
+                for x in xs.into_iter().filter(|x| (0.0..total).contains(x)) {
+                    let rank = full(x);
+                    assert_eq!(z.rank_of(x), rank, "n {n}, s {s}, q {q}, x {x:e}");
+                    // The guide brackets the rank, which is what lets
+                    // `rank_of` search only the bracket.
+                    let b = z.bucket(x);
+                    let hi = z.guide.get(b + 1).map_or(n, |&r| r as usize);
+                    assert!(
+                        (z.guide[b] as usize..=hi).contains(&rank),
+                        "n {n}, s {s}, q {q}, x {x:e}: rank {rank} outside bucket {b}"
+                    );
+                }
+            }
+        }
     }
 }

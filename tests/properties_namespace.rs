@@ -410,7 +410,17 @@ mod same_trees {
     use d2tree::workload::{synthesize_tree, OpKind, Operation, TraceGen, TraceProfile};
 
     const PROFILES: [&str; 3] = ["dtr", "lmbe", "ra"];
-    const SEEDS: [u64; 3] = [1, 7, 42];
+
+    /// `(seed, nodes, ops)` of every recorded digest line, per profile:
+    /// three seeds at 25 000 nodes, then seed 1 at the benchmark's scale,
+    /// whose DTR tree grows weight suffixes 49 levels long and whose Zipf
+    /// table has 200 000 ranks.
+    const SIZES: [(u64, usize, usize); 4] = [
+        (1, 25_000, 100_000),
+        (7, 25_000, 100_000),
+        (42, 25_000, 100_000),
+        (1, 200_000, 1_000_000),
+    ];
 
     fn profile(name: &str) -> TraceProfile {
         match name {
@@ -460,9 +470,9 @@ mod same_trees {
     fn synthesised_trees_match_the_recorded_digests() {
         let mut recomputed = Vec::new();
         for name in PROFILES {
-            for seed in SEEDS {
-                let (tree, _) = synthesize_tree(&profile(name).with_nodes(25_000), seed);
-                recomputed.push(format!("{name} {seed} 25000 {:016x}", tree_digest(&tree)));
+            for (seed, nodes, _) in SIZES {
+                let (tree, _) = synthesize_tree(&profile(name).with_nodes(nodes), seed);
+                recomputed.push(format!("{name} {seed} {nodes} {:016x}", tree_digest(&tree)));
             }
         }
         assert_eq!(
@@ -494,11 +504,11 @@ mod same_trees {
     fn generated_traces_match_the_recorded_digests() {
         let mut recomputed = Vec::new();
         for name in PROFILES {
-            for seed in SEEDS {
-                let profile = profile(name).with_nodes(25_000).with_operations(100_000);
+            for (seed, nodes, ops) in SIZES {
+                let profile = profile(name).with_nodes(nodes).with_operations(ops);
                 let (tree, _) = synthesize_tree(&profile, seed);
                 let digest = trace_digest(TraceGen::new(&profile, &tree, seed));
-                recomputed.push(format!("{name} {seed} 25000 100000 {digest:016x}"));
+                recomputed.push(format!("{name} {seed} {nodes} {ops} {digest:016x}"));
             }
         }
         assert_eq!(

@@ -211,7 +211,7 @@ Common options:
                                GET /metrics (Prometheus text), /metrics.json,
                                /health (flight-recorder rules → 200/503),
                                /trace?n=K (last K sealed spans, Chrome JSON),
-                               /slow (slowest served requests)
+                               /slow (slowest served batches, one entry each)
           [--admin-port-file <file>]  write the bound admin address
                                atomically once listening (needs --admin-addr)
           [--admin-tick-ms <n>]  admin flight-recorder sampling period

@@ -17,8 +17,9 @@
 //! * `GET /trace?n=K` — the last `K` sealed span segments rendered as a
 //!   Chrome `chrome://tracing` JSON document, *without* consuming them
 //!   (the shutdown export still sees everything).
-//! * `GET /slow` — the daemon's bounded slow-request log, slowest
-//!   first, with trace ids for joining against `/trace`.
+//! * `GET /slow` — the daemon's bounded slow-request log, one entry
+//!   per slow batch, slowest first, with trace ids for joining against
+//!   `/trace`.
 //!
 //! The protocol is a deliberately minimal HTTP/1.0 subset: one GET per
 //! connection, `Connection: close`, no keep-alive, no request bodies.

@@ -278,11 +278,14 @@ impl<R: Read> FrameReader<R> {
 /// Entries the slow-request log keeps.
 const SLOW_LOG_CAPACITY: usize = 16;
 
-/// One request in the slow-request log: what ran long, where it was
-/// aimed, how it ended, and the trace id to pull its span chain with.
+/// One slow batch in the slow-request log: how long it ran, and the
+/// request it is named by — the batch's last request with a trace
+/// context, or else its last request — with where that was aimed, how
+/// it ended, and the trace id to pull its span chain with.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct SlowEntry {
-    /// Server-side duration of the request, microseconds.
+    /// Server-side duration of the batch, read → durable, microseconds:
+    /// the server latency of every request in it.
     pub dur_us: u64,
     /// Completion time as registry uptime, microseconds.
     pub t_us: u64,
@@ -296,14 +299,14 @@ pub struct SlowEntry {
     pub trace: Option<u64>,
 }
 
-/// Bounded top-N-by-duration log of served requests.
+/// Bounded top-N-by-duration log of served batches, one entry each.
 ///
-/// The hot path is gated on a lock-free floor: once the log is full,
-/// only a request slower than the current N-th slowest takes the mutex,
-/// so steady-state fast requests cost one relaxed load.
+/// The publish path is gated on a lock-free floor: once the log is
+/// full, only a batch slower than the current N-th slowest takes the
+/// mutex, so steady-state fast batches cost one relaxed load.
 #[derive(Debug)]
 struct SlowLog {
-    /// Duration of the slowest entry *not* worth logging — requests at
+    /// Duration of the slowest entry *not* worth logging — batches at
     /// or under this skip the lock. Zero until the log fills.
     floor: AtomicU64,
     entries: Mutex<Vec<SlowEntry>>,
@@ -317,8 +320,8 @@ impl SlowLog {
         }
     }
 
-    /// Whether a request of this duration can enter the log — the one
-    /// relaxed load a fast request pays; only then is its entry built.
+    /// Whether a batch of this duration can enter the log — the one
+    /// relaxed load a fast batch pays; only then is its entry built.
     fn admits(&self, dur_us: u64) -> bool {
         dur_us > self.floor.load(Ordering::Relaxed)
     }
@@ -417,7 +420,9 @@ pub struct NetMds {
     wal_group_commits: Arc<Counter>,
     /// Server-side latency histograms, `[kind][outcome]` with outcome
     /// 0 served / 1 redirect / 2 not-found — the measurement the admin
-    /// plane's `/metrics` reports next to client-observed latencies.
+    /// plane's `/metrics` reports next to client-observed latencies. A
+    /// request's sample is its batch's read → durable time, clocked once
+    /// per [`ServeScope`].
     srv_latency: [[Arc<Histogram>; 3]; 3],
     slow: SlowLog,
 }
@@ -734,8 +739,9 @@ impl NetMds {
         self.tracer.as_ref()
     }
 
-    /// The slowest requests this daemon has served, slowest first
-    /// (bounded at [`SLOW_LOG_CAPACITY`] entries).
+    /// The slowest batches this daemon has served, slowest first, one
+    /// entry per batch named by one of its requests (bounded at
+    /// [`SLOW_LOG_CAPACITY`] entries).
     #[must_use]
     pub fn slow_requests(&self) -> Vec<SlowEntry> {
         self.slow.top()
@@ -809,12 +815,10 @@ impl NetMds {
         ServeScope {
             mds: self,
             routing: self.routing.read(),
-            stamp: Instant::now(),
+            opened: Instant::now(),
             store: None,
-            served: 0,
-            redirects: 0,
-            run: (0, 0, 0),
-            run_len: 0,
+            lanes: [[0; 3]; 3],
+            named: None,
         }
     }
 
@@ -916,10 +920,14 @@ fn lock_once<'s, 'a>(
 /// [`NetMds::serve`], [`NetMds::serve_batch`], [`NetMds::serve_deferred`]
 /// and the connection loop.
 ///
-/// What a batch shares is paid once here, not per request: the clock is
-/// read once per request (one request's end stamp is the next one's
-/// start), served/redirect counts and server-latency samples are tallied
-/// locally and published when the scope ends, and the store mutex is
+/// What a batch shares is paid once here, not per request. The clock is
+/// read twice per scope: when it opens and when it ends. A request only
+/// tallies its `[kind][outcome]` lane; when the scope ends, the served
+/// and redirect counts are published and every non-empty lane books the
+/// batch's duration once per request it holds. [`commit`](Self::commit)
+/// ends the scope after its fsync, so that duration — each request's
+/// server latency — runs from the batch's read to the point its
+/// responses may leave, group-commit wait included. The store mutex is
 /// taken at most once — at the first journaled record — and held until
 /// the scope ends. Dropping the scope leaves journaled records buffered;
 /// only [`commit`](Self::commit) makes them durable.
@@ -936,17 +944,17 @@ fn lock_once<'s, 'a>(
 pub struct ServeScope<'a> {
     mds: &'a NetMds,
     routing: RwLockReadGuard<'a, Routing>,
-    /// End of the previous request (or the scope's opening): the start
-    /// stamp of the next one.
-    stamp: Instant,
+    /// When the scope opened: the batch's start and every `Update`'s
+    /// mtime.
+    opened: Instant,
     store: Option<MutexGuard<'a, Option<MdsStore>>>,
-    served: u64,
-    redirects: u64,
-    /// `(kind, outcome, dur_us)` of the latest server-latency samples
-    /// and how many in a row were equal: a batch of same-kind
-    /// sub-microsecond requests costs one histogram update, not one each.
-    run: (usize, usize, u64),
-    run_len: u64,
+    /// Requests answered so far, `[kind][outcome]` with outcome
+    /// 0 served / 1 redirect / 2 not-found.
+    lanes: [[u64; 3]; 3],
+    /// The request a slow batch is logged under, with its outcome: the
+    /// last one carrying a trace context, or else the last one. `None`
+    /// until the scope answers a request.
+    named: Option<(Request, u8)>,
 }
 
 impl ServeScope<'_> {
@@ -958,11 +966,11 @@ impl ServeScope<'_> {
         }
     }
 
-    /// Commits an `Update` of `node`: bumps its mtime to the request's
-    /// start stamp and journals the committed attributes.
+    /// Commits an `Update` of `node`: bumps its mtime to the batch's
+    /// opening stamp and journals the committed attributes.
     fn commit_update(&mut self, node: NodeId, gl: bool) -> VersionedAttr {
         let mds = self.mds;
-        let now_ms = self.stamp.duration_since(mds.epoch).as_millis() as u64;
+        let now_ms = self.opened.duration_since(mds.epoch).as_millis() as u64;
         let committed = mds.attrs.write().update(node, |a| a.mtime = now_ms);
         self.journal(MdsRecord::AttrCommit {
             node: node.index() as u64,
@@ -1051,7 +1059,6 @@ impl ServeScope<'_> {
                 (ResponseBody::Served { node: req.target }, 0)
             }
             Duty::Other(owner) => {
-                self.redirects += 1;
                 mds.registry.journal().record(EventKind::Forwarded {
                     from: mds.me.0,
                     to: owner.0,
@@ -1060,26 +1067,9 @@ impl ServeScope<'_> {
             }
             Duty::Unknown => (ResponseBody::NotFound, 2),
         };
-        self.served += u64::from(outcome == 0);
-
-        let end = Instant::now();
-        let dur_us = end.duration_since(self.stamp).as_micros() as u64;
-        self.stamp = end;
-        let sample = (kind_index(req.kind), usize::from(outcome), dur_us);
-        if sample != self.run {
-            self.record_latency_run();
-            (self.run, self.run_len) = (sample, 0);
-        }
-        self.run_len += 1;
-        if mds.slow.admits(dur_us) {
-            mds.slow.observe(SlowEntry {
-                dur_us,
-                t_us: mds.registry.uptime_us(),
-                kind: req.kind,
-                target: req.target.index() as u64,
-                outcome,
-                trace: req.trace.map(|(t, _)| t),
-            });
+        self.lanes[kind_index(req.kind)][usize::from(outcome)] += 1;
+        if req.trace.is_some() || self.named.is_none_or(|(n, _)| n.trace.is_none()) {
+            self.named = Some((req, outcome));
         }
         if let Some(sp) = serve_span {
             let mut span = sp
@@ -1096,16 +1086,11 @@ impl ServeScope<'_> {
         })
     }
 
-    /// Publishes the pending run of latency samples.
-    fn record_latency_run(&self) {
-        let (kind, outcome, dur_us) = self.run;
-        self.mds.srv_latency[kind][outcome].record_n(dur_us, self.run_len);
-    }
-
     /// Ends the scope with one group-committed fsync covering every
     /// record journaled so far (this scope's and any left buffered by
     /// earlier uncommitted ones); responses may be acknowledged once
-    /// this returns.
+    /// this returns. The scope ends after the fsync, so its requests'
+    /// server latency includes it.
     pub fn commit(mut self) {
         let mut guard = self.store.take().or_else(|| self.mds.lock_store());
         if let Some(store) = guard.as_deref_mut().and_then(Option::as_mut) {
@@ -1118,17 +1103,39 @@ impl ServeScope<'_> {
 }
 
 impl Drop for ServeScope<'_> {
+    /// Publishes the batch: counts, one latency booking per non-empty
+    /// lane and at most one slow-log entry. A scope that answered
+    /// nothing publishes nothing and skips the closing clock read.
     fn drop(&mut self) {
+        let Some((req, outcome)) = self.named else {
+            return;
+        };
         let mds = self.mds;
-        if self.served > 0 {
-            mds.served.fetch_add(self.served, Ordering::Relaxed);
-            mds.served_total.add(self.served);
+        let batch_us = self.opened.elapsed().as_micros() as u64;
+        let [served, redirects] = [0, 1].map(|o| self.lanes.iter().map(|row| row[o]).sum());
+        if served > 0 {
+            mds.served.fetch_add(served, Ordering::Relaxed);
+            mds.served_total.add(served);
         }
-        if self.redirects > 0 {
-            mds.redirects.fetch_add(self.redirects, Ordering::Relaxed);
-            mds.forwarded_total.add(self.redirects);
+        if redirects > 0 {
+            mds.redirects.fetch_add(redirects, Ordering::Relaxed);
+            mds.forwarded_total.add(redirects);
         }
-        self.record_latency_run();
+        for (hists, counts) in mds.srv_latency.iter().zip(&self.lanes) {
+            for (hist, &n) in hists.iter().zip(counts) {
+                hist.record_n(batch_us, n);
+            }
+        }
+        if mds.slow.admits(batch_us) {
+            mds.slow.observe(SlowEntry {
+                dur_us: batch_us,
+                t_us: mds.registry.uptime_us(),
+                kind: req.kind,
+                target: req.target.index() as u64,
+                outcome,
+                trace: req.trace.map(|(t, _)| t),
+            });
+        }
     }
 }
 
@@ -2614,6 +2621,174 @@ mod tests {
         assert!(
             lsn_after >= lsn_before + 4,
             "each update journaled at least its AttrCommit"
+        );
+        let _ = std::fs::remove_dir_all(&dir);
+    }
+
+    /// A batch is timed once: every request it answers books the same
+    /// sample in its `[kind][outcome]` lane, the slow log takes one
+    /// entry for it, named by its last traced request, and a scope that
+    /// answers nothing books nothing.
+    #[test]
+    fn one_batch_books_one_duration_in_every_lane_it_touched() {
+        let mut tree = NamespaceTree::new();
+        let [mine, theirs, moved] = ["mine", "theirs", "moved"].map(|name| {
+            tree.create(tree.root(), name, NodeKind::Directory)
+                .expect("create")
+        });
+        let tree = Arc::new(tree);
+        let mut placement = Placement::new(&tree, 2);
+        placement.set(tree.root(), Assignment::Replicated);
+        let mut index = LocalIndex::new();
+        for (node, owner) in [(mine, 0), (theirs, 1), (moved, 1)] {
+            placement.set(node, Assignment::Single(MdsId(owner)));
+            index.insert(node, MdsId(owner));
+        }
+        let mds = NetMds::new(
+            Arc::clone(&tree),
+            placement,
+            index,
+            MdsId(0),
+            Arc::new(Registry::new()),
+        );
+        let lane_counts = || {
+            mds.srv_latency
+                .each_ref()
+                .map(|row| row.each_ref().map(|h| h.count()))
+        };
+
+        // Scopes that answer nothing.
+        mds.commit_batch();
+        mds.apply_migration(Migration {
+            node: moved,
+            from: MdsId(1),
+            to: MdsId(0),
+        });
+        mds.decay_popularity();
+        assert_eq!(lane_counts(), [[0; 3]; 3], "an empty scope books no sample");
+        assert!(mds.slow_requests().is_empty(), "nor a slow-log entry");
+
+        let missing = NodeId::from_index(9_999);
+        let kinds = [OpKind::Read, OpKind::Write, OpKind::Update];
+        // Per kind: served `k + 1` times, redirected `k + 2`, missing once.
+        let mut batch = Vec::new();
+        for (k, kind) in kinds.into_iter().enumerate() {
+            let targets = [(mine, k + 1), (theirs, k + 2), (missing, 1)];
+            for (target, times) in targets {
+                batch.extend((0..times).map(|_| (kind, target)));
+            }
+        }
+        let traced = 2; // a redirected Read
+        let mut scope = mds.begin_batch();
+        for (i, &(kind, target)) in batch.iter().enumerate() {
+            scope.serve(Request {
+                id: RequestId(i as u64),
+                kind,
+                target,
+                hops: 0,
+                trace: (i == traced).then_some((77, 1)),
+            });
+        }
+        // Long enough that the batch is slow for the (empty) log.
+        std::thread::sleep(Duration::from_millis(2));
+        scope.commit();
+
+        let want = [0, 1, 2].map(|k| [k + 1, k + 2, 1].map(|n| n as u64));
+        assert_eq!(lane_counts(), want, "each lane books every request it saw");
+        assert_eq!(mds.served(), 1 + 2 + 3);
+        assert_eq!(mds.redirects(), 2 + 3 + 4);
+        let batch_us = mds.srv_latency[0][0].snapshot().max;
+        assert!(batch_us >= 2_000, "the scope's whole duration: {batch_us}");
+        for hist in mds.srv_latency.iter().flatten() {
+            let s = hist.snapshot();
+            assert_eq!((s.min, s.max), (batch_us, batch_us), "one value per batch");
+        }
+        let named = |e: &SlowEntry| (e.kind, e.target, e.outcome, e.trace);
+        let slow = mds.slow_requests();
+        assert_eq!(slow.len(), 1, "one entry per batch");
+        let (kind, target) = batch[traced];
+        let want = (kind, target.index() as u64, 1, Some(77));
+        assert_eq!(named(&slow[0]), want);
+        assert_eq!(slow[0].dur_us, batch_us);
+
+        // Untraced, a batch is named by its last request.
+        let mut scope = mds.begin_batch();
+        for (i, target) in [missing, theirs, mine].into_iter().enumerate() {
+            scope.serve(Request {
+                id: RequestId(i as u64),
+                kind: OpKind::Write,
+                target,
+                hops: 0,
+                trace: None,
+            });
+        }
+        std::thread::sleep(Duration::from_millis(2));
+        scope.commit();
+        let slow = mds.slow_requests();
+        assert_eq!(slow.len(), 2);
+        let want = (OpKind::Write, mine.index() as u64, 0, None);
+        assert!(slow.iter().map(named).any(|n| n == want));
+    }
+
+    /// Server latency runs to the point the batch is durable: an
+    /// update's sample and its slow-log entry cover the group commit.
+    #[test]
+    fn server_latency_covers_the_group_commit() {
+        let dir = std::env::temp_dir().join(format!(
+            "d2tree-net-durable-{}-{}",
+            std::process::id(),
+            std::time::SystemTime::now()
+                .duration_since(std::time::UNIX_EPOCH)
+                .expect("clock")
+                .as_nanos()
+        ));
+        let _ = std::fs::remove_dir_all(&dir);
+        let mut tree = NamespaceTree::new();
+        let file = tree
+            .create(tree.root(), "f", NodeKind::File)
+            .expect("create");
+        let tree = Arc::new(tree);
+        let mut placement = Placement::new(&tree, 1);
+        for (id, _) in tree.nodes() {
+            placement.set(id, Assignment::Single(MdsId(0)));
+        }
+        let mut index = LocalIndex::new();
+        index.insert(tree.root(), MdsId(0));
+        let mds = NetMds::new(
+            Arc::clone(&tree),
+            placement,
+            index,
+            MdsId(0),
+            Arc::new(Registry::new()),
+        )
+        .with_store_root(&dir, StoreConfig::manual());
+
+        let mut scope = mds.begin_batch();
+        let resp = scope.serve(Request {
+            id: RequestId(1),
+            kind: OpKind::Update,
+            target: file,
+            hops: 0,
+            trace: None,
+        });
+        assert_eq!(resp.body, ResponseBody::Served { node: file });
+        let started = Instant::now();
+        scope.commit();
+        let commit_us = started.elapsed().as_micros() as u64;
+
+        let lane = mds.srv_latency[2][0].snapshot();
+        assert_eq!(lane.count, 1);
+        assert!(
+            lane.max >= commit_us,
+            "update_ok booked {} µs, the commit alone took {commit_us} µs",
+            lane.max
+        );
+        let slow = mds.slow_requests();
+        let entry = slow.first().expect("the batch is in the slow log");
+        assert!(entry.dur_us >= commit_us);
+        assert_eq!(
+            (entry.kind, entry.target),
+            (OpKind::Update, file.index() as u64)
         );
         let _ = std::fs::remove_dir_all(&dir);
     }

@@ -62,9 +62,7 @@ where
 {
     let threads = threads.max(1).min(n);
     if threads <= 1 {
-        let out = (0..n).map(f).collect();
-        d2tree_telemetry::flush_thread_local();
-        return out;
+        return (0..n).map(f).collect();
     }
 
     let next = AtomicUsize::new(0);
@@ -74,22 +72,14 @@ where
             let tx = tx.clone();
             let next = &next;
             let f = &f;
-            scope.spawn(move || {
-                loop {
-                    let i = next.fetch_add(1, Ordering::Relaxed);
-                    if i >= n {
-                        break;
-                    }
-                    if tx.send((i, f(i))).is_err() {
-                        break;
-                    }
+            scope.spawn(move || loop {
+                let i = next.fetch_add(1, Ordering::Relaxed);
+                if i >= n {
+                    break;
                 }
-                // Cells may have traced spans into this worker's
-                // thread-local sink buffers. Hand them to their sinks
-                // before the scope joins, so every span a cell recorded
-                // is drainable the moment this function returns — at
-                // any thread count.
-                d2tree_telemetry::flush_thread_local();
+                if tx.send((i, f(i))).is_err() {
+                    break;
+                }
             });
         }
         // The workers hold the only remaining senders; recv disconnects
@@ -164,14 +154,12 @@ mod tests {
                 i
             });
             assert_eq!(cells, (0..24).collect::<Vec<_>>());
-            // Workers flushed their thread-local buffers before the
-            // scope joined, so nothing recorded is still in flight.
             assert_eq!(tracer.sink().recorded(), 24, "threads = {threads}");
             assert_eq!(tracer.sink().len(), 24, "threads = {threads}");
             let mut spans = tracer.drain();
             assert_eq!(tracer.sink().dropped(), 0, "threads = {threads}");
-            // Segment order follows flush order, which is scheduling-
-            // dependent; the span *set* must not be.
+            // Push order across workers is scheduling-dependent; the
+            // span *set* must not be.
             spans.sort_by_key(|s| (s.trace.0, s.id.0, s.start_us));
             trace::digest(&spans)
         };

@@ -210,7 +210,7 @@ Common options:
           [--admin-addr <ip:port>]  also serve the live admin plane here:
                                GET /metrics (Prometheus text), /metrics.json,
                                /health (flight-recorder rules → 200/503),
-                               /trace?n=K (last K sealed spans, Chrome JSON),
+                               /trace?n=K (last K spans, Chrome JSON),
                                /slow (slowest served batches, one entry each)
           [--admin-port-file <file>]  write the bound admin address
                                atomically once listening (needs --admin-addr)

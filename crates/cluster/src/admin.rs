@@ -14,7 +14,7 @@
 //!   recorder's current ring contents: `200` when no rule is violated,
 //!   `503` otherwise, either way with a JSON body carrying the verdict,
 //!   the violations, and the latest tick.
-//! * `GET /trace?n=K` — the last `K` sealed span segments rendered as a
+//! * `GET /trace?n=K` — the last `K` spans rendered as a
 //!   Chrome `chrome://tracing` JSON document, *without* consuming them
 //!   (the shutdown export still sees everything).
 //! * `GET /slow` — the daemon's bounded slow-request log, one entry

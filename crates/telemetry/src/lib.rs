@@ -31,7 +31,6 @@ mod metrics;
 pub mod export;
 pub mod json;
 pub mod recorder;
-pub mod sink;
 pub mod trace;
 
 pub use journal::{Event, EventJournal, EventKind, FaultKind};
@@ -39,8 +38,9 @@ pub use metrics::{
     Counter, Gauge, Histogram, HistogramSnapshot, LocalHistogram, MetricKey, Registry, Snapshot,
 };
 pub use recorder::{FlightRecorder, HealthRules, HealthTick, TickSample, Violation};
-pub use sink::{flush_thread_local, PackedSpans, SinkRegistry, SpanSink};
-pub use trace::{ArgKey, Sampler, Span, SpanArgs, SpanCtx, SpanId, SpanName, TraceId, Tracer};
+pub use trace::{
+    ArgKey, Sampler, Span, SpanArgs, SpanCtx, SpanId, SpanName, SpanSink, TraceId, Tracer,
+};
 
 /// Canonical metric names used across the workspace, so call sites,
 /// exporters and docs agree on spelling.

@@ -24,11 +24,15 @@
 //! 3. **Bounded.** The [`SpanSink`] holds at most `capacity` spans and
 //!    counts what it sheds, so a pathological workload cannot OOM the
 //!    host through its own observability layer.
-//! 4. **Cheap at 100 % sampling.** Recording goes through per-thread
-//!    packed buffers (see [`crate::sink`]) — no lock and ~12 bytes
-//!    moved per span instead of a mutexed 144-byte copy.
+//! 4. **Exact.** A recorded span is visible to [`SpanSink::len`],
+//!    [`SpanSink::peek_recent`] and [`SpanSink::drain`] the moment
+//!    [`Tracer::record`] returns, whichever thread recorded it: the sink
+//!    is one mutex-guarded `Vec`, and recording costs an uncontended lock
+//!    plus one span-sized move.
 
+use std::mem;
 use std::sync::atomic::{AtomicU64, Ordering};
+use std::sync::{Mutex, MutexGuard, PoisonError};
 use std::time::Instant;
 
 use crate::journal::FaultKind;
@@ -37,10 +41,10 @@ use crate::json::Writer;
 /// Interned span name: the closed set of names any instrumented
 /// component gives a span.
 ///
-/// One byte instead of a 16-byte `&'static str` is what lets the packed
-/// sink encoding (see [`crate::sink::PackedSpans`]) store a span's name
-/// in a single code byte. Exports and digests spell the name back out
-/// via [`SpanName::as_str`], so serialized output is unchanged.
+/// One byte instead of a 16-byte `&'static str` keeps [`Span`] small,
+/// and every recorded span is moved into the sink whole. Exports and
+/// digests spell the name back out via [`SpanName::as_str`], so
+/// serialized output is unchanged.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 #[repr(u8)]
 pub enum SpanName {
@@ -100,30 +104,6 @@ impl SpanName {
             SpanName::Election => "election",
             SpanName::Replicate => "replicate",
         }
-    }
-
-    /// The inverse of `self as u8`, for decoding packed spans.
-    #[must_use]
-    pub const fn from_code(code: u8) -> Option<SpanName> {
-        Some(match code {
-            0 => SpanName::Op,
-            1 => SpanName::Serve,
-            2 => SpanName::Net,
-            3 => SpanName::ResendWait,
-            4 => SpanName::Waste,
-            5 => SpanName::Lock,
-            6 => SpanName::Apply,
-            7 => SpanName::Attempt,
-            8 => SpanName::Heartbeat,
-            9 => SpanName::Detect,
-            10 => SpanName::Rebalance,
-            11 => SpanName::Failover,
-            12 => SpanName::WalAppend,
-            13 => SpanName::WalFsync,
-            14 => SpanName::Election,
-            15 => SpanName::Replicate,
-            _ => return None,
-        })
     }
 }
 
@@ -272,44 +252,13 @@ impl ArgKey {
             ArgKey::Fence => "fence",
         }
     }
-
-    /// The inverse of `self as u8`, for decoding packed spans.
-    #[must_use]
-    pub const fn from_code(code: u8) -> Option<ArgKey> {
-        Some(match code {
-            0 => ArgKey::Target,
-            1 => ArgKey::Kind,
-            2 => ArgKey::Hops,
-            3 => ArgKey::Locked,
-            4 => ArgKey::Bytes,
-            5 => ArgKey::Node,
-            6 => ArgKey::Spins,
-            7 => ArgKey::Mds,
-            8 => ArgKey::Claimed,
-            9 => ArgKey::Failures,
-            10 => ArgKey::Rehomed,
-            11 => ArgKey::Subtree,
-            12 => ArgKey::From,
-            13 => ArgKey::To,
-            14 => ArgKey::Error,
-            15 => ArgKey::Route,
-            16 => ArgKey::Outcome,
-            17 => ArgKey::Body,
-            18 => ArgKey::Term,
-            19 => ArgKey::Fence,
-            _ => return None,
-        })
-    }
 }
 
 /// Inline, fixed-capacity annotation list: up to [`MAX_SPAN_ARGS`]
-/// `(ArgKey, u64)` pairs stored inside the span itself.
-///
-/// The previous `Vec`-backed representation heap-allocated per annotated
-/// span, which at 100 % sampling dominated tracing overhead (+57 % per
-/// op); this one makes span construction allocation-free. Pushing beyond
-/// capacity drops the extra pair (debug builds assert instead) — the
-/// digest and exports only ever see what was stored.
+/// `(ArgKey, u64)` pairs stored inside the span itself, so building an
+/// annotated span never allocates. Pushing beyond capacity drops the
+/// extra pair (debug builds assert instead) — the digest and exports
+/// only ever see what was stored.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct SpanArgs {
     len: u8,
@@ -361,13 +310,6 @@ impl SpanArgs {
     /// Iterates over the stored `(key, value)` pairs.
     pub fn iter(&self) -> std::slice::Iter<'_, (ArgKey, u64)> {
         self.as_slice().iter()
-    }
-
-    /// The full backing array plus the live count, for encoders that
-    /// want a fixed-trip-count loop (unused slots are `(Target, 0)`).
-    #[inline]
-    pub(crate) fn raw(&self) -> (&[(ArgKey, u64); MAX_SPAN_ARGS], u8) {
-        (&self.items, self.len)
     }
 }
 
@@ -535,7 +477,92 @@ impl Sampler {
     }
 }
 
-pub use crate::sink::{flush_thread_local, PackedSpans, SinkRegistry, SpanSink};
+/// A bounded, thread-safe span store: one mutex-guarded `Vec`, the same
+/// shape as [`EventJournal`](crate::EventJournal). Once `capacity` spans
+/// are held, the newest span is shed and counted in
+/// [`dropped`](Self::dropped).
+///
+/// Spans come back in push order, which for a single-threaded producer
+/// (the simulator) is what keeps same-seed digests stable. Every count
+/// is exact the moment a push returns, whichever thread made it.
+#[derive(Debug)]
+pub struct SpanSink {
+    capacity: usize,
+    spans: Mutex<Vec<Span>>,
+    drained: AtomicU64,
+    dropped: AtomicU64,
+}
+
+impl SpanSink {
+    /// A sink holding at most `capacity` spans.
+    #[must_use]
+    pub fn new(capacity: usize) -> Self {
+        SpanSink {
+            capacity,
+            spans: Mutex::new(Vec::new()),
+            drained: AtomicU64::new(0),
+            dropped: AtomicU64::new(0),
+        }
+    }
+
+    fn held(&self) -> MutexGuard<'_, Vec<Span>> {
+        self.spans.lock().unwrap_or_else(PoisonError::into_inner)
+    }
+
+    /// Stores a span, or sheds it (counted) if the sink is full.
+    pub fn push(&self, span: Span) {
+        let mut spans = self.held();
+        if spans.len() < self.capacity {
+            spans.push(span);
+        } else {
+            self.dropped.fetch_add(1, Ordering::Relaxed);
+        }
+    }
+
+    /// Removes and returns every held span, in push order.
+    #[must_use]
+    pub fn drain(&self) -> Vec<Span> {
+        let mut spans = self.held();
+        self.drained
+            .fetch_add(spans.len() as u64, Ordering::Relaxed);
+        mem::take(&mut *spans)
+    }
+
+    /// The last `k` held spans, in push order, *without* removing them,
+    /// so a later [`drain`](Self::drain) still sees everything. Backs
+    /// the admin plane's `/trace?n=K`, whose scrapes must not steal
+    /// spans from the export a daemon writes at shutdown.
+    #[must_use]
+    pub fn peek_recent(&self, k: usize) -> Vec<Span> {
+        let spans = self.held();
+        spans[spans.len().saturating_sub(k)..].to_vec()
+    }
+
+    /// Number of spans currently held.
+    #[must_use]
+    pub fn len(&self) -> usize {
+        self.held().len()
+    }
+
+    /// Whether the sink holds no spans.
+    #[must_use]
+    pub fn is_empty(&self) -> bool {
+        self.len() == 0
+    }
+
+    /// Spans accepted over the sink's lifetime (drained plus held).
+    #[must_use]
+    pub fn recorded(&self) -> u64 {
+        let spans = self.held();
+        self.drained.load(Ordering::Relaxed) + spans.len() as u64
+    }
+
+    /// Spans shed because the sink was full.
+    #[must_use]
+    pub fn dropped(&self) -> u64 {
+        self.dropped.load(Ordering::Relaxed)
+    }
+}
 
 /// Default bound on buffered spans (enough for ~100k-op replays at
 /// 100% sampling with several spans per op).
@@ -761,6 +788,85 @@ mod tests {
         assert_eq!(sink.dropped(), 3);
         assert_eq!(sink.drain().len(), 2);
         assert!(sink.is_empty());
+    }
+
+    fn ctx(trace: u64, span: u64) -> SpanCtx {
+        SpanCtx {
+            trace: TraceId(trace),
+            span: SpanId(span),
+        }
+    }
+
+    #[test]
+    fn spans_of_a_live_thread_are_visible_at_once() {
+        use std::sync::{Arc, Barrier};
+
+        let sink = Arc::new(SpanSink::new(DEFAULT_SPAN_CAPACITY));
+        let recorded = Arc::new(Barrier::new(2));
+        let release = Arc::new(Barrier::new(2));
+        let worker = {
+            let (sink, recorded, release) = (
+                Arc::clone(&sink),
+                Arc::clone(&recorded),
+                Arc::clone(&release),
+            );
+            std::thread::spawn(move || {
+                for i in 0..10 {
+                    sink.push(Span::root(ctx(1, i + 1), span_names::SERVE, i, 1));
+                }
+                recorded.wait();
+                // Parked, alive, and holding nothing back.
+                release.wait();
+            })
+        };
+        recorded.wait();
+        assert_eq!(sink.len(), 10);
+        assert_eq!(sink.recorded(), 10);
+        assert_eq!(sink.peek_recent(64).len(), 10);
+        assert_eq!(sink.drain().len(), 10);
+        release.wait();
+        worker.join().expect("worker");
+    }
+
+    #[test]
+    fn peek_recent_returns_the_tail_without_consuming() {
+        let sink = SpanSink::new(1024);
+        let total = 50u64;
+        for i in 0..total {
+            sink.push(Span::root(ctx(1, i + 1), span_names::OP, i, 1));
+        }
+        let tail = sink.peek_recent(5);
+        assert_eq!(tail.len(), 5);
+        assert_eq!(tail.last().expect("non-empty").start_us, total - 1);
+        assert_eq!(tail[0].start_us, total - 5);
+        // Peeking more than is held returns everything, once each.
+        assert_eq!(sink.peek_recent(usize::MAX).len(), total as usize);
+        assert!(sink.peek_recent(0).is_empty());
+        // Nothing was consumed: a full drain still sees every span.
+        assert_eq!(sink.drain().len(), total as usize);
+        assert_eq!(sink.recorded(), total);
+    }
+
+    #[test]
+    fn spans_from_every_thread_drain_together() {
+        let tracer = std::sync::Arc::new(Tracer::new(Sampler::always(0)));
+        let handles: Vec<_> = (0..4u64)
+            .map(|t| {
+                let tr = std::sync::Arc::clone(&tracer);
+                std::thread::spawn(move || {
+                    for i in 0..100 {
+                        let c = tr.begin().expect("sampled");
+                        tr.record(Span::root(c, span_names::OP, t * 1000 + i, 1));
+                    }
+                })
+            })
+            .collect();
+        for h in handles {
+            h.join().expect("worker");
+        }
+        assert_eq!(tracer.drain().len(), 400);
+        assert_eq!(tracer.sink().recorded(), 400);
+        assert_eq!(tracer.sink().dropped(), 0);
     }
 
     #[test]

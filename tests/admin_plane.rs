@@ -11,8 +11,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use d2tree::cluster::{
-    admin_get, run_load, AdminConfig, AdminServer, LoadConfig, LoadMode, NetMds, NetServer,
-    NetServerConfig, RetryPolicy,
+    admin_get, run_load, AdminConfig, AdminServer, LoadConfig, LoadMode, NetClient, NetMds,
+    NetServer, NetServerConfig, Request, RequestId, RetryPolicy,
 };
 use d2tree::core::{D2TreeConfig, D2TreeScheme, LocalIndex, Partitioner};
 use d2tree::metrics::{ClusterSpec, MdsId, Placement};
@@ -190,46 +190,50 @@ fn mid_load_scrapes_see_monotone_histograms_and_healthy_rules() {
 #[test]
 fn trace_and_slow_endpoints_expose_served_requests() {
     let tracer = Arc::new(Tracer::new(Sampler::always(0)));
-    let (tree, trace, owners, registry, _mds, server, admin) = start_stack(23, Some(&tracer));
+    let (_tree, trace, _owners, _registry, _mds, server, admin) = start_stack(23, Some(&tracer));
     let admin_addr = admin.local_addr().to_string();
-    // One connection and >SEAL_SPANS ops: the daemon's conn thread
-    // records a serve span per trailered request, so its local span
-    // buffer seals at least one segment — which is what /trace reads.
-    let ops = 2_000usize;
-    let cfg = load_cfg(vec![server.local_addr().to_string()], 1, ops);
-    let report = run_load(
-        &cfg,
-        &tree,
-        &index_from(&owners),
-        &trace,
-        &registry,
-        Some(&tracer),
-    );
-    assert_eq!(report.completed, ops as u64);
-
-    // Segments seal in cross-thread timing order and the daemon's conn
-    // thread flushes its tail on EOF, slightly after run_load returns —
-    // so ask for a deep tail and poll briefly for that flush to land.
-    let mut body = String::new();
-    for _ in 0..100 {
-        let (status, b) = admin_get(&admin_addr, "/trace?n=4096", GET_TIMEOUT).expect("trace");
-        assert_eq!(status, 200);
-        assert!(b.contains("\"traceEvents\":["), "{b}");
-        body = b;
-        if body.contains("\"serve\"") {
-            break;
+    // Four pipelined windows of trace-carrying requests over one
+    // connection that stays open: the daemon's connection thread records
+    // a serve span per request and is still alive while /trace is read.
+    const WINDOWS: usize = 4;
+    const WINDOW: usize = 8;
+    let mut client =
+        NetClient::connect(&server.local_addr().to_string(), GET_TIMEOUT).expect("connect");
+    for (w, ops) in trace.ops().chunks(WINDOW).take(WINDOWS).enumerate() {
+        let window: Vec<Request> = ops
+            .iter()
+            .enumerate()
+            .map(|(i, op)| {
+                let id = (w * WINDOW + i + 1) as u64;
+                Request {
+                    id: RequestId(id),
+                    kind: op.kind,
+                    target: op.target,
+                    hops: 0,
+                    trace: Some((id, id)),
+                }
+            })
+            .collect();
+        client.send_batch(&window).expect("send window");
+        for req in &window {
+            assert_eq!(client.recv().expect("response").id, req.id);
         }
-        std::thread::sleep(Duration::from_millis(10));
     }
-    assert!(
-        body.contains("\"serve\""),
-        "sealed serve spans must be visible: {body}"
+
+    let (status, body) = admin_get(&admin_addr, "/trace?n=64", GET_TIMEOUT).expect("trace");
+    assert_eq!(status, 200);
+    assert!(body.contains("\"traceEvents\":["), "{body}");
+    assert_eq!(
+        body.matches("\"name\":\"serve\"").count(),
+        WINDOWS * WINDOW,
+        "every served request's span must be visible while its connection is open: {body}"
     );
 
     let (sstatus, sbody) = admin_get(&admin_addr, "/slow", GET_TIMEOUT).expect("slow");
     assert_eq!(sstatus, 200);
     assert!(sbody.contains("\"dur_us\":"), "{sbody}");
 
+    drop(client);
     let _ = admin.shutdown();
     let _ = server.shutdown();
 }

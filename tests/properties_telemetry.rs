@@ -1,65 +1,10 @@
 //! Property-based tests of the telemetry substrate: the log-bucketed
 //! latency histogram's edge cases (empty, single sample, top-bucket
 //! saturation), the event journal's eviction ordering once the ring
-//! wraps around, the packed span encoding's round trip across narrow
-//! and wide records, and the flight recorder's newest-N retention.
+//! wraps around, and the flight recorder's newest-N retention.
 
-use d2tree::telemetry::{
-    ArgKey, EventJournal, EventKind, FaultKind, FlightRecorder, Histogram, PackedSpans, Span,
-    SpanArgs, SpanId, SpanName, TickSample, TraceId,
-};
+use d2tree::telemetry::{EventJournal, EventKind, FlightRecorder, Histogram, TickSample};
 use proptest::prelude::*;
-
-fn mix(mut x: u64) -> u64 {
-    x = x.wrapping_add(0x9e37_79b9_7f4a_7c15);
-    x = (x ^ (x >> 30)).wrapping_mul(0xbf58_476d_1ce4_e5b9);
-    x = (x ^ (x >> 27)).wrapping_mul(0x94d0_49bb_1331_11eb);
-    x ^ (x >> 31)
-}
-
-/// Derives one span from `seed`. Even indices stay near the previous
-/// span (small monotone ids and timestamps, the narrow packed form);
-/// odd multiples of 3 use full-width values that cannot fit a u32
-/// delta, forcing the wide fallback; everything else lands in between.
-fn span_from_seed(i: usize, seed: u64) -> Span {
-    let r = |n: u64| mix(seed ^ n);
-    let full_width = i % 3 == 2;
-    let (trace, id, start, dur) = if full_width {
-        (r(1), r(2), r(3), r(4))
-    } else {
-        (i as u64 + 1, i as u64 * 7 + 1, i as u64 * 100, r(4) % 5_000)
-    };
-    let mut args = SpanArgs::new();
-    for a in 0..(r(5) % 5) {
-        let key = ArgKey::from_code((r(6 + a) % 18) as u8).expect("codes 0..18 are valid");
-        let val = if full_width {
-            r(7 + a)
-        } else {
-            r(7 + a) % 10_000
-        };
-        args.push(key, val);
-    }
-    Span {
-        trace: TraceId(trace),
-        id: SpanId(id),
-        parent: (r(8) % 3 == 0).then(|| SpanId(id ^ (r(9) % 64))),
-        name: SpanName::from_code((r(10) % 14) as u8).expect("codes 0..14 are valid"),
-        mds: (r(11) % 2 == 0).then(|| (r(12) % 1024) as u16),
-        start_us: start,
-        dur_us: dur,
-        fault: match r(13) % 8 {
-            1 => Some(FaultKind::Drop),
-            2 => Some(FaultKind::Delay),
-            3 => Some(FaultKind::Duplicate),
-            4 => Some(FaultKind::Reorder),
-            5 => Some(FaultKind::TornWrite),
-            6 => Some(FaultKind::PartialFsync),
-            7 => Some(FaultKind::CorruptRecord),
-            _ => None,
-        },
-        args,
-    }
-}
 
 proptest! {
     #[test]
@@ -156,26 +101,6 @@ proptest! {
         for (offset, e) in events.iter().enumerate() {
             prop_assert_eq!(e.seq, (n - events.len() + offset) as u64);
         }
-    }
-
-    #[test]
-    fn packed_spans_round_trip_any_mix_of_narrow_and_wide(
-        seeds in proptest::collection::vec(0u64..=u64::MAX, 0..80),
-    ) {
-        let spans: Vec<Span> = seeds
-            .iter()
-            .enumerate()
-            .map(|(i, &s)| span_from_seed(i, s))
-            .collect();
-        let mut packed = PackedSpans::new();
-        for s in &spans {
-            packed.push(s);
-        }
-        prop_assert_eq!(packed.len(), spans.len());
-        // Decoding reproduces every field of every span, in order,
-        // whatever mixture of delta-fitting and overflowing records the
-        // sequence produced.
-        prop_assert_eq!(packed.decode(), spans);
     }
 
     #[test]

@@ -1,9 +1,9 @@
 //! Real TCP serving layer: the wire codec of [`crate::message`] carried
 //! over `std::net` sockets instead of channel shims.
 //!
-//! The paper's evaluation (Table I, Figs. 9/10) measures metadata servers
-//! answering clients over a real network. This module supplies that
-//! substrate in-workspace:
+//! The paper's evaluation (Sec. VI, throughput in Fig. 5) measures
+//! metadata servers answering clients over a real network (EC2 instances
+//! on 100 Mbps links). This module supplies that substrate in-workspace:
 //!
 //! * [`FrameBuf`] / [`FrameReader`] — incremental length-prefixed frame
 //!   reassembly that is correct under arbitrarily short reads (a TCP

@@ -78,6 +78,16 @@ impl Default for SimConfig {
     }
 }
 
+impl SimConfig {
+    /// Lock hold: fixed coordination cost, the leader's own apply, one
+    /// replica apply and a parallel broadcast round trip. The per-M
+    /// scaling cost is the real apply *work* each replica performs
+    /// (enqueued on commit), not a serial hold.
+    fn lock_hold_ns(&self) -> u64 {
+        self.lock_base_ns + self.update_service_ns + self.replica_apply_ns + 2 * self.hop_latency_ns
+    }
+}
+
 /// Results of one trace replay.
 #[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
 pub struct ReplayOutcome {
@@ -176,61 +186,187 @@ enum EventKind {
 /// `(t, seq)` order.
 type EventKey = (u64, u64, u32, EventKind);
 
-/// Lanes an [`EventQueue`] opens before new delays go to the overflow
-/// heap. A fault-free replay needs at most seven (the initial zero, client
-/// and hop latency, the two service times, replica apply, the lock hold);
-/// a fault plan adds the resend timeout and one per distinct delay in
-/// milliseconds.
-const MAX_LANES: usize = 12;
+/// Most slots a calendar opens; a delay past its horizon goes to the
+/// overflow heap. The default configuration needs 256 (its longest delay,
+/// the 2 ms resend timeout, is 200 steps of 10 µs).
+const MAX_SLOTS: usize = 1 << 12;
 
-/// The pending-event set, popping in `(t, seq)` order.
+/// End of a slot's FIFO and of the pool's free list.
+const NIL: u32 = u32::MAX;
+
+/// An event in the calendar's pool, linked to the next one in its slot
+/// (or, once popped, in the free list).
+#[derive(Debug, Clone, Copy)]
+struct Pooled {
+    key: EventKey,
+    next: u32,
+}
+
+/// The pending-event set, popping in `(t, seq)` order: an exact calendar
+/// queue (Brown, CACM 1988).
 ///
 /// Every event is pushed at `now + d`, where `now` (the time of the last
-/// pop) never decreases and `d` is one of a handful of configuration
-/// constants. Pushes that share a `d` therefore arrive already sorted by
-/// `(t, seq)`, so one FIFO per distinct delay replaces a heap: push scans
-/// the few lanes for its delay, pop takes the least lane front. Delays
-/// past [`MAX_LANES`] (a fault plan with wide delay jitter) share one
-/// binary heap whose top joins the same minimum.
-#[derive(Debug, Default)]
+/// pop) never decreases and `d` is a sum of configuration constants, so
+/// every event time lies on a grid of `step` ns, their gcd. The calendar
+/// has one slot per grid step, a power of two of them; the slot at the
+/// cursor holds the events at `now`, the one `k` slots on those at
+/// `now + k·step`. Within `horizon` of `now` a slot therefore holds a
+/// single time, and its FIFO, appended in push order, is in `seq` order.
+/// Pop takes the first occupied slot at or after the cursor and moves the
+/// cursor there. An event off the grid or past the horizon goes to one
+/// binary heap whose top joins the same `(t, seq)` minimum.
+#[derive(Debug)]
 struct EventQueue {
     /// Time of the last pop.
     now: u64,
     seq: u64,
-    lanes: Vec<(u64, VecDeque<EventKey>)>,
+    /// Grid step in ns: every slot is one step wide.
+    step: u64,
+    /// `ceil(2^63 / step)`, so `delay / step` is a multiply and a shift.
+    recip: u64,
+    /// Grid delays below this go to the calendar.
+    horizon: u64,
+    /// Grid time of the cursor slot: `now` when `now` is on the grid,
+    /// the grid point below it otherwise.
+    base: u64,
+    cursor: usize,
+    /// Front and back pool index of each slot's FIFO; a slot is empty
+    /// when its head is `NIL`.
+    heads: Vec<u32>,
+    tails: Vec<u32>,
+    /// Storage for every calendar event in flight, slots linked through it.
+    pool: Vec<Pooled>,
+    free: u32,
+    /// Events in the calendar (the overflow heap not counted).
+    queued: usize,
     overflow: BinaryHeap<Reverse<EventKey>>,
 }
 
+fn gcd(a: u64, b: u64) -> u64 {
+    if b == 0 {
+        a
+    } else {
+        gcd(b, a % b)
+    }
+}
+
 impl EventQueue {
+    /// The queue for one replay under `cfg`: the grid step is the gcd of
+    /// every delay the replay can schedule — 1 ms among them when a fault
+    /// plan adds whole-millisecond delays — and the horizon covers the
+    /// longest of them.
+    fn for_replay(cfg: &SimConfig, faulty: bool) -> Self {
+        let delays = [
+            cfg.client_latency_ns,
+            cfg.hop_latency_ns,
+            cfg.read_service_ns,
+            cfg.update_service_ns,
+            cfg.replica_apply_ns,
+            cfg.lock_hold_ns(),
+            cfg.retry_timeout_ns,
+        ];
+        let fault_ms = if faulty { 1_000_000 } else { 0 };
+        let step = delays.iter().fold(fault_ms, |g, &d| gcd(g, d));
+        EventQueue::new(step, delays.into_iter().max().unwrap_or(0))
+    }
+
+    /// A queue on a grid of `step` ns (0 counts as 1) whose calendar
+    /// reaches at least `longest` ns ahead, up to `MAX_SLOTS` steps.
+    fn new(step: u64, longest: u64) -> Self {
+        let step = step.max(1);
+        let slots = ((longest / step).min(MAX_SLOTS as u64 - 1) as usize + 1).next_power_of_two();
+        // Below 2^62 the reciprocal quotient is exact or one too high, so
+        // checking it against the delay decides grid membership exactly.
+        let horizon = step.saturating_mul(slots as u64).min(1 << 62);
+        EventQueue {
+            now: 0,
+            seq: 0,
+            step,
+            recip: ((1u64 << 63) - 1) / step + 1,
+            horizon,
+            base: 0,
+            cursor: 0,
+            heads: vec![NIL; slots],
+            tails: vec![NIL; slots],
+            pool: Vec::new(),
+            free: NIL,
+            queued: 0,
+            overflow: BinaryHeap::new(),
+        }
+    }
+
     fn push(&mut self, at: u64, who: u32, kind: EventKind) {
         debug_assert!(at >= self.now, "event at {at} before now {}", self.now);
         let delay = at - self.now;
         self.seq += 1;
         let key = (at, self.seq, who, kind);
-        if let Some((_, lane)) = self.lanes.iter_mut().find(|(d, _)| *d == delay) {
-            lane.push_back(key);
-        } else if self.lanes.len() < MAX_LANES {
-            self.lanes.push((delay, VecDeque::from([key])));
-        } else {
-            self.overflow.push(Reverse(key));
+        if self.now == self.base && delay < self.horizon {
+            let steps = ((u128::from(delay) * u128::from(self.recip)) >> 63) as u64;
+            if steps * self.step == delay {
+                let slot = (self.cursor + steps as usize) & (self.heads.len() - 1);
+                self.enqueue(slot, key);
+                return;
+            }
         }
+        self.overflow.push(Reverse(key));
+    }
+
+    /// Appends `key` to `slot`'s FIFO.
+    fn enqueue(&mut self, slot: usize, key: EventKey) {
+        let pooled = Pooled { key, next: NIL };
+        let i = if self.free == NIL {
+            self.pool.push(pooled);
+            u32::try_from(self.pool.len() - 1).expect("fewer than 2^32 events in flight")
+        } else {
+            let i = self.free;
+            self.free = self.pool[i as usize].next;
+            self.pool[i as usize] = pooled;
+            i
+        };
+        match self.heads[slot] {
+            NIL => self.heads[slot] = i,
+            _ => self.pool[self.tails[slot] as usize].next = i,
+        }
+        self.tails[slot] = i;
+        self.queued += 1;
     }
 
     fn pop(&mut self) -> Option<EventKey> {
-        let mut best: Option<(usize, EventKey)> = None;
-        for (i, (_, lane)) in self.lanes.iter().enumerate() {
-            if let Some(&front) = lane.front() {
-                if best.is_none_or(|(_, b)| front < b) {
-                    best = Some((i, front));
-                }
+        let mask = self.heads.len() - 1;
+        let mut slot = self.cursor;
+        let front = if self.queued == 0 {
+            None
+        } else {
+            while self.heads[slot] == NIL {
+                slot = (slot + 1) & mask;
             }
-        }
-        let key = match (best, self.overflow.peek()) {
-            (Some((_, b)), Some(&Reverse(o))) if o < b => self.overflow.pop()?.0,
-            (Some((i, _)), _) => self.lanes[i].1.pop_front()?,
-            (None, _) => self.overflow.pop()?.0,
+            Some(self.heads[slot])
+        };
+        let key = match (front, self.overflow.peek()) {
+            (Some(i), Some(&Reverse(o))) if o < self.pool[i as usize].key => self.pop_overflow()?,
+            (Some(i), _) => {
+                let Pooled { key, next } = self.pool[i as usize];
+                self.heads[slot] = next;
+                self.pool[i as usize].next = self.free;
+                self.free = i;
+                self.queued -= 1;
+                self.cursor = slot;
+                self.base = key.0;
+                key
+            }
+            (None, _) => self.pop_overflow()?,
         };
         self.now = key.0;
+        Some(key)
+    }
+
+    /// Pops the overflow heap's top and moves the cursor to the grid
+    /// point at or below its time.
+    fn pop_overflow(&mut self) -> Option<EventKey> {
+        let Reverse(key) = self.overflow.pop()?;
+        let steps = (key.0 - self.base) / self.step;
+        self.cursor = self.cursor.wrapping_add(steps as usize) & (self.heads.len() - 1);
+        self.base += steps * self.step;
         Some(key)
     }
 }
@@ -633,7 +769,7 @@ impl Simulator {
                     None => inj,
                 }
             }),
-            queue: EventQueue::default(),
+            queue: EventQueue::for_replay(cfg, self.faults.is_some()),
             servers: (0..m).map(|_| Server::default()).collect(),
             states: vec![None; clients],
             visits: vec![Vec::new(); clients],
@@ -645,14 +781,7 @@ impl Simulator {
         // Per-node lock state: a held node maps to its FIFO of waiters.
         let mut lock_waiters: NodeIdMap<VecDeque<u32>> = NodeIdMap::default();
         let mut lock_busy_ns = 0u64;
-        // Lock hold: fixed coordination cost, the leader's own apply, one
-        // replica apply and a parallel broadcast round trip. The per-M
-        // scaling cost is the real apply *work* each replica performs
-        // (enqueued below on commit), not a serial hold.
-        let hold_ns = cfg.lock_base_ns
-            + cfg.update_service_ns
-            + cfg.replica_apply_ns
-            + 2 * cfg.hop_latency_ns;
+        let hold_ns = cfg.lock_hold_ns();
 
         let mut cursor = 0usize; // shared trace cursor
         let mut total_hops = 0u64;
@@ -1069,36 +1198,83 @@ mod tests {
             EventKind::Resend,
             EventKind::Waste,
         ];
-        // More distinct delays than lanes, zero among them, and small
-        // enough that different (pop time, delay) pairs tie on `t`.
-        let delays = MAX_LANES as u64 + 8;
+        // Multiples of 7 µs: hold 112 µs, longest delay the 700 µs resend.
+        let odd = SimConfig {
+            client_latency_ns: 21_000,
+            hop_latency_ns: 28_000,
+            read_service_ns: 35_000,
+            update_service_ns: 35_000,
+            lock_base_ns: 7_000,
+            replica_apply_ns: 14_000,
+            retry_timeout_ns: 700_000,
+            ..SimConfig::default()
+        };
+        // (config, fault plan attached, derived step, slots)
+        let grids = [
+            (SimConfig::default(), false, 10_000, 256),
+            (SimConfig::default(), true, 10_000, 256),
+            (odd, false, 7_000, 128),
+            (odd, true, 1_000, 1_024),
+        ];
         for seed in 0..16 {
+            let (cfg, faulty, step, slots) = grids[seed as usize % grids.len()];
+            let mut queue = EventQueue::for_replay(&cfg, faulty);
+            assert_eq!((queue.step, queue.heads.len()), (step, slots));
+            let horizon = step * slots as u64;
+            assert_eq!(queue.horizon, horizon);
+
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut queue = EventQueue::default();
             let mut heap: BinaryHeap<Reverse<EventKey>> = BinaryHeap::new();
-            let (mut now, mut seq) = (0u64, 0u64);
-            let (mut overflowed, mut ties) = (false, 0);
-            for step in 0..6_000 {
+            // The delay each event was pushed with, by `seq`.
+            let mut delays = vec![0];
+            let (mut now, mut last_delay) = (0u64, 0u64);
+            let (mut calendar, mut off_grid, mut past_horizon, mut mixed_ties) = (0, 0, 0, 0);
+            for step_no in 0..6_000 {
                 // Push-heavy first so the queues fill, then drain.
-                if step < 4_000 && rng.gen_bool(0.55) {
-                    let at = now + rng.gen_range(0..delays);
-                    let (who, kind) = (rng.gen_range(0..200u32), KINDS[rng.gen_range(0..8)]);
-                    seq += 1;
-                    heap.push(Reverse((at, seq, who, kind)));
+                if step_no < 4_000 && rng.gen_bool(0.55) {
+                    // Grid points from the first one at or after `now`, so
+                    // a replay pushed off the grid can return to it.
+                    let grid = now.div_ceil(step) * step;
+                    let at = match rng.gen_range(0..20) {
+                        // Zero, and short grid delays that tie on `t`.
+                        0 => now,
+                        1..=12 => grid + step * rng.gen_range(0..25),
+                        13..=15 => grid + step * rng.gen_range(25..slots as u64),
+                        16..=17 => grid + horizon + step * rng.gen_range(0..50),
+                        _ => grid + step * rng.gen_range(0..40) + rng.gen_range(1..step),
+                    };
+                    let (delay, who, kind) = (
+                        at - now,
+                        rng.gen_range(0..200u32),
+                        KINDS[rng.gen_range(0..8)],
+                    );
+                    heap.push(Reverse((at, delays.len() as u64, who, kind)));
+                    delays.push(delay);
+                    let overflowed = queue.overflow.len();
                     queue.push(at, who, kind);
-                    overflowed |= !queue.overflow.is_empty();
+                    let to_overflow = queue.overflow.len() > overflowed;
+                    let on_grid = now % step == 0 && delay % step == 0;
+                    assert_eq!(to_overflow, !on_grid || delay >= horizon, "delay {delay}");
+                    calendar += usize::from(!to_overflow);
+                    off_grid += usize::from(!on_grid);
+                    past_horizon += usize::from(on_grid && delay >= horizon);
                 } else {
                     let expected = heap.pop().map(|r| r.0);
-                    assert_eq!(queue.pop(), expected, "seed {seed}, step {step}");
-                    if let Some((t, ..)) = expected {
-                        ties += usize::from(t == now);
-                        now = t;
+                    assert_eq!(queue.pop(), expected, "seed {seed}, step {step_no}");
+                    if let Some((t, seq, ..)) = expected {
+                        let delay = delays[seq as usize];
+                        mixed_ties += usize::from(t == now && delay != last_delay);
+                        (now, last_delay) = (t, delay);
                     }
                 }
             }
             assert!(heap.is_empty() && queue.pop().is_none());
-            assert!(overflowed, "the overflow heap must carry events");
-            assert!(ties > 500, "only {ties} equal-time pops");
+            assert!(calendar > 1_000, "only {calendar} calendar pushes");
+            assert!(off_grid > 50 && past_horizon > 50);
+            assert!(
+                mixed_ties > 500,
+                "only {mixed_ties} equal-time pops pushed from different delays"
+            );
         }
     }
 
@@ -1386,9 +1562,9 @@ mod tests {
         )
     }
 
-    /// A plan whose delay jitter (25 distinct millisecond values) spans
-    /// more delays than the event queue has lanes, so the overflow heap
-    /// carries real traffic.
+    /// A plan whose delay jitter (1–25 ms) reaches past the event
+    /// queue's 2.56 ms calendar horizon, so the overflow heap carries
+    /// real traffic.
     fn wide_jitter_plan() -> FaultPlan {
         use crate::fault::{FaultAction, FaultRule, FaultScope};
         FaultPlan::new(9)

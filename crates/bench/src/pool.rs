@@ -15,8 +15,7 @@
 //! [`std::thread::available_parallelism`].
 
 use std::sync::atomic::{AtomicUsize, Ordering};
-
-use crossbeam::channel;
+use std::sync::mpsc;
 
 /// Worker threads to use: `D2_THREADS` if set and ≥ 1, else the
 /// machine's available parallelism, else 1.
@@ -66,7 +65,7 @@ where
     }
 
     let next = AtomicUsize::new(0);
-    let (tx, rx) = channel::unbounded::<(usize, T)>();
+    let (tx, rx) = mpsc::channel::<(usize, T)>();
     std::thread::scope(|scope| {
         for _ in 0..threads {
             let tx = tx.clone();

@@ -38,16 +38,16 @@
 use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpStream, ToSocketAddrs};
 use std::sync::atomic::{AtomicBool, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
 use d2tree_telemetry::json::Writer;
 use d2tree_telemetry::trace::chrome_trace_json;
 use d2tree_telemetry::{export, names, Counter, FlightRecorder, HealthRules, MetricKey};
-use parking_lot::Mutex;
 
 use crate::net::{AcceptLoop, NetMds, SlowEntry};
+use crate::sync;
 
 /// Tuning of an [`AdminServer`].
 #[derive(Debug, Clone)]
@@ -170,7 +170,7 @@ impl AdminServer {
                     {
                         let sample = state.mds.tick_sample();
                         let registry = Arc::clone(state.mds.registry());
-                        state.recorder.lock().sample(sample, Some(&registry));
+                        sync::lock(&state.recorder).sample(sample, Some(&registry));
                     }
                     let mut slept = Duration::ZERO;
                     while slept < state.config.tick_interval {
@@ -375,7 +375,7 @@ fn dispatch(head: &[u8], state: &AdminState) -> (u16, &'static str, String) {
             let snap = state.mds.registry().snapshot();
             (200, "application/json", export::json(&snap))
         }
-        "/health" => health_body(&state.recorder.lock(), &state.rules),
+        "/health" => health_body(&sync::lock(&state.recorder), &state.rules),
         "/trace" => {
             let n = query
                 .and_then(|q| {

@@ -27,6 +27,8 @@ use d2tree_telemetry::{names, Counter, EventKind, FaultKind, MetricKey, Registry
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
+use crate::sync;
+
 /// One directed network edge in the cluster. The `u16` is always the
 /// MDS id on the server end of the edge.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -308,7 +310,7 @@ impl FaultInjector {
         if self.rules.is_empty() {
             return FaultDecision::Deliver;
         }
-        let mut rng = self.rng.lock().unwrap_or_else(|e| e.into_inner());
+        let mut rng = sync::lock(&self.rng);
         for rule in &self.rules {
             if !rule.active_at(now_ms) || !rule.scope.matches(edge) {
                 continue;

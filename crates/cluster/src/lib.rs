@@ -9,7 +9,7 @@
 //!   lock serialisation of global-layer updates. Fig. 5 is regenerated on
 //!   top of it.
 //! * [`live`] — a real multi-threaded cluster in one process (one OS
-//!   thread per MDS, each serving through its own [`NetMds`], crossbeam
+//!   thread per MDS, each serving through its own [`NetMds`], `mpsc`
 //!   channels carrying the wire codec's frames as the network, a Monitor
 //!   thread) used by the integration tests and examples to exercise true
 //!   concurrency, heartbeats and fail-over.
@@ -61,6 +61,7 @@ pub mod message;
 pub mod monitor;
 pub mod net;
 pub mod sim;
+mod sync;
 pub mod trace_analysis;
 
 pub use admin::{admin_get, AdminConfig, AdminServer, AdminStats};

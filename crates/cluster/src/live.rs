@@ -1,5 +1,5 @@
 //! A real multi-threaded MDS cluster in one process: M [`NetMds`] — the
-//! serving core `d2tree serve` runs — one per OS thread, crossbeam
+//! serving core `d2tree serve` runs — one per OS thread, `std::sync::mpsc`
 //! channels as the network carrying the wire codec's frames, a Monitor
 //! thread doing heartbeat-based failure detection, and fail-over that
 //! re-homes a dead server's subtrees onto the survivors. Membership and
@@ -18,11 +18,11 @@
 use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::{Arc, Weak};
+use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender};
+use std::sync::{Arc, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use crossbeam::channel::{bounded, unbounded, Receiver, RecvTimeoutError, Sender};
 use d2tree_core::{Heartbeat, LocalIndex, Subtree};
 use d2tree_metrics::{Assignment, ClusterSpec, MdsId, Migration, Placement};
 use d2tree_namespace::{NamespaceTree, NodeId, VersionedAttr};
@@ -33,7 +33,6 @@ use d2tree_telemetry::{
     TickSample,
 };
 use d2tree_workload::Operation;
-use parking_lot::Mutex;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -48,6 +47,7 @@ use crate::mds::ServeSpan;
 use crate::message::{Request, RequestId, Response, REQUEST_FRAME_BYTES};
 use crate::monitor::{ClusterEvent, Monitor, MonitorConfig};
 use crate::net::NetMds;
+use crate::sync;
 
 /// Tuning of the live runtime.
 #[derive(Debug, Clone)]
@@ -122,10 +122,10 @@ impl Default for LiveConfig {
 
 #[derive(Debug)]
 enum ServerMsg {
-    Frame(Vec<u8>, Sender<Vec<u8>>),
+    Frame(Vec<u8>, SyncSender<Vec<u8>>),
     /// Control-plane request for the current local index (clients refresh
     /// their cache through this; it is not part of the data-path codec).
-    FetchIndex(Sender<LocalIndex>),
+    FetchIndex(SyncSender<LocalIndex>),
     Shutdown,
 }
 
@@ -396,11 +396,11 @@ impl LiveCluster {
                 .collect()
         });
 
-        let (hb_tx, hb_rx) = unbounded::<Heartbeat>();
+        let (hb_tx, hb_rx) = channel::<Heartbeat>();
         let mut server_txs = Vec::with_capacity(m);
         let mut server_handles = Vec::with_capacity(m);
         for (k, mds) in daemons.iter().enumerate() {
-            let (tx, rx) = unbounded::<ServerMsg>();
+            let (tx, rx) = channel::<ServerMsg>();
             server_txs.push(tx);
             let shared = Arc::clone(&shared);
             let mds = Arc::clone(mds);
@@ -716,7 +716,7 @@ impl LiveCluster {
         self.shared
             .recorder
             .as_ref()
-            .map_or_else(Vec::new, |r| r.lock().ticks().cloned().collect())
+            .map_or_else(Vec::new, |r| sync::lock(r).ticks().cloned().collect())
     }
 
     /// The attribute version server `mds` holds for `node` — used to
@@ -811,7 +811,12 @@ fn server_main(
                     }
                 }
                 // Heartbeats are idempotent, so a duplicate is harmless.
-                decision => deliver(hb_tx, hb, decision),
+                decision => {
+                    let hb_tx = hb_tx.clone();
+                    deliver(hb, decision, move |hb| {
+                        let _ = hb_tx.send(hb);
+                    });
+                }
             }
             last_hb = Instant::now();
         }
@@ -839,9 +844,11 @@ fn server_main(
                 };
                 frame.clear();
                 resp.encode_into(&mut frame);
-                // A lost reply leaves the client to time out; the client
-                // consumes one copy of a duplicate and drops the channel.
-                deliver(&reply, frame, reply_fault);
+                // A lost reply leaves the client to time out; the
+                // capacity-1 slot keeps one copy of a duplicate.
+                deliver(frame, reply_fault, move |frame| {
+                    let _ = reply.try_send(frame);
+                });
             }
             Err(RecvTimeoutError::Timeout) => {}
             Err(RecvTimeoutError::Disconnected) => break,
@@ -849,25 +856,28 @@ fn server_main(
     }
 }
 
-/// Sends `msg` as the fault plan decided — never, late (from a thread
-/// of its own, not stalling the sender), twice or once — never blocking.
-fn deliver<T: Clone + Send + 'static>(tx: &Sender<T>, msg: T, decision: FaultDecision) {
+/// Hands `msg` to `send` as the fault plan decided — never, late (from
+/// a thread of its own, not stalling the sender), twice or once. `send`
+/// must not block: an unbounded channel's `send`, or a bounded one's
+/// `try_send`, which drops what finds the slot full.
+fn deliver<T, F>(msg: T, decision: FaultDecision, send: F)
+where
+    T: Clone + Send + 'static,
+    F: Fn(T) + Send + 'static,
+{
     match decision {
         FaultDecision::Drop => {}
         FaultDecision::Delay(ms) => {
-            let tx = tx.clone();
             std::thread::spawn(move || {
                 std::thread::sleep(Duration::from_millis(ms));
-                let _ = tx.try_send(msg);
+                send(msg);
             });
         }
         FaultDecision::DeliverTwice => {
-            let _ = tx.try_send(msg.clone());
-            let _ = tx.try_send(msg);
+            send(msg.clone());
+            send(msg);
         }
-        FaultDecision::Deliver => {
-            let _ = tx.try_send(msg);
-        }
+        FaultDecision::Deliver => send(msg),
     }
 }
 
@@ -964,7 +974,7 @@ fn monitor_main(
                 let total: f64 = loads.iter().sum();
                 #[allow(clippy::cast_precision_loss)]
                 let spec = ClusterSpec::homogeneous(m, (total / m as f64).max(f64::MIN_POSITIVE));
-                rec.lock().sample(
+                sync::lock(rec).sample(
                     TickSample {
                         t_us: shared.registry.uptime_us(),
                         // Live locality needs a namespace popularity
@@ -1275,7 +1285,7 @@ impl LiveClient {
                 }
                 _ => {}
             }
-            let (tx, rx) = bounded(1);
+            let (tx, rx) = sync_channel(1);
             if self.server_txs[dest.index()]
                 .send(ServerMsg::FetchIndex(tx))
                 .is_err()
@@ -1407,7 +1417,7 @@ impl LiveClient {
     /// answer.
     fn exchange(&self, dest: MdsId, frame: Vec<u8>, send_fault: FaultDecision) -> Outcome {
         let server = &self.server_txs[dest.index()];
-        let (tx, rx) = bounded(1);
+        let (tx, rx) = sync_channel(1);
         let sent = match send_fault {
             FaultDecision::Drop => false, // request lost
             FaultDecision::Delay(ms) => {
@@ -1417,7 +1427,7 @@ impl LiveClient {
             FaultDecision::DeliverTwice => {
                 // The duplicate's reply channel is already closed, so
                 // the server's answer to it is discarded harmlessly.
-                let (dup_tx, _) = bounded::<Vec<u8>>(1);
+                let (dup_tx, _) = sync_channel::<Vec<u8>>(1);
                 let sent = server.send(ServerMsg::Frame(frame.clone(), tx)).is_ok();
                 let _ = server.send(ServerMsg::Frame(frame, dup_tx));
                 sent
@@ -1488,6 +1498,72 @@ mod tests {
                 return violations;
             }
             std::thread::sleep(Duration::from_millis(20));
+        }
+    }
+
+    /// Runs `deliver` on a thread of its own and fails, instead of
+    /// hanging, if it does not return promptly.
+    fn deliver_without_blocking<F>(msg: u64, decision: FaultDecision, send: F)
+    where
+        F: Fn(u64) + Send + 'static,
+    {
+        let (done_tx, done_rx) = channel();
+        std::thread::spawn(move || {
+            deliver(msg, decision, send);
+            let _ = done_tx.send(());
+        });
+        assert!(
+            done_rx.recv_timeout(Duration::from_secs(5)).is_ok(),
+            "{decision:?} blocked its caller"
+        );
+    }
+
+    /// Both channel kinds the runtime delivers on, under every fault
+    /// decision: the unbounded heartbeat channel never drops, the
+    /// capacity-1 reply slot keeps one copy of a duplicate, a delay
+    /// arrives after the call returned, and no call blocks.
+    #[test]
+    fn deliver_applies_each_decision_to_both_channel_kinds() {
+        const DELAY_MS: u64 = 200;
+        let cases = [
+            (FaultDecision::Drop, 0, 0),
+            (FaultDecision::Deliver, 1, 1),
+            (FaultDecision::DeliverTwice, 2, 1),
+            (FaultDecision::Delay(DELAY_MS), 1, 1),
+        ];
+        for (decision, heartbeats, replies) in cases {
+            let (hb_tx, hb_rx) = channel::<u64>();
+            deliver_without_blocking(1, decision, move |hb| {
+                let _ = hb_tx.send(hb);
+            });
+            let (reply_tx, reply_rx) = sync_channel::<u64>(1);
+            deliver_without_blocking(2, decision, move |frame| {
+                let _ = reply_tx.try_send(frame);
+            });
+            if let FaultDecision::Delay(_) = decision {
+                // Back from both calls well inside the delay: neither
+                // copy has landed yet.
+                assert!(
+                    hb_rx.try_recv().is_err(),
+                    "a delayed heartbeat was sent inline"
+                );
+                assert!(
+                    reply_rx.try_recv().is_err(),
+                    "a delayed reply was sent inline"
+                );
+            }
+            // Each receiver ends once its closure, and with it the
+            // sender, is dropped: after the call, or after the delay.
+            assert_eq!(
+                hb_rx.iter().count(),
+                heartbeats,
+                "heartbeats under {decision:?}"
+            );
+            assert_eq!(
+                reply_rx.iter().count(),
+                replies,
+                "replies under {decision:?}"
+            );
         }
     }
 

@@ -10,10 +10,12 @@
 //! usable from both the live runtime (wall clock) and deterministic tests
 //! (virtual clock).
 
+use std::sync::{Mutex, MutexGuard};
+
 use d2tree_namespace::NodeId;
-use parking_lot::{Mutex, MutexGuard};
 
 use crate::consensus::{Applied, Command, ControlState};
+use crate::sync;
 
 /// Proof of lock ownership; required to release.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -71,7 +73,7 @@ impl LockService {
     /// runtime's Monitor applies its membership and migration commands
     /// here, so every control-plane command goes through one object.
     pub fn control(&self) -> MutexGuard<'_, ControlState> {
-        self.state.lock()
+        sync::lock(&self.state)
     }
 
     /// Attempts to take the lock on `node` at time `now_ms`.

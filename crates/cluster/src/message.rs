@@ -9,16 +9,15 @@ use bytes::{Buf, BufMut, Bytes, BytesMut};
 use d2tree_metrics::MdsId;
 use d2tree_namespace::NodeId;
 use d2tree_workload::OpKind;
-use serde::{Deserialize, Serialize};
 
 use crate::consensus::{Command, Entry, PeerMsg};
 
 /// Unique id a client assigns to each outstanding request.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
 pub struct RequestId(pub u64);
 
 /// A metadata request from a client (or a forwarding MDS).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Request {
     /// Client-assigned id, echoed in the response.
     pub id: RequestId,
@@ -35,7 +34,7 @@ pub struct Request {
 }
 
 /// What an MDS answers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ResponseBody {
     /// The operation was served by this MDS.
     Served {
@@ -53,7 +52,7 @@ pub enum ResponseBody {
 }
 
 /// A response frame.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Response {
     /// Echoed request id.
     pub id: RequestId,

@@ -16,12 +16,11 @@ use std::sync::Arc;
 use d2tree_core::{AdjustPolicy, DynamicAdjuster, Heartbeat, Subtree};
 use d2tree_metrics::{ClusterSpec, MdsId, Migration};
 use d2tree_telemetry::{EventJournal, EventKind};
-use serde::{Deserialize, Serialize};
 
 use crate::consensus::{Applied, Command, ControlState};
 
 /// Membership changes the control plane committed.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum ClusterEvent {
     /// An MDS missed enough heartbeats to be declared dead.
     MdsFailed(MdsId),
@@ -30,7 +29,7 @@ pub enum ClusterEvent {
 }
 
 /// Monitor tuning.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct MonitorConfig {
     /// Expected heartbeat period.
     pub heartbeat_interval_ms: u64,

@@ -61,7 +61,7 @@ use std::io::{self, Read, Write};
 use std::net::{SocketAddr, TcpListener, TcpStream, ToSocketAddrs};
 use std::path::Path;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
-use std::sync::Arc;
+use std::sync::{Arc, Mutex, MutexGuard, RwLock, RwLockReadGuard};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -75,7 +75,6 @@ use d2tree_telemetry::{
     names, Counter, EventKind, FaultKind, Histogram, HistogramSnapshot, MetricKey, Registry,
 };
 use d2tree_workload::{OpKind, Operation, Trace};
-use parking_lot::{Mutex, MutexGuard, RwLock, RwLockReadGuard};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -83,6 +82,7 @@ use crate::client::{ClientError, Outcome, RequestMachine, RetryPolicy, RouteDeci
 use crate::live::GlGroup;
 use crate::mds::{attr_state, duty, open_and_recover, Duty, ServeSpan};
 use crate::message::{Request, RequestId, Response, ResponseBody};
+use crate::sync;
 
 /// Default cap on a single frame's body length. The real codec's frames
 /// are tens of bytes; anything near this cap is garbage (a desynced
@@ -327,7 +327,7 @@ impl SlowLog {
     }
 
     fn observe(&self, e: SlowEntry) {
-        let mut entries = self.entries.lock();
+        let mut entries = sync::lock(&self.entries);
         if entries.len() < SLOW_LOG_CAPACITY {
             entries.push(e);
         } else {
@@ -354,7 +354,7 @@ impl SlowLog {
 
     /// Entries sorted slowest first.
     fn top(&self) -> Vec<SlowEntry> {
-        let mut v = self.entries.lock().clone();
+        let mut v = sync::lock(&self.entries).clone();
         v.sort_by(|a, b| b.dur_us.cmp(&a.dur_us).then(a.t_us.cmp(&b.t_us)));
         v
     }
@@ -530,7 +530,7 @@ impl NetMds {
     /// counter's journaled value (or zero). A rejoining daemon acquires
     /// nothing: the Monitor hands it subtrees afterwards.
     pub(crate) fn recover(&self, root: &Path, config: StoreConfig, acquire: bool) -> RecoveryInfo {
-        let routing = self.routing.read();
+        let routing = sync::read(&self.routing);
         let recovered = open_and_recover(
             root,
             config,
@@ -541,7 +541,7 @@ impl NetMds {
             &routing.index,
             acquire,
         );
-        *self.attrs.write() = recovered.attrs;
+        *sync::write(&self.attrs) = recovered.attrs;
         for (root, count) in routing.counters() {
             let journaled = recovered.popularity.get(&root).copied();
             count.store(journaled.unwrap_or(0), Ordering::Relaxed);
@@ -568,14 +568,14 @@ impl NetMds {
 
     /// This daemon's view: the placement and the index it routes by.
     pub(crate) fn view(&self) -> (Placement, LocalIndex) {
-        let routing = self.routing.read();
+        let routing = sync::read(&self.routing);
         (routing.placement.clone(), routing.index.clone())
     }
 
     /// The served-op count of every root of this daemon's index that
     /// has one.
     pub(crate) fn popularity(&self) -> Vec<(NodeId, f64)> {
-        let routing = self.routing.read();
+        let routing = sync::read(&self.routing);
         let count = |c: &AtomicU64| f64::from_bits(c.load(Ordering::Relaxed));
         let counts = routing.counters().map(|(root, c)| (root, count(c)));
         counts.filter(|&(_, c)| c > 0.0).collect()
@@ -586,7 +586,7 @@ impl NetMds {
     /// end of it, journals the shed or the acquisition durably.
     pub(crate) fn apply_migration(&self, mg: Migration) {
         {
-            let mut routing = self.routing.write();
+            let mut routing = sync::write(&self.routing);
             routing.placement.assign_subtree(&self.tree, mg.node, mg.to);
             if routing.index.slot_of(mg.node).is_none() {
                 routing.counts.push(AtomicU64::new(0f64.to_bits()));
@@ -630,7 +630,7 @@ impl NetMds {
 
     /// The attribute record this MDS holds for `node`.
     pub(crate) fn attr(&self, node: NodeId) -> VersionedAttr {
-        self.attrs.read().get(node)
+        sync::read(&self.attrs).get(node)
     }
 
     /// Installs a sibling replica's commit of global-layer `node` if it
@@ -638,7 +638,7 @@ impl NetMds {
     /// durable at this daemon's next commit.
     pub(crate) fn replicate(&self, node: NodeId, committed: VersionedAttr) -> bool {
         // The table is let go first: a batch holding the store takes it.
-        let newer = self.attrs.write().apply_if_newer(node, committed);
+        let newer = sync::write(&self.attrs).apply_if_newer(node, committed);
         if newer {
             if let Some(store) = self.lock_store().as_deref_mut().and_then(Option::as_mut) {
                 store
@@ -658,7 +658,7 @@ impl NetMds {
     /// records both ways, counters. Empty without a store.
     pub(crate) fn store_violations(&self) -> Vec<String> {
         let k = self.me.0;
-        let routing = self.routing.read();
+        let routing = sync::read(&self.routing);
         let Some(guard) = self.lock_store() else {
             return Vec::new();
         };
@@ -679,7 +679,7 @@ impl NetMds {
                 state.owned, index_owned
             ));
         }
-        let table = self.attrs.read();
+        let table = sync::read(&self.attrs);
         let mut served: BTreeMap<u64, u64> = table
             .records()
             .map(|(id, r)| (id.index() as u64, r.version))
@@ -772,14 +772,14 @@ impl NetMds {
     /// to verify updates actually committed.
     #[must_use]
     pub fn attr_version(&self, node: NodeId) -> u64 {
-        self.attrs.read().get(node).version
+        sync::read(&self.attrs).get(node).version
     }
 
     /// How many nodes this MDS holds an attribute record for: the ones
     /// it has updated or recovered from its journal, not the namespace.
     #[must_use]
     pub fn attr_records(&self) -> usize {
-        self.attrs.read().record_count()
+        sync::read(&self.attrs).record_count()
     }
 
     /// Flushes the durable store (if any) so a clean shutdown leaves the
@@ -793,7 +793,7 @@ impl NetMds {
     /// The store's lock, or `None` — without locking anything — when no
     /// store was ever attached.
     fn lock_store(&self) -> Option<MutexGuard<'_, Option<MdsStore>>> {
-        self.store.as_ref().map(Mutex::lock)
+        self.store.as_ref().map(sync::lock)
     }
 
     /// Group-commits everything journaled so far: one fsync covers
@@ -814,7 +814,7 @@ impl NetMds {
     pub fn begin_batch(&self) -> ServeScope<'_> {
         ServeScope {
             mds: self,
-            routing: self.routing.read(),
+            routing: sync::read(&self.routing),
             opened: Instant::now(),
             store: None,
             lanes: [[0; 3]; 3],
@@ -912,7 +912,7 @@ fn lock_once<'s, 'a>(
     held: &'s mut Option<MutexGuard<'a, Option<MdsStore>>>,
 ) -> Option<&'s mut MdsStore> {
     let lock = mds.store.as_ref()?;
-    held.get_or_insert_with(|| lock.lock()).as_mut()
+    held.get_or_insert_with(|| sync::lock(lock)).as_mut()
 }
 
 /// The serving context of one batch of requests on one thread — the
@@ -971,7 +971,7 @@ impl ServeScope<'_> {
     fn commit_update(&mut self, node: NodeId, gl: bool) -> VersionedAttr {
         let mds = self.mds;
         let now_ms = self.opened.duration_since(mds.epoch).as_millis() as u64;
-        let committed = mds.attrs.write().update(node, |a| a.mtime = now_ms);
+        let committed = sync::write(&mds.attrs).update(node, |a| a.mtime = now_ms);
         self.journal(MdsRecord::AttrCommit {
             node: node.index() as u64,
             gl,
@@ -1988,13 +1988,13 @@ mod tests {
         /// Updates `node` behind the journal's back, for tests of the
         /// check that catches it.
         pub(crate) fn update_unjournaled(&self, node: NodeId) {
-            self.attrs.write().update(node, |a| a.size = 1);
+            sync::write(&self.attrs).update(node, |a| a.size = 1);
         }
     }
 
     /// The served-op count under index root `root`, if `mds` keeps one.
     fn subtree_count(mds: &NetMds, root: NodeId) -> Option<f64> {
-        let routing = mds.routing.read();
+        let routing = sync::read(&mds.routing);
         let (_, count) = routing.counters().find(|&(r, _)| r == root)?;
         Some(f64::from_bits(count.load(Ordering::Relaxed)))
     }
@@ -2921,7 +2921,7 @@ mod tests {
 
         assert_eq!(read(&d0, fa), ResponseBody::Served { node: fa });
         assert_eq!(read(&d1, fa), ResponseBody::Redirect { owner: MdsId(0) });
-        let slot_a = d0.routing.read().index.slot_of(a);
+        let slot_a = sync::read(&d0.routing).index.slot_of(a);
         assert_eq!(subtree_count(&d0, a), Some(1.0));
 
         both(Migration {
@@ -2932,7 +2932,7 @@ mod tests {
         assert_eq!(read(&d0, fa), ResponseBody::Redirect { owner: MdsId(1) });
         assert_eq!(read(&d1, fa), ResponseBody::Served { node: fa });
         assert_eq!((owned(&d0), owned(&d1)), (vec![], vec![id(a)]));
-        assert_eq!(d0.routing.read().index.slot_of(a), slot_a);
+        assert_eq!(sync::read(&d0.routing).index.slot_of(a), slot_a);
         assert_eq!(subtree_count(&d0, a), Some(1.0), "the count stays put");
         assert_eq!(subtree_count(&d1, a), Some(1.0));
 
@@ -2942,7 +2942,7 @@ mod tests {
             to: MdsId(0),
         });
         assert_eq!((owned(&d0), owned(&d1)), (vec![id(b)], vec![id(a)]));
-        assert_eq!(d0.routing.read().index.slot_of(b), Some(1));
+        assert_eq!(sync::read(&d0.routing).index.slot_of(b), Some(1));
         assert_eq!(subtree_count(&d0, b), Some(0.0));
         assert_eq!(read(&d0, fb), ResponseBody::Served { node: fb });
         assert_eq!(read(&d1, fb), ResponseBody::Redirect { owner: MdsId(0) });
@@ -3021,7 +3021,7 @@ mod tests {
         assert_eq!(subtree_count(&mds, kept), Some(3.0));
         assert_eq!(subtree_count(&mds, gone), None);
         assert_eq!(
-            mds.routing.read().counts.len(),
+            sync::read(&mds.routing).counts.len(),
             1,
             "one counter per index root"
         );

@@ -31,12 +31,11 @@ use d2tree_telemetry::{names, FaultKind, LocalHistogram, MetricKey, Registry};
 use d2tree_workload::{OpKind, Operation, Trace};
 use rand::rngs::StdRng;
 use rand::SeedableRng;
-use serde::{Deserialize, Serialize};
 
 use crate::fault::{FaultDecision, FaultInjector, FaultPlan, NetEdge};
 
 /// Simulation parameters, defaulted to the EC2-like setup of Sec. VI.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SimConfig {
     /// Closed-loop client count (the paper fixes 200).
     pub clients: usize,
@@ -89,7 +88,7 @@ impl SimConfig {
 }
 
 /// Results of one trace replay.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ReplayOutcome {
     /// Operations completed (always the full trace).
     pub completed: usize,
@@ -127,7 +126,7 @@ impl ReplayOutcome {
 
 /// Result of a [`Simulator::replay_with_rebalance`] run: the overall
 /// outcome plus the per-round balance trajectory.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct RebalancedReplay {
     /// Merged outcome over every chunk (throughput is ops over the summed
     /// virtual time).

@@ -6,14 +6,13 @@ use std::sync::Arc;
 use d2tree_metrics::{ClusterSpec, MdsId, Migration};
 use d2tree_namespace::{NamespaceTree, NodeId, Popularity};
 use d2tree_telemetry::{EventJournal, EventKind};
-use serde::{Deserialize, Serialize};
 
 use crate::allocate::Subtree;
 use crate::split::{split_to_proportion, GlobalLayer};
 
 /// Periodic load report an MDS sends the Monitor (Sec. IV-B): current load
 /// `L_k`; the Monitor derives the relative capacity `Re_k = L_k − μ·C_k`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Heartbeat {
     /// Reporting server.
     pub mds: MdsId,
@@ -22,7 +21,7 @@ pub struct Heartbeat {
 }
 
 /// A shed subtree waiting in the Monitor's pending pool.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct PoolEntry {
     /// The shed subtree.
     pub subtree: Subtree,
@@ -32,7 +31,7 @@ pub struct PoolEntry {
 
 /// The Monitor's pending pool: subtrees shed by overloaded servers,
 /// waiting for light servers to claim them (Sec. IV-B).
-#[derive(Debug, Clone, Default, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq)]
 pub struct PendingPool {
     entries: Vec<PoolEntry>,
 }
@@ -81,7 +80,7 @@ impl PendingPool {
 
 /// Thresholds governing when servers shed and claim (our concretisation of
 /// the paper's "relatively overloaded" / "lightly loaded" language).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct AdjustPolicy {
     /// A server sheds once `L_k > overload_factor · I_k`.
     pub overload_factor: f64,

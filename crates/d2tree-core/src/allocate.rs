@@ -4,13 +4,12 @@ use d2tree_metrics::mirror::mirror_divide;
 use d2tree_metrics::{ClusterSpec, MdsId};
 use d2tree_namespace::{NamespaceTree, NodeId, Popularity};
 use rand::Rng;
-use serde::{Deserialize, Serialize};
 
 use crate::split::GlobalLayer;
 
 /// One local-layer subtree `Δ_i`: its root, the inter node above it, its
 /// popularity `s_i` (the total popularity of its root) and its node count.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct Subtree {
     /// Root of the subtree (a local-layer node).
     pub root: NodeId,
@@ -67,7 +66,7 @@ pub fn allocate_full(subtrees: &[Subtree], cluster: &ClusterSpec) -> Vec<MdsId> 
 }
 
 /// How the sampled allocator draws its subtree sample.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum SampleStrategy {
     /// Uniform with replacement over the pending pool — the idealised
     /// sampling Lemma 1 analyses. Stands in for the full-information

@@ -10,7 +10,6 @@ use std::sync::{Arc, OnceLock};
 
 use d2tree_metrics::MdsId;
 use d2tree_namespace::{NamespaceTree, NodeId, NodeIdMap};
-use serde::{Deserialize, Serialize};
 
 /// Label of an arena slot that no indexed subtree root covers: a
 /// global-layer node or a tombstone.
@@ -111,7 +110,7 @@ impl Labels {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Default, Clone, Serialize, Deserialize)]
+#[derive(Debug, Default, Clone)]
 pub struct LocalIndex {
     /// Subtree root → its position in `roots`.
     slots: Arc<NodeIdMap<u32>>,

@@ -8,7 +8,6 @@ use d2tree_metrics::{
 use d2tree_namespace::{NamespaceTree, NodeId, Popularity};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::adjust::{AdjustPolicy, DynamicAdjuster};
 use crate::allocate::{allocate_full, allocate_sampled, collect_subtrees, SampleStrategy, Subtree};
@@ -268,7 +267,7 @@ pub trait Partitioner {
 }
 
 /// How the global layer is selected.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub enum SplitSpec {
     /// Grow until the layer holds this fraction of all nodes (the paper's
     /// experimental setting; 1% by default).
@@ -278,7 +277,7 @@ pub enum SplitSpec {
 }
 
 /// Configuration of [`D2TreeScheme`].
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct D2TreeConfig {
     /// Global-layer selection rule.
     pub split: SplitSpec,

@@ -6,7 +6,6 @@ use std::error::Error;
 use std::fmt;
 
 use d2tree_namespace::{NamespaceTree, NodeId, Popularity};
-use serde::{Deserialize, Serialize};
 
 /// The constraints of Alg. 1: a minimum system locality `L0` and a maximum
 /// global-layer update cost `U0` (Eq. 6).
@@ -14,7 +13,7 @@ use serde::{Deserialize, Serialize};
 /// Locality is the Def. 3 value `1 / Σ_{LL} p_j` under the D2-Tree
 /// convention of Eq. 7, so larger `min_locality` forces more nodes into the
 /// global layer, while smaller `max_update` caps how many can go in.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SplitBounds {
     /// `L0`: the locality value the split must reach (`locality ≥ L0`).
     pub min_locality: f64,
@@ -24,7 +23,7 @@ pub struct SplitBounds {
 
 /// The bounds implied by a proportion-driven split: the locality actually
 /// achieved and the update cost actually spent (the two curves of Fig. 8).
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct ImpliedBounds {
     /// Achieved locality value `1 / Σ_{LL} p_j`.
     pub locality: f64,
@@ -99,7 +98,7 @@ impl Error for SplitError {}
 /// Invariant: the global layer is *closed under parents* — if a node is in
 /// it, so are all its ancestors. Alg. 1 guarantees this because it only
 /// ever admits children of members.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct GlobalLayer {
     member: Vec<bool>,
     order: Vec<NodeId>,

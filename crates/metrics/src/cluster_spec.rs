@@ -2,13 +2,11 @@
 
 use std::fmt;
 
-use serde::{Deserialize, Serialize};
-
 /// Identifier of a metadata server within a cluster.
 ///
 /// Ids are dense indices `0..cluster_size`, matching the paper's
 /// `m_1..m_M` (zero-based here).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct MdsId(pub u16);
 
 impl MdsId {
@@ -43,7 +41,7 @@ impl fmt::Display for MdsId {
 /// assert_eq!(c.ideal_load_factor(200.0), 0.5);
 /// assert_eq!(c.ideal_loads(200.0)[2], 100.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct ClusterSpec {
     capacities: Vec<f64>,
 }

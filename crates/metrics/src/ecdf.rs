@@ -1,7 +1,5 @@
 //! Empirical CDFs and equi-probability histograms (Def. 6).
 
-use serde::{Deserialize, Serialize};
-
 /// An empirical cumulative distribution function over `f64` samples.
 ///
 /// Backing store is the sorted sample vector; evaluation is a binary
@@ -19,7 +17,7 @@ use serde::{Deserialize, Serialize};
 /// assert_eq!(e.eval(9.0), 1.0);
 /// assert_eq!(e.quantile(0.5), 2.0);
 /// ```
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Ecdf {
     sorted: Vec<f64>,
 }
@@ -106,7 +104,7 @@ impl Ecdf {
 /// The equi-probability histogram of Def. 6: boundaries
 /// `{x_i, i = 1..k; Δx}` such that every interval `[x_i, x_i+1]` carries the
 /// same probability mass `Δx = 1/(k−1)`.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct Histogram {
     boundaries: Vec<f64>,
 }

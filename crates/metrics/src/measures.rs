@@ -2,7 +2,6 @@
 //! update cost (Def. 4) and balance degree (Def. 5).
 
 use d2tree_namespace::{NamespaceTree, NodeId, Popularity};
-use serde::{Deserialize, Serialize};
 
 use crate::cluster_spec::ClusterSpec;
 use crate::placement::{Assignment, Placement};
@@ -56,7 +55,7 @@ pub fn path_jumps(tree: &NamespaceTree, placement: &Placement, node: NodeId) -> 
 }
 
 /// The system-locality computation of Def. 3: `locality = 1 / Σ jp_j · p_j`.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct LocalityReport {
     /// The weighted jump sum `Σ jp_j · p_j` (the denominator).
     pub weighted_jumps: f64,

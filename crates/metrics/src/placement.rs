@@ -4,12 +4,11 @@ use std::iter;
 use std::sync::Arc;
 
 use d2tree_namespace::{NamespaceTree, NodeId, Popularity};
-use serde::{Deserialize, Serialize};
 
 use crate::cluster_spec::{ClusterSpec, MdsId};
 
 /// Where one namespace node lives.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum Assignment {
     /// Not yet placed (placements under construction only).
     Unassigned,
@@ -38,7 +37,7 @@ impl Assignment {
 }
 
 /// A planned subtree/node migration between servers.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Migration {
     /// Root of the moved subtree.
     pub node: NodeId,
@@ -54,7 +53,7 @@ pub struct Migration {
 /// future work proposes "setting a threshold to control the number of
 /// replications of global layer" — [`ReplicaSet::Subset`] implements that
 /// extension.
-#[derive(Debug, Clone, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq)]
 pub enum ReplicaSet {
     /// Every server in the cluster holds a replica (the paper's default).
     All,
@@ -107,7 +106,7 @@ impl ReplicaSet {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Placement {
     /// One slot per arena slot: read per routed operation, so one
     /// indirection from the placement to the slot.

@@ -8,13 +8,11 @@
 //! version, which is what the global-layer consistency machinery
 //! (fencing tokens, client leases) synchronises on.
 
-use serde::{Deserialize, Serialize};
-
 use crate::node::{NodeId, NodeIdMap};
 use crate::tree::{bit, NamespaceTree};
 
 /// A `stat`-like attribute record.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct FileAttr {
     /// Permission bits (the low 12 bits of `st_mode`).
     pub mode: u16,
@@ -69,7 +67,7 @@ impl FileAttr {
 }
 
 /// A versioned attribute record as stored by the table.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct VersionedAttr {
     /// The attributes.
     pub attr: FileAttr,

@@ -11,13 +11,11 @@
 //! gives its upper half back. Build-time and run-time mutations take the
 //! same path; there is no frozen form.
 
-use serde::{Deserialize, Serialize};
-
 use crate::intern::{Sym, SymbolTable};
 use crate::node::NodeId;
 
 /// Where one node's child edges lie in the pool.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default)]
 struct Span {
     start: u32,
     len: u32,
@@ -33,7 +31,7 @@ fn capacity(len: usize) -> usize {
 }
 
 /// The child edges of every node of one tree.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct ChildPool {
     /// One span per arena slot; empty for files, childless directories
     /// and tombstones.

@@ -14,13 +14,11 @@
 //! own. Symbols are never removed — the arena only grows, and removal
 //! bookkeeping would cost more than it frees.
 
-use serde::{Deserialize, Serialize};
-
 /// Interned name handle: an index into the owning tree's [`SymbolTable`].
 ///
 /// `Sym`s are only meaningful relative to the table that produced them;
 /// two trees may assign the same `Sym` to different names.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct Sym(pub(crate) u32);
 
 impl Sym {
@@ -48,7 +46,7 @@ fn fnv1a(bytes: &[u8]) -> u64 {
 }
 
 /// Open-addressed intern table mapping name components to [`Sym`]s.
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct SymbolTable {
     /// Every interned name, end to end, in `Sym` order.
     bytes: Vec<u8>,

@@ -4,8 +4,6 @@ use std::collections::HashMap;
 use std::fmt;
 use std::hash::{BuildHasherDefault, Hasher};
 
-use serde::{Deserialize, Serialize};
-
 use crate::intern::Sym;
 use crate::tree::NamespaceTree;
 
@@ -23,7 +21,7 @@ use crate::tree::NamespaceTree;
 /// let tree = NamespaceTree::new();
 /// assert_eq!(tree.root(), NodeId::ROOT);
 /// ```
-#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord, Hash)]
 pub struct NodeId(pub(crate) u32);
 
 impl NodeId {
@@ -87,7 +85,7 @@ impl Hasher for NodeIdHasher {
 pub type NodeIdMap<V> = HashMap<NodeId, V, BuildHasherDefault<NodeIdHasher>>;
 
 /// Whether a node is a directory (may hold children) or a file (leaf).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum NodeKind {
     /// An internal node that can hold children.
     Directory,

@@ -3,8 +3,6 @@
 use std::fmt;
 use std::str::FromStr;
 
-use serde::{Deserialize, Serialize};
-
 use crate::error::TreeError;
 
 /// An absolute, normalised namespace path (`/a/b/c`).
@@ -31,7 +29,7 @@ use crate::error::TreeError;
 /// assert_eq!(p.parent().unwrap().to_string(), "/var/log");
 /// # Ok::<(), d2tree_namespace::TreeError>(())
 /// ```
-#[derive(Debug, Clone, PartialEq, Eq, Hash, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq, Eq, Hash, Default)]
 pub struct NsPath {
     /// Components joined with `/`, no leading or trailing slash; empty for
     /// the root.

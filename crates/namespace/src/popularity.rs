@@ -11,8 +11,6 @@
 //! models require the full recursive roll-up, which is what we implement:
 //! `p_j = p'_j + Σ_{c ∈ children(j)} p_c`.
 
-use serde::{Deserialize, Serialize};
-
 use crate::node::NodeId;
 use crate::tree::NamespaceTree;
 
@@ -41,7 +39,7 @@ use crate::tree::NamespaceTree;
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Clone, Serialize, Deserialize)]
+#[derive(Debug, Clone)]
 pub struct Popularity {
     individual: Vec<f64>,
     total: Vec<f64>,

@@ -2,8 +2,6 @@
 
 use std::sync::atomic::{AtomicU64, Ordering};
 
-use serde::{Deserialize, Serialize};
-
 use crate::children::ChildPool;
 use crate::error::TreeError;
 use crate::intern::{Sym, SymbolTable};
@@ -80,7 +78,7 @@ fn check_component(name: &str) -> Result<(), TreeError> {
 /// # Ok(())
 /// # }
 /// ```
-#[derive(Debug, Serialize, Deserialize)]
+#[derive(Debug)]
 pub struct NamespaceTree {
     /// Raw parent id per arena slot, [`NO_PARENT`] for the root and for
     /// tombstones — so an upward walk stops at a dead node by itself.

@@ -6,9 +6,7 @@
 //! crash. This crate provides that durability:
 //!
 //! * [`MdsRecord`] / [`MdsState`] — the journaled events and the state
-//!   they replay into, with a hand-rolled big-endian codec (the
-//!   workspace's serde shim derives are no-ops, so nothing here relies
-//!   on derived serialization).
+//!   they replay into, with a hand-rolled big-endian codec.
 //! * [`wal`] — a length-prefixed, CRC32-checksummed, segmented
 //!   write-ahead log, and the only code that knows its layout. Appends
 //!   buffer in memory; [`wal::scan_log`] is the one recovery scan, for

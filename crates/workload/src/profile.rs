@@ -1,13 +1,11 @@
 //! Trace profiles: the published characteristics of DTR, LMBE and RA.
 
-use serde::{Deserialize, Serialize};
-
 /// Read/write/update fractions of a trace (Table II of the paper).
 ///
 /// *Read* and *write* are plain metadata queries to the MDS cluster; an
 /// *update* modifies metadata and therefore takes the global-layer lock when
 /// its target is replicated.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct OpMix {
     /// Fraction of read operations.
     pub read: f64,
@@ -79,7 +77,7 @@ impl OpMix {
 /// shape parameters tuned so the paper's measured layer hit-rates emerge
 /// (see the crate docs). All knobs can be overridden with the `with_*`
 /// builder methods.
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceProfile {
     /// Human-readable trace name ("DTR", "LMBE", "RA", or custom).
     pub name: String,

@@ -3,12 +3,11 @@
 use std::fmt;
 
 use d2tree_namespace::NamespaceTree;
-use serde::{Deserialize, Serialize};
 
 use crate::trace::{OpKind, Trace};
 
 /// Histogram of operation-target depths.
-#[derive(Debug, Clone, Default, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default, PartialEq, Eq)]
 pub struct DepthHistogram {
     counts: Vec<u64>,
 }
@@ -58,7 +57,7 @@ impl DepthHistogram {
 }
 
 /// Aggregate statistics of a trace (our analogue of Tables I and II).
-#[derive(Debug, Clone, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, PartialEq)]
 pub struct TraceStats {
     /// Trace name.
     pub name: String,

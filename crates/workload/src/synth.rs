@@ -5,12 +5,11 @@ use std::fmt::Write as _;
 use d2tree_namespace::{NamespaceTree, NodeId, NodeKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::profile::TraceProfile;
 
 /// Summary of a synthesised namespace, reported next to Table I.
-#[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SynthesisReport {
     /// Live node count (including the root).
     pub nodes: usize,

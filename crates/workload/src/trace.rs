@@ -3,14 +3,13 @@
 use d2tree_namespace::{NamespaceTree, NodeId, Popularity};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
-use serde::{Deserialize, Serialize};
 
 use crate::profile::TraceProfile;
 use crate::synth::{synthesize_tree, SynthesisReport};
 use crate::zipf::Zipf;
 
 /// Kind of a metadata operation (the paper's filtered trace, Table II).
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
 pub enum OpKind {
     /// Metadata read — a pure query against the MDS cluster.
     Read,
@@ -37,7 +36,7 @@ impl OpKind {
 /// held whole, a million records per process at benchmark scale. Read
 /// the fields by value (`op.target`); a reference to a field of a packed
 /// struct does not compile.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 #[repr(C, packed)]
 pub struct Operation {
     /// Target node.
@@ -47,7 +46,7 @@ pub struct Operation {
 }
 
 /// A materialised operation trace.
-#[derive(Debug, Clone, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Default)]
 pub struct Trace {
     ops: Vec<Operation>,
 }

@@ -1,10 +1,11 @@
 //! A real multi-threaded MDS cluster in one process: M [`NetMds`] — the
 //! serving core `d2tree serve` runs — one per OS thread, `std::sync::mpsc`
 //! channels as the network carrying the wire codec's frames, a Monitor
-//! thread doing heartbeat-based failure detection, and fail-over that
-//! re-homes a dead server's subtrees onto the survivors. Membership and
-//! GL leases live in one mutex-guarded `ControlState` that every
-//! command, ownership decisions included, is applied to as it is issued.
+//! thread doing heartbeat-based failure detection and the pending-pool
+//! rebalancing round, and fail-over that re-homes a dead server's
+//! subtrees onto the survivors. Membership and GL leases live in one
+//! mutex-guarded `ControlState` that every command, ownership decisions
+//! included, is applied to as it is issued.
 //!
 //! A server thread keeps only heartbeats, the crash flag, index fetches
 //! and the fault edges of its links; the cluster adds a GL replication
@@ -23,7 +24,7 @@ use std::sync::{Arc, Mutex, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use d2tree_core::{Heartbeat, LocalIndex, Subtree};
+use d2tree_core::{AdjustPolicy, Heartbeat, LocalIndex, Subtree};
 use d2tree_metrics::{Assignment, ClusterSpec, MdsId, Migration, Placement};
 use d2tree_namespace::{NamespaceTree, NodeId, VersionedAttr};
 use d2tree_store::StoreConfig;
@@ -63,10 +64,13 @@ pub struct LiveConfig {
     /// How long a client's cached local index stays fresh before it
     /// re-fetches (the GFS-style lease of Sec. IV-A2).
     pub index_lease: Duration,
-    /// Live rebalancing trigger: the Monitor migrates a hot subtree when
-    /// the busiest server's recent local-layer load exceeds the lightest's
-    /// by this factor. `f64::INFINITY` disables live rebalancing.
-    pub rebalance_factor: f64,
+    /// The Monitor's [`AdjustPolicy::overload_factor`]: once per
+    /// heartbeat interval, a live server whose counted local-layer load
+    /// exceeds this factor times its ideal share sheds subtrees into the
+    /// pending pool, and light servers claim them by mirror division
+    /// (Sec. IV-B). The rejoin round runs under it too.
+    /// `f64::INFINITY` disables shedding.
+    pub overload_factor: f64,
     /// Root directory for durable per-MDS state (`<root>/mds-<k>`).
     /// `None` runs the cluster purely in memory, as before; `Some`
     /// makes every MDS journal ownership changes, attribute commits
@@ -111,7 +115,7 @@ impl Default for LiveConfig {
             request_timeout: Duration::from_millis(50),
             retry: RetryPolicy::default(),
             index_lease: Duration::from_millis(500),
-            rebalance_factor: 3.0,
+            overload_factor: AdjustPolicy::default().overload_factor,
             store_root: None,
             store: StoreConfig::default(),
             tracer: None,
@@ -892,7 +896,10 @@ fn monitor_main(
     let config = MonitorConfig {
         heartbeat_interval_ms: live_config.heartbeat_interval.as_millis() as u64,
         failure_timeout_ms: live_config.failure_timeout.as_millis() as u64,
-        ..MonitorConfig::default()
+        policy: AdjustPolicy {
+            overload_factor: live_config.overload_factor,
+            ..AdjustPolicy::default()
+        },
     };
     // Share the registry's journal so membership transitions land in the
     // same ordered stream as sheds/claims/forwards.
@@ -910,7 +917,7 @@ fn monitor_main(
         .registry
         .counter(MetricKey::global(names::HEALTH_TICKS_TOTAL));
     let tick_ms = config.heartbeat_interval_ms.max(1);
-    let mut next_sample_ms = 0u64;
+    let mut next_tick_ms = 0u64;
     let tick = Duration::from_millis(tick_ms);
     loop {
         if stop.load(Ordering::SeqCst) {
@@ -964,13 +971,16 @@ fn monitor_main(
             Err(RecvTimeoutError::Disconnected) => break,
         }
         let now = shared.now_ms();
-        live_rebalance(shared, daemons, live_config.rebalance_factor);
-        // Fixed-interval health sampling: one tick per heartbeat
+        // One rebalancing round and one health sample per heartbeat
         // interval, no matter how bursty the heartbeat traffic is.
-        if let Some(rec) = &shared.recorder {
-            if now >= next_sample_ms {
-                next_sample_ms = now + tick_ms;
-                let (_, loads) = per_server_load(daemons);
+        if now >= next_tick_ms {
+            next_tick_ms = now + tick_ms;
+            rebalance(shared, daemons, &mut mon);
+            if let Some(rec) = &shared.recorder {
+                let mut loads = vec![0.0; m];
+                for (s, owner) in counted_subtrees(shared, daemons) {
+                    loads[owner.index()] += s.popularity;
+                }
                 let total: f64 = loads.iter().sum();
                 #[allow(clippy::cast_precision_loss)]
                 let spec = ClusterSpec::homogeneous(m, (total / m as f64).max(f64::MIN_POSITIVE));
@@ -1074,12 +1084,40 @@ fn popularity(daemons: &[Arc<NetMds>]) -> HashMap<NodeId, f64> {
     sum
 }
 
-/// The subtree-ownership table the Monitor plans over: every published
-/// index root with its owner, weighted by its access counter. With
-/// `orphaned_by`, the maximal subtrees that server owns in the placement
-/// under no published root are listed too — a cluster started without a
-/// seeded index publishes nothing — so fail-over re-homes, and
-/// publishes, them as whole subtrees as well.
+/// `root`'s subtree, weighted by `popularity`.
+fn describe(tree: &NamespaceTree, root: NodeId, popularity: f64) -> Subtree {
+    Subtree {
+        root,
+        parent: tree.node(root).and_then(|n| n.parent()).unwrap_or(root),
+        popularity,
+        size: tree.subtree_size(root),
+    }
+}
+
+/// Every published index root that has served an op, with its owner,
+/// weighted by its raw access counter: the table rebalancing plans over
+/// and health samples sum by owner. A never-accessed subtree is absent,
+/// so an idle cluster has nothing to move.
+fn counted_subtrees(shared: &Shared, daemons: &[Arc<NetMds>]) -> Vec<(Subtree, MdsId)> {
+    let counts = popularity(daemons);
+    let (_, index) = daemons[0].view();
+    index
+        .iter()
+        .filter_map(|(root, owner)| {
+            let count = counts.get(&root)?;
+            Some((describe(&shared.tree, root, *count), owner))
+        })
+        .collect()
+}
+
+/// The subtree-ownership table fail-over and rejoin plan over: every
+/// published index root with its owner, weighted by its access counter
+/// plus one, which keeps weights positive so mirror division spreads
+/// even never-accessed subtrees. With `orphaned_by`, the maximal
+/// subtrees that server owns in the placement under no published root
+/// are listed too — a cluster started without a seeded index publishes
+/// nothing — so fail-over re-homes, and publishes, them as whole
+/// subtrees as well.
 fn ownership_table(
     shared: &Shared,
     daemons: &[Arc<NetMds>],
@@ -1087,20 +1125,12 @@ fn ownership_table(
 ) -> Vec<(Subtree, MdsId)> {
     let counts = popularity(daemons);
     let tree = &shared.tree;
-    let describe = |root: NodeId, owner: MdsId| {
-        let parent = tree.node(root).and_then(|n| n.parent()).unwrap_or(root);
-        let subtree = Subtree {
-            root,
-            parent,
-            // +1 keeps weights positive so mirror division spreads even
-            // never-accessed subtrees.
-            popularity: counts.get(&root).copied().unwrap_or(0.0) + 1.0,
-            size: tree.subtree_size(root),
-        };
-        (subtree, owner)
+    let weighted = |root: NodeId, owner: MdsId| {
+        let count = counts.get(&root).copied().unwrap_or(0.0);
+        (describe(tree, root, count + 1.0), owner)
     };
     let (placement, index) = daemons[0].view();
-    let mut owned: Vec<(Subtree, MdsId)> = index.iter().map(|(r, o)| describe(r, o)).collect();
+    let mut owned: Vec<(Subtree, MdsId)> = index.iter().map(|(r, o)| weighted(r, o)).collect();
     if let Some(dead) = orphaned_by {
         let on_dead = |id: NodeId| placement.assignment(id).owner() == Some(dead);
         for (id, node) in tree.nodes() {
@@ -1108,7 +1138,7 @@ fn ownership_table(
                 && !node.parent().is_some_and(on_dead)
                 && index.locate(tree, id).is_none()
             {
-                owned.push(describe(id, dead));
+                owned.push(weighted(id, dead));
             }
         }
     }
@@ -1116,7 +1146,7 @@ fn ownership_table(
 }
 
 /// Executes one committed subtree re-homing — fail-over, rejoin and
-/// live rebalancing all end here: the `Migrate` lands in the control
+/// rebalancing all end here: the `Migrate` lands in the control
 /// state, every daemon's view points the subtree at its new owner (so
 /// (re-)fetched client caches route there), both ends journal the
 /// ownership change (a crashed store is out of its slot and reconciles
@@ -1157,81 +1187,31 @@ fn apply_migration(shared: &Shared, daemons: &[Arc<NetMds>], mg: Migration) {
     });
 }
 
-/// The subtree access counters and the recent local-layer load per
-/// server they add up to by current owner (the quantity live
-/// rebalancing triggers on).
-fn per_server_load(daemons: &[Arc<NetMds>]) -> (Vec<(NodeId, f64)>, Vec<f64>) {
-    let counts: Vec<(NodeId, f64)> = popularity(daemons).into_iter().collect();
-    let (placement, _) = daemons[0].view();
-    let mut per_server = vec![0.0f64; daemons.len()];
-    for &(root, c) in &counts {
-        if let Some(owner) = placement.assignment(root).owner() {
-            per_server[owner.index()] += c;
-        }
-    }
-    (counts, per_server)
-}
-
-/// One live rebalancing inspection (Sec. IV-B's dynamic adjustment,
-/// driven by the access counters the servers accumulate): when the
-/// busiest alive server's recent local-layer load exceeds the lightest's
-/// by `factor`, its hottest subtree migrates to the lightest.
-fn live_rebalance(shared: &Shared, daemons: &[Arc<NetMds>], factor: f64) {
-    if !factor.is_finite() {
-        return;
-    }
+/// One dynamic-adjustment round (Sec. IV-B) over the raw access
+/// counters: the Monitor plans, each migration is applied and traced,
+/// and a round that moved anything halves every counter so the next one
+/// reflects fresh traffic.
+fn rebalance(shared: &Shared, daemons: &[Arc<NetMds>], mon: &mut Monitor) {
     let t0 = shared.tracer().map(Tracer::now_us);
-    let (counts, per_server) = per_server_load(daemons);
-    if counts.is_empty() {
-        return;
+    let owned = counted_subtrees(shared, daemons);
+    let plan = mon.plan_rebalance(&owned, &shared.locks.control());
+    for &mg in &plan {
+        apply_migration(shared, daemons, mg);
+        monitor_span(
+            shared,
+            span_names::REBALANCE,
+            t0,
+            [
+                (ArgKey::Subtree, mg.node.index() as u64),
+                (ArgKey::From, u64::from(mg.from.0)),
+                (ArgKey::To, u64::from(mg.to.0)),
+            ],
+        );
     }
-    let alive: Vec<usize> = {
-        let control = shared.locks.control();
-        (0..daemons.len())
-            .filter(|&k| control.is_alive(k as u16))
-            .collect()
-    };
-    if alive.len() < 2 {
-        return;
-    }
-    let &busy = alive
-        .iter()
-        .max_by(|&&a, &&b| per_server[a].total_cmp(&per_server[b]))
-        .expect("non-empty");
-    let &light = alive
-        .iter()
-        .min_by(|&&a, &&b| per_server[a].total_cmp(&per_server[b]))
-        .expect("non-empty");
-    if per_server[busy] < factor * per_server[light].max(1.0) {
-        return;
-    }
-    // Shed the busy server's hottest subtree to the light one.
-    let (placement, _) = daemons[0].view();
-    let hottest = counts
-        .iter()
-        .filter(|(root, _)| placement.assignment(*root).owner() == Some(MdsId(busy as u16)))
-        .max_by(|a, b| a.1.total_cmp(&b.1))
-        .map(|&(root, _)| root);
-    let Some(root) = hottest else { return };
-    let mg = Migration {
-        node: root,
-        from: MdsId(busy as u16),
-        to: MdsId(light as u16),
-    };
-    apply_migration(shared, daemons, mg);
-    monitor_span(
-        shared,
-        span_names::REBALANCE,
-        t0,
-        [
-            (ArgKey::Subtree, root.index() as u64),
-            (ArgKey::From, busy as u64),
-            (ArgKey::To, light as u64),
-        ],
-    );
-    // Decay the counters so the next decision reflects fresh traffic.
-    for mds in daemons {
-        mds.decay_popularity();
+    if !plan.is_empty() {
+        for mds in daemons {
+            mds.decay_popularity();
+        }
     }
 }
 
@@ -1966,40 +1946,72 @@ mod tests {
         }
     }
 
-    /// Live rebalancing halves every counter after a migration; with a
-    /// store each daemon journals the halved values, so a daemon that
-    /// restarts resumes the counts it kept, not the undecayed ones.
+    /// Two indexed roots `owner` holds, the first with a node below it,
+    /// from the cluster's starting index.
+    fn two_roots_of_one_owner(cluster: &LiveCluster, tree: &NamespaceTree) -> ([NodeId; 2], MdsId) {
+        let (_, index) = cluster.daemons[0].view();
+        let pair = index
+            .iter()
+            .filter(|&(a, _)| tree.subtree_size(a) > 1)
+            .find_map(|(a, owner)| {
+                let (b, _) = index.iter().find(|&(b, o)| o == owner && b != a)?;
+                Some(([a, b], owner))
+            });
+        pair.expect("a server holding a multi-node root and another")
+    }
+
+    /// Reads `targets` in turn until the Monitor's rebalancing moves one
+    /// of `roots` off `owner`. Reads spread over two roots, because
+    /// mirror division can hand a lone shed subtree back to its owner.
+    fn read_until_one_moves(
+        cluster: &LiveCluster,
+        client: &mut LiveClient,
+        targets: [NodeId; 2],
+        roots: [NodeId; 2],
+        owner: MdsId,
+    ) {
+        let at_home = || {
+            let placement = cluster.placement_snapshot();
+            roots
+                .iter()
+                .all(|&r| placement.assignment(r).owner() == Some(owner))
+        };
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while at_home() {
+            for _ in 0..50 {
+                for target in targets {
+                    let _ = client.execute(Operation {
+                        target,
+                        kind: OpKind::Read,
+                    });
+                }
+            }
+            assert!(Instant::now() < deadline, "no hot subtree ever moved");
+        }
+    }
+
+    /// A rebalancing round that moves a subtree halves every counter;
+    /// with a store each daemon journals the halved values, so a daemon
+    /// that restarts resumes the counts it kept, not the undecayed ones.
     #[test]
     fn decayed_counts_are_journaled_and_survive_a_restart() {
         let store_root = temp_store_root("decay");
         let config = LiveConfig {
             store_root: Some(store_root.clone()),
-            rebalance_factor: 1.5,
             ..LiveConfig::default()
         };
         let (tree, cluster, _trace) = build_cluster_with(3, config);
         std::thread::sleep(Duration::from_millis(80)); // servers known
-        let (placement, index) = cluster.daemons[0].view();
-        let (root, original_owner) = index
-            .iter()
-            .find(|&(root, _)| tree.subtree_size(root) > 1)
-            .expect("a multi-node indexed subtree");
+        let (roots, original_owner) = two_roots_of_one_owner(&cluster, &tree);
         let deep = tree
-            .descendants(root)
-            .find(|&id| id != root)
+            .descendants(roots[0])
+            .find(|&id| id != roots[0])
             .expect("a node below the root");
+        let placement = cluster.placement_snapshot();
         assert_eq!(placement.assignment(deep).owner(), Some(original_owner));
         let mut client = cluster.client(60);
-        let deadline = Instant::now() + Duration::from_secs(5);
-        while cluster.placement_snapshot().assignment(root).owner() == Some(original_owner) {
-            for _ in 0..100 {
-                let _ = client.execute(Operation {
-                    target: deep,
-                    kind: OpKind::Read,
-                });
-            }
-            assert!(Instant::now() < deadline, "the hot subtree never moved");
-        }
+        let targets = [deep, roots[1]];
+        read_until_one_moves(&cluster, &mut client, targets, roots, original_owner);
         assert!(cluster.shared.migrations.load(Ordering::SeqCst) > 0);
         let violations = settle(&cluster, Duration::from_secs(5));
         assert!(violations.is_empty(), "after the migration: {violations:?}");
@@ -2012,6 +2024,63 @@ mod tests {
         drop(client);
         let _ = cluster.shutdown();
         let _ = std::fs::remove_dir_all(&store_root);
+    }
+
+    /// Without client ops no subtree has a count, so no round has
+    /// anything to move: weights are raw counts, never count + 1.
+    #[test]
+    fn an_idle_cluster_never_migrates() {
+        let config = LiveConfig::default();
+        let idle = config.heartbeat_interval * 15;
+        let (_tree, cluster, _trace) = build_cluster_with(4, config);
+        std::thread::sleep(idle);
+        assert_eq!(cluster.shutdown().migrations, 0);
+    }
+
+    /// Every rebalancing migration is traced as one `rebalance` span
+    /// naming the subtree and both ends the journal's shed/claim pair
+    /// names.
+    #[test]
+    fn each_rebalancing_migration_records_a_matching_span() {
+        use d2tree_telemetry::trace::Sampler;
+        let tracer = Arc::new(Tracer::new(Sampler::always(0)));
+        let config = LiveConfig::default().with_tracer(Arc::clone(&tracer));
+        let (tree, cluster, _trace) = build_cluster_with(3, config);
+        std::thread::sleep(Duration::from_millis(80)); // servers known
+        let (roots, owner) = two_roots_of_one_owner(&cluster, &tree);
+        let mut client = cluster.client(61);
+        read_until_one_moves(&cluster, &mut client, roots, roots, owner);
+        drop(client);
+        let report = cluster.shutdown();
+        let arg = |s: &Span, key| s.args.iter().find(|(k, _)| *k == key).map(|&(_, v)| v);
+        let spans: Vec<(Option<u64>, Option<u64>, Option<u64>)> = tracer
+            .drain()
+            .iter()
+            .filter(|s| s.name == span_names::REBALANCE)
+            .map(|s| {
+                (
+                    arg(s, ArgKey::Subtree),
+                    arg(s, ArgKey::From),
+                    arg(s, ArgKey::To),
+                )
+            })
+            .collect();
+        let mut journaled = Vec::new();
+        for pair in report.journal.windows(2) {
+            if let (
+                EventKind::SubtreeShed { from, subtree, .. },
+                EventKind::SubtreeClaimed { to, subtree: s, .. },
+            ) = (pair[0].kind, pair[1].kind)
+            {
+                assert_eq!(subtree, s, "a shed/claim pair names one subtree");
+                let ends = (Some(subtree), Some(u64::from(from)), Some(u64::from(to)));
+                journaled.push(ends);
+            }
+        }
+        assert_eq!(tracer.sink().dropped(), 0);
+        assert!(!spans.is_empty(), "a subtree moved, so a span was recorded");
+        assert_eq!(spans.len() as u64, report.migrations);
+        assert_eq!(spans, journaled);
     }
 
     /// The two fault tags a live server writes on spans: the lock edge's

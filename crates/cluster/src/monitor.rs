@@ -235,14 +235,41 @@ impl Monitor {
             .collect()
     }
 
+    /// Plans one pending-pool rebalancing round (Sec. IV-B) over the
+    /// committed-alive servers: those above `overload_factor` times
+    /// their ideal load shed subtrees into the pool, and light servers
+    /// claim them by mirror division. `owned` weighs each subtree by its
+    /// raw access count. Subtrees of servers the committed view does not
+    /// hold alive stay where they are (fail-over owns them), and
+    /// nothing is routed onto such a server.
+    #[must_use]
+    pub fn plan_rebalance(
+        &mut self,
+        owned: &[(Subtree, MdsId)],
+        committed: &ControlState,
+    ) -> Vec<Migration> {
+        let alive = |k: MdsId| committed.is_alive(k.0);
+        let live: Vec<_> = owned.iter().filter(|(_, o)| alive(*o)).copied().collect();
+        // Dead servers get a vanishing capacity (ClusterSpec requires
+        // strictly positive) so the adjuster routes essentially nothing
+        // at them; what it still routes there is filtered out.
+        let capacities = (0..self.last_seen_ms.len())
+            .map(|k| if alive(MdsId(k as u16)) { 1.0 } else { 1e-9 })
+            .collect();
+        let mut migrations = self
+            .adjuster
+            .rebalance(&live, &ClusterSpec::new(capacities));
+        migrations.retain(|mg| alive(mg.to));
+        migrations
+    }
+
     /// Plans the claiming half of the rejoin protocol (Sec. IV-B
     /// applied to a crash-restart), once `back`'s `MdsAlive` has
-    /// committed: one pending-pool rebalancing round over the live
-    /// capacities (overloaded servers shed into the pool, the rejoiner
-    /// claims by mirror division). If the load is too even for the
-    /// adjuster to route anything to the rejoiner, the hottest subtree
-    /// of any other live owner is handed over so a rejoined MDS never
-    /// sits idle.
+    /// committed: one [`Monitor::plan_rebalance`] round, in which the
+    /// rejoiner claims by mirror division. If the load is too even for
+    /// the adjuster to route anything to the rejoiner, the hottest
+    /// subtree of any other live owner is handed over so a rejoined MDS
+    /// never sits idle.
     #[must_use]
     pub fn plan_rejoin(
         &mut self,
@@ -250,22 +277,7 @@ impl Monitor {
         owned: &[(Subtree, MdsId)],
         committed: &ControlState,
     ) -> Vec<Migration> {
-        // Dead servers get a vanishing capacity (ClusterSpec requires
-        // strictly positive) so the adjuster routes essentially nothing
-        // at them; what it still routes there is filtered out.
-        let capacities: Vec<f64> = (0..self.last_seen_ms.len())
-            .map(|k| {
-                if committed.is_alive(k as u16) {
-                    1.0
-                } else {
-                    1e-9
-                }
-            })
-            .collect();
-        let mut migrations = self
-            .adjuster
-            .rebalance(owned, &ClusterSpec::new(capacities));
-        migrations.retain(|mg| committed.is_alive(mg.to.0));
+        let mut migrations = self.plan_rebalance(owned, committed);
         if !migrations.iter().any(|mg| mg.to == back) {
             if let Some((sub, from)) = owned
                 .iter()
@@ -481,6 +493,81 @@ mod tests {
             }]
         );
         assert!(p.mon.plan_rejoin(MdsId(2), &[], &p.committed).is_empty());
+    }
+
+    /// The DES and the live Monitor run one rule: over a built scheme's
+    /// subtrees, owners and counts, `D2TreeScheme::rebalance` and
+    /// `plan_rebalance` under one policy plan the same migrations.
+    #[test]
+    fn plan_rebalance_matches_the_des_adjuster() {
+        use d2tree_core::{D2TreeConfig, D2TreeScheme, Partitioner};
+        use d2tree_workload::{TraceProfile, WorkloadBuilder};
+        let m = 4;
+        let w = WorkloadBuilder::new(
+            TraceProfile::dtr()
+                .with_nodes(3_000)
+                .with_operations(60_000),
+        )
+        .seed(7)
+        .build();
+        let mut pop = w.popularity();
+        let cluster = ClusterSpec::homogeneous(m, 1.0);
+        let policy = AdjustPolicy {
+            overload_factor: 1.2,
+            shed_target: 1.0,
+        };
+        let mut config = D2TreeConfig::paper_default();
+        config.policy = policy;
+        let mut scheme = D2TreeScheme::new(config);
+        scheme.build(&w.tree, &pop, &cluster);
+        // Drift: one subtree turns hot, so the round has work to do.
+        let victim = scheme.subtrees().map(|(s, _)| s.root).max().unwrap();
+        pop.record(victim, 200_000.0);
+        pop.rollup(&w.tree);
+        let owned: Vec<(Subtree, MdsId)> = scheme
+            .subtrees()
+            .map(|(s, o)| {
+                let popularity = pop.total(s.root);
+                (Subtree { popularity, ..*s }, o)
+            })
+            .collect();
+        let mut mon = Monitor::new(
+            MonitorConfig {
+                policy,
+                ..MonitorConfig::default()
+            },
+            m,
+        );
+        let mut committed = ControlState::new(1_000);
+        for k in 0..m as u16 {
+            let _ = committed.apply_command(Command::MdsAlive { mds: k }, None);
+        }
+        let live = mon.plan_rebalance(&owned, &committed);
+        let des = scheme.rebalance(&w.tree, &pop, &cluster);
+        assert!(!des.is_empty(), "the drift should trigger migrations");
+        assert_eq!(live, des);
+    }
+
+    #[test]
+    fn rebalancing_leaves_dead_owners_to_failover() {
+        let mut p = Plane::new(3);
+        for k in 0..3 {
+            p.heartbeat(k, 0);
+        }
+        p.commit([Command::MdsDead { mds: 2 }]);
+        // mds2's vanishing capacity would make it shed both subtrees;
+        // they wait for fail-over instead, and mds0 sheds onto mds1.
+        let owned = vec![
+            (subtree(0, 50.0), MdsId(2)),
+            (subtree(1, 50.0), MdsId(2)),
+            (subtree(2, 30.0), MdsId(0)),
+            (subtree(3, 30.0), MdsId(0)),
+        ];
+        let plan = p.mon.plan_rebalance(&owned, &p.committed);
+        assert!(!plan.is_empty());
+        assert!(plan
+            .iter()
+            .all(|mg| mg.from == MdsId(0) && mg.to == MdsId(1)));
     }
 
     #[test]

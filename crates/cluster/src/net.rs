@@ -605,8 +605,9 @@ impl NetMds {
         scope.commit();
     }
 
-    /// The Monitor's decay after a rebalancing move: halves every
-    /// counter, journals each that changed and commits once.
+    /// The Monitor's decay after a rebalancing round that moved a
+    /// subtree: halves every counter, journals each that changed and
+    /// commits once.
     pub(crate) fn decay_popularity(&self) {
         let mut scope = self.begin_batch();
         let mut store = lock_once(self, &mut scope.store);

@@ -2,7 +2,8 @@
 //! schedule — lossy links, a crash-stop, a Monitor-link partition and a
 //! rejoin — with the ownership/replication invariants machine-checked
 //! at the end, plus a pass through the deterministic chaos engine to
-//! show the same schedule replays bit-identically.
+//! show the same schedule replays bit-identically. Exits non-zero if
+//! either run's invariants are not clean or the replays differ.
 //!
 //! Run with:
 //!
@@ -10,6 +11,7 @@
 //! cargo run --release --example chaos_recovery
 //! ```
 
+use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -19,7 +21,7 @@ use d2tree::core::{D2TreeConfig, D2TreeScheme, Partitioner};
 use d2tree::metrics::{ClusterSpec, MdsId};
 use d2tree::workload::{TraceProfile, WorkloadBuilder};
 
-fn main() {
+fn main() -> ExitCode {
     let seed = 42u64;
 
     // ── Part 1: live threaded cluster under an adversarial network ──
@@ -90,7 +92,8 @@ fn main() {
         }
         std::thread::sleep(Duration::from_millis(20));
     };
-    match violations.is_empty() {
+    let live_clean = violations.is_empty();
+    match live_clean {
         true => println!("invariants: clean (single live owner per subtree, GL converged)"),
         false => println!("invariants: VIOLATED: {violations:#?}"),
     }
@@ -133,4 +136,9 @@ fn main() {
             format!("{:?}", a.violations)
         }
     );
+    if live_clean && a == b && a.violations.is_empty() {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }

@@ -1,6 +1,7 @@
 //! Fail-over demo on the live multi-threaded cluster: start an MDS
 //! cluster, drive client load, crash a server mid-run and watch the
-//! Monitor detect the failure and re-home its metadata.
+//! Monitor detect the failure and re-home its metadata. Exits non-zero
+//! if any node is still homed on the dead server.
 //!
 //! Run with:
 //!
@@ -8,6 +9,7 @@
 //! cargo run --release --example rebalance_on_failure
 //! ```
 
+use std::process::ExitCode;
 use std::sync::Arc;
 use std::time::{Duration, Instant};
 
@@ -17,7 +19,7 @@ use d2tree::metrics::{ClusterSpec, MdsId};
 use d2tree::telemetry::{names, MetricKey};
 use d2tree::workload::{TraceProfile, WorkloadBuilder};
 
-fn main() {
+fn main() -> ExitCode {
     let workload =
         WorkloadBuilder::new(TraceProfile::ra().with_nodes(2_000).with_operations(4_000))
             .seed(5)
@@ -110,4 +112,9 @@ fn main() {
         "journal: {} events ({failures} failures, {claims} subtree claims)",
         report.journal.len()
     );
+    if orphaned == 0 {
+        ExitCode::SUCCESS
+    } else {
+        ExitCode::FAILURE
+    }
 }

@@ -243,8 +243,9 @@ fn measured<T>(step: impl FnOnce() -> T) -> (T, u64, u64) {
 /// The byte budget of what one serving episode holds before its first
 /// request — the `hot_read` workload on `cluster_route`'s shape of two
 /// daemons and a client router — step by step in the order the
-/// benchmark's `Cluster::start` builds it. DESIGN.md §11's table is this
-/// test's output: `cargo test --release --test alloc_guard namespace_holds -- --nocapture`.
+/// benchmark's `Cluster::start` builds it. DESIGN.md Appendix A.1's table
+/// is this test's output:
+/// `cargo test --release --test alloc_guard namespace_holds -- --nocapture`.
 #[test]
 fn namespace_holds_a_bounded_number_of_bytes_and_no_allocation_per_node() {
     let _turn = MEASURING.lock().unwrap_or_else(PoisonError::into_inner);

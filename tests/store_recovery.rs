@@ -662,7 +662,7 @@ fn reopened_stores_resume_journaled_state_and_converge_ownership() {
             store: StoreConfig::manual(),
             // Nothing but this test moves a subtree or declares a death.
             failure_timeout: Duration::from_secs(600),
-            rebalance_factor: f64::INFINITY,
+            overload_factor: f64::INFINITY,
             ..LiveConfig::default()
         },
     );

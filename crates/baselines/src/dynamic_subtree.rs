@@ -6,66 +6,47 @@ use d2tree_namespace::{NamespaceTree, NodeId, Popularity};
 
 use crate::keys::stable_hash;
 
+/// Depth at which the migratable units root.
+const CUT_DEPTH: usize = 3;
+/// A server whose load exceeds this multiple of its ideal sheds units.
+const OVERLOAD_FACTOR: f64 = 1.05;
+/// Bound on the migrations of one rebalancing round.
+const MAX_MOVES_PER_ROUND: usize = 64;
+
 /// Dynamic subtree partitioning (Sec. II, as in Ceph \[8\] / Kosha \[16\]).
 ///
 /// Initialisation follows the paper: like [`StaticSubtree`] but "the
 /// subtrees need to be split into smaller subtrees with finer granularity"
-/// — the migratable units root at `cut_depth` (default 3). When a server
-/// becomes heavily loaded it migrates subdirectories to the least-loaded
-/// server, one hot unit at a time, until it drops below the overload
+/// — the migratable units root at depth 3. When a server becomes heavily
+/// loaded (above 1.05× its ideal load) it migrates subdirectories to the
+/// least-loaded server, one hot unit at a time, until it drops below that
 /// threshold or runs out of units.
 ///
 /// The paper's critique — migration granularity is whole directories, and
 /// a handful of flow-control subtrees can dominate the load so migration
 /// "cannot break the imbalance" — emerges naturally: a unit hotter than
 /// the ideal load keeps some server overloaded no matter where it goes,
-/// and thrashes back and forth (bounded here by `max_moves_per_round`).
+/// and thrashes back and forth (bounded here by 64 moves per round).
 ///
 /// [`StaticSubtree`]: crate::StaticSubtree
 #[derive(Debug)]
 pub struct DynamicSubtree {
     seed: u64,
-    cut_depth: usize,
-    overload_factor: f64,
-    max_moves_per_round: usize,
     placement: Option<Placement>,
     units: Vec<NodeId>,
     owners: Vec<MdsId>,
 }
 
 impl DynamicSubtree {
-    /// Creates the scheme with the default fine cut (depth 3) and a 5%
-    /// overload threshold.
+    /// Creates the scheme.
     #[must_use]
     pub fn new(seed: u64) -> Self {
         DynamicSubtree {
             seed,
-            cut_depth: 3,
-            overload_factor: 1.05,
-            max_moves_per_round: 64,
             placement: None,
             units: Vec::new(),
             owners: Vec::new(),
         }
-    }
-
-    /// Overrides the migratable-unit depth.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cut_depth == 0`.
-    #[must_use]
-    pub fn with_cut_depth(mut self, cut_depth: usize) -> Self {
-        assert!(cut_depth > 0, "cut depth must be at least 1");
-        self.cut_depth = cut_depth;
-        self
-    }
-
-    /// Overrides the overload threshold multiplier.
-    #[must_use]
-    pub fn with_overload_factor(mut self, factor: f64) -> Self {
-        self.overload_factor = factor;
-        self
     }
 
     /// The migratable units (subtree roots) with their current owners.
@@ -95,8 +76,7 @@ impl Partitioner for DynamicSubtree {
         let mut stack: Vec<(NodeId, usize)> = vec![(tree.root(), 0)];
         while let Some((id, depth)) = stack.pop() {
             let node = tree.node(id).expect("live traversal");
-            let is_unit_root =
-                depth == self.cut_depth || (depth < self.cut_depth && node.child_count() == 0);
+            let is_unit_root = depth == CUT_DEPTH || (depth < CUT_DEPTH && node.child_count() == 0);
             if is_unit_root {
                 let h = stable_hash(tree.path_of(id).to_string().as_bytes()) ^ self.seed;
                 let owner = MdsId((h % m as u64) as u16);
@@ -143,7 +123,7 @@ impl Partitioner for DynamicSubtree {
         let mu = cluster.ideal_load_factor(total);
         let mut migrations = Vec::new();
 
-        for _ in 0..self.max_moves_per_round {
+        for _ in 0..MAX_MOVES_PER_ROUND {
             // Most overloaded server relative to its ideal.
             let (busy, ratio) = loads
                 .iter()
@@ -151,7 +131,7 @@ impl Partitioner for DynamicSubtree {
                 .map(|(k, &l)| (k, l / (mu * cluster.capacity(MdsId(k as u16)))))
                 .max_by(|a, b| a.1.total_cmp(&b.1))
                 .expect("non-empty cluster");
-            if ratio <= self.overload_factor {
+            if ratio <= OVERLOAD_FACTOR {
                 break;
             }
             let (light, _) = loads

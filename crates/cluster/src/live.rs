@@ -38,9 +38,7 @@ use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
 pub use crate::client::ClientError;
-use crate::client::{
-    CacheStats, ClientCache, Outcome, RequestMachine, RetryPolicy, RouteDecision, Step,
-};
+use crate::client::{ClientCache, Outcome, RequestMachine, RetryPolicy, RouteDecision, Step};
 use crate::consensus::Command;
 use crate::fault::{FaultDecision, FaultInjector, FaultPlan, NetEdge};
 use crate::lock::LockService;
@@ -1279,12 +1277,6 @@ impl LiveClient {
         }
         // Every server timed out; leave the cache stale and let the
         // data-path retries cope via redirects.
-    }
-
-    /// Hit/miss statistics of this client's index cache.
-    #[must_use]
-    pub fn cache_stats(&self) -> CacheStats {
-        self.cache.stats()
     }
 
     /// Executes one metadata operation to completion.

@@ -74,8 +74,9 @@ pub enum SampleStrategy {
     Uniform,
     /// A random walk down the namespace: start at the root, descend
     /// uniformly random children until crossing the cut line. Cheap to run
-    /// against the real tree but mildly biased towards shallow subtrees;
-    /// the ablation bench quantifies the difference.
+    /// against the real tree but mildly biased towards shallow subtrees.
+    /// Nothing measures that bias against [`Uniform`](Self::Uniform) yet:
+    /// the `--bin ablation` harness planned as ROADMAP.md item 13 will.
     TreeWalk,
 }
 

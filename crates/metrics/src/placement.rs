@@ -5,7 +5,7 @@ use std::sync::Arc;
 
 use d2tree_namespace::{NamespaceTree, NodeId, Popularity};
 
-use crate::cluster_spec::{ClusterSpec, MdsId};
+use crate::cluster_spec::MdsId;
 
 /// Where one namespace node lives.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash)]
@@ -325,19 +325,6 @@ impl Placement {
         tree: &'a NamespaceTree,
     ) -> impl Iterator<Item = (NodeId, Assignment)> + 'a {
         tree.nodes().map(move |(id, _)| (id, self.assignment(id)))
-    }
-
-    /// Validates the placement against a cluster spec (sizes must agree).
-    ///
-    /// # Panics
-    ///
-    /// Panics if the cluster size differs.
-    pub fn check_cluster(&self, cluster: &ClusterSpec) {
-        assert_eq!(
-            self.cluster_size,
-            cluster.len(),
-            "placement built for a different cluster size"
-        );
     }
 }
 

@@ -209,13 +209,6 @@ impl TraceProfile {
         self
     }
 
-    /// Overrides the Zipf–Mandelbrot shift.
-    #[must_use]
-    pub fn with_zipf_shift(mut self, q: f64) -> Self {
-        self.zipf_shift = q;
-        self
-    }
-
     /// Overrides the shallow bias.
     #[must_use]
     pub fn with_shallow_bias(mut self, bias: f64) -> Self {

@@ -1,23 +1,31 @@
-//! The prose docs (DESIGN.md, README.md, EXPERIMENTS.md) name files,
-//! harness binaries and crate items; this keeps every such name pointing
-//! at something that exists:
+//! The prose docs (DESIGN.md, README.md, EXPERIMENTS.md, the shims'
+//! README and the verify skill) name files, harness binaries, benches and
+//! crate items; this keeps every such name pointing at something that
+//! exists:
 //!
 //! * every backticked repository path (`crates/…`, `tests/…`,
 //!   `examples/…`, `results/…`, `shims/…`, `.github/…`) exists;
-//! * every `--bin <name>` is a file in `crates/bench/src/bin/`;
+//! * every `--bin <name>` is a file in `crates/bench/src/bin/`, and every
+//!   `--bench <name>` one in `crates/bench/benches/`;
 //! * every backticked `<crate>::<first segment>` resolves, for the
 //!   workspace's library crates written with or without their `d2tree`
 //!   prefix: the segment is a module file of the crate, or a name its
 //!   `lib.rs` declares or re-exports.
 //!
-//! Paths and crate items are read from inline code spans; `--bin` is
-//! read everywhere, shell blocks included.
+//! Paths and crate items are read from inline code spans; `--bin` and
+//! `--bench` are read everywhere, shell blocks included.
 
 use std::collections::BTreeSet;
 use std::fs;
 use std::path::PathBuf;
 
-const DOCS: [&str; 3] = ["DESIGN.md", "README.md", "EXPERIMENTS.md"];
+const DOCS: [&str; 5] = [
+    "DESIGN.md",
+    "README.md",
+    "EXPERIMENTS.md",
+    "shims/README.md",
+    ".claude/skills/verify/SKILL.md",
+];
 
 const PATH_ROOTS: [&str; 6] = [
     "crates/",
@@ -82,12 +90,14 @@ fn repo_paths(span: &str) -> Vec<String> {
         .collect()
 }
 
-/// Every `--bin <name>` in `doc`; placeholders such as `<exhibit>` are
-/// not names and are skipped.
-fn bin_names(doc: &str) -> Vec<String> {
-    doc.match_indices("--bin")
+/// Every `<flag> <name>` in `doc`, for `flag` `--bin` or `--bench`;
+/// placeholders such as `<exhibit>` are not names and are skipped.
+fn target_names(doc: &str, flag: &str) -> Vec<String> {
+    doc.match_indices(flag)
         .filter_map(|(at, _)| {
-            let rest = doc[at + "--bin".len()..].trim_start();
+            // A space must follow: `--bench` is also a prefix of `--benches`.
+            let rest = doc[at + flag.len()..].strip_prefix(char::is_whitespace)?;
+            let rest = rest.trim_start();
             let name: String = rest.chars().take_while(|&c| is_ident(c)).collect();
             (!name.is_empty()).then_some(name)
         })
@@ -178,7 +188,10 @@ fn resolves(dir: &str, seg: &str) -> bool {
 #[test]
 fn every_doc_reference_resolves() {
     let root = root();
-    let bins = root.join("crates/bench/src/bin");
+    let targets = [
+        ("--bin", "crates/bench/src/bin"),
+        ("--bench", "crates/bench/benches"),
+    ];
     let mut broken = Vec::new();
     for doc_name in DOCS {
         let doc = fs::read_to_string(root.join(doc_name)).expect("doc is readable");
@@ -205,11 +218,12 @@ fn every_doc_reference_resolves() {
                 }
             }
         }
-        for bin in bin_names(&doc) {
-            if !bins.join(format!("{bin}.rs")).is_file() {
-                broken.push(format!(
-                    "{doc_name}: `--bin {bin}` has no crates/bench/src/bin/{bin}.rs"
-                ));
+        for (flag, dir) in targets {
+            for name in target_names(&doc, flag) {
+                let file = format!("{dir}/{name}.rs");
+                if !root.join(&file).is_file() {
+                    broken.push(format!("{doc_name}: `{flag} {name}` has no {file}"));
+                }
             }
         }
     }
@@ -227,7 +241,14 @@ fn the_scanners_read_what_the_docs_write() {
         ["crates/d2tree-core/src/scheme.rs"]
     );
     assert!(repo_paths("benchmark/README.md <store_root>/mds-<k>").is_empty());
-    assert_eq!(bin_names("--bin fig5 --release; --bin <exhibit>"), ["fig5"]);
+    assert_eq!(
+        target_names("--bin fig5 --release; --bin <exhibit>", "--bin"),
+        ["fig5"]
+    );
+    assert_eq!(
+        target_names("--bench locate; --benches; --bench <name>", "--bench"),
+        ["locate"]
+    );
     assert_eq!(
         crate_refs("cluster::{consensus, monitor}"),
         [

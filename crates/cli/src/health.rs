@@ -7,7 +7,7 @@ use d2tree_metrics::ClusterSpec;
 use d2tree_telemetry::{names, Registry};
 use d2tree_workload::Trace;
 
-use crate::opts::{profile_by_name, scheme_by_name, Opts};
+use crate::opts::{scheme_by_name, workload_profile, Opts};
 use crate::CliError;
 
 /// `d2tree health`: replays a drifting workload round by round with the
@@ -21,9 +21,7 @@ use crate::CliError;
 pub(crate) fn cmd_health(opts: &Opts) -> Result<String, CliError> {
     let check = opts.switch("check");
     let inject = opts.switch("inject-imbalance");
-    let profile = profile_by_name(opts.get("profile").unwrap_or("lmbe"))?
-        .with_nodes(opts.num("nodes", 3_000usize)?)
-        .with_operations(opts.num("ops", 24_000usize)?);
+    let profile = workload_profile(opts, "lmbe", 3_000, 24_000)?;
     let m = opts.num("mds", 8usize)?;
     let gl = opts.num("gl", 0.01f64)?;
     let seed = opts.num("seed", 42u64)?;

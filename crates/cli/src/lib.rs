@@ -370,4 +370,39 @@ mod tests {
         let _ = std::fs::remove_file(tree_file);
         let _ = std::fs::remove_file(trace_file);
     }
+
+    /// A node count the profile's spine (`max_depth` nodes past the
+    /// root) does not fit in is refused by every command that
+    /// synthesises, naming the minimum, instead of panicking in
+    /// synthesis; one node more is accepted.
+    #[test]
+    fn a_node_count_at_or_below_the_spine_is_a_usage_error() {
+        for cmd in [
+            &["synth", "--nodes", "49", "--out", "x"][..],
+            &["synth", "--profile", "DTR", "--nodes", "10", "--out", "x"],
+            &["serve", "--nodes", "10", "--duration-ms", "1"],
+            &["load", "--nodes", "0", "--addr", "127.0.0.1:1"],
+        ] {
+            assert!(
+                matches!(
+                    run(&args(cmd)),
+                    Err(CliError::Usage(msg)) if msg == "--nodes must exceed 49 for dtr"
+                ),
+                "{cmd:?}"
+            );
+        }
+        assert!(matches!(
+            run(&args(&["health", "--nodes", "9"])),
+            Err(CliError::Usage(msg)) if msg == "--nodes must exceed 9 for lmbe"
+        ));
+
+        let prefix = tmp_prefix("spine");
+        let out = run(&args(&[
+            "synth", "--nodes", "50", "--ops", "100", "--out", &prefix,
+        ]))
+        .unwrap();
+        assert!(out.contains("(50 nodes, max depth 49)"), "{out}");
+        let _ = std::fs::remove_file(format!("{prefix}.tree"));
+        let _ = std::fs::remove_file(format!("{prefix}.trace"));
+    }
 }

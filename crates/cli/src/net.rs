@@ -17,7 +17,7 @@ use d2tree_telemetry::trace::{Sampler, Tracer};
 use d2tree_telemetry::{json, names, Registry};
 use d2tree_workload::{Trace, WorkloadBuilder};
 
-use crate::opts::{profile_by_name, Opts};
+use crate::opts::{workload_profile, Opts};
 use crate::CliError;
 
 /// Derives the cluster both sides of the TCP serving layer agree on:
@@ -29,9 +29,7 @@ use crate::CliError;
 fn derive_cluster(
     opts: &Opts,
 ) -> Result<(Arc<NamespaceTree>, Trace, Placement, LocalIndex, usize), CliError> {
-    let profile = profile_by_name(opts.get("profile").unwrap_or("dtr"))?
-        .with_nodes(opts.num("nodes", 2_000usize)?)
-        .with_operations(opts.num("ops", 10_000usize)?);
+    let profile = workload_profile(opts, "dtr", 2_000, 10_000)?;
     let seed = opts.num("seed", 42u64)?;
     let gl = opts.num("gl", 0.01f64)?;
     let m = opts.num("mds", 1usize)?;

@@ -87,15 +87,36 @@ impl Opts {
     }
 }
 
-pub(crate) fn profile_by_name(name: &str) -> Result<TraceProfile, CliError> {
-    match name.to_ascii_lowercase().as_str() {
-        "dtr" => Ok(TraceProfile::dtr()),
-        "lmbe" => Ok(TraceProfile::lmbe()),
-        "ra" => Ok(TraceProfile::ra()),
-        other => Err(CliError::Usage(format!(
-            "unknown profile {other:?} (expected dtr, lmbe or ra)"
-        ))),
+/// The workload named by `--profile`, `--nodes` and `--ops`, each
+/// defaulting to the command's value. A node count that leaves no room
+/// past the profile's spine of `max_depth` nodes is a usage error, not a
+/// panic in synthesis.
+pub(crate) fn workload_profile(
+    opts: &Opts,
+    profile: &str,
+    nodes: usize,
+    ops: usize,
+) -> Result<TraceProfile, CliError> {
+    let name = opts.get("profile").unwrap_or(profile).to_ascii_lowercase();
+    let profile = match name.as_str() {
+        "dtr" => TraceProfile::dtr(),
+        "lmbe" => TraceProfile::lmbe(),
+        "ra" => TraceProfile::ra(),
+        other => {
+            return Err(CliError::Usage(format!(
+                "unknown profile {other:?} (expected dtr, lmbe or ra)"
+            )))
+        }
     }
+    .with_nodes(opts.num("nodes", nodes)?)
+    .with_operations(opts.num("ops", ops)?);
+    if profile.nodes <= profile.max_depth {
+        return Err(CliError::Usage(format!(
+            "--nodes must exceed {} for {name}",
+            profile.max_depth
+        )));
+    }
+    Ok(profile)
 }
 
 pub(crate) fn scheme_by_name(

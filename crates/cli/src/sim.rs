@@ -16,7 +16,7 @@ use d2tree_telemetry::trace::{chrome_trace_json, digest, Sampler, Tracer};
 use d2tree_telemetry::{export, names, Registry};
 use d2tree_workload::{io as trace_io, Trace, TraceStats, WorkloadBuilder};
 
-use crate::opts::{profile_by_name, scheme_by_name, Opts};
+use crate::opts::{scheme_by_name, workload_profile, Opts};
 use crate::CliError;
 
 fn load_workspace(opts: &Opts) -> Result<(NamespaceTree, Trace), CliError> {
@@ -28,9 +28,7 @@ fn load_workspace(opts: &Opts) -> Result<(NamespaceTree, Trace), CliError> {
 }
 
 pub(crate) fn cmd_synth(opts: &Opts) -> Result<String, CliError> {
-    let profile = profile_by_name(opts.get("profile").unwrap_or("dtr"))?
-        .with_nodes(opts.num("nodes", 20_000usize)?)
-        .with_operations(opts.num("ops", 100_000usize)?);
+    let profile = workload_profile(opts, "dtr", 20_000, 100_000)?;
     let seed = opts.num("seed", 42u64)?;
     let out = opts.required("out")?;
 

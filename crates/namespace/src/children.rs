@@ -8,8 +8,16 @@
 //! slots, so its capacity is never stored: a span that is full moves to
 //! one of twice the size — a vacated span of that size if there is one,
 //! the pool's tail otherwise — and one that shrinks to a power of two
-//! gives its upper half back. Build-time and run-time mutations take the
-//! same path; there is no frozen form.
+//! gives its upper half back.
+//!
+//! A tree built in one pass ([`NamespaceTree::build`]) lays the pool out
+//! in one go: a counting pass sets each directory's edge count, prefix
+//! sums over the spans' capacities give each its start, the edges are
+//! filled in arena order and each span is sorted by name once. The
+//! result obeys the same span rule, so run-time mutations carry on from
+//! it as from a tree grown edge by edge; there is no frozen form.
+//!
+//! [`NamespaceTree::build`]: crate::NamespaceTree::build
 
 use crate::intern::{Sym, SymbolTable};
 use crate::node::NodeId;
@@ -104,6 +112,42 @@ impl ChildPool {
             start: u32::try_from(start).expect("edge pool fits in u32"),
             len: len as u32 + 1,
         };
+    }
+
+    /// Lays out the edges of every `(parent, sym, child)` link of a tree
+    /// whose pool is still empty, each span sorted by name. On two
+    /// siblings with one name, returns that name's symbol.
+    ///
+    /// Allocates only the pool: the span table counts the edges, then
+    /// serves as each span's fill cursor.
+    pub(crate) fn lay_out<I>(&mut self, links: I, table: &SymbolTable) -> Result<(), Sym>
+    where
+        I: Iterator<Item = (NodeId, Sym, NodeId)> + Clone,
+    {
+        debug_assert!(self.edges.is_empty(), "laid out over existing edges");
+        for (parent, ..) in links.clone() {
+            self.spans[parent.index()].len += 1;
+        }
+        let mut end = 0;
+        for span in &mut self.spans {
+            let len = std::mem::take(&mut span.len) as usize;
+            span.start = u32::try_from(end).expect("edge pool fits in u32");
+            end += capacity(len);
+        }
+        self.edges = vec![(Sym(0), NodeId::from_index(0)); end];
+        for (parent, sym, child) in links {
+            let span = &mut self.spans[parent.index()];
+            self.edges[(span.start + span.len) as usize] = (sym, child);
+            span.len += 1;
+        }
+        for span in &self.spans {
+            let edges = &mut self.edges[span.start as usize..][..span.len as usize];
+            edges.sort_unstable_by(|&(a, _), &(b, _)| table.bytes_of(a).cmp(table.bytes_of(b)));
+            if let Some(pair) = edges.windows(2).find(|pair| pair[0].0 == pair[1].0) {
+                return Err(pair[0].0);
+            }
+        }
+        Ok(())
     }
 
     /// Removes the edge named `sym`, which the caller guarantees exists.
@@ -202,6 +246,72 @@ mod tests {
         }
         assert_eq!(pool.edges.len(), high_water);
         assert_eq!(names(&pool, b, &table), expected);
+    }
+
+    #[test]
+    fn a_laid_out_pool_keeps_the_span_rule() {
+        let mut table = SymbolTable::new();
+        let mut pool = ChildPool::default();
+        let dirs = [0, 1, 2, 3].map(NodeId::from_index);
+        dirs.iter().for_each(|_| pool.push_node());
+        // Three edges under dirs[0], four under dirs[1], one under
+        // dirs[3], arriving interleaved and out of name order.
+        let links: Vec<(NodeId, Sym, NodeId)> = [(1, "q"), (0, "b"), (1, "p"), (3, "z"), (0, "a")]
+            .into_iter()
+            .chain([(1, "s"), (0, "c"), (1, "r")])
+            .enumerate()
+            .map(|(i, (dir, name))| (dirs[dir], table.intern(name), NodeId::from_index(10 + i)))
+            .collect();
+        pool.lay_out(links.iter().copied(), &table).unwrap();
+        assert_eq!(names(&pool, dirs[0], &table), ["a", "b", "c"]);
+        assert_eq!(names(&pool, dirs[1], &table), ["p", "q", "r", "s"]);
+        assert!(pool.of(dirs[2]).is_empty());
+        assert_eq!(
+            pool.get(dirs[3], table.lookup("z").unwrap()),
+            Some(NodeId::from_index(13))
+        );
+        assert_eq!(
+            pool.edges.len(),
+            4 + 4 + 1,
+            "each span reserves its capacity, no more"
+        );
+
+        // Slack is used in place; a full span moves to the tail and
+        // leaves its slots vacant.
+        let start = |pool: &ChildPool, dir: NodeId| pool.spans[dir.index()].start;
+        let (at0, at1) = (start(&pool, dirs[0]), start(&pool, dirs[1]));
+        pool.insert(dirs[0], table.intern("aa"), NodeId::from_index(20), &table);
+        pool.insert(dirs[1], table.intern("pp"), NodeId::from_index(21), &table);
+        assert_eq!(start(&pool, dirs[0]), at0);
+        assert_eq!(start(&pool, dirs[1]), 9);
+        assert_eq!(pool.vacant[2], [at1]);
+        assert_eq!(names(&pool, dirs[0], &table), ["a", "aa", "b", "c"]);
+        assert_eq!(names(&pool, dirs[1], &table), ["p", "pp", "q", "r", "s"]);
+    }
+
+    #[test]
+    fn laying_out_two_siblings_with_one_name_names_it() {
+        let mut table = SymbolTable::new();
+        let mut pool = ChildPool::default();
+        (0..2).for_each(|_| pool.push_node());
+        let (dir, dup) = (NodeId::from_index(0), table.intern("dup"));
+        let links = [
+            (dir, table.intern("a"), NodeId::from_index(1)),
+            (dir, dup, NodeId::from_index(2)),
+        ];
+        let other = (NodeId::from_index(1), dup, NodeId::from_index(3));
+        assert_eq!(
+            pool.clone()
+                .lay_out(links.into_iter().chain([other]), &table),
+            Ok(())
+        );
+        assert_eq!(
+            pool.lay_out(
+                links.into_iter().chain([(dir, dup, NodeId::from_index(3))]),
+                &table
+            ),
+            Err(dup)
+        );
     }
 
     #[test]

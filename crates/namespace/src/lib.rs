@@ -47,4 +47,4 @@ pub use iter::{Ancestors, ChainUp, Descendants};
 pub use node::{Node, NodeId, NodeIdHasher, NodeIdMap, NodeKind};
 pub use path::{Components, NsPath};
 pub use popularity::Popularity;
-pub use tree::NamespaceTree;
+pub use tree::{NamespaceTree, NodeAppender};

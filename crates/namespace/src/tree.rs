@@ -108,17 +108,12 @@ impl NamespaceTree {
         Self::with_capacity(0)
     }
 
-    /// Creates a tree containing only the root directory, with room for
-    /// `nodes` nodes with distinct names, the root included.
-    ///
-    /// The columns, the span table, the name offsets and the intern probe
-    /// table are reserved at the size `nodes` creates would grow them to,
-    /// so building the tree copies no column and rehashes no name. What
-    /// `nodes` does not determine — the name bytes and the child-edge
-    /// pool — still grows; [`shrink_to_fit`](Self::shrink_to_fit) drops
-    /// its slack once the tree is built.
-    #[must_use]
-    pub fn with_capacity(nodes: usize) -> Self {
+    /// A tree containing only the root directory, with room for `nodes`
+    /// nodes with distinct names, the root included: the columns, the
+    /// span table, the name offsets and the intern probe table are
+    /// reserved at the size `nodes` appends grow them to, so building
+    /// the tree copies no column and rehashes no name.
+    fn with_capacity(nodes: usize) -> Self {
         let words = nodes.div_ceil(64);
         let mut tree = NamespaceTree {
             parent: Vec::with_capacity(nodes),
@@ -134,6 +129,61 @@ impl NamespaceTree {
         let root_sym = tree.symbols.intern("");
         tree.push_node(NO_PARENT, root_sym, NodeKind::Directory);
         tree
+    }
+
+    /// Builds a tree in one pass from nodes that arrive parent-first.
+    ///
+    /// `fill` appends every node but the root through a [`NodeAppender`],
+    /// each taking the next id as [`create`](Self::create) would give
+    /// it; `nodes`, the root included, sizes the columns so that they
+    /// grow without a copy. Once `fill` returns, each directory's
+    /// children are laid out in their span and sorted by name once,
+    /// instead of insert-sorted one `create` at a time, and no column
+    /// keeps spare capacity. The tree is the one the same sequence of
+    /// `create`s builds — ids, names, kinds, symbols, child order and
+    /// [`version`](Self::version) — and takes run-time mutations the
+    /// same way.
+    ///
+    /// # Errors
+    ///
+    /// * `fill`'s error, which ends the build: [`NodeAppender::append`]
+    ///   refuses what `create` refuses, sibling names aside.
+    /// * [`TreeError::DuplicateName`] — two children of one directory
+    ///   share a name; checked after `fill`, when the spans are sorted.
+    ///
+    /// # Example
+    ///
+    /// ```
+    /// use d2tree_namespace::{NamespaceTree, NodeId, NodeKind};
+    ///
+    /// # fn main() -> Result<(), d2tree_namespace::TreeError> {
+    /// let tree = NamespaceTree::build(3, |tree| {
+    ///     let etc = tree.append(NodeId::ROOT, "etc", NodeKind::Directory)?;
+    ///     tree.append(etc, "hosts", NodeKind::File)?;
+    ///     Ok(())
+    /// })?;
+    /// assert_eq!(tree.resolve_str("/etc/hosts")?.index(), 2);
+    /// # Ok(())
+    /// # }
+    /// ```
+    pub fn build(
+        nodes: usize,
+        fill: impl FnOnce(&mut NodeAppender<'_>) -> Result<(), TreeError>,
+    ) -> Result<Self, TreeError> {
+        let mut tree = Self::with_capacity(nodes);
+        fill(&mut NodeAppender { tree: &mut tree })?;
+        let links = (1..tree.arena_size())
+            .map(|i| (NodeId(tree.parent[i]), tree.sym[i], NodeId::from_index(i)));
+        tree.children
+            .lay_out(links, &tree.symbols)
+            .map_err(|sym| TreeError::DuplicateName(tree.symbols.resolve(sym).to_owned()))?;
+        tree.parent.shrink_to_fit();
+        tree.sym.shrink_to_fit();
+        tree.live_bits.shrink_to_fit();
+        tree.dir_bits.shrink_to_fit();
+        tree.children.shrink_to_fit();
+        tree.symbols.shrink_to_fit();
+        Ok(tree)
     }
 
     /// Appends one live arena slot and returns its id.
@@ -622,16 +672,47 @@ impl NamespaceTree {
         }
         depth
     }
+}
 
-    /// Drops the spare capacity of every column and pool, for a tree that
-    /// is done growing. A later mutation grows them again as usual.
-    pub fn shrink_to_fit(&mut self) {
-        self.parent.shrink_to_fit();
-        self.sym.shrink_to_fit();
-        self.live_bits.shrink_to_fit();
-        self.dir_bits.shrink_to_fit();
-        self.children.shrink_to_fit();
-        self.symbols.shrink_to_fit();
+/// Appends the nodes of a tree that [`NamespaceTree::build`] lays out
+/// once they are all in.
+#[derive(Debug)]
+pub struct NodeAppender<'a> {
+    tree: &'a mut NamespaceTree,
+}
+
+impl NodeAppender<'_> {
+    /// Number of nodes appended so far, including the root.
+    #[must_use]
+    pub fn node_count(&self) -> usize {
+        self.tree.live
+    }
+
+    /// Appends a child of `parent`, which must be appended already, and
+    /// returns its id: the next one.
+    ///
+    /// # Errors
+    ///
+    /// * [`TreeError::InvalidPath`] — `name` is empty or contains `/`.
+    /// * [`TreeError::NodeNotFound`] — `parent` is not appended yet.
+    /// * [`TreeError::NotADirectory`] — `parent` is a file.
+    ///
+    /// A refused node leaves the tree as it was. A duplicate sibling
+    /// name is not refused here; [`NamespaceTree::build`] reports it.
+    pub fn append(
+        &mut self,
+        parent: NodeId,
+        name: &str,
+        kind: NodeKind,
+    ) -> Result<NodeId, TreeError> {
+        check_component(name)?;
+        let tree = &mut *self.tree;
+        if !tree.get(parent)?.kind().is_directory() {
+            return Err(TreeError::NotADirectory(parent));
+        }
+        let sym = tree.symbols.intern(name);
+        tree.version += 1;
+        Ok(tree.push_node(parent.0, sym, kind))
     }
 }
 
@@ -932,34 +1013,30 @@ mod tests {
         assert_eq!(t.max_depth(), 1);
     }
 
+    /// Columns reserved for more nodes than arrive neither grow nor keep
+    /// the surplus.
     #[test]
-    fn a_presized_tree_copies_no_column_and_equals_the_grown_one() {
-        let build = |mut t: NamespaceTree| {
-            let mut dirs = vec![t.root()];
+    fn a_built_tree_grows_no_column_and_keeps_no_slack() {
+        let tree = NamespaceTree::build(1_000, |t| {
+            let mut dirs = vec![NodeId::ROOT];
             for i in 0..500 {
                 let kind = if i % 3 == 0 {
                     NodeKind::Directory
                 } else {
                     NodeKind::File
                 };
-                let id = t
-                    .create(dirs[i % dirs.len()], &format!("n{i}"), kind)
-                    .unwrap();
+                let id = t.append(dirs[i % dirs.len()], &format!("n{i}"), kind)?;
                 if kind.is_directory() {
                     dirs.push(id);
                 }
             }
-            t
-        };
-        let grown = build(NamespaceTree::new());
-        let mut presized = build(NamespaceTree::with_capacity(501));
-        assert_eq!(presized.parent.capacity(), 501, "no column grew");
-        presized.shrink_to_fit();
-        let paths = |t: &NamespaceTree| -> Vec<String> {
-            t.nodes().map(|(id, _)| t.path_of(id).to_string()).collect()
-        };
-        assert_eq!(paths(&grown), paths(&presized));
-        assert_eq!(grown.depths(), presized.depths());
+            assert_eq!(t.tree.parent.capacity(), 1_000, "no column grew");
+            Ok(())
+        })
+        .unwrap();
+        assert_eq!(tree.node_count(), 501);
+        assert_eq!((tree.parent.capacity(), tree.sym.capacity()), (501, 501));
+        assert_eq!(tree.resolve_str("/n0/n3").unwrap().index(), 4);
     }
 
     #[test]

@@ -56,24 +56,12 @@ pub fn synthesize_tree(profile: &TraceProfile, seed: u64) -> (NamespaceTree, Syn
         "need at least max_depth + 1 nodes for the spine"
     );
     let mut rng = StdRng::seed_from_u64(seed);
-    let mut tree = NamespaceTree::with_capacity(profile.nodes);
 
     // Directories eligible for children, bucketed by depth: a node picks
     // a depth, then a directory at it.
     let mut dirs_at: Vec<Vec<NodeId>> = vec![Vec::new(); profile.max_depth];
-    dirs_at[0].push(tree.root());
+    dirs_at[0].push(NodeId::ROOT);
     let mut next_name = 0usize;
-
-    // Spine: directories to depth max_depth - 1, a file at max_depth.
-    let mut cur = tree.root();
-    for (d, level) in dirs_at.iter_mut().enumerate().skip(1) {
-        cur = tree
-            .create(cur, &format!("spine{d}"), NodeKind::Directory)
-            .expect("spine names are unique");
-        level.push(cur);
-    }
-    tree.create(cur, "spine_leaf", NodeKind::File)
-        .expect("fresh leaf name");
 
     // An attachment depth is drawn proportional to count_d * gamma^d.
     // `weights` holds the running sums of those terms; a directory added
@@ -91,35 +79,47 @@ pub fn synthesize_tree(profile: &TraceProfile, seed: u64) -> (NamespaceTree, Syn
             weights[d] = total;
         }
     };
-    resum(&mut weights, &dirs_at, 0);
     let mut name = String::new();
-    while tree.node_count() < profile.nodes {
-        let total = weights[profile.max_depth - 1];
-        let x: f64 = rng.gen_range(0.0..total);
-        let depth = weights
-            .partition_point(|&w| w <= x)
-            .min(profile.max_depth - 1);
-        let dirs = &dirs_at[depth];
-        let parent = dirs[rng.gen_range(0..dirs.len())];
-
-        let make_dir = rng.gen_bool(profile.dir_ratio.clamp(0.0, 1.0));
-        next_name += 1;
-        name.clear();
-        let (prefix, kind) = if make_dir {
-            ('d', NodeKind::Directory)
-        } else {
-            ('f', NodeKind::File)
-        };
-        write!(name, "{prefix}{next_name}").expect("writing to a String cannot fail");
-        let id = tree
-            .create(parent, &name, kind)
-            .expect("generated names are unique");
-        if make_dir && depth + 1 < profile.max_depth {
-            dirs_at[depth + 1].push(id);
-            resum(&mut weights, &dirs_at, depth + 1);
+    // Every node arrives after its parent, so the tree is built in one
+    // pass: appended here, each directory's children placed and sorted
+    // by name once at the end.
+    let tree = NamespaceTree::build(profile.nodes, |tree| {
+        // Spine: directories to depth max_depth - 1, a file at max_depth.
+        let mut cur = NodeId::ROOT;
+        for (d, level) in dirs_at.iter_mut().enumerate().skip(1) {
+            cur = tree.append(cur, &format!("spine{d}"), NodeKind::Directory)?;
+            level.push(cur);
         }
-    }
-    tree.shrink_to_fit();
+        tree.append(cur, "spine_leaf", NodeKind::File)?;
+
+        resum(&mut weights, &dirs_at, 0);
+        while tree.node_count() < profile.nodes {
+            let total = weights[profile.max_depth - 1];
+            let x: f64 = rng.gen_range(0.0..total);
+            let depth = weights
+                .partition_point(|&w| w <= x)
+                .min(profile.max_depth - 1);
+            let dirs = &dirs_at[depth];
+            let parent = dirs[rng.gen_range(0..dirs.len())];
+
+            let make_dir = rng.gen_bool(profile.dir_ratio.clamp(0.0, 1.0));
+            next_name += 1;
+            name.clear();
+            let (prefix, kind) = if make_dir {
+                ('d', NodeKind::Directory)
+            } else {
+                ('f', NodeKind::File)
+            };
+            write!(name, "{prefix}{next_name}").expect("writing to a String cannot fail");
+            let id = tree.append(parent, &name, kind)?;
+            if make_dir && depth + 1 < profile.max_depth {
+                dirs_at[depth + 1].push(id);
+                resum(&mut weights, &dirs_at, depth + 1);
+            }
+        }
+        Ok(())
+    })
+    .expect("generated names are unique");
 
     // Synthesis only creates, so every slot is a live node.
     let depth = tree.depths();

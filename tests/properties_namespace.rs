@@ -520,6 +520,175 @@ mod same_trees {
     }
 }
 
+/// The one-pass constructor against the `create`s it stands in for:
+/// random parent-first node lists — bursts of children of random size
+/// under random directories, names repeated across directories — some
+/// with one defect (a duplicate sibling, a file parent, an invalid name
+/// or a parent not appended yet). Both builds give the same tree, down
+/// to symbol numbering and `version()`, or fail with the same error.
+mod one_pass_build {
+    use super::*;
+    use d2tree::namespace::{NodeId, TreeError};
+    use rand::rngs::StdRng;
+    use rand::{Rng, SeedableRng};
+    use std::collections::BTreeSet;
+
+    /// `(parent, name, kind)` in arrival order.
+    type NodeList = Vec<(NodeId, String, NodeKind)>;
+
+    const BURSTS: [usize; 9] = [1, 1, 2, 3, 5, 9, 17, 33, 65];
+
+    fn node_list(rng: &mut StdRng) -> NodeList {
+        let mut list = NodeList::new();
+        let mut dirs = vec![NodeId::ROOT];
+        let mut names = vec![BTreeSet::new()];
+        let target = rng.gen_range(0..600);
+        let mut defect =
+            (rng.gen_range(0..2) == 0).then(|| (rng.gen_range(0..=target), rng.gen_range(0..4)));
+        while list.len() < target {
+            if let Some((_, kind)) = defect.filter(|&(at, _)| at <= list.len() && !list.is_empty())
+            {
+                let next = NodeId::from_index(list.len() + 1);
+                let (parent, name) = match kind {
+                    // A duplicate sibling: an earlier node's parent and name.
+                    0 => {
+                        let (parent, name, _) = list[rng.gen_range(0..list.len())].clone();
+                        (parent, name)
+                    }
+                    // A file parent (with no file yet, a parent not appended).
+                    1 => match (1..=list.len())
+                        .map(NodeId::from_index)
+                        .find(|&id| !dirs.contains(&id))
+                    {
+                        Some(file) => (file, "x".to_owned()),
+                        None => (next, "x".to_owned()),
+                    },
+                    // An invalid name.
+                    2 => (
+                        dirs[rng.gen_range(0..dirs.len())],
+                        ["", "a/b", "/"][rng.gen_range(0..3)].to_owned(),
+                    ),
+                    // A parent not appended yet.
+                    _ => (
+                        NodeId::from_index(next.index() + rng.gen_range(0..3)),
+                        "x".to_owned(),
+                    ),
+                };
+                list.push((parent, name, NodeKind::File));
+                names.push(BTreeSet::new());
+                defect = None;
+                continue;
+            }
+            let parent = dirs[rng.gen_range(0..dirs.len())];
+            for _ in 0..BURSTS[rng.gen_range(0..BURSTS.len())] {
+                let name = format!(
+                    "{}{}",
+                    ["a", "b", "é"][rng.gen_range(0..3)],
+                    rng.gen_range(0..80)
+                );
+                if !names[parent.index()].insert(name.clone()) {
+                    continue;
+                }
+                let kind = if rng.gen_range(0..3) == 0 {
+                    NodeKind::Directory
+                } else {
+                    NodeKind::File
+                };
+                list.push((parent, name, kind));
+                names.push(BTreeSet::new());
+                if kind.is_directory() {
+                    dirs.push(NodeId::from_index(list.len()));
+                }
+            }
+        }
+        list
+    }
+
+    fn by_creates(list: &NodeList) -> Result<NamespaceTree, TreeError> {
+        let mut tree = NamespaceTree::new();
+        for (parent, name, kind) in list {
+            tree.create(*parent, name, *kind)?;
+        }
+        Ok(tree)
+    }
+
+    fn in_one_pass(list: &NodeList) -> Result<NamespaceTree, TreeError> {
+        NamespaceTree::build(list.len() + 1, |tree| {
+            for (i, (parent, name, kind)) in list.iter().enumerate() {
+                let id = tree.append(*parent, name, *kind)?;
+                assert_eq!(id.index(), i + 1, "each node takes the next id");
+                assert_eq!(tree.node_count(), i + 2);
+            }
+            Ok(())
+        })
+    }
+
+    /// Node for node: parent, name, symbol, kind and the children in
+    /// iteration order; then the counters.
+    fn assert_identical(a: &NamespaceTree, b: &NamespaceTree) -> Result<(), TestCaseError> {
+        prop_assert_eq!(a.arena_size(), b.arena_size());
+        prop_assert_eq!(a.node_count(), b.node_count());
+        prop_assert_eq!(a.version(), b.version());
+        prop_assert_eq!(a.symbols().len(), b.symbols().len());
+        for slot in 0..a.arena_size() {
+            let id = NodeId::from_index(slot);
+            let (x, y) = (a.node(id).expect("live"), b.node(id).expect("live"));
+            prop_assert_eq!(x.parent(), y.parent());
+            prop_assert_eq!(x.name(), y.name());
+            prop_assert_eq!(x.name_sym(), y.name_sym());
+            prop_assert_eq!(x.kind(), y.kind());
+            prop_assert_eq!(
+                x.children().collect::<Vec<_>>(),
+                y.children().collect::<Vec<_>>(),
+                "children of {}",
+                id
+            );
+        }
+        Ok(())
+    }
+
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(200))]
+
+        #[test]
+        fn one_pass_build_equals_the_creates_it_replaces(seed in any::<u64>()) {
+            let list = node_list(&mut StdRng::seed_from_u64(seed));
+            match (by_creates(&list), in_one_pass(&list)) {
+                (Ok(want), Ok(got)) => {
+                    assert_identical(&want, &got)?;
+                    // Both keep growing the same way from there.
+                    let (mut want, mut got) = (want, got);
+                    for tree in [&mut want, &mut got] {
+                        for slot in 0..tree.arena_size() {
+                            let _ = tree.create(NodeId::from_index(slot), "z", NodeKind::File);
+                        }
+                    }
+                    assert_identical(&want, &got)?;
+                }
+                (want, got) => prop_assert_eq!(want.err(), got.err()),
+            }
+        }
+    }
+
+    /// Every outcome is generated: a clean list and each defect.
+    #[test]
+    fn the_generator_covers_every_outcome() {
+        let mut seen = BTreeSet::new();
+        for seed in 0..400 {
+            let outcome = match by_creates(&node_list(&mut StdRng::seed_from_u64(seed))) {
+                Ok(_) => "ok",
+                Err(TreeError::DuplicateName(_)) => "duplicate",
+                Err(TreeError::NotADirectory(_)) => "file parent",
+                Err(TreeError::InvalidPath(_)) => "invalid name",
+                Err(TreeError::NodeNotFound(_)) => "not appended",
+                Err(other) => panic!("unexpected {other:?}"),
+            };
+            seen.insert(outcome);
+        }
+        assert_eq!(seen.len(), 5, "{seen:?}");
+    }
+}
+
 /// Model check of the arena across span moves: random `create` /
 /// `rename` / `move_subtree` / `remove_subtree` against a
 /// `BTreeMap<String, NodeId>`-per-directory model that knows nothing of
@@ -695,19 +864,46 @@ mod arena_model {
         #[test]
         fn arena_matches_a_btreemap_model_across_span_moves(seed in any::<u64>()) {
             let mut rng = StdRng::seed_from_u64(seed);
-            let mut tree = NamespaceTree::new();
             let mut model = Model::new();
             // Names from a small space, scattered so inserts land
             // anywhere in a span and collide now and then.
             let name = |rng: &mut StdRng| format!("{}{}", ["a", "b", "é"][rng.gen_range(0..3)], rng.gen_range(0..900));
 
+            // The tree starts built in one pass, so what follows mutates
+            // the span layout that path produces: a hub and a side
+            // directory with a random head start, and a few more
+            // directories with children of their own.
+            let (hub, side) = (NodeId::from_index(1), NodeId::from_index(2));
+            let mut tree = NamespaceTree::build(0, |tree| {
+                let mut dirs = vec![NodeId::ROOT];
+                for label in ["hub", "side"] {
+                    let id = tree.append(NodeId::ROOT, label, NodeKind::Directory)?;
+                    assert_eq!(model.create(NodeId::ROOT, label, NodeKind::Directory), Some(id));
+                    dirs.push(id);
+                }
+                for _ in 0..rng.gen_range(0..200) {
+                    let dir = dirs[rng.gen_range(0..dirs.len())];
+                    let name = name(&mut rng);
+                    let kind = if rng.gen_range(0..8) == 0 {
+                        NodeKind::Directory
+                    } else {
+                        NodeKind::File
+                    };
+                    if let Some(id) = model.create(dir, &name, kind) {
+                        assert_eq!(tree.append(dir, &name, kind)?, id);
+                        if kind.is_directory() {
+                            dirs.push(id);
+                        }
+                    }
+                }
+                Ok(())
+            })
+            .expect("the model admits only valid nodes");
+            assert_same(&tree, &model)?;
+
             // Up through every size class one child at a time, then
             // down again from the middle, beside a second directory
             // whose growth interleaves with it in the pool.
-            let hub = tree.create(tree.root(), "hub", NodeKind::Directory).unwrap();
-            let side = tree.create(tree.root(), "side", NodeKind::Directory).unwrap();
-            prop_assert_eq!(model.create(tree.root(), "hub", NodeKind::Directory), Some(hub));
-            prop_assert_eq!(model.create(tree.root(), "side", NodeKind::Directory), Some(side));
             while model.kids[hub.index()].len() < 300 {
                 for dir in [hub, side] {
                     let name = name(&mut rng);

@@ -29,7 +29,7 @@
 //! `408`/`414` instead of hanging or crashing on garbage. Real browsers
 //! and `curl` speak it happily.
 //!
-//! The listener reuses [`AcceptLoop`] — the same accept-thread /
+//! The listener reuses the crate's `AcceptLoop` — the same accept-thread /
 //! stop-flag / self-connect-wake machinery as the frame-codec
 //! [`NetServer`](crate::net::NetServer) — so shutdown semantics are
 //! identical: killing the daemon mid-scrape drops the scrape connection
@@ -115,7 +115,7 @@ struct AdminState {
 ///
 /// Binding starts both; [`shutdown`](Self::shutdown) (or drop) stops
 /// the ticker and drains every scrape connection through the shared
-/// [`AcceptLoop`] stop flag.
+/// `AcceptLoop` stop flag.
 pub struct AdminServer {
     acceptor: AcceptLoop,
     ticker: Option<JoinHandle<()>>,

@@ -224,14 +224,15 @@ impl Response {
     #[must_use]
     pub fn decode_frame(buf: &[u8]) -> Option<Response> {
         let f = fixed_frame::<RESPONSE_FRAME_BYTES>(buf)?;
-        let body = match f[14] {
-            BODY_SERVED => ResponseBody::Served {
-                node: NodeId::from_index(be_u32(f, 15) as usize),
+        // The slot of the variant not sent must ride as zeroes.
+        let body = match (f[14], be_u32(f, 15), be_u16(f, 19)) {
+            (BODY_SERVED, node, 0) => ResponseBody::Served {
+                node: NodeId::from_index(node as usize),
             },
-            BODY_REDIRECT => ResponseBody::Redirect {
-                owner: MdsId(be_u16(f, 19)),
+            (BODY_REDIRECT, 0, owner) => ResponseBody::Redirect {
+                owner: MdsId(owner),
             },
-            BODY_NOT_FOUND => ResponseBody::NotFound,
+            (BODY_NOT_FOUND, 0, 0) => ResponseBody::NotFound,
             _ => return None,
         };
         Some(Response {
@@ -640,13 +641,23 @@ mod tests {
             assert_eq!(Request::decode(&mut buf), None, "{why}");
             assert_eq!(buf, bad, "{why}: rejected request consumed input");
         }
-        let good = sample_responses()[0].encode();
+        let responses = sample_responses();
+        let good = responses[0].encode();
         let bad_responses = [
             ("shorter than a length prefix", good.slice(..3)),
             ("truncated body", good.slice(..good.len() - 1)),
             ("length prefix too short", corrupt(&good, 3, 20)),
             ("length prefix too long", corrupt(&good, 3, 22)),
             ("unknown body tag", corrupt(&good, 4 + 10, 99)),
+            ("served with an owner", corrupt(&good, 4 + 16, 0xFF)),
+            (
+                "redirect with a node",
+                corrupt(&responses[1].encode(), 4 + 11, 0xFF),
+            ),
+            (
+                "not found with a node",
+                corrupt(&responses[2].encode(), 4 + 14, 0xFF),
+            ),
         ];
         for (why, bad) in bad_responses {
             let mut buf = bad.clone();

@@ -742,7 +742,7 @@ impl NetMds {
 
     /// The slowest batches this daemon has served, slowest first, one
     /// entry per batch named by one of its requests (bounded at
-    /// [`SLOW_LOG_CAPACITY`] entries).
+    /// `SLOW_LOG_CAPACITY` entries).
     #[must_use]
     pub fn slow_requests(&self) -> Vec<SlowEntry> {
         self.slow.top()

@@ -241,7 +241,7 @@ pub fn json(snap: &Snapshot) -> String {
 }
 
 /// A parsed `/metrics.json` document — the subset `d2tree top` and
-/// scrapers need, read back from [`json`]'s (stable, machine-written)
+/// scrapers need, read back from [`json()`]'s (stable, machine-written)
 /// output. Each entry is `(name, mds_lane, value)`.
 #[derive(Debug, Clone, Default)]
 pub struct MetricsDoc {
@@ -297,7 +297,7 @@ fn parse_rows<T>(
         .collect()
 }
 
-/// Parses [`json`]'s output. Returns `None` on anything that does not
+/// Parses [`json()`]'s output. Returns `None` on anything that does not
 /// look like it — the caller (a polling `top`) should skip the sample,
 /// not crash.
 #[must_use]

@@ -1,69 +1,101 @@
-//! Protocol-level robustness: the wire codec never panics on arbitrary
-//! bytes, round-trips arbitrary valid frames, and the lock service holds
+//! Protocol-level robustness: the served slice codec never panics on
+//! arbitrary frame bodies and accepts only the frames it writes,
+//! round-trips arbitrary valid frames, and the lock service holds
 //! mutual exclusion under thread stress.
 
-use bytes_fuzz::*;
+mod support;
 
-mod bytes_fuzz {
-    pub use d2tree::cluster::message::{Request, RequestId, Response, ResponseBody};
-    pub use d2tree::metrics::MdsId;
-    pub use d2tree::namespace::NodeId;
-    pub use d2tree::workload::OpKind;
-    pub use proptest::prelude::*;
+use d2tree::cluster::message::{
+    Request, RequestId, Response, ResponseBody, REQUEST_FRAME_BYTES, RESPONSE_FRAME_BYTES,
+};
+use d2tree::metrics::MdsId;
+use d2tree::namespace::NodeId;
+use d2tree::workload::OpKind;
+use rand::rngs::StdRng;
+use rand::{Rng, RngCore};
+use support::cases;
+
+/// An `N`-byte frame: a correct length prefix, then a random body whose
+/// bytes at `small` (kind, tag or trace flag) come from `0..4`, so each
+/// takes every valid value and one invalid one.
+fn garbage<const N: usize>(rng: &mut StdRng, small: &[usize]) -> [u8; N] {
+    let mut frame = [0u8; N];
+    frame[..4].copy_from_slice(&(N as u32 - 4).to_be_bytes());
+    rng.fill_bytes(&mut frame[4..]);
+    for &at in small {
+        frame[at] = rng.gen_range(0..4);
+    }
+    frame
 }
 
-proptest! {
-    #[test]
-    fn request_decode_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
-        let mut frame = bytes::Bytes::from(bytes);
-        let _ = Request::decode(&mut frame); // must not panic
-    }
+/// Decoding never panics, and a frame it accepts is the one the decoded
+/// value encodes to: no two frames carry the same request.
+#[test]
+fn request_decode_never_panics_on_garbage() {
+    cases("request_decode_never_panics_on_garbage", 32, |rng| {
+        let frame: [u8; REQUEST_FRAME_BYTES] = garbage(rng, &[12, 21]);
+        if let Some(req) = Request::decode_frame(&frame) {
+            let mut again = Vec::new();
+            req.encode_into(&mut again);
+            assert_eq!(again, frame, "{req:?} decoded from another frame");
+        }
+    });
+}
 
-    #[test]
-    fn response_decode_never_panics_on_garbage(bytes in proptest::collection::vec(any::<u8>(), 0..64)) {
-        let mut frame = bytes::Bytes::from(bytes);
-        let _ = Response::decode(&mut frame);
-    }
+#[test]
+fn response_decode_never_panics_on_garbage() {
+    cases("response_decode_never_panics_on_garbage", 32, |rng| {
+        let frame: [u8; RESPONSE_FRAME_BYTES] = garbage(rng, &[14]);
+        if let Some(resp) = Response::decode_frame(&frame) {
+            let mut again = Vec::new();
+            resp.encode_into(&mut again);
+            assert_eq!(again, frame, "{resp:?} decoded from another frame");
+        }
+    });
+}
 
-    #[test]
-    fn arbitrary_requests_roundtrip(
-        id in any::<u64>(),
-        target in 0u32..u32::MAX,
-        kind in 0u8..3,
-        hops in any::<u32>(),
-        traced in any::<bool>(),
-        trace_id in any::<u64>(),
-        parent_span in any::<u64>(),
-    ) {
-        let trace = traced.then_some((trace_id, parent_span));
-        let kind = match kind {
-            0 => OpKind::Read,
-            1 => OpKind::Write,
-            _ => OpKind::Update,
-        };
+#[test]
+fn arbitrary_requests_roundtrip() {
+    cases("arbitrary_requests_roundtrip", 32, |rng| {
         let req = Request {
-            id: RequestId(id),
-            kind,
-            target: NodeId::from_index(target as usize),
-            hops,
-            trace,
+            id: RequestId(rng.next_u64()),
+            kind: [OpKind::Read, OpKind::Write, OpKind::Update][rng.gen_range(0..3)],
+            target: NodeId::from_index(rng.gen_range(0..u32::MAX) as usize),
+            hops: rng.next_u64() as u32,
+            trace: rng.gen_bool(0.5).then(|| (rng.next_u64(), rng.next_u64())),
         };
-        let mut framed = req.encode();
-        prop_assert_eq!(Request::decode(&mut framed), Some(req));
-        prop_assert!(framed.is_empty());
-    }
+        let mut framed = Vec::new();
+        req.encode_into(&mut framed);
+        assert_eq!(framed.len(), REQUEST_FRAME_BYTES);
+        assert_eq!(Request::decode_frame(&framed), Some(req));
+    });
+}
 
-    #[test]
-    fn arbitrary_responses_roundtrip(id in any::<u64>(), from in 0u16..1024, body_kind in 0u8..3, node in 0u32..u32::MAX, owner in 0u16..1024, hops in any::<u32>()) {
-        let body = match body_kind {
-            0 => ResponseBody::Served { node: NodeId::from_index(node as usize) },
-            1 => ResponseBody::Redirect { owner: MdsId(owner) },
+#[test]
+fn arbitrary_responses_roundtrip() {
+    cases("arbitrary_responses_roundtrip", 32, |rng| {
+        let (id, from) = (RequestId(rng.next_u64()), MdsId(rng.gen_range(0..1024)));
+        let body = match rng.gen_range(0..3) {
+            0 => ResponseBody::Served {
+                node: NodeId::from_index(rng.gen_range(0..u32::MAX) as usize),
+            },
+            1 => ResponseBody::Redirect {
+                owner: MdsId(rng.gen_range(0..1024)),
+            },
             _ => ResponseBody::NotFound,
         };
-        let resp = Response { id: RequestId(id), from: MdsId(from), body, hops };
-        let mut framed = resp.encode();
-        prop_assert_eq!(Response::decode(&mut framed), Some(resp));
-    }
+        let hops = rng.next_u64() as u32;
+        let resp = Response {
+            id,
+            from,
+            body,
+            hops,
+        };
+        let mut framed = Vec::new();
+        resp.encode_into(&mut framed);
+        assert_eq!(framed.len(), RESPONSE_FRAME_BYTES);
+        assert_eq!(Response::decode_frame(&framed), Some(resp));
+    });
 }
 
 #[test]

@@ -13,6 +13,8 @@
 //! history across two independent runs (seeds 1/7/42, matching the CI
 //! chaos matrix).
 
+mod support;
+
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -21,7 +23,8 @@ use d2tree::cluster::{
     FaultPlan, FaultRule, FaultScope, LeaderClient,
 };
 use d2tree::telemetry::{EventKind, Registry};
-use proptest::prelude::*;
+use rand::{Rng, RngCore};
+use support::cases;
 
 const REPLICAS: usize = 3;
 const TICK_MS: u64 = 10;
@@ -139,7 +142,7 @@ fn run_consensus(
 /// The classic log-matching check, stated directly on the replica logs:
 /// find the highest index where two logs agree on the term; everything
 /// up to and including it must be identical.
-fn assert_log_matching(c: &ConsensusCluster) -> Result<(), TestCaseError> {
+fn assert_log_matching(c: &ConsensusCluster) {
     for i in 0..REPLICAS as u16 {
         for j in (i + 1)..REPLICAS as u16 {
             let a = c.replica(i).log();
@@ -147,7 +150,7 @@ fn assert_log_matching(c: &ConsensusCluster) -> Result<(), TestCaseError> {
             let common = a.len().min(b.len());
             let agree = (0..common).rev().find(|&k| a[k].term == b[k].term);
             if let Some(k) = agree {
-                prop_assert_eq!(
+                assert_eq!(
                     &a[..=k],
                     &b[..=k],
                     "log matching violated between replicas {} and {} up to index {}",
@@ -158,74 +161,71 @@ fn assert_log_matching(c: &ConsensusCluster) -> Result<(), TestCaseError> {
             }
         }
     }
-    Ok(())
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(12))]
-
-    /// Election safety + log matching survive arbitrary combinations of
-    /// drop/delay/duplicate/reorder rules plus a partition window, and
-    /// the cluster still ends the run live (a leader exists and the
-    /// state machine made progress) once faults have cleared.
-    #[test]
-    fn safety_holds_under_seeded_peer_faults(
-        seed in 0u64..512,
-        drop_p in 0.0f64..0.30,
-        delay_ms in 0u64..4,
-        dup_p in 0.0f64..0.20,
-        reorder_ms in 0u64..3,
-        victim in 0u16..REPLICAS as u16,
-        partition_ticks in 0u64..60,
-    ) {
+/// Election safety + log matching survive arbitrary combinations of
+/// drop/delay/duplicate/reorder rules plus a partition window, and
+/// the cluster still ends the run live (a leader exists and the
+/// state machine made progress) once faults have cleared.
+#[test]
+fn safety_holds_under_seeded_peer_faults() {
+    cases("safety_holds_under_seeded_peer_faults", 12, |rng| {
+        let seed = rng.gen_range(0..512);
         let plan = peer_fault_plan(
-            seed ^ 0xfa17, drop_p, delay_ms, dup_p, reorder_ms, victim, partition_ticks,
+            seed ^ 0xfa17,
+            rng.gen_range(0.0..0.30),
+            rng.gen_range(0..4),
+            rng.gen_range(0.0..0.20),
+            rng.gen_range(0..3),
+            rng.gen_range(0..REPLICAS as u16),
+            rng.gen_range(0..60),
         );
         let (c, _events, leaders, _retries) = run_consensus(seed, &plan, 1_200);
         let violations = c.check_invariants();
-        prop_assert!(
+        assert!(
             violations.is_empty(),
-            "invariant violations under seed {}: {:?}", seed, violations
+            "violations under seed {seed}: {violations:?}"
         );
         // Election safety: the per-term leader map is total over every
         // term that elected anyone, and terms never repeat a leader
         // inconsistently (a double leader would already be a violation;
         // this asserts the record is well-formed and non-trivial).
-        prop_assert!(!leaders.is_empty(), "no leader was ever elected");
-        prop_assert!(
-            leaders.keys().zip(leaders.keys().skip(1)).all(|(a, b)| a < b),
+        assert!(!leaders.is_empty(), "no leader was ever elected");
+        let terms: Vec<_> = leaders.keys().collect();
+        assert!(
+            terms.windows(2).all(|t| t[0] < t[1]),
             "terms must be strictly increasing"
         );
-        assert_log_matching(&c)?;
+        assert_log_matching(&c);
         // Liveness after the faults cleared: all partition windows close
         // by tick 110 and probabilistic faults never exceed 30% drop, so
         // by tick 1200 a leader must exist and have committed traffic.
-        prop_assert!(c.leader().is_some(), "cluster ended the run leaderless");
-        prop_assert!(c.observer().applied > 0, "nothing was ever committed");
-        prop_assert!(c.observer().grants > 0, "no lease traffic survived");
-    }
+        assert!(c.leader().is_some(), "cluster ended the run leaderless");
+        assert!(c.observer().applied > 0, "nothing was ever committed");
+        assert!(c.observer().grants > 0, "no lease traffic survived");
+    });
+}
 
-    /// Committed state never forks: every replica's committed prefix is
-    /// a prefix of the longest one, and fencing tokens observed in grant
-    /// order are strictly monotonic.
-    #[test]
-    fn committed_prefixes_never_fork(
-        seed in 0u64..512,
-        drop_p in 0.0f64..0.25,
-        victim in 0u16..REPLICAS as u16,
-    ) {
+/// Committed state never forks: every replica's committed prefix is
+/// a prefix of the longest one, and fencing tokens observed in grant
+/// order are strictly monotonic.
+#[test]
+fn committed_prefixes_never_fork() {
+    cases("committed_prefixes_never_fork", 12, |rng| {
+        let (seed, drop_p) = (rng.gen_range(0..512), rng.gen_range(0.0..0.25));
+        let victim = rng.gen_range(0..REPLICAS as u16);
         let plan = peer_fault_plan(seed ^ 0x10f5, drop_p, 2, 0.1, 1, victim, 30);
         let (c, events, _leaders, _retries) = run_consensus(seed, &plan, 1_000);
-        prop_assert!(c.check_invariants().is_empty());
+        assert!(c.check_invariants().is_empty());
         for i in 0..REPLICAS as u16 {
             for j in (i + 1)..REPLICAS as u16 {
                 let a = c.replica(i);
                 let b = c.replica(j);
                 let common = (a.commit_index().min(b.commit_index())) as usize;
-                prop_assert_eq!(
+                assert_eq!(
                     &a.log()[..common.min(a.log().len())],
                     &b.log()[..common.min(b.log().len())],
-                    "committed prefixes diverged between {} and {}", i, j
+                    "committed prefixes diverged between {i} and {j}"
                 );
             }
         }
@@ -236,25 +236,22 @@ proptest! {
                 _ => None,
             })
             .collect();
-        prop_assert!(
+        assert!(
             fences.windows(2).all(|w| w[0] < w[1]),
-            "fencing tokens must be strictly monotonic across failover: {:?}", fences
+            "fencing tokens must be strictly monotonic across failover: {fences:?}"
         );
-    }
+    });
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(64))]
-
-    /// The one lease table, driven directly: over any interleaving of
-    /// acquires, writes and releases by 3 holders on 2 nodes under a
-    /// non-decreasing clock, fences strictly increase across all
-    /// grants, at most one fence per node is valid at any instant, and
-    /// a write lands exactly when `validate` says its fence is live.
-    #[test]
-    fn lease_table_grants_fence_and_validate_agree(
-        words in proptest::collection::vec(any::<u64>(), 1..200),
-    ) {
+/// The one lease table, driven directly: over any interleaving of
+/// acquires, writes and releases by 3 holders on 2 nodes under a
+/// non-decreasing clock, fences strictly increase across all
+/// grants, at most one fence per node is valid at any instant, and
+/// a write lands exactly when `validate` says its fence is live.
+#[test]
+fn lease_table_grants_fence_and_validate_agree() {
+    cases("lease_table_grants_fence_and_validate_agree", 64, |rng| {
+        let words: Vec<u64> = (0..rng.gen_range(1..200)).map(|_| rng.next_u64()).collect();
         const LEASE_MS: u64 = 50;
         let mut state = ControlState::new(LEASE_MS);
         let mut now = 0u64;
@@ -268,9 +265,13 @@ proptest! {
             let pick = (w >> 32) as usize;
             match w % 3 {
                 0 => {
-                    let cmd = Command::LeaseAcquire { node, holder, now_ms: now };
+                    let cmd = Command::LeaseAcquire {
+                        node,
+                        holder,
+                        now_ms: now,
+                    };
                     if let Applied::Granted { fence, .. } = state.apply_command(cmd, None) {
-                        prop_assert!(fence > last_fence, "fence {} after {}", fence, last_fence);
+                        assert!(fence > last_fence, "fence {fence} after {last_fence}");
                         last_fence = fence;
                         tokens.push((node, fence));
                     }
@@ -279,18 +280,34 @@ proptest! {
                     let (node, fence) = tokens[pick % tokens.len()];
                     let live = state.validate(node, fence, now);
                     let before = state.gl_version(node);
-                    let out = state.apply_command(Command::GlWrite { node, fence, now_ms: now }, None);
+                    let out = state.apply_command(
+                        Command::GlWrite {
+                            node,
+                            fence,
+                            now_ms: now,
+                        },
+                        None,
+                    );
                     if live {
-                        prop_assert_eq!(out, Applied::GlWritten { node, version: before + 1 });
+                        assert_eq!(
+                            out,
+                            Applied::GlWritten {
+                                node,
+                                version: before + 1
+                            }
+                        );
                     } else {
-                        prop_assert_eq!(out, Applied::Rejected { node, fence });
-                        prop_assert_eq!(state.gl_version(node), before);
+                        assert_eq!(out, Applied::Rejected { node, fence });
+                        assert_eq!(state.gl_version(node), before);
                     }
                 }
                 2 if !tokens.is_empty() => {
                     let (node, fence) = tokens[pick % tokens.len()];
                     let _ = state.apply_command(Command::LeaseRelease { node, fence }, None);
-                    prop_assert!(!state.validate(node, fence, now), "released fence still valid");
+                    assert!(
+                        !state.validate(node, fence, now),
+                        "released fence still valid"
+                    );
                 }
                 _ => {}
             }
@@ -299,11 +316,17 @@ proptest! {
                     .iter()
                     .filter(|&&(tn, f)| tn == n && state.validate(n, f, now))
                     .count();
-                prop_assert!(valid <= 1, "{} fences valid on node {} at t={}", valid, n, now);
+                assert!(
+                    valid <= 1,
+                    "{} fences valid on node {} at t={}",
+                    valid,
+                    n,
+                    now
+                );
             }
         }
-        prop_assert_eq!(state.max_fence(), last_fence);
-    }
+        assert_eq!(state.max_fence(), last_fence);
+    });
 }
 
 /// FNV-1a over the journal's `Debug` rendering.

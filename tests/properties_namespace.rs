@@ -1,17 +1,61 @@
 //! Property-based tests of the namespace-tree substrate.
 
-use d2tree::namespace::{NamespaceTree, NodeKind, NsPath, Popularity, TreeBuilder};
-use proptest::prelude::*;
+mod support;
 
-/// Strategy: a list of plausible absolute paths over a tiny alphabet so
-/// prefixes collide often (exercising shared-directory code paths).
-fn path_strategy() -> impl Strategy<Value = Vec<String>> {
-    proptest::collection::vec("(/[a-d]{1,2}){1,6}", 1..40)
+use d2tree::namespace::{NamespaceTree, NodeId, NodeKind, NsPath, Popularity, TreeBuilder};
+use rand::rngs::StdRng;
+use rand::Rng;
+use support::cases;
+
+/// One plausible absolute path: 1–6 components of 1–2 letters from
+/// `a`–`d`, a tiny alphabet so prefixes collide often (exercising
+/// shared-directory code paths).
+fn path(rng: &mut StdRng) -> String {
+    let mut p = String::new();
+    for _ in 0..rng.gen_range(1..=6) {
+        p.push('/');
+        for _ in 0..rng.gen_range(1..=2) {
+            p.push(char::from(rng.gen_range(b'a'..=b'd')));
+        }
+    }
+    p
 }
 
-proptest! {
-    #[test]
-    fn build_resolve_roundtrip(paths in path_strategy()) {
+/// 1–39 such paths.
+fn paths(rng: &mut StdRng) -> Vec<String> {
+    (0..rng.gen_range(1..40)).map(|_| path(rng)).collect()
+}
+
+/// The tree of one draw of [`paths`], each created as a file; a path
+/// that conflicts with an earlier one (file vs directory) is skipped.
+fn random_tree(rng: &mut StdRng) -> NamespaceTree {
+    let mut builder = TreeBuilder::new();
+    for p in &paths(rng) {
+        let _ = builder.file(p);
+    }
+    builder.build()
+}
+
+/// Every node but the root, in id order.
+fn non_root(tree: &NamespaceTree) -> Vec<NodeId> {
+    tree.nodes()
+        .map(|(id, _)| id)
+        .filter(|&id| id != tree.root())
+        .collect()
+}
+
+/// Every directory, in id order.
+fn dirs(tree: &NamespaceTree) -> Vec<NodeId> {
+    tree.nodes()
+        .filter(|(_, n)| n.kind().is_directory())
+        .map(|(id, _)| id)
+        .collect()
+}
+
+#[test]
+fn build_resolve_roundtrip() {
+    cases("build_resolve_roundtrip", 32, |rng| {
+        let paths = paths(rng);
         let mut builder = TreeBuilder::new();
         let mut created = Vec::new();
         for p in &paths {
@@ -24,104 +68,89 @@ proptest! {
         let tree = builder.build();
         for (p, id) in created {
             let parsed: NsPath = p.parse().unwrap();
-            prop_assert_eq!(tree.resolve(&parsed), Some(id));
-            prop_assert_eq!(tree.path_of(id).to_string(), p);
+            assert_eq!(tree.resolve(&parsed), Some(id));
+            assert_eq!(tree.path_of(id).to_string(), p);
         }
-    }
+    });
+}
 
-    #[test]
-    fn node_count_equals_descendants_of_root(paths in path_strategy()) {
-        let mut builder = TreeBuilder::new();
-        for p in &paths {
-            let _ = builder.file(p);
-        }
-        let tree = builder.build();
-        prop_assert_eq!(tree.node_count(), tree.descendants(tree.root()).count());
-        prop_assert_eq!(
+#[test]
+fn node_count_equals_descendants_of_root() {
+    cases("node_count_equals_descendants_of_root", 32, |rng| {
+        let tree = random_tree(rng);
+        assert_eq!(tree.node_count(), tree.descendants(tree.root()).count());
+        assert_eq!(
             tree.node_count(),
             tree.directory_count() + tree.file_count()
         );
-    }
+    });
+}
 
-    #[test]
-    fn ancestor_chain_lengths_match_depth(paths in path_strategy()) {
-        let mut builder = TreeBuilder::new();
-        for p in &paths {
-            let _ = builder.file(p);
-        }
-        let tree = builder.build();
+#[test]
+fn ancestor_chain_lengths_match_depth() {
+    cases("ancestor_chain_lengths_match_depth", 32, |rng| {
+        let tree = random_tree(rng);
         for (id, _) in tree.nodes() {
             let depth = tree.depth(id);
-            prop_assert_eq!(tree.ancestors(id).count(), depth);
-            prop_assert_eq!(tree.path_from_root(id).len(), depth + 1);
-            prop_assert_eq!(tree.path_of(id).depth(), depth);
+            assert_eq!(tree.ancestors(id).count(), depth);
+            assert_eq!(tree.path_from_root(id).len(), depth + 1);
+            assert_eq!(tree.path_of(id).depth(), depth);
         }
-    }
+    });
+}
 
-    #[test]
-    fn removal_conserves_counts(paths in path_strategy(), pick in any::<prop::sample::Index>()) {
-        let mut builder = TreeBuilder::new();
-        for p in &paths {
-            let _ = builder.file(p);
-        }
-        let mut tree = builder.build();
-        let candidates: Vec<_> =
-            tree.nodes().map(|(id, _)| id).filter(|&id| id != tree.root()).collect();
+#[test]
+fn removal_conserves_counts() {
+    cases("removal_conserves_counts", 32, |rng| {
+        let mut tree = random_tree(rng);
+        let candidates = non_root(&tree);
         if candidates.is_empty() {
-            return Ok(());
+            return;
         }
-        let victim = candidates[pick.index(candidates.len())];
+        let victim = candidates[rng.gen_range(0..candidates.len())];
         let before = tree.node_count();
         let sub = tree.subtree_size(victim);
         let removed = tree.remove_subtree(victim).unwrap();
-        prop_assert_eq!(removed, sub);
-        prop_assert_eq!(tree.node_count(), before - removed);
-        prop_assert!(!tree.contains(victim));
-    }
+        assert_eq!(removed, sub);
+        assert_eq!(tree.node_count(), before - removed);
+        assert!(!tree.contains(victim));
+    });
+}
 
-    #[test]
-    fn move_preserves_subtree_and_count(paths in path_strategy(), a in any::<prop::sample::Index>(), b in any::<prop::sample::Index>()) {
-        let mut builder = TreeBuilder::new();
-        for p in &paths {
-            let _ = builder.file(p);
-        }
-        let mut tree = builder.build();
-        let nodes: Vec<_> =
-            tree.nodes().map(|(id, _)| id).filter(|&id| id != tree.root()).collect();
-        let dirs: Vec<_> = tree
-            .nodes()
-            .filter(|(_, n)| n.kind().is_directory())
-            .map(|(id, _)| id)
-            .collect();
+#[test]
+fn move_preserves_subtree_and_count() {
+    cases("move_preserves_subtree_and_count", 32, |rng| {
+        let mut tree = random_tree(rng);
+        let nodes = non_root(&tree);
+        let dirs = dirs(&tree);
         if nodes.is_empty() || dirs.is_empty() {
-            return Ok(());
+            return;
         }
-        let subject = nodes[a.index(nodes.len())];
-        let dest = dirs[b.index(dirs.len())];
+        let subject = nodes[rng.gen_range(0..nodes.len())];
+        let dest = dirs[rng.gen_range(0..dirs.len())];
         let before = tree.node_count();
         let sub_size = tree.subtree_size(subject);
         match tree.move_subtree(subject, dest) {
             Ok(()) => {
-                prop_assert_eq!(tree.node_count(), before);
-                prop_assert_eq!(tree.subtree_size(subject), sub_size);
+                assert_eq!(tree.node_count(), before);
+                assert_eq!(tree.subtree_size(subject), sub_size);
                 let parent = tree.node(subject).unwrap().parent();
-                prop_assert_eq!(parent, Some(dest));
+                assert_eq!(parent, Some(dest));
             }
             Err(_) => {
                 // Rejected moves must leave the tree untouched.
-                prop_assert_eq!(tree.node_count(), before);
-                prop_assert_eq!(tree.subtree_size(subject), sub_size);
+                assert_eq!(tree.node_count(), before);
+                assert_eq!(tree.subtree_size(subject), sub_size);
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn popularity_rollup_is_sum_of_individuals(paths in path_strategy(), weights in proptest::collection::vec(0.0f64..100.0, 40)) {
-        let mut builder = TreeBuilder::new();
-        for p in &paths {
-            let _ = builder.file(p);
-        }
-        let tree = builder.build();
+#[test]
+fn popularity_rollup_is_sum_of_individuals() {
+    cases("popularity_rollup_is_sum_of_individuals", 32, |rng| {
+        let tree = random_tree(rng);
+        let weights: Vec<f64> = (0..40).map(|_| rng.gen_range(0.0..100.0)).collect();
         let mut pop = Popularity::new(&tree);
         let ids: Vec<_> = tree.nodes().map(|(id, _)| id).collect();
         for (i, id) in ids.iter().enumerate() {
@@ -129,37 +158,34 @@ proptest! {
         }
         pop.rollup(&tree);
         // Root total equals the sum of all individuals.
-        let sum: f64 = ids.iter().map(|&id| pop.individual(id)).collect::<Vec<_>>().iter().sum();
-        prop_assert!((pop.total(tree.root()) - sum).abs() < 1e-6);
+        let sum: f64 = ids.iter().map(|&id| pop.individual(id)).sum();
+        assert!((pop.total(tree.root()) - sum).abs() < 1e-6);
         // Every node's total is at least its own individual and at most
         // its parent's total.
         for &id in &ids {
-            prop_assert!(pop.total(id) + 1e-9 >= pop.individual(id));
+            assert!(pop.total(id) + 1e-9 >= pop.individual(id));
             if let Some(parent) = tree.node(id).unwrap().parent() {
-                prop_assert!(pop.total(parent) + 1e-9 >= pop.total(id));
+                assert!(pop.total(parent) + 1e-9 >= pop.total(id));
             }
         }
-    }
+    });
+}
 
-    #[test]
-    fn rename_is_observable_and_reversible(paths in path_strategy()) {
-        let mut builder = TreeBuilder::new();
-        for p in &paths {
-            let _ = builder.file(p);
-        }
-        let mut tree = builder.build();
-        let victim = match tree.nodes().map(|(id, _)| id).find(|&id| id != tree.root()) {
-            Some(v) => v,
-            None => return Ok(()),
+#[test]
+fn rename_is_observable_and_reversible() {
+    cases("rename_is_observable_and_reversible", 32, |rng| {
+        let mut tree = random_tree(rng);
+        let Some(&victim) = non_root(&tree).first() else {
+            return;
         };
         let old_name = tree.node(victim).unwrap().name().to_owned();
         let unique = "zz_renamed";
         if tree.rename(victim, unique).is_ok() {
-            prop_assert_eq!(tree.node(victim).unwrap().name(), unique);
+            assert_eq!(tree.node(victim).unwrap().name(), unique);
             tree.rename(victim, &old_name).unwrap();
-            prop_assert_eq!(tree.node(victim).unwrap().name(), old_name.as_str());
+            assert_eq!(tree.node(victim).unwrap().name(), old_name.as_str());
         }
-    }
+    });
 }
 
 #[test]
@@ -186,34 +212,28 @@ mod io_roundtrip {
     use d2tree::workload::{OpKind, Operation, Trace};
     use std::io::BufReader;
 
-    proptest! {
-        #[test]
-        fn tree_and_trace_roundtrip(paths in super::path_strategy(), picks in proptest::collection::vec(any::<prop::sample::Index>(), 1..50)) {
-            let mut builder = TreeBuilder::new();
-            for p in &paths {
-                let _ = builder.file(p);
-            }
-            let tree = builder.build();
+    #[test]
+    fn tree_and_trace_roundtrip() {
+        cases("tree_and_trace_roundtrip", 32, |rng| {
+            let tree = random_tree(rng);
 
             let mut buf = Vec::new();
             write_tree(&mut buf, &tree).unwrap();
             let back = read_tree(BufReader::new(buf.as_slice())).unwrap();
-            prop_assert_eq!(back.node_count(), tree.node_count());
+            assert_eq!(back.node_count(), tree.node_count());
             for (id, node) in tree.nodes() {
                 let p = tree.path_of(id);
                 let there = back.resolve(&p);
-                prop_assert!(there.is_some(), "missing {}", p);
-                prop_assert_eq!(back.node(there.unwrap()).unwrap().kind(), node.kind());
+                assert!(there.is_some(), "missing {}", p);
+                assert_eq!(back.node(there.unwrap()).unwrap().kind(), node.kind());
             }
 
             // A random trace over the original tree replays over the copy.
             let ids: Vec<_> = tree.nodes().map(|(id, _)| id).collect();
             let kinds = [OpKind::Read, OpKind::Write, OpKind::Update];
-            let ops: Vec<Operation> = picks
-                .iter()
-                .enumerate()
-                .map(|(i, pick)| Operation {
-                    target: ids[pick.index(ids.len())],
+            let ops: Vec<Operation> = (0..rng.gen_range(1..50))
+                .map(|i| Operation {
+                    target: ids[rng.gen_range(0..ids.len())],
                     kind: kinds[i % 3],
                 })
                 .collect();
@@ -221,12 +241,12 @@ mod io_roundtrip {
             let mut tbuf = Vec::new();
             write_trace(&mut tbuf, &trace, &tree).unwrap();
             let trace_back = read_trace(BufReader::new(tbuf.as_slice()), &back).unwrap();
-            prop_assert_eq!(trace_back.len(), trace.len());
+            assert_eq!(trace_back.len(), trace.len());
             for (a, b) in trace_back.iter().zip(&trace) {
-                prop_assert_eq!(a.kind, b.kind);
-                prop_assert_eq!(back.path_of(a.target), tree.path_of(b.target));
+                assert_eq!(a.kind, b.kind);
+                assert_eq!(back.path_of(a.target), tree.path_of(b.target));
             }
-        }
+        });
     }
 }
 
@@ -239,7 +259,6 @@ mod interned_hot_path {
     use super::*;
     use d2tree::core::LocalIndex;
     use d2tree::metrics::MdsId;
-    use d2tree::namespace::NodeId;
 
     /// Reference resolver: walks components by comparing name *strings*
     /// against each child, independent of the symbol table and of the
@@ -270,28 +289,19 @@ mod interned_hot_path {
 
     /// Asserts all three resolution routes agree for every live node,
     /// and that `locate` (memoised) == `locate_uncached` == reference.
-    fn assert_equivalent(tree: &NamespaceTree, index: &LocalIndex) -> Result<(), TestCaseError> {
+    fn assert_equivalent(tree: &NamespaceTree, index: &LocalIndex) {
         for (id, _) in tree.nodes() {
             let path = tree.path_of(id);
-            prop_assert_eq!(tree.resolve(&path), Some(id));
-            prop_assert_eq!(string_walk(tree, &path), Some(id));
+            assert_eq!(tree.resolve(&path), Some(id));
+            assert_eq!(string_walk(tree, &path), Some(id));
             let syms = tree.intern_path(&path);
-            prop_assert!(syms.is_some(), "live path {} must intern", path);
-            prop_assert_eq!(tree.resolve_syms(&syms.unwrap()), Some(id));
+            assert!(syms.is_some(), "live path {} must intern", path);
+            assert_eq!(tree.resolve_syms(&syms.unwrap()), Some(id));
 
             let reference = walk_locate(tree, index, id);
-            prop_assert_eq!(index.locate(tree, id), reference);
-            prop_assert_eq!(index.locate_uncached(tree, id), reference);
+            assert_eq!(index.locate(tree, id), reference);
+            assert_eq!(index.locate_uncached(tree, id), reference);
         }
-        Ok(())
-    }
-
-    fn build(paths: &[String]) -> NamespaceTree {
-        let mut builder = TreeBuilder::new();
-        for p in paths {
-            let _ = builder.file(p);
-        }
-        builder.build()
     }
 
     fn spread_index(tree: &NamespaceTree) -> LocalIndex {
@@ -306,34 +316,27 @@ mod interned_hot_path {
         index
     }
 
-    proptest! {
-        #[test]
-        fn interned_resolution_matches_string_walk(paths in path_strategy()) {
-            let tree = build(&paths);
+    #[test]
+    fn interned_resolution_matches_string_walk() {
+        cases("interned_resolution_matches_string_walk", 32, |rng| {
+            let tree = random_tree(rng);
             let index = spread_index(&tree);
-            assert_equivalent(&tree, &index)?;
-        }
+            assert_equivalent(&tree, &index);
+        });
+    }
 
-        #[test]
-        fn equivalence_survives_mutation_sequences(
-            paths in path_strategy(),
-            kinds in proptest::collection::vec(0u8..4, 12),
-            picks_a in proptest::collection::vec(any::<prop::sample::Index>(), 12),
-            picks_b in proptest::collection::vec(any::<prop::sample::Index>(), 12),
-        ) {
-            let mut tree = build(&paths);
+    #[test]
+    fn equivalence_survives_mutation_sequences() {
+        cases("equivalence_survives_mutation_sequences", 32, |rng| {
+            let mut tree = random_tree(rng);
             let mut index = spread_index(&tree);
-            for ((&kind, a), b) in kinds.iter().zip(&picks_a).zip(&picks_b) {
-                let nodes: Vec<NodeId> = tree
-                    .nodes()
-                    .map(|(id, _)| id)
-                    .filter(|&id| id != tree.root())
-                    .collect();
+            for _ in 0..12 {
+                let nodes = non_root(&tree);
                 if nodes.is_empty() {
                     break;
                 }
-                let subject = nodes[a.index(nodes.len())];
-                match kind {
+                let subject = nodes[rng.gen_range(0..nodes.len())];
+                match rng.gen_range(0..4) {
                     0 => {
                         // Rename to a name outside the generator alphabet
                         // (collision-free), then keep it — later rounds
@@ -342,12 +345,8 @@ mod interned_hot_path {
                         let _ = tree.rename(subject, &fresh);
                     }
                     1 => {
-                        let dirs: Vec<NodeId> = tree
-                            .nodes()
-                            .filter(|(_, n)| n.kind().is_directory())
-                            .map(|(id, _)| id)
-                            .collect();
-                        let dest = dirs[b.index(dirs.len())];
+                        let dirs = dirs(&tree);
+                        let dest = dirs[rng.gen_range(0..dirs.len())];
                         let _ = tree.move_subtree(subject, dest);
                     }
                     2 => {
@@ -369,34 +368,35 @@ mod interned_hot_path {
                         if index.owner_of(subject).is_some() {
                             index.remove(subject);
                         } else {
-                            index.insert(subject, MdsId((b.index(7)) as u16));
+                            index.insert(subject, MdsId(rng.gen_range(0..7)));
                         }
                     }
                 }
-                assert_equivalent(&tree, &index)?;
+                assert_equivalent(&tree, &index);
             }
-        }
+        });
+    }
 
-        #[test]
-        fn stale_syms_track_renames(paths in path_strategy()) {
-            let mut tree = build(&paths);
-            let victim = match tree.nodes().map(|(id, _)| id).find(|&id| id != tree.root()) {
-                Some(v) => v,
-                None => return Ok(()),
+    #[test]
+    fn stale_syms_track_renames() {
+        cases("stale_syms_track_renames", 32, |rng| {
+            let mut tree = random_tree(rng);
+            let Some(&victim) = non_root(&tree).first() else {
+                return;
             };
             let path = tree.path_of(victim);
             let syms = tree.intern_path(&path).unwrap();
             let old_name = tree.node(victim).unwrap().name().to_owned();
             if tree.rename(victim, "zz_stale").is_ok() {
                 // The pre-rename symbol sequence no longer names a node…
-                prop_assert_eq!(tree.resolve_syms(&syms), None);
+                assert_eq!(tree.resolve_syms(&syms), None);
                 // …until the rename is undone, when it must work again
                 // (symbols are never reclaimed, so the Vec<Sym> is still
                 // valid).
                 tree.rename(victim, &old_name).unwrap();
-                prop_assert_eq!(tree.resolve_syms(&syms), Some(victim));
+                assert_eq!(tree.resolve_syms(&syms), Some(victim));
             }
-        }
+        });
     }
 }
 
@@ -528,9 +528,8 @@ mod same_trees {
 /// to symbol numbering and `version()`, or fail with the same error.
 mod one_pass_build {
     use super::*;
-    use d2tree::namespace::{NodeId, TreeError};
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use d2tree::namespace::TreeError;
+    use rand::SeedableRng;
     use std::collections::BTreeSet;
 
     /// `(parent, name, kind)` in arrival order.
@@ -625,49 +624,50 @@ mod one_pass_build {
 
     /// Node for node: parent, name, symbol, kind and the children in
     /// iteration order; then the counters.
-    fn assert_identical(a: &NamespaceTree, b: &NamespaceTree) -> Result<(), TestCaseError> {
-        prop_assert_eq!(a.arena_size(), b.arena_size());
-        prop_assert_eq!(a.node_count(), b.node_count());
-        prop_assert_eq!(a.version(), b.version());
-        prop_assert_eq!(a.symbols().len(), b.symbols().len());
+    fn assert_identical(a: &NamespaceTree, b: &NamespaceTree) {
+        assert_eq!(a.arena_size(), b.arena_size());
+        assert_eq!(a.node_count(), b.node_count());
+        assert_eq!(a.version(), b.version());
+        assert_eq!(a.symbols().len(), b.symbols().len());
         for slot in 0..a.arena_size() {
             let id = NodeId::from_index(slot);
             let (x, y) = (a.node(id).expect("live"), b.node(id).expect("live"));
-            prop_assert_eq!(x.parent(), y.parent());
-            prop_assert_eq!(x.name(), y.name());
-            prop_assert_eq!(x.name_sym(), y.name_sym());
-            prop_assert_eq!(x.kind(), y.kind());
-            prop_assert_eq!(
+            assert_eq!(x.parent(), y.parent());
+            assert_eq!(x.name(), y.name());
+            assert_eq!(x.name_sym(), y.name_sym());
+            assert_eq!(x.kind(), y.kind());
+            assert_eq!(
                 x.children().collect::<Vec<_>>(),
                 y.children().collect::<Vec<_>>(),
                 "children of {}",
                 id
             );
         }
-        Ok(())
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(200))]
-
-        #[test]
-        fn one_pass_build_equals_the_creates_it_replaces(seed in any::<u64>()) {
-            let list = node_list(&mut StdRng::seed_from_u64(seed));
-            match (by_creates(&list), in_one_pass(&list)) {
-                (Ok(want), Ok(got)) => {
-                    assert_identical(&want, &got)?;
-                    // Both keep growing the same way from there.
-                    let (mut want, mut got) = (want, got);
-                    for tree in [&mut want, &mut got] {
-                        for slot in 0..tree.arena_size() {
-                            let _ = tree.create(NodeId::from_index(slot), "z", NodeKind::File);
+    #[test]
+    fn one_pass_build_equals_the_creates_it_replaces() {
+        cases(
+            "one_pass_build_equals_the_creates_it_replaces",
+            200,
+            |rng| {
+                let list = node_list(rng);
+                match (by_creates(&list), in_one_pass(&list)) {
+                    (Ok(want), Ok(got)) => {
+                        assert_identical(&want, &got);
+                        // Both keep growing the same way from there.
+                        let (mut want, mut got) = (want, got);
+                        for tree in [&mut want, &mut got] {
+                            for slot in 0..tree.arena_size() {
+                                let _ = tree.create(NodeId::from_index(slot), "z", NodeKind::File);
+                            }
                         }
+                        assert_identical(&want, &got);
                     }
-                    assert_identical(&want, &got)?;
+                    (want, got) => assert_eq!(want.err(), got.err()),
                 }
-                (want, got) => prop_assert_eq!(want.err(), got.err()),
-            }
-        }
+            },
+        );
     }
 
     /// Every outcome is generated: a clean list and each defect.
@@ -697,9 +697,6 @@ mod one_pass_build {
 /// vacate spans that later growth reuses.
 mod arena_model {
     use super::*;
-    use d2tree::namespace::NodeId;
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
     use std::collections::BTreeMap;
 
     /// `(parent, name, kind)` per arena slot, `None` once removed, and
@@ -808,11 +805,7 @@ mod arena_model {
     }
 
     /// One directory's children: ids and names, in iteration order.
-    fn assert_same_children(
-        tree: &NamespaceTree,
-        model: &Model,
-        dir: NodeId,
-    ) -> Result<(), TestCaseError> {
+    fn assert_same_children(tree: &NamespaceTree, model: &Model, dir: NodeId) {
         let node = tree.node(dir).expect("live");
         let got: Vec<(&str, NodeId)> = node
             .children()
@@ -822,154 +815,172 @@ mod arena_model {
             .iter()
             .map(|(name, &id)| (name.as_str(), id))
             .collect();
-        prop_assert_eq!(node.child_count(), want.len());
-        prop_assert_eq!(got, want, "children of {}", dir);
-        Ok(())
+        assert_eq!(node.child_count(), want.len());
+        assert_eq!(got, want, "children of {}", dir);
     }
 
-    fn assert_same(tree: &NamespaceTree, model: &Model) -> Result<(), TestCaseError> {
-        prop_assert_eq!(tree.arena_size(), model.nodes.len());
+    fn assert_same(tree: &NamespaceTree, model: &Model) {
+        assert_eq!(tree.arena_size(), model.nodes.len());
         let live = model.nodes.iter().flatten().count();
-        prop_assert_eq!(tree.node_count(), live);
-        prop_assert_eq!(tree.nodes().count(), live);
+        assert_eq!(tree.node_count(), live);
+        assert_eq!(tree.nodes().count(), live);
         for slot in 0..model.nodes.len() {
             let id = NodeId::from_index(slot);
             let Some((parent, name, kind)) = model.live(id) else {
-                prop_assert!(tree.node(id).is_none() && !tree.contains(id));
-                prop_assert_eq!(tree.chain_up(id).collect::<Vec<_>>(), vec![id]);
-                prop_assert_eq!(tree.descendants(id).count(), 0);
+                assert!(tree.node(id).is_none() && !tree.contains(id));
+                assert_eq!(tree.chain_up(id).collect::<Vec<_>>(), vec![id]);
+                assert_eq!(tree.descendants(id).count(), 0);
                 continue;
             };
             let node = tree.node(id).expect("live in the model");
-            prop_assert_eq!(node.parent(), *parent);
-            prop_assert_eq!(node.name(), name.as_str());
-            prop_assert_eq!(node.kind(), *kind);
-            assert_same_children(tree, model, id)?;
+            assert_eq!(node.parent(), *parent);
+            assert_eq!(node.name(), name.as_str());
+            assert_eq!(node.kind(), *kind);
+            assert_same_children(tree, model, id);
             let path = tree.path_of(id);
-            prop_assert_eq!(path.to_string(), model.path(id));
-            prop_assert_eq!(tree.resolve(&path), Some(id));
+            assert_eq!(path.to_string(), model.path(id));
+            assert_eq!(tree.resolve(&path), Some(id));
         }
         let mut preorder = Vec::new();
         model.preorder(tree.root(), &mut preorder);
-        prop_assert_eq!(tree.descendants(tree.root()).collect::<Vec<_>>(), preorder);
-        Ok(())
+        assert_eq!(tree.descendants(tree.root()).collect::<Vec<_>>(), preorder);
     }
 
     /// Fan-out steps that land on and just past each span size class.
     const BURSTS: [usize; 10] = [1, 1, 2, 3, 5, 9, 17, 33, 65, 257];
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(10))]
-
-        #[test]
-        fn arena_matches_a_btreemap_model_across_span_moves(seed in any::<u64>()) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut model = Model::new();
-            // Names from a small space, scattered so inserts land
-            // anywhere in a span and collide now and then.
-            let name = |rng: &mut StdRng| format!("{}{}", ["a", "b", "é"][rng.gen_range(0..3)], rng.gen_range(0..900));
-
-            // The tree starts built in one pass, so what follows mutates
-            // the span layout that path produces: a hub and a side
-            // directory with a random head start, and a few more
-            // directories with children of their own.
-            let (hub, side) = (NodeId::from_index(1), NodeId::from_index(2));
-            let mut tree = NamespaceTree::build(0, |tree| {
-                let mut dirs = vec![NodeId::ROOT];
-                for label in ["hub", "side"] {
-                    let id = tree.append(NodeId::ROOT, label, NodeKind::Directory)?;
-                    assert_eq!(model.create(NodeId::ROOT, label, NodeKind::Directory), Some(id));
-                    dirs.push(id);
-                }
-                for _ in 0..rng.gen_range(0..200) {
-                    let dir = dirs[rng.gen_range(0..dirs.len())];
-                    let name = name(&mut rng);
-                    let kind = if rng.gen_range(0..8) == 0 {
-                        NodeKind::Directory
-                    } else {
-                        NodeKind::File
-                    };
-                    if let Some(id) = model.create(dir, &name, kind) {
-                        assert_eq!(tree.append(dir, &name, kind)?, id);
-                        if kind.is_directory() {
-                            dirs.push(id);
-                        }
-                    }
-                }
-                Ok(())
-            })
-            .expect("the model admits only valid nodes");
-            assert_same(&tree, &model)?;
-
-            // Up through every size class one child at a time, then
-            // down again from the middle, beside a second directory
-            // whose growth interleaves with it in the pool.
-            while model.kids[hub.index()].len() < 300 {
-                for dir in [hub, side] {
-                    let name = name(&mut rng);
-                    let made = tree.create(dir, &name, NodeKind::File).ok();
-                    prop_assert_eq!(made, model.create(dir, &name, NodeKind::File));
-                    assert_same_children(&tree, &model, dir)?;
-                }
-            }
-            assert_same(&tree, &model)?;
-            while model.kids[hub.index()].len() > 3 {
-                let at = rng.gen_range(0..model.kids[hub.index()].len());
-                let victim = *model.kids[hub.index()].values().nth(at).unwrap();
-                prop_assert_eq!(tree.remove_subtree(victim).ok(), model.remove_subtree(victim));
-                assert_same_children(&tree, &model, hub)?;
-            }
-            assert_same(&tree, &model)?;
-
-            for step in 0..40 {
-                let any_id = |rng: &mut StdRng| NodeId::from_index(rng.gen_range(0..model.nodes.len()));
-                let subject = any_id(&mut rng);
-                // Mostly a live directory; sometimes any slot, so files
-                // and tombstones are refused the same way.
-                let dirs: Vec<NodeId> = (0..model.nodes.len())
-                    .map(NodeId::from_index)
-                    .filter(|&id| model.is_dir(id))
-                    .collect();
-                let dir = if rng.gen_range(0..8) == 0 {
-                    any_id(&mut rng)
-                } else {
-                    dirs[rng.gen_range(0..dirs.len())]
+    #[test]
+    fn arena_matches_a_btreemap_model_across_span_moves() {
+        cases(
+            "arena_matches_a_btreemap_model_across_span_moves",
+            10,
+            |rng| {
+                let mut model = Model::new();
+                // Names from a small space, scattered so inserts land
+                // anywhere in a span and collide now and then.
+                let name = |rng: &mut StdRng| {
+                    format!(
+                        "{}{}",
+                        ["a", "b", "é"][rng.gen_range(0..3)],
+                        rng.gen_range(0..900)
+                    )
                 };
-                match rng.gen_range(0..10) {
-                    0..=4 => {
-                        for _ in 0..BURSTS[rng.gen_range(0..BURSTS.len())] {
-                            let name = name(&mut rng);
-                            let kind = if rng.gen_range(0..4) == 0 {
-                                NodeKind::Directory
-                            } else {
-                                NodeKind::File
-                            };
-                            let made = tree.create(dir, &name, kind).ok();
-                            prop_assert_eq!(made, model.create(dir, &name, kind));
+
+                // The tree starts built in one pass, so what follows mutates
+                // the span layout that path produces: a hub and a side
+                // directory with a random head start, and a few more
+                // directories with children of their own.
+                let (hub, side) = (NodeId::from_index(1), NodeId::from_index(2));
+                let mut tree = NamespaceTree::build(0, |tree| {
+                    let mut dirs = vec![NodeId::ROOT];
+                    for label in ["hub", "side"] {
+                        let id = tree.append(NodeId::ROOT, label, NodeKind::Directory)?;
+                        assert_eq!(
+                            model.create(NodeId::ROOT, label, NodeKind::Directory),
+                            Some(id)
+                        );
+                        dirs.push(id);
+                    }
+                    for _ in 0..rng.gen_range(0..200) {
+                        let dir = dirs[rng.gen_range(0..dirs.len())];
+                        let name = name(rng);
+                        let kind = if rng.gen_range(0..8) == 0 {
+                            NodeKind::Directory
+                        } else {
+                            NodeKind::File
+                        };
+                        if let Some(id) = model.create(dir, &name, kind) {
+                            assert_eq!(tree.append(dir, &name, kind)?, id);
+                            if kind.is_directory() {
+                                dirs.push(id);
+                            }
                         }
                     }
-                    5 | 6 => {
-                        let name = name(&mut rng);
-                        prop_assert_eq!(tree.rename(subject, &name).is_ok(), model.rename(subject, &name));
-                    }
-                    7 | 8 => {
-                        prop_assert_eq!(tree.move_subtree(subject, dir).is_ok(), model.move_subtree(subject, dir));
-                    }
-                    _ => {
-                        prop_assert_eq!(tree.remove_subtree(dir).ok(), model.remove_subtree(dir));
+                    Ok(())
+                })
+                .expect("the model admits only valid nodes");
+                assert_same(&tree, &model);
+
+                // Up through every size class one child at a time, then
+                // down again from the middle, beside a second directory
+                // whose growth interleaves with it in the pool.
+                while model.kids[hub.index()].len() < 300 {
+                    for dir in [hub, side] {
+                        let name = name(rng);
+                        let made = tree.create(dir, &name, NodeKind::File).ok();
+                        assert_eq!(made, model.create(dir, &name, NodeKind::File));
+                        assert_same_children(&tree, &model, dir);
                     }
                 }
-                assert_same(&tree, &model)?;
-                if step % 8 == 7 {
-                    // Carry on in a clone: same content, its own identity.
-                    let copy = tree.clone();
-                    prop_assert_ne!(copy.identity(), tree.identity());
-                    prop_assert_eq!(copy.version(), tree.version());
-                    assert_same(&copy, &model)?;
-                    tree = copy;
+                assert_same(&tree, &model);
+                while model.kids[hub.index()].len() > 3 {
+                    let at = rng.gen_range(0..model.kids[hub.index()].len());
+                    let victim = *model.kids[hub.index()].values().nth(at).unwrap();
+                    assert_eq!(
+                        tree.remove_subtree(victim).ok(),
+                        model.remove_subtree(victim)
+                    );
+                    assert_same_children(&tree, &model, hub);
                 }
-            }
-        }
+                assert_same(&tree, &model);
+
+                for step in 0..40 {
+                    let any_id =
+                        |rng: &mut StdRng| NodeId::from_index(rng.gen_range(0..model.nodes.len()));
+                    let subject = any_id(rng);
+                    // Mostly a live directory; sometimes any slot, so files
+                    // and tombstones are refused the same way.
+                    let dirs: Vec<NodeId> = (0..model.nodes.len())
+                        .map(NodeId::from_index)
+                        .filter(|&id| model.is_dir(id))
+                        .collect();
+                    let dir = if rng.gen_range(0..8) == 0 {
+                        any_id(rng)
+                    } else {
+                        dirs[rng.gen_range(0..dirs.len())]
+                    };
+                    match rng.gen_range(0..10) {
+                        0..=4 => {
+                            for _ in 0..BURSTS[rng.gen_range(0..BURSTS.len())] {
+                                let name = name(rng);
+                                let kind = if rng.gen_range(0..4) == 0 {
+                                    NodeKind::Directory
+                                } else {
+                                    NodeKind::File
+                                };
+                                let made = tree.create(dir, &name, kind).ok();
+                                assert_eq!(made, model.create(dir, &name, kind));
+                            }
+                        }
+                        5 | 6 => {
+                            let name = name(rng);
+                            assert_eq!(
+                                tree.rename(subject, &name).is_ok(),
+                                model.rename(subject, &name)
+                            );
+                        }
+                        7 | 8 => {
+                            assert_eq!(
+                                tree.move_subtree(subject, dir).is_ok(),
+                                model.move_subtree(subject, dir)
+                            );
+                        }
+                        _ => {
+                            assert_eq!(tree.remove_subtree(dir).ok(), model.remove_subtree(dir));
+                        }
+                    }
+                    assert_same(&tree, &model);
+                    if step % 8 == 7 {
+                        // Carry on in a clone: same content, its own identity.
+                        let copy = tree.clone();
+                        assert_ne!(copy.identity(), tree.identity());
+                        assert_eq!(copy.version(), tree.version());
+                        assert_same(&copy, &model);
+                        tree = copy;
+                    }
+                }
+            },
+        );
     }
 }
 
@@ -979,9 +990,7 @@ mod arena_model {
 /// nothing of maps or bitmaps.
 mod attr_model {
     use super::*;
-    use d2tree::namespace::{AttrTable, FileAttr, NodeId, VersionedAttr};
-    use rand::rngs::StdRng;
-    use rand::{Rng, SeedableRng};
+    use d2tree::namespace::{AttrTable, FileAttr, VersionedAttr};
     use std::panic::{catch_unwind, AssertUnwindSafe};
 
     /// The parent commit's `AttrTable` — a `VersionedAttr` per arena
@@ -1065,27 +1074,22 @@ mod attr_model {
         }
     }
 
-    fn assert_same(
-        table: &AttrTable,
-        dense: &Dense,
-        tree: &NamespaceTree,
-        rng: &mut StdRng,
-    ) -> Result<(), TestCaseError> {
-        prop_assert_eq!(table.len(), dense.records.len());
+    fn assert_same(table: &AttrTable, dense: &Dense, tree: &NamespaceTree, rng: &mut StdRng) {
+        assert_eq!(table.len(), dense.records.len());
         let mut left_default = 0;
         for (slot, &want) in dense.records.iter().enumerate() {
             let id = NodeId::from_index(slot);
-            prop_assert_eq!(table.get(id), want, "slot {}", slot);
+            assert_eq!(table.get(id), want, "slot {}", slot);
             let kind = tree.node(id).expect("nothing is removed").kind();
             left_default += usize::from(want != default_of(kind));
         }
         // Sparse means sparse: a record per slot that left its default.
-        prop_assert_eq!(table.record_count(), left_default);
-        prop_assert_eq!(table.records().count(), left_default);
+        assert_eq!(table.record_count(), left_default);
+        assert_eq!(table.records().count(), left_default);
         for _ in 0..8 {
             let node = NodeId::from_index(rng.gen_range(0..dense.records.len()));
             let (uid, gid) = (IDS[rng.gen_range(0..3)], IDS[rng.gen_range(0..3)]);
-            prop_assert_eq!(
+            assert_eq!(
                 table.permission_walk(tree, node, uid, gid),
                 dense.permission_walk(tree, node, uid, gid),
                 "walk to {} as {}:{}",
@@ -1094,7 +1098,6 @@ mod attr_model {
                 gid
             );
         }
-        Ok(())
     }
 
     /// Every entry point refuses an id outside the table by panicking.
@@ -1111,58 +1114,77 @@ mod attr_model {
         assert!(catch_unwind(AssertUnwindSafe(|| scratch.apply_if_newer(id, incoming))).is_err());
     }
 
-    proptest! {
-        #![proptest_config(ProptestConfig::with_cases(24))]
+    #[test]
+    fn sparse_table_matches_the_dense_one_it_replaced() {
+        cases(
+            "sparse_table_matches_the_dense_one_it_replaced",
+            24,
+            |rng| {
+                let mut tree = NamespaceTree::new();
+                let mut dirs = vec![tree.root()];
+                let mut grow = |tree: &mut NamespaceTree, rng: &mut StdRng, at_least: usize| {
+                    for _ in 0..rng.gen_range(at_least..70) {
+                        let parent = dirs[rng.gen_range(0..dirs.len())];
+                        let kind = if rng.gen_range(0..3) == 0 {
+                            NodeKind::Directory
+                        } else {
+                            NodeKind::File
+                        };
+                        let id = tree
+                            .create(parent, &format!("n{}", tree.arena_size()), kind)
+                            .unwrap();
+                        if kind.is_directory() {
+                            dirs.push(id);
+                        }
+                    }
+                };
+                grow(&mut tree, rng, 0);
+                let mut table = AttrTable::new(&tree);
+                let mut dense = Dense::new(&tree);
+                assert_same(&table, &dense, &tree, rng);
 
-        #[test]
-        fn sparse_table_matches_the_dense_one_it_replaced(seed in any::<u64>()) {
-            let mut rng = StdRng::seed_from_u64(seed);
-            let mut tree = NamespaceTree::new();
-            let mut dirs = vec![tree.root()];
-            let mut grow = |tree: &mut NamespaceTree, rng: &mut StdRng, at_least: usize| {
-                for _ in 0..rng.gen_range(at_least..70) {
-                    let parent = dirs[rng.gen_range(0..dirs.len())];
-                    let kind = if rng.gen_range(0..3) == 0 { NodeKind::Directory } else { NodeKind::File };
-                    let id = tree.create(parent, &format!("n{}", tree.arena_size()), kind).unwrap();
-                    if kind.is_directory() {
-                        dirs.push(id);
+                for _ in 0..120 {
+                    let node = NodeId::from_index(rng.gen_range(0..tree.arena_size()));
+                    match rng.gen_range(0..10) {
+                        0..=3 => {
+                            let to = random_attr(rng);
+                            // Sometimes a mutation that changes nothing: the
+                            // version still moves, so the record stays.
+                            let changes = rng.gen_range(0..5) != 0;
+                            let mutate = |a: &mut FileAttr| {
+                                if changes {
+                                    *a = to
+                                }
+                            };
+                            assert_eq!(table.update(node, mutate), dense.update(node, mutate));
+                        }
+                        4..=6 => {
+                            // Older, equal and newer in equal measure.
+                            let version = (dense.records[node.index()].version
+                                + rng.gen_range(0..3u64))
+                            .saturating_sub(1);
+                            let incoming = VersionedAttr {
+                                attr: random_attr(rng),
+                                version,
+                            };
+                            assert_eq!(
+                                table.apply_if_newer(node, incoming),
+                                dense.apply_if_newer(node, incoming)
+                            );
+                        }
+                        7 | 8 => {
+                            let first_new = NodeId::from_index(tree.arena_size());
+                            grow(&mut tree, rng, 1);
+                            assert_outside(&table, &tree, first_new);
+                            table.resize_for(&tree);
+                            dense.resize_for(&tree);
+                        }
+                        _ => table = table.clone(),
                     }
+                    assert_same(&table, &dense, &tree, rng);
                 }
-            };
-            grow(&mut tree, &mut rng, 0);
-            let mut table = AttrTable::new(&tree);
-            let mut dense = Dense::new(&tree);
-            assert_same(&table, &dense, &tree, &mut rng)?;
-
-            for _ in 0..120 {
-                let node = NodeId::from_index(rng.gen_range(0..tree.arena_size()));
-                match rng.gen_range(0..10) {
-                    0..=3 => {
-                        let to = random_attr(&mut rng);
-                        // Sometimes a mutation that changes nothing: the
-                        // version still moves, so the record stays.
-                        let changes = rng.gen_range(0..5) != 0;
-                        let mutate = |a: &mut FileAttr| if changes { *a = to };
-                        prop_assert_eq!(table.update(node, mutate), dense.update(node, mutate));
-                    }
-                    4..=6 => {
-                        // Older, equal and newer in equal measure.
-                        let version = (dense.records[node.index()].version + rng.gen_range(0..3u64)).saturating_sub(1);
-                        let incoming = VersionedAttr { attr: random_attr(&mut rng), version };
-                        prop_assert_eq!(table.apply_if_newer(node, incoming), dense.apply_if_newer(node, incoming));
-                    }
-                    7 | 8 => {
-                        let first_new = NodeId::from_index(tree.arena_size());
-                        grow(&mut tree, &mut rng, 1);
-                        assert_outside(&table, &tree, first_new);
-                        table.resize_for(&tree);
-                        dense.resize_for(&tree);
-                    }
-                    _ => table = table.clone(),
-                }
-                assert_same(&table, &dense, &tree, &mut rng)?;
-            }
-            assert_outside(&table, &tree, NodeId::from_index(tree.arena_size()));
-        }
+                assert_outside(&table, &tree, NodeId::from_index(tree.arena_size()));
+            },
+        );
     }
 }

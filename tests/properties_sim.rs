@@ -1,10 +1,13 @@
 //! Property-based tests of the discrete-event cluster simulator.
 
+mod support;
+
 use d2tree::cluster::{SimConfig, Simulator};
 use d2tree::core::{D2TreeConfig, D2TreeScheme, Partitioner};
 use d2tree::metrics::ClusterSpec;
 use d2tree::workload::{TraceProfile, WorkloadBuilder};
-use proptest::prelude::*;
+use rand::Rng;
+use support::cases;
 
 fn built_scheme(seed: u64, m: usize) -> (d2tree::workload::Workload, D2TreeScheme) {
     let w = WorkloadBuilder::new(TraceProfile::lmbe().with_nodes(400).with_operations(2_000))
@@ -16,16 +19,11 @@ fn built_scheme(seed: u64, m: usize) -> (d2tree::workload::Workload, D2TreeSchem
     (w, scheme)
 }
 
-proptest! {
-    #![proptest_config(ProptestConfig::with_cases(16))]
-
-    #[test]
-    fn every_config_completes_every_op(
-        seed in 0u64..100,
-        m in 1usize..10,
-        clients in 1usize..300,
-        workers in 1usize..4,
-    ) {
+#[test]
+fn every_config_completes_every_op() {
+    cases("every_config_completes_every_op", 16, |rng| {
+        let (seed, m) = (rng.gen_range(0..100), rng.gen_range(1..10));
+        let (clients, workers) = (rng.gen_range(1..300), rng.gen_range(1..4));
         let (w, scheme) = built_scheme(seed, m);
         let sim = Simulator::new(SimConfig {
             clients,
@@ -34,30 +32,41 @@ proptest! {
             ..SimConfig::default()
         });
         let out = sim.replay(&w.tree, &w.trace, &scheme);
-        prop_assert_eq!(out.completed, w.trace.len());
-        prop_assert_eq!(out.served_ops.iter().sum::<u64>() as usize, w.trace.len());
-        prop_assert_eq!(out.served_ops.len(), m);
-        prop_assert!(out.sim_seconds > 0.0);
-        prop_assert!(out.throughput.is_finite());
-        prop_assert!(out.p99_latency_us + 1e-9 >= out.mean_latency_us * 0.1);
-    }
+        assert_eq!(out.completed, w.trace.len());
+        assert_eq!(out.served_ops.iter().sum::<u64>() as usize, w.trace.len());
+        assert_eq!(out.served_ops.len(), m);
+        assert!(out.sim_seconds > 0.0);
+        assert!(out.throughput.is_finite());
+        assert!(out.p99_latency_us + 1e-9 >= out.mean_latency_us * 0.1);
+    });
+}
 
-    #[test]
-    fn latency_floor_is_respected(seed in 0u64..100, m in 1usize..8) {
+#[test]
+fn latency_floor_is_respected() {
+    cases("latency_floor_is_respected", 16, |rng| {
+        let (seed, m) = (rng.gen_range(0..100), rng.gen_range(1..8));
         // No op can finish faster than two client legs plus one service.
         let (w, scheme) = built_scheme(seed, m);
-        let config = SimConfig { clients: 8, seed, ..SimConfig::default() };
-        let floor_us =
-            (2 * config.client_latency_ns + config.read_service_ns) as f64 / 1e3;
+        let config = SimConfig {
+            clients: 8,
+            seed,
+            ..SimConfig::default()
+        };
+        let floor_us = (2 * config.client_latency_ns + config.read_service_ns) as f64 / 1e3;
         let out = Simulator::new(config).replay(&w.tree, &w.trace, &scheme);
-        prop_assert!(
+        assert!(
             out.mean_latency_us + 1e-9 >= floor_us,
-            "mean {} below physical floor {floor_us}", out.mean_latency_us
+            "mean {} below physical floor {floor_us}",
+            out.mean_latency_us
         );
-    }
+    });
+}
 
-    #[test]
-    fn busy_time_never_exceeds_capacity(seed in 0u64..100, m in 1usize..8, workers in 1usize..4) {
+#[test]
+fn busy_time_never_exceeds_capacity() {
+    cases("busy_time_never_exceeds_capacity", 16, |rng| {
+        let (seed, m) = (rng.gen_range(0..100), rng.gen_range(1..8));
+        let workers = rng.gen_range(1..4);
         let (w, scheme) = built_scheme(seed, m);
         let sim = Simulator::new(SimConfig {
             clients: 64,
@@ -68,24 +77,34 @@ proptest! {
         let out = sim.replay(&w.tree, &w.trace, &scheme);
         let wall_ns = out.sim_seconds * 1e9;
         for &busy in &out.server_busy_ns {
-            prop_assert!(
+            assert!(
                 busy as f64 <= wall_ns * workers as f64 + 1.0,
                 "server busier ({busy}) than {workers} workers allow over {wall_ns}"
             );
         }
-    }
+    });
+}
 
-    #[test]
-    fn fewer_clients_never_increase_throughput_much(seed in 0u64..50) {
+#[test]
+fn fewer_clients_never_increase_throughput_much() {
+    cases("fewer_clients_never_increase_throughput_much", 16, |rng| {
+        let seed = rng.gen_range(0..50);
         // Closed-loop: more clients can only add offered load.
         let (w, scheme) = built_scheme(seed, 4);
         let run = |clients: usize| {
-            Simulator::new(SimConfig { clients, seed, ..SimConfig::default() })
-                .replay(&w.tree, &w.trace, &scheme)
-                .throughput
+            Simulator::new(SimConfig {
+                clients,
+                seed,
+                ..SimConfig::default()
+            })
+            .replay(&w.tree, &w.trace, &scheme)
+            .throughput
         };
         let few = run(4);
         let many = run(64);
-        prop_assert!(many + 1e-9 >= few * 0.9, "throughput fell hard: {few} -> {many}");
-    }
+        assert!(
+            many + 1e-9 >= few * 0.9,
+            "throughput fell hard: {few} -> {many}"
+        );
+    });
 }

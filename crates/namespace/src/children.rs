@@ -38,6 +38,18 @@ fn capacity(len: usize) -> usize {
     }
 }
 
+/// A name's first eight bytes, big-endian and zero-padded. Where two
+/// prefixes differ they order as the names do: at the first byte they
+/// differ in, either both names have a real byte, or the shorter has run
+/// out against a nonzero byte of the longer — so it is a proper prefix
+/// of the longer name and sorts first either way.
+fn name_prefix(name: &[u8]) -> u64 {
+    let mut prefix = [0; 8];
+    let n = name.len().min(8);
+    prefix[..n].copy_from_slice(&name[..n]);
+    u64::from_be_bytes(prefix)
+}
+
 /// The child edges of every node of one tree.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ChildPool {
@@ -118,8 +130,14 @@ impl ChildPool {
     /// whose pool is still empty, each span sorted by name. On two
     /// siblings with one name, returns that name's symbol.
     ///
-    /// Allocates only the pool: the span table counts the edges, then
-    /// serves as each span's fill cursor.
+    /// A span sorts by each name's first eight bytes, read big-endian
+    /// and zero-padded — an integer whose order is the names' order
+    /// wherever two differ — and compares whole names only where those
+    /// tie, so most comparisons touch no name bytes.
+    ///
+    /// Allocates only the pool and one scratch vector for the largest
+    /// span: the span table counts the edges, then serves as each span's
+    /// fill cursor.
     pub(crate) fn lay_out<I>(&mut self, links: I, table: &SymbolTable) -> Result<(), Sym>
     where
         I: Iterator<Item = (NodeId, Sym, NodeId)> + Clone,
@@ -128,11 +146,12 @@ impl ChildPool {
         for (parent, ..) in links.clone() {
             self.spans[parent.index()].len += 1;
         }
-        let mut end = 0;
+        let (mut end, mut widest) = (0, 0);
         for span in &mut self.spans {
             let len = std::mem::take(&mut span.len) as usize;
             span.start = u32::try_from(end).expect("edge pool fits in u32");
             end += capacity(len);
+            widest = widest.max(len);
         }
         self.edges = vec![(Sym(0), NodeId::from_index(0)); end];
         for (parent, sym, child) in links {
@@ -140,9 +159,22 @@ impl ChildPool {
             self.edges[(span.start + span.len) as usize] = (sym, child);
             span.len += 1;
         }
+        let mut keyed: Vec<(u64, Sym, NodeId)> = Vec::with_capacity(widest);
         for span in &self.spans {
             let edges = &mut self.edges[span.start as usize..][..span.len as usize];
-            edges.sort_unstable_by(|&(a, _), &(b, _)| table.bytes_of(a).cmp(table.bytes_of(b)));
+            keyed.clear();
+            keyed.extend(
+                edges
+                    .iter()
+                    .map(|&(sym, id)| (name_prefix(table.bytes_of(sym)), sym, id)),
+            );
+            keyed.sort_unstable_by(|a, b| {
+                a.0.cmp(&b.0)
+                    .then_with(|| table.bytes_of(a.1).cmp(table.bytes_of(b.1)))
+            });
+            for (edge, &(_, sym, id)) in edges.iter_mut().zip(&keyed) {
+                *edge = (sym, id);
+            }
             if let Some(pair) = edges.windows(2).find(|pair| pair[0].0 == pair[1].0) {
                 return Err(pair[0].0);
             }

@@ -12,7 +12,10 @@
 //! an offsets column marking where each begins, so `Sym` doubles as an
 //! index and a name costs its bytes plus four — no allocation of its
 //! own. Symbols are never removed — the arena only grows, and removal
-//! bookkeeping would cost more than it frees.
+//! bookkeeping would cost more than it frees. A one-pass tree build
+//! pushes its names unprobed and settles them in blocks at the end (see
+//! [`SymbolTable::settle`]), with the symbols one-at-a-time interning
+//! gives.
 
 /// Interned name handle: an index into the owning tree's [`SymbolTable`].
 ///
@@ -136,28 +139,124 @@ impl SymbolTable {
             Ok(sym) => return (sym, false),
             Err(slot) => slot,
         };
-        // Keep the load factor below 1/2 so probe chains stay short.
-        if (self.len() + 1) * 2 > self.slots.len() {
-            self.grow();
+        if self.needs_growth(self.len()) {
+            self.grow(self.len());
             slot = self
                 .probe(name.as_bytes())
                 .expect_err("the name was absent before the table grew");
         }
+        let sym = self.push_name(name);
+        self.slots[slot] = sym.0;
+        (sym, true)
+    }
+
+    /// Appends `name` as the next symbol without looking it up or
+    /// entering it into the probe table. [`intern_new`](Self::intern_new)
+    /// enters it at once; a tree build leaves it *pending*, unseen by
+    /// lookups, until [`settle`](Self::settle) enters it or merges it
+    /// into an earlier symbol of the same name.
+    pub(crate) fn push_name(&mut self, name: &str) -> Sym {
         let sym = Sym(u32::try_from(self.len()).expect("symbol count fits in u32"));
         self.bytes.extend_from_slice(name.as_bytes());
         self.offsets
             .push(u32::try_from(self.bytes.len()).expect("name arena fits in u32"));
-        self.slots[slot] = sym.0;
-        (sym, true)
+        sym
+    }
+
+    /// Interns the pending symbols from `first` on, in order, as
+    /// [`intern`](Self::intern) would have one at a time: a name seen
+    /// before merges into the earlier symbol and its bytes are dropped,
+    /// so every name gets the symbol, and the probe table the slots,
+    /// that `intern` would have given. Returns `None` when every pending
+    /// name was new, so each pending symbol stands; otherwise the symbol
+    /// pending symbol `first + i` became, at `i`.
+    ///
+    /// Works 64 names at a time: every name's hash, then every name's
+    /// home slot, then the probes in order. The home-slot loads — one
+    /// likely cache miss per name in a large table — no longer wait on
+    /// each other. A slot is only ever written while empty, so a home
+    /// found occupied still holds that symbol when its probe runs.
+    pub(crate) fn settle(&mut self, first: usize) -> Option<Vec<Sym>> {
+        const BLOCK: usize = 64;
+        let total = self.len();
+        let mut merged: Option<Vec<Sym>> = None;
+        // Symbols settled so far, and where the next pending name starts.
+        let mut kept = first;
+        let mut from = self.offsets[first] as usize;
+        for block in (first..total).step_by(BLOCK) {
+            let n = (total - block).min(BLOCK);
+            // A name only moves down, over merged names' bytes, so the
+            // block's ends still read as pushed.
+            let (mut ends, mut hashes, mut homes) = ([0; BLOCK], [0; BLOCK], [0; BLOCK]);
+            let mut start = from;
+            for k in 0..n {
+                ends[k] = self.offsets[block + k + 1] as usize;
+                hashes[k] = fnv1a(&self.bytes[start..ends[k]]);
+                start = ends[k];
+            }
+            self.load_homes(&hashes[..n], &mut homes[..n]);
+            for k in 0..n {
+                let (start, end) = (from, ends[k]);
+                from = end;
+                let home = hashes[k] as usize & (self.slots.len() - 1);
+                let raw = if homes[k] == EMPTY_SLOT {
+                    self.slots[home]
+                } else {
+                    homes[k]
+                };
+                let sym = match self.probe_from(home, raw, &self.bytes[start..end]) {
+                    Ok(earlier) => {
+                        // Every symbol before the first merge stood.
+                        merged.get_or_insert_with(|| {
+                            (first..block + k).map(|s| Sym(s as u32)).collect()
+                        });
+                        earlier
+                    }
+                    Err(mut slot) => {
+                        if self.needs_growth(kept) {
+                            self.grow(kept);
+                            self.load_homes(&hashes[k + 1..n], &mut homes[k + 1..n]);
+                            slot = self
+                                .probe(&self.bytes[start..end])
+                                .expect_err("the name was absent before the table grew");
+                        }
+                        let at = self.offsets[kept] as usize;
+                        self.bytes.copy_within(start..end, at);
+                        self.offsets[kept + 1] = (at + end - start) as u32;
+                        self.slots[slot] = kept as u32;
+                        kept += 1;
+                        Sym(kept as u32 - 1)
+                    }
+                };
+                if let Some(merged) = &mut merged {
+                    merged.push(sym);
+                }
+            }
+        }
+        self.bytes.truncate(self.offsets[kept] as usize);
+        self.offsets.truncate(kept + 1);
+        merged
+    }
+
+    /// The home slot of each hash, loaded in one pass.
+    fn load_homes(&self, hashes: &[u64], homes: &mut [u32]) {
+        let mask = self.slots.len() - 1;
+        for (home, &hash) in homes.iter_mut().zip(hashes) {
+            *home = self.slots[hash as usize & mask];
+        }
     }
 
     /// Walks `name`'s probe chain: its symbol, or the empty slot that
     /// ends the chain, where it would be placed.
     fn probe(&self, name: &[u8]) -> Result<Sym, usize> {
+        let home = (fnv1a(name) as usize) & (self.slots.len() - 1);
+        self.probe_from(home, self.slots[home], name)
+    }
+
+    /// [`probe`](Self::probe) from slot `i`, which holds `raw`.
+    fn probe_from(&self, mut i: usize, mut raw: u32, name: &[u8]) -> Result<Sym, usize> {
         let mask = self.slots.len() - 1;
-        let mut i = (fnv1a(name) as usize) & mask;
         loop {
-            let raw = self.slots[i];
             if raw == EMPTY_SLOT {
                 return Err(i);
             }
@@ -165,14 +264,22 @@ impl SymbolTable {
                 return Ok(Sym(raw));
             }
             i = (i + 1) & mask;
+            raw = self.slots[i];
         }
     }
 
-    fn grow(&mut self) {
+    /// Whether adding a symbol to `syms` entered ones needs a larger
+    /// table: the load factor stays below 1/2 so probe chains stay short.
+    fn needs_growth(&self, syms: usize) -> bool {
+        (syms + 1) * 2 > self.slots.len()
+    }
+
+    /// Doubles the probe table and re-enters the first `syms` symbols.
+    fn grow(&mut self, syms: usize) {
         let new_len = self.slots.len() * 2;
         let mask = new_len - 1;
         let mut slots = vec![EMPTY_SLOT; new_len];
-        for raw in 0..self.len() as u32 {
+        for raw in 0..syms as u32 {
             let mut i = (fnv1a(self.bytes_of(Sym(raw))) as usize) & mask;
             while slots[i] != EMPTY_SLOT {
                 i = (i + 1) & mask;
@@ -251,6 +358,36 @@ mod tests {
             }
             assert_eq!(presized.slots.len(), slots, "{names} names rehashed");
             assert_eq!(presized.slots.len(), grown.slots.len());
+        }
+    }
+
+    /// Settling pushed names gives what interning them in turn gives —
+    /// symbols, arena and probe table — across blocks, with repeats of
+    /// a settled name and of pending ones, growing part-way or not.
+    #[test]
+    fn settling_pending_names_equals_interning_them_in_turn() {
+        let repeating: Vec<String> = (0..300).map(|i| format!("n{}", i * 7 % 190)).collect();
+        let distinct: Vec<String> = (0..300).map(|i| format!("d{i}")).collect();
+        for names in [&repeating, &distinct] {
+            for capacity in [0, 1_000] {
+                let mut in_turn = SymbolTable::with_capacity(capacity);
+                let mut settled = SymbolTable::with_capacity(capacity);
+                for table in [&mut in_turn, &mut settled] {
+                    table.intern("n3");
+                }
+                let want: Vec<Sym> = names.iter().map(|n| in_turn.intern(n)).collect();
+                let pushed: Vec<Sym> = names.iter().map(|n| settled.push_name(n)).collect();
+                let merged = settled.settle(1);
+                assert_eq!(merged.is_some(), std::ptr::eq(names, &repeating));
+                let got: Vec<Sym> = match merged {
+                    Some(merged) => pushed.iter().map(|s| merged[s.index() - 1]).collect(),
+                    None => pushed,
+                };
+                assert_eq!(got, want, "{capacity}");
+                assert_eq!(settled.bytes, in_turn.bytes);
+                assert_eq!(settled.offsets, in_turn.offsets);
+                assert_eq!(settled.slots, in_turn.slots);
+            }
         }
     }
 

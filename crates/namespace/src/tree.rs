@@ -136,10 +136,11 @@ impl NamespaceTree {
     /// `fill` appends every node but the root through a [`NodeAppender`],
     /// each taking the next id as [`create`](Self::create) would give
     /// it; `nodes`, the root included, sizes the columns so that they
-    /// grow without a copy. Once `fill` returns, each directory's
-    /// children are laid out in their span and sorted by name once,
-    /// instead of insert-sorted one `create` at a time, and no column
-    /// keeps spare capacity. The tree is the one the same sequence of
+    /// grow without a copy. Once `fill` returns, the appended names are
+    /// interned a block at a time, each directory's children are laid
+    /// out in their span and sorted by name once, instead of
+    /// insert-sorted one `create` at a time, and no column keeps spare
+    /// capacity. The tree is the one the same sequence of
     /// `create`s builds — ids, names, kinds, symbols, child order and
     /// [`version`](Self::version) — and takes run-time mutations the
     /// same way.
@@ -171,7 +172,15 @@ impl NamespaceTree {
         fill: impl FnOnce(&mut NodeAppender<'_>) -> Result<(), TreeError>,
     ) -> Result<Self, TreeError> {
         let mut tree = Self::with_capacity(nodes);
+        let first = tree.symbols.len();
         fill(&mut NodeAppender { tree: &mut tree })?;
+        if let Some(merged) = tree.symbols.settle(first) {
+            for sym in &mut tree.sym {
+                if let Some(i) = sym.index().checked_sub(first) {
+                    *sym = merged[i];
+                }
+            }
+        }
         let links = (1..tree.arena_size())
             .map(|i| (NodeId(tree.parent[i]), tree.sym[i], NodeId::from_index(i)));
         tree.children
@@ -710,7 +719,7 @@ impl NodeAppender<'_> {
         if !tree.get(parent)?.kind().is_directory() {
             return Err(TreeError::NotADirectory(parent));
         }
-        let sym = tree.symbols.intern(name);
+        let sym = tree.symbols.push_name(name);
         tree.version += 1;
         Ok(tree.push_node(parent.0, sym, kind))
     }

@@ -1,7 +1,5 @@
 //! Namespace-tree synthesis from a [`TraceProfile`].
 
-use std::fmt::Write as _;
-
 use d2tree_namespace::{NamespaceTree, NodeId, NodeKind};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -110,7 +108,7 @@ pub fn synthesize_tree(profile: &TraceProfile, seed: u64) -> (NamespaceTree, Syn
             } else {
                 ('f', NodeKind::File)
             };
-            write!(name, "{prefix}{next_name}").expect("writing to a String cannot fail");
+            push_numbered(&mut name, prefix, next_name);
             let id = tree.append(parent, &name, kind)?;
             if make_dir && depth + 1 < profile.max_depth {
                 dirs_at[depth + 1].push(id);
@@ -133,9 +131,37 @@ pub fn synthesize_tree(profile: &TraceProfile, seed: u64) -> (NamespaceTree, Syn
     (tree, report)
 }
 
+/// Appends `prefix` and `n` in decimal to `name`: what
+/// `write!(name, "{prefix}{n}")` appends, without the formatting
+/// machinery's per-call cost, paid once per synthesised node.
+fn push_numbered(name: &mut String, prefix: char, mut n: usize) {
+    let mut digits = [0; 20];
+    let mut at = digits.len();
+    loop {
+        at -= 1;
+        digits[at] = b'0' + (n % 10) as u8;
+        n /= 10;
+        if n == 0 {
+            break;
+        }
+    }
+    name.push(prefix);
+    name.push_str(std::str::from_utf8(&digits[at..]).expect("decimal digits are ASCII"));
+}
+
 #[cfg(test)]
 mod tests {
     use super::*;
+
+    #[test]
+    fn numbered_names_are_the_formatted_ones() {
+        let mut name = String::new();
+        for n in [0, 1, 9, 10, 99, 100, 123_456, 1_999_999, usize::MAX] {
+            name.clear();
+            push_numbered(&mut name, 'd', n);
+            assert_eq!(name, format!("d{n}"));
+        }
+    }
 
     #[test]
     fn hits_exact_node_count_and_depth() {

@@ -2,6 +2,9 @@
 
 use rand::Rng;
 
+/// The most draws [`Zipf::ranks_of`] ranks at once.
+pub(crate) const BLOCK: usize = 64;
+
 /// A Zipf–Mandelbrot(`n`, `s`, `q`) distribution sampler.
 ///
 /// Rank `k` (1-based) is drawn with probability proportional to
@@ -139,36 +142,56 @@ impl Zipf {
     /// Probability mass of 0-based rank `k`.
     #[must_use]
     pub fn weight(&self, k: usize) -> f64 {
-        let total = *self.cumulative.last().expect("non-empty");
         let prev = if k == 0 { 0.0 } else { self.cumulative[k - 1] };
-        (self.cumulative[k] - prev) / total
+        (self.cumulative[k] - prev) / self.total()
     }
 
     /// Cumulative probability mass of ranks `0..=k`.
     #[must_use]
     pub fn cumulative_weight(&self, k: usize) -> f64 {
-        let total = *self.cumulative.last().expect("non-empty");
-        self.cumulative[k] / total
+        self.cumulative[k] / self.total()
     }
 
     /// Draws a 0-based rank.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
-        let total = *self.cumulative.last().expect("non-empty");
-        let x: f64 = rng.gen_range(0.0..total);
-        self.rank_of(x)
+        let mut rank = [0];
+        self.ranks_of(&[rng.gen_range(0.0..self.total())], &mut rank);
+        rank[0] as usize
     }
 
-    /// The rank a draw of `x` in `[0, total)` selects: the number of
-    /// cumulative weights at most `x`. Since [`bucket`](Self::bucket) is
-    /// monotone, every rank below `guide[b]` has a weight at most `x` and
-    /// every rank from `guide[b + 1]` on one above it, so searching that
-    /// bracket gives the full search's rank.
-    fn rank_of(&self, x: f64) -> usize {
+    /// The unnormalised total weight: draws are uniform in `[0, total)`.
+    pub(crate) fn total(&self) -> f64 {
+        *self.cumulative.last().expect("non-empty")
+    }
+
+    /// The rank each draw `xs[i]` in `[0, total)` selects, into
+    /// `ranks[i]`: the number of cumulative weights at most the draw.
+    /// Since [`bucket`](Self::bucket) is monotone, every rank below
+    /// `guide[b]` has a weight at most `x` and every rank from
+    /// `guide[b + 1]` on one above it, so searching that bracket gives
+    /// the full search's rank.
+    ///
+    /// Two passes — every draw's bracket, then every bracket's search —
+    /// so the loads of one pass do not wait on each other and a block
+    /// of draws pays its cache misses together, not one chain at a time.
+    ///
+    /// # Panics
+    ///
+    /// Panics if the slices differ in length or hold more than
+    /// [`BLOCK`] draws.
+    pub(crate) fn ranks_of(&self, xs: &[f64], ranks: &mut [u32]) {
+        assert!(xs.len() == ranks.len() && xs.len() <= BLOCK);
         let c = &self.cumulative;
-        let b = self.bucket(x);
-        let lo = self.guide[b] as usize;
-        let hi = self.guide.get(b + 1).map_or(c.len(), |&r| r as usize);
-        lo + c[lo..hi].partition_point(|&w| w <= x)
+        let mut his = [0u32; BLOCK];
+        for ((&x, lo), hi) in xs.iter().zip(ranks.iter_mut()).zip(&mut his) {
+            let b = self.bucket(x);
+            *lo = self.guide[b];
+            *hi = self.guide.get(b + 1).map_or(c.len() as u32, |&r| r);
+        }
+        for ((&x, rank), &hi) in xs.iter().zip(ranks.iter_mut()).zip(&his) {
+            let lo = *rank as usize;
+            *rank += c[lo..hi as usize].partition_point(|&w| w <= x) as u32;
+        }
     }
 }
 
@@ -231,11 +254,11 @@ mod tests {
         let _ = Zipf::new(0, 1.0);
     }
 
-    /// The guide-table search picks the rank the full binary search
-    /// would, and the guide brackets it, for random draws, at every
-    /// cumulative weight and its two float neighbours, and just below
-    /// the total — across sizes, the three presets' exponents and
-    /// shifts, and the flat `s = 0`.
+    /// The guide-table search, in blocks of draws, picks the rank the
+    /// full binary search would, and the guide brackets it, for random
+    /// draws, at every cumulative weight and its two float neighbours,
+    /// and just below the total — across sizes, the three presets'
+    /// exponents and shifts, and the flat `s = 0`.
     #[test]
     fn guide_table_rank_equals_the_full_search() {
         use crate::TraceProfile;
@@ -257,11 +280,16 @@ mod tests {
                     xs.extend([w.next_down(), w, w.next_up()]);
                 }
                 xs.extend([0.0, total.next_down()]);
-                for x in xs.into_iter().filter(|x| (0.0..total).contains(x)) {
+                xs.retain(|x| (0.0..total).contains(x));
+                let mut ranks = vec![0; xs.len()];
+                for (chunk, out) in xs.chunks(BLOCK).zip(ranks.chunks_mut(BLOCK)) {
+                    z.ranks_of(chunk, out);
+                }
+                for (x, got) in xs.into_iter().zip(ranks) {
                     let rank = full(x);
-                    assert_eq!(z.rank_of(x), rank, "n {n}, s {s}, q {q}, x {x:e}");
+                    assert_eq!(got as usize, rank, "n {n}, s {s}, q {q}, x {x:e}");
                     // The guide brackets the rank, which is what lets
-                    // `rank_of` search only the bracket.
+                    // `ranks_of` search only the bracket.
                     let b = z.bucket(x);
                     let hi = z.guide.get(b + 1).map_or(n, |&r| r as usize);
                     assert!(

@@ -522,7 +522,8 @@ mod same_trees {
 
 /// The one-pass constructor against the `create`s it stands in for:
 /// random parent-first node lists — bursts of children of random size
-/// under random directories, names repeated across directories — some
+/// under random directories, names repeated across directories and
+/// siblings whose names tie on their first eight bytes — some
 /// with one defect (a duplicate sibling, a file parent, an invalid name
 /// or a parent not appended yet). Both builds give the same tree, down
 /// to symbol numbering and `version()`, or fail with the same error.
@@ -536,6 +537,13 @@ mod one_pass_build {
     type NodeList = Vec<(NodeId, String, NodeKind)>;
 
     const BURSTS: [usize; 9] = [1, 1, 2, 3, 5, 9, 17, 33, 65];
+
+    /// Name stems, each taken bare or with a number. The short ones
+    /// differ within the first eight bytes, which the layout sorts by
+    /// first; the long ones share those eight, so their order falls to
+    /// the whole names: "twinpref" is a proper prefix of "twinpref7",
+    /// and an embedded NUL ("a\0", "twinpref\0") pads like a name's end.
+    const STEMS: [&str; 6] = ["a", "b", "é", "a\0", "twinpref", "twinpref\0"];
 
     fn node_list(rng: &mut StdRng) -> NodeList {
         let mut list = NodeList::new();
@@ -580,11 +588,11 @@ mod one_pass_build {
             }
             let parent = dirs[rng.gen_range(0..dirs.len())];
             for _ in 0..BURSTS[rng.gen_range(0..BURSTS.len())] {
-                let name = format!(
-                    "{}{}",
-                    ["a", "b", "é"][rng.gen_range(0..3)],
-                    rng.gen_range(0..80)
-                );
+                let stem = STEMS[rng.gen_range(0..STEMS.len())];
+                let name = match rng.gen_range(0..4) {
+                    0 => stem.to_owned(),
+                    _ => format!("{stem}{}", rng.gen_range(0..80)),
+                };
                 if !names[parent.index()].insert(name.clone()) {
                     continue;
                 }

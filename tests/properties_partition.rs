@@ -45,7 +45,9 @@ fn every_scheme_covers_every_node() {
 fn global_layer_is_closed_and_sized() {
     cases("global_layer_is_closed_and_sized", 24, |rng| {
         let (seed, pct) = (rng.gen_range(0u64..1000), rng.gen_range(1u32..60));
-        let w = small_workload(seed, 500);
+        // A drawn node count makes most targets fractional, so the
+        // rounding up to a whole node is observable.
+        let w = small_workload(seed, rng.gen_range(300..700));
         let pop = w.popularity();
         let proportion = f64::from(pct) / 100.0;
         let (gl, implied) = split_to_proportion(&w.tree, &pop, |_| 0.0, proportion);

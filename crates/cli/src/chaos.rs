@@ -1,31 +1,10 @@
 //! `d2tree chaos`: seeded crash/partition schedules, each run twice.
 
-use d2tree_cluster::{run_chaos, run_store_chaos, ChaosConfig, ChaosReport, StoreChaosConfig};
+use d2tree_cluster::{run_chaos, run_store_chaos, ChaosConfig, StoreChaosConfig};
+use d2tree_workload::TraceProfile;
 
-use crate::opts::Opts;
+use crate::opts::{spine_fits, Opts};
 use crate::CliError;
-
-/// Runs one chaos schedule twice; a report that differs between the
-/// runs or carries violations is an error naming `what` failed.
-fn chaos_twice(seed: u64, config: &ChaosConfig, what: &str) -> Result<ChaosReport, CliError> {
-    let report = run_chaos(seed, config);
-    if report != run_chaos(seed, config) {
-        return Err(CliError::Chaos(format!(
-            "{what}seed {seed} did not reproduce: two runs produced different reports"
-        )));
-    }
-    if !report.violations.is_empty() {
-        let mut msg = format!(
-            "{what}seed {seed}: {} invariant violation(s):\n",
-            report.violations.len()
-        );
-        for v in report.violations.iter().take(20) {
-            msg.push_str(&format!("  {v}\n"));
-        }
-        return Err(CliError::Chaos(msg));
-    }
-    Ok(report)
-}
 
 pub(crate) fn cmd_chaos(opts: &Opts) -> Result<String, CliError> {
     let seed = opts.num("seed", 42u64)?;
@@ -37,12 +16,28 @@ pub(crate) fn cmd_chaos(opts: &Opts) -> Result<String, CliError> {
         tick_ms: opts.num("tick-ms", defaults.tick_ms)?,
         kills: opts.num("kills", defaults.kills)?,
         partitions: opts.num("partitions", defaults.partitions)?,
-        ..defaults
     };
     if config.mds < 2 {
         return Err(CliError::Usage("--mds must be at least 2".to_owned()));
     }
-    let report = chaos_twice(seed, &config, "")?;
+    spine_fits(&TraceProfile::dtr().with_nodes(config.nodes), "dtr")?;
+    config.check(seed).map_err(CliError::Usage)?;
+    let report = run_chaos(seed, &config);
+    if report != run_chaos(seed, &config) {
+        return Err(CliError::Chaos(format!(
+            "seed {seed} did not reproduce: two runs produced different reports"
+        )));
+    }
+    if !report.violations.is_empty() {
+        let mut msg = format!(
+            "seed {seed}: {} invariant violation(s):\n",
+            report.violations.len()
+        );
+        for v in report.violations.iter().take(20) {
+            msg.push_str(&format!("  {v}\n"));
+        }
+        return Err(CliError::Chaos(msg));
+    }
     let mut out = format!(
         "chaos seed {seed}: {} MDSs, {} ticks x {} ms\n\
          kills: {}  restarts: {}  partitions: {}\n\
@@ -106,36 +101,6 @@ pub(crate) fn cmd_chaos(opts: &Opts) -> Result<String, CliError> {
         ));
     }
 
-    let monitor_crashes = opts.num("monitor-crashes", 0usize)?;
-    if monitor_crashes > 0 {
-        let monitor_config = ChaosConfig {
-            monitor_kills: monitor_crashes,
-            ..ChaosConfig::replicated()
-        };
-        let monitor_report = chaos_twice(seed, &monitor_config, "monitor ")?;
-        out.push_str(&format!(
-            "monitor chaos: {} leader crashes, {} restarts; {} elections, {} leader changes\n\
-             replicated log: {} commits — {} grants, {} GL writes, {} migrations\n\
-             fencing: {} rejections ({} deliberate expired-fence probes confirmed)\n\
-             client: {} control-plane retries, {} writes blocked leaderless\n\
-             worst failover: {} virtual ms; journal: {} events, identical across two runs\n\
-             control-plane invariants: all clean (one leader per term, logs match, fences monotonic)\n",
-            monitor_report.monitor_kills,
-            monitor_report.monitor_restarts,
-            monitor_report.elections,
-            monitor_report.leader_changes,
-            monitor_report.commits,
-            monitor_report.grants,
-            monitor_report.gl_writes,
-            monitor_report.migrations_committed,
-            monitor_report.fence_rejections,
-            monitor_report.stale_probes_confirmed,
-            monitor_report.monitor_retries,
-            monitor_report.blocked_writes,
-            monitor_report.max_failover_ms,
-            monitor_report.journal.len(),
-        ));
-    }
     Ok(out)
 }
 
@@ -185,23 +150,28 @@ mod tests {
     }
 
     #[test]
-    fn chaos_command_runs_monitor_schedule() {
+    fn a_schedule_the_clock_cannot_hold_is_a_usage_error() {
+        for flags in [
+            &["--ticks", "0"][..],
+            &["--tick-ms", "0"],
+            &["--ticks", "50", "--kills", "40"],
+            &["--tick-ms", "18446744073709551615"],
+        ] {
+            let cmd: Vec<&str> = ["chaos"].iter().chain(flags).copied().collect();
+            match run(&args(&cmd)) {
+                Err(CliError::Usage(msg)) => assert!(
+                    msg.contains("ticks"),
+                    "{flags:?}: the message names the flag to change: {msg}"
+                ),
+                other => panic!("{flags:?}: expected a usage error, got {other:?}"),
+            }
+        }
+        // The fit rule is the schedule builder's own, so a schedule it
+        // draws in time runs.
         let out = run(&args(&[
-            "chaos",
-            "--seed",
-            "7",
-            "--mds",
-            "3",
-            "--nodes",
-            "300",
-            "--ticks",
-            "300",
-            "--monitor-crashes",
-            "2",
+            "chaos", "--nodes", "300", "--ticks", "200", "--kills", "4",
         ]))
         .unwrap();
-        assert!(out.contains("monitor chaos: 2 leader crashes"), "{out}");
-        assert!(out.contains("control-plane invariants: all clean"), "{out}");
-        assert!(out.contains("expired-fence probes confirmed"), "{out}");
+        assert!(out.contains("kills: 4"), "{out}");
     }
 }

@@ -150,7 +150,7 @@ Common options:
     --out <file>     Chrome trace-event JSON path (default trace.json),
                      loadable in chrome://tracing and Perfetto
 
-`chaos` options (schedule is derived from --seed; one Monitor replica):
+`chaos` options (schedule is derived from --seed; one Monitor):
     --mds <n>         cluster size (default 4)
     --nodes <n>       namespace size (default 600)
     --ticks <n>       virtual ticks to run (default 400)
@@ -159,12 +159,6 @@ Common options:
     --partitions <n>  monitor-link partition windows (default 1)
     --store-crashes <n>  also run a WAL/torn-write store-chaos schedule
                          with this many crash-recover cycles (default 0 = off)
-    --monitor-crashes <n>  also run the same engine over three Monitor
-                         replicas, crash-restarting the leader this many
-                         times (plus a peer partition, a forced split
-                         vote and an MDS kill), checking election safety,
-                         fencing-token monotonicity and bounded failover
-                         (default 0 = off)
 
 `health` options (all optional):
     --profile <name>  dtr | lmbe | ra (default lmbe; lmbe drifts hardest)
@@ -382,6 +376,8 @@ mod tests {
             &["synth", "--profile", "DTR", "--nodes", "10", "--out", "x"],
             &["serve", "--nodes", "10", "--duration-ms", "1"],
             &["load", "--nodes", "0", "--addr", "127.0.0.1:1"],
+            &["chaos", "--nodes", "5"],
+            &["chaos", "--nodes", "49", "--store-crashes", "2"],
         ] {
             assert!(
                 matches!(

@@ -110,13 +110,20 @@ pub(crate) fn workload_profile(
     }
     .with_nodes(opts.num("nodes", nodes)?)
     .with_operations(opts.num("ops", ops)?);
+    spine_fits(&profile, &name)?;
+    Ok(profile)
+}
+
+/// A usage error unless `profile.nodes` leaves room past the spine of
+/// `max_depth` nodes that synthesis of the profile `name` lays first.
+pub(crate) fn spine_fits(profile: &TraceProfile, name: &str) -> Result<(), CliError> {
     if profile.nodes <= profile.max_depth {
         return Err(CliError::Usage(format!(
             "--nodes must exceed {} for {name}",
             profile.max_depth
         )));
     }
-    Ok(profile)
+    Ok(())
 }
 
 pub(crate) fn scheme_by_name(

@@ -123,16 +123,6 @@ impl RetryPolicy {
         };
         exp + jitter
     }
-
-    /// [`RetryPolicy::backoff`] quantised to whole milliseconds
-    /// (rounded up, so a retry never lands on the same virtual-clock
-    /// tick it failed on). Used by clock-stepped callers — the chaos
-    /// engine and the consensus leader client — where sleeping is
-    /// advancing a `u64` millisecond counter rather than blocking.
-    pub fn backoff_ms(&self, attempt: usize, rng: &mut impl Rng) -> u64 {
-        let us = self.backoff(attempt, rng).as_micros() as u64;
-        us.div_ceil(1_000).max(1)
-    }
 }
 
 /// Errors a client can hit.

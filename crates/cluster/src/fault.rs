@@ -41,22 +41,17 @@ pub enum NetEdge {
     MdsToMonitor(u16),
     /// An MDS interaction with the global-layer lock service.
     MdsToLock(u16),
-    /// A control-plane consensus message travelling *to* one Monitor
-    /// replica (the `u16` is the receiving replica's id, not an MDS).
-    MonitorPeer(u16),
 }
 
 impl NetEdge {
-    /// The MDS (or, for [`NetEdge::MonitorPeer`], the Monitor replica)
-    /// on the server end of this edge.
+    /// The MDS on the server end of this edge.
     #[must_use]
     pub fn mds(self) -> u16 {
         match self {
             NetEdge::ClientToMds(m)
             | NetEdge::MdsToClient(m)
             | NetEdge::MdsToMonitor(m)
-            | NetEdge::MdsToLock(m)
-            | NetEdge::MonitorPeer(m) => m,
+            | NetEdge::MdsToLock(m) => m,
         }
     }
 }
@@ -75,26 +70,18 @@ pub enum FaultScope {
     MonitorLink(u16),
     /// The MDS↔lock-service edge of one MDS.
     LockLink(u16),
-    /// Every consensus message *received by* one Monitor replica — with
-    /// a [`FaultAction::Drop`] this isolates the replica from its peers
-    /// (messages it sends still reach others unless their inbound links
-    /// are cut too; pair one rule per replica for a full partition).
-    PeerLink(u16),
 }
 
 impl FaultScope {
     fn matches(self, edge: NetEdge) -> bool {
         match self {
             FaultScope::AllLinks => true,
-            // MDS scopes never match replica↔replica links: the id
-            // spaces are distinct (use `PeerLink` for replicas).
-            FaultScope::Mds(m) => edge.mds() == m && !matches!(edge, NetEdge::MonitorPeer(_)),
+            FaultScope::Mds(m) => edge.mds() == m,
             FaultScope::ClientLink(m) => {
                 matches!(edge, NetEdge::ClientToMds(k) | NetEdge::MdsToClient(k) if k == m)
             }
             FaultScope::MonitorLink(m) => matches!(edge, NetEdge::MdsToMonitor(k) if k == m),
             FaultScope::LockLink(m) => matches!(edge, NetEdge::MdsToLock(k) if k == m),
-            FaultScope::PeerLink(r) => matches!(edge, NetEdge::MonitorPeer(k) if k == r),
         }
     }
 }

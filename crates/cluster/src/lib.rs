@@ -22,14 +22,14 @@
 //! (the client half of the access protocol: the local-index cache and the
 //! sans-I/O request machine — route, follow the redirect, back off, give
 //! up — that the `live` client and the `net` load workers both drive),
-//! [`lock`] (the lease-based lock service of Sec. IV-A3, a thread-safe
-//! view of the control state) and [`monitor`] (heartbeat clocks, failure
-//! verdicts, the pending pool and the fail-over and rejoin planners).
-//! Membership, leases and their fence counter and committed GL versions
-//! are held once, by [`consensus::ControlState`]; everything else
-//! proposes `Command`s to it. Subtree ownership is not part of it: a
-//! committed `Migrate` is a decision, and its applier re-homes the
-//! subtree in the placement it routes by. An MDS is one thing behind
+//! [`lock`] (the control state and the lease-based lock service of Sec.
+//! IV-A3, its thread-safe view) and [`monitor`] (heartbeat clocks,
+//! failure verdicts, the pending pool and the fail-over and rejoin
+//! planners). Membership, leases and their fence counter and committed
+//! GL versions are held once, by [`lock::ControlState`]; everything else
+//! issues `Command`s to it, each applied as it is issued. Subtree
+//! ownership is not part of it: a `Migrate` is a decision, and its
+//! applier re-homes the subtree in the placement it routes by. An MDS is one thing behind
 //! either transport: [`NetMds`] answers every request of a TCP daemon and
 //! of a `live` server thread alike, and a private module beside it
 //! decides whose request it is, opens its `serve` span and recovers its
@@ -37,14 +37,10 @@
 //!
 //! Robustness layers: [`fault`] (deterministic seeded fault injection
 //! over client↔MDS, MDS↔Monitor and MDS↔lock edges, consulted by the
-//! simulator and the channel transport), [`chaos`] (a virtual-time chaos
-//! engine that replays seeded kill/partition/restart schedules against
-//! the control plane at one or three Monitor replicas and machine-checks
-//! ownership, GL-convergence, election and fencing invariants) and
-//! [`consensus`] (the control plane itself: the `ControlState` machine,
-//! and Raft-style leader election and log replication across Monitor
-//! replicas that apply it only through committed, WAL-persisted log
-//! entries).
+//! simulator and the channel transport) and [`chaos`] (a virtual-time
+//! chaos engine that replays seeded kill/partition/restart schedules
+//! against the one Monitor's control plane and machine-checks
+//! ownership, GL-convergence and fencing invariants).
 
 #![warn(missing_docs)]
 #![warn(missing_debug_implementations)]
@@ -52,7 +48,6 @@
 pub mod admin;
 pub mod chaos;
 pub mod client;
-pub mod consensus;
 pub mod fault;
 pub mod live;
 pub mod lock;
@@ -69,14 +64,10 @@ pub use chaos::{
     run_chaos, run_store_chaos, ChaosConfig, ChaosReport, StoreChaosConfig, StoreChaosReport,
 };
 pub use client::{CacheStats, ClientCache, RetryPolicy};
-pub use consensus::{
-    Applied, Command, ConsensusCluster, ConsensusConfig, ConsensusTiming, ControlState, Entry,
-    LeaderClient, LeaseState, PeerMsg, Replica, Role, SubmitOutcome,
-};
 pub use fault::{
     FaultAction, FaultDecision, FaultInjector, FaultPlan, FaultRule, FaultScope, NetEdge,
 };
-pub use lock::{LockService, LockToken};
+pub use lock::{Applied, Command, ControlState, LeaseState, LockService, LockToken};
 pub use message::{Request, RequestId, Response, ResponseBody};
 pub use monitor::{ClusterEvent, Monitor, MonitorConfig};
 pub use net::{

@@ -39,9 +39,8 @@ use rand::{Rng, SeedableRng};
 
 pub use crate::client::ClientError;
 use crate::client::{ClientCache, Outcome, RequestMachine, RetryPolicy, RouteDecision, Step};
-use crate::consensus::Command;
 use crate::fault::{FaultDecision, FaultInjector, FaultPlan, NetEdge};
-use crate::lock::LockService;
+use crate::lock::{Command, LockService};
 use crate::mds::ServeSpan;
 use crate::message::{Request, RequestId, Response, REQUEST_FRAME_BYTES};
 use crate::monitor::{ClusterEvent, Monitor, MonitorConfig};
@@ -933,7 +932,7 @@ fn monitor_main(
                 // still be held when `commit` locks again.)
                 let verdict = mon.on_heartbeat(hb, now, &shared.locks.control());
                 if let Some(cmd) = verdict {
-                    commit(shared, &mut mon, cmd);
+                    commit(shared, cmd);
                 }
                 if rejoining {
                     let owned = ownership_table(shared, daemons, None);
@@ -1011,7 +1010,7 @@ fn monitor_main(
                 continue;
             };
             let dead = MdsId(mds);
-            commit(shared, &mut mon, cmd);
+            commit(shared, cmd);
             failures_total.inc();
             let failover_t0 = shared.tracer().map(Tracer::now_us);
             // Re-home the dead server's subtrees, whole, onto the
@@ -1060,16 +1059,14 @@ fn monitor_span<const N: usize>(
     );
 }
 
-/// Commits one control-plane command. The live runtime is the
-/// one-replica case: the Monitor's proposal is applied to the shared
-/// `ControlState` as it is issued, and membership flips are journaled
-/// there, once.
-fn commit(shared: &Shared, mon: &mut Monitor, cmd: Command) {
-    let applied = shared
+/// Commits one control-plane command: the Monitor's verdict is applied
+/// to the shared `ControlState` as it is issued, and membership flips
+/// are journaled there, once.
+fn commit(shared: &Shared, cmd: Command) {
+    let _ = shared
         .locks
         .control()
         .apply_command(cmd, Some(shared.registry.journal()));
-    mon.on_applied(&applied);
 }
 
 /// The served-op count of every counted subtree root, summed over the

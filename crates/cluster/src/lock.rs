@@ -1,21 +1,319 @@
-//! Lease-based lock service for global-layer mutations.
+//! The control plane: the one state machine the Monitor and the
+//! lease-based lock service decide into, and its thread-safe view.
 //!
-//! Stands in for the paper's Zookeeper lock service (Sec. IV-A3): clients
-//! "require a lock only when they want to modify the nodes in global
-//! layer". Locks are per-node, FIFO-fair through retry, carry fencing
-//! tokens (monotonic per node) and expire after a lease so a crashed
-//! holder cannot wedge the layer.
+//! Stands in for the paper's Monitor and Zookeeper lock service (Sec.
+//! IV-A3): clients "require a lock only when they want to modify the
+//! nodes in global layer". [`ControlState`] holds, once, what those two
+//! decide: MDS membership, global-layer leases with their fence counter
+//! and committed GL versions. Locks are per-node, FIFO-fair through
+//! retry, carry fencing tokens (monotonic across all nodes) and expire
+//! after a lease so a crashed holder cannot wedge the layer. Everything
+//! else issues [`Command`]s and reads the [`Applied`] each returns; a
+//! command applies as it is issued.
 //!
-//! Time is passed in explicitly (milliseconds), which keeps the service
-//! usable from both the live runtime (wall clock) and deterministic tests
-//! (virtual clock).
+//! Time is passed in explicitly (milliseconds), which keeps the state
+//! usable from both the live runtime (wall clock) and the chaos engine
+//! and tests (virtual clock).
 
+use std::collections::BTreeMap;
 use std::sync::{Mutex, MutexGuard};
 
 use d2tree_namespace::NodeId;
+use d2tree_telemetry::{EventJournal, EventKind};
 
-use crate::consensus::{Applied, Command, ControlState};
 use crate::sync;
+
+/// A command the control-plane state machine understands.
+///
+/// Time-dependent decisions (lease expiry) carry their clock reading
+/// *in the command*, so applying the same commands always yields the
+/// same state.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Command {
+    /// Membership: an MDS registered or resumed heartbeating.
+    MdsAlive {
+        /// The MDS now considered alive.
+        mds: u16,
+    },
+    /// Membership: the Monitor declared an MDS dead.
+    MdsDead {
+        /// The MDS declared dead.
+        mds: u16,
+    },
+    /// Grant (or queue behind) the global-layer write lease for a node.
+    LeaseAcquire {
+        /// GL node the lease covers.
+        node: u64,
+        /// Requesting MDS.
+        holder: u16,
+        /// Clock at issue time; expiry is computed from it.
+        now_ms: u64,
+    },
+    /// Release a held lease (only if the fence still matches).
+    LeaseRelease {
+        /// GL node the lease covers.
+        node: u64,
+        /// Fence of the grant being released.
+        fence: u64,
+    },
+    /// A global-layer write under a lease: applied only if the fence
+    /// identifies the current, unexpired lease.
+    GlWrite {
+        /// GL node being written.
+        node: u64,
+        /// Fencing token the writer holds.
+        fence: u64,
+        /// Clock at issue time (expiry check).
+        now_ms: u64,
+    },
+    /// A subtree re-homing decided by the Monitor (rebalance, fail-over
+    /// or rejoin). Ownership is not part of the state: whoever applies
+    /// the command re-homes the subtree on the resulting
+    /// [`Applied::Migrated`].
+    Migrate {
+        /// Root of the migrating subtree (arena index).
+        subtree: u64,
+        /// Previous owner.
+        from: u16,
+        /// New owner.
+        to: u16,
+    },
+}
+
+/// A granted global-layer write lease as the control state tracks it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub struct LeaseState {
+    /// MDS holding the lease.
+    pub holder: u16,
+    /// Monotonic fencing token of this grant.
+    pub fence: u64,
+    /// Expiry instant (milliseconds, in the issuer's clock).
+    pub expires_at_ms: u64,
+}
+
+/// What applying one command did.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum Applied {
+    /// A lease was granted with the given fence.
+    Granted {
+        /// GL node the lease covers.
+        node: u64,
+        /// The monotonic fence attached to the grant.
+        fence: u64,
+        /// The MDS that now holds the lease.
+        holder: u16,
+    },
+    /// The lease was busy (held, unexpired); nothing granted.
+    Busy,
+    /// A lease was released.
+    Released,
+    /// A write or release carried a stale or expired fence and was
+    /// rejected (only a rejected write counts in
+    /// [`ControlState::fence_rejections`]).
+    Rejected {
+        /// GL node the rejected write targeted.
+        node: u64,
+        /// The stale fence presented.
+        fence: u64,
+    },
+    /// A global-layer write committed under a valid lease.
+    GlWritten {
+        /// GL node written.
+        node: u64,
+        /// Its new committed version.
+        version: u64,
+    },
+    /// Membership changed for an MDS.
+    Membership {
+        /// The MDS whose liveness flipped.
+        mds: u16,
+        /// Its new liveness.
+        alive: bool,
+    },
+    /// A subtree re-homing was decided.
+    Migrated {
+        /// Root of the migrated subtree (arena index).
+        subtree: u64,
+        /// Previous owner.
+        from: u16,
+        /// New owner.
+        to: u16,
+    },
+}
+
+/// The control-plane state machine, and the only holder of what it
+/// tracks: the lock service's lease table (with the global monotonic
+/// fencing counter), MDS membership and committed GL versions.
+///
+/// Everything time-dependent uses the clock reading carried *inside*
+/// the command, so applying the same commands always yields the same
+/// state. Commands apply as they are issued, through
+/// [`ControlState::apply_command`]: the live runtime's [`LockService`]
+/// and the chaos engine both drive it that way.
+#[derive(Debug, Clone, PartialEq, Eq)]
+pub struct ControlState {
+    lease_ms: u64,
+    next_fence: u64,
+    /// Live leases by GL node.
+    pub leases: BTreeMap<u64, LeaseState>,
+    /// Committed MDS liveness (absent = never registered).
+    pub alive: BTreeMap<u16, bool>,
+    /// Committed GL version per node.
+    pub gl_versions: BTreeMap<u64, u64>,
+    /// Total leases granted.
+    pub grants: u64,
+    /// Writes rejected for stale/expired fences.
+    pub fence_rejections: u64,
+    /// Acquire attempts that found the lease held and unexpired.
+    pub lease_busy: u64,
+}
+
+impl ControlState {
+    /// An empty state machine granting leases of `lease_ms` (minimum 1).
+    #[must_use]
+    pub fn new(lease_ms: u64) -> Self {
+        ControlState {
+            lease_ms: lease_ms.max(1),
+            next_fence: 0,
+            leases: BTreeMap::new(),
+            alive: BTreeMap::new(),
+            gl_versions: BTreeMap::new(),
+            grants: 0,
+            fence_rejections: 0,
+            lease_busy: 0,
+        }
+    }
+
+    /// Applies one command. When `journal` is given (the Monitor's),
+    /// membership flips and grant/rejection events are recorded.
+    pub fn apply_command(&mut self, cmd: Command, journal: Option<&EventJournal>) -> Applied {
+        match cmd {
+            Command::MdsAlive { mds } => {
+                let was = self.alive.insert(mds, true);
+                if was == Some(false) {
+                    if let Some(j) = journal {
+                        j.record(EventKind::MdsRecovered { mds });
+                    }
+                }
+                Applied::Membership { mds, alive: true }
+            }
+            Command::MdsDead { mds } => {
+                // Only the flip is an event.
+                let was = self.alive.insert(mds, false);
+                if was != Some(false) {
+                    if let Some(j) = journal {
+                        j.record(EventKind::MdsDown { mds });
+                    }
+                }
+                Applied::Membership { mds, alive: false }
+            }
+            Command::LeaseAcquire {
+                node,
+                holder,
+                now_ms,
+            } => {
+                let free = match self.leases.get(&node) {
+                    None => true,
+                    Some(l) => l.expires_at_ms <= now_ms,
+                };
+                if free {
+                    self.next_fence += 1;
+                    let fence = self.next_fence;
+                    self.leases.insert(
+                        node,
+                        LeaseState {
+                            holder,
+                            fence,
+                            expires_at_ms: now_ms + self.lease_ms,
+                        },
+                    );
+                    self.grants += 1;
+                    if let Some(j) = journal {
+                        j.record(EventKind::LeaseGranted {
+                            node,
+                            fence,
+                            holder,
+                        });
+                    }
+                    Applied::Granted {
+                        node,
+                        fence,
+                        holder,
+                    }
+                } else {
+                    self.lease_busy += 1;
+                    Applied::Busy
+                }
+            }
+            Command::LeaseRelease { node, fence } => {
+                if self.leases.get(&node).is_some_and(|l| l.fence == fence) {
+                    self.leases.remove(&node);
+                    Applied::Released
+                } else {
+                    Applied::Rejected { node, fence }
+                }
+            }
+            Command::GlWrite {
+                node,
+                fence,
+                now_ms,
+            } => {
+                if self.validate(node, fence, now_ms) {
+                    let v = self.gl_versions.entry(node).or_insert(0);
+                    *v += 1;
+                    Applied::GlWritten { node, version: *v }
+                } else {
+                    // A lease that expired while its write was in
+                    // flight must be *rejected* here, never silently
+                    // applied.
+                    self.fence_rejections += 1;
+                    if let Some(j) = journal {
+                        j.record(EventKind::FenceRejected { node, fence });
+                    }
+                    Applied::Rejected { node, fence }
+                }
+            }
+            Command::Migrate { subtree, from, to } => Applied::Migrated { subtree, from, to },
+        }
+    }
+
+    /// The current lease on `node`, if one was granted and not released
+    /// (it may be expired — check `expires_at_ms`).
+    #[must_use]
+    pub fn lease(&self, node: u64) -> Option<LeaseState> {
+        self.leases.get(&node).copied()
+    }
+
+    /// Whether `fence` still authorises a write to `node` at `now_ms`:
+    /// the lease must be held under that fence *and* be unexpired. The
+    /// rule `GlWrite` is applied under, and the one writers re-check
+    /// just before applying an in-flight mutation.
+    #[must_use]
+    pub fn validate(&self, node: u64, fence: u64, now_ms: u64) -> bool {
+        self.leases
+            .get(&node)
+            .is_some_and(|l| l.fence == fence && l.expires_at_ms > now_ms)
+    }
+
+    /// Whether `mds` is committed alive (registered and not declared
+    /// dead).
+    #[must_use]
+    pub fn is_alive(&self, mds: u16) -> bool {
+        self.alive.get(&mds) == Some(&true)
+    }
+
+    /// Committed GL version of `node` (0 if never written).
+    #[must_use]
+    pub fn gl_version(&self, node: u64) -> u64 {
+        self.gl_versions.get(&node).copied().unwrap_or(0)
+    }
+
+    /// The highest fence ever granted.
+    #[must_use]
+    pub fn max_fence(&self) -> u64 {
+        self.next_fence
+    }
+}
 
 /// Proof of lock ownership; required to release.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -33,9 +331,8 @@ const LOCAL_HOLDER: u16 = u16::MAX;
 
 /// The lock manager: a thread-safe view over a mutex-guarded
 /// [`ControlState`]. Each call applies one lease command as it is
-/// issued — the one-replica, commit-is-immediate control plane — so
-/// the lease table, the fence counter and the three lease rules are
-/// `ControlState`'s, not a second copy.
+/// issued, so the lease table, the fence counter and the three lease
+/// rules are `ControlState`'s, not a second copy.
 ///
 /// # Example
 ///
@@ -69,9 +366,9 @@ impl LockService {
         }
     }
 
-    /// The committed control state this service is a view of. The live
-    /// runtime's Monitor applies its membership and migration commands
-    /// here, so every control-plane command goes through one object.
+    /// The control state this service is a view of. The live runtime's
+    /// Monitor applies its membership and migration commands here, so
+    /// every control-plane command goes through one object.
     pub fn control(&self) -> MutexGuard<'_, ControlState> {
         sync::lock(&self.state)
     }
@@ -124,7 +421,7 @@ impl LockService {
     /// live. Writers re-check this immediately before applying an
     /// in-flight global-layer mutation — a lease that expired mid-write
     /// must fence the write out rather than let it land stale. It is
-    /// the rule a replicated `GlWrite` is applied under.
+    /// the rule a `GlWrite` is applied under.
     #[must_use]
     pub fn validate(&self, token: LockToken, now_ms: u64) -> bool {
         self.control()
@@ -150,6 +447,61 @@ mod tests {
 
     fn n(i: usize) -> NodeId {
         NodeId::from_index(i)
+    }
+
+    #[test]
+    fn expired_lease_fence_is_rejected_not_silently_applied() {
+        // A lease expires while its GL write is in flight; the control
+        // state must reject the stale fence at apply time.
+        let mut state = ControlState::new(50);
+        let acquire = |holder, now_ms| Command::LeaseAcquire {
+            node: 4,
+            holder,
+            now_ms,
+        };
+        let grant = state.apply_command(acquire(2, 100), None);
+        let Applied::Granted { fence, .. } = grant else {
+            panic!("expected a grant, got {grant:?}");
+        };
+        // In-flight write lands after expiry (100 + 50 = 150).
+        let write = |fence, now_ms| Command::GlWrite {
+            node: 4,
+            fence,
+            now_ms,
+        };
+        let out = state.apply_command(write(fence, 150), None);
+        assert_eq!(out, Applied::Rejected { node: 4, fence });
+        assert_eq!(state.gl_version(4), 0, "stale write must not apply");
+        assert_eq!(state.fence_rejections, 1);
+        // A fresh grant gets a strictly larger fence, and its write
+        // applies.
+        let regrant = state.apply_command(acquire(3, 160), None);
+        let Applied::Granted { fence: fence2, .. } = regrant else {
+            panic!("expected a re-grant, got {regrant:?}");
+        };
+        assert!(fence2 > fence, "fencing tokens stay monotonic");
+        let out = state.apply_command(write(fence2, 170), None);
+        assert_eq!(
+            out,
+            Applied::GlWritten {
+                node: 4,
+                version: 1
+            }
+        );
+    }
+
+    #[test]
+    fn unexpired_lease_blocks_reacquisition() {
+        let mut state = ControlState::new(1_000);
+        let acquire = |holder, now_ms| Command::LeaseAcquire {
+            node: 1,
+            holder,
+            now_ms,
+        };
+        let _ = state.apply_command(acquire(0, 0), None);
+        assert_eq!(state.apply_command(acquire(1, 500), None), Applied::Busy);
+        assert_eq!(state.lease(1).unwrap().holder, 0);
+        assert_eq!(state.lease_busy, 1);
     }
 
     #[test]

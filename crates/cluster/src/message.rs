@@ -5,12 +5,10 @@
 //! fixed-width big-endian fields), so the tests exercise real
 //! encode/decode paths.
 
-use bytes::{Buf, BufMut, Bytes, BytesMut};
+use bytes::{Buf, Bytes};
 use d2tree_metrics::MdsId;
 use d2tree_namespace::NodeId;
 use d2tree_workload::OpKind;
-
-use crate::consensus::{Command, Entry, PeerMsg};
 
 /// Unique id a client assigns to each outstanding request.
 #[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, PartialOrd, Ord)]
@@ -256,208 +254,10 @@ impl Response {
     }
 }
 
-const PEER_REQUEST_VOTE: u8 = 0;
-const PEER_VOTE_REPLY: u8 = 1;
-const PEER_APPEND: u8 = 2;
-const PEER_APPEND_REPLY: u8 = 3;
-
-/// Encoded size of one replicated-log [`Entry`] inside an `Append`
-/// frame: term + index + opcode + three operands.
-const ENTRY_WIRE_BYTES: usize = 8 + 8 + 1 + 8 + 8 + 8;
-
-fn put_entry(buf: &mut BytesMut, e: &Entry) {
-    let (op, a, b, c) = e.cmd.to_wire();
-    buf.put_u64(e.term);
-    buf.put_u64(e.index);
-    buf.put_u8(op);
-    buf.put_u64(a);
-    buf.put_u64(b);
-    buf.put_u64(c);
-}
-
-fn get_entry(buf: &mut Bytes) -> Option<Entry> {
-    let term = buf.get_u64();
-    let index = buf.get_u64();
-    let op = buf.get_u8();
-    let (a, b, c) = (buf.get_u64(), buf.get_u64(), buf.get_u64());
-    Some(Entry {
-        term,
-        index,
-        cmd: Command::from_wire(op, a, b, c)?,
-    })
-}
-
-impl PeerMsg {
-    /// Encodes the consensus message as one length-prefixed frame,
-    /// using the same codec conventions as [`Request`]/[`Response`].
-    #[must_use]
-    pub fn encode(&self) -> Bytes {
-        match self {
-            PeerMsg::RequestVote {
-                term,
-                candidate,
-                last_log_index,
-                last_log_term,
-            } => {
-                let mut buf = BytesMut::with_capacity(4 + 27);
-                buf.put_u32(27);
-                buf.put_u8(PEER_REQUEST_VOTE);
-                buf.put_u64(*term);
-                buf.put_u16(*candidate);
-                buf.put_u64(*last_log_index);
-                buf.put_u64(*last_log_term);
-                buf.freeze()
-            }
-            PeerMsg::VoteReply {
-                term,
-                voter,
-                granted,
-            } => {
-                let mut buf = BytesMut::with_capacity(4 + 12);
-                buf.put_u32(12);
-                buf.put_u8(PEER_VOTE_REPLY);
-                buf.put_u64(*term);
-                buf.put_u16(*voter);
-                buf.put_u8(u8::from(*granted));
-                buf.freeze()
-            }
-            PeerMsg::Append {
-                term,
-                leader,
-                prev_index,
-                prev_term,
-                commit,
-                entries,
-            } => {
-                let len = 37 + entries.len() * ENTRY_WIRE_BYTES;
-                let mut buf = BytesMut::with_capacity(4 + len);
-                buf.put_u32(len as u32);
-                buf.put_u8(PEER_APPEND);
-                buf.put_u64(*term);
-                buf.put_u16(*leader);
-                buf.put_u64(*prev_index);
-                buf.put_u64(*prev_term);
-                buf.put_u64(*commit);
-                buf.put_u16(entries.len() as u16);
-                for e in entries {
-                    put_entry(&mut buf, e);
-                }
-                buf.freeze()
-            }
-            PeerMsg::AppendReply {
-                term,
-                follower,
-                success,
-                match_index,
-            } => {
-                let mut buf = BytesMut::with_capacity(4 + 20);
-                buf.put_u32(20);
-                buf.put_u8(PEER_APPEND_REPLY);
-                buf.put_u64(*term);
-                buf.put_u16(*follower);
-                buf.put_u8(u8::from(*success));
-                buf.put_u64(*match_index);
-                buf.freeze()
-            }
-        }
-    }
-
-    /// Decodes one frame produced by [`encode`](Self::encode).
-    ///
-    /// Returns `None` if the buffer does not hold a complete,
-    /// well-formed frame (truncation, bad tag, length/count mismatch,
-    /// or an entry whose command opcode is unknown).
-    #[must_use]
-    pub fn decode(buf: &mut Bytes) -> Option<PeerMsg> {
-        if buf.len() < 4 {
-            return None;
-        }
-        let len = u32::from_be_bytes(buf[..4].try_into().ok()?) as usize;
-        if buf.len() < 4 + len || len < 1 {
-            return None;
-        }
-        let tag = buf[4];
-        let expected = match tag {
-            PEER_REQUEST_VOTE => 27,
-            PEER_VOTE_REPLY => 12,
-            PEER_APPEND => {
-                if len < 37 {
-                    return None;
-                }
-                let count = u16::from_be_bytes(buf[4 + 35..4 + 37].try_into().ok()?) as usize;
-                37 + count * ENTRY_WIRE_BYTES
-            }
-            PEER_APPEND_REPLY => 20,
-            _ => return None,
-        };
-        if len != expected {
-            return None;
-        }
-        buf.advance(5);
-        match tag {
-            PEER_REQUEST_VOTE => Some(PeerMsg::RequestVote {
-                term: buf.get_u64(),
-                candidate: buf.get_u16(),
-                last_log_index: buf.get_u64(),
-                last_log_term: buf.get_u64(),
-            }),
-            PEER_VOTE_REPLY => {
-                let term = buf.get_u64();
-                let voter = buf.get_u16();
-                let granted = match buf.get_u8() {
-                    0 => false,
-                    1 => true,
-                    _ => return None,
-                };
-                Some(PeerMsg::VoteReply {
-                    term,
-                    voter,
-                    granted,
-                })
-            }
-            PEER_APPEND => {
-                let term = buf.get_u64();
-                let leader = buf.get_u16();
-                let prev_index = buf.get_u64();
-                let prev_term = buf.get_u64();
-                let commit = buf.get_u64();
-                let count = buf.get_u16() as usize;
-                let mut entries = Vec::with_capacity(count);
-                for _ in 0..count {
-                    entries.push(get_entry(buf)?);
-                }
-                Some(PeerMsg::Append {
-                    term,
-                    leader,
-                    prev_index,
-                    prev_term,
-                    commit,
-                    entries,
-                })
-            }
-            PEER_APPEND_REPLY => {
-                let term = buf.get_u64();
-                let follower = buf.get_u16();
-                let success = match buf.get_u8() {
-                    0 => false,
-                    1 => true,
-                    _ => return None,
-                };
-                Some(PeerMsg::AppendReply {
-                    term,
-                    follower,
-                    success,
-                    match_index: buf.get_u64(),
-                })
-            }
-            _ => unreachable!("tag validated above"),
-        }
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
+    use bytes::BytesMut;
 
     #[test]
     fn request_roundtrip() {
@@ -789,151 +589,6 @@ mod tests {
         raw[4 + 8] = 99; // corrupt the kind byte
         let mut frame = raw.freeze();
         assert_eq!(Request::decode(&mut frame), None);
-    }
-
-    fn sample_peer_msgs() -> Vec<PeerMsg> {
-        vec![
-            PeerMsg::RequestVote {
-                term: 3,
-                candidate: 1,
-                last_log_index: 17,
-                last_log_term: 2,
-            },
-            PeerMsg::VoteReply {
-                term: 3,
-                voter: 2,
-                granted: true,
-            },
-            PeerMsg::Append {
-                term: 4,
-                leader: 0,
-                prev_index: 9,
-                prev_term: 3,
-                commit: 8,
-                entries: vec![
-                    Entry {
-                        term: 4,
-                        index: 10,
-                        cmd: Command::Noop,
-                    },
-                    Entry {
-                        term: 4,
-                        index: 11,
-                        cmd: Command::LeaseAcquire {
-                            node: u64::MAX,
-                            holder: 7,
-                            now_ms: 12345,
-                        },
-                    },
-                    Entry {
-                        term: 4,
-                        index: 12,
-                        cmd: Command::Migrate {
-                            subtree: 99,
-                            from: 1,
-                            to: 2,
-                        },
-                    },
-                ],
-            },
-            PeerMsg::Append {
-                term: 5,
-                leader: 2,
-                prev_index: 0,
-                prev_term: 0,
-                commit: 0,
-                entries: Vec::new(),
-            },
-            PeerMsg::AppendReply {
-                term: 4,
-                follower: 1,
-                success: false,
-                match_index: 6,
-            },
-        ]
-    }
-
-    #[test]
-    fn peer_msg_roundtrip() {
-        for msg in sample_peer_msgs() {
-            let mut framed = msg.encode();
-            assert_eq!(PeerMsg::decode(&mut framed), Some(msg.clone()), "{msg:?}");
-            assert!(framed.is_empty(), "frame fully consumed: {msg:?}");
-        }
-    }
-
-    #[test]
-    fn peer_msg_truncated_frames_are_rejected() {
-        for msg in sample_peer_msgs() {
-            let full = msg.encode();
-            for cut in 0..full.len() {
-                let mut partial = full.slice(..cut);
-                assert_eq!(PeerMsg::decode(&mut partial), None, "{msg:?} cut at {cut}");
-            }
-        }
-    }
-
-    #[test]
-    fn peer_msg_garbage_is_rejected() {
-        // Unknown frame tag.
-        let mut raw = BytesMut::from(
-            &PeerMsg::VoteReply {
-                term: 1,
-                voter: 0,
-                granted: false,
-            }
-            .encode()[..],
-        );
-        raw[4] = 77;
-        assert_eq!(PeerMsg::decode(&mut raw.freeze()), None);
-
-        // Non-boolean granted byte.
-        let mut raw = BytesMut::from(
-            &PeerMsg::VoteReply {
-                term: 1,
-                voter: 0,
-                granted: true,
-            }
-            .encode()[..],
-        );
-        *raw.last_mut().unwrap() = 2;
-        assert_eq!(PeerMsg::decode(&mut raw.freeze()), None);
-
-        // Entry with an unknown command opcode inside an Append.
-        let msg = PeerMsg::Append {
-            term: 1,
-            leader: 0,
-            prev_index: 0,
-            prev_term: 0,
-            commit: 0,
-            entries: vec![Entry {
-                term: 1,
-                index: 1,
-                cmd: Command::Noop,
-            }],
-        };
-        let mut raw = BytesMut::from(&msg.encode()[..]);
-        raw[4 + 37 + 16] = 200; // the entry's opcode byte
-        assert_eq!(PeerMsg::decode(&mut raw.freeze()), None);
-
-        // Length prefix that disagrees with the entry count.
-        let mut raw = BytesMut::from(&msg.encode()[..]);
-        raw[4 + 36] = 2; // claim two entries, carry one
-        assert_eq!(PeerMsg::decode(&mut raw.freeze()), None);
-    }
-
-    #[test]
-    fn peer_msg_back_to_back_frames_decode_in_order() {
-        let msgs = sample_peer_msgs();
-        let mut stream = BytesMut::new();
-        for m in &msgs {
-            stream.extend_from_slice(&m.encode());
-        }
-        let mut stream = stream.freeze();
-        for m in &msgs {
-            assert_eq!(PeerMsg::decode(&mut stream), Some(m.clone()));
-        }
-        assert!(stream.is_empty());
     }
 
     #[test]

@@ -6,10 +6,10 @@
 //! global layer consistent, and (3) detect MDS failures and arrivals.
 //! This module is the part of that which only the Monitor knows: the
 //! heartbeat clocks and the rebalancing engine. Membership itself lives
-//! in the committed [`ControlState`]; the Monitor reads that view and
-//! returns the [`Command`]s to propose, against an explicit millisecond
-//! clock, so it runs identically under the live runtime and in
-//! deterministic tests.
+//! in the [`ControlState`]; the Monitor reads it and returns the
+//! [`Command`]s to issue, against an explicit millisecond clock, so it
+//! runs identically under the live runtime and in deterministic tests.
+//! The caller applies each command before it asks again.
 
 use std::sync::Arc;
 
@@ -17,7 +17,7 @@ use d2tree_core::{AdjustPolicy, DynamicAdjuster, Heartbeat, Subtree};
 use d2tree_metrics::{ClusterSpec, MdsId, Migration};
 use d2tree_telemetry::{EventJournal, EventKind};
 
-use crate::consensus::{Applied, Command, ControlState};
+use crate::lock::{Command, ControlState};
 
 /// Membership changes the control plane committed.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -59,29 +59,26 @@ impl Default for MonitorConfig {
 /// use d2tree_metrics::MdsId;
 ///
 /// let mut mon = Monitor::new(MonitorConfig::default(), 2);
-/// let mut committed = ControlState::new(1_000);
+/// let mut state = ControlState::new(1_000);
 /// // First heartbeats register both servers:
 /// for k in 0..2 {
 ///     let hb = Heartbeat { mds: MdsId(k), load: 10.0 };
-///     let cmd = mon.on_heartbeat(hb, 0, &committed).expect("registration");
-///     mon.on_applied(&committed.apply_command(cmd, None));
+///     let cmd = mon.on_heartbeat(hb, 0, &state).expect("registration");
+///     let _ = state.apply_command(cmd, None);
 /// }
 /// // mds1 goes silent past the timeout:
-/// mon.on_heartbeat(Heartbeat { mds: MdsId(0), load: 10.0 }, 600, &committed);
-/// let verdicts = mon.detect_failures(600, &committed);
+/// mon.on_heartbeat(Heartbeat { mds: MdsId(0), load: 10.0 }, 600, &state);
+/// let verdicts = mon.detect_failures(600, &state);
 /// assert_eq!(verdicts.len(), 1);
-/// // Until the verdict commits it is in flight, not re-proposed:
-/// assert!(mon.detect_failures(700, &committed).is_empty());
-/// mon.on_applied(&committed.apply_command(verdicts[0], None));
-/// assert!(committed.is_alive(0) && !committed.is_alive(1));
+/// let _ = state.apply_command(verdicts[0], None);
+/// assert!(state.is_alive(0) && !state.is_alive(1));
+/// // An applied verdict is not issued again:
+/// assert!(mon.detect_failures(700, &state).is_empty());
 /// ```
 #[derive(Debug)]
 pub struct Monitor {
     config: MonitorConfig,
     last_seen_ms: Vec<Option<u64>>,
-    /// One marker per MDS: a membership verdict was proposed and has
-    /// not committed yet, so it must not be proposed again.
-    in_flight: Vec<bool>,
     adjuster: DynamicAdjuster,
     journal: Arc<EventJournal>,
 }
@@ -109,16 +106,15 @@ impl Monitor {
         Monitor {
             config,
             last_seen_ms: vec![None; m],
-            in_flight: vec![false; m],
             adjuster: DynamicAdjuster::new(config.policy),
             journal,
         }
     }
 
     /// Records a heartbeat at `now_ms`. A heartbeat from a server the
-    /// committed view does not hold alive — never registered, or
-    /// declared dead — returns the [`Command::MdsAlive`] to propose;
-    /// once it commits the caller runs the rejoin protocol
+    /// control state does not hold alive — never registered, or
+    /// declared dead — returns the [`Command::MdsAlive`] to issue; once
+    /// it is applied the caller runs the rejoin protocol
     /// ([`Monitor::plan_rejoin`]). Ordinary heartbeats return `None`.
     pub fn on_heartbeat(
         &mut self,
@@ -126,54 +122,27 @@ impl Monitor {
         now_ms: u64,
         committed: &ControlState,
     ) -> Option<Command> {
-        let k = hb.mds.index();
-        self.last_seen_ms[k] = Some(now_ms);
+        self.last_seen_ms[hb.mds.index()] = Some(now_ms);
         self.journal.record(EventKind::Heartbeat {
             mds: hb.mds.0,
             load: hb.load,
         });
-        if committed.is_alive(hb.mds.0) || self.in_flight[k] {
-            return None;
-        }
-        self.in_flight[k] = true;
-        Some(Command::MdsAlive { mds: hb.mds.0 })
+        (!committed.is_alive(hb.mds.0)).then_some(Command::MdsAlive { mds: hb.mds.0 })
     }
 
-    /// Scans for committed-alive servers past the failure timeout;
-    /// returns one [`Command::MdsDead`] per *new* verdict. Never-seen
-    /// servers are "joining", not dead.
-    pub fn detect_failures(&mut self, now_ms: u64, committed: &ControlState) -> Vec<Command> {
-        let mut fresh = Vec::new();
-        for k in 0..self.last_seen_ms.len() {
-            let silent = self.last_seen_ms[k]
-                .is_some_and(|t| now_ms.saturating_sub(t) >= self.config.failure_timeout_ms);
-            if silent && !self.in_flight[k] && committed.is_alive(k as u16) {
-                self.in_flight[k] = true;
-                fresh.push(Command::MdsDead { mds: k as u16 });
-            }
-        }
-        fresh
-    }
-
-    /// Feeds one commit outcome back: a committed membership verdict
-    /// clears that server's in-flight marker.
-    pub fn on_applied(&mut self, applied: &Applied) {
-        if let Applied::Membership { mds, .. } = *applied {
-            if let Some(slot) = self.in_flight.get_mut(mds as usize) {
-                *slot = false;
-            }
-        }
-    }
-
-    /// Called when this Monitor's replica becomes the control-plane
-    /// leader. Proposals made under an earlier leadership may never
-    /// commit, so every in-flight marker clears; and every heartbeat
-    /// clock restarts at `now_ms`, so servers earn their next timeout
-    /// from scratch rather than being declared off a clock that
-    /// stopped when leadership was lost.
-    pub fn take_lead(&mut self, now_ms: u64) {
-        self.in_flight.fill(false);
-        self.last_seen_ms.fill(Some(now_ms));
+    /// Scans for alive servers past the failure timeout; returns one
+    /// [`Command::MdsDead`] per verdict. Never-seen servers are
+    /// "joining", not dead.
+    #[must_use]
+    pub fn detect_failures(&self, now_ms: u64, committed: &ControlState) -> Vec<Command> {
+        (0..self.last_seen_ms.len() as u16)
+            .filter(|&k| {
+                self.last_seen_ms[k as usize]
+                    .is_some_and(|t| now_ms.saturating_sub(t) >= self.config.failure_timeout_ms)
+                    && committed.is_alive(k)
+            })
+            .map(|mds| Command::MdsDead { mds })
+            .collect()
     }
 
     /// Every committed membership event still retained by the journal,
@@ -317,9 +286,8 @@ mod tests {
         }
     }
 
-    /// A Monitor plus the committed view it reads, with every verdict
-    /// committed at once (the one-replica case) into the Monitor's own
-    /// journal.
+    /// A Monitor plus the control state it reads, with every verdict
+    /// applied as it is issued, journaled into the Monitor's journal.
     struct Plane {
         mon: Monitor,
         committed: ControlState,
@@ -336,8 +304,7 @@ mod tests {
         fn commit(&mut self, cmds: impl IntoIterator<Item = Command>) -> Vec<Command> {
             let cmds: Vec<Command> = cmds.into_iter().collect();
             for &cmd in &cmds {
-                let applied = self.committed.apply_command(cmd, Some(self.mon.journal()));
-                self.mon.on_applied(&applied);
+                let _ = self.committed.apply_command(cmd, Some(self.mon.journal()));
             }
             cmds
         }
@@ -384,51 +351,6 @@ mod tests {
         let mut p = Plane::new(3);
         p.heartbeat(0, 0);
         assert_eq!(p.detect(10_000), vec![Command::MdsDead { mds: 0 }]);
-    }
-
-    #[test]
-    fn an_uncommitted_verdict_is_proposed_once_until_leadership_moves() {
-        let mut mon = Monitor::new(MonitorConfig::default(), 1);
-        let mut committed = ControlState::new(1_000);
-        let reg = mon.on_heartbeat(hb(0, 1.0), 0, &committed).unwrap();
-        // The registration is in flight: not proposed again.
-        assert_eq!(mon.on_heartbeat(hb(0, 1.0), 10, &committed), None);
-        mon.on_applied(&committed.apply_command(reg, None));
-        // A death verdict that never commits is proposed exactly once...
-        assert_eq!(mon.detect_failures(600, &committed).len(), 1);
-        assert!(mon.detect_failures(700, &committed).is_empty());
-        // ...until leadership moves: the marker clears and the clock
-        // restarts, so the server earns a fresh timeout.
-        mon.take_lead(800);
-        assert!(mon.detect_failures(1_200, &committed).is_empty());
-        assert_eq!(
-            mon.detect_failures(1_300, &committed),
-            vec![Command::MdsDead { mds: 0 }]
-        );
-    }
-
-    #[test]
-    fn a_fresh_leader_reads_the_committed_view_without_reannouncing() {
-        let mut mon = Monitor::new(MonitorConfig::default(), 3);
-        let mut committed = ControlState::new(1_000);
-        for cmd in [
-            Command::MdsAlive { mds: 0 },
-            Command::MdsAlive { mds: 1 },
-            Command::MdsDead { mds: 1 },
-            Command::MdsAlive { mds: 2 },
-        ] {
-            let _ = committed.apply_command(cmd, None);
-        }
-        mon.take_lead(1_000);
-        // The already-committed death is not re-declared...
-        assert!(mon.detect_failures(1_100, &committed).is_empty());
-        // ...but committed-alive servers still earn a fresh timeout.
-        assert_eq!(mon.detect_failures(1_500, &committed).len(), 2);
-        // And a resurrection of the committed-dead server still fires.
-        assert_eq!(
-            mon.on_heartbeat(hb(1, 1.0), 1_200, &committed),
-            Some(Command::MdsAlive { mds: 1 })
-        );
     }
 
     #[test]
@@ -588,7 +510,6 @@ mod tests {
         let mut p = Plane::new(0);
         assert!(p.detect(1_000_000).is_empty());
         assert!(p.mon.events().is_empty());
-        p.mon.take_lead(0);
     }
 
     #[test]

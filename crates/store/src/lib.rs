@@ -9,8 +9,7 @@
 //!   they replay into, with a hand-rolled big-endian codec.
 //! * [`wal`] — a length-prefixed, CRC32-checksummed, segmented
 //!   write-ahead log, and the only code that knows its layout. Appends
-//!   buffer in memory; [`wal::scan_log`] is the one recovery scan, for
-//!   MDS stores and consensus replica logs alike.
+//!   buffer in memory; [`wal::scan_log`] is the one recovery scan.
 //! * [`snapshot`] — periodic whole-state snapshots written
 //!   tmp+rename+dir-fsync so a crash never leaves a torn snapshot
 //!   visible; covered WAL segments are pruned afterwards.

@@ -65,31 +65,14 @@ pub enum MdsRecord {
         /// The counter, as `f64::to_bits` (exact round-trip).
         bits: u64,
     },
-    /// One replicated control-plane log event (term vote, log entry or
-    /// conflict truncation). Opaque to [`MdsState::apply`]: consensus
-    /// replicas keep their own state machine and reuse the WAL purely
-    /// for durable, CRC-checked, torn-tail-tolerant framing.
-    Consensus {
-        /// Term the event belongs to.
-        term: u64,
-        /// Log index (entries) or auxiliary slot (metadata events).
-        index: u64,
-        /// Consensus-level opcode (the `cluster` crate's vocabulary).
-        op: u8,
-        /// First opcode-specific operand.
-        a: u64,
-        /// Second opcode-specific operand.
-        b: u64,
-        /// Third opcode-specific operand.
-        c: u64,
-    },
 }
 
 const TAG_ATTR: u8 = 1;
 const TAG_OWNERSHIP: u8 = 2;
 const TAG_GL_RECUT: u8 = 3;
 const TAG_POPULARITY: u8 = 4;
-const TAG_CONSENSUS: u8 = 5;
+// Tag 5 is retired (it framed replicated control-plane log events) and
+// is never reused: a store that still holds one fails to decode loudly.
 
 fn put_u16(out: &mut Vec<u8>, v: u16) {
     out.extend_from_slice(&v.to_be_bytes());
@@ -205,22 +188,6 @@ impl MdsRecord {
                 put_u64(&mut out, *root);
                 put_u64(&mut out, *bits);
             }
-            MdsRecord::Consensus {
-                term,
-                index,
-                op,
-                a,
-                b,
-                c,
-            } => {
-                out.push(TAG_CONSENSUS);
-                put_u64(&mut out, *term);
-                put_u64(&mut out, *index);
-                out.push(*op);
-                put_u64(&mut out, *a);
-                put_u64(&mut out, *b);
-                put_u64(&mut out, *c);
-            }
         }
         out
     }
@@ -253,14 +220,6 @@ impl MdsRecord {
                 root: c.u64()?,
                 bits: c.u64()?,
             },
-            TAG_CONSENSUS => MdsRecord::Consensus {
-                term: c.u64()?,
-                index: c.u64()?,
-                op: c.u8()?,
-                a: c.u64()?,
-                b: c.u64()?,
-                c: c.u64()?,
-            },
             tag => {
                 return Err(StoreError::corrupt(format!("unknown record tag {tag}")));
             }
@@ -282,7 +241,6 @@ impl MdsRecord {
             MdsRecord::Ownership { .. } => "ownership",
             MdsRecord::GlRecut { .. } => "gl_recut",
             MdsRecord::Popularity { .. } => "popularity",
-            MdsRecord::Consensus { .. } => "consensus",
         }
     }
 }
@@ -333,10 +291,6 @@ impl MdsState {
             MdsRecord::Popularity { root, bits } => {
                 self.popularity.insert(*root, *bits);
             }
-            // Consensus events carry control-plane log payloads, not MDS
-            // metadata; replicas replay them through their own state
-            // machine (`d2tree-cluster`'s `consensus` module).
-            MdsRecord::Consensus { .. } => {}
         }
     }
 
@@ -436,14 +390,6 @@ mod tests {
                 root: 17,
                 acquired: false,
             },
-            MdsRecord::Consensus {
-                term: 3,
-                index: 12,
-                op: 2,
-                a: 99,
-                b: 7,
-                c: u64::MAX,
-            },
         ]
     }
 
@@ -459,6 +405,10 @@ mod tests {
     fn decode_rejects_garbage() {
         assert!(MdsRecord::decode(&[]).is_err());
         assert!(MdsRecord::decode(&[99, 0, 0]).is_err(), "unknown tag");
+        // The retired tag 5, with the body it once carried.
+        let mut retired = vec![5];
+        retired.extend_from_slice(&[0; 41]);
+        assert!(MdsRecord::decode(&retired).is_err(), "retired tag 5");
         let mut ok = MdsRecord::Ownership {
             root: 1,
             acquired: true,

@@ -34,7 +34,7 @@
 //! ## Recovery
 //!
 //! [`scan_log`] is the one recovery scan, behind the MDS store's open,
-//! verify and inspect and behind a consensus replica's restart. It
+//! verify and inspect. It
 //! walks a directory's segments in LSN order and refuses any log that
 //! breaks continuity: the first segment must start at or below the
 //! replay start, each segment must start where the previous one ended,

@@ -175,9 +175,6 @@ fn json_event(w: &mut Writer<'_>, e: &Event) {
         EventKind::GlDeltaSync { mds, entries } => {
             w.key("mds").uint(mds).key("entries").uint(entries);
         }
-        EventKind::LeaderElected { replica, term } => {
-            w.key("replica").uint(replica).key("term").uint(term);
-        }
         EventKind::LeaseGranted {
             node,
             fence,
@@ -410,9 +407,6 @@ mod tests {
             "trace_spans_dropped_total",
             "health_ticks_total",
             "health_violations_total",
-            "elections_total",
-            "leader_changes_total",
-            "log_commits_total",
             "monitor_retries_total",
             "net_conns_total",
             "net_frames_total",
@@ -441,7 +435,6 @@ mod tests {
             "wal_append_us",
             "wal_fsync_us",
             "recovery_ms",
-            "monitor_failover_ms",
         ];
 
         let r = Registry::new();
@@ -449,15 +442,13 @@ mod tests {
         let snap = r.snapshot();
         // Every canonical name is pre-registered: exports carry the
         // full vocabulary as zero-valued series even on a run that
-        // never touches a code path. 52 names as of the batched serving
-        // path (net_batches_total, net_batch_depth,
-        // wal_group_commits_total) — the CI net-smoke scrape gate keys
-        // on this count too.
+        // never touches a code path. 48 names — the CI net-smoke scrape
+        // gate keys on this count too.
         assert_eq!(
             snap.counters.len() + snap.gauges.len() + snap.histograms.len(),
             EXPECTED.len()
         );
-        assert_eq!(EXPECTED.len(), 52, "export vocabulary changed size");
+        assert_eq!(EXPECTED.len(), 48, "export vocabulary changed size");
         let prom = super::prometheus_text(&snap);
         let json = super::json(&snap);
         for name in EXPECTED {

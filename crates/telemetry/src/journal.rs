@@ -103,13 +103,6 @@ pub enum EventKind {
         /// GL entries actually transferred (stale on the rejoiner).
         entries: u64,
     },
-    /// A control-plane replica won an election and became leader.
-    LeaderElected {
-        /// The replica that assumed leadership.
-        replica: u16,
-        /// The term it leads.
-        term: u64,
-    },
     /// The replicated lock state machine granted (or renewed) a lease.
     LeaseGranted {
         /// GL node the lease covers.
@@ -181,7 +174,6 @@ impl EventKind {
             EventKind::MdsRejoined { .. } => "mds_rejoined",
             EventKind::StoreRecovered { .. } => "store_recovered",
             EventKind::GlDeltaSync { .. } => "gl_delta_sync",
-            EventKind::LeaderElected { .. } => "leader_elected",
             EventKind::LeaseGranted { .. } => "lease_granted",
             EventKind::FenceRejected { .. } => "fence_rejected",
         }

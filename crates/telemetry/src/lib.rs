@@ -111,16 +111,8 @@ pub mod names {
     pub const HEALTH_TICKS_TOTAL: &str = "health_ticks_total";
     /// Health-rule violations observed across checked trajectories.
     pub const HEALTH_VIOLATIONS_TOTAL: &str = "health_violations_total";
-    /// Elections started by control-plane replicas (candidate steps).
-    pub const ELECTIONS_TOTAL: &str = "elections_total";
-    /// Distinct leadership hand-offs observed by the control plane.
-    pub const LEADER_CHANGES_TOTAL: &str = "leader_changes_total";
-    /// Entries committed through the replicated control-plane log.
-    pub const LOG_COMMITS_TOTAL: &str = "log_commits_total";
     /// Monitor/control-plane RPC retries taken under the retry policy.
     pub const MONITOR_RETRIES_TOTAL: &str = "monitor_retries_total";
-    /// Leader-loss to next-commit gap across failovers, milliseconds.
-    pub const MONITOR_FAILOVER_MS: &str = "monitor_failover_ms";
     /// TCP connections accepted (server) or opened (load client).
     pub const NET_CONNS_TOTAL: &str = "net_conns_total";
     /// Request/response frames carried over TCP connections.
@@ -195,9 +187,6 @@ pub mod names {
             TRACE_SPANS_DROPPED,
             HEALTH_TICKS_TOTAL,
             HEALTH_VIOLATIONS_TOTAL,
-            ELECTIONS_TOTAL,
-            LEADER_CHANGES_TOTAL,
-            LOG_COMMITS_TOTAL,
             MONITOR_RETRIES_TOTAL,
             NET_CONNS_TOTAL,
             NET_FRAMES_TOTAL,
@@ -228,7 +217,6 @@ pub mod names {
             WAL_APPEND_US,
             WAL_FSYNC_US,
             RECOVERY_MS,
-            MONITOR_FAILOVER_MS,
         ];
         for name in COUNTERS {
             let _ = registry.counter(MetricKey::global(name));

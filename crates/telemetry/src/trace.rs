@@ -76,10 +76,6 @@ pub enum SpanName {
     WalAppend,
     /// Store group-commit fsync.
     WalFsync,
-    /// A control-plane replica campaigning for leadership.
-    Election,
-    /// A leader replicating one committed batch to its followers.
-    Replicate,
 }
 
 impl SpanName {
@@ -101,8 +97,6 @@ impl SpanName {
             SpanName::Failover => "failover",
             SpanName::WalAppend => "wal_append",
             SpanName::WalFsync => "wal_fsync",
-            SpanName::Election => "election",
-            SpanName::Replicate => "replicate",
         }
     }
 }
@@ -141,10 +135,6 @@ pub mod span_names {
     pub const WAL_APPEND: SpanName = SpanName::WalAppend;
     /// Store group-commit fsync.
     pub const WAL_FSYNC: SpanName = SpanName::WalFsync;
-    /// A control-plane replica campaigning for leadership.
-    pub const ELECTION: SpanName = SpanName::Election;
-    /// A leader replicating one committed batch to its followers.
-    pub const REPLICATE: SpanName = SpanName::Replicate;
 }
 
 /// Identifies one traced operation end to end across every hop.
@@ -219,8 +209,6 @@ pub enum ArgKey {
     Outcome,
     /// Response body kind (served/redirect/not-found code).
     Body,
-    /// Consensus term an election or replication batch ran in.
-    Term,
     /// Fencing token carried by a lease grant or rejected write.
     Fence,
 }
@@ -248,7 +236,6 @@ impl ArgKey {
             ArgKey::Route => "route",
             ArgKey::Outcome => "outcome",
             ArgKey::Body => "body",
-            ArgKey::Term => "term",
             ArgKey::Fence => "fence",
         }
     }

@@ -250,9 +250,9 @@ fn the_scanners_read_what_the_docs_write() {
         ["locate"]
     );
     assert_eq!(
-        crate_refs("cluster::{consensus, monitor}"),
+        crate_refs("cluster::{lock, monitor}"),
         [
-            ("cluster", "consensus".to_owned()),
+            ("cluster", "lock".to_owned()),
             ("cluster", "monitor".to_owned())
         ]
     );

@@ -218,14 +218,10 @@ fn remove_segment(dir: &Path, first_lsn: u64) {
 }
 
 /// A log missing a middle segment lost records that were durable, so
-/// recovery must refuse it, whoever replays it: an MDS store and a
-/// consensus replica go through the one scan and both name the gap. A
-/// replica that skipped it would come back with an older vote, free
-/// to vote twice in one term.
+/// recovery must refuse it, whoever replays it: `MdsStore::open`,
+/// `verify` and `inspect` go through the one scan and all name the gap.
 #[test]
 fn a_missing_middle_segment_fails_every_recovery_loudly() {
-    use d2tree::cluster::{ConsensusTiming, PeerMsg, Replica};
-
     // One frame per segment: every sync rotates.
     let tiny = StoreConfig {
         segment_bytes: 1,
@@ -239,43 +235,15 @@ fn a_missing_middle_segment_fails_every_recovery_loudly() {
     }
     drop(store);
     remove_segment(&dir, 2);
-    match MdsStore::open(&dir, tiny) {
-        Err(d2tree::store::StoreError::Corrupt(msg)) => {
-            assert!(msg.contains("segment gap"), "{msg}");
+    let gap = |what: &str, err: Option<d2tree::store::StoreError>| match err {
+        Some(d2tree::store::StoreError::Corrupt(msg)) => {
+            assert!(msg.contains("segment gap"), "{what}: {msg}");
         }
-        other => panic!("store opened across a gap: {other:?}"),
-    }
-    let _ = fs::remove_dir_all(&dir);
-
-    // Replica 0 of three votes for replica 1 in terms 1 and 2: hard
-    // states (1, -), (1, 1), (2, -), (2, 1) at LSNs 0..4.
-    let dir = tmp_dir("gap-replica");
-    let timing = ConsensusTiming::default();
-    let open = || Replica::recover(0, 3, 7, timing, 100, 0, 0, &dir, 1);
-    let mut replica = open().expect("fresh replica");
-    let mut out = Vec::new();
-    for term in 1..=2 {
-        let vote = PeerMsg::RequestVote {
-            term,
-            candidate: 1,
-            last_log_index: 0,
-            last_log_term: 0,
-        };
-        replica.receive(vote, 0, &mut out);
-    }
-    assert_eq!(replica.term(), 2);
-    drop(replica);
-    remove_segment(&dir, 3);
-    match open() {
-        Err(d2tree::store::StoreError::Corrupt(msg)) => {
-            assert!(msg.contains("segment gap"), "{msg}");
-        }
-        Err(e) => panic!("replica failed for another reason: {e}"),
-        Ok(r) => panic!(
-            "replica recovered across a gap at term {}, its vote lost",
-            r.term()
-        ),
-    }
+        other => panic!("{what} read across a gap: {other:?}"),
+    };
+    gap("open", MdsStore::open(&dir, tiny).err());
+    gap("verify", d2tree::store::verify(&dir).err());
+    gap("inspect", d2tree::store::inspect(&dir).err());
     let _ = fs::remove_dir_all(&dir);
 }
 

@@ -6,6 +6,9 @@ use d2tree_namespace::{NamespaceTree, Popularity};
 
 use crate::keys::{locality_keys, range_owner, weighted_boundaries};
 
+/// Number of concentric rings (depth bands).
+const RINGS: usize = 4;
+
 /// AngleCut (Liu et al., DASFAA'17), reimplemented from its published
 /// description: the namespace tree is projected onto multiple concentric
 /// Chord-like rings — one ring per depth band — where a node's *angle* is
@@ -18,7 +21,6 @@ use crate::keys::{locality_keys, range_owner, weighted_boundaries};
 #[derive(Debug)]
 pub struct AngleCut {
     seed: u64,
-    rings: usize,
     placement: Option<Placement>,
     angles: Vec<f64>,
     /// Per-ring sector boundaries, indexed `[ring][mds]`.
@@ -26,46 +28,15 @@ pub struct AngleCut {
 }
 
 impl AngleCut {
-    /// Creates the scheme with the default of 4 depth-band rings.
+    /// Creates the scheme with its four depth-band rings.
     #[must_use]
     pub fn new(seed: u64) -> Self {
         AngleCut {
             seed,
-            rings: 4,
             placement: None,
             angles: Vec::new(),
             boundaries: Vec::new(),
         }
-    }
-
-    /// Overrides the number of rings (depth bands).
-    ///
-    /// # Panics
-    ///
-    /// Panics if `rings == 0`.
-    #[must_use]
-    pub fn with_rings(mut self, rings: usize) -> Self {
-        assert!(rings > 0, "need at least one ring");
-        self.rings = rings;
-        self
-    }
-
-    /// The ring (depth band) a node of the given depth projects to.
-    fn ring_of_depth(&self, depth: usize, max_depth: usize) -> usize {
-        if max_depth == 0 {
-            return 0;
-        }
-        (depth * self.rings / (max_depth + 1)).min(self.rings - 1)
-    }
-
-    /// The ring of every arena slot, from the tree's true depths.
-    fn rings_of(&self, tree: &NamespaceTree) -> Vec<usize> {
-        let depth = tree.depths();
-        let max_depth = depth.iter().copied().max().unwrap_or(0) as usize;
-        depth
-            .iter()
-            .map(|&d| self.ring_of_depth(d as usize, max_depth))
-            .collect()
     }
 
     fn retune(
@@ -77,7 +48,7 @@ impl AngleCut {
     ) {
         let shares: Vec<f64> = cluster.ids().map(|k| cluster.capacity_share(k)).collect();
         let jitter = (self.seed % 89) as f64 * 1e-15;
-        let mut per_ring: Vec<Vec<(f64, f64)>> = vec![Vec::new(); self.rings];
+        let mut per_ring: Vec<Vec<(f64, f64)>> = vec![Vec::new(); RINGS];
         for (id, _) in tree.nodes() {
             per_ring[rings[id.index()]]
                 .push((self.angles[id.index()] + jitter, pop.individual(id)));
@@ -108,6 +79,24 @@ impl AngleCut {
     }
 }
 
+/// The ring (depth band) a node of the given depth projects to.
+fn ring_of_depth(depth: usize, max_depth: usize) -> usize {
+    if max_depth == 0 {
+        return 0;
+    }
+    (depth * RINGS / (max_depth + 1)).min(RINGS - 1)
+}
+
+/// The ring of every arena slot, from the tree's true depths.
+fn rings_of(tree: &NamespaceTree) -> Vec<usize> {
+    let depth = tree.depths();
+    let max_depth = depth.iter().copied().max().unwrap_or(0) as usize;
+    depth
+        .iter()
+        .map(|&d| ring_of_depth(d as usize, max_depth))
+        .collect()
+}
+
 impl Partitioner for AngleCut {
     fn name(&self) -> &'static str {
         "AngleCut"
@@ -115,7 +104,7 @@ impl Partitioner for AngleCut {
 
     fn build(&mut self, tree: &NamespaceTree, pop: &Popularity, cluster: &ClusterSpec) {
         self.angles = locality_keys(tree);
-        let rings = self.rings_of(tree);
+        let rings = rings_of(tree);
         self.retune(tree, &rings, pop, cluster);
         self.placement = Some(self.rebuild_placement(tree, &rings, cluster.len()));
     }
@@ -131,7 +120,7 @@ impl Partitioner for AngleCut {
         cluster: &ClusterSpec,
     ) -> Vec<Migration> {
         let old = self.placement.take().expect("AngleCut used before build");
-        let rings = self.rings_of(tree);
+        let rings = rings_of(tree);
         self.retune(tree, &rings, pop, cluster);
         let fresh = self.rebuild_placement(tree, &rings, cluster.len());
         let migrations = tree
@@ -223,10 +212,10 @@ mod tests {
 
     #[test]
     fn ring_assignment_spans_depth_bands() {
-        let s = AngleCut::new(0).with_rings(3);
-        assert_eq!(s.ring_of_depth(0, 9), 0);
-        assert_eq!(s.ring_of_depth(9, 9), 2);
-        assert_eq!(s.ring_of_depth(5, 9), 1);
-        assert_eq!(s.ring_of_depth(0, 0), 0);
+        assert_eq!(ring_of_depth(0, 9), 0);
+        assert_eq!(ring_of_depth(9, 9), 3);
+        assert_eq!(ring_of_depth(5, 9), 2);
+        assert_eq!(ring_of_depth(2, 9), 0);
+        assert_eq!(ring_of_depth(0, 0), 0);
     }
 }

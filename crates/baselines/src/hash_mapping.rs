@@ -12,10 +12,10 @@ use crate::keys::{finalise, fnv1a, fnv1a_extend};
 /// Balance is essentially perfect and nothing ever migrates, but a
 /// pathname traversal visits a fresh random server at almost every step —
 /// the worst-case locality the paper contrasts against. The scheme also
-/// exposes the rename problem: [`rename_rehash_count`] counts how many
+/// exposes the rename problem: [`moved_by_rename`] counts how many
 /// nodes would rehash when a directory is renamed.
 ///
-/// [`rename_rehash_count`]: HashMapping::rename_rehash_count
+/// [`moved_by_rename`]: HashMapping::moved_by_rename
 #[derive(Debug)]
 pub struct HashMapping {
     seed: u64,
@@ -53,18 +53,18 @@ impl HashMapping {
     ///
     /// Panics if called before [`Partitioner::build`].
     #[must_use]
-    pub fn rename_rehash_count(&self, tree: &NamespaceTree, root: NodeId, new_name: &str) -> usize {
+    pub fn moved_by_rename(&self, tree: &NamespaceTree, root: NodeId, new_name: &str) -> usize {
         let m = self.placement().cluster_size();
         let Some(parent) = tree.path_of(root).parent() else {
             return 0;
         };
         // As a prefix the root contributes nothing: `/a`, not `//a`.
-        let prefix = if parent.is_root() {
+        let prefix = if parent.depth() == 0 {
             fnv1a(b"")
         } else {
             fnv1a(parent.to_string().as_bytes())
         };
-        let old_name = tree.node(root).expect("live node").name();
+        let old_name = tree.node(root).expect("a node of the tree").name();
         let start = [old_name, new_name].map(|name| extend_path(prefix, name));
         let mut moved = 0;
         walk_hashed(tree, root, start, |_, [old, new]| {
@@ -93,7 +93,7 @@ fn walk_hashed<const N: usize>(
     let mut stack = vec![(root, start)];
     while let Some((id, states)) = stack.pop() {
         visit(id, states);
-        let node = tree.node(id).expect("children of live nodes are live");
+        let node = tree.node(id).expect("children are nodes");
         for (sym, child) in node.children() {
             let name = tree.symbols().resolve(sym);
             stack.push((child, states.map(|h| extend_path(h, name))));
@@ -185,7 +185,7 @@ mod tests {
     }
 
     #[test]
-    fn rename_forces_rehashing() {
+    fn a_rename_forces_rehashing() {
         let (w, s) = setup(4);
         // Find a directory with a reasonably large subtree.
         let dir = w
@@ -197,7 +197,7 @@ mod tests {
             .max_by_key(|&id| w.tree.subtree_size(id))
             .unwrap();
         let size = w.tree.subtree_size(dir);
-        let moved = s.rename_rehash_count(&w.tree, dir, "renamed");
+        let moved = s.moved_by_rename(&w.tree, dir, "renamed");
         // Expect roughly (M-1)/M = 75% of descendants to move.
         assert!(size >= 10);
         assert!(
@@ -206,9 +206,9 @@ mod tests {
         );
     }
 
-    /// The string-building count `rename_rehash_count` replaced, kept as
+    /// The string-building count `moved_by_rename` replaced, kept as
     /// the oracle.
-    fn rename_rehash_count_by_strings(
+    fn moved_by_rename_by_strings(
         s: &HashMapping,
         tree: &NamespaceTree,
         root: NodeId,
@@ -263,8 +263,8 @@ mod tests {
                     let deep_dir = tree.node(deep).and_then(|n| n.parent()).expect("parent");
                     for root in [biggest, deep_dir, tree.root()] {
                         assert_eq!(
-                            s.rename_rehash_count(&tree, root, "renamed"),
-                            rename_rehash_count_by_strings(&s, &tree, root, "renamed"),
+                            s.moved_by_rename(&tree, root, "renamed"),
+                            moved_by_rename_by_strings(&s, &tree, root, "renamed"),
                             "{name} tree, seed {seed}, M = {m}, rename of {}",
                             tree.path_of(root)
                         );

@@ -52,7 +52,7 @@ pub(crate) fn finalise(mut h: u64) -> u64 {
     h
 }
 
-/// Assigns every live node a key in `[0, 1)` by recursive interval
+/// Assigns every node a key in `[0, 1)` by recursive interval
 /// subdivision: the root owns `[0, 1)`, each child receives a subinterval
 /// proportional to its subtree size, and a node's key is the start of its
 /// interval.
@@ -64,25 +64,18 @@ pub(crate) fn finalise(mut h: u64) -> u64 {
 /// * sibling intervals are size-proportional, so keys are roughly uniform
 ///   over nodes.
 ///
-/// Returns a dense table indexed by [`NodeId::index`]; tombstoned slots
-/// hold `f64::NAN`.
+/// Returns a dense table indexed by [`NodeId::index`].
 #[must_use]
 pub fn locality_keys(tree: &NamespaceTree) -> Vec<f64> {
-    // Pre-order, so a reverse sweep sees every child before its parent
-    // and a forward sweep every parent before its children.
-    let mut order: Vec<NodeId> = Vec::with_capacity(tree.node_count());
-    let mut stack = vec![tree.root()];
-    while let Some(id) = stack.pop() {
-        order.push(id);
-        let node = tree.node(id).expect("children of live nodes are live");
-        stack.extend(node.children().map(|(_, c)| c));
-    }
-    let mut size = vec![0usize; tree.arena_size()];
-    for &id in order.iter().rev() {
-        size[id.index()] += 1;
-        if let Some(parent) = tree.node(id).and_then(|n| n.parent()) {
-            size[parent.index()] += size[id.index()];
-        }
+    // A child's id is greater than its parent's, so a backward sweep
+    // over the arena sees every child before its parent and a forward
+    // sweep every parent before its children.
+    let mut size = vec![1usize; tree.arena_size()];
+    for id in (1..size.len()).rev().map(NodeId::from_index) {
+        let parent = tree
+            .parent_of(id)
+            .expect("every node but the root has a parent");
+        size[parent.index()] += size[id.index()];
     }
 
     // `keys[id]` is the start of a node's interval and `ends[id]` its end,
@@ -91,8 +84,7 @@ pub fn locality_keys(tree: &NamespaceTree) -> Vec<f64> {
     let mut ends = vec![f64::NAN; tree.arena_size()];
     keys[tree.root().index()] = 0.0;
     ends[tree.root().index()] = 1.0;
-    for &id in &order {
-        let node = tree.node(id).expect("order holds live nodes");
+    for (id, node) in tree.nodes() {
         if node.child_count() == 0 {
             continue;
         }
@@ -184,49 +176,6 @@ mod tests {
         assert_eq!(fnv1a(b"/same"), fnv1a(b"/same"));
     }
 
-    /// The recount implementation `locality_keys` replaced, kept as the
-    /// oracle: `subtree_size` per child, two `Vec`s per node.
-    fn locality_keys_by_recount(tree: &NamespaceTree) -> Vec<f64> {
-        let mut keys = vec![f64::NAN; tree.arena_size()];
-        let mut stack: Vec<(NodeId, f64, f64)> = vec![(tree.root(), 0.0, 1.0)];
-        while let Some((id, start, end)) = stack.pop() {
-            keys[id.index()] = start;
-            let node = match tree.node(id) {
-                Some(n) => n,
-                None => continue,
-            };
-            let kids: Vec<NodeId> = node.children().map(|(_, c)| c).collect();
-            if kids.is_empty() {
-                continue;
-            }
-            let sizes: Vec<f64> = kids.iter().map(|&k| tree.subtree_size(k) as f64).collect();
-            let total: f64 = sizes.iter().sum();
-            let span = end - start;
-            let lead = span * 1e-9;
-            let mut cursor = start + lead;
-            for (k, sz) in kids.iter().zip(&sizes) {
-                let width = (span - lead) * sz / total;
-                stack.push((*k, cursor, cursor + width));
-                cursor += width;
-            }
-        }
-        keys
-    }
-
-    #[test]
-    fn single_pass_keys_are_bit_identical_to_the_recount() {
-        for seed in [1, 2] {
-            for (name, tree) in crate::tests::oracle_trees(seed) {
-                let bits = |keys: Vec<f64>| keys.into_iter().map(f64::to_bits).collect::<Vec<_>>();
-                assert_eq!(
-                    bits(locality_keys(&tree)),
-                    bits(locality_keys_by_recount(&tree)),
-                    "{name} tree, seed {seed}"
-                );
-            }
-        }
-    }
-
     #[test]
     fn fnv_extends_incrementally() {
         assert_eq!(fnv1a_extend(fnv1a(b"/a"), b"/bc"), fnv1a(b"/a/bc"));
@@ -245,7 +194,7 @@ mod tests {
         let hi = a_keys.iter().cloned().fold(f64::NEG_INFINITY, f64::max);
         for (id, _) in t.nodes() {
             let inside = keys[id.index()] >= lo && keys[id.index()] <= hi;
-            assert_eq!(inside, a == id || t.is_ancestor_of(a, id), "node {id}");
+            assert_eq!(inside, t.chain_up(id).any(|x| x == a), "node {id}");
         }
     }
 

@@ -6,14 +6,18 @@ use d2tree_namespace::{NamespaceTree, NodeId, Popularity};
 
 use crate::keys::stable_hash;
 
+/// Depth of the directories that root the immutable subtrees: the
+/// children of the root.
+const CUT_DEPTH: usize = 1;
+
 /// Static subtree partitioning (Sec. II / Sec. VI "Implements"): "the
 /// initial metadata partition was created by hashing directories near the
 /// root of the hierarchy".
 ///
-/// Every directory at `cut_depth` (default 1 — the children of the root)
-/// roots an immutable subtree; the subtree is hashed by its pathname to a
-/// server and never moves. Nodes above the cut (the root itself for
-/// `cut_depth` 1) are hashed individually.
+/// Every directory at depth 1 — a child of the root — roots an immutable
+/// subtree; the subtree is hashed by its pathname to a
+/// server and never moves. The root, above the cut, is hashed on its
+/// own.
 ///
 /// The scheme has excellent locality (whole application directories stay
 /// on one server) but no answer to skew, which is exactly the trade-off
@@ -21,7 +25,6 @@ use crate::keys::stable_hash;
 #[derive(Debug)]
 pub struct StaticSubtree {
     seed: u64,
-    cut_depth: usize,
     placement: Option<Placement>,
 }
 
@@ -31,21 +34,8 @@ impl StaticSubtree {
     pub fn new(seed: u64) -> Self {
         StaticSubtree {
             seed,
-            cut_depth: 1,
             placement: None,
         }
-    }
-
-    /// Overrides how far below the root the immutable subtrees start.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `cut_depth == 0`.
-    #[must_use]
-    pub fn with_cut_depth(mut self, cut_depth: usize) -> Self {
-        assert!(cut_depth > 0, "cut depth must be at least 1");
-        self.cut_depth = cut_depth;
-        self
     }
 
     fn hash_to_mds(&self, tree: &NamespaceTree, id: NodeId, m: usize) -> MdsId {
@@ -65,7 +55,7 @@ impl Partitioner for StaticSubtree {
         let mut placement = Placement::new(tree, m);
         let mut slots = placement.writer(tree);
         // Depth-first walk carrying the current depth; subtree roots at
-        // cut_depth fix the owner for their whole subtree.
+        // the cut fix the owner for their whole subtree.
         let mut stack: Vec<(NodeId, usize, Option<MdsId>)> = vec![(tree.root(), 0, None)];
         while let Some((id, depth, inherited)) = stack.pop() {
             let owner = match inherited {
@@ -77,7 +67,7 @@ impl Partitioner for StaticSubtree {
                 // Children strictly below the cut inherit the owner; the
                 // subtree roots at the cut (and anything above it) hash
                 // independently.
-                let next = if depth + 1 > self.cut_depth {
+                let next = if depth + 1 > CUT_DEPTH {
                     Some(owner)
                 } else {
                     None
@@ -156,29 +146,5 @@ mod tests {
             .nodes()
             .any(|(id, _)| a.placement().assignment(id) != b.placement().assignment(id));
         assert!(differs);
-    }
-
-    #[test]
-    fn deeper_cut_creates_finer_subtrees() {
-        let w = WorkloadBuilder::new(TraceProfile::dtr().with_nodes(1_500).with_operations(1_000))
-            .seed(3)
-            .build();
-        let pop = w.popularity();
-        let cluster = ClusterSpec::homogeneous(8, 10.0);
-        let mut coarse = StaticSubtree::new(9);
-        let mut fine = StaticSubtree::new(9).with_cut_depth(3);
-        coarse.build(&w.tree, &pop, &cluster);
-        fine.build(&w.tree, &pop, &cluster);
-        let distinct = |s: &StaticSubtree| {
-            let mut owners: Vec<_> = w
-                .tree
-                .nodes()
-                .map(|(id, _)| s.placement().assignment(id))
-                .collect();
-            owners.sort_by_key(|a| format!("{a:?}"));
-            owners.dedup();
-            owners.len()
-        };
-        assert!(distinct(&fine) >= distinct(&coarse));
     }
 }

@@ -48,7 +48,7 @@ fn main() {
     let mut total_size = 0usize;
     for &dir in &dirs {
         let size = workload.tree.subtree_size(dir);
-        let moved = hash.rename_rehash_count(&workload.tree, dir, "renamed");
+        let moved = hash.moved_by_rename(&workload.tree, dir, "renamed");
         total_hash += moved;
         total_size += size;
         rows.push(vec![

@@ -374,7 +374,7 @@ pub fn run_chaos(seed: u64, config: &ChaosConfig) -> ChaosReport {
             let Some(cmd) = mon.on_heartbeat(hb, now, &state) else {
                 continue;
             };
-            let rejoining = state.alive.get(&back.0) == Some(&false);
+            let rejoining = state.is_dead(back.0);
             let _ = state.apply_command(cmd, Some(&journal));
             last_disruption_ms = now;
             if rejoining {
@@ -552,8 +552,8 @@ pub fn run_chaos(seed: u64, config: &ChaosConfig) -> ChaosReport {
             .find(|(k, _)| k.name == name)
             .map_or(0, |&(_, v)| v)
     };
-    report.grants = state.grants;
-    report.fence_rejections = state.fence_rejections;
+    report.grants = state.grants();
+    report.fence_rejections = state.fence_rejections();
     report.faults_dropped = counter(names::FAULTS_DROPPED);
     report.faults_delayed = counter(names::FAULTS_DELAYED);
     report.faults_duplicated = counter(names::FAULTS_DUPLICATED);

@@ -64,19 +64,6 @@ pub struct CacheStats {
     pub misses: u64,
 }
 
-impl CacheStats {
-    /// Fraction of routes served from cache, or 0.0 before any route.
-    #[must_use]
-    pub fn hit_ratio(&self) -> f64 {
-        let total = self.hits + self.misses;
-        if total == 0 {
-            0.0
-        } else {
-            self.hits as f64 / total as f64
-        }
-    }
-}
-
 /// Unified client retry policy: how often, how patiently and for how
 /// long a client keeps re-issuing one request.
 ///
@@ -494,7 +481,6 @@ mod tests {
         let mut cache = ClientCache::new(100);
         assert_eq!(cache.route(&tree, sub, 0), RouteDecision::StaleCache);
         assert_eq!(cache.stats(), CacheStats { hits: 0, misses: 1 });
-        assert_eq!(cache.stats().hit_ratio(), 0.0);
         assert_eq!(cache.version(), None);
     }
 
@@ -507,7 +493,6 @@ mod tests {
         assert_eq!(cache.route(&tree, leaf, 50), RouteDecision::Owner(MdsId(1)));
         assert_eq!(cache.route(&tree, sub, 50), RouteDecision::Owner(MdsId(1)));
         assert_eq!(cache.stats(), CacheStats { hits: 2, misses: 0 });
-        assert_eq!(cache.stats().hit_ratio(), 1.0);
     }
 
     #[test]

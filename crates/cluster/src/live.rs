@@ -20,7 +20,7 @@ use std::collections::HashMap;
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicBool, AtomicU64, Ordering};
 use std::sync::mpsc::{channel, sync_channel, Receiver, RecvTimeoutError, Sender, SyncSender};
-use std::sync::{Arc, Mutex, Weak};
+use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
@@ -29,10 +29,7 @@ use d2tree_metrics::{Assignment, ClusterSpec, MdsId, Migration, Placement};
 use d2tree_namespace::{NamespaceTree, NodeId, VersionedAttr};
 use d2tree_store::StoreConfig;
 use d2tree_telemetry::trace::{span_names, ArgKey, Span, SpanCtx, SpanName, Tracer};
-use d2tree_telemetry::{
-    names, Counter, Event, EventKind, FaultKind, FlightRecorder, HealthTick, MetricKey, Registry,
-    TickSample,
-};
+use d2tree_telemetry::{names, Counter, Event, EventKind, FaultKind, MetricKey, Registry};
 use d2tree_workload::Operation;
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
@@ -45,7 +42,6 @@ use crate::mds::ServeSpan;
 use crate::message::{Request, RequestId, Response, REQUEST_FRAME_BYTES};
 use crate::monitor::{ClusterEvent, Monitor, MonitorConfig};
 use crate::net::NetMds;
-use crate::sync;
 
 /// Tuning of the live runtime.
 #[derive(Debug, Clone)]
@@ -80,11 +76,6 @@ pub struct LiveConfig {
     /// monitor decisions, WAL I/O) records spans into; `None` disables
     /// tracing, leaving one branch per potential span on the hot path.
     pub tracer: Option<Arc<Tracer>>,
-    /// Flight-recorder ring capacity; `Some(n)` makes the Monitor sample
-    /// one [`HealthTick`] per heartbeat interval (balance from live
-    /// subtree counters, op/forward/migration deltas, WAL fsync p99),
-    /// keeping the newest `n`. `None` disables health recording.
-    pub recorder_capacity: Option<usize>,
 }
 
 impl LiveConfig {
@@ -92,14 +83,6 @@ impl LiveConfig {
     #[must_use]
     pub fn with_tracer(mut self, tracer: Arc<Tracer>) -> Self {
         self.tracer = Some(tracer);
-        self
-    }
-
-    /// Enables the Monitor's flight recorder with room for `capacity`
-    /// health ticks.
-    #[must_use]
-    pub fn with_recorder(mut self, capacity: usize) -> Self {
-        self.recorder_capacity = Some(capacity);
         self
     }
 }
@@ -116,7 +99,6 @@ impl Default for LiveConfig {
             store_root: None,
             store: StoreConfig::default(),
             tracer: None,
-            recorder_capacity: None,
         }
     }
 }
@@ -153,9 +135,6 @@ struct Shared {
     faults: Option<FaultInjector>,
     /// Tracer shared by every component, `None` when tracing is off.
     tracer: Option<Arc<Tracer>>,
-    /// Monitor-sampled health trajectory, `None` when recording is off.
-    /// Locked once per heartbeat interval by the Monitor and on reads.
-    recorder: Option<Mutex<FlightRecorder>>,
 }
 
 impl Shared {
@@ -363,9 +342,6 @@ impl LiveCluster {
             registry: Arc::clone(&registry),
             faults,
             tracer: config.tracer.clone(),
-            recorder: config
-                .recorder_capacity
-                .map(|c| Mutex::new(FlightRecorder::new(c))),
         });
         // Labelled once, the index's table is shared by every copy.
         index.relabel(&tree);
@@ -708,18 +684,6 @@ impl LiveCluster {
         &self.shared.registry
     }
 
-    /// The Monitor's health trajectory so far, oldest tick first — empty
-    /// unless the cluster was started with
-    /// [`LiveConfig::with_recorder`]. Safe to call while running; the
-    /// recorder is locked only for the copy.
-    #[must_use]
-    pub fn health_ticks(&self) -> Vec<HealthTick> {
-        self.shared
-            .recorder
-            .as_ref()
-            .map_or_else(Vec::new, |r| sync::lock(r).ticks().cloned().collect())
-    }
-
     /// The attribute version server `mds` holds for `node` — used to
     /// verify replica convergence after global-layer updates.
     #[must_use]
@@ -910,9 +874,6 @@ fn monitor_main(
     let rejoin_latency = shared
         .registry
         .histogram(MetricKey::global(names::REJOIN_FIRST_CLAIM_MS));
-    let health_ticks_total = shared
-        .registry
-        .counter(MetricKey::global(names::HEALTH_TICKS_TOTAL));
     let tick_ms = config.heartbeat_interval_ms.max(1);
     let mut next_tick_ms = 0u64;
     let tick = Duration::from_millis(tick_ms);
@@ -927,7 +888,7 @@ fn monitor_main(
                 let back = hb.mds;
                 // A first heartbeat registers; one from a committed-dead
                 // server is a rejoin.
-                let rejoining = shared.locks.control().alive.get(&back.0) == Some(&false);
+                let rejoining = shared.locks.control().is_dead(back.0);
                 // (Bound first: a guard in the `if let` scrutinee would
                 // still be held when `commit` locks again.)
                 let verdict = mon.on_heartbeat(hb, now, &shared.locks.control());
@@ -968,36 +929,11 @@ fn monitor_main(
             Err(RecvTimeoutError::Disconnected) => break,
         }
         let now = shared.now_ms();
-        // One rebalancing round and one health sample per heartbeat
-        // interval, no matter how bursty the heartbeat traffic is.
+        // One rebalancing round per heartbeat interval, no matter how
+        // bursty the heartbeat traffic is.
         if now >= next_tick_ms {
             next_tick_ms = now + tick_ms;
             rebalance(shared, daemons, &mut mon);
-            if let Some(rec) = &shared.recorder {
-                let mut loads = vec![0.0; m];
-                for (s, owner) in counted_subtrees(shared, daemons) {
-                    loads[owner.index()] += s.popularity;
-                }
-                let total: f64 = loads.iter().sum();
-                #[allow(clippy::cast_precision_loss)]
-                let spec = ClusterSpec::homogeneous(m, (total / m as f64).max(f64::MIN_POSITIVE));
-                sync::lock(rec).sample(
-                    TickSample {
-                        t_us: shared.registry.uptime_us(),
-                        // Live locality needs a namespace popularity
-                        // model the data plane does not maintain; NaN
-                        // marks it unknown (exported as null).
-                        locality: f64::NAN,
-                        balance: d2tree_metrics::balance(&loads, &spec),
-                        ops_total: daemons.iter().map(|mds| mds.served()).sum(),
-                        retries_total: daemons.iter().map(|mds| mds.redirects()).sum(),
-                        migrations_total: shared.migrations.load(Ordering::Relaxed),
-                        loads,
-                    },
-                    Some(&shared.registry),
-                );
-                health_ticks_total.inc();
-            }
         }
         let detect_t0 = shared.tracer().map(Tracer::now_us);
         let verdicts = mon.detect_failures(now, &shared.locks.control());
@@ -1704,53 +1640,6 @@ mod tests {
                 .any(|e| matches!(e, ClusterEvent::MdsFailed(_))),
             "retried heartbeats keep the server alive through the drop window"
         );
-    }
-
-    #[test]
-    fn monitor_records_health_ticks_while_serving() {
-        let w = WorkloadBuilder::new(TraceProfile::dtr().with_nodes(500).with_operations(400))
-            .seed(13)
-            .build();
-        let pop = w.popularity();
-        let mut scheme = D2TreeScheme::new(D2TreeConfig::paper_default());
-        scheme.build(&w.tree, &pop, &ClusterSpec::homogeneous(3, 1.0));
-        let placement = scheme.placement().clone();
-        let index = scheme.local_index().clone();
-        let tree = Arc::new(w.tree);
-        let config = LiveConfig::default().with_recorder(64);
-        let cluster = LiveCluster::start_with_index(Arc::clone(&tree), placement, index, config);
-        let mut client = cluster.client(5);
-        for op in w.trace.iter().take(200) {
-            client.execute(*op).expect("op served");
-        }
-        // Give the Monitor at least a couple of heartbeat intervals to
-        // sample after the load landed.
-        std::thread::sleep(Duration::from_millis(120));
-        let ticks = cluster.health_ticks();
-        assert!(!ticks.is_empty(), "monitor sampled no health ticks");
-        assert!(
-            ticks.windows(2).all(|w| w[0].tick + 1 == w[1].tick),
-            "tick numbering is contiguous"
-        );
-        assert!(
-            ticks.iter().all(|t| t.locality.is_nan()),
-            "live layer has no popularity model; locality must be NaN"
-        );
-        let served_so_far: u64 = ticks.iter().map(|t| t.ops).sum();
-        assert!(served_so_far <= 200, "deltas cannot exceed ops issued");
-        let last = ticks.last().expect("non-empty");
-        assert!(last.balance > 0.0, "balance is a positive Def. 5 score");
-        assert_eq!(last.loads.len(), 3, "one load lane per MDS");
-        assert!(
-            cluster
-                .registry()
-                .snapshot()
-                .counters
-                .iter()
-                .any(|(k, v)| k.name == names::HEALTH_TICKS_TOTAL && *v > 0),
-            "health tick counter advances"
-        );
-        let _ = cluster.shutdown();
     }
 
     #[test]

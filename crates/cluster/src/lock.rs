@@ -148,24 +148,25 @@ pub enum Applied {
 /// Everything time-dependent uses the clock reading carried *inside*
 /// the command, so applying the same commands always yields the same
 /// state. Commands apply as they are issued, through
-/// [`ControlState::apply_command`]: the live runtime's [`LockService`]
-/// and the chaos engine both drive it that way.
+/// [`ControlState::apply_command`] — the only way to change the state,
+/// since every field is private: the live runtime's [`LockService`] and
+/// the chaos engine both drive it that way.
 #[derive(Debug, Clone, PartialEq, Eq)]
 pub struct ControlState {
     lease_ms: u64,
     next_fence: u64,
     /// Live leases by GL node.
-    pub leases: BTreeMap<u64, LeaseState>,
+    leases: BTreeMap<u64, LeaseState>,
     /// Committed MDS liveness (absent = never registered).
-    pub alive: BTreeMap<u16, bool>,
+    alive: BTreeMap<u16, bool>,
     /// Committed GL version per node.
-    pub gl_versions: BTreeMap<u64, u64>,
+    gl_versions: BTreeMap<u64, u64>,
     /// Total leases granted.
-    pub grants: u64,
+    grants: u64,
     /// Writes rejected for stale/expired fences.
-    pub fence_rejections: u64,
+    fence_rejections: u64,
     /// Acquire attempts that found the lease held and unexpired.
-    pub lease_busy: u64,
+    lease_busy: u64,
 }
 
 impl ControlState {
@@ -302,6 +303,14 @@ impl ControlState {
         self.alive.get(&mds) == Some(&true)
     }
 
+    /// Whether `mds` registered and was then declared dead — so its next
+    /// heartbeat is a rejoin. A server never seen is neither alive nor
+    /// dead.
+    #[must_use]
+    pub fn is_dead(&self, mds: u16) -> bool {
+        self.alive.get(&mds) == Some(&false)
+    }
+
     /// Committed GL version of `node` (0 if never written).
     #[must_use]
     pub fn gl_version(&self, node: u64) -> u64 {
@@ -312,6 +321,18 @@ impl ControlState {
     #[must_use]
     pub fn max_fence(&self) -> u64 {
         self.next_fence
+    }
+
+    /// Total leases granted.
+    #[must_use]
+    pub fn grants(&self) -> u64 {
+        self.grants
+    }
+
+    /// Writes rejected for a stale or expired fence.
+    #[must_use]
+    pub fn fence_rejections(&self) -> u64 {
+        self.fence_rejections
     }
 }
 

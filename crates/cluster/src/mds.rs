@@ -26,7 +26,7 @@ pub(crate) enum Duty {
     Mine,
     /// A local-layer node of another MDS: redirect there.
     Other(MdsId),
-    /// No such node (never created, removed, or out of range — a
+    /// No such node (an id past the arena — a
     /// foreign client built from another workload derivation must not
     /// crash the server), or no assignment for it: not found.
     Unknown,

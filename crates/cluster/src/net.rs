@@ -2155,31 +2155,24 @@ mod tests {
         assert_eq!(mds.served(), 1);
     }
 
-    /// The existence check reads the tree's liveness bitmap, not the
-    /// placement: a removed node whose assignment is still on file and
-    /// an id past the arena both answer `NotFound`, and neither counts
-    /// as served.
+    /// The existence check reads the tree, not the index: an id past
+    /// the arena answers `NotFound` even where the index names an owner
+    /// for it, and does not count as served.
     #[test]
-    fn tombstoned_and_out_of_range_targets_answer_not_found() {
+    fn out_of_range_targets_answer_not_found() {
         let mut tree = NamespaceTree::new();
         let kept = tree
             .create(tree.root(), "kept", NodeKind::Directory)
             .expect("create");
-        let gone = tree.create(kept, "gone", NodeKind::File).expect("create");
         let mut placement = Placement::new(&tree, 1);
         for (id, _) in tree.nodes() {
             placement.set(id, Assignment::Single(MdsId(0)));
         }
-        tree.remove_subtree(gone).expect("remove");
-        assert_eq!(
-            placement.assignment(gone),
-            Assignment::Single(MdsId(0)),
-            "the placement still names an owner for the tombstone"
-        );
+        let beyond = NodeId::from_index(tree.arena_size());
         let tree = Arc::new(tree);
         let mut index = LocalIndex::new();
         index.insert(kept, MdsId(0));
-        index.insert(gone, MdsId(0));
+        index.insert(beyond, MdsId(0));
         let mds = NetMds::new(
             Arc::clone(&tree),
             placement,
@@ -2197,11 +2190,7 @@ mod tests {
             })
             .body
         };
-        assert_eq!(ask(gone), ResponseBody::NotFound);
-        assert_eq!(
-            ask(NodeId::from_index(tree.arena_size())),
-            ResponseBody::NotFound
-        );
+        assert_eq!(ask(beyond), ResponseBody::NotFound);
         assert_eq!(
             ask(NodeId::from_index(u32::MAX as usize)),
             ResponseBody::NotFound

@@ -55,12 +55,6 @@ impl PendingPool {
         self.entries.is_empty()
     }
 
-    /// Total popularity waiting in the pool.
-    #[must_use]
-    pub fn total_popularity(&self) -> f64 {
-        self.entries.iter().map(|e| e.subtree.popularity).sum()
-    }
-
     /// Offers a shed subtree to the pool.
     pub fn offer(&mut self, entry: PoolEntry) {
         self.entries.push(entry);
@@ -433,7 +427,12 @@ mod tests {
             from: MdsId(1),
         });
         assert_eq!(pool.len(), 2);
-        assert_eq!(pool.total_popularity(), 12.0);
+        let popularity: Vec<f64> = pool
+            .entries()
+            .iter()
+            .map(|e| e.subtree.popularity)
+            .collect();
+        assert_eq!(popularity, [5.0, 7.0]);
         let drained = pool.drain_all();
         assert_eq!(drained.len(), 2);
         assert!(pool.is_empty());
@@ -492,8 +491,9 @@ mod tests {
         assert!(!old.contains(b));
 
         // Popularity flips.
-        pop.set_individual(a, 1.0);
-        pop.set_individual(b, 100.0);
+        let mut pop = Popularity::new(&t);
+        pop.record(a, 1.0);
+        pop.record(b, 100.0);
         pop.rollup(&t);
         let plan = plan_recut(&t, &pop, |_| 0.0, 0.5, &old);
         assert_eq!(plan.promoted, vec![b]);

@@ -12,7 +12,7 @@ use d2tree_metrics::MdsId;
 use d2tree_namespace::{NamespaceTree, NodeId, NodeIdMap};
 
 /// Label of an arena slot that no indexed subtree root covers: a
-/// global-layer node or a tombstone.
+/// global-layer node.
 const NO_ROOT: u32 = u32::MAX;
 
 /// The answers of [`LocalIndex::locate`] for one state of one tree, one
@@ -20,56 +20,42 @@ const NO_ROOT: u32 = u32::MAX;
 /// node's shallowest indexed ancestor (itself included), or [`NO_ROOT`].
 ///
 /// Immutable once built. A label names a *root*, never an owner, so it
-/// outlives owner changes; it is wrong as soon as the set of roots or
-/// the tree's structure changes, which the index handles by dropping the
+/// outlives owner changes; it is wrong as soon as the set of roots
+/// changes or the tree grows, which the index handles by dropping the
 /// table and `locate` by comparing `stamp`.
 #[derive(Debug)]
 struct Labels {
-    /// `(identity, version)` of the tree the labels were computed over.
-    stamp: (u64, u64),
+    /// `(identity, node_count)` of the tree the labels were computed
+    /// over: a tree only grows, so this names one state of one tree.
+    stamp: (u64, usize),
     of: Vec<u32>,
 }
 
 impl Labels {
-    fn stamp_of(tree: &NamespaceTree) -> (u64, u64) {
-        (tree.identity(), tree.version())
+    fn stamp_of(tree: &NamespaceTree) -> (u64, usize) {
+        (tree.identity(), tree.node_count())
     }
 
-    /// Labels the subtree at `from` in pre-order: a node inherits its
-    /// parent's label, and an unlabelled node that is indexed starts a
-    /// new one — so the shallowest root on a chain wins, as in the
-    /// client walk of Sec. IV-A2. A tombstoned `from` labels itself
-    /// alone, which is its whole chain.
-    fn paint(&mut self, index: &LocalIndex, tree: &NamespaceTree, from: NodeId) {
-        let mut stack = vec![(from, NO_ROOT)];
-        while let Some((id, inherited)) = stack.pop() {
-            let label = if inherited == NO_ROOT {
+    /// One forward pass over the arena, which meets every parent before
+    /// its children: a node inherits its parent's label, and an
+    /// unlabelled node that is indexed starts a new one — so the
+    /// shallowest root on a chain wins, as in the client walk of
+    /// Sec. IV-A2.
+    fn build(index: &LocalIndex, tree: &NamespaceTree) -> Self {
+        let mut of = vec![NO_ROOT; tree.arena_size()];
+        for slot in 0..of.len() {
+            let id = NodeId::from_index(slot);
+            let inherited = tree.parent_of(id).map_or(NO_ROOT, |p| of[p.index()]);
+            of[slot] = if inherited == NO_ROOT {
                 index.slots.get(&id).copied().unwrap_or(NO_ROOT)
             } else {
                 inherited
             };
-            self.of[id.index()] = label;
-            if let Some(node) = tree.node(id) {
-                stack.extend(node.children().map(|(_, child)| (child, label)));
-            }
         }
-    }
-
-    /// One pass over the whole tree.
-    fn build(index: &LocalIndex, tree: &NamespaceTree) -> Self {
-        let mut labels = Labels {
+        Labels {
             stamp: Self::stamp_of(tree),
-            of: vec![NO_ROOT; tree.arena_size()],
-        };
-        labels.paint(index, tree, tree.root());
-        // The pass never reaches a tombstone; one that is still indexed
-        // answers with itself, like the uncached walk.
-        for &(root, _) in index.roots.iter() {
-            if labels.of.get(root.index()) == Some(&NO_ROOT) {
-                labels.paint(index, tree, root);
-            }
+            of,
         }
-        labels
     }
 }
 
@@ -81,17 +67,18 @@ impl Labels {
 ///
 /// [`locate`](LocalIndex::locate) — the per-operation routing query —
 /// reads a flat label table (one `u32` per tree node, built by one
-/// pre-order pass) instead of walking the target's ancestor chain. The
+/// forward pass over the arena) instead of walking the target's ancestor
+/// chain. The
 /// table is derived state: clones share it, equality ignores it, an
 /// owner change leaves it alone and a change to the *set* of roots drops
 /// it, to be built again by the next `locate` or by
 /// [`relabel`](LocalIndex::relabel).
 ///
 /// The root table itself is copy-on-write: a clone — a client's cache,
-/// each daemon's copy — shares it until either side inserts, removes or
-/// replaces a root. A root's *slot*, its position in that table (see
+/// each daemon's copy — shares it until either side inserts or replaces
+/// a root. A root's *slot*, its position in that table (see
 /// [`locate_slot`](LocalIndex::locate_slot)), is in `0..len()` and stays
-/// put until a root is removed or the table replaced.
+/// put until the table is replaced.
 ///
 /// # Example
 ///
@@ -116,8 +103,8 @@ pub struct LocalIndex {
     slots: Arc<NodeIdMap<u32>>,
     /// `(subtree root, owner)` by slot — what the labels point into. A
     /// slice, so `locate` reaches an entry in one load from the index, as
-    /// it did from a `Vec`; adding or removing a root copies it, which
-    /// the relabel such a change causes dwarfs.
+    /// it did from a `Vec`; adding a root copies it, which the relabel
+    /// such a change causes dwarfs.
     roots: Arc<[(NodeId, MdsId)]>,
     version: u64,
     /// Derived from `slots` and one tree state; empty until first needed
@@ -167,24 +154,6 @@ impl LocalIndex {
         self.version += 1;
     }
 
-    /// Removes a subtree root (e.g. when it is promoted into the global
-    /// layer). Returns the previous owner, if any. The root that held the
-    /// last slot moves into the vacated one.
-    pub fn remove(&mut self, subtree_root: NodeId) -> Option<MdsId> {
-        let slot = self.slot_of(subtree_root)?;
-        let slots = Arc::make_mut(&mut self.slots);
-        slots.remove(&subtree_root);
-        let mut roots = self.roots.to_vec();
-        let (_, owner) = roots.swap_remove(slot);
-        if let Some(&(moved, _)) = roots.get(slot) {
-            slots.insert(moved, slot as u32);
-        }
-        self.roots = roots.into();
-        self.labels.take();
-        self.version += 1;
-        Some(owner)
-    }
-
     /// Direct owner lookup for a known subtree root.
     #[must_use]
     pub fn owner_of(&self, subtree_root: NodeId) -> Option<MdsId> {
@@ -208,10 +177,10 @@ impl LocalIndex {
     /// With a label table built over this state of `tree` the answer is
     /// two array loads: no lock, no hashing, no write. A missing table is
     /// built here, once per burst of changes to the root set. A table
-    /// built over another tree, or over this one before it was mutated,
-    /// is left alone and the answer comes from
+    /// built over another tree, or over this one before it grew, is left
+    /// alone and the answer comes from
     /// [`locate_uncached`](Self::locate_uncached) — correct and slower;
-    /// whoever mutates a tree under a live index calls
+    /// whoever grows a tree under a live index calls
     /// [`relabel`](Self::relabel) to get the fast path back.
     #[must_use]
     pub fn locate(&self, tree: &NamespaceTree, target: NodeId) -> Option<(NodeId, MdsId)> {
@@ -264,7 +233,7 @@ impl LocalIndex {
     /// place, i.e. [`locate`](Self::locate) is two loads. Worth asserting
     /// where an index that went through [`relabel`](Self::relabel) meets
     /// the tree it will serve: `false` there means the tree was cloned
-    /// (a clone is another tree) or mutated since, and every `locate`
+    /// (a clone is another tree) or grown since, and every `locate`
     /// walks.
     #[must_use]
     pub fn labelled_for(&self, tree: &NamespaceTree) -> bool {
@@ -394,9 +363,9 @@ mod tests {
         assert_eq!(idx.version(), 1);
         idx.insert(a, MdsId(1)); // re-registration still bumps
         assert_eq!(idx.version(), 2);
-        assert_eq!(idx.remove(b), None);
-        assert_eq!(idx.version(), 2, "removing a missing key does not bump");
-        assert_eq!(idx.remove(a), Some(MdsId(1)));
+        assert_eq!(idx.owner_of(b), None);
+        assert_eq!(idx.version(), 2, "a lookup does not bump");
+        idx.replace_all([(b, MdsId(1))]);
         assert_eq!(idx.version(), 3);
     }
 
@@ -424,9 +393,7 @@ mod tests {
         // though no label mentioned it yet.
         idx.insert(a, MdsId(7));
         assert_eq!(idx.locate(&t, c), Some((a, MdsId(7))));
-        idx.remove(a);
-        assert_eq!(idx.locate(&t, c), Some((b, MdsId(5))));
-        idx.remove(b);
+        idx.replace_all([]);
         assert_eq!(idx.locate(&t, c), None);
         idx.replace_all([(b, MdsId(6))]);
         assert_eq!(idx.locate(&t, c), Some((b, MdsId(6))));
@@ -440,19 +407,21 @@ mod tests {
         idx.insert(a, MdsId(1));
         assert_eq!(idx.locate(&t, c), Some((a, MdsId(1))));
         let built = Arc::clone(idx.labels.get().unwrap());
-        // Move b (and its child c) to the root: a leaves c's chain.
-        t.move_subtree(b, t.root()).unwrap();
-        assert_eq!(idx.locate(&t, c), None);
-        assert_eq!(idx.locate(&t, b), None);
+        // A node created after the labels were built lies past them.
+        let d = t.create(b, "d", NodeKind::File).unwrap();
+        let e = t.create(t.root(), "e", NodeKind::File).unwrap();
+        assert_eq!(idx.locate(&t, d), Some((a, MdsId(1))));
+        assert_eq!(idx.locate(&t, e), None);
         assert!(
             Arc::ptr_eq(&built, idx.labels.get().unwrap()),
             "a stamp mismatch reads around the table, it does not rebuild it"
         );
         idx.relabel(&t);
         assert!(idx.labelled_for(&t));
-        assert_eq!(idx.locate(&t, c), None);
-        idx.insert(b, MdsId(3));
-        assert_eq!(idx.locate(&t, c), Some((b, MdsId(3))));
+        assert_eq!(idx.locate(&t, d), Some((a, MdsId(1))));
+        idx.insert(e, MdsId(3));
+        assert_eq!(idx.locate(&t, e), Some((e, MdsId(3))));
+        assert_eq!(idx.locate(&t, c), Some((a, MdsId(1))));
     }
 
     #[test]
@@ -461,8 +430,8 @@ mod tests {
         let mut idx = LocalIndex::new();
         idx.insert(a, MdsId(1));
         assert_eq!(idx.locate(&t, c), Some((a, MdsId(1))));
-        // Same ids, same version counter, another shape: only the
-        // identity tells the two trees apart.
+        // Same ids, same node count, another shape: only the identity
+        // tells the two trees apart.
         let mut other = NamespaceTree::new();
         let x = other
             .create(other.root(), "x", NodeKind::Directory)
@@ -471,7 +440,7 @@ mod tests {
             .create(other.root(), "y", NodeKind::Directory)
             .unwrap();
         let z = other.create(y, "z", NodeKind::File).unwrap();
-        assert_eq!((x, other.version()), (a, t.version()));
+        assert_eq!((x, other.node_count()), (a, t.node_count()));
         assert_eq!(idx.locate(&other, z), None);
         assert_eq!(idx.locate(&other, x), Some((a, MdsId(1))));
         // A clone of the first tree is a second tree too.
@@ -480,17 +449,16 @@ mod tests {
         assert_eq!(idx.locate(&t, c), Some((a, MdsId(1))));
     }
 
+    /// An id past the arena is not a node of the tree, but nothing
+    /// stops a caller from indexing or asking about one: its chain is
+    /// the id alone.
     #[test]
-    fn tombstoned_and_out_of_range_targets_match_the_walk() {
-        let (mut t, a, b, c) = deep_tree();
+    fn out_of_range_targets_match_the_walk() {
+        let (t, a, b, c) = deep_tree();
         let beyond = NodeId::from_index(t.arena_size() + 7);
         let mut idx = LocalIndex::new();
         idx.insert(a, MdsId(1));
-        idx.insert(b, MdsId(2));
         idx.insert(beyond, MdsId(3));
-        t.remove_subtree(b).unwrap();
-        // A tombstone's chain is the node alone: b still answers with
-        // itself, c (never indexed) with nothing, and a is untouched.
         for target in [
             t.root(),
             a,
@@ -502,9 +470,9 @@ mod tests {
             assert_eq!(idx.locate(&t, target), idx.locate_uncached(&t, target));
         }
         assert!(idx.labelled_for(&t));
-        assert_eq!(idx.locate(&t, b), Some((b, MdsId(2))));
-        assert_eq!(idx.locate(&t, c), None);
+        assert_eq!(idx.locate(&t, c), Some((a, MdsId(1))));
         assert_eq!(idx.locate(&t, beyond), Some((beyond, MdsId(3))));
+        assert_eq!(idx.locate(&t, NodeId::from_index(beyond.index() + 1)), None);
     }
 
     #[test]
@@ -521,10 +489,8 @@ mod tests {
         let mut other = LocalIndex::new();
         other.insert(c, MdsId(9));
         other.insert(b, MdsId(2));
-        other.remove(c);
         assert_ne!(idx, other, "versions differ");
         idx.insert(c, MdsId(9));
-        idx.remove(c);
         assert_eq!(idx, other);
         assert!(
             !Arc::ptr_eq(&idx.roots, &other.roots),
@@ -587,7 +553,7 @@ mod tests {
         };
         let shared = |x: &LocalIndex, y: &LocalIndex| Arc::ptr_eq(&x.roots, &y.roots);
         type Write<'a> = Box<dyn Fn(&mut LocalIndex) + 'a>;
-        let writes: [(&str, bool, Write); 5] = [
+        let writes: [(&str, bool, Write); 4] = [
             (
                 "insert of an existing root",
                 true,
@@ -597,11 +563,6 @@ mod tests {
                 "insert of a new root",
                 true,
                 Box::new(|i| i.insert(a, MdsId(7))),
-            ),
-            (
-                "remove",
-                true,
-                Box::new(|i| assert_eq!(i.remove(b), Some(MdsId(2)))),
             ),
             (
                 "replace_all",
@@ -636,10 +597,6 @@ mod tests {
                 "{name}: the same write, the same index"
             );
         }
-        // A miss writes nothing and copies nothing.
-        let mut copy = base.clone();
-        assert_eq!(copy.remove(c), None);
-        assert!(shared(&copy, &base) && copy == base);
     }
 
     #[test]
@@ -708,7 +665,7 @@ mod tests {
     }
 
     /// Randomised interleaving of everything that can move an answer —
-    /// new roots, removed roots, owner changes, tree mutations, clones
+    /// new roots, owner changes, creates, replaced root tables, clones
     /// taken mid-sequence, explicit relabels — against the uncached
     /// walk, on the original and on every clone. Each clone also carries
     /// a plain map of what was done to *it*: a write to one clone that
@@ -727,8 +684,6 @@ mod tests {
             (state % n as u64) as usize
         };
         let mut t = NamespaceTree::new();
-        // Every id ever minted stays a target: tombstones are part of
-        // the domain.
         let mut nodes = vec![t.root()];
         for i in 0..40 {
             let parent = nodes[rng(nodes.len())];
@@ -747,7 +702,7 @@ mod tests {
                     walked,
                     "step {step} clone {k} target {target:?}"
                 );
-                // The slot is the root's, through every swap a removal made.
+                // The slot is the root's, through every replaced table.
                 let slotted = idx.locate_slot(t, target);
                 assert_eq!(slotted.map(|(_, root, owner)| (root, owner)), walked);
                 if let Some((slot, root, _)) = slotted {
@@ -761,12 +716,12 @@ mod tests {
             }
         };
         let mut worlds = vec![(LocalIndex::new(), BTreeMap::new())];
-        let mut kinds = [0usize; 9];
+        let mut kinds = [0usize; 7];
         for step in 0..2_000 {
             let n = nodes[rng(nodes.len())];
             let k = rng(worlds.len());
             let (idx, model) = &mut worlds[k];
-            let kind = rng(16);
+            let kind = rng(12);
             match kind {
                 0 => {
                     // A new root, or an owner change when `n` is one.
@@ -774,30 +729,23 @@ mod tests {
                     idx.insert(n, owner);
                     model.insert(n, owner);
                 }
-                1 => assert_eq!(idx.remove(n), model.remove(&n)),
-                2 | 3 if !model.is_empty() => {
+                1 if !model.is_empty() => {
                     let (&root, _) = model.iter().nth(rng(model.len())).unwrap();
-                    if kind == 2 {
-                        assert_eq!(idx.remove(root), model.remove(&root));
-                    } else {
-                        let owner = MdsId(rng(8) as u16);
-                        idx.insert(root, owner);
-                        model.insert(root, owner);
-                    }
+                    let owner = MdsId(rng(8) as u16);
+                    idx.insert(root, owner);
+                    model.insert(root, owner);
                 }
-                4 => {
+                2 => {
                     if let Ok(id) = t.create(n, &format!("s{step}"), NodeKind::Directory) {
                         nodes.push(id);
                     }
                 }
-                5 => {
-                    let _ = t.move_subtree(n, nodes[rng(nodes.len())]);
+                // Rarely: a new table keeps about half of the roots.
+                3 if rng(4) == 0 => {
+                    model.retain(|_, _| rng(2) == 0);
+                    idx.replace_all(model.iter().map(|(&root, &owner)| (root, owner)));
                 }
-                // Rarely, and never near the top: the tree has to last.
-                6 if rng(4) == 0 && t.contains(n) && t.depth(n) > 2 => {
-                    t.remove_subtree(n).unwrap();
-                }
-                7 => {
+                4 => {
                     let copy = worlds[k].clone();
                     if worlds.len() < 4 {
                         worlds.push(copy);
@@ -806,10 +754,10 @@ mod tests {
                         worlds[victim] = copy;
                     }
                 }
-                8 => idx.relabel(&t),
+                5 => idx.relabel(&t),
                 _ => {}
             }
-            kinds[kind.min(8)] += 1;
+            kinds[kind.min(6)] += 1;
             for (idx, model) in &worlds {
                 assert_eq!(&idx.iter().collect::<BTreeMap<_, _>>(), model);
             }
@@ -827,6 +775,5 @@ mod tests {
             }
         }
         assert!(kinds.iter().all(|&n| n > 50), "every kind of step ran");
-        assert!(t.arena_size() > t.node_count(), "something was tombstoned");
     }
 }

@@ -97,8 +97,7 @@ impl ChainMemo {
     /// and returns where the list begins. The top `start_depth` levels
     /// are client-cached and skipped — without this the root's owner
     /// would serve every operation in the cluster — but the target is
-    /// always traversed, however shallow; a removed node has no parent
-    /// left, so its chain is the node alone. A list may come out empty:
+    /// always traversed, however shallow. A list may come out empty:
     /// the traversal never pinned to a server.
     fn walk(&mut self, tree: &NamespaceTree, placement: &Placement, node: NodeId) -> usize {
         self.lists.push(MdsId(0));
@@ -717,45 +716,36 @@ mod tests {
     }
 
     #[test]
-    fn chain_router_traverses_shallow_and_removed_targets_alone() {
+    fn chain_router_traverses_shallow_targets_alone() {
         use d2tree_namespace::NodeKind::{Directory, File};
-        // /a/b/c/f on servers 1,1,2,1 under a root on 0; /x/y on 3,2 is
-        // removed after placement; /r is replicated.
+        // /a/b/c/f on servers 1,1,2,1 under a root on 0; /r is replicated.
         let mut tree = NamespaceTree::new();
         let root = tree.root();
         let a = tree.create(root, "a", Directory).unwrap();
         let b = tree.create(a, "b", Directory).unwrap();
         let c = tree.create(b, "c", Directory).unwrap();
         let f = tree.create(c, "f", File).unwrap();
-        let x = tree.create(root, "x", Directory).unwrap();
-        let y = tree.create(x, "y", File).unwrap();
         let r = tree.create(root, "r", Directory).unwrap();
         let mut placement = Placement::new(&tree, 4);
-        for (id, k) in [(root, 0), (a, 1), (b, 1), (c, 2), (f, 1), (x, 3), (y, 2)] {
+        for (id, k) in [(root, 0), (a, 1), (b, 1), (c, 2), (f, 1)] {
             placement.set(id, Assignment::Single(MdsId(k)));
         }
         placement.set(r, Assignment::Replicated);
-        assert_eq!(tree.remove_subtree(x).unwrap(), 2);
 
-        let full: [(NodeId, &[u16]); 7] = [
+        let full: [(NodeId, &[u16]); 5] = [
             (root, &[0]),
             (a, &[0, 1]),
             (b, &[0, 1]),
             (c, &[0, 1, 2]),
             (f, &[0, 1, 2, 1]),
-            // A removed node has no chain left: it is traversed alone.
-            (x, &[3]),
-            (y, &[2]),
         ];
-        let cached: [(NodeId, &[u16]); 7] = [
+        let cached: [(NodeId, &[u16]); 5] = [
             // Above the client-cached depth the target is still traversed.
             (root, &[0]),
             (a, &[1]),
             (b, &[1]),
             (c, &[1, 2]),
             (f, &[1, 2, 1]),
-            (x, &[3]),
-            (y, &[2]),
         ];
         for (start_depth, expected) in [(0, full), (CLIENT_CACHED_DEPTH, cached)] {
             let mut router = Router::chain(&tree, &placement, start_depth);

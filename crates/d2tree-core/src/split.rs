@@ -333,7 +333,7 @@ where
 }
 
 /// Proportion-driven split: grow the global layer until it holds
-/// `proportion` of all live nodes, and report the implied `L0` / `U0`.
+/// `proportion` of all nodes, and report the implied `L0` / `U0`.
 ///
 /// This is the experimental knob of Sec. VI-C ("we chose proper `U0` and
 /// `L0` to make global layer account for 1% nodes of the whole namespace

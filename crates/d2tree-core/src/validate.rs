@@ -17,7 +17,7 @@ use crate::split::GlobalLayer;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum Violation {
-    /// A live node has no assignment (Eq. 4 broken).
+    /// A node has no assignment (Eq. 4 broken).
     Unassigned(NodeId),
     /// A [`Assignment::Single`] owner is outside the cluster.
     OwnerOutOfRange {

@@ -136,20 +136,6 @@ impl Histogram {
     pub fn delta(&self) -> f64 {
         1.0 / (self.boundaries.len() as f64 - 1.0)
     }
-
-    /// Index of the bin containing `x` (clamped to the outermost bins).
-    #[must_use]
-    pub fn bin_of(&self, x: f64) -> usize {
-        let k = self.boundaries.len();
-        let idx = self.boundaries.partition_point(|&b| b <= x);
-        idx.saturating_sub(1).min(k - 2)
-    }
-
-    /// Number of bins (`k − 1`).
-    #[must_use]
-    pub fn bin_count(&self) -> usize {
-        self.boundaries.len() - 1
-    }
 }
 
 #[cfg(test)]
@@ -210,7 +196,7 @@ mod tests {
     fn histogram_bins_have_equal_mass() {
         let e = Ecdf::from_samples((1..=1000).map(f64::from).collect());
         let h = Histogram::equi_probability(&e, 6);
-        assert_eq!(h.bin_count(), 5);
+        assert_eq!(h.boundaries().len(), 6);
         assert!((h.delta() - 0.2).abs() < 1e-12);
         // Each bin should hold ~200 of the 1000 uniform samples.
         let b = h.boundaries();
@@ -218,13 +204,5 @@ mod tests {
             let mass = e.eval(w[1]) - e.eval(w[0]);
             assert!((0.15..=0.21).contains(&mass), "bin mass {mass}");
         }
-    }
-
-    #[test]
-    fn bin_of_clamps_to_edges() {
-        let e = Ecdf::from_samples((1..=10).map(f64::from).collect());
-        let h = Histogram::equi_probability(&e, 3);
-        assert_eq!(h.bin_of(-5.0), 0);
-        assert_eq!(h.bin_of(1e9), h.bin_count() - 1);
     }
 }

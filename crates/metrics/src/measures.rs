@@ -63,7 +63,7 @@ pub struct LocalityReport {
     pub locality: f64,
 }
 
-/// Computes Def. 3 locality over all live nodes, with per-node jumps
+/// Computes Def. 3 locality over all nodes, with per-node jumps
 /// supplied by `jumps_of` and weights taken from rolled-up total
 /// popularity.
 ///

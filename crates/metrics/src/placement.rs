@@ -257,7 +257,7 @@ impl Placement {
         }
     }
 
-    /// Whether every live node has an assignment (the paper's Eq. 4).
+    /// Whether every node has an assignment (the paper's Eq. 4).
     #[must_use]
     pub fn is_complete(&self, tree: &NamespaceTree) -> bool {
         tree.nodes()
@@ -313,13 +313,7 @@ impl Placement {
         loads
     }
 
-    /// Applies a batch of migrations: each moves the whole subtree rooted at
-    /// `migration.node` to `migration.to`.
-    pub fn apply_migrations(&mut self, tree: &NamespaceTree, migrations: &[Migration]) {
-        self.assign_subtrees(tree, migrations.iter().map(|m| (m.node, m.to)));
-    }
-
-    /// Iterates over `(node, assignment)` for all live nodes of `tree`.
+    /// Iterates over `(node, assignment)` for all nodes of `tree`.
     pub fn iter<'a>(
         &'a self,
         tree: &'a NamespaceTree,
@@ -418,14 +412,7 @@ mod tests {
         let mut p = Placement::new(&t, 2);
         p.set(t.root(), Assignment::Replicated);
         p.assign_subtree(&t, a, MdsId(0));
-        p.apply_migrations(
-            &t,
-            &[Migration {
-                node: a,
-                from: MdsId(0),
-                to: MdsId(1),
-            }],
-        );
+        p.assign_subtrees(&t, [(a, MdsId(1))]);
         assert_eq!(p.assignment(a), Assignment::Single(MdsId(1)));
         assert_eq!(p.assignment(f), Assignment::Single(MdsId(1)));
     }
@@ -516,11 +503,6 @@ mod tests {
         };
         let shared = |x: &Placement, y: &Placement| Arc::ptr_eq(&x.assignments, &y.assignments);
         let to_1 = Assignment::Single(MdsId(1));
-        let migration = Migration {
-            node: a,
-            from: MdsId(0),
-            to: MdsId(1),
-        };
         type Write<'a> = Box<dyn Fn(&mut Placement) + 'a>;
         let writes: [(&str, Write); 5] = [
             ("set", Box::new(|p| p.set(f, to_1))),
@@ -531,8 +513,8 @@ mod tests {
             ),
             ("set past the table", Box::new(|p| p.set(late, to_1))),
             (
-                "apply_migrations",
-                Box::new(|p| p.apply_migrations(&t, &[migration])),
+                "assign_subtrees",
+                Box::new(|p| p.assign_subtrees(&t, [(a, MdsId(1)), (f, MdsId(0))])),
             ),
         ];
         let before = reads(&base);

@@ -109,7 +109,7 @@ pub struct AttrTable {
     /// The nodes whose record is not their kind's default at version 0.
     records: NodeIdMap<VersionedAttr>,
     /// The tree's directory bitmap as of `new` / the last `resize_for`.
-    /// A slot keeps its kind for life, tombstoned or not.
+    /// A slot keeps its kind for life.
     dir_bits: Vec<u64>,
     /// Arena slots covered; ids at or past it are outside the table.
     slots: usize,

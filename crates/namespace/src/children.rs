@@ -7,15 +7,15 @@
 //! span holding `len` edges reserves `len` rounded up to a power of two
 //! slots, so its capacity is never stored: a span that is full moves to
 //! one of twice the size — a vacated span of that size if there is one,
-//! the pool's tail otherwise — and one that shrinks to a power of two
-//! gives its upper half back.
+//! the pool's tail otherwise. Spans only grow: a tree never removes a
+//! node.
 //!
 //! A tree built in one pass ([`NamespaceTree::build`]) lays the pool out
 //! in one go: a counting pass sets each directory's edge count, prefix
 //! sums over the spans' capacities give each its start, the edges are
 //! filled in arena order and each span is sorted by name once. The
-//! result obeys the same span rule, so run-time mutations carry on from
-//! it as from a tree grown edge by edge; there is no frozen form.
+//! result obeys the same span rule, so later creates carry on from it
+//! as from a tree grown edge by edge; there is no frozen form.
 //!
 //! [`NamespaceTree::build`]: crate::NamespaceTree::build
 
@@ -53,8 +53,8 @@ fn name_prefix(name: &[u8]) -> u64 {
 /// The child edges of every node of one tree.
 #[derive(Debug, Clone, Default)]
 pub(crate) struct ChildPool {
-    /// One span per arena slot; empty for files, childless directories
-    /// and tombstones.
+    /// One span per arena slot; empty for files and childless
+    /// directories.
     spans: Vec<Span>,
     edges: Vec<(Sym, NodeId)>,
     /// `vacant[c]` holds the starts of vacated spans of `1 << c` slots.
@@ -182,28 +182,6 @@ impl ChildPool {
         Ok(())
     }
 
-    /// Removes the edge named `sym`, which the caller guarantees exists.
-    pub(crate) fn remove(&mut self, dir: NodeId, sym: Sym) {
-        let at = self
-            .of(dir)
-            .iter()
-            .position(|&(s, _)| s == sym)
-            .expect("a live node is listed under its parent");
-        let span = &mut self.spans[dir.index()];
-        span.len -= 1;
-        let (start, len) = (span.start as usize, span.len as usize);
-        self.edges
-            .copy_within(start + at + 1..start + len + 1, start + at);
-        let kept = capacity(len);
-        self.give_back(start + kept, capacity(len + 1) - kept);
-    }
-
-    /// Drops every edge of `dir`.
-    pub(crate) fn clear(&mut self, dir: NodeId) {
-        let Span { start, len } = std::mem::take(&mut self.spans[dir.index()]);
-        self.give_back(start as usize, capacity(len as usize));
-    }
-
     /// A span of `slots` (a power of two) slots: a vacated one of that
     /// size, else fresh slots at the pool's tail.
     fn take(&mut self, slots: usize) -> usize {
@@ -245,9 +223,8 @@ mod tests {
     fn spans_keep_name_order_across_moves_and_reuse_vacated_slots() {
         let mut table = SymbolTable::new();
         let mut pool = ChildPool::default();
-        let (a, b) = (NodeId::from_index(0), NodeId::from_index(1));
-        pool.push_node();
-        pool.push_node();
+        let [a, b, c] = [0, 1, 2].map(NodeId::from_index);
+        (0..3).for_each(|_| pool.push_node());
         // Two directories growing in lock step force each to move past
         // the other at every power of two.
         let mut expected = Vec::new();
@@ -262,21 +239,18 @@ mod tests {
         }
         let sym = table.lookup("n007").unwrap();
         assert_eq!(pool.get(a, sym), Some(NodeId::from_index(9)));
-        pool.remove(a, sym);
-        assert_eq!(pool.get(a, sym), None);
-        assert_eq!(pool.of(a).len(), 299);
         assert_eq!(pool.of(b).len(), 300);
 
-        // Emptying one directory vacates spans the other's growth and a
-        // newcomer reuse: the pool does not grow.
+        // Each move vacated a span of every size up to 256 twice over:
+        // a newcomer growing to 200 edges reuses them and the pool does
+        // not grow.
         let high_water = pool.edges.len();
-        pool.clear(a);
-        assert!(pool.of(a).is_empty());
         for i in 0..200 {
             let sym = table.intern(&format!("again{i}"));
-            pool.insert(a, sym, NodeId::from_index(1_000 + i), &table);
+            pool.insert(c, sym, NodeId::from_index(1_000 + i), &table);
         }
         assert_eq!(pool.edges.len(), high_water);
+        assert_eq!(names(&pool, a, &table), expected);
         assert_eq!(names(&pool, b, &table), expected);
     }
 
@@ -344,37 +318,5 @@ mod tests {
             ),
             Err(dup)
         );
-    }
-
-    #[test]
-    fn a_shrinking_span_gives_its_upper_half_back() {
-        let mut table = SymbolTable::new();
-        let mut pool = ChildPool::default();
-        let dir = NodeId::from_index(0);
-        pool.push_node();
-        let syms: Vec<Sym> = (0..5).map(|i| table.intern(&format!("c{i}"))).collect();
-        for (i, &sym) in syms.iter().enumerate() {
-            pool.insert(dir, sym, NodeId::from_index(i + 1), &table);
-        }
-        // Five edges reserve eight slots; back at four, the upper four
-        // are vacant again, and an emptied span vacates its last slot.
-        pool.remove(dir, syms[2]);
-        assert_eq!(
-            pool.vacant[2].len(),
-            2,
-            "the outgrown 4-span and the upper half"
-        );
-        assert_eq!(names(&pool, dir, &table), ["c0", "c1", "c3", "c4"]);
-        for &sym in &[syms[0], syms[1], syms[3], syms[4]] {
-            pool.remove(dir, sym);
-        }
-        assert!(pool.of(dir).is_empty());
-        let vacated: usize = pool
-            .vacant
-            .iter()
-            .enumerate()
-            .map(|(class, starts)| starts.len() << class)
-            .sum();
-        assert_eq!(vacated, pool.edges.len(), "every slot is accounted for");
     }
 }

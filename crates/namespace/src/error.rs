@@ -10,7 +10,7 @@ use crate::node::NodeId;
 #[derive(Debug, Clone, PartialEq, Eq)]
 #[non_exhaustive]
 pub enum TreeError {
-    /// The referenced node does not exist or has been removed.
+    /// The referenced node does not exist.
     NodeNotFound(NodeId),
     /// A child operation was attempted on a file.
     NotADirectory(NodeId),
@@ -18,15 +18,6 @@ pub enum TreeError {
     DuplicateName(String),
     /// The path string or component is malformed.
     InvalidPath(String),
-    /// Moving a directory under one of its own descendants.
-    MoveIntoDescendant {
-        /// The subtree root being moved.
-        subject: NodeId,
-        /// The destination, which lies inside `subject`'s subtree.
-        destination: NodeId,
-    },
-    /// The root cannot be removed, renamed or moved.
-    RootImmutable,
     /// No node lives at this (well-formed) absolute path.
     PathNotFound(String),
 }
@@ -38,16 +29,6 @@ impl fmt::Display for TreeError {
             TreeError::NotADirectory(id) => write!(f, "node {id} is not a directory"),
             TreeError::DuplicateName(name) => write!(f, "name {name:?} already exists"),
             TreeError::InvalidPath(p) => write!(f, "invalid path or component {p:?}"),
-            TreeError::MoveIntoDescendant {
-                subject,
-                destination,
-            } => {
-                write!(
-                    f,
-                    "cannot move {subject} into its own descendant {destination}"
-                )
-            }
-            TreeError::RootImmutable => f.write_str("the root node cannot be modified"),
             TreeError::PathNotFound(p) => write!(f, "path {p:?} not found"),
         }
     }
@@ -66,17 +47,11 @@ mod tests {
             TreeError::NotADirectory(NodeId::ROOT).to_string(),
             TreeError::DuplicateName("x".into()).to_string(),
             TreeError::InvalidPath("a//b".into()).to_string(),
-            TreeError::MoveIntoDescendant {
-                subject: NodeId::ROOT,
-                destination: NodeId::ROOT,
-            }
-            .to_string(),
-            TreeError::RootImmutable.to_string(),
             TreeError::PathNotFound("/a/b".into()).to_string(),
         ];
         for m in msgs {
             assert!(!m.is_empty());
-            assert!(m.chars().next().unwrap().is_lowercase() || m.starts_with("cannot"));
+            assert!(m.chars().next().unwrap().is_lowercase());
         }
     }
 

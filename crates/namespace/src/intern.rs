@@ -11,8 +11,8 @@
 //! a `Sym`; the names themselves lie end to end in one byte arena, with
 //! an offsets column marking where each begins, so `Sym` doubles as an
 //! index and a name costs its bytes plus four — no allocation of its
-//! own. Symbols are never removed — the arena only grows, and removal
-//! bookkeeping would cost more than it frees. A one-pass tree build
+//! own. Symbols are never removed: a tree only grows, so every name
+//! interned stays in use or was refused as a duplicate. A one-pass tree build
 //! pushes its names unprobed and settles them in blocks at the end (see
 //! [`SymbolTable::settle`]), with the symbols one-at-a-time interning
 //! gives.

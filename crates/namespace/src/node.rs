@@ -9,9 +9,9 @@ use crate::tree::NamespaceTree;
 
 /// Stable identifier of a node inside a [`NamespaceTree`](crate::NamespaceTree).
 ///
-/// Ids are arena indices: they are never reused, remain valid across
-/// mutations of other nodes, and order follows creation order. The root is
-/// always [`NodeId::ROOT`].
+/// Ids are arena indices in creation order: a tree only grows, so an id
+/// stays valid for the tree's life and a node's id is greater than its
+/// parent's. The root is always [`NodeId::ROOT`].
 ///
 /// # Example
 ///
@@ -37,7 +37,7 @@ impl NodeId {
     /// Builds a `NodeId` from a raw arena index.
     ///
     /// Intended for dense per-node side tables (popularity, placement); the
-    /// caller is responsible for the index referring to a live node of the
+    /// caller is responsible for the index referring to a node of the
     /// intended tree.
     #[must_use]
     pub fn from_index(index: usize) -> Self {
@@ -110,7 +110,7 @@ impl fmt::Display for NodeKind {
     }
 }
 
-/// A view of one live node: name, kind, parent link and (for
+/// A view of one node: name, kind, parent link and (for
 /// directories) the name-ordered children.
 ///
 /// The tree stores no per-node record — a node is a row of its columns
@@ -127,7 +127,7 @@ pub struct Node<'a> {
 }
 
 impl<'a> Node<'a> {
-    /// A view of `id`, which the caller has checked is live in `tree`.
+    /// A view of `id`, which the caller has checked is in `tree`.
     pub(crate) fn new(tree: &'a NamespaceTree, id: NodeId) -> Self {
         Node { tree, id }
     }
@@ -157,13 +157,13 @@ impl<'a> Node<'a> {
         self.tree.parent_of(self.id)
     }
 
-    /// Number of live children.
+    /// Number of children.
     #[must_use]
     pub fn child_count(self) -> usize {
         self.tree.child_edges(self.id).len()
     }
 
-    /// Iterates over `(name_sym, id)` pairs of live children in name order.
+    /// Iterates over `(name_sym, id)` pairs of children in name order.
     ///
     /// Resolve a symbol to its string with
     /// [`NamespaceTree::symbols`](crate::NamespaceTree::symbols) when the

@@ -91,12 +91,6 @@ impl NsPath {
         self.ends.len()
     }
 
-    /// Whether this is the root path.
-    #[must_use]
-    pub fn is_root(&self) -> bool {
-        self.ends.is_empty()
-    }
-
     /// Iterates over the components from the root downwards.
     ///
     /// The components are borrowed slices of the path's internal buffer —
@@ -155,25 +149,6 @@ impl NsPath {
         ends.extend_from_slice(&self.ends);
         ends.push(u32::try_from(text.len()).expect("path shorter than 4 GiB"));
         Ok(NsPath { text, ends })
-    }
-
-    /// Whether `self` is `other` or one of its ancestors.
-    ///
-    /// ```
-    /// use d2tree_namespace::NsPath;
-    /// let a: NsPath = "/usr".parse()?;
-    /// let b: NsPath = "/usr/lib".parse()?;
-    /// assert!(a.is_prefix_of(&b));
-    /// assert!(!b.is_prefix_of(&a));
-    /// # Ok::<(), d2tree_namespace::TreeError>(())
-    /// ```
-    #[must_use]
-    pub fn is_prefix_of(&self, other: &NsPath) -> bool {
-        self.depth() <= other.depth()
-            && self
-                .components()
-                .zip(other.components())
-                .all(|(a, b)| a == b)
     }
 }
 
@@ -295,23 +270,10 @@ mod tests {
     #[test]
     fn root_properties() {
         let r = NsPath::root();
-        assert!(r.is_root());
         assert_eq!(r.depth(), 0);
         assert_eq!(r.parent(), None);
         assert_eq!(r.file_name(), None);
         assert_eq!(r.to_string(), "/");
-    }
-
-    #[test]
-    fn prefix_relation() {
-        let root = NsPath::root();
-        let a: NsPath = "/a".parse().unwrap();
-        let ab: NsPath = "/a/b".parse().unwrap();
-        let ac: NsPath = "/a/c".parse().unwrap();
-        assert!(root.is_prefix_of(&ab));
-        assert!(a.is_prefix_of(&ab));
-        assert!(a.is_prefix_of(&a));
-        assert!(!ab.is_prefix_of(&ac));
     }
 
     #[test]

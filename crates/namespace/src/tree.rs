@@ -11,14 +11,14 @@ use crate::path::NsPath;
 
 /// Source of unique tree identities, so tables derived from a tree (see
 /// `LocalIndex::locate`'s labels) can tell two trees apart even when their
-/// mutation counters coincide.
+/// node counts coincide.
 static NEXT_TREE_ID: AtomicU64 = AtomicU64::new(1);
 
 fn fresh_tree_id() -> u64 {
     NEXT_TREE_ID.fetch_add(1, Ordering::Relaxed)
 }
 
-/// `parent` entry of the root and of every tombstone.
+/// `parent` entry of the root.
 const NO_PARENT: u32 = u32::MAX;
 
 /// Whether `id`'s bit is set in a one-bit-per-arena-slot column; `false`
@@ -28,8 +28,8 @@ pub(crate) fn bit(bits: &[u64], id: NodeId) -> bool {
         .is_some_and(|word| word & (1 << (id.index() % 64)) != 0)
 }
 
-/// Writes `id`'s bit, growing the column by a word when `id` is the
-/// first slot of one.
+/// Sets `id`'s bit if `on`, growing the column by a word when `id` is
+/// the first slot of one; a new slot's bit starts clear.
 fn set_bit(bits: &mut Vec<u64>, id: NodeId, on: bool) {
     let (word, mask) = (id.index() / 64, 1 << (id.index() % 64));
     if word == bits.len() {
@@ -37,8 +37,6 @@ fn set_bit(bits: &mut Vec<u64>, id: NodeId, on: bool) {
     }
     if on {
         bits[word] |= mask;
-    } else {
-        bits[word] &= !mask;
     }
 }
 
@@ -51,14 +49,18 @@ fn check_component(name: &str) -> Result<(), TreeError> {
 
 /// A POSIX-style namespace tree of files and directories.
 ///
-/// Nodes live in an arena indexed by [`NodeId`]; ids are never reused, so
-/// dense side tables (popularity, placement) indexed by [`NodeId::index`]
-/// stay valid across removals. Removed nodes are tombstoned and skipped by
-/// all traversals.
+/// Nodes live in an arena indexed by [`NodeId`], and the tree only grows:
+/// a node is appended after its parent, so its id is greater than its
+/// parent's, and no node is ever removed, renamed or moved. Dense side
+/// tables (popularity, placement) indexed by [`NodeId::index`] therefore
+/// stay valid as the tree grows, every id below
+/// [`arena_size`](Self::arena_size) is a node, and a whole-tree pass that
+/// needs parents before children walks the arena forward (children
+/// before parents: backward) with no traversal stack.
 ///
-/// The arena is columns, not records: a parent id, a name symbol and two
-/// bits (live, directory) per slot, plus a span of one shared child-edge
-/// pool — no pointer and no allocation per node. Name components are
+/// The arena is columns, not records: a parent id, a name symbol and a
+/// directory bit per slot, plus a span of one shared child-edge pool —
+/// no pointer and no allocation per node. Name components are
 /// interned in a per-tree [`SymbolTable`] and child edges are
 /// `(Sym, NodeId)` pairs, so path resolution hashes each component once
 /// and then compares `u32` handles instead of strings. [`Node`] is the
@@ -80,23 +82,15 @@ fn check_component(name: &str) -> Result<(), TreeError> {
 /// ```
 #[derive(Debug)]
 pub struct NamespaceTree {
-    /// Raw parent id per arena slot, [`NO_PARENT`] for the root and for
-    /// tombstones — so an upward walk stops at a dead node by itself.
+    /// Raw parent id per arena slot, less than the slot's own index;
+    /// [`NO_PARENT`] for the root.
     parent: Vec<u32>,
     /// Name symbol per arena slot.
     sym: Vec<Sym>,
-    /// One bit per arena slot, set while the node is part of the tree
-    /// and cleared when it is removed — the only record of liveness, so
-    /// [`contains`](Self::contains) answers from these 25 KB (at 200 k
-    /// nodes) without touching another column.
-    live_bits: Vec<u64>,
     /// One bit per arena slot, set for directories.
     dir_bits: Vec<u64>,
     children: ChildPool,
-    live: usize,
     symbols: SymbolTable,
-    /// Bumped on every structural mutation; see [`version`](Self::version).
-    version: u64,
     /// Process-unique identity; see [`identity`](Self::identity).
     identity: u64,
 }
@@ -118,12 +112,9 @@ impl NamespaceTree {
         let mut tree = NamespaceTree {
             parent: Vec::with_capacity(nodes),
             sym: Vec::with_capacity(nodes),
-            live_bits: Vec::with_capacity(words),
             dir_bits: Vec::with_capacity(words),
             children: ChildPool::with_capacity(nodes),
-            live: 0,
             symbols: SymbolTable::with_capacity(nodes),
-            version: 0,
             identity: fresh_tree_id(),
         };
         let root_sym = tree.symbols.intern("");
@@ -141,9 +132,8 @@ impl NamespaceTree {
     /// out in their span and sorted by name once, instead of
     /// insert-sorted one `create` at a time, and no column keeps spare
     /// capacity. The tree is the one the same sequence of
-    /// `create`s builds — ids, names, kinds, symbols, child order and
-    /// [`version`](Self::version) — and takes run-time mutations the
-    /// same way.
+    /// `create`s builds — ids, names, kinds, symbols and child order —
+    /// and takes later `create`s the same way.
     ///
     /// # Errors
     ///
@@ -188,22 +178,19 @@ impl NamespaceTree {
             .map_err(|sym| TreeError::DuplicateName(tree.symbols.resolve(sym).to_owned()))?;
         tree.parent.shrink_to_fit();
         tree.sym.shrink_to_fit();
-        tree.live_bits.shrink_to_fit();
         tree.dir_bits.shrink_to_fit();
         tree.children.shrink_to_fit();
         tree.symbols.shrink_to_fit();
         Ok(tree)
     }
 
-    /// Appends one live arena slot and returns its id.
+    /// Appends one arena slot and returns its id.
     fn push_node(&mut self, parent: u32, sym: Sym, kind: NodeKind) -> NodeId {
         let id = NodeId::from_index(self.parent.len());
         self.parent.push(parent);
         self.sym.push(sym);
-        set_bit(&mut self.live_bits, id, true);
         set_bit(&mut self.dir_bits, id, kind.is_directory());
         self.children.push_node();
-        self.live += 1;
         id
     }
 
@@ -213,33 +200,24 @@ impl NamespaceTree {
         NodeId::ROOT
     }
 
-    /// Number of live nodes, including the root.
+    /// Number of nodes, including the root.
     #[must_use]
     pub fn node_count(&self) -> usize {
-        self.live
+        self.parent.len()
     }
 
-    /// Size of the underlying arena (live + tombstoned nodes).
-    ///
-    /// Dense side tables indexed by [`NodeId::index`] should be sized to this
-    /// value, not to [`node_count`](Self::node_count).
+    /// Size of the underlying arena: the number of nodes, since none is
+    /// ever removed. The length to give dense side tables indexed by
+    /// [`NodeId::index`].
     #[must_use]
     pub fn arena_size(&self) -> usize {
         self.parent.len()
     }
 
-    /// Monotonic mutation counter: bumped by every `create`, `rename`,
-    /// `move_subtree` and `remove_subtree`. Tables derived from the tree's
-    /// structure (e.g. the local index's nearest-owner labels) stay valid
-    /// exactly while this value is unchanged.
-    #[must_use]
-    pub fn version(&self) -> u64 {
-        self.version
-    }
-
     /// A process-unique identity for this tree instance. Cloning produces
-    /// a tree with a fresh identity, so `(identity, version)` pairs never
-    /// collide across trees and are safe as cache stamps.
+    /// a tree with a fresh identity. A tree only grows, so
+    /// `(identity, node_count)` names one state of one tree and is safe
+    /// as a stamp for tables derived from its structure.
     #[must_use]
     pub fn identity(&self) -> u64 {
         self.identity
@@ -251,28 +229,29 @@ impl NamespaceTree {
         &self.symbols
     }
 
-    /// Returns a view of the node, or `None` if the id is out of range or
-    /// the node has been removed.
+    /// Returns a view of the node, or `None` if the id is past the arena.
     #[must_use]
     pub fn node(&self, id: NodeId) -> Option<Node<'_>> {
         self.contains(id).then(|| Node::new(self, id))
     }
 
-    /// Whether `id` refers to a live node: one load from the liveness
-    /// bitmap, `false` for a tombstone and for an id past the arena.
+    /// Whether `id` refers to a node of this tree: a bounds check, since
+    /// every slot of the arena is one.
     #[must_use]
     pub fn contains(&self, id: NodeId) -> bool {
-        bit(&self.live_bits, id)
+        id.index() < self.parent.len()
     }
 
     fn get(&self, id: NodeId) -> Result<Node<'_>, TreeError> {
         self.node(id).ok_or(TreeError::NodeNotFound(id))
     }
 
-    /// The parent of `id`; `None` for the root, a tombstone and an id
-    /// past the arena. One load from the `parent` column.
+    /// The parent of `id`, whose index is less than `id`'s; `None` for
+    /// the root and an id past the arena. One load from the `parent`
+    /// column.
     #[inline]
-    pub(crate) fn parent_of(&self, id: NodeId) -> Option<NodeId> {
+    #[must_use]
+    pub fn parent_of(&self, id: NodeId) -> Option<NodeId> {
         match self.parent.get(id.index()) {
             Some(&raw) if raw != NO_PARENT => Some(NodeId(raw)),
             _ => None,
@@ -293,13 +272,13 @@ impl NamespaceTree {
         }
     }
 
-    /// The directory bitmap: one bit per arena slot, tombstones included.
+    /// The directory bitmap: one bit per arena slot.
     pub(crate) fn dir_bits(&self) -> &[u64] {
         &self.dir_bits
     }
 
     /// The `(name_sym, id)` edges of `id`'s children in name order;
-    /// empty for files, tombstones and ids past the arena.
+    /// empty for files and ids past the arena.
     #[inline]
     pub(crate) fn child_edges(&self, id: NodeId) -> &[(Sym, NodeId)] {
         self.children.of(id)
@@ -313,7 +292,7 @@ impl NamespaceTree {
 
     /// Looks up a child of `parent` by name.
     ///
-    /// `None` if `parent` is not live, has no such child, or the name has
+    /// `None` if `parent` is not a node, has no such child, or the name has
     /// never been interned (then no node in the whole tree carries it).
     #[must_use]
     pub fn child_of(&self, parent: NodeId, name: &str) -> Option<NodeId> {
@@ -322,17 +301,12 @@ impl NamespaceTree {
     }
 
     /// Interns `name` — one hash, one probe — for an entry of `dir`, and
-    /// refuses it if a child of `dir` other than `current` already has
-    /// it. A symbol this call minted names no node yet, so only a known
-    /// one costs the sibling scan.
-    fn claim_name(
-        &mut self,
-        dir: NodeId,
-        name: &str,
-        current: Option<Sym>,
-    ) -> Result<Sym, TreeError> {
+    /// refuses it if a child of `dir` already has it. A symbol this call
+    /// minted names no node yet, so only a known one costs the sibling
+    /// scan.
+    fn claim_name(&mut self, dir: NodeId, name: &str) -> Result<Sym, TreeError> {
         let (sym, minted) = self.symbols.intern_new(name);
-        if !minted && Some(sym) != current && self.child_by_sym(dir, sym).is_some() {
+        if !minted && self.child_by_sym(dir, sym).is_some() {
             return Err(TreeError::DuplicateName(name.to_owned()));
         }
         Ok(sym)
@@ -342,7 +316,7 @@ impl NamespaceTree {
     ///
     /// # Errors
     ///
-    /// * [`TreeError::NodeNotFound`] — `parent` is not a live node.
+    /// * [`TreeError::NodeNotFound`] — `parent` is not a node.
     /// * [`TreeError::NotADirectory`] — `parent` is a file.
     /// * [`TreeError::DuplicateName`] — a sibling named `name` exists.
     /// * [`TreeError::InvalidPath`] — `name` is empty or contains `/`.
@@ -356,10 +330,9 @@ impl NamespaceTree {
         if !self.get(parent)?.kind().is_directory() {
             return Err(TreeError::NotADirectory(parent));
         }
-        let sym = self.claim_name(parent, name, None)?;
+        let sym = self.claim_name(parent, name)?;
         let id = self.push_node(parent.0, sym, kind);
         self.children.insert(parent, sym, id, &self.symbols);
-        self.version += 1;
         Ok(id)
     }
 
@@ -418,7 +391,7 @@ impl NamespaceTree {
     /// `None` means some component names no symbol this tree has ever
     /// seen, so the path cannot resolve. The returned symbols are only
     /// meaningful against this tree (and trees cloned from it); they
-    /// stay valid across mutations because symbols are never reclaimed.
+    /// stay valid as the tree grows because symbols are never reclaimed.
     #[must_use]
     pub fn intern_path(&self, path: &NsPath) -> Option<Vec<Sym>> {
         path.components()
@@ -452,14 +425,14 @@ impl NamespaceTree {
             .ok_or_else(|| TreeError::PathNotFound(path.to_owned()))
     }
 
-    /// Reconstructs the absolute path of a live node.
+    /// Reconstructs the absolute path of a node.
     ///
     /// # Panics
     ///
-    /// Panics if `id` is not a live node.
+    /// Panics if `id` is not a node of this tree.
     #[must_use]
     pub fn path_of(&self, id: NodeId) -> NsPath {
-        assert!(self.contains(id), "path_of of a live node");
+        assert!(self.contains(id), "path_of of a node of this tree");
         let mut comps: Vec<&str> = Vec::new();
         let mut cur = id;
         while let Some(parent) = self.parent_of(cur) {
@@ -471,10 +444,6 @@ impl NamespaceTree {
     }
 
     /// Depth of a node: the root has depth 0.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not a live node.
     #[must_use]
     pub fn depth(&self, id: NodeId) -> usize {
         self.ancestors(id).count()
@@ -493,10 +462,6 @@ impl NamespaceTree {
     /// metric counts server changes along it. Allocates the chain — use
     /// [`chain_up`](Self::chain_up) on hot paths where the walk direction
     /// does not matter.
-    ///
-    /// # Panics
-    ///
-    /// Panics if `id` is not a live node.
     #[must_use]
     pub fn path_from_root(&self, id: NodeId) -> Vec<NodeId> {
         let mut chain: Vec<NodeId> = self.ancestors(id).collect();
@@ -521,163 +486,49 @@ impl NamespaceTree {
         Descendants::new(self, id)
     }
 
-    /// Number of live nodes in the subtree rooted at `id` (including `id`).
+    /// Number of nodes in the subtree rooted at `id` (including `id`).
     #[must_use]
     pub fn subtree_size(&self, id: NodeId) -> usize {
         self.descendants(id).count()
     }
 
-    /// Whether `a` is a strict ancestor of `b`.
-    #[must_use]
-    pub fn is_ancestor_of(&self, a: NodeId, b: NodeId) -> bool {
-        self.ancestors(b).any(|x| x == a)
-    }
-
-    /// Renames a node in place.
-    ///
-    /// # Errors
-    ///
-    /// * [`TreeError::RootImmutable`] — `id` is the root.
-    /// * [`TreeError::DuplicateName`] — a sibling named `new_name` exists.
-    /// * [`TreeError::InvalidPath`] — `new_name` is malformed.
-    pub fn rename(&mut self, id: NodeId, new_name: &str) -> Result<(), TreeError> {
-        check_component(new_name)?;
-        let node = self.get(id)?;
-        let parent = node.parent().ok_or(TreeError::RootImmutable)?;
-        let old_sym = node.name_sym();
-        let new_sym = self.claim_name(parent, new_name, Some(old_sym))?;
-        if new_sym == old_sym {
-            return Ok(());
-        }
-        self.children.remove(parent, old_sym);
-        self.children.insert(parent, new_sym, id, &self.symbols);
-        self.sym[id.index()] = new_sym;
-        self.version += 1;
-        Ok(())
-    }
-
-    /// Moves the subtree rooted at `id` under `new_parent`.
-    ///
-    /// # Errors
-    ///
-    /// * [`TreeError::RootImmutable`] — `id` is the root.
-    /// * [`TreeError::NotADirectory`] — `new_parent` is a file.
-    /// * [`TreeError::DuplicateName`] — `new_parent` has a child with the
-    ///   same name.
-    /// * [`TreeError::MoveIntoDescendant`] — `new_parent` lies inside the
-    ///   moved subtree.
-    pub fn move_subtree(&mut self, id: NodeId, new_parent: NodeId) -> Result<(), TreeError> {
-        let node = self.get(id)?;
-        let old_parent = node.parent().ok_or(TreeError::RootImmutable)?;
-        let sym = node.name_sym();
-        let dest = self.get(new_parent)?;
-        if !dest.kind().is_directory() {
-            return Err(TreeError::NotADirectory(new_parent));
-        }
-        if new_parent == id || self.is_ancestor_of(id, new_parent) {
-            return Err(TreeError::MoveIntoDescendant {
-                subject: id,
-                destination: new_parent,
-            });
-        }
-        if new_parent == old_parent {
-            return Ok(());
-        }
-        if dest.child_by_sym(sym).is_some() {
-            let name = self.symbols.resolve(sym).to_owned();
-            return Err(TreeError::DuplicateName(name));
-        }
-        self.children.remove(old_parent, sym);
-        self.children.insert(new_parent, sym, id, &self.symbols);
-        self.parent[id.index()] = new_parent.0;
-        self.version += 1;
-        Ok(())
-    }
-
-    /// Removes the subtree rooted at `id` and returns how many nodes were
-    /// removed.
-    ///
-    /// Removed ids become tombstones: they are never reused and all lookups
-    /// on them fail.
-    ///
-    /// # Errors
-    ///
-    /// * [`TreeError::RootImmutable`] — `id` is the root.
-    /// * [`TreeError::NodeNotFound`] — `id` is not live.
-    pub fn remove_subtree(&mut self, id: NodeId) -> Result<usize, TreeError> {
-        let node = self.get(id)?;
-        let parent = node.parent().ok_or(TreeError::RootImmutable)?;
-        let sym = node.name_sym();
-        let victims: Vec<NodeId> = self.descendants(id).collect();
-        self.children.remove(parent, sym);
-        for &v in &victims {
-            self.children.clear(v);
-            self.parent[v.index()] = NO_PARENT;
-            set_bit(&mut self.live_bits, v, false);
-        }
-        self.live -= victims.len();
-        self.version += 1;
-        Ok(victims.len())
-    }
-
-    /// Iterates over all live nodes as `(id, node)` in id (creation) order.
+    /// Iterates over all nodes as `(id, node)` in id (creation) order,
+    /// so every parent before its children.
     pub fn nodes(&self) -> impl Iterator<Item = (NodeId, Node<'_>)> + '_ {
         (0..self.arena_size())
             .map(NodeId::from_index)
-            .filter(|&id| self.contains(id))
             .map(|id| (id, Node::new(self, id)))
     }
 
-    /// Number of live directories.
+    /// Number of directories.
     #[must_use]
     pub fn directory_count(&self) -> usize {
-        let both = self.live_bits.iter().zip(&self.dir_bits);
-        both.map(|(live, dir)| (live & dir).count_ones() as usize)
+        self.dir_bits
+            .iter()
+            .map(|word| word.count_ones() as usize)
             .sum()
     }
 
-    /// Number of live files.
+    /// Number of files.
     #[must_use]
     pub fn file_count(&self) -> usize {
-        self.live - self.directory_count()
+        self.node_count() - self.directory_count()
     }
 
-    /// Maximum depth over all live nodes (the paper's Table I "Max Depth").
+    /// Maximum depth over all nodes (the paper's Table I "Max Depth").
     #[must_use]
     pub fn max_depth(&self) -> usize {
         self.depths().into_iter().max().unwrap_or(0) as usize
     }
 
-    /// The depth of every arena slot, indexed by [`NodeId::index`]; 0 for
-    /// the root and for tombstones.
-    ///
-    /// One pass in arena order. A node whose parent sits later in the
-    /// arena — one [`move_subtree`](Self::move_subtree) put under a
-    /// younger directory — walks up to its nearest ancestor already
-    /// computed and fills in the chain on the way down, so every slot is
-    /// computed once and the pass is O(arena) for any tree; for a tree
-    /// built by creates alone, every parent is already known.
+    /// The depth of every node, indexed by [`NodeId::index`]: one
+    /// forward pass over the arena, each node one deeper than its
+    /// parent, whose depth is already known.
     #[must_use]
     pub fn depths(&self) -> Vec<u32> {
-        const UNKNOWN: u32 = u32::MAX;
-        let mut depth = vec![UNKNOWN; self.arena_size()];
-        let mut chain = Vec::new();
-        for slot in 0..self.arena_size() {
-            let mut cur = NodeId::from_index(slot);
-            while depth[cur.index()] == UNKNOWN {
-                match self.parent_of(cur) {
-                    Some(parent) => {
-                        chain.push(cur);
-                        cur = parent;
-                    }
-                    None => depth[cur.index()] = 0,
-                }
-            }
-            let mut d = depth[cur.index()];
-            while let Some(id) = chain.pop() {
-                d += 1;
-                depth[id.index()] = d;
-            }
+        let mut depth = vec![0; self.arena_size()];
+        for i in 1..depth.len() {
+            depth[i] = depth[self.parent[i] as usize] + 1;
         }
         depth
     }
@@ -694,7 +545,7 @@ impl NodeAppender<'_> {
     /// Number of nodes appended so far, including the root.
     #[must_use]
     pub fn node_count(&self) -> usize {
-        self.tree.live
+        self.tree.node_count()
     }
 
     /// Appends a child of `parent`, which must be appended already, and
@@ -720,7 +571,6 @@ impl NodeAppender<'_> {
             return Err(TreeError::NotADirectory(parent));
         }
         let sym = tree.symbols.push_name(name);
-        tree.version += 1;
         Ok(tree.push_node(parent.0, sym, kind))
     }
 }
@@ -730,12 +580,9 @@ impl Clone for NamespaceTree {
         NamespaceTree {
             parent: self.parent.clone(),
             sym: self.sym.clone(),
-            live_bits: self.live_bits.clone(),
             dir_bits: self.dir_bits.clone(),
             children: self.children.clone(),
-            live: self.live,
             symbols: self.symbols.clone(),
-            version: self.version,
             // A clone is a distinct tree: caches stamped with the source's
             // identity must not be read against the copy.
             identity: fresh_tree_id(),
@@ -790,15 +637,8 @@ mod tests {
         assert_eq!(t.resolve_syms(&syms), Some(f));
         // Unknown names cannot be interned against this tree.
         assert_eq!(t.intern_path(&"/home/nope".parse().unwrap()), None);
-        // Symbols survive mutations elsewhere in the tree and keep
-        // tracking the renamed-away-and-back name.
-        let g = t.create(a, "g", NodeKind::File).unwrap();
-        assert_eq!(t.resolve_syms(&syms), Some(f));
-        t.remove_subtree(g).unwrap();
-        assert_eq!(t.resolve_syms(&syms), Some(f));
-        t.rename(f, "f2.txt").unwrap();
-        assert_eq!(t.resolve_syms(&syms), None, "old name no longer binds");
-        t.rename(f, "f.txt").unwrap();
+        // Symbols survive creates elsewhere in the tree.
+        t.create(a, "g", NodeKind::File).unwrap();
         assert_eq!(t.resolve_syms(&syms), Some(f));
     }
 
@@ -854,13 +694,6 @@ mod tests {
     }
 
     #[test]
-    fn chain_up_of_dead_node_yields_only_the_node() {
-        let (mut t, _, a, f) = sample();
-        t.remove_subtree(a).unwrap();
-        assert_eq!(t.chain_up(f).collect::<Vec<_>>(), vec![f]);
-    }
-
-    #[test]
     fn descendants_preorder() {
         let (t, home, a, f) = sample();
         let desc: Vec<NodeId> = t.descendants(home).collect();
@@ -869,72 +702,17 @@ mod tests {
         assert_eq!(t.subtree_size(f), 1);
     }
 
+    /// `contains` is a bounds check, so it is checked against the
+    /// structure: a slot is reachable from the root through child spans
+    /// exactly when it lies in the arena — for every slot and a few past
+    /// it, after any mix of creates, failed ones included, on clones
+    /// too — and `node` and `node_count` say the same.
     #[test]
-    fn rename_updates_resolution() {
-        let (mut t, _, a, f) = sample();
-        t.rename(a, "b").unwrap();
-        assert_eq!(t.resolve_str("/home/b/f.txt").unwrap(), f);
-        assert!(t.resolve_str("/home/a/f.txt").is_err());
-        assert_eq!(t.rename(t.root(), "r"), Err(TreeError::RootImmutable));
-    }
-
-    #[test]
-    fn rename_to_same_name_is_noop() {
-        let (mut t, _, a, _) = sample();
-        let v = t.version();
-        t.rename(a, "a").unwrap();
-        assert!(t.resolve_str("/home/a").is_ok());
-        assert_eq!(t.version(), v, "no-op rename must not invalidate caches");
-    }
-
-    #[test]
-    fn move_subtree_rewires_paths() {
-        let (mut t, home, a, f) = sample();
-        let var = t.create(t.root(), "var", NodeKind::Directory).unwrap();
-        t.move_subtree(a, var).unwrap();
-        assert_eq!(t.path_of(f).to_string(), "/var/a/f.txt");
-        assert!(!t.is_ancestor_of(home, f));
-        assert!(t.is_ancestor_of(var, f));
-    }
-
-    #[test]
-    fn move_into_descendant_rejected() {
-        let (mut t, home, a, _) = sample();
-        assert!(matches!(
-            t.move_subtree(home, a),
-            Err(TreeError::MoveIntoDescendant { .. })
-        ));
-        assert!(matches!(
-            t.move_subtree(home, home),
-            Err(TreeError::MoveIntoDescendant { .. })
-        ));
-    }
-
-    #[test]
-    fn remove_subtree_tombstones() {
-        let (mut t, home, a, f) = sample();
-        let removed = t.remove_subtree(a).unwrap();
-        assert_eq!(removed, 2);
-        assert!(!t.contains(a));
-        assert!(!t.contains(f));
-        assert!(t.contains(home));
-        assert_eq!(t.node_count(), 2);
-        assert_eq!(t.arena_size(), 4); // tombstones keep the arena dense
-        assert_eq!(t.remove_subtree(a), Err(TreeError::NodeNotFound(a)));
-        assert_eq!(t.remove_subtree(t.root()), Err(TreeError::RootImmutable));
-    }
-
-    /// The bitmap is the only record of liveness, so it is checked
-    /// against the structure: a slot's bit is set exactly when the node
-    /// is reachable from the root through child maps — for every slot,
-    /// live, tombstoned and past the arena, after any mix of mutations,
-    /// on clones too — and `node` and `node_count` say the same.
-    #[test]
-    fn liveness_bitmap_is_the_set_reachable_from_the_root() {
+    fn the_arena_is_the_set_reachable_from_the_root() {
         use rand::rngs::StdRng;
         use rand::{Rng, SeedableRng};
 
-        fn assert_bitmap_matches(t: &NamespaceTree) {
+        fn assert_arena_matches(t: &NamespaceTree) {
             let mut reachable = vec![false; t.arena_size() + 64];
             let mut stack = vec![t.root()];
             while let Some(id) = stack.pop() {
@@ -955,24 +733,17 @@ mod tests {
         for step in 0..3_000 {
             let clones = trees.len();
             let t = &mut trees[rng.gen_range(0..clones)];
-            let a = NodeId::from_index(rng.gen_range(0..t.arena_size()));
-            let b = NodeId::from_index(rng.gen_range(0..t.arena_size()));
-            // Failed mutations (dead node, file parent, cycle) are part
-            // of the mix: they must leave the bitmap alone.
+            // Failed creates (file parent, id past the arena) are part
+            // of the mix: they must leave the arena alone.
+            let parent = NodeId::from_index(rng.gen_range(0..t.arena_size() + 2));
             match rng.gen_range(0..10) {
-                0..=5 => {
+                0..=8 => {
                     let kind = if rng.gen_range(0..4) == 0 {
                         NodeKind::File
                     } else {
                         NodeKind::Directory
                     };
-                    let _ = t.create(a, &format!("n{step}"), kind);
-                }
-                6 => {
-                    let _ = t.remove_subtree(a);
-                }
-                7 | 8 => {
-                    let _ = t.move_subtree(a, b);
+                    let _ = t.create(parent, &format!("n{step}"), kind);
                 }
                 _ if clones < 4 => {
                     let copy = t.clone();
@@ -981,16 +752,10 @@ mod tests {
                 _ => {}
             }
             if step % 100 == 0 {
-                trees.iter().for_each(assert_bitmap_matches);
+                trees.iter().for_each(assert_arena_matches);
             }
         }
-        for t in &trees {
-            assert_bitmap_matches(t);
-            assert!(
-                t.arena_size() > t.node_count(),
-                "the mix tombstoned something"
-            );
-        }
+        trees.iter().for_each(assert_arena_matches);
     }
 
     #[test]
@@ -999,27 +764,6 @@ mod tests {
         assert_eq!(t.directory_count(), 3); // root, home, a
         assert_eq!(t.file_count(), 1);
         assert_eq!(t.max_depth(), 3);
-    }
-
-    /// A subtree moved under a younger directory has its parent later in
-    /// the arena; its depths still follow the parent chain.
-    #[test]
-    fn depths_follow_a_parent_that_sits_later_in_the_arena() {
-        let mut t = NamespaceTree::new();
-        let a = t.create(t.root(), "a", NodeKind::Directory).unwrap();
-        let x = t.create(a, "x", NodeKind::File).unwrap();
-        let b = t.create(t.root(), "b", NodeKind::Directory).unwrap();
-        t.move_subtree(a, b).unwrap();
-        assert_eq!(t.depth(x), 3);
-        assert_eq!(t.max_depth(), 3);
-        let depths = t.depths();
-        for (id, _) in t.nodes() {
-            assert_eq!(depths[id.index()] as usize, t.depth(id), "{id:?}");
-        }
-        // A tombstone reads 0.
-        t.remove_subtree(a).unwrap();
-        assert_eq!(t.depths(), [0, 0, 0, 1]);
-        assert_eq!(t.max_depth(), 1);
     }
 
     /// Columns reserved for more nodes than arrive neither grow nor keep
@@ -1061,25 +805,7 @@ mod tests {
         let (t, ..) = sample();
         let c = t.clone();
         assert_ne!(t.identity(), c.identity());
-        assert_eq!(t.version(), c.version());
-    }
-
-    #[test]
-    fn version_bumps_on_every_mutation_kind() {
-        let mut t = NamespaceTree::new();
-        assert_eq!(t.version(), 0);
-        let a = t.create(t.root(), "a", NodeKind::Directory).unwrap();
-        let v1 = t.version();
-        assert!(v1 > 0);
-        let b = t.create(t.root(), "b", NodeKind::Directory).unwrap();
-        t.rename(b, "c").unwrap();
-        let v2 = t.version();
-        assert!(v2 > v1);
-        t.move_subtree(b, a).unwrap();
-        let v3 = t.version();
-        assert!(v3 > v2);
-        t.remove_subtree(b).unwrap();
-        assert!(t.version() > v3);
+        assert_eq!(t.node_count(), c.node_count());
     }
 
     #[test]

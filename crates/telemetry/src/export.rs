@@ -403,7 +403,6 @@ mod tests {
             "wal_records_total",
             "snapshots_total",
             "gl_delta_sync_entries_total",
-            "trace_spans_recorded_total",
             "trace_spans_dropped_total",
             "health_ticks_total",
             "health_violations_total",
@@ -442,13 +441,13 @@ mod tests {
         let snap = r.snapshot();
         // Every canonical name is pre-registered: exports carry the
         // full vocabulary as zero-valued series even on a run that
-        // never touches a code path. 48 names — the CI net-smoke scrape
+        // never touches a code path. 47 names — the CI net-smoke scrape
         // gate keys on this count too.
         assert_eq!(
             snap.counters.len() + snap.gauges.len() + snap.histograms.len(),
             EXPECTED.len()
         );
-        assert_eq!(EXPECTED.len(), 48, "export vocabulary changed size");
+        assert_eq!(EXPECTED.len(), 47, "export vocabulary changed size");
         let prom = super::prometheus_text(&snap);
         let json = super::json(&snap);
         for name in EXPECTED {

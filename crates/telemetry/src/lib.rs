@@ -103,8 +103,6 @@ pub mod names {
     pub const GL_DELTA_SYNC_ENTRIES: &str = "gl_delta_sync_entries_total";
     /// Storage faults injected (torn writes, partial fsyncs, corruption).
     pub const FAULTS_STORAGE: &str = "faults_storage_total";
-    /// Spans accepted by the trace sink.
-    pub const TRACE_SPANS_RECORDED: &str = "trace_spans_recorded_total";
     /// Spans shed because the trace sink was full.
     pub const TRACE_SPANS_DROPPED: &str = "trace_spans_dropped_total";
     /// Flight-recorder health ticks sampled.
@@ -183,7 +181,6 @@ pub mod names {
             WAL_RECORDS_TOTAL,
             SNAPSHOTS_TOTAL,
             GL_DELTA_SYNC_ENTRIES,
-            TRACE_SPANS_RECORDED,
             TRACE_SPANS_DROPPED,
             HEALTH_TICKS_TOTAL,
             HEALTH_VIOLATIONS_TOTAL,

@@ -209,8 +209,6 @@ pub enum ArgKey {
     Outcome,
     /// Response body kind (served/redirect/not-found code).
     Body,
-    /// Fencing token carried by a lease grant or rejected write.
-    Fence,
 }
 
 impl ArgKey {
@@ -236,7 +234,6 @@ impl ArgKey {
             ArgKey::Route => "route",
             ArgKey::Outcome => "outcome",
             ArgKey::Body => "body",
-            ArgKey::Fence => "fence",
         }
     }
 }

@@ -60,12 +60,6 @@ impl DriftingWorkload {
         }
     }
 
-    /// Number of phases.
-    #[must_use]
-    pub fn phase_count(&self) -> usize {
-        self.phases.len()
-    }
-
     /// Fraction of the top-`k` hot nodes of phase `a` that are still in
     /// the top-`k` of phase `b` — a direct measure of how hard the drift
     /// is for a rebalancer.
@@ -105,7 +99,7 @@ mod tests {
             3,
             5,
         );
-        assert_eq!(w.phase_count(), 3);
+        assert_eq!(w.phases.len(), 3);
         for phase in &w.phases {
             assert_eq!(phase.len(), 3_000);
             for op in phase {

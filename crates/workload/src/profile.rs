@@ -202,13 +202,6 @@ impl TraceProfile {
         self
     }
 
-    /// Overrides the Zipf exponent.
-    #[must_use]
-    pub fn with_zipf_exponent(mut self, s: f64) -> Self {
-        self.zipf_exponent = s;
-        self
-    }
-
     /// Overrides the shallow bias.
     #[must_use]
     pub fn with_shallow_bias(mut self, bias: f64) -> Self {
@@ -260,12 +253,8 @@ mod tests {
 
     #[test]
     fn builder_overrides() {
-        let p = TraceProfile::dtr()
-            .with_nodes(10)
-            .with_operations(20)
-            .with_zipf_exponent(0.5);
+        let p = TraceProfile::dtr().with_nodes(10).with_operations(20);
         assert_eq!(p.nodes, 10);
         assert_eq!(p.operations, 20);
-        assert_eq!(p.zipf_exponent, 0.5);
     }
 }

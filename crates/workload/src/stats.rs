@@ -63,7 +63,7 @@ pub struct TraceStats {
     pub name: String,
     /// Operation count.
     pub records: u64,
-    /// Live node count of the namespace.
+    /// Node count of the namespace.
     pub nodes: usize,
     /// Maximum namespace depth.
     pub max_depth: usize,

@@ -9,7 +9,7 @@ use crate::profile::TraceProfile;
 /// Summary of a synthesised namespace, reported next to Table I.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct SynthesisReport {
-    /// Live node count (including the root).
+    /// Node count (including the root).
     pub nodes: usize,
     /// Directory count.
     pub directories: usize,
@@ -119,7 +119,6 @@ pub fn synthesize_tree(profile: &TraceProfile, seed: u64) -> (NamespaceTree, Syn
     })
     .expect("generated names are unique");
 
-    // Synthesis only creates, so every slot is a live node.
     let depth = tree.depths();
     let report = SynthesisReport {
         nodes: tree.node_count(),

@@ -191,12 +191,6 @@ impl TraceGen {
         }
     }
 
-    /// The hotness ordering: element 0 is the hottest node.
-    #[must_use]
-    pub fn hot_order(&self) -> &[NodeId] {
-        &self.order
-    }
-
     /// Draws the next block of ops.
     fn draw_block(&mut self) {
         let n = self.remaining.min(BLOCK);
@@ -497,29 +491,5 @@ mod tests {
                 );
             }
         }
-    }
-
-    #[test]
-    fn hot_order_covers_all_nodes() {
-        let p = TraceProfile::dtr().with_nodes(300).with_operations(1);
-        let (tree, _) = synthesize_tree(&p, 2);
-        let gen = TraceGen::new(&p, &tree, 2);
-        assert_eq!(gen.hot_order().len(), tree.node_count());
-    }
-
-    /// Hotness keys come from true depths even when a moved subtree's
-    /// parent sits later in the arena.
-    #[test]
-    fn hot_order_ranks_a_moved_subtree_by_its_depth() {
-        use d2tree_namespace::NodeKind;
-        let mut tree = NamespaceTree::new();
-        let a = tree.create(tree.root(), "a", NodeKind::Directory).unwrap();
-        let x = tree.create(a, "x", NodeKind::File).unwrap();
-        let b = tree.create(tree.root(), "b", NodeKind::Directory).unwrap();
-        tree.move_subtree(a, b).unwrap();
-        // Depth alone orders the nodes: root, b, a, x.
-        let p = TraceProfile::dtr().with_shallow_bias(1.0);
-        let gen = TraceGen::new(&p, &tree, 3);
-        assert_eq!(gen.hot_order(), [tree.root(), b, a, x]);
     }
 }

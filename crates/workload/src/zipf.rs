@@ -146,12 +146,6 @@ impl Zipf {
         (self.cumulative[k] - prev) / self.total()
     }
 
-    /// Cumulative probability mass of ranks `0..=k`.
-    #[must_use]
-    pub fn cumulative_weight(&self, k: usize) -> f64 {
-        self.cumulative[k] / self.total()
-    }
-
     /// Draws a 0-based rank.
     pub fn sample<R: Rng + ?Sized>(&self, rng: &mut R) -> usize {
         let mut rank = [0];
@@ -206,7 +200,6 @@ mod tests {
         let z = Zipf::new(100, 1.2);
         let total: f64 = (0..100).map(|k| z.weight(k)).sum();
         assert!((total - 1.0).abs() < 1e-12);
-        assert!((z.cumulative_weight(99) - 1.0).abs() < 1e-12);
     }
 
     #[test]

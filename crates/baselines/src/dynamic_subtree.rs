@@ -75,7 +75,7 @@ impl Partitioner for DynamicSubtree {
         // the cut (or a leaf above it) roots a migratable unit.
         let mut stack: Vec<(NodeId, usize)> = vec![(tree.root(), 0)];
         while let Some((id, depth)) = stack.pop() {
-            let node = tree.node(id).expect("live traversal");
+            let node = tree.node(id).expect("a stacked id is in the arena");
             let is_unit_root = depth == CUT_DEPTH || (depth < CUT_DEPTH && node.child_count() == 0);
             if is_unit_root {
                 let h = stable_hash(tree.path_of(id).to_string().as_bytes()) ^ self.seed;

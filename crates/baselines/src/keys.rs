@@ -161,12 +161,15 @@ pub fn weighted_boundaries(points: &mut [(f64, f64)], capacity_shares: &[f64]) -
 #[cfg(test)]
 mod tests {
     use super::*;
-    use d2tree_namespace::TreeBuilder;
+    use d2tree_namespace::NodeKind;
 
     fn sample_tree() -> NamespaceTree {
-        let mut b = TreeBuilder::new();
-        b.files(["/a/x", "/a/y", "/a/z", "/b/p/q", "/c"]).unwrap();
-        b.build()
+        let mut tree = NamespaceTree::new();
+        for path in ["/a/x", "/a/y", "/a/z", "/b/p/q", "/c"] {
+            tree.create_path(&path.parse().unwrap(), NodeKind::File)
+                .unwrap();
+        }
+        tree
     }
 
     #[test]

@@ -54,28 +54,16 @@ impl Partitioner for StaticSubtree {
         let m = cluster.len();
         let mut placement = Placement::new(tree, m);
         let mut slots = placement.writer(tree);
-        // Depth-first walk carrying the current depth; subtree roots at
-        // the cut fix the owner for their whole subtree.
-        let mut stack: Vec<(NodeId, usize, Option<MdsId>)> = vec![(tree.root(), 0, None)];
-        while let Some((id, depth, inherited)) = stack.pop() {
-            let owner = match inherited {
-                Some(o) => o,
-                None => self.hash_to_mds(tree, id, m),
+        // Arena order puts every parent before its children: a node down
+        // to the cut hashes its own pathname, and a node below it takes
+        // its parent's owner, which is its subtree root's.
+        for (id, node) in tree.nodes() {
+            let below_cut = tree.ancestors(id).nth(CUT_DEPTH).is_some();
+            let assignment = match node.parent() {
+                Some(parent) if below_cut => slots.get(parent),
+                _ => Assignment::Single(self.hash_to_mds(tree, id, m)),
             };
-            slots.set(id, Assignment::Single(owner));
-            if let Some(node) = tree.node(id) {
-                // Children strictly below the cut inherit the owner; the
-                // subtree roots at the cut (and anything above it) hash
-                // independently.
-                let next = if depth + 1 > CUT_DEPTH {
-                    Some(owner)
-                } else {
-                    None
-                };
-                for (_, c) in node.children() {
-                    stack.push((c, depth + 1, next));
-                }
-            }
+            slots.set(id, assignment);
         }
         self.placement = Some(placement);
     }

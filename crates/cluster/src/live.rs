@@ -1890,7 +1890,13 @@ mod tests {
         let mut client = cluster.client(60);
         let targets = [deep, roots[1]];
         read_until_one_moves(&cluster, &mut client, targets, roots, original_owner);
-        assert!(cluster.shared.migrations.load(Ordering::SeqCst) > 0);
+        // Daemon 0's placement shows the move before the other daemons
+        // have applied and journaled it; the counter follows the last.
+        let deadline = Instant::now() + Duration::from_secs(5);
+        while cluster.shared.migrations.load(Ordering::SeqCst) == 0 {
+            assert!(Instant::now() < deadline, "the move was never counted");
+            std::thread::sleep(Duration::from_millis(5));
+        }
         let violations = settle(&cluster, Duration::from_secs(5));
         assert!(violations.is_empty(), "after the migration: {violations:?}");
 

@@ -165,8 +165,6 @@ pub struct ControlState {
     grants: u64,
     /// Writes rejected for stale/expired fences.
     fence_rejections: u64,
-    /// Acquire attempts that found the lease held and unexpired.
-    lease_busy: u64,
 }
 
 impl ControlState {
@@ -181,7 +179,6 @@ impl ControlState {
             gl_versions: BTreeMap::new(),
             grants: 0,
             fence_rejections: 0,
-            lease_busy: 0,
         }
     }
 
@@ -242,7 +239,6 @@ impl ControlState {
                         holder,
                     }
                 } else {
-                    self.lease_busy += 1;
                     Applied::Busy
                 }
             }
@@ -522,7 +518,6 @@ mod tests {
         let _ = state.apply_command(acquire(0, 0), None);
         assert_eq!(state.apply_command(acquire(1, 500), None), Applied::Busy);
         assert_eq!(state.lease(1).unwrap().holder, 0);
-        assert_eq!(state.lease_busy, 1);
     }
 
     #[test]

@@ -346,6 +346,16 @@ pub struct PlacementWriter<'a> {
 }
 
 impl PlacementWriter<'_> {
+    /// The assignment of one node as set so far.
+    ///
+    /// # Panics
+    ///
+    /// Panics if `id` is not a node of the tree the writer was made for.
+    #[must_use]
+    pub fn get(&self, id: NodeId) -> Assignment {
+        self.slots[id.index()]
+    }
+
     /// Sets the assignment of one node.
     ///
     /// # Panics

@@ -1,42 +1,25 @@
-//! Every directory's children, in one pooled edge array.
+//! Every directory's children, in one exact edge array.
 //!
-//! A directory's children are a *span* of the shared `edges` pool:
-//! `(Sym, NodeId)` entries kept sorted by the child's *name string*, so
-//! iteration order is the name order every seeded experiment depends on
-//! while lookups compare interned `u32` handles instead of strings. A
-//! span holding `len` edges reserves `len` rounded up to a power of two
-//! slots, so its capacity is never stored: a span that is full moves to
-//! one of twice the size — a vacated span of that size if there is one,
-//! the pool's tail otherwise. Spans only grow: a tree never removes a
-//! node.
+//! The pool is compressed sparse rows: node `i`'s children are
+//! `edges[offsets[i]..offsets[i + 1]]`, `(Sym, NodeId)` entries sorted
+//! by the child's *name string*, so iteration order is the name order
+//! every seeded experiment depends on while lookups compare interned
+//! `u32` handles instead of strings. There is one offset per node plus
+//! one and one entry per edge, nothing more: no directory reserves room
+//! to grow.
 //!
-//! A tree built in one pass ([`NamespaceTree::build`]) lays the pool out
-//! in one go: a counting pass sets each directory's edge count, prefix
-//! sums over the spans' capacities give each its start, the edges are
-//! filled in arena order and each span is sorted by name once. The
-//! result obeys the same span rule, so later creates carry on from it
-//! as from a tree grown edge by edge; there is no frozen form.
+//! A namespace is built once and only grows, so the layout is decided
+//! once: [`NamespaceTree::build`] counts each directory's edges, takes
+//! prefix sums for the offsets, fills the edges in arena order and
+//! sorts each directory's range by name. A later
+//! [`create`](crate::NamespaceTree::create) shifts the edges after its
+//! own and bumps every later offset, O(n) per edge; it builds small
+//! trees in tests and examples, and no hot path calls it.
 //!
 //! [`NamespaceTree::build`]: crate::NamespaceTree::build
 
 use crate::intern::{Sym, SymbolTable};
 use crate::node::NodeId;
-
-/// Where one node's child edges lie in the pool.
-#[derive(Debug, Clone, Copy, Default)]
-struct Span {
-    start: u32,
-    len: u32,
-}
-
-/// Slots reserved for a span of `len` edges.
-fn capacity(len: usize) -> usize {
-    if len == 0 {
-        0
-    } else {
-        len.next_power_of_two()
-    }
-}
 
 /// A name's first eight bytes, big-endian and zero-padded. Where two
 /// prefixes differ they order as the names do: at the first byte they
@@ -51,44 +34,46 @@ fn name_prefix(name: &[u8]) -> u64 {
 }
 
 /// The child edges of every node of one tree.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub(crate) struct ChildPool {
-    /// One span per arena slot; empty for files and childless
-    /// directories.
-    spans: Vec<Span>,
+    /// One entry per arena slot plus one: slot `i`'s children are
+    /// `edges[offsets[i]..offsets[i + 1]]`, empty for files and
+    /// childless directories.
+    offsets: Vec<u32>,
     edges: Vec<(Sym, NodeId)>,
-    /// `vacant[c]` holds the starts of vacated spans of `1 << c` slots.
-    vacant: Vec<Vec<u32>>,
 }
 
 impl ChildPool {
-    /// An empty pool whose span table has room for `nodes` arena slots.
-    /// The edges are not reserved: how many slots the spans take depends
-    /// on the fan-outs, not on the node count.
+    /// An empty pool whose offsets have room for `nodes` arena slots.
+    /// The edges are not reserved: [`lay_out`](Self::lay_out) allocates
+    /// them at their exact count.
     pub(crate) fn with_capacity(nodes: usize) -> Self {
+        let mut offsets = Vec::with_capacity(nodes + 1);
+        offsets.push(0);
         ChildPool {
-            spans: Vec::with_capacity(nodes),
-            ..ChildPool::default()
+            offsets,
+            edges: Vec::new(),
         }
     }
 
-    /// Drops the spare capacity of the span table and the edge pool.
+    /// Drops the spare capacity of the offsets and the edges.
     pub(crate) fn shrink_to_fit(&mut self) {
-        self.spans.shrink_to_fit();
+        self.offsets.shrink_to_fit();
         self.edges.shrink_to_fit();
     }
 
-    /// Adds the (empty) span of the next arena slot.
+    /// Adds the (empty) child range of the next arena slot.
     pub(crate) fn push_node(&mut self) {
-        self.spans.push(Span::default());
+        let end = *self.offsets.last().expect("one offset more than slots");
+        self.offsets.push(end);
     }
 
     /// The children of `id` in name order; empty for an id past the arena.
     #[inline]
     pub(crate) fn of(&self, id: NodeId) -> &[(Sym, NodeId)] {
-        match self.spans.get(id.index()) {
-            Some(span) => &self.edges[span.start as usize..][..span.len as usize],
-            None => &[],
+        match self.offsets.get(id.index()..id.index() + 2) {
+            Some(&[start, end]) => &self.edges[start as usize..end as usize],
+            _ => &[],
         }
     }
 
@@ -104,64 +89,56 @@ impl ChildPool {
     }
 
     /// Inserts keeping name order; the caller guarantees `sym` is absent.
+    /// Shifts every later edge and bumps every later offset: O(n).
     pub(crate) fn insert(&mut self, dir: NodeId, sym: Sym, child: NodeId, table: &SymbolTable) {
         let name = table.bytes_of(sym);
-        let at = self
-            .of(dir)
-            .partition_point(|&(s, _)| table.bytes_of(s) < name);
-        let Span { start, len } = self.spans[dir.index()];
-        let (mut start, len) = (start as usize, len as usize);
-        if len == capacity(len) {
-            let full = start;
-            start = self.take((2 * len).max(1));
-            self.edges.copy_within(full..full + len, start);
-            self.give_back(full, len);
+        let at = self.offsets[dir.index()] as usize
+            + self
+                .of(dir)
+                .partition_point(|&(s, _)| table.bytes_of(s) < name);
+        self.edges.insert(at, (sym, child));
+        for end in &mut self.offsets[dir.index() + 1..] {
+            *end += 1;
         }
-        self.edges
-            .copy_within(start + at..start + len, start + at + 1);
-        self.edges[start + at] = (sym, child);
-        self.spans[dir.index()] = Span {
-            start: u32::try_from(start).expect("edge pool fits in u32"),
-            len: len as u32 + 1,
-        };
     }
 
     /// Lays out the edges of every `(parent, sym, child)` link of a tree
-    /// whose pool is still empty, each span sorted by name. On two
-    /// siblings with one name, returns that name's symbol.
+    /// whose pool is still empty, each directory's range sorted by name.
+    /// On two siblings with one name, returns that name's symbol.
     ///
-    /// A span sorts by each name's first eight bytes, read big-endian
+    /// A range sorts by each name's first eight bytes, read big-endian
     /// and zero-padded — an integer whose order is the names' order
     /// wherever two differ — and compares whole names only where those
     /// tie, so most comparisons touch no name bytes.
     ///
-    /// Allocates only the pool and one scratch vector for the largest
-    /// span: the span table counts the edges, then serves as each span's
-    /// fill cursor.
+    /// Allocates only the edges and one scratch vector for the widest
+    /// directory: the offsets count the edges, then serve as each
+    /// directory's fill cursor.
     pub(crate) fn lay_out<I>(&mut self, links: I, table: &SymbolTable) -> Result<(), Sym>
     where
         I: Iterator<Item = (NodeId, Sym, NodeId)> + Clone,
     {
         debug_assert!(self.edges.is_empty(), "laid out over existing edges");
         for (parent, ..) in links.clone() {
-            self.spans[parent.index()].len += 1;
+            self.offsets[parent.index()] += 1;
         }
+        // Running sums leave each offset at its directory's end, and
+        // filling each directory back to front brings it to its start.
         let (mut end, mut widest) = (0, 0);
-        for span in &mut self.spans {
-            let len = std::mem::take(&mut span.len) as usize;
-            span.start = u32::try_from(end).expect("edge pool fits in u32");
-            end += capacity(len);
-            widest = widest.max(len);
+        for offset in &mut self.offsets {
+            widest = widest.max(*offset);
+            end += *offset;
+            *offset = end;
         }
-        self.edges = vec![(Sym(0), NodeId::from_index(0)); end];
+        self.edges = vec![(Sym(0), NodeId::from_index(0)); end as usize];
         for (parent, sym, child) in links {
-            let span = &mut self.spans[parent.index()];
-            self.edges[(span.start + span.len) as usize] = (sym, child);
-            span.len += 1;
+            let cursor = &mut self.offsets[parent.index()];
+            *cursor -= 1;
+            self.edges[*cursor as usize] = (sym, child);
         }
-        let mut keyed: Vec<(u64, Sym, NodeId)> = Vec::with_capacity(widest);
-        for span in &self.spans {
-            let edges = &mut self.edges[span.start as usize..][..span.len as usize];
+        let mut keyed: Vec<(u64, Sym, NodeId)> = Vec::with_capacity(widest as usize);
+        for range in self.offsets.windows(2) {
+            let edges = &mut self.edges[range[0] as usize..range[1] as usize];
             keyed.clear();
             keyed.extend(
                 edges
@@ -181,31 +158,6 @@ impl ChildPool {
         }
         Ok(())
     }
-
-    /// A span of `slots` (a power of two) slots: a vacated one of that
-    /// size, else fresh slots at the pool's tail.
-    fn take(&mut self, slots: usize) -> usize {
-        let class = slots.trailing_zeros() as usize;
-        if let Some(start) = self.vacant.get_mut(class).and_then(Vec::pop) {
-            return start as usize;
-        }
-        let start = self.edges.len();
-        self.edges
-            .resize(start + slots, (Sym(0), NodeId::from_index(0)));
-        start
-    }
-
-    /// Records `slots` (a power of two, or zero) slots at `start` as vacated.
-    fn give_back(&mut self, start: usize, slots: usize) {
-        if slots == 0 {
-            return;
-        }
-        let class = slots.trailing_zeros() as usize;
-        if self.vacant.len() <= class {
-            self.vacant.resize_with(class + 1, Vec::new);
-        }
-        self.vacant[class].push(start as u32);
-    }
 }
 
 #[cfg(test)]
@@ -219,45 +171,45 @@ mod tests {
             .collect()
     }
 
+    /// The pool holds exactly one entry per edge, and every directory's
+    /// entries are in name order.
+    fn assert_exact(pool: &ChildPool, edges: usize) {
+        assert_eq!(pool.edges.len(), edges);
+        assert_eq!(pool.offsets.last(), Some(&(edges as u32)));
+        assert!(pool.offsets.windows(2).all(|pair| pair[0] <= pair[1]));
+    }
+
     #[test]
-    fn spans_keep_name_order_across_moves_and_reuse_vacated_slots() {
+    fn interleaved_inserts_keep_name_order_and_no_slack() {
         let mut table = SymbolTable::new();
-        let mut pool = ChildPool::default();
+        let mut pool = ChildPool::with_capacity(0);
         let [a, b, c] = [0, 1, 2].map(NodeId::from_index);
         (0..3).for_each(|_| pool.push_node());
-        // Two directories growing in lock step force each to move past
-        // the other at every power of two.
+        // Two directories growing in lock step, each insert landing at
+        // the front of its directory, with a third directory between
+        // them in the arena.
         let mut expected = Vec::new();
         for i in (0..300).rev() {
             let name = format!("n{i:03}");
             let sym = table.intern(&name);
-            pool.insert(a, sym, NodeId::from_index(i + 2), &table);
-            pool.insert(b, sym, NodeId::from_index(i + 2), &table);
+            pool.insert(a, sym, NodeId::from_index(i + 3), &table);
+            pool.insert(c, sym, NodeId::from_index(i + 3), &table);
             expected.insert(0, name);
             assert_eq!(names(&pool, a, &table), expected);
-            assert_eq!(names(&pool, b, &table), expected);
+            assert_eq!(names(&pool, c, &table), expected);
+            assert!(pool.of(b).is_empty());
         }
+        assert_exact(&pool, 600);
         let sym = table.lookup("n007").unwrap();
-        assert_eq!(pool.get(a, sym), Some(NodeId::from_index(9)));
-        assert_eq!(pool.of(b).len(), 300);
-
-        // Each move vacated a span of every size up to 256 twice over:
-        // a newcomer growing to 200 edges reuses them and the pool does
-        // not grow.
-        let high_water = pool.edges.len();
-        for i in 0..200 {
-            let sym = table.intern(&format!("again{i}"));
-            pool.insert(c, sym, NodeId::from_index(1_000 + i), &table);
-        }
-        assert_eq!(pool.edges.len(), high_water);
-        assert_eq!(names(&pool, a, &table), expected);
-        assert_eq!(names(&pool, b, &table), expected);
+        assert_eq!(pool.get(a, sym), Some(NodeId::from_index(10)));
+        assert_eq!(pool.get(b, sym), None);
+        assert!(pool.of(NodeId::from_index(3)).is_empty(), "past the arena");
     }
 
     #[test]
-    fn a_laid_out_pool_keeps_the_span_rule() {
+    fn a_laid_out_pool_is_exact_and_takes_later_inserts() {
         let mut table = SymbolTable::new();
-        let mut pool = ChildPool::default();
+        let mut pool = ChildPool::with_capacity(4);
         let dirs = [0, 1, 2, 3].map(NodeId::from_index);
         dirs.iter().for_each(|_| pool.push_node());
         // Three edges under dirs[0], four under dirs[1], one under
@@ -276,29 +228,23 @@ mod tests {
             pool.get(dirs[3], table.lookup("z").unwrap()),
             Some(NodeId::from_index(13))
         );
-        assert_eq!(
-            pool.edges.len(),
-            4 + 4 + 1,
-            "each span reserves its capacity, no more"
-        );
+        assert_exact(&pool, links.len());
 
-        // Slack is used in place; a full span moves to the tail and
-        // leaves its slots vacant.
-        let start = |pool: &ChildPool, dir: NodeId| pool.spans[dir.index()].start;
-        let (at0, at1) = (start(&pool, dirs[0]), start(&pool, dirs[1]));
-        pool.insert(dirs[0], table.intern("aa"), NodeId::from_index(20), &table);
+        // Later inserts go in place, into any directory.
         pool.insert(dirs[1], table.intern("pp"), NodeId::from_index(21), &table);
-        assert_eq!(start(&pool, dirs[0]), at0);
-        assert_eq!(start(&pool, dirs[1]), 9);
-        assert_eq!(pool.vacant[2], [at1]);
+        pool.insert(dirs[0], table.intern("aa"), NodeId::from_index(20), &table);
+        pool.insert(dirs[2], table.intern("m"), NodeId::from_index(22), &table);
         assert_eq!(names(&pool, dirs[0], &table), ["a", "aa", "b", "c"]);
         assert_eq!(names(&pool, dirs[1], &table), ["p", "pp", "q", "r", "s"]);
+        assert_eq!(names(&pool, dirs[2], &table), ["m"]);
+        assert_eq!(names(&pool, dirs[3], &table), ["z"]);
+        assert_exact(&pool, links.len() + 3);
     }
 
     #[test]
     fn laying_out_two_siblings_with_one_name_names_it() {
         let mut table = SymbolTable::new();
-        let mut pool = ChildPool::default();
+        let mut pool = ChildPool::with_capacity(2);
         (0..2).for_each(|_| pool.push_node());
         let (dir, dup) = (NodeId::from_index(0), table.intern("dup"));
         let links = [

@@ -29,7 +29,6 @@
 #![warn(missing_debug_implementations)]
 
 mod attrs;
-mod builder;
 mod children;
 mod error;
 mod intern;
@@ -40,7 +39,6 @@ mod popularity;
 mod tree;
 
 pub use attrs::{AttrTable, FileAttr, VersionedAttr};
-pub use builder::TreeBuilder;
 pub use error::TreeError;
 pub use intern::{Sym, SymbolTable};
 pub use iter::{Ancestors, ChainUp, Descendants};

@@ -114,7 +114,7 @@ impl fmt::Display for NodeKind {
 /// directories) the name-ordered children.
 ///
 /// The tree stores no per-node record — a node is a row of its columns
-/// and a span of its child-edge pool — so this is a `Copy` handle (tree
+/// and a range of its child-edge array — so this is a `Copy` handle (tree
 /// reference + id) that reads them on demand. Children are keyed by
 /// interned [`Sym`] handles but kept sorted by name, so traversal order
 /// is deterministic — which keeps every downstream experiment

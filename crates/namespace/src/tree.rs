@@ -59,7 +59,7 @@ fn check_component(name: &str) -> Result<(), TreeError> {
 /// before parents: backward) with no traversal stack.
 ///
 /// The arena is columns, not records: a parent id, a name symbol and a
-/// directory bit per slot, plus a span of one shared child-edge pool —
+/// directory bit per slot, plus a range of one shared child-edge array —
 /// no pointer and no allocation per node. Name components are
 /// interned in a per-tree [`SymbolTable`] and child edges are
 /// `(Sym, NodeId)` pairs, so path resolution hashes each component once
@@ -104,7 +104,7 @@ impl NamespaceTree {
 
     /// A tree containing only the root directory, with room for `nodes`
     /// nodes with distinct names, the root included: the columns, the
-    /// span table, the name offsets and the intern probe table are
+    /// child offsets, the name offsets and the intern probe table are
     /// reserved at the size `nodes` appends grow them to, so building
     /// the tree copies no column and rehashes no name.
     fn with_capacity(nodes: usize) -> Self {
@@ -128,39 +128,39 @@ impl NamespaceTree {
     /// each taking the next id as [`create`](Self::create) would give
     /// it; `nodes`, the root included, sizes the columns so that they
     /// grow without a copy. Once `fill` returns, the appended names are
-    /// interned a block at a time, each directory's children are laid
-    /// out in their span and sorted by name once, instead of
-    /// insert-sorted one `create` at a time, and no column keeps spare
-    /// capacity. The tree is the one the same sequence of
+    /// interned a block at a time, the child edges are laid out once at
+    /// their exact count, each directory's sorted by name, and no column
+    /// keeps spare capacity. The tree is the one the same sequence of
     /// `create`s builds — ids, names, kinds, symbols and child order —
     /// and takes later `create`s the same way.
     ///
     /// # Errors
     ///
     /// * `fill`'s error, which ends the build: [`NodeAppender::append`]
-    ///   refuses what `create` refuses, sibling names aside.
+    ///   refuses what `create` refuses, sibling names aside, and `fill`
+    ///   may fail with errors of its own.
     /// * [`TreeError::DuplicateName`] — two children of one directory
-    ///   share a name; checked after `fill`, when the spans are sorted.
+    ///   share a name; checked after `fill`, when the edges are sorted.
     ///
     /// # Example
     ///
     /// ```
-    /// use d2tree_namespace::{NamespaceTree, NodeId, NodeKind};
+    /// use d2tree_namespace::{NamespaceTree, NodeId, NodeKind, TreeError};
     ///
-    /// # fn main() -> Result<(), d2tree_namespace::TreeError> {
+    /// # fn main() -> Result<(), TreeError> {
     /// let tree = NamespaceTree::build(3, |tree| {
     ///     let etc = tree.append(NodeId::ROOT, "etc", NodeKind::Directory)?;
     ///     tree.append(etc, "hosts", NodeKind::File)?;
-    ///     Ok(())
+    ///     Ok::<_, TreeError>(())
     /// })?;
     /// assert_eq!(tree.resolve_str("/etc/hosts")?.index(), 2);
     /// # Ok(())
     /// # }
     /// ```
-    pub fn build(
+    pub fn build<E: From<TreeError>>(
         nodes: usize,
-        fill: impl FnOnce(&mut NodeAppender<'_>) -> Result<(), TreeError>,
-    ) -> Result<Self, TreeError> {
+        fill: impl FnOnce(&mut NodeAppender<'_>) -> Result<(), E>,
+    ) -> Result<Self, E> {
         let mut tree = Self::with_capacity(nodes);
         let first = tree.symbols.len();
         fill(&mut NodeAppender { tree: &mut tree })?;
@@ -313,6 +313,11 @@ impl NamespaceTree {
     }
 
     /// Creates a child of `parent` and returns its id.
+    ///
+    /// Shifts the child edges and offsets that follow the new edge, so a
+    /// create costs O(n) in the tree's size: it suits small trees and
+    /// the odd late node, and a tree of any size is built with
+    /// [`build`](Self::build).
     ///
     /// # Errors
     ///
@@ -703,7 +708,7 @@ mod tests {
     }
 
     /// `contains` is a bounds check, so it is checked against the
-    /// structure: a slot is reachable from the root through child spans
+    /// structure: a slot is reachable from the root through child edges
     /// exactly when it lies in the arena — for every slot and a few past
     /// it, after any mix of creates, failed ones included, on clones
     /// too — and `node` and `node_count` say the same.
@@ -784,7 +789,7 @@ mod tests {
                 }
             }
             assert_eq!(t.tree.parent.capacity(), 1_000, "no column grew");
-            Ok(())
+            Ok::<_, TreeError>(())
         })
         .unwrap();
         assert_eq!(tree.node_count(), 501);

@@ -15,11 +15,12 @@
 //! U /home/alice
 //! ```
 
+use std::collections::HashMap;
 use std::error::Error;
 use std::fmt;
 use std::io::{self, BufRead, Write};
 
-use d2tree_namespace::{NamespaceTree, NodeKind, NsPath, TreeError};
+use d2tree_namespace::{NamespaceTree, NodeId, NodeKind, NsPath, TreeError};
 
 use crate::trace::{OpKind, Operation, Trace};
 
@@ -93,11 +94,8 @@ impl From<TreeError> for TraceIoError {
 ///
 /// Propagates I/O failures.
 pub fn write_tree<W: Write>(mut out: W, tree: &NamespaceTree) -> io::Result<()> {
-    for id in tree.descendants(tree.root()) {
-        if id == tree.root() {
-            continue;
-        }
-        let node = tree.node(id).expect("live traversal");
+    for id in tree.descendants(tree.root()).skip(1) {
+        let node = tree.node(id).expect("a descendant is in the arena");
         let tag = if node.kind().is_directory() { 'D' } else { 'F' };
         writeln!(out, "{tag} {}", tree.path_of(id))?;
     }
@@ -106,38 +104,76 @@ pub fn write_tree<W: Write>(mut out: W, tree: &NamespaceTree) -> io::Result<()> 
 
 /// Reads a namespace written by [`write_tree`]. Blank lines and lines
 /// starting with `#` are ignored; intermediate directories are created on
-/// demand, so the format also accepts bare file lists.
+/// demand, so the format also accepts bare file lists in any order.
+///
+/// The tree is built in one pass ([`NamespaceTree::build`]): a line
+/// appends each missing directory on its path, top down, then its final
+/// component, so every node takes the id that
+/// [`create_path`](NamespaceTree::create_path) over the same lines would
+/// give it. A line finds its parent in a map from each directory's path
+/// to its id. The map holds directories only, so two lines that name
+/// one file, and a file that a later path uses as a directory, both
+/// append a second child of that name: [`TreeError::DuplicateName`],
+/// reported once every line is in. A repeated `D` line is a no-op.
 ///
 /// # Errors
 ///
 /// [`TraceIoError::Malformed`] for bad records, [`TraceIoError::Tree`]
-/// for kind conflicts, [`TraceIoError::Io`] for I/O failures.
+/// for kind conflicts and repeated files, [`TraceIoError::Io`] for I/O
+/// failures.
 pub fn read_tree<R: BufRead>(input: R) -> Result<NamespaceTree, TraceIoError> {
-    let mut tree = NamespaceTree::new();
-    for (idx, line) in input.lines().enumerate() {
-        let line = line?;
-        let trimmed = line.trim();
-        if trimmed.is_empty() || trimmed.starts_with('#') {
-            continue;
-        }
-        let (kind, path) = parse_line(trimmed, idx + 1)?;
-        let kind = match kind {
-            'D' => NodeKind::Directory,
-            'F' => NodeKind::File,
-            _ => {
-                return Err(TraceIoError::Malformed {
-                    line: idx + 1,
-                    content: trimmed.to_owned(),
-                })
+    NamespaceTree::build(0, |tree| {
+        let mut dirs: HashMap<Box<str>, NodeId> = HashMap::from([("".into(), NodeId::ROOT)]);
+        for (idx, line) in input.lines().enumerate() {
+            let line = line?;
+            let trimmed = line.trim();
+            if trimmed.is_empty() || trimmed.starts_with('#') {
+                continue;
             }
-        };
-        let parsed: NsPath = path.parse().map_err(|_| TraceIoError::Malformed {
-            line: idx + 1,
-            content: trimmed.to_owned(),
-        })?;
-        tree.create_path(&parsed, kind)?;
-    }
-    Ok(tree)
+            let malformed = || TraceIoError::Malformed {
+                line: idx + 1,
+                content: trimmed.to_owned(),
+            };
+            let (kind, path) = parse_line(trimmed, idx + 1)?;
+            let kind = match kind {
+                'D' => NodeKind::Directory,
+                'F' => NodeKind::File,
+                _ => return Err(malformed()),
+            };
+            // A path that parses is in normal form, so each of its
+            // prefixes up to a `/` is its directory's path as written.
+            if path.parse::<NsPath>().map_err(|_| malformed())?.depth() == 0 {
+                continue;
+            }
+            // The deepest directory on the path that exists: for a
+            // pre-order listing, the line's parent.
+            let mut known = if kind.is_directory() {
+                path.len()
+            } else {
+                path.rfind('/').expect("a parsed path starts with '/'")
+            };
+            let mut parent = loop {
+                match dirs.get(&path[..known]) {
+                    Some(&id) => break id,
+                    None => known = path[..known].rfind('/').expect("the root is known"),
+                }
+            };
+            let mut end = known;
+            for name in path[known..].split('/').skip(1) {
+                end += 1 + name.len();
+                let kind = if end == path.len() {
+                    kind
+                } else {
+                    NodeKind::Directory
+                };
+                parent = tree.append(parent, name, kind)?;
+                if kind.is_directory() {
+                    dirs.insert(path[..end].into(), parent);
+                }
+            }
+        }
+        Ok(())
+    })
 }
 
 /// Writes a trace as `R|W|U <path>` lines, one per operation, in replay
@@ -149,8 +185,7 @@ pub fn read_tree<R: BufRead>(input: R) -> Result<NamespaceTree, TraceIoError> {
 ///
 /// # Panics
 ///
-/// Panics if an operation targets a node that is no longer live in
-/// `tree`.
+/// Panics if an operation targets an id past `tree`'s arena.
 pub fn write_trace<W: Write>(mut out: W, trace: &Trace, tree: &NamespaceTree) -> io::Result<()> {
     for op in trace {
         let tag = match op.kind {
@@ -285,6 +320,20 @@ mod tests {
             other => panic!("wrong error: {other}"),
         }
         assert!(!err.to_string().is_empty());
+    }
+
+    #[test]
+    fn a_repeated_file_line_is_a_duplicate_name() {
+        let duplicate = |input: &str| match read_tree(input.as_bytes()) {
+            Err(TraceIoError::Tree(TreeError::DuplicateName(name))) => name,
+            other => panic!("{input:?}: {other:?}"),
+        };
+        assert_eq!(duplicate("F /a/b\nD /c\nF /a/b\n"), "b");
+        // So is a file that a later path takes for a directory.
+        assert_eq!(duplicate("F /a\nF /a/b\n"), "a");
+        // A repeated directory is not.
+        let tree = read_tree("D /a\nF /a/b\nD /a\n".as_bytes()).unwrap();
+        assert_eq!(tree.node_count(), 3);
     }
 
     #[test]

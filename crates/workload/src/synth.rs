@@ -1,6 +1,6 @@
 //! Namespace-tree synthesis from a [`TraceProfile`].
 
-use d2tree_namespace::{NamespaceTree, NodeId, NodeKind};
+use d2tree_namespace::{NamespaceTree, NodeId, NodeKind, TreeError};
 use rand::rngs::StdRng;
 use rand::{Rng, SeedableRng};
 
@@ -115,7 +115,7 @@ pub fn synthesize_tree(profile: &TraceProfile, seed: u64) -> (NamespaceTree, Syn
                 resum(&mut weights, &dirs_at, depth + 1);
             }
         }
-        Ok(())
+        Ok::<_, TreeError>(())
     })
     .expect("generated names are unique");
 

@@ -9,13 +9,13 @@
 
 use d2tree::core::{D2TreeConfig, D2TreeScheme, Partitioner};
 use d2tree::metrics::{balance, ClusterSpec};
-use d2tree::namespace::{Popularity, TreeBuilder};
+use d2tree::namespace::{NamespaceTree, NodeKind, Popularity};
 
 fn main() -> Result<(), Box<dyn std::error::Error>> {
     // 1. Build a small namespace by hand: a project tree with one hot
     //    directory and some cold archives.
-    let mut builder = TreeBuilder::new();
-    builder.files([
+    let mut tree = NamespaceTree::new();
+    for path in [
         "/projects/website/index.html",
         "/projects/website/style.css",
         "/projects/website/app.js",
@@ -26,9 +26,10 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         "/archive/2020/report.pdf",
         "/home/alice/notes.txt",
         "/home/bob/todo.md",
-    ])?;
-    builder.dir("/tmp")?;
-    let tree = builder.build();
+    ] {
+        tree.create_path(&path.parse()?, NodeKind::File)?;
+    }
+    tree.create_path(&"/tmp".parse()?, NodeKind::Directory)?;
     println!(
         "namespace: {} nodes, max depth {}",
         tree.node_count(),

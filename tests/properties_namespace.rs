@@ -2,7 +2,7 @@
 
 mod support;
 
-use d2tree::namespace::{NamespaceTree, NodeId, NodeKind, NsPath, Popularity, TreeBuilder};
+use d2tree::namespace::{NamespaceTree, NodeId, NodeKind, NsPath, Popularity, TreeError};
 use rand::rngs::StdRng;
 use rand::Rng;
 use support::cases;
@@ -29,11 +29,11 @@ fn paths(rng: &mut StdRng) -> Vec<String> {
 /// The tree of one draw of [`paths`], each created as a file; a path
 /// that conflicts with an earlier one (file vs directory) is skipped.
 fn random_tree(rng: &mut StdRng) -> NamespaceTree {
-    let mut builder = TreeBuilder::new();
+    let mut tree = NamespaceTree::new();
     for p in &paths(rng) {
-        let _ = builder.file(p);
+        let _ = tree.create_path(&p.parse().unwrap(), NodeKind::File);
     }
-    builder.build()
+    tree
 }
 
 /// Every node but the root, in id order.
@@ -52,20 +52,41 @@ fn dirs(tree: &NamespaceTree) -> Vec<NodeId> {
         .collect()
 }
 
+/// The counters, then node for node: parent, name, symbol, kind and the
+/// children in iteration order.
+fn assert_identical(a: &NamespaceTree, b: &NamespaceTree) {
+    assert_eq!(a.arena_size(), b.arena_size());
+    assert_eq!(a.node_count(), b.node_count());
+    assert_eq!(a.symbols().len(), b.symbols().len());
+    for slot in 0..a.arena_size() {
+        let id = NodeId::from_index(slot);
+        let (x, y) = (a.node(id).expect("in a"), b.node(id).expect("in b"));
+        assert_eq!(x.parent(), y.parent());
+        assert_eq!(x.name(), y.name());
+        assert_eq!(x.name_sym(), y.name_sym());
+        assert_eq!(x.kind(), y.kind());
+        assert_eq!(
+            x.children().collect::<Vec<_>>(),
+            y.children().collect::<Vec<_>>(),
+            "children of {}",
+            id
+        );
+    }
+}
+
 #[test]
 fn build_resolve_roundtrip() {
     cases("build_resolve_roundtrip", 32, |rng| {
         let paths = paths(rng);
-        let mut builder = TreeBuilder::new();
+        let mut tree = NamespaceTree::new();
         let mut created = Vec::new();
         for p in &paths {
             // Conflicts (file vs dir on the same path) may legitimately
             // error; only successful creations must resolve.
-            if let Ok(id) = builder.file(p) {
+            if let Ok(id) = tree.create_path(&p.parse().unwrap(), NodeKind::File) {
                 created.push((p.clone(), id));
             }
         }
-        let tree = builder.build();
         for (p, id) in created {
             let parsed: NsPath = p.parse().unwrap();
             assert_eq!(tree.resolve(&parsed), Some(id));
@@ -297,7 +318,60 @@ mod io_roundtrip {
     use super::*;
     use d2tree::workload::io::{read_trace, read_tree, write_trace, write_tree};
     use d2tree::workload::{OpKind, Operation, Trace};
+    use std::collections::BTreeSet;
     use std::io::BufReader;
+
+    /// A bare listing of one draw of [`paths`], shuffled: a path that
+    /// leads to another is a `D` line and any other an `F` line, each
+    /// listed once, plus `D` lines that repeat a directory, often
+    /// before the line that first creates it.
+    fn bare_listing(rng: &mut StdRng) -> Vec<String> {
+        let paths = paths(rng);
+        let dirs: BTreeSet<&str> = paths
+            .iter()
+            .flat_map(|p| p.match_indices('/').skip(1).map(move |(at, _)| &p[..at]))
+            .collect();
+        let mut lines: Vec<String> = paths
+            .iter()
+            .map(|p| {
+                let tag = if dirs.contains(p.as_str()) { 'D' } else { 'F' };
+                format!("{tag} {p}")
+            })
+            .collect::<BTreeSet<_>>()
+            .into_iter()
+            .collect();
+        let dirs: Vec<&str> = dirs.into_iter().collect();
+        for _ in 0..rng.gen_range(0..=dirs.len()) {
+            lines.push(format!("D {}", dirs[rng.gen_range(0..dirs.len())]));
+        }
+        for i in (1..lines.len()).rev() {
+            lines.swap(i, rng.gen_range(0..=i));
+        }
+        lines
+    }
+
+    #[test]
+    fn reading_a_bare_listing_equals_create_path_over_its_lines() {
+        cases(
+            "reading_a_bare_listing_equals_create_path_over_its_lines",
+            64,
+            |rng| {
+                let lines = bare_listing(rng);
+                let mut want = NamespaceTree::new();
+                for line in &lines {
+                    let (tag, path) = line.split_at(1);
+                    let kind = if tag == "D" {
+                        NodeKind::Directory
+                    } else {
+                        NodeKind::File
+                    };
+                    want.create_path(&path[1..].parse().unwrap(), kind).unwrap();
+                }
+                let got = read_tree(lines.join("\n").as_bytes()).unwrap();
+                assert_identical(&want, &got);
+            },
+        );
+    }
 
     #[test]
     fn tree_and_trace_roundtrip() {
@@ -581,7 +655,6 @@ mod same_trees {
 /// to symbol numbering, or fail with the same error.
 mod one_pass_build {
     use super::*;
-    use d2tree::namespace::TreeError;
     use rand::SeedableRng;
     use std::collections::BTreeSet;
 
@@ -682,28 +755,6 @@ mod one_pass_build {
         })
     }
 
-    /// Node for node: parent, name, symbol, kind and the children in
-    /// iteration order; then the counters.
-    fn assert_identical(a: &NamespaceTree, b: &NamespaceTree) {
-        assert_eq!(a.arena_size(), b.arena_size());
-        assert_eq!(a.node_count(), b.node_count());
-        assert_eq!(a.symbols().len(), b.symbols().len());
-        for slot in 0..a.arena_size() {
-            let id = NodeId::from_index(slot);
-            let (x, y) = (a.node(id).expect("in a"), b.node(id).expect("in b"));
-            assert_eq!(x.parent(), y.parent());
-            assert_eq!(x.name(), y.name());
-            assert_eq!(x.name_sym(), y.name_sym());
-            assert_eq!(x.kind(), y.kind());
-            assert_eq!(
-                x.children().collect::<Vec<_>>(),
-                y.children().collect::<Vec<_>>(),
-                "children of {}",
-                id
-            );
-        }
-    }
-
     #[test]
     fn one_pass_build_equals_the_creates_it_replaces() {
         cases(
@@ -748,11 +799,11 @@ mod one_pass_build {
     }
 }
 
-/// Model check of the arena across span moves: random `create`s
-/// against a `BTreeMap<String, NodeId>`-per-directory model that knows
-/// nothing of columns, symbols or the edge pool. Fan-outs cross every
-/// span size class up to 256, and each move vacates a span that later
-/// growth reuses.
+/// Model check of the arena and its exact child layout: random
+/// `create`s against a `BTreeMap<String, NodeId>`-per-directory model
+/// that knows nothing of columns, symbols or the edge array. Two
+/// directories grow to 300 children one interleaved create at a time,
+/// and bursts of up to 257 land anywhere in the tree.
 mod arena_model {
     use super::*;
     use std::collections::BTreeMap;
@@ -851,7 +902,7 @@ mod arena_model {
         assert_eq!(tree.descendants(tree.root()).collect::<Vec<_>>(), preorder);
     }
 
-    /// Fan-out steps that land on and just past each span size class.
+    /// Fan-out steps, from one child to 257.
     const BURSTS: [usize; 10] = [1, 1, 2, 3, 5, 9, 17, 33, 65, 257];
 
     #[test]
@@ -871,8 +922,8 @@ mod arena_model {
                     )
                 };
 
-                // The tree starts built in one pass, so what follows mutates
-                // the span layout that path produces: a hub and a side
+                // The tree starts built in one pass, so what follows grows
+                // the layout that path produces: a hub and a side
                 // directory with a random head start, and a few more
                 // directories with children of their own.
                 let (hub, side) = (NodeId::from_index(1), NodeId::from_index(2));
@@ -901,14 +952,13 @@ mod arena_model {
                             }
                         }
                     }
-                    Ok(())
+                    Ok::<_, TreeError>(())
                 })
                 .expect("the model admits only valid nodes");
                 assert_same(&tree, &model);
 
-                // Up through every size class one child at a time, beside
-                // a second directory whose growth interleaves with it in
-                // the pool.
+                // To 300 children one create at a time, beside a second
+                // directory whose edges interleave with its own.
                 while model.kids[hub.index()].len() < 300 {
                     for dir in [hub, side] {
                         let name = name(rng);

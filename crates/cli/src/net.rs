@@ -5,8 +5,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use d2tree_cluster::{
-    admin_get, run_load, AdminConfig, AdminServer, LoadConfig, LoadMode, NetMds, NetServer,
-    NetServerConfig, RetryPolicy,
+    admin_get, run_load, AdminServer, LoadConfig, LoadMode, NetMds, NetServer, NetServerConfig,
+    RetryPolicy,
 };
 use d2tree_core::{D2TreeConfig, D2TreeScheme, LocalIndex, Partitioner};
 use d2tree_metrics::{ClusterSpec, MdsId, Placement};
@@ -94,13 +94,7 @@ pub(crate) fn cmd_serve(opts: &Opts) -> Result<String, CliError> {
         write_port_file(port_file, &bound.to_string())?;
     }
     let admin = admin_addr
-        .map(|admin_addr| {
-            let config = AdminConfig {
-                tick_interval: admin_tick,
-                ..AdminConfig::default()
-            };
-            AdminServer::bind(admin_addr, Arc::clone(&mds), config)
-        })
+        .map(|admin_addr| AdminServer::bind(admin_addr, Arc::clone(&mds), admin_tick))
         .transpose()?;
     if let (Some(admin), Some(port_file)) = (&admin, admin_port_file) {
         write_port_file(port_file, &admin.local_addr().to_string())?;

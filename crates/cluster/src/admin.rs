@@ -46,49 +46,22 @@ use d2tree_telemetry::json::Writer;
 use d2tree_telemetry::trace::chrome_trace_json;
 use d2tree_telemetry::{export, names, Counter, FlightRecorder, HealthRules, MetricKey};
 
-use crate::net::{AcceptLoop, NetMds, SlowEntry};
+use crate::net::{AcceptLoop, NetMds, SlowEntry, POLL_INTERVAL};
 use crate::sync;
 
-/// Tuning of an [`AdminServer`].
-#[derive(Debug, Clone)]
-pub struct AdminConfig {
-    /// Read timeout on scrape sockets, which doubles as the stop-flag
-    /// poll granularity (mirrors `NetServerConfig::poll_interval`).
-    pub poll_interval: Duration,
-    /// How often the sampling ticker feeds the flight recorder.
-    pub tick_interval: Duration,
-    /// Flight-recorder ring capacity, in ticks.
-    pub recorder_capacity: usize,
-    /// Rules `/health` evaluates over the ring.
-    pub rules: HealthRules,
-    /// Cap on the request head (request line + headers) in bytes.
-    pub max_head: usize,
-    /// Cap on the request path in bytes (`414` beyond it).
-    pub max_path: usize,
-    /// How long a connection may dribble its request head before the
-    /// server answers `408` and closes.
-    pub head_deadline: Duration,
-    /// Default and maximum span count for `/trace`.
-    pub trace_default_spans: usize,
-    /// Hard cap on `/trace?n=K` (a scrape must not decode unboundedly).
-    pub trace_max_spans: usize,
-}
-
-impl Default for AdminConfig {
-    fn default() -> Self {
-        AdminConfig {
-            poll_interval: Duration::from_millis(25),
-            tick_interval: Duration::from_millis(250),
-            recorder_capacity: 256,
-            rules: HealthRules::default(),
-            max_head: 8 * 1024,
-            max_path: 1024,
-            head_deadline: Duration::from_secs(2),
-            trace_default_spans: 256,
-            trace_max_spans: 4096,
-        }
-    }
-}
+/// Flight-recorder ring capacity, in ticks.
+const RECORDER_CAPACITY: usize = 256;
+/// Cap on the request head (request line + headers) in bytes.
+const MAX_HEAD: usize = 8 * 1024;
+/// Cap on the request path in bytes (`414` beyond it).
+const MAX_PATH: usize = 1024;
+/// How long a connection may dribble its request head before the
+/// server answers `408` and closes.
+const HEAD_DEADLINE: Duration = Duration::from_secs(2);
+/// Span count `/trace` returns without `?n=K`.
+const TRACE_DEFAULT_SPANS: usize = 256;
+/// Hard cap on `/trace?n=K` (a scrape must not decode unboundedly).
+const TRACE_MAX_SPANS: usize = 4096;
 
 /// Totals an [`AdminServer`] accumulated, reported by
 /// [`AdminServer::shutdown`].
@@ -105,10 +78,8 @@ pub struct AdminStats {
 struct AdminState {
     mds: Arc<NetMds>,
     recorder: Mutex<FlightRecorder>,
-    rules: HealthRules,
     scrapes: Arc<Counter>,
     errors: Arc<Counter>,
-    config: AdminConfig,
 }
 
 /// The admin-plane listener plus its sampling ticker.
@@ -133,7 +104,8 @@ impl std::fmt::Debug for AdminServer {
 
 impl AdminServer {
     /// Binds the admin listener at `addr` (port 0 for ephemeral) over
-    /// the daemon `mds`, and starts the flight-recorder ticker.
+    /// the daemon `mds`, and starts the flight-recorder ticker, which
+    /// samples the daemon every `tick_interval`.
     ///
     /// # Errors
     ///
@@ -141,22 +113,20 @@ impl AdminServer {
     pub fn bind<A: ToSocketAddrs>(
         addr: A,
         mds: Arc<NetMds>,
-        config: AdminConfig,
+        tick_interval: Duration,
     ) -> io::Result<AdminServer> {
         let registry = Arc::clone(mds.registry());
         let scrapes = registry.counter(MetricKey::global(names::ADMIN_SCRAPES_TOTAL));
         let errors = registry.counter(MetricKey::global(names::ADMIN_ERRORS_TOTAL));
         let state = Arc::new(AdminState {
             mds: Arc::clone(&mds),
-            recorder: Mutex::new(FlightRecorder::new(config.recorder_capacity)),
-            rules: config.rules.clone(),
+            recorder: Mutex::new(FlightRecorder::new(RECORDER_CAPACITY)),
             scrapes: Arc::clone(&scrapes),
             errors: Arc::clone(&errors),
-            config: config.clone(),
         });
         let acceptor = {
             let state = Arc::clone(&state);
-            AcceptLoop::spawn(addr, config.poll_interval, move |stream, stop| {
+            AcceptLoop::spawn(addr, POLL_INTERVAL, move |stream, stop| {
                 handle_conn(stream, stop, &state);
             })?
         };
@@ -173,14 +143,11 @@ impl AdminServer {
                         sync::lock(&state.recorder).sample(sample, Some(&registry));
                     }
                     let mut slept = Duration::ZERO;
-                    while slept < state.config.tick_interval {
+                    while slept < tick_interval {
                         if stop.load(Ordering::SeqCst) {
                             return;
                         }
-                        let nap = state
-                            .config
-                            .poll_interval
-                            .min(state.config.tick_interval - slept);
+                        let nap = POLL_INTERVAL.min(tick_interval - slept);
                         std::thread::sleep(nap);
                         slept += nap;
                     }
@@ -235,9 +202,9 @@ impl Drop for AdminServer {
 enum Head {
     /// A complete head (blank line seen, or EOF after at least a line).
     Complete,
-    /// The head outgrew [`AdminConfig::max_head`].
+    /// The head outgrew [`MAX_HEAD`].
     TooBig,
-    /// The peer dribbled past [`AdminConfig::head_deadline`].
+    /// The peer dribbled past [`HEAD_DEADLINE`].
     Timeout,
     /// Shutdown or a dead socket: drop without answering.
     Drop,
@@ -252,19 +219,14 @@ fn head_complete(head: &[u8]) -> bool {
 /// Reads one request head from `stream` into `head`, byte-dribble-safe
 /// and bounded in both size and time, polling `stop` every read
 /// timeout exactly like the frame-codec connection loop.
-fn read_head(
-    stream: &mut TcpStream,
-    stop: &AtomicBool,
-    head: &mut Vec<u8>,
-    cfg: &AdminConfig,
-) -> Head {
-    let deadline = Instant::now() + cfg.head_deadline;
+fn read_head(stream: &mut TcpStream, stop: &AtomicBool, head: &mut Vec<u8>) -> Head {
+    let deadline = Instant::now() + HEAD_DEADLINE;
     let mut buf = [0u8; 1024];
     loop {
         if head_complete(head) {
             return Head::Complete;
         }
-        if head.len() > cfg.max_head {
+        if head.len() > MAX_HEAD {
             return Head::TooBig;
         }
         if stop.load(Ordering::SeqCst) {
@@ -297,11 +259,10 @@ fn read_head(
 /// One scrape connection: read the head, dispatch, answer, close.
 fn handle_conn(mut stream: TcpStream, stop: &AtomicBool, state: &AdminState) {
     let _ = stream.set_nodelay(true);
-    let _ = stream.set_read_timeout(Some(state.config.poll_interval));
+    let _ = stream.set_read_timeout(Some(POLL_INTERVAL));
     let _ = stream.set_write_timeout(Some(Duration::from_secs(5)));
     let mut head = Vec::new();
-    let (status, content_type, body) = match read_head(&mut stream, stop, &mut head, &state.config)
-    {
+    let (status, content_type, body) = match read_head(&mut stream, stop, &mut head) {
         Head::Complete => dispatch(&head, state),
         Head::TooBig => (414, "text/plain", "request head too large\n".to_owned()),
         Head::Timeout => (408, "text/plain", "request head timed out\n".to_owned()),
@@ -345,7 +306,7 @@ fn dispatch(head: &[u8], state: &AdminState) -> (u16, &'static str, String) {
         (Some(m), Some(t)) => (m, t),
         _ => return (400, "text/plain", "malformed request line\n".to_owned()),
     };
-    if target.len() > state.config.max_path {
+    if target.len() > MAX_PATH {
         return (414, "text/plain", "request path too long\n".to_owned());
     }
     if !target.starts_with('/') {
@@ -375,15 +336,15 @@ fn dispatch(head: &[u8], state: &AdminState) -> (u16, &'static str, String) {
             let snap = state.mds.registry().snapshot();
             (200, "application/json", export::json(&snap))
         }
-        "/health" => health_body(&sync::lock(&state.recorder), &state.rules),
+        "/health" => health_body(&sync::lock(&state.recorder), &HealthRules::default()),
         "/trace" => {
             let n = query
                 .and_then(|q| {
                     q.split('&')
                         .find_map(|kv| kv.strip_prefix("n=").and_then(|v| v.parse::<usize>().ok()))
                 })
-                .unwrap_or(state.config.trace_default_spans)
-                .min(state.config.trace_max_spans);
+                .unwrap_or(TRACE_DEFAULT_SPANS)
+                .min(TRACE_MAX_SPANS);
             let spans = state
                 .mds
                 .tracer()

@@ -153,7 +153,7 @@ pub struct ChaosReport {
     pub journal: Vec<EventKind>,
     /// Messages the fault plan dropped.
     pub faults_dropped: u64,
-    /// Messages the fault plan delayed or reordered.
+    /// Messages the fault plan delayed.
     pub faults_delayed: u64,
     /// Messages the fault plan duplicated.
     pub faults_duplicated: u64,

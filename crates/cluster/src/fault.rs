@@ -101,13 +101,6 @@ pub enum FaultAction {
     },
     /// Deliver the message twice.
     Duplicate,
-    /// Perturb delivery order by a uniform jitter in `0..=jitter_ms`
-    /// (a pure-jitter delay, so two messages sent back-to-back can
-    /// arrive swapped).
-    Reorder {
-        /// Upper bound of the uniform reorder jitter.
-        jitter_ms: u64,
-    },
 }
 
 /// One scoped, probabilistic perturbation with an optional activity
@@ -321,14 +314,6 @@ impl FaultInjector {
                     (FaultDecision::Delay(fixed_ms + jitter), FaultKind::Delay)
                 }
                 FaultAction::Duplicate => (FaultDecision::DeliverTwice, FaultKind::Duplicate),
-                FaultAction::Reorder { jitter_ms } => {
-                    let jitter = if jitter_ms == 0 {
-                        0
-                    } else {
-                        rng.gen_range(0..=jitter_ms)
-                    };
-                    (FaultDecision::Delay(jitter), FaultKind::Reorder)
-                }
             };
             drop(rng);
             if let Some(tel) = &self.telemetry {

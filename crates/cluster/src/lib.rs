@@ -59,7 +59,7 @@ pub mod sim;
 mod sync;
 pub mod trace_analysis;
 
-pub use admin::{admin_get, AdminConfig, AdminServer, AdminStats};
+pub use admin::{admin_get, AdminServer, AdminStats};
 pub use chaos::{
     run_chaos, run_store_chaos, ChaosConfig, ChaosReport, StoreChaosConfig, StoreChaosReport,
 };

@@ -24,7 +24,7 @@ use std::sync::{Arc, Weak};
 use std::thread::JoinHandle;
 use std::time::{Duration, Instant};
 
-use d2tree_core::{AdjustPolicy, Heartbeat, LocalIndex, Subtree};
+use d2tree_core::{Heartbeat, LocalIndex, Subtree, DEFAULT_OVERLOAD_FACTOR};
 use d2tree_metrics::{Assignment, ClusterSpec, MdsId, Migration, Placement};
 use d2tree_namespace::{NamespaceTree, NodeId, VersionedAttr};
 use d2tree_store::StoreConfig;
@@ -43,25 +43,27 @@ use crate::message::{Request, RequestId, Response, REQUEST_FRAME_BYTES};
 use crate::monitor::{ClusterEvent, Monitor, MonitorConfig};
 use crate::net::NetMds;
 
+/// How often each MDS heartbeats the Monitor, which also runs its
+/// rebalancing round once per interval.
+const HEARTBEAT_INTERVAL: Duration = Duration::from_millis(20);
+
+/// How long a client's cached local index stays fresh before it
+/// re-fetches (the GFS-style lease of Sec. IV-A2).
+const INDEX_LEASE: Duration = Duration::from_millis(500);
+
 /// Tuning of the live runtime.
 #[derive(Debug, Clone)]
 pub struct LiveConfig {
-    /// How often each MDS heartbeats the Monitor.
-    pub heartbeat_interval: Duration,
     /// Monitor failure-declaration timeout.
     pub failure_timeout: Duration,
     /// Client-side per-attempt response timeout.
     pub request_timeout: Duration,
     /// Client retry policy: attempt budget, backoff and overall deadline.
     pub retry: RetryPolicy,
-    /// How long a client's cached local index stays fresh before it
-    /// re-fetches (the GFS-style lease of Sec. IV-A2).
-    pub index_lease: Duration,
-    /// The Monitor's [`AdjustPolicy::overload_factor`]: once per
-    /// heartbeat interval, a live server whose counted local-layer load
-    /// exceeds this factor times its ideal share sheds subtrees into the
-    /// pending pool, and light servers claim them by mirror division
-    /// (Sec. IV-B). The rejoin round runs under it too.
+    /// The Monitor's overload factor: once per heartbeat interval, a
+    /// live server whose counted local-layer load exceeds this factor
+    /// times its ideal share sheds subtrees into the pending pool, and
+    /// light servers claim them by mirror division (Sec. IV-B). The rejoin round runs under it too.
     /// `f64::INFINITY` disables shedding.
     pub overload_factor: f64,
     /// Root directory for durable per-MDS state (`<root>/mds-<k>`).
@@ -90,12 +92,10 @@ impl LiveConfig {
 impl Default for LiveConfig {
     fn default() -> Self {
         LiveConfig {
-            heartbeat_interval: Duration::from_millis(20),
             failure_timeout: Duration::from_millis(120),
             request_timeout: Duration::from_millis(50),
             retry: RetryPolicy::default(),
-            index_lease: Duration::from_millis(500),
-            overload_factor: AdjustPolicy::default().overload_factor,
+            overload_factor: DEFAULT_OVERLOAD_FACTOR,
             store_root: None,
             store: StoreConfig::default(),
             tracer: None,
@@ -116,7 +116,6 @@ enum ServerMsg {
 #[derive(Debug)]
 struct Shared {
     tree: Arc<NamespaceTree>,
-    migrations: AtomicU64,
     /// The cluster's one control plane: GL leases are taken through it,
     /// and the Monitor applies its membership and migration commands to
     /// the `ControlState` it is a view of.
@@ -140,6 +139,13 @@ struct Shared {
 impl Shared {
     fn now_ms(&self) -> u64 {
         self.epoch.elapsed().as_millis() as u64
+    }
+
+    /// Live subtree migrations the Monitor performed so far.
+    fn migrations(&self) -> u64 {
+        self.registry
+            .counter(MetricKey::global(names::MIGRATIONS_TOTAL))
+            .get()
     }
 
     fn tracer(&self) -> Option<&Tracer> {
@@ -334,7 +340,6 @@ impl LiveCluster {
             .map(|p| FaultInjector::new(&p).with_registry(Arc::clone(&registry)));
         let shared = Arc::new(Shared {
             tree: Arc::clone(&tree),
-            migrations: AtomicU64::new(0),
             locks: LockService::new(1_000),
             killed: (0..m).map(|_| AtomicBool::new(false)).collect(),
             restarted_at: (0..m).map(|_| AtomicU64::new(u64::MAX)).collect(),
@@ -382,9 +387,9 @@ impl LiveCluster {
             let shared = Arc::clone(&shared);
             let mds = Arc::clone(mds);
             let hb_tx = hb_tx.clone();
-            let (interval, retry) = (config.heartbeat_interval, config.retry);
+            let retry = config.retry;
             server_handles.push(std::thread::spawn(move || {
-                server_main(&shared, &mds, k, &rx, &hb_tx, interval, retry);
+                server_main(&shared, &mds, k, &rx, &hb_tx, retry);
             }));
         }
         drop(hb_tx);
@@ -422,7 +427,7 @@ impl LiveCluster {
             server_txs: self.server_txs.clone(),
             timeout: self.config.request_timeout,
             retry: self.config.retry,
-            cache: ClientCache::new(self.config.index_lease.as_millis() as u64),
+            cache: ClientCache::new(INDEX_LEASE.as_millis() as u64),
             next_id: 1,
             rng: StdRng::seed_from_u64(seed),
         }
@@ -719,7 +724,7 @@ impl LiveCluster {
         LiveReport {
             served: self.daemons.iter().map(|mds| mds.served()).collect(),
             redirects: self.daemons.iter().map(|mds| mds.redirects()).sum(),
-            migrations: self.shared.migrations.load(Ordering::SeqCst),
+            migrations: self.shared.migrations(),
             events: monitor.events(),
             journal: self.shared.registry.journal().snapshot(),
         }
@@ -734,9 +739,9 @@ fn server_main(
     me: usize,
     rx: &Receiver<ServerMsg>,
     hb_tx: &Sender<Heartbeat>,
-    interval: Duration,
     retry: RetryPolicy,
 ) {
+    let interval = HEARTBEAT_INTERVAL;
     let my_id = MdsId(me as u16);
     // Cache the counter handle once; the loop must not take the
     // registry's map locks.
@@ -855,12 +860,9 @@ fn monitor_main(
 ) -> Monitor {
     let m = daemons.len();
     let config = MonitorConfig {
-        heartbeat_interval_ms: live_config.heartbeat_interval.as_millis() as u64,
+        heartbeat_interval_ms: HEARTBEAT_INTERVAL.as_millis() as u64,
         failure_timeout_ms: live_config.failure_timeout.as_millis() as u64,
-        policy: AdjustPolicy {
-            overload_factor: live_config.overload_factor,
-            ..AdjustPolicy::default()
-        },
+        overload_factor: live_config.overload_factor,
     };
     // Share the registry's journal so membership transitions land in the
     // same ordered stream as sheds/claims/forwards.
@@ -1097,7 +1099,6 @@ fn apply_migration(shared: &Shared, daemons: &[Arc<NetMds>], mg: Migration) {
     for mds in daemons {
         mds.apply_migration(mg);
     }
-    shared.migrations.fetch_add(1, Ordering::Relaxed);
     shared
         .registry
         .counter(MetricKey::global(names::MIGRATIONS_TOTAL))
@@ -1222,7 +1223,8 @@ impl LiveClient {
     /// jitter, and the whole request is bounded by both the attempt
     /// budget and the policy deadline. A timed-out destination is
     /// remembered and avoided on the next attempt (the hint was stale);
-    /// each such re-route is journaled as [`EventKind::Forwarded`].
+    /// each such re-route is journaled as [`EventKind::Forwarded`], the
+    /// event's one producer.
     ///
     /// # Errors
     ///
@@ -1893,7 +1895,7 @@ mod tests {
         // Daemon 0's placement shows the move before the other daemons
         // have applied and journaled it; the counter follows the last.
         let deadline = Instant::now() + Duration::from_secs(5);
-        while cluster.shared.migrations.load(Ordering::SeqCst) == 0 {
+        while cluster.shared.migrations() == 0 {
             assert!(Instant::now() < deadline, "the move was never counted");
             std::thread::sleep(Duration::from_millis(5));
         }
@@ -1914,10 +1916,8 @@ mod tests {
     /// anything to move: weights are raw counts, never count + 1.
     #[test]
     fn an_idle_cluster_never_migrates() {
-        let config = LiveConfig::default();
-        let idle = config.heartbeat_interval * 15;
-        let (_tree, cluster, _trace) = build_cluster_with(4, config);
-        std::thread::sleep(idle);
+        let (_tree, cluster, _trace) = build_cluster_with(4, LiveConfig::default());
+        std::thread::sleep(HEARTBEAT_INTERVAL * 15);
         assert_eq!(cluster.shutdown().migrations, 0);
     }
 

@@ -13,7 +13,7 @@
 
 use std::sync::Arc;
 
-use d2tree_core::{AdjustPolicy, DynamicAdjuster, Heartbeat, Subtree};
+use d2tree_core::{DynamicAdjuster, Heartbeat, Subtree, DEFAULT_OVERLOAD_FACTOR};
 use d2tree_metrics::{ClusterSpec, MdsId, Migration};
 use d2tree_telemetry::{EventJournal, EventKind};
 
@@ -35,8 +35,8 @@ pub struct MonitorConfig {
     pub heartbeat_interval_ms: u64,
     /// Declare an MDS dead after this long without a heartbeat.
     pub failure_timeout_ms: u64,
-    /// Rebalancing thresholds forwarded to the pending-pool engine.
-    pub policy: AdjustPolicy,
+    /// Overload factor forwarded to the pending-pool engine.
+    pub overload_factor: f64,
 }
 
 impl Default for MonitorConfig {
@@ -44,7 +44,7 @@ impl Default for MonitorConfig {
         MonitorConfig {
             heartbeat_interval_ms: 100,
             failure_timeout_ms: 500,
-            policy: AdjustPolicy::default(),
+            overload_factor: DEFAULT_OVERLOAD_FACTOR,
         }
     }
 }
@@ -106,7 +106,7 @@ impl Monitor {
         Monitor {
             config,
             last_seen_ms: vec![None; m],
-            adjuster: DynamicAdjuster::new(config.policy),
+            adjuster: DynamicAdjuster::new(config.overload_factor),
             journal,
         }
     }
@@ -419,7 +419,7 @@ mod tests {
 
     /// The DES and the live Monitor run one rule: over a built scheme's
     /// subtrees, owners and counts, `D2TreeScheme::rebalance` and
-    /// `plan_rebalance` under one policy plan the same migrations.
+    /// `plan_rebalance` under one overload factor plan the same migrations.
     #[test]
     fn plan_rebalance_matches_the_des_adjuster() {
         use d2tree_core::{D2TreeConfig, D2TreeScheme, Partitioner};
@@ -434,12 +434,9 @@ mod tests {
         .build();
         let mut pop = w.popularity();
         let cluster = ClusterSpec::homogeneous(m, 1.0);
-        let policy = AdjustPolicy {
-            overload_factor: 1.2,
-            shed_target: 1.0,
-        };
+        let overload_factor = 1.2;
         let mut config = D2TreeConfig::paper_default();
-        config.policy = policy;
+        config.overload_factor = overload_factor;
         let mut scheme = D2TreeScheme::new(config);
         scheme.build(&w.tree, &pop, &cluster);
         // Drift: one subtree turns hot, so the round has work to do.
@@ -455,7 +452,7 @@ mod tests {
             .collect();
         let mut mon = Monitor::new(
             MonitorConfig {
-                policy,
+                overload_factor,
                 ..MonitorConfig::default()
             },
             m,

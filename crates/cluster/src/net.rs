@@ -72,7 +72,7 @@ use d2tree_namespace::{AttrTable, NamespaceTree, NodeId, VersionedAttr};
 use d2tree_store::{MdsRecord, MdsStore, RecoveryInfo, StoreConfig};
 use d2tree_telemetry::trace::{ArgKey, Tracer};
 use d2tree_telemetry::{
-    names, Counter, EventKind, FaultKind, Histogram, HistogramSnapshot, MetricKey, Registry,
+    names, Counter, FaultKind, Histogram, HistogramSnapshot, MetricKey, Registry,
 };
 use d2tree_workload::{OpKind, Operation, Trace};
 use rand::rngs::StdRng;
@@ -409,9 +409,8 @@ pub struct NetMds {
     epoch: Instant,
     registry: Arc<Registry>,
     tracer: Option<Arc<Tracer>>,
-    served: AtomicU64,
-    redirects: AtomicU64,
-    /// Migrations applied to this daemon's view.
+    /// Migrations applied to this daemon's view (the registry's
+    /// `migrations_total` counts the cluster's).
     migrations: AtomicU64,
     served_total: Arc<Counter>,
     forwarded_total: Arc<Counter>,
@@ -493,8 +492,6 @@ impl NetMds {
             epoch: Instant::now(),
             registry,
             tracer: None,
-            served: AtomicU64::new(0),
-            redirects: AtomicU64::new(0),
             migrations: AtomicU64::new(0),
             served_total,
             forwarded_total,
@@ -721,16 +718,18 @@ impl NetMds {
         &self.registry
     }
 
-    /// Operations this MDS has served (not redirected).
+    /// Operations this MDS has served (not redirected), read from its
+    /// `server_served_total` counter.
     #[must_use]
     pub fn served(&self) -> u64 {
-        self.served.load(Ordering::Relaxed)
+        self.served_total.get()
     }
 
-    /// Redirect responses this MDS has issued.
+    /// Redirect responses this MDS has issued: the sample counts of its
+    /// three `[kind][redirect]` latency lanes.
     #[must_use]
     pub fn redirects(&self) -> u64 {
-        self.redirects.load(Ordering::Relaxed)
+        self.srv_latency.iter().map(|row| row[1].count()).sum()
     }
 
     /// The tracer attached with [`with_tracer`](Self::with_tracer), if
@@ -1059,13 +1058,7 @@ impl ServeScope<'_> {
                 }
                 (ResponseBody::Served { node: req.target }, 0)
             }
-            Duty::Other(owner) => {
-                mds.registry.journal().record(EventKind::Forwarded {
-                    from: mds.me.0,
-                    to: owner.0,
-                });
-                (ResponseBody::Redirect { owner }, 1)
-            }
+            Duty::Other(owner) => (ResponseBody::Redirect { owner }, 1),
             Duty::Unknown => (ResponseBody::NotFound, 2),
         };
         self.lanes[kind_index(req.kind)][usize::from(outcome)] += 1;
@@ -1115,11 +1108,9 @@ impl Drop for ServeScope<'_> {
         let batch_us = self.opened.elapsed().as_micros() as u64;
         let [served, redirects] = [0, 1].map(|o| self.lanes.iter().map(|row| row[o]).sum());
         if served > 0 {
-            mds.served.fetch_add(served, Ordering::Relaxed);
             mds.served_total.add(served);
         }
         if redirects > 0 {
-            mds.redirects.fetch_add(redirects, Ordering::Relaxed);
             mds.forwarded_total.add(redirects);
         }
         for (hists, counts) in mds.srv_latency.iter().zip(&self.lanes) {
@@ -1241,6 +1232,11 @@ impl Drop for AcceptLoop {
     }
 }
 
+/// Read timeout on serving and admin sockets, which doubles as the
+/// stop-flag poll granularity: the default of
+/// [`NetServerConfig::poll_interval`] and the admin plane's fixed one.
+pub(crate) const POLL_INTERVAL: Duration = Duration::from_millis(25);
+
 /// Tuning of a [`NetServer`].
 #[derive(Debug, Clone, Copy)]
 pub struct NetServerConfig {
@@ -1254,7 +1250,7 @@ pub struct NetServerConfig {
 impl Default for NetServerConfig {
     fn default() -> Self {
         NetServerConfig {
-            poll_interval: Duration::from_millis(25),
+            poll_interval: POLL_INTERVAL,
             max_frame: MAX_FRAME_BYTES,
         }
     }
@@ -2687,6 +2683,25 @@ mod tests {
         assert_eq!(lane_counts(), want, "each lane books every request it saw");
         assert_eq!(mds.served(), 1 + 2 + 3);
         assert_eq!(mds.redirects(), 2 + 3 + 4);
+        // The registry is the one home of these counts: a redirect is
+        // counted in `forwarded_total` and its lane, not journaled.
+        let registry = mds.registry();
+        assert_eq!(
+            registry.journal().recorded(),
+            0,
+            "a redirect journals nothing"
+        );
+        let served_total = registry.counter(MetricKey::mds(names::SERVER_SERVED_TOTAL, 0));
+        let forwarded = registry.counter(MetricKey::global(names::FORWARDED_TOTAL));
+        let [served_lanes, redirect_lanes] = [0, 1].map(|o| want.iter().map(|row| row[o]).sum());
+        assert_eq!(
+            (mds.served(), served_total.get()),
+            (served_lanes, served_lanes)
+        );
+        assert_eq!(
+            (mds.redirects(), forwarded.get()),
+            (redirect_lanes, redirect_lanes)
+        );
         let batch_us = mds.srv_latency[0][0].snapshot().max;
         assert!(batch_us >= 2_000, "the scope's whole duration: {batch_us}");
         for hist in mds.srv_latency.iter().flatten() {

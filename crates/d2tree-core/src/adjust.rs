@@ -72,42 +72,33 @@ impl PendingPool {
     }
 }
 
-/// Thresholds governing when servers shed and claim (our concretisation of
-/// the paper's "relatively overloaded" / "lightly loaded" language).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct AdjustPolicy {
-    /// A server sheds once `L_k > overload_factor · I_k`.
-    pub overload_factor: f64,
-    /// Shedding stops once the load is back at `shed_target · I_k`.
-    pub shed_target: f64,
-}
+/// When a server counts as overloaded (our concretisation of the
+/// paper's "relatively overloaded" language): it sheds once
+/// `L_k > overload_factor · I_k`. The default's 5 % hysteresis above
+/// ideal keeps a balanced cluster from shedding on noise.
+pub const DEFAULT_OVERLOAD_FACTOR: f64 = 1.05;
 
-impl Default for AdjustPolicy {
-    fn default() -> Self {
-        // 5% hysteresis above ideal triggers shedding, shed back to ideal.
-        AdjustPolicy {
-            overload_factor: 1.05,
-            shed_target: 1.0,
-        }
-    }
-}
+/// An overloaded server sheds until its load is back at this multiple
+/// of its ideal `I_k`: back to ideal.
+const SHED_TARGET: f64 = 1.0;
 
 /// The Monitor-side rebalancing engine: accepts heartbeats, tells
 /// overloaded servers what to shed, and assigns the pending pool to light
 /// servers by mirror division of the pool CDF against the deficit CDF.
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Clone)]
 pub struct DynamicAdjuster {
-    policy: AdjustPolicy,
+    overload_factor: f64,
     pool: PendingPool,
     journal: Option<Arc<EventJournal>>,
 }
 
 impl DynamicAdjuster {
-    /// Creates an adjuster with the given policy.
+    /// Creates an adjuster whose servers shed above `overload_factor`
+    /// times their ideal load (see [`DEFAULT_OVERLOAD_FACTOR`]).
     #[must_use]
-    pub fn new(policy: AdjustPolicy) -> Self {
+    pub fn new(overload_factor: f64) -> Self {
         DynamicAdjuster {
-            policy,
+            overload_factor,
             pool: PendingPool::new(),
             journal: None,
         }
@@ -158,13 +149,13 @@ impl DynamicAdjuster {
         // when nothing fits, shed the smallest to still make progress.
         for mds in cluster.ids() {
             let ideal = mu * cluster.capacity(mds);
-            if loads[mds.index()] <= self.policy.overload_factor * ideal {
+            if loads[mds.index()] <= self.overload_factor * ideal {
                 continue;
             }
             let mut mine: Vec<&(Subtree, MdsId)> =
                 owned.iter().filter(|(_, o)| *o == mds).collect();
             mine.sort_by(|a, b| b.0.popularity.total_cmp(&a.0.popularity));
-            let target = self.policy.shed_target * ideal;
+            let target = SHED_TARGET * ideal;
             let mut load = loads[mds.index()];
             let mut i = 0;
             while load > target && !mine.is_empty() {
@@ -322,7 +313,7 @@ mod tests {
     fn balanced_cluster_produces_no_migrations() {
         let cluster = ClusterSpec::homogeneous(2, 100.0);
         let owned = vec![(subtree(0, 10.0), MdsId(0)), (subtree(1, 10.0), MdsId(1))];
-        let mut adj = DynamicAdjuster::new(AdjustPolicy::default());
+        let mut adj = DynamicAdjuster::new(DEFAULT_OVERLOAD_FACTOR);
         assert!(adj.rebalance(&owned, &cluster).is_empty());
         assert!(adj.pool().is_empty());
     }
@@ -336,7 +327,7 @@ mod tests {
             (subtree(2, 10.0), MdsId(0)),
             (subtree(3, 10.0), MdsId(0)),
         ];
-        let mut adj = DynamicAdjuster::new(AdjustPolicy::default());
+        let mut adj = DynamicAdjuster::new(DEFAULT_OVERLOAD_FACTOR);
         let migrations = adj.rebalance(&owned, &cluster);
         assert!(!migrations.is_empty());
         assert!(migrations
@@ -367,7 +358,7 @@ mod tests {
             (subtree(1, 25.0), MdsId(0)),
             (subtree(2, 25.0), MdsId(1)),
         ];
-        let mut adj = DynamicAdjuster::new(AdjustPolicy::default());
+        let mut adj = DynamicAdjuster::new(DEFAULT_OVERLOAD_FACTOR);
         let migrations = adj.rebalance(&owned, &cluster);
         assert!(migrations.iter().all(|m| m.to == MdsId(1)));
         assert!(!migrations.is_empty());
@@ -387,7 +378,7 @@ mod tests {
             (subtree(1, 10.0), MdsId(0)),
             (subtree(2, 50.0), MdsId(1)),
         ];
-        let mut adj = DynamicAdjuster::new(AdjustPolicy::default());
+        let mut adj = DynamicAdjuster::new(DEFAULT_OVERLOAD_FACTOR);
         let migrations = adj.rebalance(&owned, &cluster);
         // Whatever was shed was either claimed by mds1 (deficit 25) or
         // retained; no migration may target the overloaded mds0.
@@ -410,7 +401,7 @@ mod tests {
     #[test]
     fn empty_load_is_a_noop() {
         let cluster = ClusterSpec::homogeneous(3, 10.0);
-        let mut adj = DynamicAdjuster::new(AdjustPolicy::default());
+        let mut adj = DynamicAdjuster::new(DEFAULT_OVERLOAD_FACTOR);
         assert!(adj.rebalance(&[], &cluster).is_empty());
     }
 
@@ -449,7 +440,7 @@ mod tests {
             (subtree(3, 10.0), MdsId(0)),
         ];
         let mut adj =
-            DynamicAdjuster::new(AdjustPolicy::default()).with_journal(Arc::clone(&journal));
+            DynamicAdjuster::new(DEFAULT_OVERLOAD_FACTOR).with_journal(Arc::clone(&journal));
         let migrations = adj.rebalance(&owned, &cluster);
         assert!(!migrations.is_empty());
         let events = journal.snapshot();

@@ -48,7 +48,8 @@ pub mod split;
 pub mod validate;
 
 pub use adjust::{
-    plan_recut, AdjustPolicy, DynamicAdjuster, Heartbeat, PendingPool, PoolEntry, RecutPlan,
+    plan_recut, DynamicAdjuster, Heartbeat, PendingPool, PoolEntry, RecutPlan,
+    DEFAULT_OVERLOAD_FACTOR,
 };
 pub use allocate::{allocate_full, allocate_sampled, collect_subtrees, SampleStrategy, Subtree};
 pub use index::LocalIndex;

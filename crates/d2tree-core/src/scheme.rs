@@ -9,7 +9,7 @@ use d2tree_namespace::{NamespaceTree, NodeId, Popularity};
 use rand::rngs::StdRng;
 use rand::{Rng, RngCore, SeedableRng};
 
-use crate::adjust::{AdjustPolicy, DynamicAdjuster};
+use crate::adjust::{DynamicAdjuster, DEFAULT_OVERLOAD_FACTOR};
 use crate::allocate::{allocate_full, allocate_sampled, collect_subtrees, SampleStrategy, Subtree};
 use crate::index::LocalIndex;
 use crate::split::{split_to_proportion, tree_split, GlobalLayer, SplitBounds, SplitError};
@@ -193,7 +193,7 @@ impl<'a> Router<'a> {
                     .expect("local-layer nodes always have an indexed subtree root");
                 // A fresh client index points straight at the owner; a
                 // stale entry (probability grows with cluster size, see
-                // `D2TreeConfig::index_miss_per_mds`) costs one extra hop
+                // `INDEX_MISS_PER_MDS`) costs one extra hop
                 // through an arbitrary MDS, which — holding the replicated
                 // local index — forwards to the owner.
                 let mut first = owner;
@@ -283,13 +283,11 @@ pub struct D2TreeConfig {
     /// Sampled allocation: strategy and per-MDS sample size. `None` uses
     /// full-information mirror division.
     pub sampling: Option<(SampleStrategy, usize)>,
-    /// Dynamic-adjustment thresholds.
-    pub policy: AdjustPolicy,
+    /// Dynamic adjustment's overload factor (see
+    /// [`DEFAULT_OVERLOAD_FACTOR`]).
+    pub overload_factor: f64,
     /// Seed for routing/sampling randomness.
     pub seed: u64,
-    /// Update-cost model when no measured update popularity is supplied:
-    /// `u_j = assumed_update_fraction × p'_j`.
-    pub assumed_update_fraction: f64,
     /// Cap on the number of global-layer replicas (Sec. VII's proposed
     /// extension: "setting a threshold to control the number of
     /// replications of global layer"). `None` replicates to every MDS,
@@ -297,19 +295,24 @@ pub struct D2TreeConfig {
     /// servers that received the least local-layer load, trading some
     /// load spreading for an `M/R`-fold cut in replicated-update cost.
     pub replication_limit: Option<usize>,
-    /// Client local-index staleness per MDS: a local-layer access misses
-    /// the client's cached index — and pays one extra forwarding hop
-    /// through a random MDS — with probability
-    /// `min(index_miss_per_mds × M, 0.75)`.
-    ///
-    /// Rationale: pending-pool migrations scale with the cluster size, so
-    /// the fraction of stale client index entries does too. This is the
-    /// mechanism behind the paper's LMBE observation that "many queries in
-    /// the local layer need more jumps among MDS's to perform path
-    /// traversal as the cluster is scaled" (and Eq. 7 accordingly accounts
-    /// one jump for every local-layer access).
-    pub index_miss_per_mds: f64,
 }
+
+/// Update-cost model when no measured update popularity is supplied:
+/// `u_j = ASSUMED_UPDATE_FRACTION × p'_j`.
+const ASSUMED_UPDATE_FRACTION: f64 = 0.05;
+
+/// Client local-index staleness per MDS: a local-layer access misses
+/// the client's cached index — and pays one extra forwarding hop
+/// through a random MDS — with probability
+/// `min(INDEX_MISS_PER_MDS × M, 0.75)`.
+///
+/// Rationale: pending-pool migrations scale with the cluster size, so
+/// the fraction of stale client index entries does too. This is the
+/// mechanism behind the paper's LMBE observation that "many queries in
+/// the local layer need more jumps among MDS's to perform path
+/// traversal as the cluster is scaled" (and Eq. 7 accordingly accounts
+/// one jump for every local-layer access).
+const INDEX_MISS_PER_MDS: f64 = 0.02;
 
 impl D2TreeConfig {
     /// The paper's default: a 1% global layer, full-information
@@ -325,11 +328,9 @@ impl D2TreeConfig {
         D2TreeConfig {
             split: SplitSpec::Proportion(proportion),
             sampling: None,
-            policy: AdjustPolicy::default(),
+            overload_factor: DEFAULT_OVERLOAD_FACTOR,
             seed: 0,
-            assumed_update_fraction: 0.05,
             replication_limit: None,
-            index_miss_per_mds: 0.02,
         }
     }
 
@@ -443,11 +444,10 @@ impl D2TreeScheme {
         pop: &Popularity,
         cluster: &ClusterSpec,
     ) -> Result<(), SplitError> {
-        let fraction = self.config.assumed_update_fraction;
         let update_pop = self.update_pop.as_ref();
         let update_of = |id: NodeId| match update_pop {
             Some(u) => u.individual(id),
-            None => fraction * pop.individual(id),
+            None => ASSUMED_UPDATE_FRACTION * pop.individual(id),
         };
         let layer = match self.config.split {
             SplitSpec::Proportion(p) => split_to_proportion(tree, pop, update_of, p).0,
@@ -501,7 +501,7 @@ impl D2TreeScheme {
             owners,
             placement,
             index,
-            adjuster: DynamicAdjuster::new(self.config.policy),
+            adjuster: DynamicAdjuster::new(self.config.overload_factor),
         });
         Ok(())
     }
@@ -612,7 +612,7 @@ impl Partitioner for D2TreeScheme {
             placement: &state.placement,
             rule: Rule::D2Tree {
                 state,
-                index_miss: (self.config.index_miss_per_mds * m as f64).min(0.75),
+                index_miss: (INDEX_MISS_PER_MDS * m as f64).min(0.75),
             },
             scratch: [MdsId(0); 2],
         }

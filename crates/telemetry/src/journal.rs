@@ -62,11 +62,13 @@ pub enum EventKind {
         /// The client that missed.
         client: u64,
     },
-    /// A request was forwarded between servers.
+    /// A live client steered a retry away from a server that had just
+    /// timed out. A server's redirect is not journaled: it is counted in
+    /// `forwarded_total` and the server's `[kind][redirect]` latency lane.
     Forwarded {
-        /// MDS that received the misdirected request.
+        /// The server that timed out (the client's stale hint).
         from: u16,
-        /// MDS it was forwarded to.
+        /// The server the retry went to instead.
         to: u16,
     },
     /// The fault-injection layer perturbed a message.
@@ -131,8 +133,6 @@ pub enum FaultKind {
     Delay,
     /// The message was delivered twice.
     Duplicate,
-    /// Delivery order was perturbed by a random jitter.
-    Reorder,
     /// A WAL write was torn mid-frame at crash time.
     TornWrite,
     /// An fsync persisted only a prefix of the buffered bytes.
@@ -149,7 +149,6 @@ impl FaultKind {
             FaultKind::Drop => "drop",
             FaultKind::Delay => "delay",
             FaultKind::Duplicate => "duplicate",
-            FaultKind::Reorder => "reorder",
             FaultKind::TornWrite => "torn_write",
             FaultKind::PartialFsync => "partial_fsync",
             FaultKind::CorruptRecord => "corrupt_record",

@@ -79,7 +79,7 @@ pub mod names {
     pub const MDS_FAILURES_TOTAL: &str = "mds_failures_total";
     /// Messages dropped by the fault-injection layer.
     pub const FAULTS_DROPPED: &str = "faults_dropped_total";
-    /// Messages delayed (or reordered) by the fault-injection layer.
+    /// Messages delayed by the fault-injection layer.
     pub const FAULTS_DELAYED: &str = "faults_delayed_total";
     /// Messages duplicated by the fault-injection layer.
     pub const FAULTS_DUPLICATED: &str = "faults_duplicated_total";

@@ -569,18 +569,12 @@ pub struct Tracer {
 }
 
 impl Tracer {
-    /// A tracer with the default sink capacity.
+    /// A tracer whose sink holds up to [`DEFAULT_SPAN_CAPACITY`] spans.
     #[must_use]
     pub fn new(sampler: Sampler) -> Self {
-        Tracer::with_capacity(sampler, DEFAULT_SPAN_CAPACITY)
-    }
-
-    /// A tracer bounding the sink to `capacity` spans.
-    #[must_use]
-    pub fn with_capacity(sampler: Sampler, capacity: usize) -> Self {
         Tracer {
             sampler,
-            sink: SpanSink::new(capacity),
+            sink: SpanSink::new(DEFAULT_SPAN_CAPACITY),
             next_trace: AtomicU64::new(1),
             next_span: AtomicU64::new(1),
             epoch: Instant::now(),

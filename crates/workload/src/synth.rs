@@ -78,6 +78,11 @@ pub fn synthesize_tree(profile: &TraceProfile, seed: u64) -> (NamespaceTree, Syn
         }
     };
     let mut name = String::new();
+    // Depths are summed and maxed as nodes arrive: the spine's node at
+    // depth d for every d in 1..=max_depth, then each node one below
+    // the directory it attaches to.
+    let mut depth_sum = profile.max_depth * (profile.max_depth + 1) / 2;
+    let mut max_depth = profile.max_depth;
     // Every node arrives after its parent, so the tree is built in one
     // pass: appended here, each directory's children placed and sorted
     // by name once at the end.
@@ -110,6 +115,8 @@ pub fn synthesize_tree(profile: &TraceProfile, seed: u64) -> (NamespaceTree, Syn
             };
             push_numbered(&mut name, prefix, next_name);
             let id = tree.append(parent, &name, kind)?;
+            depth_sum += depth + 1;
+            max_depth = max_depth.max(depth + 1);
             if make_dir && depth + 1 < profile.max_depth {
                 dirs_at[depth + 1].push(id);
                 resum(&mut weights, &dirs_at, depth + 1);
@@ -119,13 +126,12 @@ pub fn synthesize_tree(profile: &TraceProfile, seed: u64) -> (NamespaceTree, Syn
     })
     .expect("generated names are unique");
 
-    let depth = tree.depths();
     let report = SynthesisReport {
         nodes: tree.node_count(),
         directories: tree.directory_count(),
         files: tree.file_count(),
-        max_depth: depth.iter().copied().max().unwrap_or(0) as usize,
-        mean_depth: depth.iter().map(|&d| d as usize).sum::<usize>() as f64 / depth.len() as f64,
+        max_depth,
+        mean_depth: depth_sum as f64 / tree.node_count() as f64,
     };
     (tree, report)
 }

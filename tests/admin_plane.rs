@@ -11,8 +11,8 @@ use std::sync::Arc;
 use std::time::Duration;
 
 use d2tree::cluster::{
-    admin_get, run_load, AdminConfig, AdminServer, LoadConfig, LoadMode, NetClient, NetMds,
-    NetServer, NetServerConfig, Request, RequestId, RetryPolicy,
+    admin_get, run_load, AdminServer, LoadConfig, LoadMode, NetClient, NetMds, NetServer,
+    NetServerConfig, Request, RequestId, RetryPolicy,
 };
 use d2tree::core::{D2TreeConfig, D2TreeScheme, LocalIndex, Partitioner};
 use d2tree::metrics::{ClusterSpec, MdsId, Placement};
@@ -83,15 +83,8 @@ fn start_stack(seed: u64, tracer: Option<&Arc<Tracer>>) -> Stack {
     let mds = Arc::new(mds);
     let server = NetServer::bind("127.0.0.1:0", Arc::clone(&mds), NetServerConfig::default())
         .expect("bind data plane");
-    let admin = AdminServer::bind(
-        "127.0.0.1:0",
-        Arc::clone(&mds),
-        AdminConfig {
-            tick_interval: Duration::from_millis(20),
-            ..AdminConfig::default()
-        },
-    )
-    .expect("bind admin plane");
+    let admin = AdminServer::bind("127.0.0.1:0", Arc::clone(&mds), Duration::from_millis(20))
+        .expect("bind admin plane");
     (tree, trace, owners, registry, mds, server, admin)
 }
 
@@ -294,7 +287,7 @@ fn admin_protocol_rejects_garbage_with_the_right_status_codes() {
     assert_eq!(raw_request(addr, b"GET /\xff\xfe HTTP/1.0\r\n\r\n"), 400);
     // Relative path → 400.
     assert_eq!(raw_request(addr, b"GET metrics HTTP/1.0\r\n\r\n"), 400);
-    // Oversized path → 414 (AdminConfig::max_path defaults to 1 KiB).
+    // Oversized path → 414 (the admin plane caps a path at 1 KiB).
     let long = format!("GET /{} HTTP/1.0\r\n\r\n", "x".repeat(4_096));
     assert_eq!(raw_request(addr, long.as_bytes()), 414);
     // Non-GET method → 405.
